@@ -275,139 +275,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from . import bench
-
-    paths = ("cpu", "gpu", "parallel", "reduce") if args.path == "all" \
-        else (args.path,)
-    if args.out and len(paths) > 1:
-        raise ReproError("--out needs a single --path; "
-                         "use --json to write the canonical reports")
-    if args.workers is None:
-        worker_steps = bench._DEFAULT_WORKER_STEPS
-    else:
-        from .parallel.pool import resolve_workers
-
-        top = resolve_workers(args.workers)
-        if top < 2:
-            raise ReproError("bench --workers must resolve to >= 2")
-        worker_steps = tuple(sorted({1, 2, top}))
-    rc = 0
-    reports: dict[str, dict] = {}
-    for path in paths:
-        if path == "gpu":
-            default_apps = bench.DEFAULT_GPU_APPS
-        elif path == "reduce":
-            default_apps = bench.DEFAULT_REDUCE_APPS
-        else:
-            default_apps = bench.DEFAULT_APPS
-        apps = args.apps or list(default_apps)
-        if path == "parallel":
-            report = bench.run_parallel_bench(
-                apps, records=args.records, repeat=args.repeat,
-                seed=args.seed, worker_steps=worker_steps,
-                tier=args.tier)
-        elif path == "reduce":
-            report = bench.run_reduce_bench(
-                apps, records=args.records, repeat=args.repeat,
-                seed=args.seed, worker_steps=worker_steps)
-        else:
-            run = bench.run_bench if path == "cpu" else bench.run_gpu_bench
-            report = run(apps, records=args.records, repeat=args.repeat,
-                         seed=args.seed)
-        reports[path] = report
-        if not args.json and path == "reduce":
-            print(f"[{path} path, host_cpus={report['host_cpus']}]")
-            for r in report["results"]:
-                steps = "  ".join(
-                    f"rw={c['reduce_workers']} cp "
-                    f"{c['reduce_critical_path_seconds']:.6f}s"
-                    + (f" ({c['reduce_sim_speedup']:.2f}x sim)"
-                       if c["reduce_workers"] > 1 else "")
-                    for c in r["configs"]
-                )
-                print(f"{r['app']:4s} {r['records']:7d} records  "
-                      f"{r['partitions']:3d} parts  "
-                      f"{r['merge_runs']:4d} runs  "
-                      f"sort {r['sort_seconds']:.4f}s  "
-                      f"merge {r['merge_seconds']:.4f}s  "
-                      f"merge speedup {r['speedup']:.2f}x  {steps}")
-        elif not args.json and path == "parallel":
-            print(f"[{path} path, host_cpus={report['host_cpus']}]")
-            for r in report["results"]:
-                steps = "  ".join(
-                    f"w={c['workers']} wall {c['wall_seconds']:.3f}s"
-                    + (f" ({c['wall_speedup']}x wall, "
-                       f"{c['sim_speedup']:.2f}x sim)"
-                       if c["workers"] > 1 else "")
-                    for c in r["configs"]
-                )
-                print(f"{r['app']:4s} {r.get('tier', 'seed'):6s} "
-                      f"{r['records']:7d} records  "
-                      f"{r['map_tasks']:3d} maps  {steps}")
-        elif not args.json:
-            print(f"[{path} path]")
-            for r in report["results"]:
-                line = (f"{r['app']:4s} {r['records']:6d} records  "
-                        f"tree {r['tree_records_per_s']:10.1f} rec/s  "
-                        f"compiled {r['compiled_records_per_s']:10.1f} rec/s  "
-                        f"speedup {r['speedup']:.2f}x")
-                if r.get("vector_speedup") is not None:
-                    tag = (f"{r['vector_regions']} regions"
-                           if r.get("vector_regions") else "fallback")
-                    line += (f"  vector {r['vector_speedup']:.2f}x "
-                             f"({tag})")
-                print(line)
-        out = args.out or (bench.CANONICAL_REPORTS[path] if args.json else None)
-        if out:
-            bench.write_report(report, out)
-            if not args.json:
-                print(f"wrote {out}")
-        if args.min_speedup is not None:
-            slow = bench.check_min_speedup(report, args.min_speedup)
-            if slow:
-                print(f"error: {path} path below --min-speedup "
-                      f"{args.min_speedup}: {', '.join(slow)}",
-                      file=sys.stderr)
-                rc = 1
-        if args.min_vector_speedup is not None and path == "gpu":
-            slow = bench.check_min_vector_speedup(report,
-                                                  args.min_vector_speedup)
-            if slow:
-                print(f"error: {path} path below --min-vector-speedup: "
-                      f"{', '.join(slow)}", file=sys.stderr)
-                rc = 1
-        if args.min_wall_speedup is not None and path == "parallel":
-            slow = bench.check_min_wall_speedup(report,
-                                                args.min_wall_speedup)
-            if slow:
-                print(f"error: {path} path below --min-wall-speedup: "
-                      f"{', '.join(slow)}", file=sys.stderr)
-                rc = 1
-        if args.min_merge_speedup is not None and path == "reduce":
-            # the reduce path's canonical speedup IS the merge speedup
-            slow = bench.check_min_speedup(report, args.min_merge_speedup)
-            if slow:
-                print(f"error: {path} path below --min-merge-speedup "
-                      f"{args.min_merge_speedup}: {', '.join(slow)}",
-                      file=sys.stderr)
-                rc = 1
-        if args.baseline is not None:
-            drifted = bench.check_against_baseline(report, args.baseline,
-                                                   args.tolerance)
-            if drifted:
-                print(f"error: {path} path drifted beyond "
-                      f"{args.tolerance:.0%} of {args.baseline}: "
-                      f"{', '.join(drifted)}", file=sys.stderr)
-                rc = 1
-    if args.json:
-        payload = reports[paths[0]] if len(paths) == 1 else reports
-        print(json.dumps(payload, indent=2))
-    return rc
-
-
 def _cmd_pool(args: argparse.Namespace) -> int:
     """Inspect or drive this process's persistent daemon pool.
 
@@ -526,7 +393,7 @@ def _add_workers_option(parser: argparse.ArgumentParser,
 
     A single definition keeps the default chain (explicit flag →
     ``$REPRO_WORKERS`` → serial; 0 = one per core) identical across
-    ``run``/``trace``/``stats``/``bench``/``fuzz``/``pool`` instead of
+    ``run``/``trace``/``stats``/``fuzz``/``pool`` instead of
     five drifting copies.
     """
     help_text = ("worker processes (default: $REPRO_WORKERS or 1; "
@@ -536,7 +403,20 @@ def _add_workers_option(parser: argparse.ArgumentParser,
     parser.add_argument("--workers", type=int, default=None, help=help_text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer >= 1, else a
+    usage error (exit 2) instead of an empty job."""
+    value = int(text)  # a ValueError is argparse's usage error too
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # The app registry, not a literal: the scenario registry validates
+    # itself against it at import, and importing that here would put
+    # the simulator and numpy on every invocation's start-up path.
+    app_help = f"benchmark tag ({' '.join(a.short for a in all_apps())})"
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HeteroDoop reproduction (HPDC 2015)",
@@ -556,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("run", help="run a benchmark job locally")
-    p.add_argument("app", help="benchmark tag (GR HS WC HR LR KM CL BS)")
-    p.add_argument("--records", type=int, default=400)
+    p.add_argument("app", help=app_help)
+    p.add_argument("--records", type=_positive_int, default=400)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
     p.add_argument("--cpu-only", action="store_true",
                    help="use the Hadoop Streaming CPU path")
-    p.add_argument("--split-kb", type=int, default=32)
+    p.add_argument("--split-kb", type=_positive_int, default=32)
     p.add_argument("--show", type=int, default=8)
     _add_workers_option(p, "fans the map phase across the daemon pool")
     p.set_defaults(func=_cmd_run)
@@ -609,18 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for cmd, func in (("trace", _cmd_trace), ("stats", _cmd_stats)):
         p = sub.add_parser(cmd, help=trace_help[cmd])
-        p.add_argument("app", help="benchmark tag (GR HS WC HR LR KM CL BS)")
+        p.add_argument("app", help=app_help)
         p.add_argument("--mode", choices=("local", "simulate"),
                        default="local",
                        help="local: functional job on this process; "
                             "simulate: cluster-scale discrete-event run")
         p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
-        p.add_argument("--records", type=int, default=400,
+        p.add_argument("--records", type=_positive_int, default=400,
                        help="input records (local mode)")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--cpu-only", action="store_true",
                        help="local mode: use the Hadoop Streaming CPU path")
-        p.add_argument("--split-kb", type=int, default=32)
+        p.add_argument("--split-kb", type=_positive_int, default=32)
         p.add_argument("--gpus", type=int, default=1,
                        help="GPUs per node (simulate mode)")
         p.add_argument("--policy", choices=policy_names(),
@@ -634,57 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-o", "--out", default=None,
                            help="write the trace here (default: stdout)")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("bench", help="time tree-walking vs compiled "
-                                     "execution on local jobs")
-    p.add_argument("--apps", nargs="*", metavar="TAG",
-                   help="benchmark tags (default: WC KM; "
-                        "gpu path: WC KM BS CL)")
-    p.add_argument("--path", choices=("cpu", "gpu", "parallel", "reduce",
-                                      "all"),
-                   default="cpu",
-                   help="cpu: interpreter backends on streaming jobs; "
-                        "gpu: lane engines on GPU-path jobs; parallel: "
-                        "worker-pool map phase vs serial; reduce: "
-                        "sorted-run merge shuffle vs full re-sort; "
-                        "all: every path")
-    p.add_argument("--records", type=int, default=None,
-                   help="records per app (default: per-app sizes)")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", help="write the JSON report here "
-                                 "(single --path only)")
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON and write the canonical "
-                        "BENCH_interp.json / BENCH_gpu.json for each path")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="exit nonzero if any app's speedup is below this")
-    p.add_argument("--min-vector-speedup", type=float, default=None,
-                   help="--path gpu: exit nonzero if any *vectorized* "
-                        "app's vector-over-compiled speedup is below "
-                        "this (fallback apps are parity-only)")
-    p.add_argument("--baseline", default=None, metavar="REPORT",
-                   help="exit nonzero if any app's speedup drifts beyond "
-                        "--tolerance of this committed report (the "
-                        "tracing-overhead guard)")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative drift allowed by --baseline "
-                        "(default 0.05)")
-    p.add_argument("--tier", choices=("seed", "scaled", "both"),
-                   default="seed",
-                   help="--path parallel input scale: seed = small "
-                        "golden-trace inputs, scaled = 100k-record-class "
-                        "inputs where wall-clock wins show")
-    p.add_argument("--min-wall-speedup", type=float, default=None,
-                   help="--path parallel: exit nonzero if the measured "
-                        "wall-clock speedup at the highest worker count "
-                        "is below this (run on a multi-core host)")
-    p.add_argument("--min-merge-speedup", type=float, default=None,
-                   help="--path reduce: exit nonzero if any app's "
-                        "merge-over-re-sort speedup is below this")
-    _add_workers_option(p, "--path parallel: worker steps become 1,2,N "
-                           "(default steps 1,2,4)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fuzz", help="differential conformance fuzzing "
                                     "across the mini-C backends")

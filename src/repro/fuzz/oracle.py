@@ -1,9 +1,11 @@
 """Differential oracle: run one case through every applicable engine.
 
-Five engines execute each eligible case: the tree and compiled CPU
-backends, the tree-walking GPU lane engine (itself run under both CPU
-backends), the compiled GPU lane engine, and the numpy-vectorized warp
-engine. Comparison boundaries, strictest first:
+Four legs execute each eligible case — the tree and compiled CPU
+backends, the tree-walking GPU lane engine over tree-interpreted kernel
+bodies (the GPU reference), and the shipped vector GPU lane engine —
+plus the compiled lane engine pinned by ``engine="compiled"``, the
+forced form of vector's per-lane fallback. Comparison boundaries,
+strictest first:
 
 * tree vs. compiled CPU backends — stdout must be byte-identical,
   :class:`ExecCounters` bit-identical, and any ``CRuntimeError`` must
@@ -18,7 +20,7 @@ engine. Comparison boundaries, strictest first:
 * combiner cases with integer values — the standalone GPU combine
   kernel may emit chunk-boundary partial aggregates (paper §4.2), so
   only per-key sums are compared against the serial combiner; but the
-  two lane engines must agree on the kernel's exact output pairs,
+  lane engines must agree on the kernel's exact output pairs,
   counters, and cost first.
 """
 
@@ -33,7 +35,6 @@ from ..apps.base import Application
 from ..config import CLUSTER1
 from ..errors import ReproError
 from ..gpu.device import GpuDevice
-from ..gpu.engine import use_gpu_engine
 from ..gpu.executor import run_combine_kernel
 from ..hadoop.local import LocalJobRunner, parse_kv_line
 from ..kvstore.global_store import KVPair
@@ -146,9 +147,10 @@ def _fuzz_app(case: FuzzCase) -> Application:
 
 
 def _run_job(app: Application, input_text: str, use_gpu: bool,
-             workers: int = 1):
+             workers: int = 1, gpu_engine: str | None = None):
     runner = LocalJobRunner(app, use_gpu=use_gpu, num_reducers=2,
-                            split_bytes=_SPLIT_BYTES, workers=workers)
+                            split_bytes=_SPLIT_BYTES, workers=workers,
+                            gpu_engine=gpu_engine)
     return runner.run(input_text)
 
 
@@ -234,24 +236,22 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
                 f"parallel pairs={par.map_output_pairs} "
                 f"seconds={par.task_seconds()}")
     try:
-        # Four GPU configurations: the tree lane engine under both CPU
-        # backends (kernel bodies interpreted vs compiled), the compiled
-        # lane engine, and the vectorized warp engine. All must agree
-        # exactly.
-        with use_gpu_engine("tree"):
-            with use_backend("compiled"):
-                gpu_tc = _run_job(app, case.input_text, use_gpu=True)
-            with use_backend("tree"):
-                gpu_tt = _run_job(app, case.input_text, use_gpu=True)
-        with use_gpu_engine("compiled"):
-            gpu_c = _run_job(app, case.input_text, use_gpu=True)
-        with use_gpu_engine("vector"):
-            gpu_v = _run_job(app, case.input_text, use_gpu=True)
+        # Three GPU configurations: the reference (tree lane engine over
+        # tree-interpreted kernel bodies), the shipped engine (vector),
+        # and vector's per-lane fallback forced on every region
+        # (engine="compiled"). All must agree exactly. Every leg names
+        # its engine, so the verdict never depends on ambient defaults.
+        with use_backend("tree"):
+            gpu_tt = _run_job(app, case.input_text, use_gpu=True,
+                              gpu_engine="tree")
+        gpu_v = _run_job(app, case.input_text, use_gpu=True,
+                         gpu_engine="vector")
+        gpu_c = _run_job(app, case.input_text, use_gpu=True,
+                         gpu_engine="compiled")
     except ReproError as exc:
         return Divergence(case, "gpu-job-error",
                           f"{type(exc).__name__}: {exc}")
-    runs = [("tree/tree", gpu_tt), ("tree/compiled", gpu_tc),
-            ("compiled", gpu_c), ("vector", gpu_v)]
+    runs = [("tree/tree", gpu_tt), ("vector", gpu_v), ("compiled", gpu_c)]
     for name, gpu in runs[1:]:
         if gpu.output != gpu_tt.output:
             return Divergence(case, f"gpu-engine-output:{name}",
@@ -273,14 +273,14 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
                     case, f"gpu-engine-cost:{name}",
                     f"task {i}: tree/tree={a.map_launch.cost}\n"
                     f"{name}={b.map_launch.cost}")
-    if _outputs_diverge(gpu_c.output, cpu.output, value_close):
+    if _outputs_diverge(gpu_v.output, cpu.output, value_close):
         return Divergence(case, "cpu-vs-gpu-job",
-                          _fmt_output_diff(cpu.output, gpu_c.output))
-    if cpu.map_output_pairs != gpu_c.map_output_pairs:
+                          _fmt_output_diff(cpu.output, gpu_v.output))
+    if cpu.map_output_pairs != gpu_v.map_output_pairs:
         return Divergence(
             case, "map-output-pairs",
             f"cpu emitted {cpu.map_output_pairs} map pairs, "
-            f"gpu emitted {gpu_c.map_output_pairs}")
+            f"gpu emitted {gpu_v.map_output_pairs}")
     return None
 
 
@@ -305,7 +305,7 @@ def scenario_case(short: str, scale: str = "small",
 
 def run_scenario(short: str, scale: str = "small",
                  seed: int | None = None) -> Divergence | None:
-    """Five-engine oracle over one registry app's canonical workload.
+    """Four-leg oracle over one registry app's canonical workload.
 
     The comparison matrix is the generated-mapper one plus a CPU
     tree-vs-compiled backend leg, with two app-appropriate adjustments:
@@ -355,8 +355,9 @@ def _compare_combine_kernel(case: FuzzCase) -> Divergence | None:
         device = GpuDevice(CLUSTER1.gpu)
         launch = run_combine_kernel(device, kernel, pairs, snapshot,
                                     engine="compiled")
-        launch_t = run_combine_kernel(device, kernel, pairs, snapshot,
-                                      engine="tree")
+        with use_backend("tree"):
+            launch_t = run_combine_kernel(device, kernel, pairs, snapshot,
+                                          engine="tree")
         launch_v = run_combine_kernel(device, kernel, pairs, snapshot,
                                       engine="vector")
     except ReproError as exc:

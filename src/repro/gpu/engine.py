@@ -1,43 +1,47 @@
-"""GPU lane execution engines: compiled closures vs. the tree-walker.
+"""GPU lane execution engines: selection, shared builtins, and the
+compiled per-lane engine.
 
-A kernel launch simulates thousands of lanes (threads). The *body* of a
-kernel has been closure-compiled since the mini-C compiled backend
-landed, but the per-lane harness around it — interpreter construction,
-a ~100-entry builtin table rebuilt per lane, scope-dict environment
-population, per-name free-variable lookup — was still paid per lane and
-dominated GPU-path wall time.
+A kernel launch simulates thousands of lanes (threads). Three lane
+engines execute them, and every GPU-path job runs ``"vector"``:
 
-This module provides two interchangeable lane engines:
-
-* ``"compiled"`` (default) — :class:`CompiledLaneRunner`. Per *launch*:
-  compile the kernel body once (cached per program + charge profile,
+* ``"vector"`` (what ships) — :class:`~repro.gpu.vector.VectorLaneRunner`
+  executes the kernel regions it can prove divergence-free as numpy
+  operations over all launch lanes at once, and *is* the compiled
+  engine everywhere else: it subclasses :class:`CompiledLaneRunner` and
+  degrades per region and per lane from what it observes in the kernel.
+  Nobody picks an engine per job; the runtime does.
+* ``"compiled"`` — :class:`CompiledLaneRunner`, vector's base and
+  fallback. Per *launch*: compile the kernel body once (cached per
+  program + charge profile,
   :func:`repro.minic.cache.compiled_kernel_body`), build the GPU builtin
   table once, and precompute an *environment plan* — the (slot, factory)
   list that materializes each lane's kernel variables straight into the
   compiled body's frame. Per *lane*: reset a lean facade, run the plan's
-  factories, call the compiled closure. No interpreter, no scope dicts,
-  no table rebuilds.
-* ``"tree"`` — the original harness (one ``GpuInterpreter`` per lane,
-  ``build_thread_env`` scope population), kept as the differential
-  reference; select it with ``REPRO_GPU_ENGINE=tree`` or
-  :func:`use_gpu_engine`.
+  factories, call the compiled closure. Selectable by explicit
+  ``engine="compiled"`` as the test seam that forces the per-lane path
+  on every app.
+* ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
+  ``build_thread_env`` scope population): the only way the reference
+  interpreter executes a kernel body under GPU builtins and space
+  charging, so it is what the other two are compared against.
 
-Both engines share the launch-level builtins defined here and charge
-every cost through the same :class:`~repro.gpu.charging.ChargeHook`, so
-outputs, ``ExecCounters``, and ``WarpCost``/``KernelCost`` are
-bit-identical by construction — and machine-checked by the four-engine
-fuzz oracle and ``tests/test_gpu_compile_backend.py``.
+There is no environment selector. ``engine=`` parameters and
+:func:`use_gpu_engine` are test seams; all engines share the
+launch-level builtins defined here and charge every cost through the
+same :class:`~repro.gpu.charging.ChargeHook`, so outputs,
+``ExecCounters``, and ``WarpCost``/``KernelCost`` are bit-identical by
+construction — and machine-checked by the fuzz oracle and
+``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``.
 """
 
 from __future__ import annotations
 
 import io
-import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from ..compiler.kernel_ir import KernelIR, VarClass, VarInfo
-from ..errors import CRuntimeError, GpuError
+from ..errors import ConfigError, CRuntimeError, GpuError
 from ..kvstore.coerce import kv_text
 from ..minic import cast as A
 from ..minic import ctypes as T
@@ -48,9 +52,10 @@ from ..minic.values import Buffer, Cell, NULL, Ptr, ScalarRef
 from .charging import ChargeHook, DEFAULT_CHARGE_HOOK, LaneCharges
 
 __all__ = [
-    "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
-    "use_gpu_engine", "LaneState", "CompiledLaneRunner",
-    "make_map_builtins", "make_combine_builtins", "kernel_program",
+    "GPU_ENGINES", "check_gpu_engine", "default_gpu_engine",
+    "set_default_gpu_engine", "use_gpu_engine", "LaneState",
+    "CompiledLaneRunner", "make_map_builtins", "make_combine_builtins",
+    "kernel_program",
 ]
 
 #: Statement budget per lane, mirroring Interpreter's default.
@@ -63,43 +68,42 @@ _VOID_PTR = T.Pointer(T.VOID)
 # Engine selection
 # --------------------------------------------------------------------------
 
-#: Lane engines: "compiled" (per-launch compiled closures, the default
-#: hot path), "tree" (per-lane GpuInterpreter, the reference), and
-#: "vector" (numpy-vectorized warp execution of divergence-free regions,
-#: falling back to compiled closures per lane elsewhere).
-GPU_ENGINES = ("compiled", "tree", "vector")
+#: Lane engines: "vector" (numpy-vectorized warp execution of
+#: divergence-free regions, compiled closures per lane elsewhere — the
+#: default and what every job ships), "compiled" (per-launch compiled
+#: closures for every lane — vector's base, and the forced-fallback
+#: test seam), and "tree" (per-lane GpuInterpreter, the reference).
+GPU_ENGINES = ("vector", "compiled", "tree")
 
-_default_engine = os.environ.get("REPRO_GPU_ENGINE", "compiled")
+_default_engine = "vector"
 
 
-def _check_engine(name: str) -> str:
+def check_gpu_engine(name: str) -> str:
+    """``name`` if it is a known lane engine, else a :class:`ConfigError`
+    listing the valid ones."""
     if name not in GPU_ENGINES:
-        raise ValueError(
+        raise ConfigError(
             f"unknown GPU engine {name!r}; choose from {GPU_ENGINES}"
         )
     return name
 
 
 def default_gpu_engine() -> str:
-    """The engine kernel launches use when none is passed explicitly.
-
-    Validated on every read: an unrecognized ``REPRO_GPU_ENGINE`` must
-    fail loudly at the first launch, not silently run some other
-    engine."""
-    return _check_engine(_default_engine)
+    """The engine kernel launches use when none is passed explicitly."""
+    return _default_engine
 
 
 def set_default_gpu_engine(name: str) -> str:
     """Set the process-wide default GPU engine; returns the previous one."""
     global _default_engine
     previous = _default_engine
-    _default_engine = _check_engine(name)
+    _default_engine = check_gpu_engine(name)
     return previous
 
 
 @contextmanager
 def use_gpu_engine(name: str) -> Iterator[None]:
-    """Temporarily switch the GPU engine (bench / differential tests)."""
+    """Temporarily switch the GPU engine (differential tests)."""
     previous = set_default_gpu_engine(name)
     try:
         yield
@@ -115,10 +119,10 @@ def use_gpu_engine(name: str) -> Iterator[None]:
 class LaneState:
     """The mutable slice of a lane the GPU builtins read and write.
 
-    The builtin tables are built once per launch (compiled engine) or
-    once per lane (tree engine, preserving the reference harness); both
-    close over one of these instead of over per-lane values, so a single
-    builtin implementation serves both engines."""
+    The builtin tables are built once per launch (compiled and vector
+    engines) or once per lane (tree engine, preserving the reference
+    harness); all close over one of these instead of over per-lane
+    values, so a single builtin implementation serves every engine."""
 
     __slots__ = ("records", "index", "charges", "global_tid",
                  "chunk", "output")
@@ -133,7 +137,7 @@ class LaneState:
 
 
 # --------------------------------------------------------------------------
-# Launch-level GPU builtins (shared by both engines)
+# Launch-level GPU builtins (shared by every engine)
 # --------------------------------------------------------------------------
 
 

@@ -13,12 +13,14 @@ contiguous chunk of a sorted partition (``getKV``/``storeKV``), trading
 exact CPU-combiner equivalence for parallelism exactly as §4.2 sanctions —
 chunk-boundary keys yield partial aggregates that the reducer repairs.
 
-Lane bodies run on one of two engines (:mod:`repro.gpu.engine`): the
-default compiled engine calls a per-launch compiled closure per lane,
-while the ``"tree"`` engine keeps the original one-interpreter-per-lane
-harness as the differential reference. Both charge costs through the
-same :class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid
-timing folds below are shared, so ``WarpCost``/``KernelCost`` are
+Lane bodies run on one of three engines (:mod:`repro.gpu.engine`): the
+shipped ``"vector"`` engine executes divergence-free regions as numpy
+operations over all launch lanes and falls back per lane to the
+``"compiled"`` engine's per-launch compiled closures, while the
+``"tree"`` engine keeps the original one-interpreter-per-lane harness as
+the differential reference. All charge costs through the same
+:class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid timing
+folds below are shared, so ``WarpCost``/``KernelCost`` are
 engine-independent by construction.
 """
 
@@ -46,7 +48,7 @@ from .device import GpuDevice
 from .engine import (
     CompiledLaneRunner,
     LaneState,
-    _check_engine,
+    check_gpu_engine,
     clone_buffer as _clone_buffer,
     default_gpu_engine,
     kernel_program,
@@ -243,7 +245,8 @@ def _make_lane_runner(
     store: GlobalKVStore | None = None,
     partitioner: Partitioner | None = None,
 ):
-    name = _check_engine(engine if engine is not None else default_gpu_engine())
+    name = check_gpu_engine(engine if engine is not None
+                            else default_gpu_engine())
     cls = {
         "compiled": CompiledLaneRunner,
         "tree": _TreeLaneRunner,

@@ -21,14 +21,11 @@ from ..costmodel.cpu import CpuTaskModel, CpuTaskTiming
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError
 from ..gpu.device import GpuDevice
+from ..gpu.engine import check_gpu_engine
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
-from ..parallel.pool import (
-    list_schedule_makespan,
-    resolve_reduce_workers,
-    resolve_workers,
-)
+from ..parallel.pool import list_schedule_makespan, resolve_workers
 from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 from .shuffle import (
     ReduceTaskTiming,
@@ -133,10 +130,13 @@ class LocalJobRunner:
         fileSplit size for input splitting (tests use small splits; the
         real 256 MB default would make functional runs needlessly slow).
     gpu_engine:
-        GPU lane engine name (``"compiled"``/``"tree"``/``"vector"``),
-        or None for the process default.
+        Test seam; jobs leave it None and run the shipped ``"vector"``
+        lane engine. ``"compiled"`` forces vector's per-lane fallback
+        everywhere, ``"tree"`` runs the reference harness; anything
+        else raises :class:`~repro.errors.ConfigError` here.
     workers:
-        Worker processes for the map phase. None defers to the
+        Worker processes for the map phase, and for the reduce phase
+        capped by its partition count. None defers to the
         ``REPRO_WORKERS`` environment variable (default 1 = serial); 0
         means one worker per CPU core. Parallel runs produce
         byte-identical output, counters, and simulated seconds — see
@@ -162,6 +162,8 @@ class LocalJobRunner:
             raise ConfigError(
                 f"num_reducers must be >= 0, got {num_reducers}"
             )
+        if gpu_engine is not None:
+            check_gpu_engine(gpu_engine)
         self.app = app
         self.cluster = cluster
         self.use_gpu = use_gpu
@@ -442,9 +444,8 @@ class LocalJobRunner:
         # driver or fanned across the daemon pool; either way the
         # reduced pairs fold into the output dict in partition order.
         reduce_parts = sorted(shuffle)
-        reduce_workers = resolve_reduce_workers(
-            self.workers, tasks=len(reduce_parts)
-        )
+        reduce_workers = resolve_workers(self.workers,
+                                         tasks=len(reduce_parts))
         result.reduce_workers = reduce_workers
         # Map-only jobs (num_reducers == 0) write output at the map
         # tasks; their identity fold through this phase is free, like

@@ -13,12 +13,11 @@ The interpreter also keeps instruction/memory counters
 from __future__ import annotations
 
 import io
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..errors import CRuntimeError
+from ..errors import ConfigError, CRuntimeError
 from . import cast as A
 from . import ctypes as T
 from .cache import compiled_program, compiled_suite, strlit_buffers
@@ -34,12 +33,14 @@ _VOID_PTR = T.Pointer(T.VOID)
 #: semantics and for region-snapshot execution).
 BACKENDS = ("compiled", "tree")
 
-_default_backend = os.environ.get("REPRO_MINIC_BACKEND", "compiled")
+_default_backend = "compiled"
 
 
 def _check_backend(name: str) -> str:
     if name not in BACKENDS:
-        raise ValueError(f"unknown mini-C backend {name!r}; choose from {BACKENDS}")
+        raise ConfigError(
+            f"unknown mini-C backend {name!r}; choose from {BACKENDS}"
+        )
     return name
 
 
@@ -58,7 +59,7 @@ def set_default_backend(name: str) -> str:
 
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the default backend (bench / differential tests)."""
+    """Temporarily switch the default backend (differential tests)."""
     previous = set_default_backend(name)
     try:
         yield
@@ -130,8 +131,8 @@ class Interpreter:
         source (a real cluster would rely on task timeouts).
     backend:
         "compiled" (closure-compiled hot path) or "tree" (the original
-        tree-walker). None picks the process default (REPRO_MINIC_BACKEND
-        env var, "compiled" out of the box). Both backends produce
+        tree-walker). None picks the process default ("compiled" unless
+        a test switched it with :func:`use_backend`). Both backends produce
         bit-identical outputs and counter totals; ``run_until_region``
         always uses the tree-walker, which is the only path that can
         stop mid-execution.

@@ -98,7 +98,8 @@ class NullRecorder:
 
     Instrumentation sites check ``enabled`` once and skip span/metric
     construction entirely, so a disabled run pays one attribute load per
-    site — the "near-zero overhead" contract the bench guard enforces.
+    site — the "near-zero overhead" contract ``perf/run.py`` measures as
+    ``obs.recorder_overhead_pct``.
     """
 
     enabled = False

@@ -32,24 +32,20 @@ from dataclasses import dataclass
 from typing import Any, TYPE_CHECKING
 
 from ..apps.base import Application
-from ..config import ClusterConfig, GpuSpec, OptimizationFlags
+from ..config import ClusterConfig, OptimizationFlags
 from ..costmodel.cpu import CpuTaskTiming
-from ..costmodel.io import IoModel
 from ..errors import ReproError
 from ..obs import trace as obs
 from .arena import SplitArena, attach_view
 from .daemon import get_pool
-from .pool import resolve_workers
 
 if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
     from ..hadoop.local import LocalJobRunner
     from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 
 __all__ = [
-    "GpuJobSpec",
     "MapJobSpec",
     "MapTaskEnvelope",
-    "run_gpu_tasks",
     "run_map_tasks",
     "warm_worker_caches",
 ]
@@ -91,34 +87,10 @@ class MapTaskEnvelope:
     metrics: Any | None = None
 
 
-@dataclass(frozen=True)
-class GpuJobSpec:
-    """Rebuild recipe for a standalone :class:`GpuTaskRunner`.
-
-    Ships program *sources* plus the exact translation key (opt flags,
-    map_only) so the worker's ``translate_cached`` resolves to the same
-    artifact the parent holds — a cache hit in a warm daemon worker, a
-    fresh but identical build in a cold one.
-    """
-
-    map_source: str
-    combine_source: str | None
-    opt: OptimizationFlags
-    map_only: bool
-    gpu: GpuSpec
-    io: IoModel
-    num_reducers: int
-    replication: int
-    min_gpu_mem: int
-    engine: str
-    trace: bool
-
-
 # Worker-global runner state, rebuilt by the job setup once per worker
 # per job. Module-level (not closure-captured) because pool task
 # functions must be importable top-level callables.
 _map_state: dict[str, Any] = {}
-_gpu_state: dict[str, Any] = {}
 
 
 def _warm_app(app: Application, opt: OptimizationFlags,
@@ -244,95 +216,4 @@ def run_map_tasks(runner: "LocalJobRunner", data: bytes,
         return get_pool().run_job(
             workers, _run_map_task, payloads,
             init_fn=_init_map_worker, init_args=(spec, arena.token),
-        )
-
-
-# -- standalone GpuTaskRunner fan-out ---------------------------------------
-
-
-def _init_gpu_worker(spec: GpuJobSpec, arena_token: tuple) -> None:
-    from ..compiler import translate_cached
-    from ..gpu.device import GpuDevice
-    from ..minic.cache import warm_program
-    from ..runtime.gpu_task import GpuTaskRunner
-    from ..apps.base import _parse_cached
-
-    map_program = _parse_cached(spec.map_source)
-    warm_program(map_program)
-    map_tr = translate_cached(map_program, opt=spec.opt,
-                              map_only=spec.map_only)
-    combine_tr = None
-    if spec.combine_source is not None:
-        combine_program = _parse_cached(spec.combine_source)
-        warm_program(combine_program)
-        combine_tr = translate_cached(combine_program, opt=spec.opt)
-    runner = GpuTaskRunner(
-        map_tr, combine_tr, GpuDevice(spec.gpu), spec.io,
-        num_reducers=spec.num_reducers, replication=spec.replication,
-        min_gpu_mem=spec.min_gpu_mem, engine=spec.engine,
-    )
-    runner.map_snapshot()
-    if combine_tr is not None:
-        runner.combine_snapshot()
-    _gpu_state["spec"] = spec
-    _gpu_state["runner"] = runner
-    _gpu_state["view"] = attach_view(arena_token)
-
-
-def _run_gpu_split(payload: tuple[int, int, int, bool]) -> "GpuTaskResult":
-    index, start, stop, data_local = payload
-    spec: GpuJobSpec = _gpu_state["spec"]
-    runner: "GpuTaskRunner" = _gpu_state["runner"]
-    split = bytes(_gpu_state["view"][start:stop])
-    rec = obs.TraceRecorder() if spec.trace else None
-    previous = obs.install(rec) if rec is not None else None
-    try:
-        return runner.run(split, data_local=data_local, task_index=index)
-    finally:
-        if rec is not None:
-            obs.install(previous)
-
-
-def run_gpu_tasks(runner: "GpuTaskRunner", splits: list[bytes],
-                  workers: int | None = None,
-                  data_local: bool = True) -> "list[GpuTaskResult]":
-    """:meth:`GpuTaskRunner.run_many`'s engine — serial loop at one
-    worker, daemon-pool fan-out above that, results in split order
-    either way.
-
-    Parallel runs drop per-task trace spans (the standalone runner has
-    no parent merge point; :class:`~repro.hadoop.local.LocalJobRunner`'s
-    parallel path is the one that splices worker traces).
-    """
-    nworkers = resolve_workers(workers, tasks=len(splits))
-    if nworkers <= 1:
-        return [runner.run(split, data_local=data_local)
-                for split in splits]
-    kernel = runner.map_tr.map_kernel
-    assert kernel is not None
-    from ..gpu.engine import default_gpu_engine
-
-    spec = GpuJobSpec(
-        map_source=runner.map_tr.program.source,
-        combine_source=(runner.combine_tr.program.source
-                        if runner.combine_tr is not None else None),
-        opt=kernel.opt,
-        map_only=runner.map_only,
-        gpu=runner.device.spec,
-        io=runner.io,
-        num_reducers=runner.num_reducers,
-        replication=runner.replication,
-        min_gpu_mem=runner.min_gpu_mem,
-        engine=runner.engine or default_gpu_engine(),
-        trace=False,
-    )
-    payloads = []
-    offset = 0
-    for i, split in enumerate(splits):
-        payloads.append((i, offset, offset + len(split), data_local))
-        offset += len(split)
-    with SplitArena(b"".join(splits)) as arena:
-        return get_pool().run_job(
-            nworkers, _run_gpu_split, payloads,
-            init_fn=_init_gpu_worker, init_args=(spec, arena.token),
         )

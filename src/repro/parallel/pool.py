@@ -1,66 +1,45 @@
-"""Worker pools: serial and process-backed task execution.
+"""Worker-count resolution and the leaf-worker rule.
 
-The parallel layer fans independent tasks (map tasks, GPU splits, fuzz
-cases) across ``workers`` OS processes and merges results back in task
-order, so a parallel run is observably identical to the serial one.
-Three rules keep that equivalence honest:
+The parallel layer fans independent tasks (map tasks, reduce tasks, fuzz
+cases) across ``workers`` OS processes of the persistent daemon pool
+(:mod:`repro.parallel.daemon`) and merges results back in task order,
+so a parallel run is observably identical to the serial one. What lives
+here is what every phase shares:
 
-* **Deterministic merge** — pools return results in submission order
-  (``map_tasks``) or yield them in submission order (``imap_tasks``),
-  never in completion order. A caller that folds results left-to-right
-  reproduces the serial fold bit for bit, including float accumulation
-  order.
+* **One worker count** — :func:`resolve_workers` turns an explicit
+  ``workers=`` argument or the ``REPRO_WORKERS`` environment into the
+  effective fan-out of one phase, capped by that phase's task count. A
+  job's map and reduce phases both resolve the job's one setting.
 * **Leaf workers** — a worker process never creates its own pool.
   :func:`resolve_workers` answers 1 inside a worker regardless of the
   ``REPRO_WORKERS`` environment or explicit ``workers=`` arguments, so
   nested parallelism (a fuzz worker running a parallel job) degrades to
   the serial path instead of fork-bombing the host.
-* **Explicit warmup** — every pool takes an ``initializer`` that runs
-  once per worker before any task. Call sites use it to rebuild the
-  mini-C program/translation/kernel caches (closures don't pickle;
-  sources and IR do, and recompile on first touch). Under the ``fork``
-  start method the warmup is nearly free — workers inherit the parent's
-  caches copy-on-write — but it is what makes a cold ``spawn`` worker
-  correct too.
-
-Workers default to the ``fork`` start method (this reproduction targets
-Linux), which also inherits ambient engine selections (the mini-C
-backend and GPU lane engine defaults active at pool creation). Call
-sites still pass resolved engine names through their job specs so a
-``spawn`` fallback behaves identically.
+* **Deterministic makespan** — :func:`list_schedule_makespan` is the
+  simulated wall-clock-equivalent duration of a phase whose tasks the
+  pool drains in submission order.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable
 
 from ..errors import ConfigError
 
 __all__ = [
-    "ProcessPool",
-    "SerialPool",
     "in_worker",
     "list_schedule_makespan",
-    "resolve_reduce_workers",
     "resolve_workers",
-    "task_pool",
 ]
 
 #: Environment knob: default worker count for every parallel-capable
 #: entry point (``0`` means one worker per CPU core).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment knob: worker count for the reduce phase specifically.
-#: Unset, the reduce phase reuses the job's map-phase worker setting
-#: (explicit ``workers=`` or ``REPRO_WORKERS``); set, it overrides both
-#: for reduce tasks only (``0`` = one worker per CPU core).
-REDUCE_WORKERS_ENV = "REPRO_REDUCE_WORKERS"
-
-#: True in pool worker processes (set by the bootstrap); guards against
-#: nested pools.
+#: True in pool worker processes (set by :func:`_mark_leaf_worker`);
+#: guards against nested pools.
 _in_worker = False
 
 
@@ -102,31 +81,6 @@ def resolve_workers(workers: int | None = None,
     return max(workers, 1)
 
 
-def resolve_reduce_workers(job_workers: int | None = None,
-                           tasks: int | None = None) -> int:
-    """The effective worker count for a job's reduce phase.
-
-    ``REPRO_REDUCE_WORKERS`` wins when set (same 0-means-cpu-count
-    convention as :func:`resolve_workers`); otherwise the reduce phase
-    follows the job's map-phase setting — explicit ``workers=`` or
-    ``REPRO_WORKERS`` — so ``workers=4`` parallelizes the whole job,
-    not just its maps. ``tasks`` (the partition count) caps the answer,
-    and pool workers stay leaves.
-    """
-    if _in_worker:
-        return 1
-    raw = os.environ.get(REDUCE_WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{REDUCE_WORKERS_ENV}={raw!r} is not an integer"
-            ) from None
-        return resolve_workers(explicit, tasks=tasks)
-    return resolve_workers(job_workers, tasks=tasks)
-
-
 def list_schedule_makespan(durations: Iterable[float], workers: int) -> float:
     """Makespan of the deterministic in-order list schedule.
 
@@ -154,46 +108,8 @@ def list_schedule_makespan(durations: Iterable[float], workers: int) -> float:
     return busiest
 
 
-class SerialPool:
-    """In-process pool: runs the initializer and every task directly.
-
-    The degenerate TaskPool implementation behind ``workers=1`` call
-    sites that still want the pool API (e.g.
-    :meth:`repro.runtime.gpu_task.GpuTaskRunner.run_many`). Task
-    functions and envelopes behave exactly as they would in a worker,
-    minus the process boundary.
-    """
-
-    workers = 1
-
-    def __init__(self, initializer: Callable[..., None] | None = None,
-                 initargs: tuple = ()):
-        if initializer is not None:
-            initializer(*initargs)
-
-    def map_tasks(self, fn: Callable[[Any], Any],
-                  payloads: Iterable[Any]) -> list[Any]:
-        return [fn(p) for p in payloads]
-
-    def imap_tasks(self, fn: Callable[[Any], Any],
-                   payloads: Iterable[Any]) -> Iterator[Any]:
-        return (fn(p) for p in payloads)
-
-    def close(self) -> None:
-        return None
-
-    def terminate(self) -> None:
-        return None
-
-    def __enter__(self) -> "SerialPool":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.close()
-
-
 def _mark_leaf_worker() -> None:
-    """Per-worker setup shared by every pool implementation."""
+    """Per-worker setup, before any warmup or task runs."""
     global _in_worker
     _in_worker = True
     # Belt and braces for code that reads the env directly: a worker is
@@ -205,73 +121,3 @@ def _mark_leaf_worker() -> None:
     from ..obs import trace as obs
 
     obs.install(obs.NULL_RECORDER)
-
-
-def _bootstrap_worker(initializer: Callable[..., None] | None,
-                      initargs: tuple) -> None:
-    """Per-worker setup, before any warmup or task runs."""
-    _mark_leaf_worker()
-    if initializer is not None:
-        initializer(*initargs)
-
-
-class ProcessPool:
-    """``multiprocessing``-backed pool with ordered result delivery.
-
-    ``chunksize=1`` keeps scheduling greedy (any free worker takes the
-    next task — the load-balancing the paper gets from per-slot task
-    assignment, §5); result order is still submission order, which is
-    what makes the parent's merge deterministic.
-    """
-
-    def __init__(self, workers: int,
-                 initializer: Callable[..., None] | None = None,
-                 initargs: tuple = ()):
-        if workers < 2:
-            raise ConfigError(f"ProcessPool needs >= 2 workers, got {workers}")
-        from .daemon import resolve_start_method
-
-        method = resolve_start_method()
-        ctx = multiprocessing.get_context(method)
-        self.workers = workers
-        self.start_method = method
-        self._pool = ctx.Pool(
-            processes=workers,
-            initializer=_bootstrap_worker,
-            initargs=(initializer, initargs),
-        )
-
-    def map_tasks(self, fn: Callable[[Any], Any],
-                  payloads: Iterable[Any]) -> list[Any]:
-        return self._pool.map(fn, payloads, chunksize=1)
-
-    def imap_tasks(self, fn: Callable[[Any], Any],
-                   payloads: Iterable[Any]) -> Iterator[Any]:
-        return self._pool.imap(fn, payloads, chunksize=1)
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def terminate(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
-
-
-def task_pool(workers: int,
-              initializer: Callable[..., None] | None = None,
-              initargs: tuple = ()) -> SerialPool | ProcessPool:
-    """The TaskPool for ``workers`` — serial below 2, process-backed
-    otherwise."""
-    if workers <= 1:
-        return SerialPool(initializer=initializer, initargs=initargs)
-    return ProcessPool(workers, initializer=initializer, initargs=initargs)

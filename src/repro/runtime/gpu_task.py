@@ -20,6 +20,7 @@ from ..compiler import TranslationResult
 from ..config import OptimizationFlags
 from ..errors import GpuError, GpuOutOfMemory
 from ..gpu.device import GpuDevice
+from ..gpu.engine import check_gpu_engine
 from ..gpu.executor import (
     CombineLaunchResult,
     MapLaunchResult,
@@ -150,8 +151,12 @@ class GpuTaskRunner:
         Application working-set floor; allocation fails if the device is
         smaller (this is what excludes KM from Cluster2 in Fig. 4b).
     engine:
-        GPU lane engine name (``"compiled"``/``"tree"``), or None for the
-        process default (:func:`repro.gpu.engine.default_gpu_engine`).
+        Test seam. None (what every job passes) runs the shipped
+        ``"vector"`` lane engine; ``"compiled"`` forces its per-lane
+        fallback on every region and ``"tree"`` runs the reference
+        harness (:data:`repro.gpu.engine.GPU_ENGINES`). Unknown names
+        raise :class:`~repro.errors.ConfigError` here, not at first
+        launch.
     """
 
     def __init__(
@@ -177,7 +182,7 @@ class GpuTaskRunner:
         self.num_reducers = num_reducers
         self.replication = replication
         self.min_gpu_mem = min_gpu_mem
-        self.engine = engine
+        self.engine = None if engine is None else check_gpu_engine(engine)
         self.map_only = num_reducers == 0
         self._map_snapshot: dict[str, Any] | None = None
         self._combine_snapshot: dict[str, Any] | None = None
@@ -368,21 +373,6 @@ class GpuTaskRunner:
             self._record_task_trace(rec, result, task_index)
 
         return result
-
-    def run_many(self, splits: list[bytes], workers: int | None = None,
-                 data_local: bool = True) -> list[GpuTaskResult]:
-        """Run several splits, optionally fanned across pool workers.
-
-        Results come back in split order with per-task timing identical
-        to a serial loop (the simulated device is stateless across
-        tasks: every allocation is freed before the next task starts, so
-        a fresh per-worker device charges the same seconds as a shared
-        one). ``workers=None`` resolves via ``REPRO_WORKERS``.
-        """
-        from ..parallel.maptask import run_gpu_tasks
-
-        return run_gpu_tasks(self, splits, workers=workers,
-                             data_local=data_local)
 
     def _record_task_trace(self, rec: obs.TraceRecorder,
                            result: GpuTaskResult,

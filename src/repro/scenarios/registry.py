@@ -2,7 +2,7 @@
 
 One frozen-dataclass declaration per scenario — an app, a seeded datagen
 recipe at small/medium/large scale, a cluster shape, and a scheduling
-policy — consumed by the sweep runner, the bench harness, the fuzz
+policy — consumed by the sweep runner, the fuzz
 oracle, and the conformance tests, so "add a scenario" is one entry here
 and every harness picks it up (the SNIPPETS BenchmarkConfig-registry
 idiom, and HSTREAM's declare-the-workload-once argument).
@@ -11,7 +11,7 @@ Three tables:
 
 * :data:`WORKLOADS` — per-app record counts at the canonical scales.
   These are the single source of truth for every record-count table that
-  used to be copy-pasted across bench/calibrate/tests.
+  used to be copy-pasted across calibrate/tests.
 * :data:`SHAPES` — named cluster shapes, each a delta over the paper's
   Cluster1/Cluster2 plus an optional heterogeneity profile (a fraction
   of nodes slowed by a factor — the inter-node heterogeneity the paper
@@ -46,17 +46,15 @@ APP_ORDER = PAPER_APP_ORDER + EXTENDED_APP_ORDER
 class Workload:
     """Per-app record counts for the canonical datagen scales.
 
-    ``small`` sizes conformance tests and smoke sweeps, ``medium`` the
-    interpreter/GPU benches, ``large`` the scaled wall-clock tier;
-    ``gpu_medium`` overrides the GPU-path bench where its sweet spot
-    differs, and ``calibration`` sizes the single-task measurement split.
+    ``small`` sizes conformance tests and smoke sweeps, ``medium`` and
+    ``large`` the bigger ``repro sweep --scale`` tiers, and
+    ``calibration`` sizes the single-task measurement split.
     """
 
     app: str
     small: int
     medium: int
     large: int
-    gpu_medium: int | None = None
     calibration: int = 300
     seed: int = 7
 
@@ -64,10 +62,6 @@ class Workload:
         if scale not in SCALES:
             raise ConfigError(f"unknown scale {scale!r}; known: {SCALES}")
         return getattr(self, scale)
-
-    @property
-    def gpu_bench_records(self) -> int:
-        return self.gpu_medium if self.gpu_medium is not None else self.medium
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +156,7 @@ def _workloads(*entries: Workload) -> dict[str, Workload]:
 
 WORKLOADS: dict[str, Workload] = _workloads(
     Workload("GR", small=200, medium=4000, large=100_000, calibration=500),
-    Workload("WC", small=200, medium=3000, large=100_000,
-             gpu_medium=4000, calibration=400),
+    Workload("WC", small=200, medium=3000, large=100_000, calibration=400),
     Workload("HS", small=200, medium=4000, large=100_000, calibration=400),
     Workload("HR", small=200, medium=4000, large=100_000, calibration=400),
     Workload("LR", small=100, medium=1500, large=30_000, calibration=300),

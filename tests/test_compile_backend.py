@@ -155,29 +155,3 @@ class TestCompileCache:
 
         program = get_app("WC").map_program()
         assert translate_cached(program) is translate_cached(program)
-
-
-class TestBenchHarness:
-    """`python -m repro bench` smoke: report shape and backend parity."""
-
-    def test_bench_app_report(self):
-        from repro.bench import bench_app, check_min_speedup
-
-        row = bench_app("WC", records=40, repeat=1)
-        assert row["app"] == "WC"
-        assert row["records"] == 40
-        assert row["output_keys"] > 0
-        assert row["speedup"] is not None
-        report = {"results": [row]}
-        assert check_min_speedup(report, 0.0) == []
-        assert check_min_speedup(report, 1e9) == ["WC"]
-
-    def test_bench_cli_writes_report(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--apps", "WC", "--records", "40",
-                   "--repeat", "1", "--out", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "WC" in capsys.readouterr().out

@@ -1,12 +1,13 @@
 """Differential tests: compiled GPU lane engine vs the tree-walker.
 
-The compiled lane engine replays kernel bodies as closure calls but
-must stay *indistinguishable* from the tree-walking reference at every
-observable boundary: final job output, simulated per-task seconds,
-map-launch ``ExecCounters``, and the full per-warp ``KernelCost`` fold.
-The tree reference itself runs under both mini-C backends (bodies
-interpreted vs compiled), so three configurations triangulate every
-app. Charging flows through the pluggable :class:`ChargeHook` in both
+The compiled lane engine — the vector engine's base and per-lane
+fallback, pinned here with ``engine="compiled"`` — replays kernel
+bodies as closure calls but must stay *indistinguishable* from the
+tree-walking reference at every observable boundary: final job output,
+simulated per-task seconds, map-launch ``ExecCounters``, and the full
+per-warp ``KernelCost`` fold. The tree reference itself runs under both
+mini-C backends (bodies interpreted vs compiled), so three
+configurations triangulate every app. Charging flows through the pluggable :class:`ChargeHook` in both
 engines — one formula source, so agreement here proves the hook wiring,
 not formula duplication.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
+from repro.errors import ConfigError
 from repro.fuzz import load_corpus, run_case
 from repro.gpu import (
     DEFAULT_CHARGE_HOOK,
@@ -44,18 +46,19 @@ COMBINER_TAGS = [app.short for app in all_apps() if app.has_combiner]
 
 
 class TestEngineSelection:
-    def test_compiled_is_the_default(self):
-        assert default_gpu_engine() == "compiled"
-        assert GPU_ENGINES == ("compiled", "tree", "vector")
+    def test_vector_is_the_default(self):
+        assert default_gpu_engine() == "vector"
+        assert GPU_ENGINES[0] == "vector"
+        assert set(GPU_ENGINES) == {"vector", "compiled", "tree"}
 
     def test_set_default_returns_previous(self):
         prev = set_default_gpu_engine("tree")
         try:
-            assert prev == "compiled"
+            assert prev == "vector"
             assert default_gpu_engine() == "tree"
         finally:
             set_default_gpu_engine(prev)
-        assert default_gpu_engine() == "compiled"
+        assert default_gpu_engine() == "vector"
 
     def test_context_manager_restores(self):
         with use_gpu_engine("tree"):
@@ -63,13 +66,13 @@ class TestEngineSelection:
             with use_gpu_engine("compiled"):
                 assert default_gpu_engine() == "compiled"
             assert default_gpu_engine() == "tree"
-        assert default_gpu_engine() == "compiled"
+        assert default_gpu_engine() == "vector"
 
     @pytest.mark.parametrize("bad", ["interp", "TREE", ""])
     def test_unknown_engine_rejected(self, bad):
-        with pytest.raises(ValueError, match="unknown GPU engine"):
+        with pytest.raises(ConfigError, match="unknown GPU engine"):
             set_default_gpu_engine(bad)
-        with pytest.raises(ValueError, match="unknown GPU engine"):
+        with pytest.raises(ConfigError, match="unknown GPU engine"):
             with use_gpu_engine(bad):
                 pass  # pragma: no cover
 
@@ -209,7 +212,7 @@ class TestMapKernelEngines:
             assert _store_pairs(stores[e]) == _store_pairs(stores["tree"]), e
 
 
-# -- fuzz corpus through the four-engine oracle -----------------------------
+# -- fuzz corpus through the engine oracle ---------------------------------
 
 
 CORPUS = load_corpus()
@@ -224,40 +227,3 @@ class TestCorpusUnderBothDefaults:
         with use_gpu_engine("tree"):
             divergence = run_case(case)
         assert divergence is None, divergence.report()
-
-
-# -- GPU bench harness ------------------------------------------------------
-
-
-class TestGpuBenchHarness:
-    def test_bench_gpu_app_report(self):
-        from repro.bench import bench_gpu_app, check_min_speedup
-
-        row = bench_gpu_app("WC", records=40, repeat=1)
-        assert row["app"] == "WC"
-        assert row["records"] == 40
-        assert row["output_keys"] > 0
-        assert row["simulated_map_seconds"] > 0
-        assert row["speedup"] is not None
-        report = {"results": [row]}
-        assert check_min_speedup(report, 0.0) == []
-        assert check_min_speedup(report, 1e9) == ["WC"]
-
-    def test_bench_cli_gpu_path(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench_gpu.json"
-        rc = main(["bench", "--path", "gpu", "--apps", "WC", "--records",
-                   "40", "--repeat", "1", "--out", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "WC" in capsys.readouterr().out
-
-    def test_bench_cli_out_requires_single_path(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(["bench", "--path", "all", "--apps", "WC", "--records",
-                   "40", "--repeat", "1",
-                   "--out", str(tmp_path / "nope.json")])
-        assert rc == 1
-        assert "single --path" in capsys.readouterr().err

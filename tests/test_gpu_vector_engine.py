@@ -10,8 +10,8 @@ the full per-warp cost fold. These tests pin
 * which apps (and which synthetic loop shapes) actually vectorize,
 * the predicated-branch property: an If inside a region, masked by an
   arbitrary data-dependent lane pattern, equals per-lane execution,
-* the engine-selection seam (an unknown ``REPRO_GPU_ENGINE`` must fail
-  loudly at first use), and
+* the engine-selection seam (vector is what an unpinned launch runs;
+  an unknown engine name fails loudly, listing the valid ones), and
 * the ``gpu.vector.*`` observability counters.
 """
 
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.apps import all_apps, get_app
 from repro.compiler.translator import translate
 from repro.config import CLUSTER1
+from repro.errors import ConfigError
 from repro.gpu import use_gpu_engine
 from repro.gpu.charging import DEFAULT_CHARGE_HOOK
 from repro.gpu.device import GpuDevice
@@ -78,6 +79,20 @@ def _map_setup(source_or_app):
     snapshot = Interpreter(tr.program, stdin="").run_until_region(
         kernel.original_region)
     return kernel, snapshot
+
+
+def _launch_map(app, engine, n=40):
+    """One traced map launch of ``app`` on ``engine``; its metrics."""
+    kernel, snapshot = _map_setup(app)
+    records = [ln.encode("utf-8") + b"\n"
+               for ln in app.generate(n, seed=5).splitlines()]
+    store = GlobalKVStore(kernel.launch.total_threads,
+                          kernel.launch.total_threads * 64,
+                          kernel.key_length, kernel.value_length)
+    with obs.use_recorder(obs.TraceRecorder()) as rec:
+        run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
+                       snapshot, store, Partitioner(4), engine=engine)
+    return rec.metrics
 
 
 def _vector_runner(source_or_app):
@@ -266,52 +281,33 @@ class TestPredicatedBranchProperty:
 # -- engine-selection seam --------------------------------------------------
 
 
-class TestEnvEngineValidation:
-    """``REPRO_GPU_ENGINE`` is read at import; the value is validated on
-    every default read so a bad setting fails at first launch with the
-    full list of valid engines, never by silently running another
-    engine."""
+class TestEngineValidation:
+    """There is no environment selector: an unpinned launch runs the
+    vector engine, and an unknown ``engine=`` fails with the full list
+    of valid names, never by silently running another engine."""
 
-    def test_unknown_env_engine_raises_listing_valid(self, monkeypatch):
-        from repro.gpu import engine
-
-        monkeypatch.setattr(engine, "_default_engine", "warp9")
-        with pytest.raises(ValueError) as exc_info:
-            engine.default_gpu_engine()
+    def test_unknown_engine_raises_listing_valid(self):
+        with pytest.raises(ConfigError) as exc_info:
+            _launch_map(get_app("BS"), "warp9")
         message = str(exc_info.value)
         assert "warp9" in message
         for name in ("compiled", "tree", "vector"):
             assert name in message
 
-    def test_vector_env_engine_accepted(self, monkeypatch):
-        from repro.gpu import engine
-
-        monkeypatch.setattr(engine, "_default_engine", "vector")
-        assert engine.default_gpu_engine() == "vector"
+    def test_unpinned_launch_runs_vector(self):
+        metrics = _launch_map(get_app("BS"), engine=None)
+        assert metrics.count("gpu.vector.regions") > 0
 
 
 # -- observability counters -------------------------------------------------
 
 
 class TestVectorMetrics:
-    def _run(self, source_or_app, n=40):
-        app = source_or_app
-        kernel, snapshot = _map_setup(app)
-        records = [ln.encode("utf-8") + b"\n"
-                   for ln in app.generate(n, seed=5).splitlines()]
-        store = GlobalKVStore(kernel.launch.total_threads,
-                              kernel.launch.total_threads * 64,
-                              kernel.key_length, kernel.value_length)
-        with obs.use_recorder(obs.TraceRecorder()) as rec:
-            run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
-                           snapshot, store, Partitioner(4), engine="vector")
-        return rec.metrics
-
     def test_vectorized_app_counts_regions(self):
-        metrics = self._run(get_app("BS"))
+        metrics = _launch_map(get_app("BS"), "vector")
         assert metrics.count("gpu.vector.regions") > 0
 
     def test_fallback_app_counts_fallbacks(self):
-        metrics = self._run(get_app("WC"))
+        metrics = _launch_map(get_app("WC"), "vector")
         assert metrics.count("gpu.vector.regions") == 0
         assert metrics.count("gpu.vector.fallbacks") > 0

@@ -23,15 +23,12 @@ from repro.gpu.device import GpuDevice
 from repro.hadoop.local import LocalJobRunner
 from repro.obs.export import WORKER_PID_MARKER
 from repro.parallel import (
-    ProcessPool,
-    SerialPool,
+    get_pool,
     in_worker,
     list_schedule_makespan,
-    resolve_reduce_workers,
     resolve_workers,
-    task_pool,
 )
-from repro.parallel.pool import REDUCE_WORKERS_ENV, WORKERS_ENV
+from repro.parallel.pool import WORKERS_ENV
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.scenarios import records_for
 
@@ -80,35 +77,6 @@ class TestResolveWorkers:
             resolve_workers()
 
 
-class TestResolveReduceWorkers:
-    def test_follows_the_job_setting_by_default(self, monkeypatch):
-        monkeypatch.delenv(REDUCE_WORKERS_ENV, raising=False)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_reduce_workers() == 1
-        assert resolve_reduce_workers(3) == 3
-
-    def test_env_overrides_the_job_setting(self, monkeypatch):
-        monkeypatch.setenv(REDUCE_WORKERS_ENV, "2")
-        assert resolve_reduce_workers(8) == 2
-        monkeypatch.setenv(REDUCE_WORKERS_ENV, "0")
-        assert resolve_reduce_workers(8) == (os.cpu_count() or 1)
-
-    def test_task_count_caps_fanout(self, monkeypatch):
-        monkeypatch.delenv(REDUCE_WORKERS_ENV, raising=False)
-        assert resolve_reduce_workers(8, tasks=3) == 3
-        monkeypatch.setenv(REDUCE_WORKERS_ENV, "8")
-        assert resolve_reduce_workers(1, tasks=3) == 3
-        assert resolve_reduce_workers(1, tasks=1) == 1
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(REDUCE_WORKERS_ENV, "many")
-        with pytest.raises(ConfigError):
-            resolve_reduce_workers(2)
-        monkeypatch.setenv(REDUCE_WORKERS_ENV, "-1")
-        with pytest.raises(ConfigError):
-            resolve_reduce_workers(2)
-
-
 class TestListScheduleMakespan:
     def test_serial_is_bitwise_sum(self):
         # The job span's end uses the critical path; at one worker it
@@ -138,66 +106,22 @@ class TestListScheduleMakespan:
 # -- pools ------------------------------------------------------------------
 
 
-def _square(x):
-    return x * x
-
-
 def _probe(_x):
     """What a pool task observes about its own process."""
     return (os.getpid(), in_worker(), resolve_workers(8),
             os.environ.get(WORKERS_ENV))
 
 
-def _boom(x):
-    raise ValueError(f"task {x} failed")
-
-
 class TestPools:
-    def test_task_pool_picks_implementation(self):
-        assert isinstance(task_pool(1), SerialPool)
-        pool = task_pool(2)
-        try:
-            assert isinstance(pool, ProcessPool)
-        finally:
-            pool.terminate()
-
-    def test_process_pool_rejects_single_worker(self):
-        with pytest.raises(ConfigError):
-            ProcessPool(1)
-
-    def test_serial_pool_runs_in_process(self):
-        with SerialPool() as pool:
-            assert pool.map_tasks(_square, [1, 2, 3]) == [1, 4, 9]
-            assert list(pool.imap_tasks(_square, [4])) == [16]
-            pid, worker, fanout, env = pool.map_tasks(_probe, [0])[0]
-        assert pid == os.getpid()
-        assert not worker
-
-    def test_results_arrive_in_submission_order(self):
-        with ProcessPool(2) as pool:
-            assert pool.map_tasks(_square, range(20)) == [
-                i * i for i in range(20)
-            ]
-            assert list(pool.imap_tasks(_square, range(7))) == [
-                i * i for i in range(7)
-            ]
-
     def test_workers_are_leaves(self):
-        with ProcessPool(2) as pool:
-            probes = pool.map_tasks(_probe, range(8))
+        probes = get_pool().run_job(2, _probe, list(range(8)), batch_size=1)
         pids = {pid for pid, _w, _f, _e in probes}
         assert os.getpid() not in pids
+        assert not in_worker()
         for _pid, worker, fanout, env in probes:
             assert worker  # in_worker() is True inside the pool
             assert fanout == 1  # resolve_workers(8) refuses to nest
             assert env == "1"  # env-reading code sees serial too
-
-    def test_task_exception_propagates(self):
-        # whichever task's error surfaces first, the type and message
-        # shape cross the process boundary intact
-        with pytest.raises(ValueError, match=r"task \d failed"):
-            with ProcessPool(2) as pool:
-                pool.map_tasks(_boom, [1, 2])
 
 
 # -- serial/parallel job equivalence ----------------------------------------
@@ -323,21 +247,6 @@ def test_single_split_job_stays_serial():
     assert result.workers == 1
 
 
-def test_env_reduce_workers_reaches_the_job_runner(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(REDUCE_WORKERS_ENV, raising=False)
-    app = get_app("WC")
-    text = app.generate(150, seed=7)
-    baseline = LocalJobRunner(app, split_bytes=2 * 1024).run(text)
-    monkeypatch.setenv(REDUCE_WORKERS_ENV, "2")
-    result = LocalJobRunner(app, split_bytes=2 * 1024).run(text)
-    # map phase stays serial; only the reduce phase pools
-    assert result.workers == 1
-    assert result.reduce_workers == 2
-    assert list(result.output.items()) == list(baseline.output.items())
-    assert result.reduce_task_timings == baseline.reduce_task_timings
-
-
 # -- construction-time validation -------------------------------------------
 
 
@@ -353,6 +262,22 @@ class TestRunnerConfigValidation:
         app = get_app("WC")
         with pytest.raises(ConfigError, match="num_reducers"):
             LocalJobRunner(app, num_reducers=-1)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
+    def test_unknown_gpu_engine_rejected_at_construction(self, workers):
+        with pytest.raises(ConfigError, match="unknown GPU engine") as exc:
+            LocalJobRunner(get_app("WC"), gpu_engine="warp9",
+                           workers=workers)
+        for name in ("vector", "compiled", "tree"):
+            assert name in str(exc.value)
+
+    def test_unknown_task_runner_engine_rejected_at_construction(
+            self, cluster1_io):
+        app = get_app("WC")
+        with pytest.raises(ConfigError, match="unknown GPU engine"):
+            GpuTaskRunner(app.translate_map(), app.translate_combine(),
+                          GpuDevice(CLUSTER1.gpu), cluster1_io,
+                          num_reducers=4, engine="warp9")
 
     def test_zero_reducers_means_map_only(self):
         # 0 is a legal Hadoop setting (map-only job), not an error
@@ -475,45 +400,6 @@ def test_serial_trace_has_no_worker_tracks():
     trace = obs.export_chrome(rec)
     assert not any(e.get("name") == "process_sort_index"
                    for e in trace["traceEvents"])
-
-
-# -- standalone GPU runner fan-out ------------------------------------------
-
-
-def _wc_gpu_runner(cluster1_io):
-    app = get_app("WC")
-    return GpuTaskRunner(app.translate_map(), app.translate_combine(),
-                         GpuDevice(CLUSTER1.gpu), cluster1_io,
-                         num_reducers=4)
-
-
-def test_run_many_matches_serial_runs(cluster1_io):
-    app = get_app("WC")
-    data = app.generate(240, seed=3).encode()
-    splits = [data[i:i + 2048] for i in range(0, len(data), 2048)]
-    assert len(splits) >= 3
-    serial_runner = _wc_gpu_runner(cluster1_io)
-    serial = [serial_runner.run(s) for s in splits]
-    par = _wc_gpu_runner(cluster1_io).run_many(splits, workers=2)
-    assert len(par) == len(serial)
-    for a, b in zip(par, serial):
-        assert a.seconds == b.seconds
-        assert a.emitted_pairs == b.emitted_pairs
-        assert a.output_pairs == b.output_pairs
-        assert a.partition_output == b.partition_output
-
-
-def test_run_many_serial_path_is_default(cluster1_io, monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    app = get_app("WC")
-    data = app.generate(80, seed=3).encode()
-    splits = [data[i:i + 2048] for i in range(0, len(data), 2048)]
-    runner = _wc_gpu_runner(cluster1_io)
-    results = runner.run_many(splits)
-    assert [r.seconds for r in results] == [
-        r.seconds for r in _wc_gpu_runner(cluster1_io).run_many(
-            splits, workers=1)
-    ]
 
 
 # -- fuzz campaign driver ---------------------------------------------------

@@ -9,7 +9,8 @@ extensions run through the full four-engine fuzz oracle; the paper's
 eight get the same treatment from ``test_apps`` and the fuzz corpus).
 
 A grep tripwire keeps the enumeration honest: no source or test file
-may reintroduce a hard-coded paper-app list outside the registry.
+may reintroduce a hard-coded paper-app list outside the registry. A
+second one pins the ``REPRO_*`` environment-knob surface.
 """
 
 from __future__ import annotations
@@ -189,3 +190,30 @@ def test_no_hardcoded_app_lists_outside_registry():
     assert offenders == [], (
         "hard-coded full app lists (use repro.scenarios instead): "
         f"{offenders}")
+
+
+#: Every environment knob the program reads: the job-wide worker count
+#: and the daemon pool's four deployment settings. Engines, backends and
+#: per-phase worker counts are chosen by the runtime, not by a knob.
+KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_BATCH",
+         "REPRO_POOL_START", "REPRO_POOL_SHM"}
+
+
+def test_env_knob_surface_is_exactly_the_documented_five():
+    """Grep tripwire: the ``REPRO_*`` names under ``src/repro`` and the
+    rows of README's knob tables are both exactly :data:`KNOBS` — a new
+    knob has to be argued for here, and documented, to land."""
+    knob = re.compile(r"REPRO_[A-Z_]+")
+    in_src = {
+        name
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        for name in knob.findall(path.read_text(encoding="utf-8"))
+    }
+    assert in_src == KNOBS
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    in_tables = {
+        name
+        for line in readme.splitlines() if line.startswith("|")
+        for name in knob.findall(line)
+    }
+    assert in_tables == KNOBS

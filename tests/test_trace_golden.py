@@ -64,9 +64,9 @@ def test_golden_trace_replays_identically_twice(tmp_path):
 
 
 def test_golden_trace_byte_identical_under_explicit_compiled_engine(tmp_path):
-    """Pinning the default: with ``REPRO_GPU_ENGINE=compiled`` (here via
-    the equivalent context manager) the canonical trace reproduces byte
-    for byte — adding the vector engine must not perturb it."""
+    """Pinning the fallback: with the compiled lane engine forced on
+    every region the canonical trace reproduces byte for byte — the
+    shipped vector engine and its per-lane fallback emit one trace."""
     with use_gpu_engine("compiled"):
         got = _cli_trace_bytes(tmp_path, "compiled.json", GOLDEN_ARGS)
     assert got == GOLDEN.read_bytes()
