@@ -1,8 +1,8 @@
 """Differential conformance fuzzing across the mini-C execution backends.
 
 The reproduction executes one mini-C source through three independent
-engines — the tree-walking interpreter, the closure-compiled backend, and
-the compiler→Kernel-IR→GPU-simulator path — and equivalence used to be
+engines — the tree-walking interpreter, the source-emitting compiled
+backend, and the compiler→Kernel-IR→GPU-simulator path — and equivalence used to be
 asserted only on the eight fixed benchmarks. This package generates
 seeded, type-correct mini-C programs (plus matching synthetic inputs),
 runs each through every applicable backend, compares all observable

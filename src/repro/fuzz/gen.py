@@ -13,6 +13,13 @@ Three program kinds cover the dialect:
   force the vector engine onto its per-lane fallback paths with
   uniform-trip ``for`` accumulators that it vectorizes, so the oracle
   stresses both sides of the region-eligibility fence.
+
+``expr`` programs and mapper bodies also mix address-taken scalars
+(``int *p = &x; *p = e;``, a ``&x`` that first appears in a later inner
+block, shadowing redeclarations, ``x++``/``x += e`` on both kinds) with
+scalars whose address never escapes: the compiled backend turns the
+latter into Python locals and keeps a Cell for the former, and the
+oracle holds that decision to the tree-walker's answer.
 * ``combiner`` — directive-annotated sorted-KV aggregators. Tested tree
   vs. compiled, and (for integer values) against the GPU combine kernel
   under the §4.2 chunk-partial relaxation.
@@ -92,6 +99,7 @@ class _ExprGen:
         self.rng = rng
         self.v = _Vars()
         self._loop_depth = 0
+        self._fresh = 0  # suffix for block-local names
 
     # -- expressions -------------------------------------------------------
 
@@ -145,6 +153,10 @@ class _ExprGen:
             return f"({left} {op} (({right}) ? ({right}) : 1))"
         if op in ("<<", ">>"):
             return f"({left} {op} (abs({right}) % 8))"
+        if op == "*":
+            # A bounded factor keeps `v = v * v` in a loop from squaring
+            # its way to million-digit ints (growth stays linear).
+            return f"({left} * (({right}) % 64))"
         return f"({left} {op} {right})"
 
     def cond_expr(self, depth: int = 1) -> str:
@@ -211,11 +223,27 @@ class _ExprGen:
             choices += ["if", "if", "for", "while"]
         if self._loop_depth > 0:
             choices.append("breakish")
+        # Address-taken scalars: the compiled backend keeps a variable
+        # as a plain Python local unless its address escapes somewhere
+        # in the function, so each shape below flips that decision for
+        # some names and not others.
+        choices += ["alias", "lateaddr", "shadow", "incdec"]
         pick = rng.choice(choices)
+        if pick == "alias":
+            return self.alias_block(), 2
+        if pick == "lateaddr":
+            return self.late_address_block(depth), 3
+        if pick == "shadow":
+            return self.shadow_block(depth), 3
+        if pick == "incdec":
+            return [self.incdec(rng.choice(self.v.ints))], 1
         if pick == "assign":
             name = rng.choice(self.v.ints)
             op = rng.choice(("=", "=", "=", "+=", "-=", "*=", "&=", "|=", "^="))
-            return [f"{name} {op} {self.int_expr()};"], 1
+            rhs = self.int_expr()
+            if op == "*=":
+                rhs = f"(({rhs}) % 64)"  # see int_expr's `*`
+            return [f"{name} {op} {rhs};"], 1
         if pick == "dassign":
             name = rng.choice(self.v.doubles)
             op = rng.choice(("=", "=", "+=", "-=", "*="))
@@ -251,6 +279,82 @@ class _ExprGen:
             return self.for_loop(depth), 3
         # while
         return self.while_loop(depth), 3
+
+    def incdec(self, name: str) -> str:
+        """``x++``/``--x``/``x += e`` on ``name`` — the in-place forms
+        whose code differs most between a local and a Cell."""
+        rng = self.rng
+        shape = rng.choice(("post", "pre", "compound", "compound"))
+        if shape == "post":
+            return f"{name}{rng.choice(('++', '--'))};"
+        if shape == "pre":
+            return f"{rng.choice(('++', '--'))}{name};"
+        return f"{name} {rng.choice(('+=', '-=', '^='))} {self.int_expr(1)};"
+
+    def _fresh_name(self, stem: str) -> str:
+        self._fresh += 1
+        return f"{stem}{self._fresh}"
+
+    def alias_block(self) -> list[str]:
+        """``int *p = &x; *p = e;`` then a read of ``x``: stores through
+        the pointer must land in the variable every later mention of
+        ``x`` reads."""
+        rng = self.rng
+        name = rng.choice(self.v.ints)
+        ptr = self._fresh_name("p")
+        tag = rng.randint(0, 99)
+        return [
+            "{",
+            f"    int *{ptr} = &{name};",
+            f"    *{ptr} = {self.int_expr(1)};",
+            f"    {self.incdec(name)}",
+            f"    (*{ptr}){rng.choice(('++', '--'))};",
+            f'    printf("a{tag} %d %d\\n", {name}, *{ptr});',
+            "}",
+        ]
+
+    def late_address_block(self, depth: int) -> list[str]:
+        """A block-local scalar used as a plain value first, whose ``&``
+        only appears in a later statement of an inner block."""
+        rng = self.rng
+        name = self._fresh_name("w")
+        ptr = self._fresh_name("q")
+        tag = rng.randint(0, 99)
+        lines = ["{", f"    int {name};", f"    {name} = {self.int_expr(1)};"]
+        self.v.ints.append(name)
+        try:
+            lines += self.indent(self.statements(rng.randint(1, 2),
+                                                 max(depth - 1, 0)))
+            lines.append(f"    {self.incdec(name)}")
+            if rng.random() < 0.7:  # else: the same shape, never a Cell
+                lines += [
+                    "    {",
+                    f"        int *{ptr} = &{name};",
+                    f"        *{ptr} = (*{ptr} + {self.int_expr(1)});",
+                    f"        {self.incdec(name)}",
+                    "    }",
+                ]
+            lines.append(f'    printf("w{tag} %d\\n", {name});')
+        finally:
+            self.v.ints.remove(name)
+        return lines + ["}"]
+
+    def shadow_block(self, depth: int) -> list[str]:
+        """A shadowing redeclaration of an outer name (which some other
+        statement may have address-taken): the inner variable is a
+        different one, and the outer value must survive the block."""
+        rng = self.rng
+        name = rng.choice(self.v.ints)
+        tag = rng.randint(0, 99)
+        init = self.int_expr(1)  # may read the outer variable
+        body = self.indent(self.statements(rng.randint(1, 2),
+                                           max(depth - 1, 0)))
+        lines = ["{", f"    int {name} = {init};", *body,
+                 f"    {self.incdec(name)}"]
+        if rng.random() < 0.4:
+            ptr = self._fresh_name("p")
+            lines += [f"    int *{ptr} = &{name};", f"    *{ptr} += 1;"]
+        return lines + [f'    printf("s{tag} %d\\n", {name});', "}"]
 
     def for_loop(self, depth: int) -> list[str]:
         rng = self.rng
@@ -568,12 +672,32 @@ def _gen_mapper(rng: random.Random) -> tuple[str, str, str | None]:
             f"val = (val + (((int) acc) % {rng.choice((97, 101, 251))}));",
         ]
 
+    # Body-local scalars inside the kernel: `tmp` stays a plain Python
+    # local in the generated lane body while `held`, whose address is
+    # taken, keeps a Cell — the same decision as on the CPU path, here
+    # under the GPU legs of the oracle.
+    locals_block: list[str] = []
+    if rng.random() < 0.4:
+        locals_block = [
+            "{",
+            "    int tmp;",
+            "    int held;",
+            "    int *tp = &held;",
+            f"    tmp = (val + {rng.randint(1, 9)});",
+            f"    tmp{rng.choice(('++', '--'))};",
+            "    *tp = tmp;",
+            f"    held {rng.choice(('+=', '-=', '^='))} {rng.randint(1, 5)};",
+            f"    val = ({rng.choice(('held', '*tp'))} + tmp);",
+            "}",
+        ]
+
     body = [
         "offset = 0;",
         f"while ((linePtr = getWord(line, offset, word, read, {keylen})) "
         "!= -1) {",
         *["    " + ln for ln in key_setup],
         f"    val = {val_expr};",
+        *(["    " + ln for ln in locals_block]),
         *(["    " + ln for ln in diverge]),
         *(["    " + ln for ln in vec_block]),
         *(["    " + ln for ln in cond_tweak]),

@@ -17,7 +17,7 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   table once, and precompute an *environment plan* — the (slot, factory)
   list that materializes each lane's kernel variables straight into the
   compiled body's frame. Per *lane*: reset a lean facade, run the plan's
-  factories, call the compiled closure. Selectable by explicit
+  factories, call the generated body function. Selectable by explicit
   ``engine="compiled"`` as the test seam that forces the per-lane path
   on every app.
 * ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
@@ -69,9 +69,9 @@ _VOID_PTR = T.Pointer(T.VOID)
 # --------------------------------------------------------------------------
 
 #: Lane engines: "vector" (numpy-vectorized warp execution of
-#: divergence-free regions, compiled closures per lane elsewhere — the
-#: default and what every job ships), "compiled" (per-launch compiled
-#: closures for every lane — vector's base, and the forced-fallback
+#: divergence-free regions, the generated body per lane elsewhere — the
+#: default and what every job ships), "compiled" (the per-launch
+#: generated body for every lane — vector's base, and the forced-fallback
 #: test seam), and "tree" (per-lane GpuInterpreter, the reference).
 GPU_ENGINES = ("vector", "compiled", "tree")
 
@@ -558,7 +558,7 @@ class CompiledLaneRunner:
     the first active lane, matching the tree engine's error timing —
     the environment plan. Each lane invocation is then: reset the
     facade, run the plan's factories into a fresh frame, call the
-    compiled closure."""
+    generated body function."""
 
     def __init__(
         self,

@@ -16,7 +16,7 @@ chunk-boundary keys yield partial aggregates that the reducer repairs.
 Lane bodies run on one of three engines (:mod:`repro.gpu.engine`): the
 shipped ``"vector"`` engine executes divergence-free regions as numpy
 operations over all launch lanes and falls back per lane to the
-``"compiled"`` engine's per-launch compiled closures, while the
+``"compiled"`` engine's per-launch generated body, while the
 ``"tree"`` engine keeps the original one-interpreter-per-lane harness as
 the differential reference. All charge costs through the same
 :class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid timing

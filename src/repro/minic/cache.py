@@ -8,14 +8,14 @@ source. This module provides:
 * :func:`compiled_program` — one :class:`~repro.minic.compile.CompiledProgram`
   per distinct program *source* (sha1 of ``Program.source``), shared by
   every interpreter instance, task, and thread executing it;
-* :func:`compiled_suite` — one compiled closure tree per (statement,
+* :func:`compiled_suite` — one generated Python unit per (statement,
   program) pair, stashed on the statement node (the GPU kernel-body
   case: the same ``kernel.body`` node runs per thread per split);
 * :func:`compiled_kernel_body` — like :func:`compiled_suite` but keyed
   on program + charge profile, for the GPU lane engine: a kernel body
   compiles once per job (in practice once per process, since kernels
-  are themselves memoized) and every lane invocation is then a closure
-  call over a per-thread frame;
+  are themselves memoized) and every lane invocation is then one call
+  of the generated function over a per-thread frame;
 * :func:`strlit_buffers` — the per-program string-literal Buffer table
   used by the tree-walking backend, so literals inside loops stop
   allocating a fresh Buffer per interpreter instance;
@@ -66,7 +66,8 @@ def program_key(program: A.Program) -> str:
 
 
 def compiled_program(program: A.Program) -> CompiledProgram:
-    """The (cached) closure-compiled form of ``program``."""
+    """The (cached) compiled form of ``program``: its functions emitted
+    as Python source and ``compile()``d once."""
     cp = program.__dict__.get(_ATTR_COMPILED)
     if cp is not None:
         return cp
@@ -100,7 +101,7 @@ def compiled_kernel_body(program: A.Program, stmt: A.Stmt,
     The profile dimension exists because a :class:`~repro.gpu.charging.
     ChargeHook` defines which cost events a compiled body must surface;
     bodies compiled under one profile must never be reused under
-    another. Today all profiles share one closure tree shape, so this is
+    another. Today all profiles emit the same source, so this is
     a dict keyed by ``profile_key`` — cheap, and the invariant is
     enforced structurally rather than by convention."""
     cp = compiled_program(program)
@@ -160,11 +161,12 @@ def warm_program(program: A.Program) -> CompiledProgram:
 
     The per-worker warmup hook of the parallel layer: a pool worker
     calls this once per distinct program per job so the first map task
-    does not pay compile latency (closures don't cross the process
-    boundary — sources do, and recompile here). Covers the compiled
-    program and the string-literal Buffer table; translations and kernel
-    bodies warm through :func:`cached_translation` /
-    :func:`compiled_kernel_body` at their own call sites.
+    does not pay compile latency (generated functions don't cross the
+    process boundary — mini-C sources do, and recompile here). Covers
+    the compiled program and the string-literal Buffer table;
+    translations and kernel bodies warm through
+    :func:`cached_translation` / :func:`compiled_kernel_body` at their
+    own call sites.
     """
     cp = compiled_program(program)
     strlit_buffers(program)

@@ -1,25 +1,42 @@
-"""Closure-compilation backend for mini-C.
+"""Source-emitting backend for mini-C: mini-C in, Python source out.
 
 The tree-walking interpreter dispatches ``getattr(self, f"_eval_...")``
 per AST node and signals ``break``/``continue``/``return`` with
 exceptions — per-*record* costs that dominate wall-clock on the map and
-combine hot paths. This module walks a :class:`~repro.minic.cast.Program`
-**once** and emits nested Python closures per node:
+combine hot paths. This module is the paper's source-to-source move
+applied to the host language: it walks a :class:`~repro.minic.cast.Program`
+**once**, emits Python source for each mini-C function (or kernel body /
+spine statement), and lets CPython's own compiler do the rest.
 
-* operators are pre-resolved to per-op functions (no ``op`` string
-  comparisons at run time),
-* variables live in flat frame *slots* resolved lexically at compile
-  time (no scope-chain dict lookups),
-* loops use Python-native control flow with sentinel return values
-  (``_BREAK``/``_CONT``/``_Return``) instead of exceptions,
+Every ``_stmt_*``/``_expr_*`` method of :class:`_FunctionCompiler`
+returns Python source plus the :class:`_Counts` it owes; the
+``_flushed_stmt`` / ``_flushed_cond`` entry points (and
+``_compile_function``) *materialise* a subtree into **one**
+``compile()``d function — a *unit* — with the signature ``fn(rt, frame)``
+(``fn(rt, args)`` for whole mini-C functions). Inside a unit:
+
+* scalars declared in a scope the unit fully contains, whose address
+  never escapes (no ``&x`` anywhere in the unit), are plain Python
+  locals (``v7``); address-taken scalars and arrays declared there are
+  Python locals holding a :class:`~repro.minic.values.Cell` (``x7``);
+  everything else — free variables, kernel variables, declarations
+  whose scope outlives the unit (the GPU warp spine's) — stays a Cell
+  in the flat ``frame`` list, bound lazily so an unreachable undeclared
+  name never raises;
+* loops are native ``while True:`` with the step budget inline, and
+  ``break``/``continue`` are native too (sentinel returns only cross
+  unit boundaries);
 * :class:`~repro.minic.interpreter.ExecCounters` accounting is batched
-  per basic block: every increment that is unconditional for a run of
-  simple statements is folded into one flush at the head of the run.
+  per basic block into straight-line ``c.ops += n`` at the block head;
+* ``printf``/``scanf`` call sites with a string-literal format are
+  rendered/scanned straight-line, guarded once per unit run by
+  ``rt.builtins[name] is <host impl>`` (GPU builtin tables replace those
+  names, so they take the generic call).
 
-Every closure has the signature ``fn(rt, frame)`` where ``rt`` is the
-shared :class:`Runtime` (counters, builtins, globals, the facade
-interpreter handed to builtins, the GPU charge hook) and ``frame`` is a
-flat ``list`` of :class:`~repro.minic.values.Cell` slots.
+**Nothing from the program text reaches the generated source**: names
+are slot-indexed, and literals, ctypes and messages travel through the
+unit's exec globals (``k3``). Only emitter-chosen text (fixed operator
+spellings, slot numbers, counts) is interpolated.
 
 Counter totals and functional outputs are bit-identical to the
 tree-walker for runs that complete; aborted runs (``CRuntimeError``)
@@ -29,25 +46,41 @@ The public entry points are :class:`CompiledProgram` (whole programs,
 ``main()``-style execution) and :class:`CompiledSuite` (a single
 statement executed against a facade interpreter's live environment —
 the GPU kernel-body case). Both are cached per program / per statement
-by :mod:`repro.minic.cache`.
+by :mod:`repro.minic.cache`. Each unit's source is registered in
+:mod:`linecache` as ``<minic:PROGRAM_KEY:unit>``, so tracebacks and
+profiles through generated code show the emitted line.
 """
 
 from __future__ import annotations
 
+import linecache
+import weakref
 from typing import Any, Callable
 
 from ..errors import CRuntimeError
 from . import cast as A
 from . import ctypes as T
+from .stdlib import (
+    _SCAN_PAIR_RES,
+    _as_str,
+    _bi_printf,
+    _bi_scanf,
+    _compile_format,
+    _render_int,
+    _scan_convs,
+    _store_out,
+    c_scan,
+)
 from .values import NULL, Buffer, Cell, Ptr, ScalarRef, float_to_int, truthy
 
 # --------------------------------------------------------------------------
 # Control-flow sentinels
 # --------------------------------------------------------------------------
 
-#: Statement closures return None (fell through), one of these two
-#: sentinels, or a _Return box. Plain ``is`` checks replace the
-#: tree-walker's exception unwinding.
+#: A statement unit returns None (fell through), one of these two
+#: sentinels, or a _Return box — only when the jump's target lies
+#: outside the unit (the warp spine's per-statement units). Jumps whose
+#: target is inside the unit are native Python control flow.
 _BREAK = object()
 _CONT = object()
 
@@ -68,7 +101,7 @@ _RETURN_NONE = _Return(None)
 
 
 class Runtime:
-    """Mutable per-execution state shared by all closures of one run.
+    """Mutable per-execution state shared by all units of one run.
 
     ``facade`` is the :class:`~repro.minic.interpreter.Interpreter`
     (or the GPU engine's lean lane facade) whose builtins/streams/heap
@@ -101,7 +134,7 @@ class Runtime:
 class _Counts:
     """Compile-time accumulator of unconditional counter increments."""
 
-    __slots__ = ("ops", "loads", "stores", "branches", "calls")
+    __slots__ = ("ops", "loads", "stores", "branches", "calls", "fp_ops")
 
     def __init__(self) -> None:
         self.ops = 0
@@ -109,118 +142,15 @@ class _Counts:
         self.stores = 0
         self.branches = 0
         self.calls = 0
+        self.fp_ops = 0
 
     def add(self, other: "_Counts") -> None:
-        self.ops += other.ops
-        self.loads += other.loads
-        self.stores += other.stores
-        self.branches += other.branches
-        self.calls += other.calls
-
-
-def _flush_pairs(cnt: _Counts) -> list[tuple[str, int]]:
-    return [(attr, value)
-            for attr in ("ops", "loads", "stores", "branches", "calls")
-            if (value := getattr(cnt, attr))]
-
-
-def _make_flush(cnt: _Counts) -> Callable[[Any], None] | None:
-    """A single multi-attribute ExecCounters increment, or None if empty.
-
-    The increments are exec-stamped straight-line code: flushes run once
-    per executed statement run / loop iteration, so five zero-checks per
-    call add up. Attribute names and values are compile-time constants
-    (fixed field list, int counts), never program text."""
-    pairs = _flush_pairs(cnt)
-    if not pairs:
-        return None
-    body = "".join(f"    c.{attr} += {value}\n" for attr, value in pairs)
-    env: dict[str, Any] = {}
-    exec(compile(f"def flush(c):\n{body}", "<minic-flush>", "exec"), env)
-    return env["flush"]
-
-
-def _codegen_call_site(specs: tuple, name: str, void: bool) -> Callable:
-    """exec-compile one call site into straight-line argument code.
-
-    Call arguments are the hottest spot in compiled programs (every
-    ``getWord``/``scanf``/``printf`` in a record loop lands here), so
-    instead of looping over the spec tuple at run time we stamp out one
-    Python function per call site with each argument fetched inline:
-
-    * kind 0 — frame-slot read with the null-cell check and Buffer
-      decay expanded in place;
-    * kind 1 — compile-time constant, referenced straight from the
-      generated function's globals (zero per-call work);
-    * kind 2 — a generic compiled-expression closure invocation.
-
-    Evaluation stays left-to-right, matching the tree-walker. Nothing
-    from the source program is interpolated into the generated text —
-    slots, constants, closures and messages all travel via the exec
-    globals dict — so arbitrary identifiers cannot inject code.
-    """
-    env: dict[str, Any] = {
-        "CRuntimeError": CRuntimeError,
-        "Buffer": Buffer,
-        "_name": name,
-        "_undef_msg": f"call to undefined function {name!r}",
-    }
-    body: list[str] = []
-    argv: list[str] = []
-    for i, (kind, a, b) in enumerate(specs):
-        if kind == 0:
-            env[f"_s{i}"] = a
-            env[f"_m{i}"] = f"undeclared identifier {b!r}"
-            body += [
-                f"        c{i} = frame[_s{i}]",
-                f"        if c{i} is None:",
-                f"            raise CRuntimeError(_m{i})",
-                f"        v{i} = c{i}.value",
-                f"        if v{i}.__class__ is Buffer:",
-                f"            v{i} = v{i}.decay_ptr()",
-            ]
-            argv.append(f"v{i}")
-        elif kind == 1:
-            env[f"_k{i}"] = a
-            argv.append(f"_k{i}")
-        else:
-            env[f"_f{i}"] = a
-            body.append(f"        v{i} = _f{i}(rt, frame)")
-            argv.append(f"v{i}")
-    args = "[" + ", ".join(argv) + "]"
-    ret = "None" if void else "result"
-    # The builtin lookup is memoized per call site on the identity of
-    # rt.builtins: builtins dicts are built before an interpreter runs
-    # and never mutated afterwards, and the strong reference pins the
-    # dict so the identity check cannot alias a recycled id.
-    src = "\n".join([
-        "def _factory():",
-        "    last_bi = None",
-        "    last_fn = None",
-        "    def call(rt, frame):",
-        "        nonlocal last_bi, last_fn",
-        *body,
-        "        bi = rt.builtins",
-        "        if bi is not last_bi:",
-        "            last_bi = bi",
-        "            last_fn = bi.get(_name)",
-        "        builtin = last_fn",
-        "        if builtin is not None:",
-        f"            result = builtin(rt.facade, {args})",
-        f"            return {ret}",
-        "        func = rt.funcs.get(_name)",
-        "        if func is None:",
-        "            raise CRuntimeError(_undef_msg)",
-        f"        result = func(rt, {args})",
-        f"        return {ret}",
-        "    return call",
-    ])
-    exec(compile(src, "<minic-call-site>", "exec"), env)
-    return env["_factory"]()
+        for attr in _Counts.__slots__:
+            setattr(self, attr, getattr(self, attr) + getattr(other, attr))
 
 
 # --------------------------------------------------------------------------
-# Pre-resolved operators (tree-walker _binop/_ptr_binop semantics)
+# Run-time support the generated code calls (tree-walker semantics)
 # --------------------------------------------------------------------------
 
 
@@ -267,23 +197,10 @@ def _c_mod(left: Any, right: Any) -> Any:
 
 
 def _mk_binop(op: str, apply: Callable[[Any, Any], Any]) -> Callable:
-    # fp check precedes pointer dispatch, exactly like Interpreter._binop.
-    # Exact int/float operand classes take the fast paths (the interpreter
-    # only ever produces exact ints/floats/Ptrs); the generic tail keeps
-    # the tree-walker's isinstance semantics for anything else.
+    # The dynamic tail of a binary operator, for operands whose class the
+    # emitter could not prove: fp check precedes pointer dispatch,
+    # exactly like Interpreter._binop.
     def binop(rt: Runtime, left: Any, right: Any) -> Any:
-        lc = left.__class__
-        rc = right.__class__
-        if lc is int:
-            if rc is int:
-                return apply(left, right)
-            if rc is float:
-                rt.counters.fp_ops += 1
-                return apply(left, right)
-        elif lc is float:
-            if rc is int or rc is float:
-                rt.counters.fp_ops += 1
-                return apply(left, right)
         if isinstance(left, float) or isinstance(right, float):
             rt.counters.fp_ops += 1
         if isinstance(left, Ptr) or isinstance(right, Ptr):
@@ -293,31 +210,27 @@ def _mk_binop(op: str, apply: Callable[[Any, Any], Any]) -> Callable:
     return binop
 
 
-#: Raw two-operand appliers — the int/int (and generic) arithmetic the
-#: dispatching wrapper in :data:`_BINOPS` falls through to. The binary
-#: closures inline these directly when both operands are exact ints,
-#: skipping one call level on the hottest path.
-_APPLY: dict[str, Callable] = {
-    "+": lambda l, r: l + r,
-    "-": lambda l, r: l - r,
-    "*": lambda l, r: l * r,
-    "/": _c_div,
-    "%": _c_mod,
-    "==": lambda l, r: int(l == r),
-    "!=": lambda l, r: int(l != r),
-    "<": lambda l, r: int(l < r),
-    ">": lambda l, r: int(l > r),
-    "<=": lambda l, r: int(l <= r),
-    ">=": lambda l, r: int(l >= r),
-    "&": lambda l, r: int(l) & int(r),
-    "|": lambda l, r: int(l) | int(r),
-    "^": lambda l, r: int(l) ^ int(r),
-    "<<": lambda l, r: int(l) << int(r),
-    ">>": lambda l, r: int(l) >> int(r),
-}
+_COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
 
 _BINOPS: dict[str, Callable] = {
-    op: _mk_binop(op, fn) for op, fn in _APPLY.items()
+    op: _mk_binop(op, fn) for op, fn in {
+        "+": lambda l, r: l + r,
+        "-": lambda l, r: l - r,
+        "*": lambda l, r: l * r,
+        "/": _c_div,
+        "%": _c_mod,
+        "==": lambda l, r: int(l == r),
+        "!=": lambda l, r: int(l != r),
+        "<": lambda l, r: int(l < r),
+        ">": lambda l, r: int(l > r),
+        "<=": lambda l, r: int(l <= r),
+        ">=": lambda l, r: int(l >= r),
+        "&": lambda l, r: int(l) & int(r),
+        "|": lambda l, r: int(l) | int(r),
+        "^": lambda l, r: int(l) ^ int(r),
+        "<<": lambda l, r: int(l) << int(r),
+        ">>": lambda l, r: int(l) >> int(r),
+    }.items()
 }
 
 
@@ -338,8 +251,86 @@ def _as_ptr(value: Any) -> Ptr:
     raise CRuntimeError(f"expected a pointer, got {value!r}")
 
 
-def _noop(rt: Runtime, frame: list) -> None:
-    return None
+def _as_ref(value: Any) -> Ptr | ScalarRef:
+    if isinstance(value, (Ptr, ScalarRef)):
+        return value
+    raise CRuntimeError(f"cannot dereference {value!r}")
+
+
+def _cast_int(value: Any, is_char: bool) -> int:
+    if isinstance(value, float):
+        return float_to_int(value)
+    if is_char:
+        return int(value) & 0xFF
+    return int(value)
+
+
+def _step(value: Any, delta: int) -> Any:
+    return value.add(delta) if value.__class__ is Ptr else value + delta
+
+
+def _over_budget(max_steps: int) -> None:
+    raise CRuntimeError(
+        f"execution exceeded {max_steps} steps (runaway loop?)"
+    )
+
+
+def _bad_arity(name: str, nparams: int, nargs: int) -> None:
+    raise CRuntimeError(f"{name}() expects {nparams} args, got {nargs}")
+
+
+def _user_function(rt: Runtime, name: str) -> Callable:
+    func = rt.funcs.get(name)
+    if func is None:
+        raise CRuntimeError(f"call to undefined function {name!r}")
+    return func
+
+
+# Cells the emitter knows nothing static about (array names used as
+# scalars, untyped free variables): a Buffer-valued cell keeps the
+# tree-walker's Ptr(buf, 0) ref semantics — element 0 store,
+# buffer-coerced read-back, charge against the buffer.
+
+
+def _cell_ref(cell: Cell) -> Ptr | ScalarRef:
+    value = cell.value
+    return Ptr(value, 0) if value.__class__ is Buffer else ScalarRef(cell)
+
+
+def _cell_assign(rt: Runtime, cell: Cell, binop: Callable | None,
+                 value: Any) -> Any:
+    """``x = value`` (``binop`` None) or ``x op= value``; returns the
+    stored value. The current value is read after the rhs was evaluated
+    (tree-walker order)."""
+    held = cell.value
+    charge = rt.charge
+    if held.__class__ is Buffer:
+        if binop is not None:
+            value = binop(rt, held.read(0), value)
+        held.write(0, value)
+        if charge is not None:
+            charge(held, True)
+        return held.read(0)
+    if binop is not None:
+        value = binop(rt, held, value)
+    ScalarRef(cell).store(value)  # coerces through the cell's ctype
+    if charge is not None:
+        charge(None, True)
+    return cell.value
+
+
+def _cell_incdec(cell: Cell, delta: int, post: bool) -> Any:
+    """``x++``/``--x``; the pre-coercion value is returned exactly as
+    the tree-walker's ref.store/return order produces it."""
+    held = cell.value
+    if held.__class__ is Buffer:
+        value = held.read(0)
+        new = _step(value, delta)
+        held.write(0, new)
+        return value if post else new
+    new = _step(held, delta)
+    ScalarRef(cell).store(new)
+    return held if post else new
 
 
 def _param_coerce(ctype: T.CType) -> Callable[[Any], Any]:
@@ -366,21 +357,180 @@ def _flatten_array(ctype: T.Array, name: str) -> tuple[T.CType, int, int | None]
     return base, size, inner
 
 
+#: Names every unit's exec globals start from. Constants derived from
+#: the program (literals, messages, ctypes) are added per unit as ``kN``.
+_UNIT_GLOBALS: dict[str, Any] = {
+    "CRuntimeError": CRuntimeError, "Buffer": Buffer, "Cell": Cell,
+    "Ptr": Ptr, "ScalarRef": ScalarRef, "NULL": NULL, "truthy": truthy,
+    "float_to_int": float_to_int, "_BREAK": _BREAK, "_CONT": _CONT,
+    "_Return": _Return, "_RETURN_NONE": _RETURN_NONE,
+    "_c_div": _c_div, "_c_mod": _c_mod, "_as_ptr": _as_ptr,
+    "_as_ref": _as_ref, "_cast_int": _cast_int, "_step": _step,
+    "_over_budget": _over_budget, "_bad_arity": _bad_arity,
+    "_user_function": _user_function,
+    "_cell_ref": _cell_ref, "_cell_assign": _cell_assign,
+    "_cell_incdec": _cell_incdec, "_as_str": _as_str,
+    "_store_out": _store_out, "c_scan": c_scan,
+}
+
+#: Unit-local names bound from ``rt`` on demand, in this order.
+_RT_LOCALS = {
+    "c": "c = rt.counters",
+    "charge": "charge = rt.charge",
+    "facade": "facade = rt.facade",
+    "max_steps": "max_steps = rt.max_steps",
+    "builtins": "builtins = rt.builtins",
+}
+
+#: printf/scanf call sites with a literal format skip the builtin when
+#: the unit runs against these host implementations: name → (impl, the
+#: emitter method that renders the call straight-line).
+_HOST_FORMAT_CALLS = {"printf": (_bi_printf, "_printf_lines"),
+                      "scanf": (_bi_scanf, "_scanf_lines")}
+
+
 # --------------------------------------------------------------------------
-# The compiler
+# Emission data
+# --------------------------------------------------------------------------
+
+
+class _Ex:
+    """One emitted expression: ``pre`` statements that must run first,
+    then ``src``, a side-effect-free Python expression for the value.
+
+    ``kind`` is what the emitter can prove about the value's class:
+    ``"i"``/``"f"`` exact int/float, ``"p"`` a non-null :class:`Ptr`,
+    None unknown. ``stable`` marks a src no later statement can change
+    (a constant or a single-assignment temp). ``test`` is an optional
+    Python boolean expression equal to the value's C truthiness.
+    ``cell`` names the Cell (and its declared ctype) a ``&x`` src wraps,
+    so a consumer may store through it without building the ScalarRef.
+    """
+
+    __slots__ = ("pre", "src", "kind", "stable", "test", "cell")
+
+    def __init__(self, src: str, kind: str | None = None,
+                 pre: list[str] | None = None, stable: bool = False,
+                 test: str | None = None,
+                 cell: tuple[str, T.CType] | None = None):
+        self.pre = pre if pre is not None else []
+        self.src = src
+        self.kind = kind
+        self.stable = stable
+        self.test = test
+        self.cell = cell
+
+
+class _Var:
+    """Where one declared or free name lives, per frame slot."""
+
+    __slots__ = ("slot", "name", "ctype", "store", "exact")
+
+    def __init__(self, slot: int, name: str, ctype: T.CType | None,
+                 store: str, exact: bool):
+        self.slot = slot
+        self.name = name
+        #: Declared ctype every store coerces through, or None when the
+        #: cell's ctype is only known at run time.
+        self.ctype = ctype
+        #: "local" (Python local holding the value), "cell" (Python
+        #: local holding a Cell) or "frame" (Cell in the frame list).
+        self.store = store
+        #: The held value's class is an invariant of the declared ctype
+        #: (declarations compiled here; not parameters or kernel frees).
+        self.exact = exact
+
+    @property
+    def py(self) -> str:
+        """The unit-local Python name: the value itself (``v7``), or the
+        Cell (``x7``; ``f7`` once bound from the frame)."""
+        return f"{self.store[0] if self.store != 'cell' else 'x'}{self.slot}"
+
+    @property
+    def is_array(self) -> bool:
+        return isinstance(self.ctype, T.Array)
+
+    @property
+    def kind(self) -> str | None:
+        return _scalar_kind(self.ctype) if self.exact else None
+
+
+def _scalar_kind(ctype: T.CType | None) -> str | None:
+    if ctype is None or isinstance(ctype, (T.Array, T.Pointer)):
+        return None
+    if ctype.is_integer:
+        return "i"
+    if ctype.is_float:
+        return "f"
+    return None
+
+
+class _Unit:
+    """State of one materialisation: exec globals, prologue, temps."""
+
+    def __init__(self, root: A.Node, base: int, is_function: bool):
+        self.env: dict[str, Any] = dict(_UNIT_GLOBALS)
+        self._const_names: dict[Any, str] = {}
+        #: local name → prologue line, in first-use order.
+        self.prologue: dict[str, str] = {}
+        self.ntemps = 0
+        #: len(compiler.scopes) at entry: deeper scopes die with the unit.
+        self.base = base
+        self.is_function = is_function
+        #: Names under ``&`` anywhere in the unit (name-level, so a
+        #: shadowing redeclaration is conservatively a Cell too).
+        self.addr_taken = {
+            n.operand.name for n in root.walk()
+            if isinstance(n, A.UnaryOp) and n.op == "&"
+            and isinstance(n.operand, A.Ident)
+        }
+        #: Innermost-last stack of in-unit loops: the lines a
+        #: ``continue`` must run first (a for loop's step).
+        self.loops: list[list[str]] = []
+
+    def const(self, value: Any) -> str:
+        """The exec-globals name carrying ``value`` into the unit."""
+        # Scalars dedupe by type + repr (0.0 and -0.0 stay distinct);
+        # everything else by identity — ``env`` keeps the object alive.
+        key: Any = (type(value).__name__, repr(value)) \
+            if type(value) in (int, float, str, bool, type(None)) \
+            else id(value)
+        name = self._const_names.get(key)
+        if name is None:
+            name = self._const_names[key] = f"k{len(self._const_names)}"
+            self.env[name] = value
+        return name
+
+    def need(self, name: str, line: str | None = None) -> str:
+        if name not in self.prologue:
+            self.prologue[name] = line if line is not None else _RT_LOCALS[name]
+        return name
+
+    def tmp(self) -> str:
+        self.ntemps += 1
+        return f"t{self.ntemps}"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines] if lines else ["    pass"]
+
+
+# --------------------------------------------------------------------------
+# The emitter
 # --------------------------------------------------------------------------
 
 
 class _FunctionCompiler:
-    """Compiles one function body (or one free-standing suite) to closures.
+    """Emits one function body (or one free-standing suite / the warp
+    spine's statements) as Python source units.
 
     Slot resolution is lexical: every declaration gets a fresh frame
     slot; a name not declared in any enclosing compile-time scope is a
     *free* variable, bound once at entry (from the program globals for
-    functions, from the facade's live scope chain for suites). A free
-    name that resolves to nothing stays ``None`` in its slot and raises
-    the tree-walker's "undeclared identifier" lazily on first access —
-    preserving reachability semantics.
+    functions, from the facade's live scope chain or the GPU env plan
+    for suites). A free name that resolves to nothing stays ``None`` and
+    raises the tree-walker's "undeclared identifier" lazily on first
+    access — preserving reachability semantics.
     """
 
     def __init__(self, cp: "CompiledProgram"):
@@ -388,19 +538,16 @@ class _FunctionCompiler:
         self.scopes: list[dict[str, int]] = []
         self.nslots = 0
         self.free: dict[str, int] = {}
-        # Declared ctype per local slot (non-array decls only). A
-        # declared cell's value class is an invariant — every store path
-        # coerces through the declared ctype and expression values never
-        # hold raw Buffers — so ident/assign/incdec closures compiled
-        # against a recorded slot skip the Buffer-decay check and the
-        # per-store ctype dispatch. Free slots (kernel snapshot globals)
-        # are absent here and keep the generic closures.
+        self.vars: dict[int, _Var] = {}
+        # Declared ctype per slot (declarations, plus free names the
+        # caller vouched for). The vector engine's region compiler reads
+        # this to type the scalars and arrays a region touches.
         self.slot_ctype: dict[int, T.CType] = {}
         # Caller-supplied declared ctypes for free names (kernel suites:
-        # the KernelIR's variable table). A free slot whose runtime cell
-        # is guaranteed to carry this ctype gets the same specialized
-        # closures as a local declaration.
+        # the KernelIR's variable table). Such a cell carries this ctype,
+        # so stores coerce statically and reads skip the Buffer decay.
         self.free_ctypes: dict[str, T.CType] = {}
+        self.u: _Unit | None = None
 
     # -- slots -----------------------------------------------------------
 
@@ -409,10 +556,22 @@ class _FunctionCompiler:
         self.nslots += 1
         return slot
 
-    def declare(self, name: str) -> int:
+    def declare(self, name: str, ctype: T.CType, scoped: bool,
+                exact: bool = True) -> _Var:
+        """A fresh slot for ``name`` in the innermost scope. ``scoped``
+        says the declaration sits directly in a block or for-init, so it
+        dominates every later mention; only then, and only in a scope
+        the current unit opened, can it leave the frame."""
         slot = self._new_slot()
         self.scopes[-1][name] = slot
-        return slot
+        self.slot_ctype[slot] = ctype
+        u = self.u
+        store = "frame"
+        if scoped and u is not None and len(self.scopes) > u.base:
+            store = "cell" if isinstance(ctype, T.Array) \
+                or name in u.addr_taken else "local"
+        var = self.vars[slot] = _Var(slot, name, ctype, store, exact)
+        return var
 
     def slot_for(self, name: str) -> int:
         for scope in reversed(self.scopes):
@@ -425,952 +584,804 @@ class _FunctionCompiler:
             ct = self.free_ctypes.get(name)
             if ct is not None:
                 self.slot_ctype[slot] = ct
+            self.vars[slot] = _Var(slot, name, ct, "frame", False)
         return slot
+
+    def _var(self, name: str) -> tuple[_Var, list[str]]:
+        """The variable ``name`` resolves to, plus the lines that must
+        precede any access (the lazy undeclared-identifier check)."""
+        var = self.vars[self.slot_for(name)]
+        if var.store != "frame":
+            return var, []
+        u = self.u
+        if u.is_function:
+            # Function bodies see only params + locals + program globals
+            # (the tree-walker resets the scope chain per call).
+            bind = f"rt.globals.get({u.const(var.name)})" \
+                if self.free.get(var.name) == var.slot else "None"
+        else:
+            bind = f"frame[{var.slot}]"
+        u.need(var.py, f"{var.py} = {bind}")
+        msg = u.const(f"undeclared identifier {var.name!r}")
+        return var, [f"if {var.py} is None:",
+                     f"    raise CRuntimeError({msg})"]
+
+    # -- materialisation ---------------------------------------------------
+
+    def _begin(self, root: A.Node, is_function: bool = False) -> _Unit:
+        assert self.u is None, "units do not nest"
+        self.u = _Unit(root, len(self.scopes), is_function)
+        return self.u
+
+    def _finish(self, lines: list[str], label: str | None = None) -> Callable:
+        u, self.u = self.u, None
+        params = "rt, args" if u.is_function else "rt, frame"
+        body = list(u.prologue.values()) + lines
+        src = f"def unit({params}):\n" + "\n".join(_indent(body)) + "\n"
+        filename = self.cp.register_unit(label, src)
+        exec(compile(src, filename, "exec"), u.env)
+        return u.env["unit"]
+
+    def _flush(self, cnt: _Counts) -> list[str]:
+        """Straight-line ExecCounters increments for ``cnt``."""
+        lines = [f"c.{attr} += {value}" for attr in _Counts.__slots__
+                 if (value := getattr(cnt, attr))]
+        if lines:
+            self.u.need("c")
+        return lines
+
+    def _flushed_stmt(self, stmt: A.Stmt) -> Callable:
+        """``stmt`` as one unit that flushes its own batched counts."""
+        self._begin(stmt)
+        return self._finish(self._flushed(stmt))
+
+    def _flushed_cond(self, expr: A.Expr) -> Callable:
+        """An if/while condition as one value-returning unit that flushes
+        its own counts plus the branch (the warp spine evaluates
+        conditions per lane, between units)."""
+        self._begin(expr)
+        ex, cnt = self._expr(expr)
+        cnt.branches += 1
+        lines = self._flush(cnt) + ex.pre + [f"return {ex.src}"]
+        return self._finish(lines)
 
     # -- statements ------------------------------------------------------
 
-    def compile_stmt(self, stmt: A.Stmt) -> tuple[Callable, _Counts]:
+    def _stmt(self, stmt: A.Stmt,
+              scoped: bool = False) -> tuple[list[str], _Counts]:
+        """Lines for ``stmt`` plus the counts it incurs unconditionally
+        on entry, which the caller batches into the enclosing run."""
+        if isinstance(stmt, A.DeclStmt):
+            return self._stmt_DeclStmt(stmt, scoped)
         method = getattr(self, f"_stmt_{type(stmt).__name__}", None)
         if method is None:
             raise CRuntimeError(f"cannot execute {type(stmt).__name__}")
         return method(stmt)
 
-    def _flushed_stmt(self, stmt: A.Stmt) -> Callable:
-        """A statement closure that flushes its own batched counts.
+    def _flushed(self, stmt: A.Stmt, scoped: bool = False) -> list[str]:
+        lines, cnt = self._stmt(stmt, scoped)
+        return self._flush(cnt) + lines
 
-        The counter increments are exec-fused into the statement
-        wrapper, saving a flush-closure call per execution."""
-        fn, cnt = self.compile_stmt(stmt)
-        pairs = _flush_pairs(cnt)
-        if not pairs:
-            return fn
-        body = "".join(f"    c.{attr} += {value}\n" for attr, value in pairs)
-        src = (f"def run(rt, frame):\n"
-               f"    c = rt.counters\n{body}"
-               f"    return fn(rt, frame)\n")
-        env: dict[str, Any] = {"fn": fn}
-        exec(compile(src, "<minic-flush>", "exec"), env)
-        return env["run"]
-
-    def _stmt_Block(self, stmt: A.Block) -> tuple[Callable, _Counts]:
+    def _stmt_Block(self, stmt: A.Block) -> tuple[list[str], _Counts]:
         self.scopes.append({})
-        seq: list[Callable] = []
-        run_start: int | None = None
+        out: list[str] = []
+        run: list[str] = []
         pending = _Counts()
-
-        def close_run() -> None:
-            nonlocal run_start, pending
-            if run_start is not None:
-                pairs = _flush_pairs(pending)
-                if pairs:
-                    body = "".join(f"    c.{attr} += {value}\n"
-                                   for attr, value in pairs)
-                    env: dict[str, Any] = {}
-                    if run_start < len(seq):
-                        # Fuse the run's counts into its first statement
-                        # (simple statements never signal an early exit).
-                        env["fn"] = seq[run_start]
-                        src = (f"def flush_stmt(rt, frame):\n"
-                               f"    c = rt.counters\n{body}"
-                               f"    return fn(rt, frame)\n")
-                        exec(compile(src, "<minic-flush>", "exec"), env)
-                        seq[run_start] = env["flush_stmt"]
-                    else:
-                        src = (f"def flush_stmt(rt, frame):\n"
-                               f"    c = rt.counters\n{body}"
-                               f"    return None\n")
-                        exec(compile(src, "<minic-flush>", "exec"), env)
-                        seq.append(env["flush_stmt"])
-                run_start = None
-                pending = _Counts()
-
         for inner in stmt.stmts:
-            fn, cnt = self.compile_stmt(inner)
-            if isinstance(inner, (A.DeclStmt, A.ExprStmt)):
-                # Simple statements cannot exit the block early: their
-                # unconditional counts batch into one flush at run head.
-                if run_start is None:
-                    run_start = len(seq)
-                pending.add(cnt)
-                if fn is not _noop:
-                    seq.append(fn)
-            else:
-                close_run()
-                seq.append(fn)
-        close_run()
+            lines, cnt = self._stmt(inner, scoped=True)
+            run += lines
+            pending.add(cnt)
+            if not isinstance(inner, (A.DeclStmt, A.ExprStmt)):
+                # Anything but a simple statement may leave the block
+                # early, so the run of unconditional counts ends here.
+                out += self._flush(pending) + run
+                run = []
+                pending = _Counts()
+        out += self._flush(pending) + run
         self.scopes.pop()
+        return out, _Counts()
 
-        if not seq:
-            return _noop, _Counts()
-        if len(seq) == 1:
-            return seq[0], _Counts()
-        fns = tuple(seq)
-
-        def block(rt: Runtime, frame: list) -> Any:
-            for fn in fns:
-                sig = fn(rt, frame)
-                if sig is not None:
-                    return sig
-            return None
-
-        return block, _Counts()
-
-    def _stmt_DeclStmt(self, stmt: A.DeclStmt) -> tuple[Callable, _Counts]:
+    def _stmt_DeclStmt(self, stmt: A.DeclStmt,
+                       scoped: bool) -> tuple[list[str], _Counts]:
         cnt = _Counts()
-        fns: list[Callable] = []
+        lines: list[str] = []
         for decl in stmt.decls:
-            init_fn = None
+            init = None
             if decl.init is not None:
-                init_fn, icnt = self.compile_expr(decl.init)
+                init, icnt = self._expr(decl.init)
                 cnt.add(icnt)
-            # The slot is created *after* compiling the initializer, so
+                lines += init.pre
+            # The slot is created *after* emitting the initializer, so
             # `int x = x + 1;` resolves the rhs to the outer binding,
             # matching the tree-walker's execution-order declare.
-            slot = self.declare(decl.name)
             ctype = decl.ctype
-            self.slot_ctype[slot] = ctype
+            var = self.declare(decl.name, ctype, scoped)
             if isinstance(ctype, T.Array):
-                if isinstance(ctype.base, T.Array) and \
-                        isinstance(ctype.base.base, T.Array):
-                    # The tree-walker evaluates the initializer, then
-                    # raises from _alloc_array at execution time.
-                    def decl_3d(rt: Runtime, frame: list,
-                                _init: Callable | None = init_fn,
-                                _name: str = decl.name) -> None:
-                        if _init is not None:
-                            _init(rt, frame)
-                        raise CRuntimeError(
-                            "arrays of more than two dimensions unsupported "
-                            f"({_name})"
-                        )
-
-                    fns.append(decl_3d)
-                    continue
-                base, size, inner = _flatten_array(ctype, decl.name)
-                if init_fn is not None:
-                    # The tree-walker allocates, then rejects the
-                    # initializer — after evaluating it.
-                    def decl_arr_bad(rt: Runtime, frame: list,
-                                     _init: Callable = init_fn,
-                                     _name: str = decl.name) -> None:
-                        _init(rt, frame)
-                        raise CRuntimeError(
-                            f"array initializers unsupported ({_name})"
-                        )
-
-                    fns.append(decl_arr_bad)
-                    continue
-
-                def decl_arr(rt: Runtime, frame: list, _slot: int = slot,
-                             _base: T.CType = base, _size: int = size,
-                             _inner: int | None = inner,
-                             _name: str = decl.name,
-                             _ctype: T.CType = ctype) -> None:
-                    buf = Buffer(_base, _size, label=_name)
-                    buf.inner_dim = _inner
-                    frame[_slot] = Cell(value=buf, ctype=_ctype)
-                    return None
-
-                fns.append(decl_arr)
+                lines += self._declare_array(var, init)
+                continue
+            if ctype.is_pointer:
+                value = "NULL"
+            elif ctype.is_float:
+                value = "0.0"
             else:
-                if ctype.is_pointer:
-                    default: Any = NULL
-                elif ctype.is_float:
-                    default = 0.0
-                else:
-                    default = 0
-                if init_fn is not None:
-                    if ctype.is_float:
-                        coerce: Callable[[Any], Any] = float
-                    elif ctype.is_integer:
-                        coerce = int
-                    else:
-                        coerce = lambda v: v  # noqa: E731
+                value = "0"
+            if init is not None and init.kind is not None:
+                value = self._coerce(ctype, init, lines)
+            elif init is not None:
+                # A void-call initializer yields None; the tree-walker
+                # then keeps the declaration default.
+                a = self._atom(init, lines)
+                value = f"{value} if {a} is None else " \
+                    + self._coerce(ctype, init, lines)
+            lines.append(self._bind(var, value))
+        return lines, cnt
 
-                    # A void-call initializer yields None; the tree-walker
-                    # then keeps the declaration default.
-                    def decl_init(rt: Runtime, frame: list, _slot: int = slot,
-                                  _init: Callable = init_fn,
-                                  _coerce: Callable = coerce,
-                                  _default: Any = default,
-                                  _ctype: T.CType = ctype) -> None:
-                        value = _init(rt, frame)
-                        frame[_slot] = Cell(
-                            value=_default if value is None else _coerce(value),
-                            ctype=_ctype,
-                        )
-                        return None
+    def _bind(self, var: _Var, value: str) -> str:
+        """The line that (re)creates ``var`` holding ``value``."""
+        if var.store == "local":
+            return f"{var.py} = {value}"
+        cell = f"Cell({value}, {self.u.const(var.ctype)})"
+        if var.store == "cell" or self.u.is_function:
+            return f"{var.py} = {cell}"
+        return f"{var.py} = frame[{var.slot}] = {cell}"
 
-                    fns.append(decl_init)
-                else:
-                    def decl_plain(rt: Runtime, frame: list,
-                                   _slot: int = slot, _default: Any = default,
-                                   _ctype: T.CType = ctype) -> None:
-                        frame[_slot] = Cell(value=_default, ctype=_ctype)
-                        return None
+    def _declare_array(self, var: _Var, init: _Ex | None) -> list[str]:
+        u = self.u
+        ctype = var.ctype
+        lines: list[str] = []
+        # The tree-walker evaluates the initializer, then raises from
+        # _alloc_array (3-D) or rejects the initializer — at run time.
+        if init is not None and not init.stable:
+            lines.append(init.src)  # its pre already ran
+        if isinstance(ctype.base, T.Array) and \
+                isinstance(ctype.base.base, T.Array):
+            msg = f"arrays of more than two dimensions unsupported ({var.name})"
+            return lines + [f"raise CRuntimeError({u.const(msg)})"]
+        if init is not None:
+            msg = f"array initializers unsupported ({var.name})"
+            return lines + [f"raise CRuntimeError({u.const(msg)})"]
+        base, size, inner = _flatten_array(ctype, var.name)
+        buf = u.tmp()
+        lines += [
+            f"{buf} = Buffer({u.const(base)}, {u.const(size)}, "
+            f"{u.const(var.name)})",
+            f"{buf}.inner_dim = {u.const(inner)}",
+            self._bind(var, buf),
+        ]
+        if var.store == "cell":
+            # An array cell's Buffer never changes, so its decay pointer
+            # is bound once and serves every rvalue mention.
+            lines.append(f"a{var.slot} = {buf}.decay_ptr()")
+        return lines
 
-                    fns.append(decl_plain)
+    def _stmt_ExprStmt(self, stmt: A.ExprStmt) -> tuple[list[str], _Counts]:
+        if stmt.expr is None:
+            return [], _Counts()
+        ex, cnt = self._expr(stmt.expr, void=True)
+        return self._effects(ex), cnt  # `1 / 0;` still has to raise
 
-        if len(fns) == 1:
-            return fns[0], cnt
-        seq = tuple(fns)
-
-        def decls(rt: Runtime, frame: list) -> None:
-            for fn in seq:
-                fn(rt, frame)
-            return None
-
-        return decls, cnt
-
-    def _stmt_ExprStmt(self, stmt: A.ExprStmt) -> tuple[Callable, _Counts]:
-        expr = stmt.expr
-        if expr is None:
-            return _noop, _Counts()
-        # Statement-position expressions discard their value; the hot
-        # forms get void closures that return None directly (a legal
-        # "fell through" statement signal), skipping both the result
-        # read-back and the discard wrapper.
-        if isinstance(expr, A.Assign):
-            return self._compile_assign(expr, void=True)
-        if isinstance(expr, A.PostfixOp) and isinstance(expr.operand, A.Ident):
-            cnt = _Counts()
-            cnt.ops += 1
-            delta = 1 if expr.op == "++" else -1
-            return self._incdec_ident(expr.operand.name, delta,
-                                      post=True, void=True), cnt
-        if isinstance(expr, A.UnaryOp) and expr.op in ("++", "--") \
-                and isinstance(expr.operand, A.Ident):
-            delta = 1 if expr.op == "++" else -1
-            return self._incdec_ident(expr.operand.name, delta,
-                                      post=False, void=True), _Counts()
-        if isinstance(expr, A.Call):
-            return self._compile_call(expr, void=True)
-        fn, cnt = self.compile_expr(expr)
-
-        def run(rt: Runtime, frame: list) -> None:
-            fn(rt, frame)
-            return None
-
-        return run, cnt
-
-    def _stmt_If(self, stmt: A.If) -> tuple[Callable, _Counts]:
-        cond_fn, cnt = self.compile_expr(stmt.cond)
+    def _stmt_If(self, stmt: A.If) -> tuple[list[str], _Counts]:
+        ex, cnt = self._expr(stmt.cond)
         cnt.branches += 1
-        flush = _make_flush(cnt)
-        assert flush is not None  # branches >= 1
-        then_fn = self._flushed_stmt(stmt.then)
+        test = self._truth(ex)
+        lines = ex.pre + [f"if {test}:"] + _indent(self._flushed(stmt.then))
         if stmt.otherwise is not None:
-            else_fn = self._flushed_stmt(stmt.otherwise)
+            lines += ["else:"] + _indent(self._flushed(stmt.otherwise))
+        return lines, cnt
 
-            def if_else(rt: Runtime, frame: list) -> Any:
-                flush(rt.counters)
-                cond = cond_fn(rt, frame)
-                if cond if cond.__class__ is int else truthy(cond):
-                    return then_fn(rt, frame)
-                return else_fn(rt, frame)
+    def _budget(self) -> list[str]:
+        self.u.need("max_steps")
+        return ["rt.steps = steps = rt.steps + 1",
+                "if steps > max_steps:",
+                "    _over_budget(max_steps)"]
 
-            return if_else, _Counts()
-
-        def if_only(rt: Runtime, frame: list) -> Any:
-            flush(rt.counters)
-            cond = cond_fn(rt, frame)
-            if cond if cond.__class__ is int else truthy(cond):
-                return then_fn(rt, frame)
-            return None
-
-        return if_only, _Counts()
-
-    def _stmt_While(self, stmt: A.While) -> tuple[Callable, _Counts]:
-        cond_fn, cnt = self.compile_expr(stmt.cond)
+    def _loop_test(self, cond: A.Expr) -> list[str]:
+        ex, cnt = self._expr(cond)
         cnt.branches += 1
-        cond_flush = _make_flush(cnt)
-        assert cond_flush is not None
-        body_fn = self._flushed_stmt(stmt.body)
+        test = self._truth(ex)
+        return self._flush(cnt) + ex.pre + [f"if not ({test}):", "    break"]
 
-        def while_loop(rt: Runtime, frame: list) -> Any:
-            counters = rt.counters
-            max_steps = rt.max_steps
-            while True:
-                rt.steps = steps = rt.steps + 1
-                if steps > max_steps:
-                    raise CRuntimeError(
-                        f"execution exceeded {max_steps} steps (runaway loop?)"
-                    )
-                cond_flush(counters)
-                cond = cond_fn(rt, frame)
-                if not (cond if cond.__class__ is int else truthy(cond)):
-                    return None
-                sig = body_fn(rt, frame)
-                if sig is not None:
-                    if sig is _BREAK:
-                        return None
-                    if sig is not _CONT:
-                        return sig
+    def _stmt_While(self, stmt: A.While) -> tuple[list[str], _Counts]:
+        head = self._budget() + self._loop_test(stmt.cond)
+        self.u.loops.append([])
+        body = self._flushed(stmt.body)
+        self.u.loops.pop()
+        return ["while True:"] + _indent(head + body), _Counts()
 
-        return while_loop, _Counts()
-
-    def _stmt_For(self, stmt: A.For) -> tuple[Callable, _Counts]:
+    def _stmt_For(self, stmt: A.For) -> tuple[list[str], _Counts]:
         self.scopes.append({})
-        init_fn = self._flushed_stmt(stmt.init) if stmt.init is not None else None
-        cond_fn = None
-        cond_flush = None
+        init: list[str] = []
+        cnt = _Counts()
+        if stmt.init is not None:
+            init, cnt = self._stmt(stmt.init, scoped=True)
+        head = self._budget()
         if stmt.cond is not None:
-            cond_fn, ccnt = self.compile_expr(stmt.cond)
-            ccnt.branches += 1
-            cond_flush = _make_flush(ccnt)
-        step_fn = None
-        step_flush = None
+            head += self._loop_test(stmt.cond)
+        step: list[str] = []
         if stmt.step is not None:
-            step_fn, scnt = self.compile_expr(stmt.step)
-            step_flush = _make_flush(scnt)
-        body_fn = self._flushed_stmt(stmt.body)
+            ex, scnt = self._expr(stmt.step, void=True)
+            step = self._flush(scnt) + self._effects(ex)
+        # break skips the step; continue runs it (tree-walker order)
+        self.u.loops.append(step)
+        body = self._flushed(stmt.body)
+        self.u.loops.pop()
         self.scopes.pop()
+        return init + ["while True:"] + _indent(head + body + step), cnt
 
-        def for_loop(rt: Runtime, frame: list) -> Any:
-            counters = rt.counters
-            max_steps = rt.max_steps
-            if init_fn is not None:
-                init_fn(rt, frame)
-            while True:
-                rt.steps = steps = rt.steps + 1
-                if steps > max_steps:
-                    raise CRuntimeError(
-                        f"execution exceeded {max_steps} steps (runaway loop?)"
-                    )
-                if cond_fn is not None:
-                    cond_flush(counters)
-                    cond = cond_fn(rt, frame)
-                    if not (cond if cond.__class__ is int
-                            else truthy(cond)):
-                        return None
-                sig = body_fn(rt, frame)
-                if sig is not None:
-                    if sig is _BREAK:
-                        return None
-                    if sig is not _CONT:
-                        return sig
-                # break skips the step; continue runs it (tree-walker order)
-                if step_fn is not None:
-                    if step_flush is not None:
-                        step_flush(counters)
-                    step_fn(rt, frame)
-
-        return for_loop, _Counts()
-
-    def _stmt_Return(self, stmt: A.Return) -> tuple[Callable, _Counts]:
+    def _stmt_Return(self, stmt: A.Return) -> tuple[list[str], _Counts]:
+        function = self.u.is_function
         if stmt.value is None:
-            def ret_void(rt: Runtime, frame: list) -> _Return:
-                return _RETURN_NONE
+            return ["return None" if function else "return _RETURN_NONE"], \
+                _Counts()
+        ex, cnt = self._expr(stmt.value)
+        ret = f"return {ex.src}" if function else f"return _Return({ex.src})"
+        return ex.pre + [ret], cnt
 
-            return ret_void, _Counts()
-        value_fn, cnt = self.compile_expr(stmt.value)
-        flush = _make_flush(cnt)
-        if flush is None:
-            def ret_plain(rt: Runtime, frame: list) -> _Return:
-                return _Return(value_fn(rt, frame))
+    def _stmt_Break(self, stmt: A.Break) -> tuple[list[str], _Counts]:
+        return ["break" if self.u.loops else "return _BREAK"], _Counts()
 
-            return ret_plain, _Counts()
+    def _stmt_Continue(self, stmt: A.Continue) -> tuple[list[str], _Counts]:
+        if not self.u.loops:
+            return ["return _CONT"], _Counts()
+        return self.u.loops[-1] + ["continue"], _Counts()
 
-        def ret(rt: Runtime, frame: list) -> _Return:
-            flush(rt.counters)
-            return _Return(value_fn(rt, frame))
+    # -- expression plumbing -----------------------------------------------
 
-        return ret, _Counts()
-
-    def _stmt_Break(self, stmt: A.Break) -> tuple[Callable, _Counts]:
-        def brk(rt: Runtime, frame: list) -> Any:
-            return _BREAK
-
-        return brk, _Counts()
-
-    def _stmt_Continue(self, stmt: A.Continue) -> tuple[Callable, _Counts]:
-        def cont(rt: Runtime, frame: list) -> Any:
-            return _CONT
-
-        return cont, _Counts()
-
-    # -- expressions -----------------------------------------------------
-
-    def compile_expr(self, expr: A.Expr) -> tuple[Callable, _Counts]:
-        method = getattr(self, f"_expr_{type(expr).__name__}", None)
+    def _expr(self, expr: A.Expr, void: bool = False) -> tuple[_Ex, _Counts]:
+        """Emit ``expr``. ``void`` (statement position) lets assignments,
+        increments and calls skip materialising a result."""
+        kind = type(expr).__name__
+        method = getattr(self, f"_expr_{kind}", None)
         if method is None:
-            raise CRuntimeError(f"cannot evaluate {type(expr).__name__}")
+            raise CRuntimeError(f"cannot evaluate {kind}")
+        if void and kind in ("Assign", "Call", "PostfixOp", "UnaryOp"):
+            return method(expr, void=True)
         return method(expr)
 
-    def _flushed_expr(self, expr: A.Expr) -> Callable:
-        """An expression closure that flushes its own batched counts —
-        for conditionally-evaluated subexpressions (&&/|| rhs, ?: arms)."""
-        fn, cnt = self.compile_expr(expr)
-        flush = _make_flush(cnt)
-        if flush is None:
-            return fn
+    def _seq(self, exs: list[_Ex]) -> list[str]:
+        """The ``pre`` lines of ``exs`` in evaluation order. A src that a
+        later operand's statements could disturb is pinned to a temp
+        first, so every src may then be read after the returned lines."""
+        lines: list[str] = []
+        for i, ex in enumerate(exs):
+            lines += ex.pre
+            ex.pre = []
+            if not ex.stable and any(later.pre for later in exs[i + 1:]):
+                self._pin(ex, lines)
+        return lines
 
-        def run(rt: Runtime, frame: list) -> Any:
-            flush(rt.counters)
-            return fn(rt, frame)
+    def _effects(self, ex: _Ex) -> list[str]:
+        """``ex`` evaluated for its side effects and errors only."""
+        return ex.pre if ex.stable else ex.pre + [ex.src]
 
-        return run
+    def _pin(self, ex: _Ex, lines: list[str]) -> str:
+        if not ex.stable:
+            tmp = self.u.tmp()
+            lines.append(f"{tmp} = {ex.src}")
+            ex.src, ex.stable, ex.test = tmp, True, None
+        return ex.src
 
-    def _const(self, value: Any) -> tuple[Callable, _Counts]:
-        def const(rt: Runtime, frame: list) -> Any:
-            return value
+    def _atom(self, ex: _Ex, lines: list[str]) -> str:
+        """``ex.src`` as a bare name (safe to mention twice)."""
+        return ex.src if ex.src.isidentifier() else self._pin(ex, lines)
 
-        return const, _Counts()
+    def _truth(self, ex: _Ex) -> str:
+        """A Python test for ``ex``'s C truthiness (may extend ex.pre)."""
+        if ex.test is not None:
+            return ex.test
+        if ex.kind in ("i", "f"):
+            return ex.src
+        if ex.kind == "p":
+            return "True"
+        a = self._atom(ex, ex.pre)
+        return f"({a} if {a}.__class__ is int else truthy({a}))"
 
-    def _expr_IntLit(self, expr: A.IntLit) -> tuple[Callable, _Counts]:
-        return self._const(expr.value)
+    def _const_ex(self, value: Any, kind: str | None) -> tuple[_Ex, _Counts]:
+        return _Ex(self.u.const(value), kind, stable=True), _Counts()
 
-    def _expr_FloatLit(self, expr: A.FloatLit) -> tuple[Callable, _Counts]:
-        return self._const(expr.value)
+    def _coerce(self, ctype: T.CType | None, ex: _Ex,
+                lines: list[str]) -> str:
+        """Source for ``ex`` coerced the way a store through ``ctype``
+        coerces (ScalarRef.store), statically where the class is known."""
+        want = _scalar_kind(ctype)
+        if want is None or ex.kind == want:
+            return ex.src
+        conv = "int" if want == "i" else "float"
+        if ex.kind is not None:
+            return f"{conv}({ex.src})"
+        a = self._atom(ex, lines)
+        return f"({a} if {a}.__class__ is {conv} else {conv}({a}))"
 
-    def _expr_CharLit(self, expr: A.CharLit) -> tuple[Callable, _Counts]:
-        return self._const(expr.value)
+    def _charge_store(self, buffer: str = "None") -> list[str]:
+        self.u.need("charge")
+        return ["if charge is not None:", f"    charge({buffer}, True)"]
 
-    def _expr_SizeofType(self, expr: A.SizeofType) -> tuple[Callable, _Counts]:
-        return self._const(expr.of_type.sizeof())
+    # -- leaves ------------------------------------------------------------
 
-    def _expr_StringLit(self, expr: A.StringLit) -> tuple[Callable, _Counts]:
-        # One Buffer per literal per program, baked in at compile time.
-        ptr = self.cp.strlit_ptr(expr)
-        return self._const(ptr)
+    def _expr_IntLit(self, expr: A.IntLit) -> tuple[_Ex, _Counts]:
+        return self._const_ex(expr.value, "i")
 
-    def _expr_Ident(self, expr: A.Ident) -> tuple[Callable, _Counts]:
-        slot = self.slot_for(expr.name)
-        name = expr.name
-        decl_ct = self.slot_ctype.get(slot)
-        if decl_ct is not None:
-            if isinstance(decl_ct, T.Array):
-                def ident_array(rt: Runtime, frame: list) -> Any:
-                    cell = frame[slot]
-                    if cell is None:
-                        raise CRuntimeError(
-                            f"undeclared identifier {name!r}")
-                    return cell.value.decay_ptr()
+    def _expr_FloatLit(self, expr: A.FloatLit) -> tuple[_Ex, _Counts]:
+        return self._const_ex(expr.value, "f")
 
-                return ident_array, _Counts()
+    def _expr_CharLit(self, expr: A.CharLit) -> tuple[_Ex, _Counts]:
+        return self._const_ex(expr.value, "i")
 
-            def ident_scalar(rt: Runtime, frame: list) -> Any:
-                cell = frame[slot]
-                if cell is None:
-                    raise CRuntimeError(f"undeclared identifier {name!r}")
-                return cell.value
+    def _expr_SizeofType(self, expr: A.SizeofType) -> tuple[_Ex, _Counts]:
+        return self._const_ex(expr.of_type.sizeof(), "i")
 
-            return ident_scalar, _Counts()
+    def _expr_StringLit(self, expr: A.StringLit) -> tuple[_Ex, _Counts]:
+        # One Buffer per literal per program, baked in at emit time.
+        return self._const_ex(self.cp.strlit_ptr(expr), "p")
 
-        def ident(rt: Runtime, frame: list) -> Any:
-            cell = frame[slot]
-            if cell is None:
-                raise CRuntimeError(f"undeclared identifier {name!r}")
-            value = cell.value
-            if value.__class__ is Buffer:
-                return value.decay_ptr()  # array decay
-            return value
+    def _expr_Ident(self, expr: A.Ident) -> tuple[_Ex, _Counts]:
+        var, check = self._var(expr.name)
+        if var.store == "local":
+            return _Ex(var.py, var.kind), _Counts()
+        if var.is_array:
+            if var.store == "cell":
+                return _Ex(f"a{var.slot}", "p", stable=True), _Counts()
+            return _Ex(f"{var.py}.value.decay_ptr()", "p", check), _Counts()
+        if var.ctype is not None:
+            return _Ex(f"{var.py}.value", var.kind, check), _Counts()
+        tmp = self.u.tmp()
+        return _Ex(tmp, None, check + [
+            f"{tmp} = {var.py}.value",
+            f"if {tmp}.__class__ is Buffer:",
+            f"    {tmp} = {tmp}.decay_ptr()",  # array decay
+        ], stable=True), _Counts()
 
-        return ident, _Counts()
-
-    def _expr_Cast(self, expr: A.Cast) -> tuple[Callable, _Counts]:
-        operand_fn, cnt = self.compile_expr(expr.operand)
+    def _expr_Cast(self, expr: A.Cast) -> tuple[_Ex, _Counts]:
+        ex, cnt = self._expr(expr.operand)
         to = expr.to_type
-        if to.is_pointer:
-            return operand_fn, cnt  # pointer reinterpretation is a no-op
         if to.is_float:
-            def cast_float(rt: Runtime, frame: list) -> float:
-                return float(operand_fn(rt, frame))
-
-            return cast_float, cnt
-        if to.is_integer:
+            if ex.kind != "f":
+                ex = _Ex(f"float({ex.src})", "f", ex.pre)
+        elif to.is_integer:
             is_char = to == T.CHAR
-
-            def cast_int(rt: Runtime, frame: list) -> int:
-                value = operand_fn(rt, frame)
-                if isinstance(value, float):
-                    return float_to_int(value)
+            if ex.kind == "f":
+                ex = _Ex(f"float_to_int({ex.src})", "i", ex.pre)
+            elif ex.kind == "i":
                 if is_char:
-                    return int(value) & 0xFF
-                return int(value)
-
-            return cast_int, cnt
-        return operand_fn, cnt
-
-    def _expr_Index(self, expr: A.Index) -> tuple[Callable, _Counts]:
-        base_fn, cnt = self.compile_expr(expr.base)
-        index_fn, icnt = self.compile_expr(expr.index)
-        cnt.add(icnt)
-
-        # loads (and the GPU charge) depend on the runtime stride, so
-        # they stay inline rather than batching.
-        def index(rt: Runtime, frame: list) -> Any:
-            ptr = base_fn(rt, frame)
-            if ptr.__class__ is not Ptr:
-                ptr = _as_ptr(ptr)
-            elif ptr.buffer is None:
-                raise CRuntimeError("null pointer indexed")
-            idx = index_fn(rt, frame)
-            if idx.__class__ is not int:
-                idx = int(idx)
-            if ptr.stride > 1:  # row of a flattened 2-D array
-                return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
-            rt.counters.loads += 1
-            charge = rt.charge
-            if charge is not None:
-                charge(ptr.buffer, False)
-            # Inlined Buffer.read: the _check call is the hot-path cost.
-            buf = ptr.buffer
-            off = ptr.offset + idx
-            if buf.freed or not 0 <= off < buf.size:
-                buf._check(off)  # raises the canonical error
-            return buf.data[off]
-
-        return index, cnt
-
-    def _expr_Call(self, expr: A.Call) -> tuple[Callable, _Counts]:
-        return self._compile_call(expr, void=False)
-
-    def _compile_call(self, expr: A.Call,
-                      void: bool) -> tuple[Callable, _Counts]:
-        cnt = _Counts()
-        cnt.calls += 1
-        # Argument specs: most call arguments are plain identifiers or
-        # literals (getWord(line, off, word, read, N)), so those are
-        # fetched inline in the call closure instead of paying one
-        # compiled-closure invocation each.
-        #   kind 0 → frame slot read (a=slot, b=name, Buffer decays)
-        #   kind 1 → compile-time constant (a=value)
-        #   kind 2 → generic compiled expression (a=closure)
-        specs = []
-        for arg in expr.args:
-            if type(arg) is A.Ident:
-                specs.append((0, self.slot_for(arg.name), arg.name))
-            elif type(arg) is A.IntLit or type(arg) is A.FloatLit \
-                    or type(arg) is A.CharLit:
-                specs.append((1, arg.value, None))
-            elif type(arg) is A.StringLit:
-                specs.append((1, self.cp.strlit_ptr(arg), None))
+                    ex = _Ex(f"({ex.src} & 0xFF)", "i", ex.pre)
             else:
-                fn, acnt = self.compile_expr(arg)
-                cnt.add(acnt)
-                specs.append((2, fn, None))
-        return _codegen_call_site(tuple(specs), expr.func, void), cnt
+                ex = _Ex(f"_cast_int({ex.src}, {is_char})", "i", ex.pre)
+        # pointer reinterpretation (and any other target) is a no-op
+        return ex, cnt
 
-    def _expr_UnaryOp(self, expr: A.UnaryOp) -> tuple[Callable, _Counts]:
+    # -- operators -----------------------------------------------------------
+
+    def _expr_BinOp(self, expr: A.BinOp) -> tuple[_Ex, _Counts]:
+        op = expr.op
+        left, cnt = self._expr(expr.left)
+        if op in ("&&", "||"):
+            return self._logical(op, left, cnt, expr.right)
+        right, rcnt = self._expr(expr.right)
+        cnt.add(rcnt)
+        if op == ",":
+            right.pre = self._effects(left) + right.pre
+            return right, cnt
+        pre = self._seq([left, right])
+        cnt.ops += 1
+        res = self._apply(op, left, right, cnt)
+        res.pre = pre + res.pre
+        return res, cnt
+
+    def _apply(self, op: str, left: _Ex, right: _Ex, cnt: _Counts) -> _Ex:
+        """``left op right`` for operands whose ``pre`` already ran.
+        Exact int/float operands compile to a Python expression (with
+        the fp_ops count batched); anything unproven keeps the inline
+        int/int fast path in front of the dynamic operator."""
+        binop = _binop_fn(op)  # also vets `op` before it is interpolated
+        lk, rk = left.kind, right.kind
+        l, r = left.src, right.src
+        numeric = ("i", "f")
+        if lk in numeric and rk in numeric:
+            fp = lk == "f" or rk == "f"
+            if fp:
+                cnt.fp_ops += 1
+            if op in _COMPARISONS:
+                return _Ex(f"(1 if {l} {op} {r} else 0)", "i",
+                           test=f"{l} {op} {r}")
+            if op in ("/", "%"):
+                helper = "_c_div" if op == "/" else "_c_mod"
+                return _Ex(f"{helper}({l}, {r})", "f" if fp else "i")
+            if op in ("+", "-", "*"):
+                return _Ex(f"({l} {op} {r})", "f" if fp else "i")
+            if fp:
+                l, r = f"int({l})", f"int({r})"
+            return _Ex(f"({l} {op} {r})", "i")
+        pre: list[str] = []
+        l = self._atom(left, pre)
+        r = self._atom(right, pre)
+        tmp = self.u.tmp()
+        slow = f"{tmp} = {self.u.const(binop)}(rt, {l}, {r})"
+        kind = "i" if op in _COMPARISONS else None
+        if "f" in (lk, rk) or "p" in (lk, rk):
+            return _Ex(tmp, kind, pre + [slow], stable=True)
+        if op in _COMPARISONS:
+            fast = f"1 if {l} {op} {r} else 0"
+        elif op in ("/", "%"):
+            fast = f"{'_c_div' if op == '/' else '_c_mod'}({l}, {r})"
+        else:
+            fast = f"{l} {op} {r}"
+        is_int = " and ".join(f"{a}.__class__ is int"
+                              for a, k in ((l, lk), (r, rk)) if k is None)
+        return _Ex(tmp, kind, pre + [
+            f"if {is_int}:", f"    {tmp} = {fast}",
+            "else:", f"    {slow}",
+        ], stable=True)
+
+    def _logical(self, op: str, left: _Ex, cnt: _Counts,
+                 right_node: A.Expr) -> tuple[_Ex, _Counts]:
+        cnt.ops += 1
+        ltest = self._truth(left)
+        right, rcnt = self._expr(right_node)
+        rtest = self._truth(right)
+        rlines = self._flush(rcnt) + right.pre  # rhs is conditional
+        join = "and" if op == "&&" else "or"
+        if not rlines:
+            test = f"({ltest} {join} {rtest})"
+            return _Ex(f"(1 if {test} else 0)", "i", left.pre, test=test), cnt
+        tmp = self.u.tmp()
+        short = f"{tmp} = {0 if op == '&&' else 1}"
+        full = rlines + [f"{tmp} = 1 if {rtest} else 0"]
+        then, other = (full, [short]) if op == "&&" else ([short], full)
+        return _Ex(tmp, "i", left.pre + [f"if {ltest}:"] + _indent(then)
+                   + ["else:"] + _indent(other), stable=True), cnt
+
+    def _expr_Conditional(self, expr: A.Conditional) -> tuple[_Ex, _Counts]:
+        cond, cnt = self._expr(expr.cond)
+        cnt.branches += 1
+        test = self._truth(cond)
+        tmp = self.u.tmp()
+        lines = cond.pre + [f"if {test}:"]
+        kinds = []
+        for i, arm in enumerate((expr.then, expr.otherwise)):
+            ex, acnt = self._expr(arm)
+            kinds.append(ex.kind)
+            if i:
+                lines.append("else:")
+            lines += _indent(self._flush(acnt) + ex.pre + [f"{tmp} = {ex.src}"])
+        kind = kinds[0] if kinds[0] == kinds[1] else None
+        return _Ex(tmp, kind, lines, stable=True), cnt
+
+    def _expr_UnaryOp(self, expr: A.UnaryOp,
+                      void: bool = False) -> tuple[_Ex, _Counts]:
         op = expr.op
         if op == "&":
-            return self.compile_lvalue(expr.operand)
+            return self._lvalue(expr.operand)
         if op == "*":
-            operand_fn, cnt = self.compile_expr(expr.operand)
+            ex, cnt = self._expr(expr.operand)
             cnt.loads += 1
-
-            def deref(rt: Runtime, frame: list) -> Any:
-                value = operand_fn(rt, frame)
-                if isinstance(value, (Ptr, ScalarRef)):
-                    return value.deref()
-                raise CRuntimeError(f"cannot dereference {value!r}")
-
-            return deref, cnt
+            tmp = self.u.tmp()
+            ex.pre.append(f"{tmp} = _as_ref({ex.src}).deref()")
+            return _Ex(tmp, None, ex.pre, stable=True), cnt
         if op in ("++", "--"):
             # Prefix inc/dec: the tree-walker counts no op here.
-            delta = 1 if op == "++" else -1
-            if isinstance(expr.operand, A.Ident):
-                fn = self._incdec_ident(expr.operand.name, delta, post=False)
-                return fn, _Counts()
-            ref_fn, cnt = self.compile_lvalue(expr.operand)
-
-            def prefix(rt: Runtime, frame: list) -> Any:
-                ref = ref_fn(rt, frame)
-                value = ref.deref()
-                new = value.add(delta) if isinstance(value, Ptr) \
-                    else value + delta
-                ref.store(new)
-                return new
-
-            return prefix, cnt
-        operand_fn, cnt = self.compile_expr(expr.operand)
+            cnt = _Counts()
+            return self._incdec(expr.operand, 1 if op == "++" else -1,
+                                False, void, cnt), cnt
+        ex, cnt = self._expr(expr.operand)
         cnt.ops += 1
         if op == "-":
-            def neg(rt: Runtime, frame: list) -> Any:
-                return -operand_fn(rt, frame)
-
-            return neg, cnt
+            if isinstance(expr.operand, (A.IntLit, A.FloatLit, A.CharLit)):
+                folded, _ = self._const_ex(-expr.operand.value, ex.kind)
+                return folded, cnt
+            return _Ex(f"(-{ex.src})", ex.kind if ex.kind != "p" else None,
+                       ex.pre), cnt
         if op == "!":
-            def lnot(rt: Runtime, frame: list) -> int:
-                return int(not truthy(operand_fn(rt, frame)))
-
-            return lnot, cnt
+            test = f"not {self._truth(ex)}"
+            return _Ex(f"(1 if {test} else 0)", "i", ex.pre,
+                       test=f"({test})"), cnt
         if op == "~":
-            def inv(rt: Runtime, frame: list) -> int:
-                return ~int(operand_fn(rt, frame))
-
-            return inv, cnt
+            src = f"(~{ex.src})" if ex.kind == "i" else f"(~int({ex.src}))"
+            return _Ex(src, "i", ex.pre), cnt
         raise CRuntimeError(f"unsupported unary {op!r}")
 
-    def _expr_PostfixOp(self, expr: A.PostfixOp) -> tuple[Callable, _Counts]:
-        delta = 1 if expr.op == "++" else -1
-        if isinstance(expr.operand, A.Ident):
-            cnt = _Counts()
-            cnt.ops += 1
-            fn = self._incdec_ident(expr.operand.name, delta, post=True)
-            return fn, cnt
-        ref_fn, cnt = self.compile_lvalue(expr.operand)
+    def _expr_PostfixOp(self, expr: A.PostfixOp,
+                        void: bool = False) -> tuple[_Ex, _Counts]:
+        cnt = _Counts()
         cnt.ops += 1
+        return self._incdec(expr.operand, 1 if expr.op == "++" else -1,
+                            True, void, cnt), cnt
 
-        def postfix(rt: Runtime, frame: list) -> Any:
-            ref = ref_fn(rt, frame)
-            value = ref.deref()
-            new = value.add(delta) if isinstance(value, Ptr) else value + delta
-            ref.store(new)
-            return value
-
-        return postfix, cnt
-
-    def _incdec_ident(self, name: str, delta: int, post: bool,
-                      void: bool = False) -> Callable:
-        """``x++``/``--x`` on a plain variable: mutate the Cell in place.
-
-        The Buffer-valued case mirrors the generic path's Ptr(buf, 0)
-        ref (element 0 read-modify-write); the pre-coercion value is
-        returned exactly as the tree-walker's ref.store/return order
-        produces it."""
-        slot = self.slot_for(name)
-        decl_ct = self.slot_ctype.get(slot)
-        if decl_ct is T.INT or decl_ct is T.LONG or decl_ct is T.SIZE_T:
-            # An int-declared cell holds an exact int (every store path
-            # coerces), so held + delta is already the stored value.
-            def incdec_int(rt: Runtime, frame: list) -> Any:
-                cell = frame[slot]
-                if cell is None:
-                    raise CRuntimeError(f"undeclared identifier {name!r}")
-                held = cell.value
-                new = held + delta
-                cell.value = new
-                return None if void else (held if post else new)
-
-            return incdec_int
-
-        def incdec(rt: Runtime, frame: list) -> Any:
-            cell = frame[slot]
-            if cell is None:
-                raise CRuntimeError(f"undeclared identifier {name!r}")
-            held = cell.value
-            if held.__class__ is Buffer:
-                value = held.read(0)
-                new = value.add(delta) if value.__class__ is Ptr \
-                    else value + delta
-                held.write(0, new)
-                return None if void else (value if post else new)
-            new = held.add(delta) if held.__class__ is Ptr else held + delta
-            ct = cell.ctype
-            stored = new
-            if ct is T.INT or ct is T.LONG or ct is T.SIZE_T:
-                if stored.__class__ is not int:
-                    stored = int(stored)
-            elif ct is T.FLOAT or ct is T.DOUBLE:
-                if stored.__class__ is not float:
-                    stored = float(stored)
-            elif ct.is_float:
-                stored = float(stored)
-            elif ct.is_integer:
-                stored = int(stored)
-            cell.value = stored
-            return None if void else (held if post else new)
-
-        return incdec
-
-    def _expr_Conditional(self, expr: A.Conditional) -> tuple[Callable, _Counts]:
-        cond_fn, cnt = self.compile_expr(expr.cond)
-        cnt.branches += 1
-        then_fn = self._flushed_expr(expr.then)
-        else_fn = self._flushed_expr(expr.otherwise)
-
-        def conditional(rt: Runtime, frame: list) -> Any:
-            cond = cond_fn(rt, frame)
-            if cond if cond.__class__ is int else truthy(cond):
-                return then_fn(rt, frame)
-            return else_fn(rt, frame)
-
-        return conditional, cnt
-
-    def _expr_Assign(self, expr: A.Assign) -> tuple[Callable, _Counts]:
-        return self._compile_assign(expr, void=False)
-
-    def _compile_assign(self, expr: A.Assign,
-                        void: bool) -> tuple[Callable, _Counts]:
-        # Scalar-variable targets skip the ScalarRef allocation and the
-        # per-store ctype property checks of the generic ref path; the
-        # Buffer-valued case keeps the tree-walker's Ptr(buf, 0) ref
-        # semantics (element 0 store, buffer-coerced read-back, charge
-        # against the buffer). ``void`` closures (statement position)
-        # return None instead of the assigned value and skip the
-        # side-effect-free result read-back.
-        if isinstance(expr.target, A.Ident):
-            slot = self.slot_for(expr.target.name)
-            name = expr.target.name
-            value_fn, cnt = self.compile_expr(expr.value)
-            cnt.stores += 1
-            decl_ct = self.slot_ctype.get(slot)
-            coerce = None
-            if decl_ct is T.INT or decl_ct is T.LONG or decl_ct is T.SIZE_T:
-                coerce = int
-            elif decl_ct is T.FLOAT or decl_ct is T.DOUBLE:
-                coerce = float
-            if coerce is not None:
-                if expr.op == "=":
-                    def assign_decl_ident(rt: Runtime, frame: list) -> Any:
-                        cell = frame[slot]
-                        if cell is None:
-                            raise CRuntimeError(
-                                f"undeclared identifier {name!r}")
-                        value = value_fn(rt, frame)
-                        if value.__class__ is not coerce:
-                            value = coerce(value)
-                        cell.value = value
-                        charge = rt.charge
-                        if charge is not None:
-                            charge(None, True)
-                        return None if void else value
-
-                    return assign_decl_ident, cnt
-                binop = _binop_fn(expr.op[:-1])
-                cnt.ops += 1
-
-                def compound_decl_ident(rt: Runtime, frame: list) -> Any:
-                    cell = frame[slot]
-                    if cell is None:
-                        raise CRuntimeError(
-                            f"undeclared identifier {name!r}")
-                    value = value_fn(rt, frame)
-                    # cell.value read after the rhs (tree-walker order).
-                    new = binop(rt, cell.value, value)
-                    if new.__class__ is not coerce:
-                        new = coerce(new)
-                    cell.value = new
-                    charge = rt.charge
-                    if charge is not None:
-                        charge(None, True)
-                    return None if void else new
-
-                return compound_decl_ident, cnt
-            if expr.op == "=":
-                def assign_ident(rt: Runtime, frame: list) -> Any:
-                    cell = frame[slot]
-                    if cell is None:
-                        raise CRuntimeError(f"undeclared identifier {name!r}")
-                    held = cell.value
-                    if held.__class__ is Buffer:
-                        held.write(0, value_fn(rt, frame))
-                        charge = rt.charge
-                        if charge is not None:
-                            charge(held, True)
-                        return None if void else held.read(0)
-                    value = value_fn(rt, frame)
-                    ct = cell.ctype
-                    if ct is T.INT or ct is T.LONG or ct is T.SIZE_T:
-                        if value.__class__ is not int:
-                            value = int(value)
-                    elif ct is T.FLOAT or ct is T.DOUBLE:
-                        if value.__class__ is not float:
-                            value = float(value)
-                    elif ct.is_float:
-                        value = float(value)
-                    elif ct.is_integer:
-                        value = int(value)
-                    cell.value = value
-                    charge = rt.charge
-                    if charge is not None:
-                        charge(None, True)
-                    return None if void else value
-
-                return assign_ident, cnt
-            binop = _binop_fn(expr.op[:-1])
-            cnt.ops += 1
-
-            def compound_ident(rt: Runtime, frame: list) -> Any:
-                cell = frame[slot]
-                if cell is None:
-                    raise CRuntimeError(f"undeclared identifier {name!r}")
-                held = cell.value
-                if held.__class__ is Buffer:
-                    value = value_fn(rt, frame)
-                    held.write(0, binop(rt, held.read(0), value))
-                    charge = rt.charge
-                    if charge is not None:
-                        charge(held, True)
-                    return None if void else held.read(0)
-                value = value_fn(rt, frame)
-                # ref.deref() happens after the rhs (tree-walker order).
-                new = binop(rt, cell.value, value)
-                ct = cell.ctype
-                if ct is T.INT or ct is T.LONG or ct is T.SIZE_T:
-                    if new.__class__ is not int:
-                        new = int(new)
-                elif ct is T.FLOAT or ct is T.DOUBLE:
-                    if new.__class__ is not float:
-                        new = float(new)
-                elif ct.is_float:
-                    new = float(new)
-                elif ct.is_integer:
-                    new = int(new)
-                cell.value = new
-                charge = rt.charge
-                if charge is not None:
-                    charge(None, True)
-                return None if void else new
-
-            return compound_ident, cnt
-        ref_fn, cnt = self.compile_lvalue(expr.target)
-        value_fn, vcnt = self.compile_expr(expr.value)
-        cnt.add(vcnt)
-        cnt.stores += 1
-        if expr.op == "=":
-            def assign(rt: Runtime, frame: list) -> Any:
-                ref = ref_fn(rt, frame)
-                ref.store(value_fn(rt, frame))
-                charge = rt.charge
-                if charge is not None:
-                    charge(ref.buffer if ref.__class__ is Ptr else None, True)
-                return None if void else ref.deref()
-
-            return assign, cnt
-        binop = _binop_fn(expr.op[:-1])
-        cnt.ops += 1
-
-        def compound(rt: Runtime, frame: list) -> Any:
-            ref = ref_fn(rt, frame)
-            value = value_fn(rt, frame)
-            ref.store(binop(rt, ref.deref(), value))
-            charge = rt.charge
-            if charge is not None:
-                charge(ref.buffer if ref.__class__ is Ptr else None, True)
-            return None if void else ref.deref()
-
-        return compound, cnt
-
-    def _expr_BinOp(self, expr: A.BinOp) -> tuple[Callable, _Counts]:
-        op = expr.op
-        if op == ",":
-            left_fn, cnt = self.compile_expr(expr.left)
-            right_fn, rcnt = self.compile_expr(expr.right)
+    def _incdec(self, target: A.Expr, delta: int, post: bool, void: bool,
+                cnt: _Counts) -> _Ex:
+        """``x++``/``--x``: typed scalars mutate in place; anything else
+        goes through its ref. Returns the old (post) or new value."""
+        u = self.u
+        step = "+ 1" if delta > 0 else "- 1"
+        if not isinstance(target, A.Ident):
+            lines, rcnt, read, write, _buffer = self._place(target)
             cnt.add(rcnt)
+            old, new = u.tmp(), u.tmp()
+            lines += [f"{old} = {read}", f"{new} = _step({old}, {delta})",
+                      write.format(new)]
+            return _Ex(old if post else new, None, lines, stable=True)
+        var, lines = self._var(target.name)
+        if var.ctype is None or var.is_array:
+            tmp = u.tmp()
+            lines.append(f"{tmp} = _cell_incdec({var.py}, {delta}, {post})")
+            return _Ex(tmp, None, lines, stable=True)
+        get = var.py if var.store == "local" else f"{var.py}.value"
+        if var.kind == "i":
+            # An int-declared variable holds an exact int (every store
+            # coerces), so held + delta is already the stored value.
+            if void or not post:
+                lines.append(f"{get} = {get} {step}")
+                return _Ex("None", pre=lines, stable=True) if void \
+                    else _Ex(get, "i", lines)
+            old = u.tmp()
+            lines += [f"{old} = {get}", f"{get} = {old} {step}"]
+            return _Ex(old, "i", lines, stable=True)
+        old, new = u.tmp(), u.tmp()
+        lines += [f"{old} = {get}", f"{new} = _step({old}, {delta})"]
+        stored = self._coerce(var.ctype, _Ex(new, stable=True), lines)
+        lines.append(f"{get} = {stored}")
+        return _Ex(old if post else new, None, lines, stable=True)
 
-            def comma(rt: Runtime, frame: list) -> Any:
-                left_fn(rt, frame)
-                return right_fn(rt, frame)
+    # -- assignment ----------------------------------------------------------
 
-            return comma, cnt
-        if op in ("&&", "||"):
-            left_fn, cnt = self.compile_expr(expr.left)
+    def _expr_Assign(self, expr: A.Assign,
+                     void: bool = False) -> tuple[_Ex, _Counts]:
+        u = self.u
+        op = expr.op[:-1]  # "" for plain assignment
+        binop = u.const(_binop_fn(op)) if op else "None"
+        if not isinstance(expr.target, A.Ident):
+            lines, cnt, read, write, buffer = self._place(expr.target)
+            value, vcnt = self._expr(expr.value)
+            cnt.add(vcnt)
+            cnt.stores += 1
+            lines += value.pre
+            src = value.src
+            if op:
+                cnt.ops += 1
+                src = f"{binop}(rt, {read}, {src})"
+            lines.append(write.format(src))
+            lines += self._charge_store(buffer)
+            if void:
+                return _Ex("None", pre=lines, stable=True), cnt
+            return _Ex(read, None, lines), cnt
+        # Scalar-variable targets skip the ref allocation; the lazy
+        # undeclared-identifier check still precedes the rhs.
+        var, lines = self._var(expr.target.name)
+        value, cnt = self._expr(expr.value)
+        cnt.stores += 1
+        lines += value.pre
+        if op:
             cnt.ops += 1
-            right_fn = self._flushed_expr(expr.right)  # rhs is conditional
-            if op == "&&":
-                def land(rt: Runtime, frame: list) -> int:
-                    return int(truthy(left_fn(rt, frame))
-                               and truthy(right_fn(rt, frame)))
-
-                return land, cnt
-
-            def lor(rt: Runtime, frame: list) -> int:
-                return int(truthy(left_fn(rt, frame))
-                           or truthy(right_fn(rt, frame)))
-
-            return lor, cnt
-        left_fn, cnt = self.compile_expr(expr.left)
-        cnt.ops += 1
-        binop = _binop_fn(op)
-        apply = _APPLY[op]
-        rnode = expr.right
-        # Literal right operands (`scanf(...) == 2`, `ret != -1`) skip
-        # the operand-closure call; int literals also skip the operand
-        # class dispatch when the left side is an exact int.
-        if type(rnode) is A.IntLit or type(rnode) is A.CharLit:
-            rconst = rnode.value
-
-            def binary_riconst(rt: Runtime, frame: list) -> Any:
-                left = left_fn(rt, frame)
-                if left.__class__ is int:
-                    return apply(left, rconst)
-                return binop(rt, left, rconst)
-
-            return binary_riconst, cnt
-        if type(rnode) is A.FloatLit:
-            rconst = rnode.value
-
-            def binary_rconst(rt: Runtime, frame: list) -> Any:
-                return binop(rt, left_fn(rt, frame), rconst)
-
-            return binary_rconst, cnt
-        right_fn, rcnt = self.compile_expr(rnode)
-        cnt.add(rcnt)
-
-        def binary(rt: Runtime, frame: list) -> Any:
-            left = left_fn(rt, frame)
-            right = right_fn(rt, frame)
-            if left.__class__ is int and right.__class__ is int:
-                return apply(left, right)
-            return binop(rt, left, right)
-
-        return binary, cnt
+        if var.ctype is None or var.is_array:
+            tmp = u.tmp()
+            lines.append(
+                f"{tmp} = _cell_assign(rt, {var.py}, {binop}, {value.src})")
+            return _Ex(tmp, None, lines, stable=True), cnt
+        get = var.py if var.store == "local" else f"{var.py}.value"
+        if op:
+            # The current value is read after the rhs (tree-walker order).
+            value = self._apply(op, _Ex(get, var.kind), value, cnt)
+            lines += value.pre
+        lines.append(f"{get} = {self._coerce(var.ctype, value, lines)}")
+        lines += self._charge_store()
+        if void:
+            return _Ex("None", pre=lines, stable=True), cnt
+        return _Ex(get, var.kind, lines), cnt
 
     # -- lvalues ---------------------------------------------------------
 
-    def compile_lvalue(self, expr: A.Expr) -> tuple[Callable, _Counts]:
+    def _lvalue(self, expr: A.Expr) -> tuple[_Ex, _Counts]:
+        """``&expr``: an _Ex whose value is a Ptr or ScalarRef."""
+        u = self.u
         if isinstance(expr, A.Ident):
-            slot = self.slot_for(expr.name)
-            name = expr.name
-            decl_ct = self.slot_ctype.get(slot)
-            if decl_ct is not None and not isinstance(decl_ct, T.Array):
-                def lv_scalar(rt: Runtime, frame: list) -> ScalarRef:
-                    cell = frame[slot]
-                    if cell is None:
-                        raise CRuntimeError(
-                            f"undeclared identifier {name!r}")
-                    return ScalarRef(cell)
-
-                return lv_scalar, _Counts()
-
-            def lv_ident(rt: Runtime, frame: list) -> Ptr | ScalarRef:
-                cell = frame[slot]
-                if cell is None:
-                    raise CRuntimeError(f"undeclared identifier {name!r}")
-                value = cell.value
-                if value.__class__ is Buffer:
-                    return Ptr(value, 0)
-                return ScalarRef(cell)
-
-            return lv_ident, _Counts()
+            var, check = self._var(expr.name)
+            assert var.store != "local", "address-taken names keep a Cell"
+            if var.is_array:
+                return _Ex(f"Ptr({var.py}.value, 0)", "p", check), _Counts()
+            if var.ctype is not None:
+                return _Ex(f"ScalarRef({var.py})", None, check,
+                           cell=(var.py, var.ctype)), _Counts()
+            return _Ex(f"_cell_ref({var.py})", None, check), _Counts()
         if isinstance(expr, A.Index):
-            base_fn, cnt = self.compile_expr(expr.base)
-            index_fn, icnt = self.compile_expr(expr.index)
-            cnt.add(icnt)
-
-            def lv_index(rt: Runtime, frame: list) -> Ptr:
-                ptr = base_fn(rt, frame)
-                if ptr.__class__ is not Ptr:
-                    ptr = _as_ptr(ptr)
-                elif ptr.buffer is None:
-                    raise CRuntimeError("null pointer indexed")
-                idx = index_fn(rt, frame)
-                if idx.__class__ is not int:
-                    idx = int(idx)
-                if ptr.stride > 1:
-                    return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
-                return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, ptr.stride)
-
-            return lv_index, cnt
+            lines, p, i, cnt = self._index_operands(expr)
+            # Both stride cases of the tree-walker's _addr_of collapse
+            # to one offset formula; only the result stride differs.
+            return _Ex(f"Ptr({p}.buffer, {p}.offset + {i} * {p}.stride, "
+                       f"1 if {p}.stride > 1 else {p}.stride)",
+                       "p", lines), cnt
         if isinstance(expr, A.UnaryOp) and expr.op == "*":
-            operand_fn, cnt = self.compile_expr(expr.operand)
+            ex, cnt = self._expr(expr.operand)
+            return _Ex(f"_as_ref({ex.src})", None, ex.pre), cnt
+        msg = u.const(f"cannot take address of {type(expr).__name__}")
+        return _Ex("None", pre=[f"raise CRuntimeError({msg})"],
+                   stable=True), _Counts()
 
-            def lv_deref(rt: Runtime, frame: list) -> Ptr | ScalarRef:
-                value = operand_fn(rt, frame)
-                if isinstance(value, (Ptr, ScalarRef)):
-                    return value
-                raise CRuntimeError(f"cannot dereference {value!r}")
+    def _place(self, expr: A.Expr) -> tuple[list[str], _Counts, str, str, str]:
+        """A non-variable assignment target, evaluated once: (lines,
+        counts, read source, write format, buffer-to-charge source).
+        An element target reads and writes its Buffer directly — what
+        the tree-walker's Ptr ref does, minus the Ptr."""
+        u = self.u
+        if isinstance(expr, A.Index):
+            lines, p, i, cnt = self._index_operands(expr)
+            buf, off = u.tmp(), u.tmp()
+            lines += [f"{buf} = {p}.buffer",
+                      f"{off} = {p}.offset + {i} * {p}.stride"]
+            return (lines, cnt, f"{buf}.read({off})",
+                    f"{buf}.write({off}, {{}})", buf)
+        ref, cnt = self._lvalue(expr)
+        r = self._pin(ref, ref.pre)
+        return (ref.pre, cnt, f"{r}.deref()", f"{r}.store({{}})",
+                f"{r}.buffer if {r}.__class__ is Ptr else None")
 
-            return lv_deref, cnt
-        kind = type(expr).__name__
+    def _index_operands(
+            self, expr: A.Index) -> tuple[list[str], str, str, _Counts]:
+        """Evaluate ``base[index]``'s operands: (lines, pointer temp —
+        a non-null Ptr — and exact-int index source, counts)."""
+        u = self.u
+        base, cnt = self._expr(expr.base)
+        lines = base.pre
+        p = self._pin(base, lines) if base.kind == "p" else u.tmp()
+        if base.kind != "p":
+            null = u.const("null pointer indexed")
+            lines += [
+                f"{p} = {base.src}",
+                f"if {p}.__class__ is not Ptr:",
+                f"    {p} = _as_ptr({p})",
+                f"elif {p}.buffer is None:",
+                f"    raise CRuntimeError({null})",
+            ]
+        index, icnt = self._expr(expr.index)
+        cnt.add(icnt)
+        lines += index.pre
+        if index.kind == "i":
+            return lines, p, self._atom(index, lines), cnt
+        i = u.tmp()
+        lines += [f"{i} = {index.src}",
+                  f"if {i}.__class__ is not int:", f"    {i} = int({i})"]
+        return lines, p, i, cnt
 
-        def lv_bad(rt: Runtime, frame: list) -> Any:
-            raise CRuntimeError(f"cannot take address of {kind}")
+    def _expr_Index(self, expr: A.Index) -> tuple[_Ex, _Counts]:
+        u = self.u
+        lines, p, i, cnt = self._index_operands(expr)
+        u.need("c")
+        u.need("charge")
+        out, buf, off = u.tmp(), u.tmp(), u.tmp()
+        # loads (and the GPU charge) depend on the runtime stride, so
+        # they stay inline rather than batching.
+        lines += [
+            f"if {p}.stride > 1:",  # row of a flattened 2-D array
+            f"    {out} = Ptr({p}.buffer, {p}.offset + {i} * {p}.stride, 1)",
+            "else:",
+            "    c.loads += 1",
+            f"    {buf} = {p}.buffer",
+            "    if charge is not None:",
+            f"        charge({buf}, False)",
+            # Inlined Buffer.read: the _check call is the hot-path cost.
+            f"    {off} = {p}.offset + {i}",
+            f"    if {buf}.freed or not 0 <= {off} < {buf}.size:",
+            f"        {buf}._check({off})",  # raises the canonical error
+            f"    {out} = {buf}.data[{off}]",
+        ]
+        return _Ex(out, None, lines, stable=True), cnt
 
-        return lv_bad, _Counts()
+    # -- calls -----------------------------------------------------------
+
+    def _expr_Call(self, expr: A.Call,
+                   void: bool = False) -> tuple[_Ex, _Counts]:
+        u = self.u
+        cnt = _Counts()
+        cnt.calls += 1
+        args = []
+        for node in expr.args:
+            ex, acnt = self._expr(node)
+            cnt.add(acnt)
+            args.append(ex)
+        lines = self._seq(args)  # left-to-right, matching the tree-walker
+        out = None if void else u.tmp()
+        assign = "" if void else f"{out} = "
+        name = u.const(expr.func)
+        argv = "[" + ", ".join(ex.src for ex in args) + "]"
+        u.need("builtins")
+        u.need("facade")
+        # The builtin lookup runs once per unit run: builtins dicts are
+        # built before an interpreter runs and never mutated afterwards.
+        # Builtins shadow user functions, as in the tree-walker.
+        g = u.need(f"g{name[1:]}", f"g{name[1:]} = builtins.get({name})")
+        call = [f"{assign}{g}(facade, {argv}) if {g} is not None "
+                f"else _user_function(rt, {name})(rt, {argv})"]
+        if expr.func in _HOST_FORMAT_CALLS and expr.args \
+                and type(expr.args[0]) is A.StringLit:
+            impl, emitter = _HOST_FORMAT_CALLS[expr.func]
+            fast = getattr(self, emitter)(
+                expr.args[0].value, args[1:], assign)
+            if fast is not None:
+                h = u.need(f"h{name[1:]}",
+                           f"h{name[1:]} = {g} is {u.const(impl)}")
+                call = [f"if {h}:"] + _indent(fast) + ["else:"] + _indent(call)
+        return _Ex(out or "None", None, lines + call, stable=True), cnt
+
+    def _printf_lines(self, fmt: str, args: list[_Ex],
+                      assign: str) -> list[str] | None:
+        """``printf`` with a literal format against the host stdio:
+        c_format's segments rendered straight-line. None when the
+        generic call must report too few arguments."""
+        u = self.u
+        segs, tail, _fast = _compile_format(fmt)
+        if sum(render is not None for _lit, render in segs) > len(args):
+            return None
+        parts: list[str] = []
+        values = iter(args)
+        for lit, render in segs:
+            if lit:
+                parts.append(u.const(lit))
+            if render is None:
+                continue  # "%%", folded into the literal
+            ex = next(values)
+            if render is _render_int and ex.kind == "i":
+                parts.append(f"str({ex.src})")
+            else:
+                parts.append(f"{u.const(render)}({ex.src})")
+        if tail or not parts:
+            parts.append(u.const(tail))
+        text = u.tmp()
+        # Surplus arguments are ignored, but still evaluated for errors.
+        lines = [ex.src for ex in values if not ex.stable]
+        lines += [f"{text} = " + " + ".join(parts),
+                  f"facade.stdout.write({text})"]
+        if assign:
+            lines.append(f"{assign}len({text})")
+        return lines
+
+    def _scanf_lines(self, fmt: str, args: list[_Ex],
+                     assign: str) -> list[str]:
+        """``scanf`` with a literal format against the host stdio: the
+        two-conversion KV shapes match c_scan's one-shot regex inline
+        and store straight into the targets; everything else (and any
+        partial or EOF input) is c_scan minus the format re-decode."""
+        u = self.u
+        argv = "[" + ", ".join(ex.src for ex in args) + "]"
+        generic = f"{assign}c_scan(facade.stdin, {u.const(fmt)}, {argv})"
+        convs = _scan_convs(fmt)
+        pattern = _SCAN_PAIR_RES.get(convs)
+        if pattern is None or len(args) < 2:
+            return [generic]
+        stream, m = u.tmp(), u.tmp()
+        stores: list[str] = []
+        for group, (conv, ex) in enumerate(zip(convs, args), start=1):
+            text = f"{m}.group({group})"
+            if conv == "s":
+                a = self._atom(ex, stores)
+                store = f"{a}.buffer.store_string({a}.offset, {text})"
+                if ex.kind == "p":
+                    stores.append(store)
+                    continue
+                bad = u.const("scanf %s target must be a char buffer")
+                stores += [
+                    f"if {a}.__class__ is Ptr and {a}.buffer is not None:",
+                    f"    {store}",
+                    "else:",
+                    f"    raise CRuntimeError({bad})",
+                ]
+                continue
+            parsed = _Ex(f"int({text})", "i") if conv == "d" \
+                else _Ex(f"float({text})", "f")
+            if ex.cell is not None and _scalar_kind(ex.cell[1]) is not None:
+                cell, ctype = ex.cell
+                stores.append(
+                    f"{cell}.value = {self._coerce(ctype, parsed, stores)}")
+            else:
+                stores.append(f"_store_out({ex.src}, {parsed.src})")
+        stores += [ex.src for ex in args[2:] if not ex.stable]  # for errors
+        return [
+            f"{stream} = facade.stdin",
+            f"{m} = {u.const(pattern)}.match({stream}.text, {stream}.pos)",
+            f"if {m} is not None:",
+            f"    {stream}.pos = {m}.end()",
+            *_indent(stores),
+            *([f"    {assign}2"] if assign else []),
+            "else:",
+            f"    {generic}",
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -1379,57 +1390,78 @@ class _FunctionCompiler:
 
 
 def _compile_function(func: A.FunctionDef, cp: "CompiledProgram") -> Callable:
+    """One mini-C function as one generated ``call(rt, args)``."""
     comp = _FunctionCompiler(cp)
+    u = comp._begin(func, is_function=True)
     comp.scopes.append({})
-    param_info = []
-    for param in func.params:
-        slot = comp.declare(param.name)
-        param_info.append((slot, param.ctype, _param_coerce(param.ctype)))
-    body_fn = comp._flushed_stmt(func.body)
-    nslots = comp.nslots
-    # Function bodies see only params + locals + program globals (the
-    # tree-walker resets the scope chain per call), so frees bind from
-    # rt.globals; unknown names stay None and raise lazily on access.
-    frees = tuple(comp.free.items())
     nparams = len(func.params)
-    fname = func.name
-    params_t = tuple(param_info)
+    lines = [
+        f"if len(args) != {nparams}:",
+        f"    _bad_arity({u.const(func.name)}, {nparams}, len(args))",
+        *comp._budget(),
+    ]
+    for i, param in enumerate(func.params):
+        # Pointers pass through an int/float parameter uncoerced, so a
+        # parameter's class is not an invariant of its ctype.
+        var = comp.declare(param.name, param.ctype, scoped=True, exact=False)
+        arg = f"args[{i}]"
+        want = _scalar_kind(param.ctype)
+        if want is not None:
+            conv = "int" if want == "i" else "float"
+            tmp = u.tmp()
+            lines += [
+                f"{tmp} = {arg}",
+                f"if {tmp}.__class__ is not {conv}:",
+                f"    {tmp} = {u.const(_param_coerce(param.ctype))}({tmp})",
+            ]
+            arg = tmp
+        lines.append(comp._bind(var, arg))
+    lines += comp._flushed(func.body)
+    return comp._finish(lines, func.name)
 
-    def call(rt: Runtime, args: list) -> Any:
-        if len(args) != nparams:
-            raise CRuntimeError(
-                f"{fname}() expects {nparams} args, got {len(args)}"
-            )
-        rt.steps = steps = rt.steps + 1
-        if steps > rt.max_steps:
-            raise CRuntimeError(
-                f"execution exceeded {rt.max_steps} steps (runaway loop?)"
-            )
-        frame: list = [None] * nslots
-        for (slot, ctype, coerce), arg in zip(params_t, args):
-            frame[slot] = Cell(value=coerce(arg), ctype=ctype)
-        if frees:
-            glb = rt.globals
-            for name, slot in frees:
-                frame[slot] = glb.get(name)
-        sig = body_fn(rt, frame)
-        if type(sig) is _Return:
-            return sig.value
-        return None
 
-    return call
+def _forget_units(entries: list[tuple[str, tuple]]) -> None:
+    for filename, entry in entries:
+        if linecache.cache.get(filename) is entry:
+            del linecache.cache[filename]
 
 
 class CompiledProgram:
-    """All functions of one program compiled to closures, plus the
+    """All functions of one program as generated Python units, plus the
     per-program string-literal buffer table."""
 
     def __init__(self, program: A.Program):
+        from .cache import program_key  # cache imports this module
+
         self.program = program
+        self._key = program_key(program)
         self._strlit_ptrs: dict[int, Ptr] = {}
+        # (filename, linecache entry) per unit, in creation order; the
+        # entries leave linecache when this program is collected.
+        self._units: list[tuple[str, tuple]] = []
+        weakref.finalize(self, _forget_units, self._units)
         self.functions: dict[str, Callable] = {}
         for func in program.functions:
             self.functions[func.name] = _compile_function(func, self)
+
+    def register_unit(self, label: str | None, src: str) -> str:
+        """Publish one unit's source under ``<minic:KEY:unit>`` (the
+        mini-C function's name, or ``unitN``) so tracebacks and profiles
+        show the emitted line; returns the filename to compile it under."""
+        if label is None:
+            label = f"unit{len(self._units)}"
+        filename = f"<minic:{self._key}:{label}>"
+        entry = (len(src), None, src.splitlines(True), filename)
+        linecache.cache[filename] = entry
+        self._units.append((filename, entry))
+        return filename
+
+    def python_source(self) -> str:
+        """Everything emitted for this program so far (functions, then
+        suites and spine units in creation order), for inspection. The
+        text alone: unit filenames, which carry mini-C function names,
+        are not part of it."""
+        return "\n".join("".join(entry[2]) for _filename, entry in self._units)
 
     def strlit_ptr(self, expr: A.StringLit) -> Ptr:
         ptr = self._strlit_ptrs.get(id(expr))

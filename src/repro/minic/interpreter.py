@@ -28,7 +28,7 @@ from .values import NULL, Buffer, Cell, Ptr, ScalarRef, float_to_int, truthy
 #: are immutable, so one Pointer(VOID) serves every interpreter.
 _VOID_PTR = T.Pointer(T.VOID)
 
-#: Execution backends: "compiled" (closure compilation, the default hot
+#: Execution backends: "compiled" (generated Python source, the default hot
 #: path) and "tree" (the original tree-walker, kept as the reference
 #: semantics and for region-snapshot execution).
 BACKENDS = ("compiled", "tree")
@@ -130,7 +130,7 @@ class Interpreter:
         Statement-execution budget; guards against runaway loops in user
         source (a real cluster would rely on task timeouts).
     backend:
-        "compiled" (closure-compiled hot path) or "tree" (the original
+        "compiled" (mini-C emitted as Python source) or "tree" (the original
         tree-walker). None picks the process default ("compiled" unless
         a test switched it with :func:`use_backend`). Both backends produce
         bit-identical outputs and counter totals; ``run_until_region``
@@ -292,7 +292,7 @@ class Interpreter:
     def exec_stmt(self, stmt: A.Stmt) -> None:
         if self._use_compiled and self._stop_at is None:
             # Top-level entry (e.g. a GPU kernel body against this
-            # interpreter's live environment); the compiled closures
+            # interpreter's live environment); the generated units
             # never re-enter exec_stmt.
             compiled_suite(self.program, stmt).execute(self)
             return

@@ -25,6 +25,13 @@ def _type_prefix_suffix(ctype: T.CType) -> tuple[str, str]:
     return f"{ctype}{' ' if not stars else ' ' + stars}", suffix
 
 
+def _postfix_operand(expr: A.Expr) -> str:
+    """The operand of a postfix operator (``x++``, ``x[i]``): a prefix
+    expression there needs parentheses — ``(*p)++`` is not ``*p++``."""
+    text = pprint_expr(expr)
+    return f"({text})" if isinstance(expr, (A.UnaryOp, A.Cast)) else text
+
+
 def pprint_expr(expr: A.Expr) -> str:
     if isinstance(expr, A.IntLit):
         return str(expr.value)
@@ -50,7 +57,7 @@ def pprint_expr(expr: A.Expr) -> str:
         sep = " " if operand and expr.op[-1] == operand[0] else ""
         return f"{expr.op}{sep}{operand}"
     if isinstance(expr, A.PostfixOp):
-        return f"{pprint_expr(expr.operand)}{expr.op}"
+        return f"{_postfix_operand(expr.operand)}{expr.op}"
     if isinstance(expr, A.Assign):
         return f"({pprint_expr(expr.target)} {expr.op} {pprint_expr(expr.value)})"
     if isinstance(expr, A.Conditional):
@@ -62,7 +69,7 @@ def pprint_expr(expr: A.Expr) -> str:
         args = ", ".join(pprint_expr(a) for a in expr.args)
         return f"{expr.func}({args})"
     if isinstance(expr, A.Index):
-        return f"{pprint_expr(expr.base)}[{pprint_expr(expr.index)}]"
+        return f"{_postfix_operand(expr.base)}[{pprint_expr(expr.index)}]"
     if isinstance(expr, A.Cast):
         prefix, suffix = _type_prefix_suffix(expr.to_type)
         return f"({prefix.strip()}{suffix}) {pprint_expr(expr.operand)}"

@@ -103,6 +103,12 @@ def _as_str(value: Any) -> str:
     raise CRuntimeError(f"%s argument is not a string: {value!r}")
 
 
+def _render_int(value: Any) -> str:
+    """Bare ``%d``/``%i``. Named so the source emitter can recognise it
+    and render a proven int without the call."""
+    return str(int(value))
+
+
 def _compile_format(
     fmt: str,
 ) -> tuple[tuple[tuple[str, Any], ...], str, Any]:
@@ -122,7 +128,7 @@ def _compile_format(
         spec = "%" + (flags or "") + (width or "") + (f".{prec}" if prec else "")
         if conv in "di":
             if spec == "%":
-                render: Any = lambda v: str(int(v))
+                render: Any = _render_int
             else:
                 render = lambda v, _s=spec + "d": _s % int(v)
         elif conv == "u":
@@ -581,24 +587,35 @@ def _bi_abs(interp: "Interpreter", args: list[Any]) -> int:
     return abs(int(args[0]))
 
 
-def _bi_isspace(interp: "Interpreter", args: list[Any]) -> int:
-    return int(chr(int(args[0])) in " \t\r\n\v\f")
+def _ctype_char(arg: Any) -> str | None:
+    """The character a ctype.h argument denotes, or None when it names
+    none (``EOF``, negatives, anything past U+10FFFF) — for which C's
+    ``is*`` answer 0 and ``to*`` return the argument unchanged."""
+    code = int(arg)
+    return chr(code) if 0 <= code <= 0x10FFFF else None
 
 
-def _bi_isdigit(interp: "Interpreter", args: list[Any]) -> int:
-    return int(chr(int(args[0])).isdigit())
+def _ctype_test(test: Callable[[str], bool]) -> Callable[["Interpreter", list[Any]], int]:
+    def impl(interp: "Interpreter", args: list[Any]) -> int:
+        ch = _ctype_char(args[0])
+        return int(ch is not None and test(ch))
+
+    return impl
 
 
-def _bi_isalpha(interp: "Interpreter", args: list[Any]) -> int:
-    return int(chr(int(args[0])).isalpha())
+def _ctype_map(convert: Callable[[str], str]) -> Callable[["Interpreter", list[Any]], int]:
+    def impl(interp: "Interpreter", args: list[Any]) -> int:
+        ch = _ctype_char(args[0])
+        return int(args[0]) if ch is None else ord(convert(ch))
+
+    return impl
 
 
-def _bi_tolower(interp: "Interpreter", args: list[Any]) -> int:
-    return ord(chr(int(args[0])).lower())
-
-
-def _bi_toupper(interp: "Interpreter", args: list[Any]) -> int:
-    return ord(chr(int(args[0])).upper())
+_bi_isspace = _ctype_test(lambda ch: ch in " \t\r\n\v\f")
+_bi_isdigit = _ctype_test(str.isdigit)
+_bi_isalpha = _ctype_test(str.isalpha)
+_bi_tolower = _ctype_map(str.lower)
+_bi_toupper = _ctype_map(str.upper)
 
 
 def host_builtins() -> dict[str, Callable[["Interpreter", list[Any]], Any]]:

@@ -2,9 +2,9 @@
 
 A worker cannot be handed a live :class:`~repro.hadoop.local.
 LocalJobRunner` or :class:`~repro.runtime.gpu_task.GpuTaskRunner` —
-their hot state (compiled mini-C closures, kernel bodies, host
-snapshots) is closure-based and does not pickle. What crosses the
-process boundary instead:
+their hot state (generated mini-C functions, kernel bodies, host
+snapshots) is exec'd code and closures and does not pickle. What
+crosses the process boundary instead:
 
 * down, once per job: a frozen *job spec* carrying only sources and
   plain-dataclass configuration, plus the input arena's token

@@ -9,6 +9,9 @@ both backends here and must agree bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.apps import all_apps, get_app
@@ -16,7 +19,7 @@ from repro.errors import ConfigError, CRuntimeError
 from repro.hadoop.local import LocalJobRunner, parse_kv_line
 from repro.minic import parse
 from repro.minic.cache import compiled_program
-from repro.minic.interpreter import run_filter, use_backend
+from repro.minic.interpreter import Interpreter, run_filter, use_backend
 
 APP_TAGS = [app.short for app in all_apps()]
 COMBINER_TAGS = [app.short for app in all_apps() if app.has_combiner]
@@ -70,8 +73,79 @@ class TestCombineAndReduceFilters:
             app.cpu_combine("k\t1\n")
 
 
+_HELPERS = """
+int two(int a, int b) { return a + b; }
+void nothing() { return; }
+int down(int n) { return down(n + 1); }
+"""
+
+_PREFIX = "int x; int i; for (i = 0; i < 3; i++) { x = i; }\n"
+
+
+def _program(body):
+    return parse(_HELPERS + "int main() {\n" + body + "\nreturn 0;\n}")
+
+
+def _run_to_error(program, backend, max_steps=200_000_000, stdin=""):
+    """(message, counters at the abort) for one backend."""
+    interp = Interpreter(program, stdin=stdin, backend=backend,
+                         max_steps=max_steps)
+    with pytest.raises(CRuntimeError) as exc_info:
+        interp.run()
+    return str(exc_info.value), interp.counters
+
+
+def _fields(counters):
+    return dataclasses.asdict(counters)
+
+
 class TestErrorParity:
-    """Runtime errors carry the same message through both backends."""
+    """Runtime errors carry the same message through both backends, and
+    counters agree up to the aborted basic block: everything before it
+    is fully counted on both, and the compiled backend — which counts a
+    block at its head — is ahead of the tree-walker by at most that
+    block's own cost."""
+
+    # (setup before the aborting statement, the aborting statement — a
+    #  basic block of its own —, message, that statement's full cost)
+    CASES = {
+        "division by zero": (
+            "", "x = 1 / 0;", "division by zero",
+            {"ops": 1, "stores": 1}),
+        "printf too few arguments": (
+            "", 'printf("%d %d\\n", 1);', "too few arguments",
+            {"calls": 1}),
+        "index out of bounds": (
+            "int a[4];", "x = a[9];", "out-of-bounds",
+            {"loads": 1, "stores": 1}),
+        "use after free": (
+            "char *p; p = (char*) malloc(4); p[0] = 1; free(p);",
+            "x = p[0];", "use-after-free on buffer 'malloc'",
+            {"loads": 1, "stores": 1}),
+        "null pointer indexed": (
+            "char *p; p = NULL;", "x = p[0];", "null pointer indexed",
+            {"loads": 1, "stores": 1}),
+        "null pointer dereference": (
+            "int *p; p = NULL;", "x = *p;", "null pointer dereference",
+            {"loads": 1, "stores": 1}),
+        "store through a freed getline buffer": (
+            "char *line; size_t n = 0; line = NULL; "
+            "getline(&line, &n, stdin); free(line);",
+            "line[0] = 1;", "use-after-free on buffer 'getline'",
+            {"stores": 1}),
+        "undeclared identifier, reachable": (
+            "", "if (x == 2) { q = 1; }", "undeclared identifier 'q'",
+            {"ops": 1, "branches": 1, "stores": 1}),
+        "wrong arity to a user function": (
+            "", "x = two(1);", r"two\(\) expects 2 args, got 1",
+            {"calls": 1, "stores": 1}),
+        "3-D array declaration": (
+            "", "int cube[2][2][2];",
+            r"more than two dimensions unsupported \(cube\)", {}),
+        "array initialiser": (
+            "", "int arr[2] = 5;",
+            r"array initializers unsupported \(arr\)", {}),
+    }
 
     @pytest.mark.parametrize("body, match", [
         ("int x; x = 1 / 0;", "division by zero"),
@@ -86,6 +160,144 @@ class TestErrorParity:
                 run_filter(program, "", backend=backend)
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_error_and_counters_up_to_the_aborted_block(self, case):
+        setup, abort, match, block_cost = self.CASES[case]
+        stdin = "a line\n"
+        before = _PREFIX + setup + "\nif (x == 2) { x = 2; }\n"
+        completed = {}
+        for backend in ("tree", "compiled"):
+            interp = Interpreter(_program(before), stdin=stdin,
+                                 backend=backend)
+            interp.run()
+            completed[backend] = _fields(interp.counters)
+        assert completed["tree"] == completed["compiled"]
+        done = completed["tree"]
+
+        program = _program(before + abort)
+        msg_t, cnt_t = _run_to_error(program, "tree", stdin=stdin)
+        msg_c, cnt_c = _run_to_error(program, "compiled", stdin=stdin)
+        assert re.search(match, msg_t)
+        assert msg_c == msg_t
+        for name, base in done.items():
+            tree, comp = _fields(cnt_t)[name], _fields(cnt_c)[name]
+            assert base <= tree <= comp <= base + block_cost.get(name, 0), \
+                (name, base, tree, comp)
+
+    @pytest.mark.parametrize("body", [
+        "int i; i = 0; while (1) { i++; }",          # inside a loop
+        "int i; for (i = 0; ; i++) { ; }",
+        "down(0);",                                  # on a recursive call
+    ])
+    def test_step_budget_exhaustion(self, body):
+        # The backends tick at different grains (the tree-walker per
+        # statement, generated code per iteration and call), so only the
+        # message — which names the budget — is comparable.
+        program = _program(body)
+        msg_t, _ = _run_to_error(program, "tree", max_steps=60)
+        msg_c, _ = _run_to_error(program, "compiled", max_steps=60)
+        assert msg_c == msg_t == \
+            "execution exceeded 60 steps (runaway loop?)"
+
+    @pytest.mark.parametrize("body, expected", [
+        # An undeclared name raises lazily: never, if never reached.
+        ("int c; c = 0; if (c) { q = 1; } printf(\"ok\\n\");", "ok\n"),
+        ("int c; c = 0; while (c) { c = q; } printf(\"ok\\n\");", "ok\n"),
+        # A void call as initializer keeps the declaration default.
+        ("int x = nothing(); double d = nothing(); "
+         "printf(\"%d %.1f\\n\", x, d);", "0 0.0\n"),
+    ])
+    def test_non_errors_stay_non_errors(self, body, expected):
+        (out_t, cnt_t), (out_c, cnt_c) = _both_backends(_program(body), "")
+        assert out_t == out_c == expected
+        assert cnt_c == cnt_t
+
+
+class TestEmitterHygiene:
+    """Nothing from program text reaches the generated Python source:
+    identifiers are slot-indexed and literals travel through the unit's
+    exec globals, so no spelling can collide with, or inject into, the
+    emitted code."""
+
+    # Identifiers that are Python keywords or the emitter's own names,
+    # used as variables, parameters and a function name.
+    COLLIDING = r"""
+int lambda(int def, int None)
+{
+    int class;
+    class = def * 2 + None;
+    return class;
+}
+
+int main()
+{
+    int rt; int frame; int c; int v0; int steps; int t1; int k0; int x0;
+    int args; int charge; int facade; int builtins; int max_steps;
+    rt = 1; frame = 2; c = 3; v0 = 4; steps = 0; t1 = 5; k0 = 6; x0 = 7;
+    args = 8; charge = 9; facade = 10; builtins = 11; max_steps = 3;
+    while (steps < max_steps) {
+        steps++;
+        c += lambda(rt, frame) + v0;
+    }
+    scanf("%d", &x0);
+    printf("%d %d %d %d %d %d %d\n", rt, frame, c, v0, steps, t1 + k0, x0);
+    printf("%d\n", args + charge + facade + builtins);
+    return 0;
+}
+"""
+
+    # Literals with quotes, backslashes, newlines and a triple quote;
+    # distinctive spellings to look for in the generated text.
+    DISTINCTIVE = r"""
+int zq_hygiene_func(int zq_hygiene_param)
+{
+    return zq_hygiene_param + 'Z';
+}
+
+int main()
+{
+    int zq_hygiene_ident;
+    char zq_hygiene_buf[64];
+    zq_hygiene_ident = zq_hygiene_func(31337);
+    strcpy(zq_hygiene_buf, "ZQ_LIT \"\"\" it's \\ back\nslash");
+    printf("ZQ_FMT \"%s\" '%d' \\n \"\"\"\n", zq_hygiene_buf,
+           zq_hygiene_ident);
+    printf("%d\n", strcmp(zq_hygiene_buf, "\"\"\"); import os #"));
+    return 0;
+}
+"""
+
+    @pytest.mark.parametrize("source", [COLLIDING, DISTINCTIVE],
+                             ids=["colliding-names", "hostile-literals"])
+    def test_backends_agree(self, source):
+        program = parse(source)
+        (out_t, cnt_t), (out_c, cnt_c) = _both_backends(program, "42\n")
+        assert out_c == out_t
+        assert cnt_c == cnt_t
+        assert out_t  # the programs print
+
+    def test_generated_source_carries_no_program_text(self):
+        program = parse(self.DISTINCTIVE)
+        generated = compiled_program(program).python_source()
+        assert "def unit(rt, args):" in generated
+        for spelling in ("zq_hygiene", "ZQ_LIT", "ZQ_FMT", "31337",
+                         "slash", "import os", '"""', "\\"):
+            assert spelling not in generated, spelling
+
+    def test_units_are_registered_for_tracebacks(self):
+        import linecache
+        import traceback
+
+        program = parse("int main() {\nint x; x = 1 / 0;\nreturn 0;\n}")
+        with pytest.raises(CRuntimeError) as exc_info:
+            run_filter(program, "", backend="compiled")
+        frames = traceback.extract_tb(exc_info.value.__traceback__)
+        unit = [f for f in frames if f.filename.startswith("<minic:")]
+        assert unit and unit[-1].filename.endswith(":main>")
+        assert "_c_div" in unit[-1].line  # the emitted line, not blank
+        assert linecache.getline(unit[-1].filename, 1) == \
+            "def unit(rt, args):\n"
 
 
 class TestGpuPathUnaffected:

@@ -92,3 +92,15 @@ def test_string_escapes_in_output():
     assert r"\t" in printed and r"\n" in printed
     out, _ = run_filter(parse(printed), "")
     assert out == "x\t1\n"
+
+
+def test_prefix_operand_of_a_postfix_operator_keeps_its_parentheses():
+    """``(*p)++`` and ``(*rows)[1]`` are not ``*p++`` / ``*rows[1]``
+    (found by the fuzz generator's address-taken shapes)."""
+    source = ("int main() { int x; int *p = &x; x = 4; (*p)++; ++(*p); "
+              'printf("%d %d\\n", x, (*p)--); return x; }')
+    original = parse(source)
+    printed = pprint_program(original)
+    assert "(*p)++" in printed and "(*p)--" in printed
+    assert ast_diff(original, parse(printed)) is None
+    assert run_filter(parse(printed), "")[0] == "6 6\n"

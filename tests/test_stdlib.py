@@ -144,3 +144,59 @@ class TestGetWord:
             'printf("%d", getWord(line, 0, w, 8, 8));'
         )
         assert out == "-1"
+
+
+class TestCtype:
+    """ctype.h arguments outside 0..0x10FFFF name no character: ``is*``
+    answer 0 and ``to*`` hand the argument back (``isspace(EOF)`` is
+    ordinary C) instead of leaking Python's ``chr()`` ValueError."""
+
+    OUT_OF_RANGE = ("EOF", "-1", "-300", "1114112")  # 0x10FFFF + 1
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("arg", OUT_OF_RANGE)
+    def test_out_of_range_is_and_to(self, backend, arg):
+        program = parse(
+            "int main() {\n"
+            f'printf("%d %d %d ", isspace({arg}), isdigit({arg}), '
+            f"isalpha({arg}));\n"
+            f'printf("%d %d", tolower({arg}) == {arg}, '
+            f"toupper({arg}) == {arg});\n"
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == "0 0 0 1 1"
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_in_range_unchanged(self, backend):
+        program = parse(
+            "int main() {\n"
+            "printf(\"%d%d%d%d \", isspace(' '), isspace('x'), "
+            "isdigit('7'), isalpha('q'));\n"
+            "printf(\"%c%c %d\", tolower('A'), toupper('z'), isalpha(0));\n"
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == "1011 aZ 0"
+
+    def test_eof_loop_terminates_cleanly(self):
+        # The idiom the bug broke: classify whatever scanf("%c") left.
+        out = run_main(
+            "int ch; int n; ch = EOF; n = 0; "
+            "if (!isspace(ch) && !isalpha(ch)) n = 1; "
+            'printf("%d", n);'
+        )
+        assert out == "1"
+
+    def test_gpu_builtin_tables_reuse_the_fixed_functions(self):
+        from repro.gpu.charging import DEFAULT_CHARGE_HOOK
+        from repro.gpu.engine import LaneState, common_lane_builtins
+        from repro.minic.stdlib import host_builtins
+
+        host = host_builtins()
+        gpu = common_lane_builtins(DEFAULT_CHARGE_HOOK, LaneState(), 1)
+        for name in ("isspace", "isdigit", "isalpha", "tolower", "toupper"):
+            assert gpu[name] is host[name]
+        assert gpu["isspace"](None, [-1]) == 0
+        assert gpu["toupper"](None, [-1]) == -1
+        assert gpu["tolower"](None, [0x110000]) == 0x110000
