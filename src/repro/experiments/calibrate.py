@@ -15,22 +15,17 @@ length), preserving the ratio exactly.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
 
 from ..apps.base import Application
 from ..apps import get_app
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig, OptimizationFlags
-from ..costmodel.cpu import CpuTaskModel, CpuTaskTiming
-from ..costmodel.io import IoModel
+from ..costmodel.cpu import CpuTaskTiming
 from ..errors import ConfigError
-from ..gpu.device import GpuDevice
-from ..hadoop.local import parse_kv_line
-from ..hadoop.shuffle import sort_kv_run
-from ..kvstore import Partitioner
-from ..runtime.gpu_task import GpuTaskBreakdown, GpuTaskRunner
+from ..hadoop.local import LocalJobRunner, MapTaskResult
+from ..kvstore.coerce import utf8_len
+from ..runtime.gpu_task import GpuTaskBreakdown
 from ..scenarios.registry import APP_ORDER, get_workload
 
 #: Default records per calibration split, per app — the registry's
@@ -75,47 +70,22 @@ def _cluster_by_name(name: str) -> ClusterConfig:
     raise ConfigError(f"unknown cluster {name!r}")
 
 
-def _cpu_task(app: Application, cluster: ClusterConfig, split: bytes,
-              reducers: int) -> tuple[CpuTaskTiming, int, int]:
-    """Run the split through the Hadoop Streaming CPU path; returns
-    (timing, map_kv_pairs, output_bytes)."""
-    io = IoModel.for_cluster(cluster)
-    model = CpuTaskModel(cluster.cpu, io)
-    text = split.decode("utf-8")
-    map_out, map_counters = app.cpu_map(text)
-    pairs = [parse_kv_line(ln) for ln in map_out.splitlines() if ln]
-
-    partitioner = Partitioner(max(reducers, 1))
-    parts: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
-    for k, v in pairs:
-        parts[partitioner.partition(k)].append((k, v))
-
-    combine_counters = None
-    output_pairs: list[tuple[Any, Any]] = []
-    for _part, kvs in sorted(parts.items()):
-        kvs = sort_kv_run(kvs)
-        if app.has_combiner:
-            text_in = "".join(f"{k}\t{v}\n" for k, v in kvs)
-            out, counters = app.cpu_combine(text_in)
-            combine_counters = counters if combine_counters is None \
-                else combine_counters.merged(counters)
-            output_pairs.extend(parse_kv_line(ln) for ln in out.splitlines() if ln)
-        else:
-            output_pairs.extend(kvs)
-
-    output_bytes = sum(len(f"{k}\t{v}\n".encode()) for k, v in output_pairs)
-    key_len = app.translate_map().map_kernel.key_length
-    timing = model.task_timing(
-        split_bytes=len(split),
-        map_counters=map_counters,
-        map_kv_pairs=len(pairs),
-        key_length=key_len,
-        combine_counters=combine_counters,
-        output_bytes=output_bytes,
-        map_only=app.map_only,
-        replication=cluster.hdfs_replication,
-    )
-    return timing, len(pairs), output_bytes
+def _map_tasks(app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
+               records: int, seed: int,
+               *paths: bool) -> list[MapTaskResult]:
+    """The calibration split through the job runner's one map-task
+    body, once per requested path (``use_gpu`` False: Streaming
+    filters, True: translated kernels), with the app's Table 2 reducer
+    count for this cluster."""
+    app = get_app(app_short)
+    cluster = _cluster_by_name(cluster_name)
+    opt = OptimizationFlags(*opt_key)
+    split = app.generate(records, seed).encode("utf-8")
+    return [
+        LocalJobRunner(app, cluster=cluster, use_gpu=use_gpu,
+                       opt=opt).map_task(0, split)
+        for use_gpu in paths
+    ]
 
 
 @lru_cache(maxsize=256)
@@ -123,36 +93,19 @@ def _single_task_times_cached(
     app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
     records: int, seed: int,
 ) -> TaskTimes:
-    app = get_app(app_short)
-    cluster = _cluster_by_name(cluster_name)
-    opt = OptimizationFlags(*opt_key)
-    split = app.generate(records, seed).encode("utf-8")
-    figures = app.cluster1 if cluster_name == "Cluster1" else app.cluster2
-    reducers = figures.reduce_tasks if figures is not None else 1
-
-    cpu_timing, map_pairs, output_bytes = _cpu_task(app, cluster, split, reducers)
-
-    device = GpuDevice(cluster.gpu)
-    runner = GpuTaskRunner(
-        app.translate_map(opt),
-        app.translate_combine(opt),
-        device,
-        IoModel.for_cluster(cluster),
-        num_reducers=reducers,
-        replication=cluster.hdfs_replication,
-        min_gpu_mem=app.min_gpu_mem,
-    )
-    gpu_result = runner.run(split)
-
+    cpu, gpu = _map_tasks(app_short, cluster_name, opt_key, records, seed,
+                          False, True)
+    assert cpu.cpu_timing is not None and gpu.gpu_result is not None
     return TaskTimes(
         app=app_short,
         cluster=cluster_name,
-        cpu_seconds=cpu_timing.total,
-        gpu_seconds=gpu_result.seconds,
-        cpu_timing=cpu_timing,
-        gpu_breakdown=gpu_result.breakdown,
-        map_output_pairs=map_pairs,
-        output_bytes=output_bytes,
+        cpu_seconds=cpu.cpu_timing.total,
+        gpu_seconds=gpu.gpu_result.seconds,
+        cpu_timing=cpu.cpu_timing,
+        gpu_breakdown=gpu.gpu_result.breakdown,
+        map_output_pairs=cpu.map_pairs,
+        output_bytes=sum(utf8_len(entry[1][2])
+                         for run in cpu.parts.values() for entry in run),
         records=records,
     )
 
@@ -182,24 +135,9 @@ def _traced_phase_seconds_cached(
 ) -> dict[str, float]:
     from .. import obs
 
-    app = get_app(app_short)
-    cluster = _cluster_by_name(cluster_name)
-    opt = OptimizationFlags(*opt_key)
-    split = app.generate(records, seed).encode("utf-8")
-    figures = app.cluster1 if cluster_name == "Cluster1" else app.cluster2
-    reducers = figures.reduce_tasks if figures is not None else 1
-    runner = GpuTaskRunner(
-        app.translate_map(opt),
-        app.translate_combine(opt),
-        GpuDevice(cluster.gpu),
-        IoModel.for_cluster(cluster),
-        num_reducers=reducers,
-        replication=cluster.hdfs_replication,
-        min_gpu_mem=app.min_gpu_mem,
-    )
     recorder = obs.TraceRecorder()
     with obs.use_recorder(recorder):
-        runner.run(split)
+        _map_tasks(app_short, cluster_name, opt_key, records, seed, True)
     phases: dict[str, float] = {}
     for span in recorder.spans("phase"):
         phases[span.name] = phases.get(span.name, 0.0) + (span.dur or 0.0)

@@ -36,7 +36,8 @@ from ..config import CLUSTER1
 from ..errors import ReproError
 from ..gpu.device import GpuDevice
 from ..gpu.executor import run_combine_kernel
-from ..hadoop.local import LocalJobRunner, parse_kv_line
+from ..hadoop.local import LocalJobRunner
+from ..kvstore.coerce import parse_kv_line
 from ..kvstore.global_store import KVPair
 from ..minic import parse
 from ..minic.interpreter import ExecCounters, Interpreter, run_filter, use_backend

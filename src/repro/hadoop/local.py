@@ -25,7 +25,9 @@ from ..gpu.engine import check_gpu_engine
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
+from ..parallel.maptask import run_map_tasks
 from ..parallel.pool import list_schedule_makespan, resolve_workers
+from ..parallel.reducetask import run_reduce_tasks
 from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 from .shuffle import (
     ReduceTaskTiming,
@@ -33,15 +35,28 @@ from .shuffle import (
     merge_sorted_runs,
     reduce_task_timing,
     sort_kv_run,
-    streaming_sort_key,
 )
 
-__all__ = ["LocalJobResult", "LocalJobRunner", "parse_kv_line"]
+__all__ = ["LocalJobResult", "LocalJobRunner", "MapTaskResult"]
 
-# Backwards-compatible alias; the shared definition (and the
-# decorate-sort that avoids calling it O(n log n) times) lives in
-# hadoop.shuffle.
-_sort_key = streaming_sort_key
+
+@dataclass
+class MapTaskResult:
+    """One map(+combine) task's outcome, as the job fold consumes it.
+
+    ``parts`` maps partition → decorated run on *both* paths:
+    streaming-sorted ``(sort_key, (key, value, line))`` entries where
+    ``line`` is the pair's streaming rendering (kv_line). Rendering and
+    sort key are computed exactly once per pair, by whichever process
+    ran the task, and reused for shuffle/output byte accounting, as
+    reducer stdin, and by the reduce merge. Exactly one of
+    ``cpu_timing`` / ``gpu_result`` is set.
+    """
+
+    map_pairs: int
+    parts: dict[int, list]
+    cpu_timing: CpuTaskTiming | None = None
+    gpu_result: GpuTaskResult | None = None
 
 
 @dataclass
@@ -54,12 +69,13 @@ class LocalJobResult:
     cpu_task_timings: list[CpuTaskTiming] = field(default_factory=list)
     map_output_pairs: int = 0
     shuffle_bytes: int = 0
-    #: Worker processes the map phase ran on (1 = serial).
+    #: Worker processes the map phase ran on (1 = inline in the driver).
     workers: int = 1
-    #: Worker processes the reduce phase ran on (1 = serial).
+    #: Worker processes the reduce phase ran on (1 = inline).
     reduce_workers: int = 1
-    #: Per-reduce-task timings in partition order (empty for map-only
-    #: jobs, whose output is written by the map tasks themselves).
+    #: Per-reduce-task timings in partition order, one per configured
+    #: reducer (empty for map-only jobs, whose output is written by the
+    #: map tasks themselves).
     reduce_task_timings: list[ReduceTaskTiming] = field(default_factory=list)
 
     def task_seconds(self) -> list[float]:
@@ -89,7 +105,7 @@ class LocalJobResult:
     @property
     def map_critical_path_seconds(self) -> float:
         """Wall-clock-equivalent map-phase seconds at this run's
-        ``workers`` (equals :attr:`total_map_seconds` when serial)."""
+        ``workers`` (equals :attr:`total_map_seconds` at one)."""
         return self.critical_path_seconds(self.workers)
 
     def reduce_seconds(self) -> list[float]:
@@ -137,10 +153,12 @@ class LocalJobRunner:
     workers:
         Worker processes for the map phase, and for the reduce phase
         capped by its partition count. None defers to the
-        ``REPRO_WORKERS`` environment variable (default 1 = serial); 0
-        means one worker per CPU core. Parallel runs produce
-        byte-identical output, counters, and simulated seconds — see
-        :mod:`repro.parallel`.
+        ``REPRO_WORKERS`` environment variable (default 1); 0 means one
+        worker per CPU core. Every count runs the same two task bodies
+        — :meth:`map_task` and :meth:`reduce_partition` — inline at 1,
+        on the daemon pool above it, with byte-identical output,
+        counters, simulated seconds and trace shape (see
+        :mod:`repro.parallel`).
     """
 
     def __init__(
@@ -164,6 +182,8 @@ class LocalJobRunner:
             )
         if gpu_engine is not None:
             check_gpu_engine(gpu_engine)
+        if workers is not None and workers < 0:
+            raise ConfigError(f"workers must be >= 0, got {workers}")
         self.app = app
         self.cluster = cluster
         self.use_gpu = use_gpu
@@ -178,6 +198,7 @@ class LocalJobRunner:
         self.workers = workers
         self.io = IoModel.for_cluster(cluster)
         self.partitioner = Partitioner(max(self.num_reducers, 1))
+        self._gpu_runner: GpuTaskRunner | None = None
         if not use_gpu:
             # Resolved once per job, not per task: the CPU cost model only
             # needs the translated key length (translate_map is memoized,
@@ -192,8 +213,8 @@ class LocalJobRunner:
     def split_ranges(self, data: bytes) -> list[tuple[int, int]]:
         """Split boundaries as ``(start, stop)`` byte ranges at
         ~split_bytes, never inside a record (LineRecordReader's
-        behaviour). Ranges — not copies — are what the parallel path
-        ships to workers; the serial loop slices them locally."""
+        behaviour). Ranges — not copies — are what the pool ships to
+        workers; inline tasks slice them locally."""
         ranges: list[tuple[int, int]] = []
         start = 0
         while start < len(data):
@@ -212,44 +233,45 @@ class LocalJobRunner:
 
     # -- map side ------------------------------------------------------------------
 
-    def _make_gpu_runner(self, device: GpuDevice) -> GpuTaskRunner:
-        """One GpuTaskRunner per job: translations are resolved once
+    def _gpu_task_runner(self) -> GpuTaskRunner:
+        """This job's GpuTaskRunner, built at its first GPU map task:
+        one device and one runner per job per process (:meth:`run`
+        drops the previous job's). Translations are resolved once
         (memoized — see translate_cached) and the host snapshots the
         runner computes are reused by every map task."""
-        return GpuTaskRunner(
-            self.app.translate_map(self.opt),
-            self.app.translate_combine(self.opt),
-            device,
-            self.io,
-            num_reducers=self.num_reducers,
-            replication=self.cluster.hdfs_replication,
-            min_gpu_mem=self.app.min_gpu_mem,
-            engine=self.gpu_engine,
-        )
+        if self._gpu_runner is None:
+            self._gpu_runner = GpuTaskRunner(
+                self.app.translate_map(self.opt),
+                self.app.translate_combine(self.opt),
+                GpuDevice(self.cluster.gpu),
+                self.io,
+                num_reducers=self.num_reducers,
+                replication=self.cluster.hdfs_replication,
+                min_gpu_mem=self.app.min_gpu_mem,
+                engine=self.gpu_engine,
+            )
+        return self._gpu_runner
 
-    # Map tasks return partition → decorated runs: streaming-sorted
-    # ``(sort_key, (key, value, line))`` entries where ``line`` is the
-    # pair's streaming rendering (kv_line). Both the rendering and the
-    # sort key are computed exactly once per pair, map-side, and reused
-    # for shuffle/output byte accounting, as reducer stdin, and by the
-    # reduce merge (which never recomputes keys or re-encodes).
+    def map_task(self, index: int, split: bytes) -> MapTaskResult:
+        """Run map task ``index`` over one fileSplit: the translated
+        kernels on the simulated device or the Hadoop Streaming filters
+        on a core, behind one call (paper §2.2, §5.1).
 
-    def _run_gpu_map_task(
-        self, split: bytes, runner: GpuTaskRunner, result: LocalJobResult
-    ) -> dict[int, list]:
-        task = runner.run(split)
-        result.gpu_task_results.append(task)
-        result.map_output_pairs += task.emitted_pairs
-        return task.rendered_runs()
+        This is the only map-task body: the driver calls it inline,
+        pool workers call it on the runner they rebuild from the job
+        spec (:mod:`repro.parallel.maptask`), and
+        :mod:`repro.experiments.calibrate` calls it for its single-task
+        measurements. ``index`` is the job-wide task number the trace
+        spans carry.
+        """
+        if self.use_gpu:
+            task = self._gpu_task_runner().run(split, task_index=index)
+            return MapTaskResult(task.emitted_pairs, task.rendered_runs(),
+                                 gpu_result=task)
 
-    def _run_cpu_map_task(
-        self, split: bytes, result: LocalJobResult,
-        task_index: int | None = None,
-    ) -> dict[int, list]:
         text = split.decode("utf-8", errors="replace")
         map_out, map_counters = self.app.cpu_map(text)
         pairs = [parse_kv_line(ln) for ln in map_out.splitlines() if ln]
-        result.map_output_pairs += len(pairs)
 
         # Partition, sort each partition, then run the combiner filter.
         parts: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
@@ -292,43 +314,30 @@ class LocalJobRunner:
             map_only=self.app.map_only,
             replication=self.cluster.hdfs_replication,
         )
-        result.cpu_task_timings.append(timing)
-
         rec = obs.active()
         if rec.enabled:
-            self._record_cpu_task_trace(rec, timing, len(split), len(pairs),
-                                        task_index)
-        return combined
+            self._record_task_trace(
+                rec, "cpu-task", index, "cpu-streaming",
+                {"split_bytes": len(split), "map_pairs": len(pairs)},
+                {"input_read": timing.input_read, "map": timing.map,
+                 "sort": timing.sort, "combine": timing.combine,
+                 "output_write": timing.output_write},
+            )
+            rec.inc("cpu.tasks")
+            rec.inc("cpu.map_pairs", len(pairs))
+        return MapTaskResult(len(pairs), combined, cpu_timing=timing)
 
-    def _record_cpu_task_trace(self, rec: obs.TraceRecorder,
-                               timing: CpuTaskTiming, split_bytes: int,
-                               map_pairs: int,
-                               task_index: int | None = None) -> None:
-        """One CPU task span tiled by its Fig. 6-style phase children.
-
-        ``task_index`` defaults to this process's running task count;
-        pool workers pass the job-wide index so spliced traces number
-        tasks as the serial run would.
-        """
-        pid, tid = "cpu-streaming", "tasks"
-        index = task_index if task_index is not None \
-            else int(rec.metrics.count("cpu.tasks"))
-        task = rec.begin(
-            f"cpu-task#{index} {self.app.name}", "cpu-task", pid, tid,
-            args={"split_bytes": split_bytes, "map_pairs": map_pairs},
-        )
-        phases = {
-            "input_read": timing.input_read,
-            "map": timing.map,
-            "sort": timing.sort,
-            "combine": timing.combine,
-            "output_write": timing.output_write,
-        }
+    def _record_task_trace(self, rec: obs.TraceRecorder, cat: str,
+                           index: int, pid: str, args: dict[str, Any],
+                           phases: dict[str, float]) -> None:
+        """One task span (``<cat>#<index> <app>``) tiled by its
+        Fig. 6-style phase children, on the ``tasks`` lane of ``pid``
+        — the shape the GPU task runner records for its own tasks."""
+        task = rec.begin(f"{cat}#{index} {self.app.name}", cat, pid, "tasks",
+                         args=args)
         for phase, seconds in phases.items():
-            rec.complete(phase, "phase", pid, tid, seconds)
+            rec.complete(phase, "phase", pid, "tasks", seconds)
         rec.end(task)
-        rec.inc("cpu.tasks")
-        rec.inc("cpu.map_pairs", map_pairs)
 
     # -- reduce side ---------------------------------------------------------------
 
@@ -340,10 +349,10 @@ class LocalJobRunner:
         else the Python one. Returns the reduced pairs plus the task's
         deterministic simulated timing.
 
-        Pure with respect to the job: pool workers call this through
-        :mod:`repro.parallel.reducetask` and the driver folds the
-        returned pairs in partition order, so serial and pooled reduce
-        phases are byte-identical.
+        Pure with respect to the job, and the only reduce-task body:
+        the driver calls it inline, pool workers call it through
+        :mod:`repro.parallel.reducetask`, and the driver folds the
+        returned pairs in partition order either way.
         """
         merged = merge_sorted_runs(runs)
         input_pairs = len(merged)
@@ -374,14 +383,29 @@ class LocalJobRunner:
             io=self.io,
             replication=self.cluster.hdfs_replication,
         )
+        rec = obs.active()
+        # A map-only job's identity fold is free (see run): no span.
+        if rec.enabled and self.num_reducers > 0:
+            self._record_task_trace(
+                rec, "reduce-task", partition, "reduce",
+                {"merge_runs": timing.merge_runs,
+                 "input_pairs": timing.input_pairs,
+                 "output_pairs": timing.output_pairs,
+                 "output_bytes": timing.output_bytes},
+                {"merge": timing.merge, "reduce": timing.reduce,
+                 "output_write": timing.output_write},
+            )
+            rec.inc("reduce.tasks")
+            rec.inc("reduce.merge_runs", timing.merge_runs)
+            rec.inc("reduce.pairs", timing.input_pairs)
         return reduced, timing
 
     def _fold_reduced(self, output: dict[Any, Any], partition: int,
                       reduced: list) -> None:
         """Fold one partition's reduce output into the job output dict
         — always in the driver, always in partition order, so the
-        insertion order and the duplicate-key check are identical under
-        serial and pooled reduce phases."""
+        insertion order and the duplicate-key check are identical at
+        every worker count."""
         for out_k, out_v in reduced:
             if out_k in output:
                 raise HadoopError(
@@ -397,83 +421,67 @@ class LocalJobRunner:
         data = input_text.encode("utf-8")
         ranges = self.split_ranges(data)
         result.map_tasks = len(ranges)
-        nworkers = resolve_workers(self.workers, tasks=len(ranges))
-        result.workers = nworkers
+        result.workers = resolve_workers(self.workers, tasks=len(ranges))
+        self._gpu_runner = None  # a fresh device + task runner per job
 
         rec = obs.active()
         job_span = None
         if rec.enabled:
-            span_args = {
-                "cluster": self.cluster.name,
-                "path": "gpu" if self.use_gpu else "cpu",
-                "map_tasks": len(ranges),
-                "reducers": self.num_reducers,
-            }
-            if nworkers > 1:  # serial spans stay byte-identical
-                span_args["workers"] = nworkers
             job_span = rec.begin(
                 f"job {self.app.name}", "job", "local-job", "driver",
-                args=span_args,
+                args={
+                    "cluster": self.cluster.name,
+                    "path": "gpu" if self.use_gpu else "cpu",
+                    "map_tasks": len(ranges),
+                    "reducers": self.num_reducers,
+                    "workers": result.workers,
+                },
             )
 
         # Map phase → shuffle inputs grouped by reduce partition, kept
-        # as per-task *runs* (streaming-sorted by the map task, with
-        # one-time renderings and sort keys — see the map task helpers)
-        # so the reduce side can k-way merge instead of re-sorting.
+        # as per-task *runs* (see MapTaskResult) so the reduce side can
+        # k-way merge instead of re-sorting. Task results arrive in
+        # task-index order at every worker count, so each accumulation
+        # below — task-result lists, pair counts, shuffle extension
+        # order — is the same fold whether the tasks ran inline or on
+        # the pool.
         shuffle: dict[int, list[list]] = defaultdict(list)
-        if nworkers > 1:
-            parts_per_task = self._run_map_phase_parallel(
-                data, ranges, nworkers, result, rec
-            )
-        else:
-            device = GpuDevice(self.cluster.gpu) if self.use_gpu else None
-            gpu_runner = self._make_gpu_runner(device) if self.use_gpu \
-                else None
-            parts_per_task = (
-                self._run_gpu_map_task(data[a:b], gpu_runner, result)
-                if self.use_gpu
-                else self._run_cpu_map_task(data[a:b], result)
-                for a, b in ranges
-            )
-        for parts in parts_per_task:
-            for part, run in parts.items():
+        for task in run_map_tasks(self, data, ranges, result.workers):
+            if task.gpu_result is not None:
+                result.gpu_task_results.append(task.gpu_result)
+            else:
+                assert task.cpu_timing is not None
+                result.cpu_task_timings.append(task.cpu_timing)
+            result.map_output_pairs += task.map_pairs
+            for part, run in task.parts.items():
                 shuffle[part].append(run)
                 result.shuffle_bytes += sum(utf8_len(e[1][2]) for e in run)
 
-        # Reduce phase: one reduce task per partition, serial in the
-        # driver or fanned across the daemon pool; either way the
-        # reduced pairs fold into the output dict in partition order.
-        reduce_parts = sorted(shuffle)
-        reduce_workers = resolve_workers(self.workers,
-                                         tasks=len(reduce_parts))
-        result.reduce_workers = reduce_workers
-        # Map-only jobs (num_reducers == 0) write output at the map
-        # tasks; their identity fold through this phase is free, like
+        # Reduce phase: one reduce task per partition — Hadoop starts
+        # every configured reducer, whether or not its partition
+        # received data — and the reduced pairs fold into the output
+        # dict here, in partition order. A map-only job (num_reducers
+        # == 0) writes output at the map tasks; its identity fold
+        # through the one partition is free, like
         # estimate_reduce_phase's zero-cost map-only answer.
+        partitions = list(range(max(self.num_reducers, 1)))
         charge_reduce = self.num_reducers > 0
+        result.reduce_workers = resolve_workers(self.workers,
+                                                tasks=len(partitions))
         output: dict[Any, Any] = {}
-        if reduce_workers > 1:
-            reduced_per_part = self._run_reduce_phase_parallel(
-                reduce_parts, shuffle, reduce_workers, result, rec,
-                charge_reduce,
-            )
-            for part, reduced in zip(reduce_parts, reduced_per_part):
-                self._fold_reduced(output, part, reduced)
-        else:
-            for part in reduce_parts:
-                reduced, timing = self.reduce_partition(part, shuffle[part])
-                if charge_reduce:
-                    result.reduce_task_timings.append(timing)
-                self._fold_reduced(output, part, reduced)
+        reduced_per_part = run_reduce_tasks(self, partitions, shuffle,
+                                            result.reduce_workers)
+        for part, (reduced, timing) in zip(partitions, reduced_per_part):
+            if charge_reduce:
+                result.reduce_task_timings.append(timing)
+            self._fold_reduced(output, part, reduced)
         result.output = output
 
-        if rec.enabled and job_span is not None:
-            # The job span covers the map phase's wall-clock-equivalent
-            # duration: with one worker that is the task-seconds sum
-            # (bit-identical to the pre-parallel behaviour); with N it
-            # is the overlapped critical path. A pooled reduce phase
-            # extends the span by its own critical path (serial reduce
-            # keeps the historical span end, byte for byte).
+        if job_span is not None:
+            # The job span covers the job's wall-clock-equivalent
+            # duration: the map phase's critical path at this run's
+            # worker count (the task-seconds sum at 1), then the reduce
+            # phase's.
             map_end = job_span.ts + result.map_critical_path_seconds
             rec.counter(
                 "shuffle", "local-job",
@@ -484,76 +492,12 @@ class LocalJobRunner:
             rec.inc("shuffle.bytes", result.shuffle_bytes)
             rec.inc("job.map_output_pairs", result.map_output_pairs)
             rec.inc("jobs")
-            end_ts = map_end
-            end_args = {"output_keys": len(output),
-                        "shuffle_bytes": result.shuffle_bytes}
-            if reduce_workers > 1:  # serial spans stay byte-identical
-                end_ts = map_end + result.reduce_critical_path_seconds
-                end_args["reduce_workers"] = reduce_workers
-                end_args["reduce_tasks"] = len(reduce_parts)
-            rec.end(job_span, ts=end_ts, args=end_args)
+            rec.end(
+                job_span,
+                ts=map_end + result.reduce_critical_path_seconds,
+                args={"output_keys": len(output),
+                      "shuffle_bytes": result.shuffle_bytes,
+                      "reduce_workers": result.reduce_workers,
+                      "reduce_tasks": len(result.reduce_task_timings)},
+            )
         return result
-
-    def _run_map_phase_parallel(self, data: bytes,
-                                ranges: list[tuple[int, int]],
-                                nworkers: int, result: LocalJobResult,
-                                rec: Any) -> list[dict]:
-        """Fan the map phase across the daemon pool and fold the
-        envelopes exactly as the serial loop would have.
-
-        Envelopes arrive in task-index order (the pool reassembles its
-        batches that way), so every accumulation below — task-result
-        lists, pair counts, float timing sums, shuffle extension order —
-        replays the serial fold and the job result is byte-identical to
-        ``workers=1``.
-        """
-        from ..parallel.maptask import run_map_tasks
-
-        envelopes = run_map_tasks(self, data, ranges, nworkers)
-        parts_per_task: list[dict] = []
-        for envelope in envelopes:
-            if envelope.gpu_result is not None:
-                task = envelope.gpu_result
-                result.gpu_task_results.append(task)
-                result.map_output_pairs += task.emitted_pairs
-            else:
-                assert envelope.cpu_timing is not None
-                result.cpu_task_timings.append(envelope.cpu_timing)
-                result.map_output_pairs += envelope.map_pairs
-            # Both paths ship ready-to-merge rendered runs: the worker
-            # already sorted, decorated, and encoded every pair (the
-            # driver used to re-encode the GPU path's pairs here).
-            parts_per_task.append(envelope.parts or {})
-            if rec.enabled and envelope.events is not None:
-                rec.splice(envelope.events,
-                           pid_suffix=f"@w{envelope.worker_pid}")
-                if envelope.metrics is not None:
-                    rec.metrics.merge(envelope.metrics)
-        return parts_per_task
-
-    def _run_reduce_phase_parallel(self, parts: list[int],
-                                   shuffle: dict[int, list[list]],
-                                   nworkers: int, result: LocalJobResult,
-                                   rec: Any, charge_reduce: bool) -> list[list]:
-        """Fan the reduce phase across the daemon pool.
-
-        Envelopes arrive in partition order (the pool reassembles by
-        submission index), so timing accumulation and the driver-side
-        output fold replay the serial loop exactly — reduce tasks are
-        pure, and the duplicate-key check still fires in the driver at
-        the same fold step it would serially.
-        """
-        from ..parallel.reducetask import run_reduce_tasks
-
-        envelopes = run_reduce_tasks(self, parts, shuffle, nworkers)
-        reduced_per_part: list[list] = []
-        for envelope in envelopes:
-            if charge_reduce:
-                result.reduce_task_timings.append(envelope.timing)
-            reduced_per_part.append(envelope.reduced)
-            if rec.enabled and envelope.events is not None:
-                rec.splice(envelope.events,
-                           pid_suffix=f"@w{envelope.worker_pid}")
-                if envelope.metrics is not None:
-                    rec.metrics.merge(envelope.metrics)
-        return reduced_per_part

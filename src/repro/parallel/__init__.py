@@ -1,18 +1,23 @@
-"""Multi-core map-task execution (paper §5's one-slot-per-core model).
+"""Multi-core task execution (paper §5's one-slot-per-core model).
 
 HeteroDoop's TaskTrackers run one map task per CPU core concurrently
 (plus the reserved GPU slot); this package gives the functional runner
-the same property. The persistent daemon pool
+the same property without giving it a second code path. A job has one
+map task body and one reduce task body, both owned by
+:class:`~repro.hadoop.local.LocalJobRunner`;
+:func:`~repro.parallel.maptask.run_map_tasks` and
+:func:`~repro.parallel.reducetask.run_reduce_tasks` run them and return
+the results in task order at every worker count. With one worker they
+call the task inline on the driver's runner — that is what "serial"
+means here. With more, the persistent daemon pool
 (:mod:`repro.parallel.daemon`) forks workers once per process lifetime
-and fans map tasks, reduce tasks, and fuzz cases across
-them in batched envelopes, with input bytes published through a
-write-once arena (:mod:`repro.parallel.arena`) instead of per-task
-pickles. The job-level plumbing (:mod:`repro.parallel.maptask` for the
-map phase, :mod:`repro.parallel.reducetask` for the shuffle-merge/
-reduce tail) keeps the parallel run **byte-identical** to the serial
-one — same output, same counters, same simulated seconds — by
-rebuilding caches per worker and merging results in task/partition
-order. :mod:`repro.parallel.pool` holds the shared worker-count
+and fans the same calls (and fuzz cases) across them in batched
+envelopes, with input bytes published through a write-once arena
+(:mod:`repro.parallel.arena`) instead of per-task pickles; workers
+rebuild the runner from one job spec. Either way the driver's single
+fold sees the same results in the same order, so output, counters,
+simulated seconds and trace spans are **byte-identical** across worker
+counts. :mod:`repro.parallel.pool` holds the shared worker-count
 resolution and the leaf-worker rule.
 """
 

@@ -13,12 +13,12 @@ paid once and amortized over every subsequent job:
   explicit :func:`shutdown_pool`.
 * **Batched task envelopes.** Tasks cross the process boundary in
   batches (:func:`resolve_batch_size`: adaptive from the task/worker
-  ratio, ``REPRO_POOL_BATCH`` overrides), so a 64-task map phase costs
-  a handful of IPC round-trips instead of 64. Dispatch stays greedy —
-  each worker holds at most :data:`DISPATCH_WINDOW` batches and gets
-  the next one when it reports a result — and the parent reassembles
-  batches by index, so results still stream back in submission order
-  and the deterministic merge contract is untouched.
+  ratio), so a 64-task map phase costs a handful of IPC round-trips
+  instead of 64. Dispatch stays greedy — each worker holds at most
+  :data:`DISPATCH_WINDOW` batches and gets the next one when it
+  reports a result — and the parent reassembles batches by index, so
+  results still stream back in submission order and the deterministic
+  merge contract is untouched.
 * **Crash detection + respawn.** A worker that dies mid-job (OOM
   killer, segfault, idle self-reap racing a dispatch) is detected by
   liveness polling; the pool respawns the slot, replays the job setup,
@@ -55,7 +55,6 @@ from ..obs import trace as obs
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
-    "BATCH_ENV",
     "DaemonPool",
     "IDLE_ENV",
     "PoolStatus",
@@ -70,10 +69,6 @@ __all__ = [
 #: Environment knob: seconds a worker waits for work before self-reaping
 #: (``0`` disables reaping).
 IDLE_ENV = "REPRO_POOL_IDLE"
-
-#: Environment knob: fixed batch size (tasks per IPC round-trip);
-#: unset/``0`` means adaptive sizing from the task/worker ratio.
-BATCH_ENV = "REPRO_POOL_BATCH"
 
 #: Environment knob: pool start method (``fork``/``spawn``); default
 #: prefers ``fork`` where the platform offers it.
@@ -115,20 +110,10 @@ def _env_float(name: str, default: float) -> float:
 
 def resolve_batch_size(tasks: int, workers: int,
                        batch_size: int | None = None) -> int:
-    """Tasks per envelope: explicit, then ``REPRO_POOL_BATCH``, then
-    adaptive — ``ceil(tasks / (workers * 4))`` capped at 64, so small
-    jobs keep per-task dispatch (maximum overlap) and large jobs
-    amortize the IPC round-trip."""
-    if batch_size is None:
-        raw = os.environ.get(BATCH_ENV, "").strip()
-        if raw:
-            try:
-                batch_size = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{BATCH_ENV}={raw!r} is not an integer") from None
-            if batch_size < 0:
-                raise ConfigError(f"{BATCH_ENV} must be >= 0, got {raw}")
+    """Tasks per envelope: ``batch_size`` when given (the crash/requeue
+    tests' seam), else adaptive — ``ceil(tasks / (workers * 4))``
+    capped at 64, so small jobs keep per-task dispatch (maximum
+    overlap) and large jobs amortize the IPC round-trip."""
     if batch_size:
         return batch_size
     return max(1, min(_MAX_BATCH,

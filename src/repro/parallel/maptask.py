@@ -1,59 +1,67 @@
-"""Map tasks as pool work items: job specs, warmup, and envelopes.
+"""The map phase's executor, and the job plumbing both phases share.
 
-A worker cannot be handed a live :class:`~repro.hadoop.local.
-LocalJobRunner` or :class:`~repro.runtime.gpu_task.GpuTaskRunner` —
-their hot state (generated mini-C functions, kernel bodies, host
-snapshots) is exec'd code and closures and does not pickle. What
-crosses the process boundary instead:
+:func:`run_map_tasks` runs a job's map tasks and returns their
+:class:`~repro.hadoop.local.MapTaskResult` in task-index order. Every
+task is one call of :meth:`LocalJobRunner.map_task
+<repro.hadoop.local.LocalJobRunner.map_task>`; ``workers`` only decides
+where the call happens:
 
-* down, once per job: a frozen *job spec* carrying only sources and
-  plain-dataclass configuration, plus the input arena's token
-  (:mod:`repro.parallel.arena` — the split bytes are published once and
-  never pickled per task). The per-worker job setup rebuilds the runner
-  from the spec and **warms** the program/translation/kernel caches.
-  With the persistent daemon pool the warmup is paid once per worker
-  *process lifetime* per program, not once per job — a warm worker's
-  setup is a string of cache hits.
-* down, per batch: ``(task_index, start, stop)`` range triples, several
-  per IPC round-trip (:func:`~repro.parallel.daemon.resolve_batch_size`).
-* up, per batch: compact :class:`MapTaskEnvelope` results — partitioned
-  triples or the :class:`GpuTaskResult`, the timing dataclass, and
-  (when the parent traces) the worker recorder's events and metrics.
+* ``workers == 1`` — inline, on the driver's own runner, by reference:
+  no arena, no pickle, no recorder swap. Serial is this case, not a
+  second code path.
+* ``workers > 1`` — on the daemon pool. A worker cannot be handed a
+  live runner (its hot state — generated mini-C functions, kernel
+  bodies, host snapshots — is exec'd code and does not pickle), so what
+  crosses the process boundary is:
 
-The parent consumes envelopes **in task-index order** (the daemon pool
-reassembles batches by index) and folds them exactly as the serial loop
-would have, which is what makes ``workers=N`` byte-identical to serial.
+  * down, once per phase: a frozen :class:`JobSpec` carrying only
+    sources and plain-dataclass configuration, plus the input arena's
+    token (:mod:`repro.parallel.arena` — the split bytes are published
+    once and never pickled per task). :func:`_init_worker` rebuilds the
+    runner from the spec and warms the program/translation caches; on a
+    warm daemon worker that is a string of cache hits.
+  * down, per batch: ``(task_index, start, stop)`` range triples.
+  * up, per batch: one :class:`TaskEnvelope` per task — the task's
+    result and, when the parent traces, the events and metrics of the
+    fresh recorder the task ran under (:func:`capture`).
+
+  :func:`run_on_pool` hands results back in submission order after
+  splicing each envelope's events onto ``<pid>@w<worker pid>`` tracks
+  of the parent's recorder, so the driver's fold cannot tell a pooled
+  task from an inline one.
+
+:mod:`repro.parallel.reducetask` is the reduce phase's twin and reuses
+the spec, the worker setup, the capture and the splice from here.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from ..apps.base import Application
 from ..config import ClusterConfig, OptimizationFlags
-from ..costmodel.cpu import CpuTaskTiming
 from ..errors import ReproError
 from ..obs import trace as obs
-from .arena import SplitArena, attach_view
 from .daemon import get_pool
 
 if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
-    from ..hadoop.local import LocalJobRunner
-    from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
+    from ..hadoop.local import LocalJobRunner, MapTaskResult
 
 __all__ = [
-    "MapJobSpec",
-    "MapTaskEnvelope",
+    "JobSpec",
+    "TaskEnvelope",
+    "capture",
     "run_map_tasks",
+    "run_on_pool",
     "warm_worker_caches",
 ]
 
 
 @dataclass(frozen=True)
-class MapJobSpec:
-    """Everything a worker needs to rebuild one job's map-side runner."""
+class JobSpec:
+    """Everything a worker needs to rebuild one job's runner."""
 
     app: Application
     cluster: ClusterConfig
@@ -67,30 +75,21 @@ class MapJobSpec:
 
 
 @dataclass
-class MapTaskEnvelope:
-    """One map task's result, shipped worker → parent.
+class TaskEnvelope:
+    """One task's result, shipped worker → parent, with the worker
+    recorder's events and metrics when the parent traces."""
 
-    ``parts`` carries the partition → decorated-run mapping on *both*
-    paths: streaming-sorted ``(sort_key, (key, value, line))`` entries,
-    rendered and decorated in the worker so the driver's fold never
-    re-encodes a pair. The GPU path additionally ships its
-    :class:`GpuTaskResult` for the timing/Fig. 6 bookkeeping.
-    """
-
-    index: int
+    result: Any
     worker_pid: int
-    map_pairs: int
-    parts: dict[int, list] | None = None
-    cpu_timing: CpuTaskTiming | None = None
-    gpu_result: "GpuTaskResult | None" = None
     events: list | None = None
     metrics: Any | None = None
 
 
-# Worker-global runner state, rebuilt by the job setup once per worker
-# per job. Module-level (not closure-captured) because pool task
-# functions must be importable top-level callables.
-_map_state: dict[str, Any] = {}
+#: This worker's job state — ``spec``, the rebuilt ``runner`` and the
+#: arena ``view`` — replaced by each phase's setup. Module-level (not
+#: closure-captured) because pool task functions must be importable
+#: top-level callables.
+worker_state: dict[str, Any] = {}
 
 
 def _warm_app(app: Application, opt: OptimizationFlags,
@@ -98,15 +97,10 @@ def _warm_app(app: Application, opt: OptimizationFlags,
     """Populate this process's mini-C caches for one application."""
     from ..minic.cache import warm_program
 
-    warm_program(app.map_program())
-    combine = app.combine_program()
-    if combine is not None:
-        warm_program(combine)
-    reduce_prog = app.reduce_program()
-    if reduce_prog is not None:
-        # Workers never reduce, but warming is cheap and keeps the
-        # worker's cache state a superset of what any task touches.
-        warm_program(reduce_prog)
+    for program in (app.map_program(), app.combine_program(),
+                    app.reduce_program()):
+        if program is not None:
+            warm_program(program)
     if use_gpu:
         app.translate_map(opt)
         app.translate_combine(opt)
@@ -116,21 +110,21 @@ def warm_worker_caches(tags: tuple[str, ...]) -> None:
     """``repro pool warm``'s broadcast target: prime the mini-C and
     translation caches for the named apps in this worker."""
     from ..apps import get_app
-    from ..config import OptimizationFlags
 
     opt = OptimizationFlags.all_on()
     for tag in tags:
         _warm_app(get_app(tag), opt, use_gpu=True)
 
 
-def _init_map_worker(spec: MapJobSpec, arena_token: tuple) -> None:
-    from ..gpu.device import GpuDevice
+def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
     from ..hadoop.local import LocalJobRunner
     from ..minic.interpreter import set_default_backend
+    from .arena import attach_view
 
     set_default_backend(spec.minic_backend)
     _warm_app(spec.app, spec.opt, spec.use_gpu)
-    runner = LocalJobRunner(
+    worker_state["spec"] = spec
+    worker_state["runner"] = LocalJobRunner(
         spec.app,
         cluster=spec.cluster,
         use_gpu=spec.use_gpu,
@@ -140,67 +134,36 @@ def _init_map_worker(spec: MapJobSpec, arena_token: tuple) -> None:
         gpu_engine=spec.gpu_engine,
         workers=1,
     )
-    gpu_runner = None
-    if spec.use_gpu:
-        gpu_runner = runner._make_gpu_runner(GpuDevice(spec.cluster.gpu))
-        gpu_runner.map_snapshot()
-        if gpu_runner.combine_tr is not None:
-            gpu_runner.combine_snapshot()
-    _map_state["spec"] = spec
-    _map_state["runner"] = runner
-    _map_state["gpu_runner"] = gpu_runner
-    _map_state["view"] = attach_view(arena_token)
+    worker_state["view"] = attach_view(arena_token)
 
 
-def _run_map_task(payload: tuple[int, int, int]) -> MapTaskEnvelope:
-    from ..hadoop.local import LocalJobResult
-
-    index, start, stop = payload
-    spec: MapJobSpec = _map_state["spec"]
-    runner: "LocalJobRunner" = _map_state["runner"]
-    split = bytes(_map_state["view"][start:stop])
-    rec = obs.TraceRecorder() if spec.trace else None
-    previous = obs.install(rec) if rec is not None else None
-    try:
-        scratch = LocalJobResult()
-        if spec.use_gpu:
-            gpu_runner: "GpuTaskRunner" = _map_state["gpu_runner"]
-            task = gpu_runner.run(split, task_index=index)
-            envelope = MapTaskEnvelope(
-                index=index, worker_pid=os.getpid(),
-                map_pairs=task.emitted_pairs, gpu_result=task,
-                parts=task.rendered_runs(),
-            )
-        else:
-            parts = runner._run_cpu_map_task(split, scratch,
-                                             task_index=index)
-            envelope = MapTaskEnvelope(
-                index=index, worker_pid=os.getpid(),
-                map_pairs=scratch.map_output_pairs, parts=parts,
-                cpu_timing=scratch.cpu_task_timings[0],
-            )
-    finally:
-        if rec is not None:
-            obs.install(previous)
-    if rec is not None:
-        if rec.open_spans():
-            raise ReproError("map task left spans open in worker recorder")
-        envelope.events = rec.events
-        envelope.metrics = rec.metrics
-    return envelope
+def capture(task: Callable[..., Any], *args: Any) -> TaskEnvelope:
+    """Run one task in this worker; when the parent traces, under a
+    fresh recorder whose events and metrics ride home in the envelope."""
+    if not worker_state["spec"].trace:
+        return TaskEnvelope(task(*args), os.getpid())
+    with obs.use_recorder(obs.TraceRecorder()) as rec:
+        result = task(*args)
+    if rec.open_spans():
+        raise ReproError(
+            f"{task.__name__} left spans open in worker recorder")
+    return TaskEnvelope(result, os.getpid(), rec.events, rec.metrics)
 
 
-def run_map_tasks(runner: "LocalJobRunner", data: bytes,
-                  ranges: list[tuple[int, int]],
-                  workers: int) -> list[MapTaskEnvelope]:
-    """Fan a job's split ranges across the daemon pool; envelopes come
-    back in task-index order. ``data`` is published once through a
-    :class:`~repro.parallel.arena.SplitArena`; only range triples and
-    result envelopes are pickled."""
+def run_on_pool(runner: "LocalJobRunner", workers: int,
+                task_fn: Callable[[Any], TaskEnvelope],
+                payloads: list[tuple[int, int, int]],
+                data: bytes) -> list[Any]:
+    """Run one phase's payloads on the daemon pool; results come back
+    in submission order. ``data`` — what the payloads' ranges index —
+    is published once through a :class:`~repro.parallel.arena.
+    SplitArena`; only range triples and envelopes are pickled."""
     from ..gpu.engine import default_gpu_engine
     from ..minic.interpreter import default_backend
+    from .arena import SplitArena
 
-    spec = MapJobSpec(
+    rec = obs.active()
+    spec = JobSpec(
         app=runner.app,
         cluster=runner.cluster,
         use_gpu=runner.use_gpu,
@@ -209,11 +172,35 @@ def run_map_tasks(runner: "LocalJobRunner", data: bytes,
         split_bytes=runner.split_bytes,
         gpu_engine=runner.gpu_engine or default_gpu_engine(),
         minic_backend=default_backend(),
-        trace=bool(obs.active().enabled),
+        trace=bool(rec.enabled),
     )
-    payloads = [(i, start, stop) for i, (start, stop) in enumerate(ranges)]
     with SplitArena(data) as arena:
-        return get_pool().run_job(
-            workers, _run_map_task, payloads,
-            init_fn=_init_map_worker, init_args=(spec, arena.token),
+        envelopes = get_pool().run_job(
+            workers, task_fn, payloads,
+            init_fn=_init_worker, init_args=(spec, arena.token),
         )
+    results = []
+    for envelope in envelopes:
+        if envelope.events is not None:
+            rec.splice(envelope.events,
+                       pid_suffix=f"@w{envelope.worker_pid}")
+            rec.metrics.merge(envelope.metrics)
+        results.append(envelope.result)
+    return results
+
+
+def _run_map_task(payload: tuple[int, int, int]) -> TaskEnvelope:
+    index, start, stop = payload
+    return capture(worker_state["runner"].map_task, index,
+                   bytes(worker_state["view"][start:stop]))
+
+
+def run_map_tasks(runner: "LocalJobRunner", data: bytes,
+                  ranges: list[tuple[int, int]],
+                  workers: int) -> list["MapTaskResult"]:
+    """Run one map task per split range; results in task-index order."""
+    if workers == 1:
+        return [runner.map_task(index, data[start:stop])
+                for index, (start, stop) in enumerate(ranges)]
+    payloads = [(i, start, stop) for i, (start, stop) in enumerate(ranges)]
+    return run_on_pool(runner, workers, _run_map_task, payloads, data)

@@ -2,8 +2,8 @@
 
 The parallel layer fans independent tasks (map tasks, reduce tasks, fuzz
 cases) across ``workers`` OS processes of the persistent daemon pool
-(:mod:`repro.parallel.daemon`) and merges results back in task order,
-so a parallel run is observably identical to the serial one. What lives
+(:mod:`repro.parallel.daemon`) and hands results back in task order,
+so a run is observably identical at every worker count. What lives
 here is what every phase shares:
 
 * **One worker count** — :func:`resolve_workers` turns an explicit
@@ -13,8 +13,8 @@ here is what every phase shares:
 * **Leaf workers** — a worker process never creates its own pool.
   :func:`resolve_workers` answers 1 inside a worker regardless of the
   ``REPRO_WORKERS`` environment or explicit ``workers=`` arguments, so
-  nested parallelism (a fuzz worker running a parallel job) degrades to
-  the serial path instead of fork-bombing the host.
+  nested parallelism (a fuzz worker running a parallel job) runs its
+  tasks inline instead of fork-bombing the host.
 * **Deterministic makespan** — :func:`list_schedule_makespan` is the
   simulated wall-clock-equivalent duration of a phase whose tasks the
   pool drains in submission order.
@@ -53,11 +53,11 @@ def resolve_workers(workers: int | None = None,
     """The effective worker count for one parallel phase.
 
     Precedence: explicit ``workers`` argument, then the
-    ``REPRO_WORKERS`` environment variable, then 1 (serial). A value of
-    0 (either source) means ``os.cpu_count()``. ``tasks`` caps the
-    answer at the number of available tasks — a single-split job stays
-    serial no matter what was requested. Inside a pool worker the answer
-    is always 1.
+    ``REPRO_WORKERS`` environment variable, then 1 (tasks run inline).
+    A value of 0 (either source) means ``os.cpu_count()``. ``tasks``
+    caps the answer at the number of available tasks — a single-split
+    job runs inline no matter what was requested. Inside a pool worker
+    the answer is always 1.
     """
     if _in_worker:
         return 1
@@ -117,7 +117,7 @@ def _mark_leaf_worker() -> None:
     os.environ[WORKERS_ENV] = "1"
     # A forked worker inherits the parent's *active* TraceRecorder;
     # recording into it from another process would interleave garbage.
-    # Workers trace into their own per-task recorders (see maptask).
+    # Workers trace into their own per-task recorders (maptask.capture).
     from ..obs import trace as obs
 
     obs.install(obs.NULL_RECORDER)

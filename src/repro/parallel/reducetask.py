@@ -1,196 +1,67 @@
-"""Reduce tasks as pool work items: job spec, arena shipping, envelopes.
+"""The reduce phase's executor — the shuffle-merge/reduce tail the
+paper's Table 2 blames for dampened speedups.
 
-The map phase's pool plumbing (:mod:`repro.parallel.maptask`) took maps
-off the driver's critical path; this module does the same for the tail
-the paper's Table 2 blames for dampened speedups — the shuffle-merge
-and reduce pass that still ran serially in the driver. The mechanics
-mirror the map side:
+:func:`run_reduce_tasks` runs one :meth:`LocalJobRunner.reduce_partition
+<repro.hadoop.local.LocalJobRunner.reduce_partition>` per partition and
+returns the ``(reduced pairs, ReduceTaskTiming)`` results in partition
+order. As on the map side (:mod:`repro.parallel.maptask`, which owns
+the shared job spec, worker setup, capture and splice), ``workers``
+only decides where the call happens:
 
-* down, once per job: a frozen :class:`ReduceJobSpec` (the app plus
-  plain configuration — a warm daemon worker rebuilds the runner from
-  cache hits) and a :class:`~repro.parallel.arena.SplitArena` token.
-  The arena blob is the pickled per-partition runs laid end to end, so
-  each partition's data is published once and never re-pickled per
-  dispatch retry.
-* down, per batch: ``(partition, start, stop)`` triples naming each
-  task's slice of the blob.
-* up, per batch: :class:`ReduceTaskEnvelope` results — the reduced
-  pairs, the deterministic :class:`~repro.hadoop.shuffle.
-  ReduceTaskTiming`, and (when the parent traces) the worker recorder's
-  events and metrics.
+* ``workers == 1`` — inline on the driver's runner; the partition's
+  runs are handed over as the objects the map fold built.
+* ``workers > 1`` — on the daemon pool. The arena blob is the pickled
+  per-partition runs laid end to end, so each partition's data is
+  published once and never re-pickled per dispatch retry; tasks ship as
+  ``(partition, start, stop)`` triples naming their slice of the blob.
 
-The parent consumes envelopes **in partition order** and folds the
-reduced pairs into the output dict itself (reduce tasks are pure), so
-the output insertion order, the duplicate-key check, the counters, and
-every simulated float are byte-identical to the serial reduce loop.
+The driver folds the reduced pairs into the output dict itself (reduce
+tasks are pure), so the output insertion order, the duplicate-key
+check, the counters, and every simulated float are the same at every
+worker count.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from ..apps.base import Application
-from ..config import ClusterConfig, OptimizationFlags
-from ..errors import ReproError
-from ..obs import trace as obs
-from .arena import SplitArena, attach_view
-from .daemon import get_pool
+from .maptask import TaskEnvelope, capture, run_on_pool, worker_state
 
 if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
     from ..hadoop.local import LocalJobRunner
     from ..hadoop.shuffle import ReduceTaskTiming
 
-__all__ = [
-    "ReduceJobSpec",
-    "ReduceTaskEnvelope",
-    "run_reduce_tasks",
-]
+__all__ = ["run_reduce_tasks"]
 
 
-@dataclass(frozen=True)
-class ReduceJobSpec:
-    """Everything a worker needs to rebuild one job's reduce side."""
-
-    app: Application
-    cluster: ClusterConfig
-    opt: OptimizationFlags
-    num_reducers: int
-    split_bytes: int
-    minic_backend: str
-    trace: bool
-
-
-@dataclass
-class ReduceTaskEnvelope:
-    """One reduce task's result, shipped worker → parent."""
-
-    partition: int
-    worker_pid: int
-    reduced: list
-    timing: "ReduceTaskTiming"
-    events: list | None = None
-    metrics: Any | None = None
-
-
-# Worker-global state, rebuilt by the job setup once per worker per job
-# (module-level because pool task functions must be importable
-# top-level callables).
-_reduce_state: dict[str, Any] = {}
-
-
-def _init_reduce_worker(spec: ReduceJobSpec, arena_token: tuple) -> None:
-    from ..hadoop.local import LocalJobRunner
-    from ..minic.cache import warm_program
-    from ..minic.interpreter import set_default_backend
-
-    set_default_backend(spec.minic_backend)
-    reduce_prog = spec.app.reduce_program()
-    if reduce_prog is not None:
-        warm_program(reduce_prog)
-    # CPU path: reduce tasks never launch kernels and never map, so the
-    # rebuilt runner skips every GPU-side cache.
-    runner = LocalJobRunner(
-        spec.app,
-        cluster=spec.cluster,
-        use_gpu=False,
-        opt=spec.opt,
-        num_reducers=spec.num_reducers,
-        split_bytes=spec.split_bytes,
-        workers=1,
-    )
-    _reduce_state["spec"] = spec
-    _reduce_state["runner"] = runner
-    _reduce_state["view"] = attach_view(arena_token)
-
-
-def _record_reduce_task_trace(rec: obs.TraceRecorder, app: Application,
-                              timing: "ReduceTaskTiming") -> None:
-    """One reduce-task span tiled by its phase children, mirroring the
-    map side's cpu-task/gpu-task span shape (the parent splices these
-    onto ``reduce@w<pid>`` tracks)."""
-    pid, tid = "reduce", "tasks"
-    task = rec.begin(
-        f"reduce-task#{timing.partition} {app.name}", "reduce-task",
-        pid, tid,
-        args={
-            "merge_runs": timing.merge_runs,
-            "input_pairs": timing.input_pairs,
-            "output_pairs": timing.output_pairs,
-            "output_bytes": timing.output_bytes,
-        },
-    )
-    phases = {
-        "merge": timing.merge,
-        "reduce": timing.reduce,
-        "output_write": timing.output_write,
-    }
-    for phase, seconds in phases.items():
-        rec.complete(phase, "phase", pid, tid, seconds)
-    rec.end(task)
-    rec.inc("reduce.tasks")
-    rec.inc("reduce.merge_runs", timing.merge_runs)
-    rec.inc("reduce.pairs", timing.input_pairs)
-
-
-def _run_reduce_task(payload: tuple[int, int, int]) -> ReduceTaskEnvelope:
+def _run_reduce_task(payload: tuple[int, int, int]) -> TaskEnvelope:
     partition, start, stop = payload
-    spec: ReduceJobSpec = _reduce_state["spec"]
-    runner: "LocalJobRunner" = _reduce_state["runner"]
-    runs = pickle.loads(bytes(_reduce_state["view"][start:stop]))
-    rec = obs.TraceRecorder() if spec.trace else None
-    previous = obs.install(rec) if rec is not None else None
-    try:
-        reduced, timing = runner.reduce_partition(partition, runs)
-        if rec is not None:
-            _record_reduce_task_trace(rec, spec.app, timing)
-    finally:
-        if rec is not None:
-            obs.install(previous)
-    envelope = ReduceTaskEnvelope(
-        partition=partition, worker_pid=os.getpid(),
-        reduced=reduced, timing=timing,
-    )
-    if rec is not None:
-        if rec.open_spans():
-            raise ReproError("reduce task left spans open in worker recorder")
-        envelope.events = rec.events
-        envelope.metrics = rec.metrics
-    return envelope
+    runs = pickle.loads(bytes(worker_state["view"][start:stop]))
+    return capture(worker_state["runner"].reduce_partition, partition, runs)
 
 
-def run_reduce_tasks(runner: "LocalJobRunner", parts: list[int],
-                     shuffle: dict[int, list[list]],
-                     workers: int) -> list[ReduceTaskEnvelope]:
-    """Fan a job's reduce partitions across the daemon pool; envelopes
-    come back in partition order.
+def run_reduce_tasks(
+    runner: "LocalJobRunner", parts: list[int],
+    shuffle: dict[int, list[list]], workers: int,
+) -> list[tuple[list, "ReduceTaskTiming"]]:
+    """Run one reduce task per partition in ``parts`` (a partition
+    without an entry in ``shuffle`` reduces no runs); results in
+    partition order.
 
-    Each partition's sorted runs are pickled once into a contiguous
-    blob published through a :class:`~repro.parallel.arena.SplitArena`
-    — workers slice and unpickle exactly the objects the driver held
-    (decorated triples with their map-side renderings), so no value
-    crosses the boundary through a lossy re-parse."""
-    from ..minic.interpreter import default_backend
-
-    spec = ReduceJobSpec(
-        app=runner.app,
-        cluster=runner.cluster,
-        opt=runner.opt,
-        num_reducers=runner.num_reducers,
-        split_bytes=runner.split_bytes,
-        minic_backend=default_backend(),
-        trace=bool(obs.active().enabled),
-    )
+    On the pool each partition's sorted runs are pickled once into a
+    contiguous blob — workers slice and unpickle exactly the objects
+    the driver held (decorated triples with their map-side renderings),
+    so no value crosses the boundary through a lossy re-parse."""
+    if workers == 1:
+        return [runner.reduce_partition(part, shuffle.get(part, []))
+                for part in parts]
     blob = bytearray()
     payloads: list[tuple[int, int, int]] = []
     for part in parts:
-        data = pickle.dumps(shuffle[part], protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(shuffle.get(part, []),
+                            protocol=pickle.HIGHEST_PROTOCOL)
         payloads.append((part, len(blob), len(blob) + len(data)))
         blob += data
-    with SplitArena(bytes(blob)) as arena:
-        return get_pool().run_job(
-            workers, _run_reduce_task, payloads,
-            init_fn=_init_reduce_worker, init_args=(spec, arena.token),
-        )
+    return run_on_pool(runner, workers, _run_reduce_task, payloads,
+                       bytes(blob))

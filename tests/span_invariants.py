@@ -109,10 +109,10 @@ def assert_phase_spans_identical(ref: TraceRecorder,
     byte-identical to the reference engine's, with no tolerance: the
     simulated clock is deterministic arithmetic, not measurement.
 
-    Pooled *reduce* tracks are excluded: which worker a reduce batch
-    lands on is pool scheduling, not engine arithmetic, so under
-    REPRO_WORKERS the ``reduce@w<pid>`` track names and splice offsets
-    legitimately differ between two runs. The reduce phase's simulated
+    *Reduce* tracks are excluded: reducers run on CPUs whatever the
+    lane engine, and under REPRO_WORKERS which worker a reduce batch
+    lands on is pool scheduling, so the ``reduce@w<pid>`` track names
+    and splice offsets legitimately differ between two runs. The reduce phase's simulated
     content has its own byte-identity check (``reduce_task_timings``
     equality in tests/test_parallel.py)."""
     def key(rec):

@@ -16,7 +16,8 @@ import pytest
 
 from repro.apps import all_apps, get_app
 from repro.errors import ConfigError, CRuntimeError
-from repro.hadoop.local import LocalJobRunner, parse_kv_line
+from repro.hadoop.local import LocalJobRunner
+from repro.kvstore.coerce import parse_kv_line
 from repro.minic import parse
 from repro.minic.cache import compiled_program
 from repro.minic.interpreter import Interpreter, run_filter, use_backend

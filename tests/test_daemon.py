@@ -24,7 +24,6 @@ from repro.parallel.arena import (
     attach_view,
 )
 from repro.parallel.daemon import (
-    BATCH_ENV,
     IDLE_ENV,
     START_ENV,
     DaemonPool,
@@ -97,37 +96,18 @@ def pool():
 
 
 class TestResolveBatchSize:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "7")
+    def test_explicit_wins(self):
         assert resolve_batch_size(100, 4, batch_size=3) == 3
 
-    def test_env_beats_adaptive(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "5")
-        assert resolve_batch_size(1000, 4) == 5
-
-    def test_adaptive_targets_batches_per_worker(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
+    def test_adaptive_targets_batches_per_worker(self):
         # 64 tasks / (4 workers * 4 waves) = 4 per batch
         assert resolve_batch_size(64, 4) == 4
         # small jobs keep per-task dispatch
         assert resolve_batch_size(6, 4) == 1
         assert resolve_batch_size(1, 1) == 1
 
-    def test_adaptive_is_capped(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
+    def test_adaptive_is_capped(self):
         assert resolve_batch_size(1_000_000, 2) == 64
-
-    def test_zero_env_means_adaptive(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "0")
-        assert resolve_batch_size(64, 4) == 4
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "many")
-        with pytest.raises(ConfigError):
-            resolve_batch_size(10, 2)
-        monkeypatch.setenv(BATCH_ENV, "-3")
-        with pytest.raises(ConfigError):
-            resolve_batch_size(10, 2)
 
 
 def test_resolve_start_method_env(monkeypatch):

@@ -34,7 +34,8 @@ from repro.gpu.executor import (
     run_map_kernel,
     run_map_kernel_global_stealing,
 )
-from repro.hadoop.local import LocalJobRunner, parse_kv_line
+from repro.hadoop.local import LocalJobRunner
+from repro.kvstore.coerce import parse_kv_line
 from repro.kvstore import GlobalKVStore, KVPair, Partitioner
 from repro.minic.interpreter import Interpreter, use_backend
 

@@ -178,15 +178,14 @@ def test_parallel_counters_match_serial(use_gpu):
             results.append(_run_job(app, use_gpu, workers=workers))
         snapshots.append(rec.metrics.snapshot())
     serial, par = snapshots
-    # The parallel run additionally reports its (deterministic) pool
-    # dispatch counters and the pooled reduce phase's reduce.* tallies;
-    # everything the serial run counts must match exactly, and the
-    # serial run must have neither pool nor reduce counters at all.
+    # The two runs are the same task bodies, so every counter the tasks
+    # and the fold record matches exactly — reduce.* included. Only the
+    # pool's own (deterministic) dispatch counters are extra, and the
+    # inline run never touches the pool.
     core = {k: v for k, v in par["counters"].items()
-            if not k.startswith(("pool.", "reduce."))}
+            if not k.startswith("pool.")}
     assert core == serial["counters"]
-    assert not any(k.startswith(("pool.", "reduce."))
-                   for k in serial["counters"])
+    assert not any(k.startswith("pool.") for k in serial["counters"])
     # One pool job for the map phase, one for the reduce phase.
     assert par["counters"]["pool.jobs"] == 2.0
     assert par["counters"]["pool.tasks"] >= par["counters"]["pool.batches"]
@@ -278,6 +277,11 @@ class TestRunnerConfigValidation:
             GpuTaskRunner(app.translate_map(), app.translate_combine(),
                           GpuDevice(CLUSTER1.gpu), cluster1_io,
                           num_reducers=4, engine="warp9")
+
+    @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+    def test_negative_workers_rejected_at_construction(self, use_gpu):
+        with pytest.raises(ConfigError, match="workers must be >= 0"):
+            LocalJobRunner(get_app("WC"), use_gpu=use_gpu, workers=-2)
 
     def test_zero_reducers_means_map_only(self):
         # 0 is a legal Hadoop setting (map-only job), not an error
@@ -389,6 +393,66 @@ def test_parallel_trace_has_reduce_task_spans():
     assert obs.validate_trace(trace) == []
 
 
+def _spans(rec, *cats):
+    """A traced job's spans of the given categories as a sorted
+    multiset, track names stripped of their ``@w<pid>`` suffix
+    (timestamps are per-track cursors and legitimately differ)."""
+    return sorted(
+        (s.cat, s.pid.split(WORKER_PID_MARKER)[0], s.tid, s.name,
+         sorted(s.args.items()), s.dur)
+        for s in rec.spans() if s.cat in cats
+    )
+
+
+@pytest.mark.parametrize("short", APP_TAGS)
+@pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+def test_trace_shape_is_worker_count_invariant(short, use_gpu):
+    """One trace shape: inline and pooled runs of a job record the same
+    task / phase / reduce-task spans (names carry job-wide indices) and
+    the same counters; the job span is map + reduce critical path."""
+    app = get_app(short)
+    runs = []
+    for workers in (1, 2):
+        with obs.use_recorder(obs.TraceRecorder()) as rec:
+            result = _run_job(app, use_gpu, workers=workers)
+        assert_standard_invariants(rec)
+        (job_span,) = rec.spans("job")
+        assert job_span.dur == (result.map_critical_path_seconds
+                                + result.reduce_critical_path_seconds)
+        assert job_span.args["workers"] == result.workers
+        assert job_span.args["reduce_workers"] == result.reduce_workers
+        assert len(rec.spans("reduce-task")) == \
+            len(result.reduce_task_timings) == job_span.args["reduce_tasks"]
+        counters = {k: v for k, v in rec.metrics.snapshot()["counters"].items()
+                    if not k.startswith("pool.")}
+        runs.append((_spans(rec, "phase"), counters,
+                     _spans(rec, "cpu-task", "gpu-task", "reduce-task")))
+    (phases1, counters1, tasks1), (phases2, counters2, tasks2) = runs
+    # Phase durations are the charged seconds themselves: exact.
+    assert phases1 == phases2
+    assert counters1 == counters2
+    # A task span's duration is its track cursor's advance, so it
+    # carries the rounding of wherever the track stood.
+    assert [t[:-1] for t in tasks1] == [t[:-1] for t in tasks2]
+    assert [t[-1] for t in tasks1] == pytest.approx(
+        [t[-1] for t in tasks2], rel=1e-9)
+
+
+@pytest.mark.parametrize("short", APP_TAGS)
+def test_cpu_and_gpu_paths_run_the_same_reduce_tasks(short):
+    """Hadoop starts every configured reducer: a partition that got no
+    data still costs a reduce task, on either path, even on empty
+    input (map-only jobs charge none)."""
+    app = get_app(short)
+    for text in ("", app.generate(40, seed=7)):
+        cpu = LocalJobRunner(app, use_gpu=False).run(text)
+        gpu = LocalJobRunner(app, use_gpu=True).run(text)
+        runner = LocalJobRunner(app)
+        assert [t.partition for t in cpu.reduce_task_timings] \
+            == [t.partition for t in gpu.reduce_task_timings] \
+            == list(range(runner.num_reducers))
+
+
 def test_serial_trace_has_no_worker_tracks():
     app = get_app("WC")
     text = app.generate(200, seed=7)
@@ -396,7 +460,6 @@ def test_serial_trace_has_no_worker_tracks():
         LocalJobRunner(app, use_gpu=True, split_bytes=2 * 1024,
                        workers=1).run(text)
     assert all(WORKER_PID_MARKER not in s.pid for s in rec.spans())
-    assert not rec.spans("reduce-task")
     trace = obs.export_chrome(rec)
     assert not any(e.get("name") == "process_sort_index"
                    for e in trace["traceEvents"])

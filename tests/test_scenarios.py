@@ -193,13 +193,14 @@ def test_no_hardcoded_app_lists_outside_registry():
 
 
 #: Every environment knob the program reads: the job-wide worker count
-#: and the daemon pool's four deployment settings. Engines, backends and
-#: per-phase worker counts are chosen by the runtime, not by a knob.
-KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_BATCH",
-         "REPRO_POOL_START", "REPRO_POOL_SHM"}
+#: and the daemon pool's three deployment settings. Engines, backends,
+#: batch sizes and per-phase worker counts are chosen by the runtime,
+#: not by a knob.
+KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START",
+         "REPRO_POOL_SHM"}
 
 
-def test_env_knob_surface_is_exactly_the_documented_five():
+def test_env_knob_surface_is_exactly_the_documented_four():
     """Grep tripwire: the ``REPRO_*`` names under ``src/repro`` and the
     rows of README's knob tables are both exactly :data:`KNOBS` — a new
     knob has to be argued for here, and documented, to land."""

@@ -1,13 +1,15 @@
-"""Direct unit coverage for ``hadoop.shuffle`` and ``hadoop.streaming``.
+"""Direct unit coverage for ``hadoop.shuffle`` and the Streaming map task.
 
-Both modules were previously exercised only through whole-job runs;
-these tests pin their contracts in isolation: the shared streaming sort
-order (one definition now serves the map-side sort, the reduce merge,
-and calibration replays), the analytic reduce-phase model, and the
-filter/pipeline wrappers around mini-C programs.
+These pin contracts in isolation that whole-job runs only exercise in
+passing: the shared streaming sort order (one definition serves the
+map-side sort and the reduce merge), the analytic reduce-phase model,
+the KV wire format, and the map-task pipeline around the mini-C
+filters (``LocalJobRunner.map_task``).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.config import CLUSTER1
 from repro.costmodel.io import IoModel
 from repro.errors import HadoopError
 from repro.hadoop.job import JobConf
+from repro.hadoop.local import LocalJobRunner
 from repro.hadoop.shuffle import (
     decorate_kv_run,
     estimate_reduce_phase,
@@ -25,12 +28,11 @@ from repro.hadoop.shuffle import (
     sort_kv_run,
     streaming_sort_key,
 )
-from repro.hadoop.streaming import (
-    StreamingFilter,
-    StreamingPipeline,
-    format_kv,
-    parse_kv,
-)
+from repro.kvstore.coerce import kv_line, parse_kv_line
+
+
+def _parse(text):
+    return [parse_kv_line(line) for line in text.splitlines() if line]
 
 
 # -- streaming sort order ---------------------------------------------------
@@ -243,16 +245,13 @@ class TestEstimateReducePhase:
 class TestKvWire:
     def test_round_trip(self):
         pairs = [("word", 3), (7, 1.5), ("k", "v")]
-        assert parse_kv(format_kv(pairs)) == [("word", 3), (7, 1.5),
-                                              ("k", "v")]
-
-    def test_empty_text(self):
-        assert parse_kv("") == []
-        assert format_kv([]) == ""
+        text = "".join(kv_line(k, v) for k, v in pairs)
+        assert text == "word\t3\n7\t1.5\nk\tv\n"
+        assert _parse(text) == pairs
 
     def test_malformed_line_rejected(self):
         with pytest.raises(HadoopError):
-            parse_kv("no-tab-here\n")
+            parse_kv_line("no-tab-here")
 
 
 # -- filters and the map-task pipeline --------------------------------------
@@ -260,47 +259,53 @@ class TestKvWire:
 
 class TestStreamingFilter:
     def test_accumulates_counters_across_invocations(self):
+        # The filters are stateless executables: each invocation returns
+        # its own output and counters, and the caller accumulates.
         app = get_app("WC")
-        f = StreamingFilter(app.map_program(), name="wc-map")
-        out1 = f("hello world\n")
-        out2 = f("hello again\n")
-        assert f.invocations == 2
-        assert parse_kv(out1) == [("hello", 1), ("world", 1)]
-        assert parse_kv(out2) == [("hello", 1), ("again", 1)]
-        once = StreamingFilter(app.map_program())
-        once("hello world\n")
-        assert f.total_counters.ops > once.total_counters.ops
+        out1, first = app.cpu_map("hello world\n")
+        out2, second = app.cpu_map("hello again\n")
+        assert _parse(out1) == [("hello", 1), ("world", 1)]
+        assert _parse(out2) == [("hello", 1), ("again", 1)]
+        assert first.merged(second).ops > first.ops
 
     def test_run_kv_feeds_pairs_through(self):
-        app = get_app("WC")
-        combiner = StreamingFilter(app.combine_program(), name="wc-combine")
-        out = combiner.run_kv([("a", 1), ("a", 1), ("b", 1)])
-        assert out == [("a", 2), ("b", 1)]
+        pairs = [("a", 1), ("a", 1), ("b", 1)]
+        out, _counters = get_app("WC").cpu_combine(
+            "".join(kv_line(k, v) for k, v in pairs))
+        assert _parse(out) == [("a", 2), ("b", 1)]
 
 
 class TestStreamingPipeline:
-    def test_for_app_wires_both_filters(self):
-        pipeline = StreamingPipeline.for_app(get_app("WC"))
-        assert pipeline.mapper.name == "WC-map"
-        assert pipeline.combiner is not None
-        assert pipeline.combine_counters is not None
-
     def test_run_split_partitions_sorts_and_combines(self):
-        pipeline = StreamingPipeline.for_app(get_app("WC"))
-        out = pipeline.run_split(
-            "b a b\nc a b\n", partition_of=lambda key: len(key) % 2
-        )
-        merged = {k: v for part in out.values() for k, v in part}
-        assert merged == {"a": 2, "b": 3, "c": 1}
-        for part, pairs in out.items():
-            keys = [k for k, _v in pairs]
+        runner = LocalJobRunner(get_app("WC"), use_gpu=False, num_reducers=2)
+        task = runner.map_task(0, b"b a b\nc a b\n")
+        assert task.map_pairs == 6
+        merged = {}
+        for part, run in task.parts.items():
+            keys = [k for _sort_key, (k, _v, _line) in run]
             assert keys == sorted(keys, key=streaming_sort_key)
-            assert all(len(k) % 2 == part for k in keys)
-        assert pipeline.map_counters.ops > 0
+            assert all(runner.partitioner.partition(k) == part for k in keys)
+            assert [entry[0] for entry in run] == \
+                [streaming_sort_key(k) for k in keys]
+            for _sort_key, (k, v, line) in run:
+                assert line == kv_line(k, v)
+                merged[k] = v
+        assert merged == {"a": 2, "b": 3, "c": 1}
+        assert task.cpu_timing.map > 0 and task.cpu_timing.combine > 0
 
     def test_run_split_without_combiner_keeps_duplicates(self):
-        pipeline = StreamingPipeline.for_app(get_app("WC"))
-        pipeline.combiner = None
-        out = pipeline.run_split("a a\n", partition_of=lambda key: 0)
-        assert out == {0: [("a", 1), ("a", 1)]}
-        assert pipeline.combine_counters is None
+        app = replace(get_app("WC"), combine_source=None)
+        runner = LocalJobRunner(app, use_gpu=False, num_reducers=1)
+        task = runner.map_task(0, b"a a\n")
+        assert [(k, v) for _sort_key, (k, v, _line) in task.parts[0]] == \
+            [("a", 1), ("a", 1)]
+        assert task.cpu_timing.combine == 0.0
+
+    def test_map_only_output_passes_through_unreduced(self):
+        # num_reducers == 0: one partition, written by the map task.
+        app = replace(get_app("WC"), combine_source=None)
+        runner = LocalJobRunner(app, use_gpu=False, num_reducers=0)
+        task = runner.map_task(0, b"b a b\n")
+        assert list(task.parts) == [0]
+        assert [line for _sort_key, (_k, _v, line) in task.parts[0]] == \
+            ["a\t1\n", "b\t1\n", "b\t1\n"]

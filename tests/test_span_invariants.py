@@ -89,17 +89,13 @@ def test_cpu_job_span_invariants():
 
 def test_job_span_covers_map_critical_path():
     # The job span's extent is the map phase's *makespan* at this run's
-    # worker count — which collapses to the summed task seconds when
-    # serial, so the serial golden traces are unaffected. A pooled
-    # reduce phase extends the span by its own critical path.
+    # worker count (the summed task seconds at one worker) plus the
+    # reduce phase's — at every worker count.
     rec, result = _traced_local_run("WC", use_gpu=True)
     (job_span,) = rec.spans("job")
-    expected = result.map_critical_path_seconds
-    if result.reduce_workers > 1:
-        expected += result.reduce_critical_path_seconds
-    assert job_span.dur == pytest.approx(expected)
-    if result.workers == 1 and result.reduce_workers == 1:
-        assert job_span.dur == pytest.approx(result.total_map_seconds)
+    assert job_span.dur == pytest.approx(
+        result.map_critical_path_seconds
+        + result.reduce_critical_path_seconds)
     assert job_span.args["map_tasks"] == result.map_tasks
 
 

@@ -77,10 +77,10 @@ def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
     compiled engine's trace events; the only deltas live in the
     ``gpu.vector.*`` metric counters.
 
-    Pooled *reduce* tracks (present when REPRO_WORKERS sets an ambient
-    worker count) are excluded from the event comparison: which worker
-    a reduce batch lands on is pool scheduling, not engine arithmetic,
-    so those tracks legitimately differ between two runs. The reduce
+    *Reduce* tracks are excluded from the event comparison: reducers
+    run on CPUs whatever the lane engine, and when REPRO_WORKERS sets an
+    ambient worker count, which worker a reduce batch lands on is pool
+    scheduling, so those tracks legitimately differ between two runs. The reduce
     phase's simulated content has its own byte-identity checks in
     tests/test_parallel.py."""
     app = get_app("WC")
