@@ -90,6 +90,17 @@ class ClusterSimulator:
     — running attempts projected to finish well after the completed-task
     mean — get a backup attempt on a free CPU slot; the first finisher
     wins and the loser's result is discarded.
+
+    Heartbeats are event-driven. A TaskTracker beats every
+    ``heartbeat_interval_s`` on its own tick grid, but a tracker whose
+    next heartbeats provably change nothing (:meth:`_dormant`) is
+    *parked*: nothing goes on the event queue until an event that can
+    make its heartbeat matter again *wakes* it (:meth:`_wake`) — a slot
+    release on it, or failed work re-queued while nothing was pending.
+    The ticks slept through are the heartbeats the cluster would still
+    have sent, so they are added to ``sim.heartbeats`` arithmetically,
+    and the woken heartbeat lands on the same tick, in the same order
+    among equal-time events, as if the tracker had polled throughout.
     """
 
     #: A running task is a straggler once its projected completion exceeds
@@ -143,12 +154,15 @@ class ClusterSimulator:
             for n in range(cluster.num_slaves)
         ]
         self.loop = EventLoop()
-        # One prebound callback per tracker: heartbeats are by far the most
-        # scheduled event (hundreds of thousands in a 1000-node sweep), so
-        # allocating a fresh closure per beat is measurable waste.
+        # One prebound callback per tracker: heartbeats are the most
+        # scheduled event, so a fresh closure per beat is measurable waste.
         self._hb_interval = cluster.heartbeat_interval_s
         self._hb_fns = [partial(self._heartbeat, t) for t in self.trackers]
+        #: Parked trackers: node → the tick of its last dispatched heartbeat.
+        self._parked: dict[int, float] = {}
         self._map_phase_end = 0.0
+        #: ``scheduled_at`` of the event that completed the last map.
+        self._map_phase_end_scheduled_at = 0.0
         self._failures = 0
         self.speculative = (
             speculative if speculative is not None
@@ -157,6 +171,8 @@ class ClusterSimulator:
         self._running_attempts: dict[int, _Attempt] = {}  # task_id → primary
         self._speculated: set[int] = set()
         self._completed_durations: list[float] = []
+        #: (len(_completed_durations), their mean), see _maybe_speculate.
+        self._completed_mean = (0, 0.0)
         self.wasted_speculation_seconds = 0.0
         self.speculative_attempts = 0
         #: Free slot-lane indices per (node, slot kind), only while tracing.
@@ -239,6 +255,12 @@ class ClusterSimulator:
                 sum(1 for t in completed if t.forced_gpu))
         rec.inc("sim.tasks.data_local", local)
         rec.inc("sim.failures", self._failures)
+        # Trackers still parked when the last map completed slept through
+        # heartbeats that polling would have dispatched before that event.
+        for tick in self._parked.values():
+            rec.inc("sim.heartbeats", self._ticks_before(
+                tick, self._map_phase_end,
+                self._map_phase_end_scheduled_at)[0])
         rec.gauge("sim.map_phase_seconds", self._map_phase_end)
         rec.gauge("sim.job_seconds", self._map_phase_end + reduce_phase.total)
         rec.end(job_span, ts=self._map_phase_end + reduce_phase.total,
@@ -263,15 +285,75 @@ class ClusterSimulator:
         if self.speculative and not response.task_ids \
                 and self.jobtracker.pending_maps == 0:
             self._maybe_speculate(tracker)
-        self.loop.schedule(self._hb_interval, self._hb_fns[tracker.node])
+        if self._dormant(tracker):
+            self._parked[tracker.node] = self.loop.now
+        else:
+            self.loop.schedule(self._hb_interval, self._hb_fns[tracker.node])
+
+    def _dormant(self, tracker: TaskTracker) -> bool:
+        """True when every heartbeat of ``tracker`` is a no-op until one
+        of the :meth:`_wake` events happens.
+
+        With nothing pending the JobTracker grants nothing, and only the
+        (time-dependent) straggler scan can act, which needs speculation
+        on and a free CPU slot. With work pending, a heartbeat that
+        advertises no free slot is granted nothing (the
+        :class:`SchedulingPolicy` contract). The speedup it would report
+        was reported by the heartbeat that just ran and only changes on a
+        slot release; ``maps_remaining_per_node`` may go stale meanwhile,
+        it is only read by ``place()`` in the heartbeat that sets it.
+        """
+        if self.jobtracker.pending_maps == 0:
+            return not (self.speculative
+                        and tracker.running_cpu < tracker.cpu_slots)
+        return not tracker.has_free_slot
+
+    def _ticks_before(self, tick: float, when: float,
+                      scheduled_at: float) -> tuple[int, float, float]:
+        """Walk a parked tracker's tick grid from its last dispatched
+        heartbeat at ``tick`` past every heartbeat polling would have
+        dispatched before the event ``(when, scheduled_at)``.
+
+        Returns ``(skipped, previous tick, next tick)``. The grid is
+        built by the float additions ``schedule(interval)`` would have
+        made, and a tick sorts before the event exactly as the polled
+        heartbeat would have: it fires at ``tick`` and was scheduled at
+        the tick before it.
+        """
+        interval = self._hb_interval
+        skipped = 0
+        prev, tick = tick, tick + interval
+        while tick < when or (tick == when and prev < scheduled_at):
+            prev, tick = tick, tick + interval
+            skipped += 1
+        return skipped, prev, tick
+
+    def _wake(self, tracker: TaskTracker) -> None:
+        """Put a parked tracker's next heartbeat back on the queue."""
+        parked_at = self._parked.get(tracker.node)
+        if parked_at is None or self.jobtracker.all_maps_done:
+            return  # not parked, or draining (counted in _trace_job_end)
+        del self._parked[tracker.node]
+        loop = self.loop
+        skipped, prev, tick = self._ticks_before(
+            parked_at, loop.now, loop.scheduled_at)
+        loop.schedule_at(tick, self._hb_fns[tracker.node], scheduled_at=prev)
+        if skipped:
+            rec = obs.active()
+            if rec.enabled:
+                rec.inc("sim.heartbeats", skipped)
 
     def _maybe_speculate(self, tracker: TaskTracker) -> None:
         """Launch a backup attempt for the worst straggler on a free CPU
         slot (Hadoop's speculative execution, simplified to projected
         completion vs the completed-task mean)."""
-        if not self._completed_durations:
+        completed = len(self._completed_durations)
+        if not completed:
             return
-        mean = sum(self._completed_durations) / len(self._completed_durations)
+        if self._completed_mean[0] != completed:
+            self._completed_mean = (
+                completed, sum(self._completed_durations) / completed)
+        mean = self._completed_mean[1]
         now = self.loop.now
         worst: _Attempt | None = None
         worst_remaining = 0.0
@@ -335,7 +417,7 @@ class ClusterSimulator:
             # A speculative backup already finished this task.
             tracker.release_slot(attempt.slot, elapsed)
             self._trace_attempt_end(attempt, "wasted")
-            self._drain_gpu_queue(tracker)
+            self._slot_released(tracker)
             return
         task.fail(self.loop.now)
         tracker.release_slot(attempt.slot, elapsed)
@@ -343,8 +425,16 @@ class ClusterSimulator:
         self._failures += 1
         self._running_attempts.pop(task.task_id, None)
         self._trace_attempt_end(attempt, "failed")
+        was_idle = self.jobtracker.pending_maps == 0
         self.jobtracker.task_failed(task)
-        self._drain_gpu_queue(tracker)
+        self._slot_released(tracker)
+        if was_idle:
+            # Work exists again: every tracker parked for lack of it that
+            # can take a task has to ask.
+            for node in list(self._parked):
+                idle = self.trackers[node]
+                if idle.has_free_slot:
+                    self._wake(idle)
 
     def _attempt_done(self, attempt: _Attempt) -> None:
         task, tracker = attempt.task, attempt.tracker
@@ -353,7 +443,7 @@ class ClusterSimulator:
             # The other (primary or speculative) attempt already won.
             self.wasted_speculation_seconds += attempt.duration
             self._trace_attempt_end(attempt, "wasted")
-            self._drain_gpu_queue(tracker)
+            self._slot_released(tracker)
             return
         task.complete(self.loop.now)
         if attempt.speculative:
@@ -363,13 +453,18 @@ class ClusterSimulator:
         self._completed_durations.append(attempt.duration)
         self._trace_attempt_end(attempt, "completed")
         self.jobtracker.note_completed(task)
-        self._map_phase_end = max(self._map_phase_end, self.loop.now)
-        self._drain_gpu_queue(tracker)
+        self._map_phase_end = self.loop.now
+        self._map_phase_end_scheduled_at = self.loop.scheduled_at
+        self._slot_released(tracker)
 
-    def _drain_gpu_queue(self, tracker: TaskTracker) -> None:
+    def _slot_released(self, tracker: TaskTracker) -> None:
+        """After every ``release_slot``: start the next queued GPU task,
+        then wake the tracker — its free slots and its reported speedup
+        may both have changed."""
         queued = tracker.queued_gpu_task()
         if queued is not None:
             self._start(tracker, queued)
+        self._wake(tracker)
 
     # -- run ---------------------------------------------------------------------
 

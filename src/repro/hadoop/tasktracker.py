@@ -40,14 +40,22 @@ class TaskTracker:
 
     # -- heartbeat -------------------------------------------------------------
 
-    def make_heartbeat(self) -> Heartbeat:
+    @property
+    def free_gpu_slots(self) -> int:
         # Free GPU capacity nets out tasks already queued behind devices,
         # so the tail-mode JobTracker never builds deep GPU queues.
-        free_gpu = max(0, self.num_gpus - self.busy_gpus - len(self.gpu_queue))
+        return max(0, self.num_gpus - self.busy_gpus - len(self.gpu_queue))
+
+    @property
+    def has_free_slot(self) -> bool:
+        """Would the next heartbeat advertise any free slot?"""
+        return self.running_cpu < self.cpu_slots or self.free_gpu_slots > 0
+
+    def make_heartbeat(self) -> Heartbeat:
         return Heartbeat(
             node=self.node,
             free_cpu_slots=self.cpu_slots - self.running_cpu,
-            free_gpu_slots=free_gpu,
+            free_gpu_slots=self.free_gpu_slots,
             running_tasks=self.running_cpu + self.busy_gpus,
             ave_gpu_speedup=self.stats.ave_speedup,
         )

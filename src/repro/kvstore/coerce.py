@@ -28,9 +28,10 @@ from ..errors import HadoopError
 
 def coerce_key(text: str) -> Any:
     """Type a streaming key (canonical ints only, see module doc)."""
-    # The isdigit screen keeps word keys (the common case) off the
-    # int() exception path.
-    if text.isdigit() or (text[:1] == "-" and text[1:].isdigit()):
+    # The isdecimal screen keeps word keys (the common case) off the
+    # int() exception path. isdecimal, not isdigit: int() parses exactly
+    # the Unicode decimal digits, while isdigit also accepts "²".
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
         i = int(text)
         if str(i) == text:
             return i
@@ -39,7 +40,7 @@ def coerce_key(text: str) -> Any:
 
 def coerce_value(text: str) -> Any:
     """Type a streaming value (int, else float, else text)."""
-    if text.isdigit() or (text[:1] == "-" and text[1:].isdigit()):
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
         return int(text)
     try:
         return int(text)

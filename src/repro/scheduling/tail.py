@@ -34,7 +34,13 @@ from .gpu_first import GpuFirstPolicy, PlacementDecision
 
 
 class SchedulingPolicy(Protocol):
-    """Interface both halves of the simulator consume."""
+    """Interface both halves of the simulator consume.
+
+    Contract: a heartbeat advertising no free slot is granted nothing —
+    ``tasks_to_grant(0, 0, ...) <= 0`` whatever the other arguments. The
+    cluster simulator parks fully busy TaskTrackers on the strength of
+    it (``ClusterSimulator._dormant``).
+    """
 
     name: str
     uses_gpus: bool
@@ -61,8 +67,12 @@ class TailPolicy(GpuFirstPolicy):
                        max_speedup: float, num_slaves: int) -> int:
         job_tail = num_gpus_per_node * max_speedup * num_slaves
         if remaining <= job_tail:
+            # Counted per heartbeat that has a slot to fill, so the total
+            # is a property of the schedule: a fully busy tracker's
+            # heartbeat is granted nothing whether or not it is sent (the
+            # simulator parks such trackers instead of dispatching it).
             rec = obs.active()
-            if rec.enabled:
+            if rec.enabled and free_cpu_slots + free_gpu_slots > 0:
                 rec.inc("tail.capped_grants")
                 rec.gauge("tail.job_tail", job_tail)
             # scheduleNumGPUTasksAtMax: once the job tail begins, grants

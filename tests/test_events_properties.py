@@ -129,3 +129,85 @@ def test_schedule_at_rejects_the_past():
     assert loop.now == 5.0
     with pytest.raises(HadoopError):
         loop.schedule_at(4.0, lambda: None)
+
+
+# -- the (when, scheduled_at, seq) order ---------------------------------------
+
+@given(delays, delays)
+def test_default_scheduled_at_is_fifo_on_ties_during_a_run(first, second):
+    """Ordinary events carry ``scheduled_at = now``; because ``now`` never
+    decreases, the middle key agrees with insertion order and dispatch
+    stays "time order, FIFO on ties" — also between events queued before
+    the run and events queued by a handler mid-run, through either
+    scheduling call."""
+    loop = EventLoop()
+    whens: list[float] = []
+    fired: list[int] = []
+
+    def queue(when, relative):
+        i = len(whens)
+        whens.append(when)
+        if relative:
+            loop.schedule(when - loop.now, lambda: fired.append(i))
+        else:
+            loop.schedule_at(when, lambda: fired.append(i))
+
+    def handler():  # runs at t=50, in the middle of `first`'s range
+        for n, d in enumerate(second):
+            queue(50.0 + max(d - 50.0, 0.0), relative=bool(n % 2))
+
+    for d in first:
+        queue(d, relative=True)
+    loop.schedule(50.0, handler)
+    loop.run()
+    # stable sort by time == time order with FIFO tie-breaking
+    assert fired == sorted(range(len(whens)), key=lambda i: whens[i])
+    assert loop.dispatched == len(whens) + 1
+
+
+def test_explicit_scheduled_at_sorts_between_when_and_seq():
+    loop = EventLoop()
+    fired: list[str] = []
+
+    def at_two():
+        # Queued last, but "scheduled" before the event already waiting
+        # at t=5 (queued at t=0): on the time tie the earlier
+        # scheduled_at wins; an equal one falls back to insertion order.
+        loop.schedule_at(5.0, lambda: fired.append("backdated"),
+                         scheduled_at=-1.0)
+        loop.schedule_at(5.0, lambda: fired.append("same-key-later-seq"),
+                         scheduled_at=0.0)
+        loop.schedule_at(5.0, lambda: fired.append("ordinary"))
+        loop.schedule_at(4.0, lambda: fired.append("earlier-when"),
+                         scheduled_at=3.0)
+
+    loop.schedule(5.0, lambda: fired.append("waiting"))
+    loop.schedule(2.0, at_two)
+    loop.run()
+    assert fired == ["earlier-when", "backdated", "waiting",
+                     "same-key-later-seq", "ordinary"]
+
+
+def test_scheduled_at_of_the_running_event_is_exposed():
+    loop = EventLoop()
+    seen: list[tuple[float, float]] = []
+
+    def note():
+        seen.append((loop.now, loop.scheduled_at))
+
+    loop.schedule(1.0, lambda: loop.schedule(2.0, note))
+    loop.schedule_at(7.0, note, scheduled_at=6.5)
+    loop.run()
+    assert seen == [(3.0, 1.0), (7.0, 6.5)]
+
+
+@given(delays)
+def test_dispatched_counts_every_event_across_runs(ds):
+    loop = EventLoop()
+    for d in ds:
+        loop.schedule(d, lambda: None)
+    loop.run()
+    assert loop.dispatched == len(ds)
+    loop.schedule(1.0, lambda: None)
+    loop.run()
+    assert loop.dispatched == len(ds) + 1

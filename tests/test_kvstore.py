@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GpuError, KVStoreOverflow
 from repro.kvstore import GlobalKVStore, Partitioner, aggregate, fnv1a
 from repro.kvstore.aggregation import scattered_partitions
+from repro.kvstore.coerce import coerce_key, coerce_value, parse_kv_line
 
 
 def make_store(threads=4, capacity=40):
@@ -136,3 +137,38 @@ class TestAggregation:
         result = aggregate(make_store(), num_partitions=3)
         assert result.span_after == 0
         assert all(result.partition_list(p) == [] for p in range(3))
+
+
+class TestCoerceUnicodeDigits:
+    """``str.isdigit`` accepts characters ``int()`` rejects (superscripts,
+    circled digits); the int screen must only pass what ``int()`` parses."""
+
+    @pytest.mark.parametrize("text", ["²", "-²", "1²", "①", "x²"])
+    def test_non_decimal_digits_stay_text(self, text):
+        assert coerce_key(text) == text
+        assert coerce_value(text) == text
+        assert parse_kv_line(f"{text}\t{text}") == (text, text)
+
+    def test_unicode_decimal_digits_keep_their_behaviour(self):
+        # int() parses Arabic-Indic digits: a key is not the canonical
+        # rendering of 3 and stays text, a value is the quantity 3.
+        assert coerce_key("٣") == "٣"
+        assert coerce_value("٣") == 3
+        assert coerce_value("-٣") == -3
+
+    def test_ascii_rules_unchanged(self):
+        assert coerce_key("42") == 42 and coerce_key("-7") == -7
+        assert coerce_key("007") == "007" and coerce_key("-") == "-"
+        assert coerce_value("007") == 7 and coerce_value("1.5") == 1.5
+        assert coerce_value("") == "" and coerce_key("") == ""
+
+    @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+    def test_wordcount_over_superscript_tokens(self, use_gpu):
+        from repro.apps import get_app
+        from repro.hadoop.local import LocalJobRunner
+
+        app = get_app("WC")
+        text = "alpha ² beta ٣ ² gamma ١٢ x² -² ²\nalpha ٣ ٣ beta\n" * 3
+        result = LocalJobRunner(app, use_gpu=use_gpu, split_bytes=64).run(text)
+        assert result.output == app.reference(text)
+        assert result.output["²"] == 9

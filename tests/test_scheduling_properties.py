@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.hadoop.heartbeat import Heartbeat
 from repro.hadoop.jobtracker import JobTracker
 from repro.hadoop.tasks import MapTask, TaskState
-from repro.scheduling import POLICIES
+from repro.scheduling import POLICIES, get_policy
 
 POLICY_NAMES = sorted(POLICIES)
 
@@ -131,3 +131,19 @@ def test_policy_registry_entry_is_well_formed(policy_name):
     # remote_cap is total or None for every policy.
     cap = policy.remote_cap(pending=100, num_slaves=10)
     assert cap is None or cap >= 1
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@given(remaining=st.integers(min_value=0, max_value=100_000),
+       gpus=st.integers(min_value=0, max_value=8),
+       max_speedup=st.floats(min_value=1.0, max_value=100.0),
+       num_slaves=st.integers(min_value=1, max_value=2000))
+def test_no_free_slot_means_no_grant(policy_name, remaining, gpus,
+                                     max_speedup, num_slaves):
+    """The ``SchedulingPolicy`` contract the simulator's parked
+    heartbeats rest on: nothing advertised, nothing granted — in and out
+    of the job tail, whatever is pending."""
+    assert get_policy(policy_name).tasks_to_grant(
+        free_cpu_slots=0, free_gpu_slots=0, remaining=remaining,
+        num_gpus_per_node=gpus, max_speedup=max_speedup,
+        num_slaves=num_slaves) <= 0
