@@ -16,7 +16,8 @@ Three program kinds cover the dialect:
 
 ``expr`` programs and mapper bodies also mix address-taken scalars
 (``int *p = &x; *p = e;``, a ``&x`` that first appears in a later inner
-block, shadowing redeclarations, ``x++``/``x += e`` on both kinds) with
+block, shadowing redeclarations — braced, or as the brace-less body of
+an ``if``/``else``/``for`` — ``x++``/``x += e`` on both kinds) with
 scalars whose address never escapes: the compiled backend turns the
 latter into Python locals and keeps a Cell for the former, and the
 oracle holds that decision to the tree-walker's answer.
@@ -227,8 +228,10 @@ class _ExprGen:
         # as a plain Python local unless its address escapes somewhere
         # in the function, so each shape below flips that decision for
         # some names and not others.
-        choices += ["alias", "lateaddr", "shadow", "incdec"]
+        choices += ["alias", "lateaddr", "shadow", "incdec", "declbody"]
         pick = rng.choice(choices)
+        if pick == "declbody":
+            return self.declaration_body(), 2
         if pick == "alias":
             return self.alias_block(), 2
         if pick == "lateaddr":
@@ -355,6 +358,28 @@ class _ExprGen:
             ptr = self._fresh_name("p")
             lines += [f"    int *{ptr} = &{name};", f"    *{ptr} += 1;"]
         return lines + [f'    printf("s{tag} %d\\n", {name});', "}"]
+
+    def declaration_body(self) -> list[str]:
+        """A shadowing declaration as the *direct* body of an ``if``,
+        ``else`` or ``for`` (no braces): it is block-scoped, so whether
+        or not it ran, the statements after it name the outer
+        variable."""
+        rng = self.rng
+        name = rng.choice(self.v.ints)
+        tag = rng.randint(0, 99)
+        decl = f"    int {name} = {self.int_expr(1)};"
+        shape = rng.choice(("if", "else", "for"))
+        if shape == "for" and self.v.loop_vars:
+            var = self.v.loop_vars[-1]
+            head = [f"for ({var} = 0; {var} < {rng.randint(1, 3)}; {var}++)",
+                    decl]
+        elif shape == "else":
+            head = [f"if ({self.cond_expr(0)})", f"    {self.incdec(name)}",
+                    "else", decl]
+        else:
+            head = [f"if ({self.cond_expr(0)})", decl]
+        return head + [self.incdec(name),
+                       f'printf("b{tag} %d\\n", {name});']
 
     def for_loop(self, depth: int) -> list[str]:
         rng = self.rng

@@ -34,7 +34,8 @@ from .shuffle import (
     decorate_kv_run,
     merge_sorted_runs,
     reduce_task_timing,
-    sort_kv_run,
+    run_bytes,
+    spill_runs,
 )
 
 __all__ = ["LocalJobResult", "LocalJobRunner", "MapTaskResult"]
@@ -46,15 +47,16 @@ class MapTaskResult:
 
     ``parts`` maps partition → decorated run on *both* paths:
     streaming-sorted ``(sort_key, (key, value, line))`` entries where
-    ``line`` is the pair's streaming rendering (kv_line). Rendering and
-    sort key are computed exactly once per pair, by whichever process
-    ran the task, and reused for shuffle/output byte accounting, as
-    reducer stdin, and by the reduce merge. Exactly one of
-    ``cpu_timing`` / ``gpu_result`` is set.
+    ``line`` is the pair's streaming rendering (kv_line), built by the
+    process that ran the task and reused as reducer stdin and by the
+    reduce merge; ``output_bytes`` is those lines' UTF-8 size, the
+    task's share of the shuffle. Exactly one of ``cpu_timing`` /
+    ``gpu_result`` is set.
     """
 
     map_pairs: int
     parts: dict[int, list]
+    output_bytes: int
     cpu_timing: CpuTaskTiming | None = None
     gpu_result: GpuTaskResult | None = None
 
@@ -266,48 +268,35 @@ class LocalJobRunner:
         """
         if self.use_gpu:
             task = self._gpu_task_runner().run(split, task_index=index)
-            return MapTaskResult(task.emitted_pairs, task.rendered_runs(),
+            runs = task.rendered_runs()
+            return MapTaskResult(task.emitted_pairs, runs,
+                                 sum(map(run_bytes, runs.values())),
                                  gpu_result=task)
 
         text = split.decode("utf-8", errors="replace")
         map_out, map_counters = self.app.cpu_map(text)
-        pairs = [parse_kv_line(ln) for ln in map_out.splitlines() if ln]
-
-        # Partition, sort each partition, then run the combiner filter.
-        parts: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
-        for k, v in pairs:
-            parts[self.partitioner.partition(k)].append((k, v))
-        combined: dict[int, list] = {}
+        # Partitioned and sorted in one pass; the combiner filter then
+        # runs over each partition's sorted text.
+        runs = spill_runs(map_out.splitlines(), self.partitioner.partition,
+                          f"{self.app.name} map task {index}")
+        map_pairs = sum(map(len, runs.values()))
         combine_counters = None
-        output_bytes = 0
-        for part, kvs in parts.items():
-            if self.app.has_combiner:
-                kvs = sort_kv_run(kvs)
-                text_in = "".join(kv_line(k, v) for k, v in kvs)
-                out, counters = self.app.cpu_combine(text_in)
+        if self.app.has_combiner:
+            for part, run in runs.items():
+                out, counters = self.app.cpu_combine(
+                    "".join([entry[1][2] for entry in run]))
                 combine_counters = counters if combine_counters is None \
                     else combine_counters.merged(counters)
-                triples = []
-                for ln in out.splitlines():
-                    if not ln:
-                        continue
-                    k, v = parse_kv_line(ln)
-                    triples.append((k, v, kv_line(k, v)))
-                combined[part] = decorate_kv_run(triples)
-            else:
-                # The decorate-sort below orders the run, so the
-                # separate pre-sort pass is only needed to feed the
-                # combiner sorted text.
-                combined[part] = decorate_kv_run(
-                    [(k, v, kv_line(k, v)) for k, v in kvs]
-                )
-            output_bytes += sum(utf8_len(e[1][2]) for e in combined[part])
+                pairs = [parse_kv_line(ln) for ln in out.splitlines() if ln]
+                runs[part] = decorate_kv_run(
+                    [(k, v, kv_line(k, v)) for k, v in pairs])
+        output_bytes = sum(map(run_bytes, runs.values()))
 
         model = CpuTaskModel(self.cluster.cpu, self.io)
         timing = model.task_timing(
             split_bytes=len(split),
             map_counters=map_counters,
-            map_kv_pairs=len(pairs),
+            map_kv_pairs=map_pairs,
             key_length=self._cpu_key_length,
             combine_counters=combine_counters,
             output_bytes=output_bytes,
@@ -318,14 +307,14 @@ class LocalJobRunner:
         if rec.enabled:
             self._record_task_trace(
                 rec, "cpu-task", index, "cpu-streaming",
-                {"split_bytes": len(split), "map_pairs": len(pairs)},
+                {"split_bytes": len(split), "map_pairs": map_pairs},
                 {"input_read": timing.input_read, "map": timing.map,
                  "sort": timing.sort, "combine": timing.combine,
                  "output_write": timing.output_write},
             )
             rec.inc("cpu.tasks")
-            rec.inc("cpu.map_pairs", len(pairs))
-        return MapTaskResult(len(pairs), combined, cpu_timing=timing)
+            rec.inc("cpu.map_pairs", map_pairs)
+        return MapTaskResult(map_pairs, runs, output_bytes, cpu_timing=timing)
 
     def _record_task_trace(self, rec: obs.TraceRecorder, cat: str,
                            index: int, pid: str, args: dict[str, Any],
@@ -453,9 +442,9 @@ class LocalJobRunner:
                 assert task.cpu_timing is not None
                 result.cpu_task_timings.append(task.cpu_timing)
             result.map_output_pairs += task.map_pairs
+            result.shuffle_bytes += task.output_bytes
             for part, run in task.parts.items():
                 shuffle[part].append(run)
-                result.shuffle_bytes += sum(utf8_len(e[1][2]) for e in run)
 
         # Reduce phase: one reduce task per partition — Hadoop starts
         # every configured reducer, whether or not its partition

@@ -19,20 +19,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from ..config import ClusterConfig
 from ..costmodel.cpu import STREAMING_OVERHEAD_S_PER_KV
 from ..costmodel.io import IoModel
-from ..errors import ConfigError
+from ..errors import ConfigError, HadoopError
+from ..kvstore.coerce import coerce_key, coerce_value, kv_line, utf8_len
 from .job import JobConf
 
 _KV = TypeVar("_KV", bound=tuple)
 
 #: A decorated run entry: the precomputed streaming sort key plus the
 #: record it orders. Runs of these are what map tasks ship to the
-#: reduce-side merge — the key is computed exactly once per record, on
-#: the map side, and reused by :func:`merge_sorted_runs`.
+#: reduce-side merge, which reuses the keys (:func:`merge_sorted_runs`).
 DecoratedEntry = tuple[tuple[int, Any], _KV]
 
 
@@ -49,35 +49,73 @@ def streaming_sort_key(key: Any) -> tuple[int, Any]:
     return (1, str(key))
 
 
-def sort_kv_run(items: Iterable[_KV]) -> list[_KV]:
-    """Sort a run of KV records (``(key, ...)`` tuples) by streaming key
-    order, stably.
-
-    Decorate-sort-undecorate: ``streaming_sort_key`` runs once per
-    record (not O(n log n) times), and the enumeration index both breaks
-    ties — preserving the stable arrival order ``list.sort(key=...)``
-    gave the previous inline lambdas — and keeps the comparison from
-    ever reaching the record payload.
-    """
-    decorated = [(streaming_sort_key(item[0]), i, item)
-                 for i, item in enumerate(items)]
-    decorated.sort()
-    return [item for _key, _i, item in decorated]
-
-
 def decorate_kv_run(items: Iterable[_KV]) -> list[DecoratedEntry]:
-    """Stably sort a run and keep the decoration.
+    """Stably sort a run of KV records (``(key, ...)`` tuples) by
+    streaming key order, keeping each ``(sort_key, record)`` decoration
+    for the reduce-side merge to reuse.
 
-    Same decorate-sort as :func:`sort_kv_run` (the enumeration index
-    breaks ties by arrival order and shields the payload from ever
-    being compared), but the result *retains* ``(sort_key, record)``
-    pairs: a map task sorts its partition run once, and the reduce-side
-    merge reuses the keys instead of recomputing them per record.
+    ``streaming_sort_key`` runs once per record (not O(n log n) times);
+    the enumeration index breaks ties by arrival order and keeps the
+    comparison from ever reaching the record payload.
     """
     decorated = [(streaming_sort_key(item[0]), i, item)
                  for i, item in enumerate(items)]
     decorated.sort()
     return [(key, item) for key, _i, item in decorated]
+
+
+def sort_kv_run(items: Iterable[_KV]) -> list[_KV]:
+    """:func:`decorate_kv_run` without the decoration: the plain stable
+    sort :func:`spill_runs` is tested against."""
+    return [item for _key, item in decorate_kv_run(items)]
+
+
+def spill_runs(lines: list[str], partition: Callable[[Any], int],
+               where: str) -> dict[int, list[DecoratedEntry]]:
+    """A map task's output lines as one decorated run of rendered
+    ``(key, value, line)`` records per partition, partitions in
+    first-arrival order — what parsing every line, partitioning the
+    pairs and :func:`decorate_kv_run` per partition gives, in one pass.
+
+    A stable sort's output is its equal-sort-key groups, each in
+    arrival order, concatenated in key order: pairs are appended to
+    their group and only the distinct sort keys are sorted. The memo on
+    the line makes a repeated line (most of WC's) a lookup and an
+    append; the one on the key text types, partitions and keys each
+    distinct key once (II's lines rarely repeat, its keys do).
+    docs/performance.md, "The map-side spill is one pass".
+    """
+    by_line: dict[str, tuple[list, DecoratedEntry]] = {}
+    by_key: dict[str, tuple[Any, tuple[int, Any], list]] = {}
+    groups: dict[int, dict[tuple[int, Any], list]] = {}
+    for line in lines:
+        hit = by_line.get(line)
+        if hit is None:
+            if not line:
+                continue
+            key_text, tab, value_text = line.partition("\t")
+            if not tab:
+                raise HadoopError(f"{where}: malformed KV line {line!r} at "
+                                  f"output line {lines.index(line) + 1}")
+            known = by_key.get(key_text)
+            if known is None:
+                key = coerce_key(key_text)
+                sort_key = streaming_sort_key(key)
+                known = by_key[key_text] = key, sort_key, groups.setdefault(
+                    partition(key), {}).setdefault(sort_key, [])
+            key, sort_key, group = known
+            value = coerce_value(value_text)
+            hit = by_line[line] = group, (
+                sort_key, (key, value, kv_line(key, value)))
+        hit[0].append(hit[1])
+    return {part: [entry for sort_key in sorted(by_sort_key)
+                   for entry in by_sort_key[sort_key]]
+            for part, by_sort_key in groups.items()}
+
+
+def run_bytes(run: list[DecoratedEntry]) -> int:
+    """UTF-8 bytes of a decorated run's rendered lines."""
+    return sum(utf8_len(entry[1][2]) for entry in run)
 
 
 def merge_sorted_runs(runs: Iterable[list[DecoratedEntry]]) -> list[_KV]:

@@ -187,23 +187,33 @@ class _Parser:
         stmt.pragma = pragma
         return stmt
 
+    def _parse_body(self) -> A.Stmt:
+        """The statement an if/else/while/for governs. A declaration
+        there is block-scoped — nothing after the statement can name it
+        — so it is parsed as the one-statement block it denotes, and
+        every engine scopes it the way it scopes any block."""
+        stmt = self.parse_statement()
+        if isinstance(stmt, A.DeclStmt):
+            return A.Block(stmts=[stmt], line=stmt.line)
+        return stmt
+
     def _parse_keyword_statement(self, tok: Token) -> A.Stmt:
         if tok.value == "if":
             self.next()
             self.expect("op", "(")
             cond = self.parse_expression()
             self.expect("op", ")")
-            then = self.parse_statement()
+            then = self._parse_body()
             otherwise = None
             if self.accept("keyword", "else"):
-                otherwise = self.parse_statement()
+                otherwise = self._parse_body()
             return A.If(cond=cond, then=then, otherwise=otherwise, line=tok.line)
         if tok.value == "while":
             self.next()
             self.expect("op", "(")
             cond = self.parse_expression()
             self.expect("op", ")")
-            body = self.parse_statement()
+            body = self._parse_body()
             return A.While(cond=cond, body=body, line=tok.line)
         if tok.value == "for":
             self.next()
@@ -223,7 +233,7 @@ class _Parser:
             if self.peek().value != ")":
                 step = self.parse_expression()
             self.expect("op", ")")
-            body = self.parse_statement()
+            body = self._parse_body()
             return A.For(init=init, cond=cond, step=step, body=body, line=tok.line)
         if tok.value == "return":
             self.next()

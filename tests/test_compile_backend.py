@@ -215,6 +215,40 @@ class TestErrorParity:
         assert cnt_c == cnt_t
 
 
+class TestDeclarationBodies:
+    """A declaration that is the direct body of if/else/while/for is
+    block-scoped: it shadows nothing after the statement. Before the
+    parser scoped it, ``compiled`` resolved the later ``z`` to the
+    never-run declaration (``undeclared identifier 'z'``) and ``tree``
+    leaked the shadow into the enclosing block."""
+
+    @pytest.mark.parametrize("body, stdin, expected", [
+        ("int c; int z = 1; scanf(\"%d\", &c); if (c) int z = 4; "
+         "z = z + 1; printf(\"%d\\n\", z);", "0", "2\n"),
+        ("int c; int z = 1; scanf(\"%d\", &c); if (c) int z = 4; "
+         "z = z + 1; printf(\"%d\\n\", z);", "1", "2\n"),
+        ("int c; int z = 1; scanf(\"%d\", &c); if (c) z = 7; else int z = 4; "
+         "printf(\"%d\\n\", z);", "0", "1\n"),
+        # inside a loop the tree-walker's leak outlived the iteration
+        ("int i; int z = 1; int s = 0; for (i = 0; i < 2; i++) { int z = 10; "
+         "if (i) int z = 4; z = z + 1; s = s + z; } "
+         "printf(\"%d\\n\", s + z - 2);", "", "21\n"),
+        ("int n = 2; int z = 1; while (n--) int z = z + 5; "
+         "for (n = 0; n < 2; n++) int z = 9; printf(\"%d\\n\", z);",
+         "", "1\n"),
+    ])
+    def test_declaration_body_is_block_scoped(self, body, stdin, expected):
+        (out_t, cnt_t), (out_c, cnt_c) = _both_backends(_program(body), stdin)
+        assert out_t == out_c == expected
+        assert cnt_c == cnt_t
+
+    def test_parsed_as_the_block_it_denotes(self):
+        from repro.minic.astcmp import ast_equal
+
+        assert ast_equal(_program("int c = 1; if (c) int z = 4;"),
+                         _program("int c = 1; if (c) { int z = 4; }"))
+
+
 class TestEmitterHygiene:
     """Nothing from program text reaches the generated Python source:
     identifiers are slot-indexed and literals travel through the unit's

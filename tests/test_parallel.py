@@ -319,6 +319,32 @@ def test_duplicate_key_error_names_app_and_partition(workers):
         runner.run(text)
 
 
+# -- malformed map output -----------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+def test_malformed_map_output_names_app_task_and_line(workers):
+    """A mapper that forgets the tab on one word: the error names the
+    app, the map task and the 1-based line of that task's output — the
+    same message inline and from a pool worker."""
+    from dataclasses import replace
+
+    wc = get_app("WC")
+    emit = r'printf("%s\t%d\n", word, one);'
+    assert emit in wc.map_source
+    app = replace(wc, name="NoTab", map_source=wc.map_source.replace(
+        emit, r'if (word[0] == 122) printf("%s%d\n", word, one); else ' + emit))
+    line = "alpha beta gamma delta\n"
+    text = line * 3 + "alpha beta zulu delta\n" + line * 2
+    # 2 lines per split: the bad word is the 7th output line of task 1.
+    runner = LocalJobRunner(app, use_gpu=False, split_bytes=len(line) + 1,
+                            workers=workers)
+    with pytest.raises(HadoopError) as err:
+        runner.run(text)
+    assert str(err.value) == \
+        "NoTab map task 1: malformed KV line 'zulu1' at output line 7"
+
+
 # -- critical path vs total work --------------------------------------------
 
 

@@ -9,6 +9,7 @@ filters (``LocalJobRunner.map_task``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -26,8 +27,10 @@ from repro.hadoop.shuffle import (
     merge_sorted_runs,
     reduce_task_timing,
     sort_kv_run,
+    spill_runs,
     streaming_sort_key,
 )
+from repro.kvstore import Partitioner
 from repro.kvstore.coerce import kv_line, parse_kv_line
 
 
@@ -161,6 +164,67 @@ class TestMergeEqualsSortProperty:
         runs = [triples[i:i + chunk] for i in range(0, len(triples), chunk)]
         merged = merge_sorted_runs([decorate_kv_run(run) for run in runs])
         assert merged == sort_kv_run(triples)
+
+
+# -- the one-pass map-side spill ---------------------------------------------
+
+# Key texts that stress every memo level: repeats, canonical and
+# non-canonical ints ("007", "-0" and "+5" stay text), ints above 2**53
+# whose float sort keys collide while their partitions need not, a
+# superscript digit int() rejects, non-ASCII, and the empty key.
+_KEY_TEXTS = st.sampled_from([
+    "a", "b", "k", "", "7", "007", "-7", "-0", "+5", "10", "9", "1.0",
+    str(2**53), str(2**53 + 1), str(2**60), str(2**60 + 1), str(-2**53 - 1),
+    "\u00b2", "\u00e9t\u00e9", "\u65e5\u672c", "two words",
+])
+# Value texts whose rendering differs from their spelling ("007" → 7,
+# "1.50" → 1.5), plus text, the empty value and a value holding a tab.
+_VALUE_TEXTS = st.sampled_from(
+    ["1", "2", "007", "-0", "1.50", "2.5", "1e3", "x", "", "v\tw", "\u00b2"])
+_LINES = st.lists(
+    st.one_of(st.just(""),
+              st.builds("{}\t{}".format, _KEY_TEXTS, _VALUE_TEXTS)),
+    max_size=60)
+
+
+class TestSpillRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES, st.integers(1, 5))
+    def test_equals_parse_partition_decorate_sort(self, lines, reducers):
+        # The reference is the per-pair pipeline the spill replaced:
+        # parse every line, partition every pair, stable-sort each
+        # partition.
+        partition = Partitioner(reducers).partition
+        parts = defaultdict(list)
+        for key, value in map(parse_kv_line, filter(None, lines)):
+            parts[partition(key)].append((key, value, kv_line(key, value)))
+        runs = spill_runs(lines, partition, "t")
+        assert list(runs) == list(parts)  # first-arrival partition order
+        assert runs == {p: decorate_kv_run(kvs) for p, kvs in parts.items()}
+        for part, kvs in parts.items():
+            assert [entry[1] for entry in runs[part]] == sort_kv_run(kvs)
+        assert sum(map(len, runs.values())) == len(list(filter(None, lines)))
+
+    def test_colliding_sort_keys_interleave_in_arrival_order(self):
+        big, next_big = str(2**53), str(2**53 + 1)
+        assert streaming_sort_key(2**53) == streaming_sort_key(2**53 + 1)
+        lines = [f"{next_big}\t1", f"{big}\t2", f"{next_big}\t3"]
+        (run,) = spill_runs(lines, Partitioner(1).partition, "t").values()
+        assert [line for _key, (_k, _v, line) in run] == \
+            [ln + "\n" for ln in lines]
+
+    def test_values_are_canonicalized_once_per_distinct_line(self):
+        (run,) = spill_runs(["k\t007", "k\t7", "k\t007"],
+                            Partitioner(1).partition, "t").values()
+        assert [record for _key, record in run] == [("k", 7, "k\t7\n")] * 3
+        assert run[0] is run[2]  # the repeated line reuses its entry
+
+    def test_malformed_line_names_where_and_which_line(self):
+        lines = ["a\t1", "", "a\t1", "no-tab-here", "no-tab-here"]
+        with pytest.raises(HadoopError) as err:
+            spill_runs(lines, Partitioner(2).partition, "WC map task 3")
+        assert str(err.value) == ("WC map task 3: malformed KV line "
+                                  "'no-tab-here' at output line 4")
 
 
 class TestReduceTaskTiming:
