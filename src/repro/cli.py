@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -38,8 +39,12 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if args.app:
         source = get_app(args.app).map_source
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read {args.file}: {exc.strerror}") from None
     opt = OptimizationFlags.all_on() if args.optimize \
         else OptimizationFlags.baseline()
     result = translate(parse(source), opt=opt)
@@ -403,12 +408,34 @@ def _add_workers_option(parser: argparse.ArgumentParser,
     parser.add_argument("--workers", type=int, default=None, help=help_text)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer >= 1, else a
-    usage error (exit 2) instead of an empty job."""
-    value = int(text)  # a ValueError is argparse's usage error too
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``, else a usage error
+    (exit 2) instead of a job that quietly does something else."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError is argparse's usage error too
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'abc'"
+    return parse
+
+
+#: Counts and sizes: an empty job is not a job.
+_positive_int = _int_at_least(1)
+#: Counts where none is a valid answer (outputs to show, cases to
+#: generate, GPUs per node).
+_nonnegative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for scale factors: a finite number > 0 (0 and
+    negatives used to simulate one task silently)."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -443,16 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpu-only", action="store_true",
                    help="use the Hadoop Streaming CPU path")
     p.add_argument("--split-kb", type=_positive_int, default=32)
-    p.add_argument("--show", type=int, default=8)
+    p.add_argument("--show", type=_nonnegative_int, default=8)
     _add_workers_option(p, "fans the map phase across the daemon pool")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("simulate", help="cluster-scale job simulation")
     p.add_argument("app")
     p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
-    p.add_argument("--gpus", type=int, default=1)
+    p.add_argument("--gpus", type=_nonnegative_int, default=1)
     p.add_argument("--policy", choices=policy_names())
-    p.add_argument("--task-scale", type=float, default=1.0)
+    p.add_argument("--task-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a scenario-registry slice through "
@@ -501,11 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cpu-only", action="store_true",
                        help="local mode: use the Hadoop Streaming CPU path")
         p.add_argument("--split-kb", type=_positive_int, default=32)
-        p.add_argument("--gpus", type=int, default=1,
+        p.add_argument("--gpus", type=_nonnegative_int, default=1,
                        help="GPUs per node (simulate mode)")
         p.add_argument("--policy", choices=policy_names(),
                        default="tail", help="scheduling policy (simulate mode)")
-        p.add_argument("--task-scale", type=float, default=0.02,
+        p.add_argument("--task-scale", type=_positive_float, default=0.02,
                        help="fraction of the paper's map-task count "
                             "(simulate mode)")
         _add_workers_option(p, "local mode; worker spans land on "
@@ -519,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "across the mini-C backends")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (case i derives from 'seed/i')")
-    p.add_argument("--count", type=int, default=300,
+    p.add_argument("--count", type=_nonnegative_int, default=300,
                    help="number of generated cases")
     p.add_argument("--time-budget", type=float, default=None, metavar="SEC",
                    help="stop generating new cases after SEC seconds")
@@ -558,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name", help="table1|table2|table3|fig3|fig4a|fig4b|"
                                 "fig5|fig6|fig7[a-e]")
-    p.add_argument("--task-scale", type=float, default=1.0)
+    p.add_argument("--task-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -3,8 +3,8 @@
 Four legs execute each eligible case — the tree and compiled CPU
 backends, the tree-walking GPU lane engine over tree-interpreted kernel
 bodies (the GPU reference), and the shipped vector GPU lane engine —
-plus the compiled lane engine pinned by ``engine="compiled"``, the
-forced form of vector's per-lane fallback. Comparison boundaries,
+plus the compiled lane engine pinned by ``use_gpu_engine("compiled")``,
+the forced form of vector's per-lane fallback. Comparison boundaries,
 strictest first:
 
 * tree vs. compiled CPU backends — stdout must be byte-identical,
@@ -35,6 +35,7 @@ from ..apps.base import Application
 from ..config import CLUSTER1
 from ..errors import ReproError
 from ..gpu.device import GpuDevice
+from ..gpu.engine import use_gpu_engine
 from ..gpu.executor import run_combine_kernel
 from ..hadoop.local import LocalJobRunner
 from ..kvstore.coerce import parse_kv_line
@@ -148,10 +149,9 @@ def _fuzz_app(case: FuzzCase) -> Application:
 
 
 def _run_job(app: Application, input_text: str, use_gpu: bool,
-             workers: int = 1, gpu_engine: str | None = None):
+             workers: int = 1):
     runner = LocalJobRunner(app, use_gpu=use_gpu, num_reducers=2,
-                            split_bytes=_SPLIT_BYTES, workers=workers,
-                            gpu_engine=gpu_engine)
+                            split_bytes=_SPLIT_BYTES, workers=workers)
     return runner.run(input_text)
 
 
@@ -240,15 +240,14 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
         # Three GPU configurations: the reference (tree lane engine over
         # tree-interpreted kernel bodies), the shipped engine (vector),
         # and vector's per-lane fallback forced on every region
-        # (engine="compiled"). All must agree exactly. Every leg names
-        # its engine, so the verdict never depends on ambient defaults.
-        with use_backend("tree"):
-            gpu_tt = _run_job(app, case.input_text, use_gpu=True,
-                              gpu_engine="tree")
-        gpu_v = _run_job(app, case.input_text, use_gpu=True,
-                         gpu_engine="vector")
-        gpu_c = _run_job(app, case.input_text, use_gpu=True,
-                         gpu_engine="compiled")
+        # ("compiled"). All must agree exactly. Every leg pins its
+        # engine, so the verdict never depends on ambient defaults.
+        with use_gpu_engine("tree"), use_backend("tree"):
+            gpu_tt = _run_job(app, case.input_text, use_gpu=True)
+        with use_gpu_engine("vector"):
+            gpu_v = _run_job(app, case.input_text, use_gpu=True)
+        with use_gpu_engine("compiled"):
+            gpu_c = _run_job(app, case.input_text, use_gpu=True)
     except ReproError as exc:
         return Divergence(case, "gpu-job-error",
                           f"{type(exc).__name__}: {exc}")
@@ -354,13 +353,12 @@ def _compare_combine_kernel(case: FuzzCase) -> Divergence | None:
         pairs = [KVPair(*parse_kv_line(ln), 0)
                  for ln in case.input_text.splitlines() if ln]
         device = GpuDevice(CLUSTER1.gpu)
-        launch = run_combine_kernel(device, kernel, pairs, snapshot,
-                                    engine="compiled")
-        with use_backend("tree"):
-            launch_t = run_combine_kernel(device, kernel, pairs, snapshot,
-                                          engine="tree")
-        launch_v = run_combine_kernel(device, kernel, pairs, snapshot,
-                                      engine="vector")
+        with use_gpu_engine("compiled"):
+            launch = run_combine_kernel(device, kernel, pairs, snapshot)
+        with use_gpu_engine("tree"), use_backend("tree"):
+            launch_t = run_combine_kernel(device, kernel, pairs, snapshot)
+        with use_gpu_engine("vector"):
+            launch_v = run_combine_kernel(device, kernel, pairs, snapshot)
     except ReproError as exc:
         return Divergence(case, "gpu-combine-error",
                           f"{type(exc).__name__}: {exc}")

@@ -11,7 +11,7 @@ See DESIGN.md §5 for the substitution argument: the paper's GPU results
 follow from these mechanisms, not from NVIDIA silicon.
 """
 
-from .charging import ChargeHook, DEFAULT_CHARGE_HOOK, LaneCharges, SpaceChargeHook
+from .charging import LaneCharges
 from .device import DeviceMemory, GpuDevice
 from .engine import (
     GPU_ENGINES,
@@ -23,7 +23,6 @@ from .timing import KernelCost, TimingModel
 
 __all__ = [
     "GpuDevice", "DeviceMemory", "TimingModel", "KernelCost",
-    "ChargeHook", "SpaceChargeHook", "DEFAULT_CHARGE_HOOK", "LaneCharges",
-    "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
-    "use_gpu_engine",
+    "LaneCharges", "GPU_ENGINES", "default_gpu_engine",
+    "set_default_gpu_engine", "use_gpu_engine",
 ]

@@ -1,21 +1,22 @@
-"""Pluggable per-lane cost charging — the charge-hook interface.
+"""The GPU cost model's per-lane charges, each written once.
 
-The timing model's per-lane charges used to live in two places: an
-``Interpreter`` method override (``GpuInterpreter._charge_access``) and
-inline formulas inside the GPU builtins (``getRecord``/``emitKV``/
-``getKV``/``storeKV`` and the math/string wrappers). With two lane
-engines — the compiled closure engine (:mod:`repro.gpu.engine`) and the
-tree-walking reference — that layout would require keeping two copies of
-every formula bit-identical by hand.
+Every cost a simulated thread (lane) incurs besides its mini-C
+operation counts is one of six events: an array-element access, a
+``getRecord`` read, an ``emitKV`` store, a ``getKV``/``storeKV`` move, a
+device math-library call, a device string-library call. This module
+holds the calibrated HeteroDoop formula for each (paper §4.1–4.2, the
+Fig. 7 mechanisms) as a *binder*: called once per launch with that
+launch's constants (transaction width, KV record size, vector width,
+stealing mode), it returns the closure the launch's builtins invoke per
+event (a math call has no such constants and is a plain function). All
+three lane engines (:mod:`repro.gpu.engine`) bind the same
+closures, so identical ``WarpCost``/``KernelCost`` across engines is
+structural; the vector engine, which folds a region's charges
+statically instead of calling per event, imports the constants below.
 
-Instead, every charge now routes through one :class:`ChargeHook`
-object. Both engines bind the same hook, so the cost model exists in
-exactly one place and "identical WarpCost/KernelCost" is a structural
-property, not a testing aspiration (the differential suite still checks
-it). The hook also carries a stable ``profile_key`` so the kernel-body
-compile cache (:func:`repro.minic.cache.compiled_kernel_body`) can key
-compiled artifacts on *program + charge profile*, as alternative
-profiles may want different charge call sites compiled in.
+Tracing adds event tallies, never cost: :func:`counted` wraps a bound
+closure only while a recorder is enabled, so the untraced hot path
+calls the bare formula.
 """
 
 from __future__ import annotations
@@ -23,9 +24,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+# The issue-slot constants are whole numbers on purpose: the vector
+# engine adds a region's slots up as integers before charging them, which
+# is only bit-identical to per-event float adds for integral increments.
+
+#: Issue slots per private/local (register-speed) element access.
+PRIVATE_ACCESS_INSTR = 1.0
+#: Issue slots per element access that goes through a cache (texture or
+#: global): address arithmetic plus the load/store itself.
+CACHED_ACCESS_INSTR = 2.0
+#: Texture accesses charged per element read of a texture array — the
+#: miss fraction of the dedicated on-chip texture cache, where small
+#: tables stay resident.
+TEXTURE_MISS_CHARGE = 0.02
+#: Global transactions charged per element access of a global array:
+#: random global element reads miss far more often.
+GLOBAL_MISS_CHARGE = 0.08
 #: Issue slots charged per device math-library call (__expf etc. are
 #: multi-instruction SFU sequences).
 MATH_CALL_INSTR = 8.0
+#: Floating-point operations one math-library call counts for.
+MATH_CALL_FP_OPS = 4
 
 
 @dataclass
@@ -40,422 +59,127 @@ class LaneCharges:
     texture_accesses: float = 0.0
 
 
-class ChargeHook:
-    """Interface between kernel execution and the timing model.
+def bind_access(state: Any) -> Callable[[Any, bool], None]:
+    """One array-element load/store, charged by the buffer's memory
+    space to ``state.charges`` (the launch re-points one
+    :class:`~repro.gpu.engine.LaneState` at each lane's charges).
 
-    One method per charging event the simulator produces. Implementations
-    must be pure accumulators: mutate the passed ``LaneCharges`` /
-    ``ExecCounters`` and return nothing, so both lane engines can call
-    them from arbitrary execution contexts.
+    Per-element accesses are throughput costs, not bare latencies: loops
+    over cached arrays pipeline, so most of the cost lands in the issue
+    domain (which divergence and load balance modulate) with only the
+    cache-miss fraction paying a transaction. This is the hottest charge
+    in any kernel — every scalar assign and array element lands here."""
 
-    Most charge arguments are launch constants (transaction width, KV
-    record size, vector width, stealing mode), so the hot-path surface is
-    the ``bind_*`` family: called once per builtin table, each returns a
-    closure specialized to those constants that the builtins then invoke
-    per event. The per-event methods remain the simple override surface —
-    the default ``bind_*`` implementations just close over them — but a
-    profile may override ``bind_*`` directly to fold its
-    constant-argument arithmetic into bind time (see
-    :class:`SpaceChargeHook`, which defines each formula exactly once, in
-    the bound form, and points the per-event method back at it).
-
-    ``profile_key`` must uniquely identify the charge *profile* (the set
-    of formulas), because compiled kernel bodies are cached per
-    (program, profile).
-    """
-
-    profile_key = "null"
-
-    def access(self, charges: LaneCharges, buffer: Any,
-               is_store: bool) -> None:
-        """One array-element load/store, charged by memory space."""
-
-    def record_read(self, charges: LaneCharges, counters: Any,
-                    nbytes: int, txn_bytes: int, stealing: bool) -> None:
-        """``getRecord``: one input record pulled into the lane."""
-
-    def kv_emit(self, charges: LaneCharges, counters: Any,
-                nbytes: int, vec: int) -> None:
-        """``emitKV``: one pair written to the global KV store."""
-
-    def kv_move(self, charges: LaneCharges, kv_bytes: int, txn_bytes: int,
-                vec: int, cooperative: bool) -> None:
-        """``getKV``/``storeKV``: one pair moved through global memory."""
-
-    def math_call(self, charges: LaneCharges, counters: Any) -> None:
-        """One device math-library call."""
-
-    def string_call(self, charges: LaneCharges, length: int,
-                    vec: int) -> None:
-        """One device string-library call over ``length`` chars."""
-
-    # -- launch-constant bindings (the hot-path surface) --------------------
-
-    def bind_record_read(self, txn_bytes: int,
-                         stealing: bool) -> Callable[[Any, Any, int], None]:
-        """Specialize :meth:`record_read` to a launch's constants."""
-        record_read = self.record_read
-
-        def charge(charges: LaneCharges, counters: Any, nbytes: int) -> None:
-            record_read(charges, counters, nbytes, txn_bytes, stealing)
-
-        return charge
-
-    def bind_kv_emit(self, nbytes: int,
-                     vec: int) -> Callable[[Any, Any], None]:
-        """Specialize :meth:`kv_emit` to a launch's constants."""
-        kv_emit = self.kv_emit
-
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            kv_emit(charges, counters, nbytes, vec)
-
-        return charge
-
-    def bind_kv_move(self, kv_bytes: int, txn_bytes: int, vec: int,
-                     cooperative: bool) -> Callable[[Any], None]:
-        """Specialize :meth:`kv_move` to a launch's constants."""
-        kv_move = self.kv_move
-
-        def charge(charges: LaneCharges) -> None:
-            kv_move(charges, kv_bytes, txn_bytes, vec, cooperative)
-
-        return charge
-
-    def bind_math_call(self) -> Callable[[Any, Any], None]:
-        """Per-launch math-call charge closure."""
-        math_call = self.math_call
-
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            math_call(charges, counters)
-
-        return charge
-
-    def bind_string_call(self, vec: int) -> Callable[[Any, int], None]:
-        """Specialize :meth:`string_call` to a launch's vector width."""
-        string_call = self.string_call
-
-        def charge(charges: LaneCharges, length: int) -> None:
-            string_call(charges, length, vec)
-
-        return charge
-
-    # -- engine bindings ----------------------------------------------------
-
-    def bind_charges(self, charges: LaneCharges) -> Callable[[Any, bool], None]:
-        """Per-lane access-charge closure over a fixed LaneCharges (the
-        tree engine builds one interpreter — and one of these — per
-        lane)."""
-        access = self.access
-
-        def charge(buffer: Any, is_store: bool) -> None:
-            access(charges, buffer, is_store)
-
-        return charge
-
-    def bind_state(self, state: Any) -> Callable[[Any, bool], None]:
-        """Per-launch access-charge closure reading ``state.charges``
-        (the compiled engine re-points one LaneState at each lane's
-        charges instead of rebuilding closures)."""
-        access = self.access
-
-        def charge(buffer: Any, is_store: bool) -> None:
-            access(state.charges, buffer, is_store)
-
-        return charge
-
-
-class SpaceChargeHook(ChargeHook):
-    """The calibrated HeteroDoop profile: charges by memory space and by
-    the coalescing/vectorization behavior of each runtime primitive
-    (paper §4.1–4.2, Fig. 7 mechanisms)."""
-
-    profile_key = "space-v1"
-
-    def access(self, charges: LaneCharges, buffer: Any,
-               is_store: bool) -> None:
-        """Per-element array accesses are throughput costs, not bare
-        latencies: loops over cached arrays pipeline, so most of the cost
-        lands in the issue domain (which divergence and load balance
-        modulate) with only the cache-miss fraction paying a transaction.
-
-        This is the hottest charge in any kernel (every scalar assign and
-        array element lands here), so the engine bindings below inline
-        the same branch structure instead of calling through; the two
-        copies execute on opposite sides of the engine differential
-        suite, which compares their cost output bit for bit."""
-        if buffer is None:  # private/local: register-speed
-            charges.instructions += 1.0
-            return
-        space = getattr(buffer, "space", None)
-        if space == "texture":
-            # Dedicated on-chip texture cache: small tables stay resident.
-            charges.instructions += 2.0
-            charges.texture_accesses += 0.02
-        elif space == "global":
-            # Random global element reads miss far more often.
-            charges.instructions += 2.0
-            charges.global_txn += 0.08
-        elif space == "shared":
-            charges.shared_accesses += 1.0
-        else:  # private/local: register-speed
-            charges.instructions += 1.0
-
-    def bind_charges(self, charges: LaneCharges) -> Callable[[Any, bool], None]:
-        def charge(buffer: Any, is_store: bool) -> None:
-            if buffer is None:
-                charges.instructions += 1.0
-                return
+    def charge(buffer: Any, is_store: bool) -> None:
+        charges = state.charges
+        if buffer is not None:
             space = getattr(buffer, "space", None)
             if space == "texture":
-                charges.instructions += 2.0
-                charges.texture_accesses += 0.02
-            elif space == "global":
-                charges.instructions += 2.0
-                charges.global_txn += 0.08
-            elif space == "shared":
-                charges.shared_accesses += 1.0
-            else:
-                charges.instructions += 1.0
-
-        return charge
-
-    def bind_state(self, state: Any) -> Callable[[Any, bool], None]:
-        def charge(buffer: Any, is_store: bool) -> None:
-            charges = state.charges
-            if buffer is None:
-                charges.instructions += 1.0
+                charges.instructions += CACHED_ACCESS_INSTR
+                charges.texture_accesses += TEXTURE_MISS_CHARGE
                 return
-            space = getattr(buffer, "space", None)
-            if space == "texture":
-                charges.instructions += 2.0
-                charges.texture_accesses += 0.02
-            elif space == "global":
-                charges.instructions += 2.0
-                charges.global_txn += 0.08
-            elif space == "shared":
+            if space == "global":
+                charges.instructions += CACHED_ACCESS_INSTR
+                charges.global_txn += GLOBAL_MISS_CHARGE
+                return
+            if space == "shared":
                 charges.shared_accesses += 1.0
-            else:
-                charges.instructions += 1.0
+                return
+        # No buffer (a scalar) or a private/local array: register-speed.
+        charges.instructions += PRIVATE_ACCESS_INSTR
 
+    return charge
+
+
+def bind_record_read(txn_bytes: int,
+                     stealing: bool) -> Callable[[Any, Any, int], None]:
+    """``getRecord``: one input record pulled into the lane.
+
+    The record is read from the device input buffer. Each lane's record
+    is a *sequential* byte stream: hardware prefetching hides much of
+    the latency, so part of the cost is issue-side work (byte handling)
+    proportional to the record length — which is what record stealing
+    balances. Charged: the steal's shared-memory atomic, a latency
+    component (amortized over many in-flight requests), and
+    DRAM-throughput cycles as issue-side work."""
+    txn_denom = 8.0 * txn_bytes
+
+    def charge(charges: LaneCharges, counters: Any, nbytes: int) -> None:
+        if stealing:
+            charges.shared_atomics += 1.0
+        charges.global_txn += max(0.25, nbytes / txn_denom)
+        charges.instructions += nbytes / 8.0 + nbytes / 64.0
+        counters.bytes_in += nbytes
+
+    return charge
+
+
+def bind_kv_emit(nbytes: int, vec: int) -> Callable[[Any, Any], None]:
+    """``emitKV``: one pair written to the global KV store.
+
+    Vectorized stores cut the issue count by the vector width; the
+    per-thread store stream write-combines, so the latency component is
+    amortized and shrinks up to 2x with wider accesses."""
+    instr = nbytes / vec
+    txn = max(0.25, nbytes / (16.0 * min(vec, 2)))
+
+    def charge(charges: LaneCharges, counters: Any) -> None:
+        counters.bytes_out += nbytes
+        charges.instructions += instr
+        charges.global_txn += txn
+
+    return charge
+
+
+def bind_kv_move(kv_bytes: int, txn_bytes: int, vec: int,
+                 cooperative: bool) -> Callable[[Any], None]:
+    """``getKV``/``storeKV``: one pair moved through global memory."""
+    if cooperative:
+        # Lane-per-element cooperative move: coalesced transactions.
+        txn = max(1.0, kv_bytes / txn_bytes)
+        instr = max(1.0, kv_bytes / (4.0 * vec))
+    else:
+        # Single active lane, word-at-a-time (uncoalesced).
+        txn = max(1.0, kv_bytes / 8.0)
+        instr = kv_bytes / 2.0
+
+    def charge(charges: LaneCharges) -> None:
+        charges.global_txn += txn
+        charges.instructions += instr
+
+    return charge
+
+
+def math_call(charges: LaneCharges, counters: Any) -> None:
+    """One device math-library call (no launch constants to bind)."""
+    charges.instructions += MATH_CALL_INSTR
+    counters.fp_ops += MATH_CALL_FP_OPS
+
+
+def bind_string_call(vec: int) -> Callable[[Any, int], None]:
+    """One device string-library call over ``length`` chars; vectorized
+    string ops move char4 at a time (paper §4.1)."""
+    denom = max(vec, 1)
+
+    def charge(charges: LaneCharges, length: int) -> None:
+        charges.instructions += max(1.0, length / denom)
+
+    return charge
+
+
+def counted(charge: Callable[..., None], metrics: Any,
+            metric: str) -> Callable[..., None]:
+    """``charge`` itself when ``metrics`` is None (no recorder enabled);
+    else a wrapper that tallies one ``metric`` event into ``metrics``
+    (a ``repro.obs.MetricsRegistry``, or anything with ``inc``) per
+    call. Costs are untouched, so a traced launch charges bit-identical
+    ``WarpCost``/``KernelCost`` to an untraced one."""
+    if metrics is None:
         return charge
+    inc = metrics.inc
 
-    # Formulas live in the bound forms (launch-constant arithmetic done
-    # once per builtin table); the per-event methods delegate so one-off
-    # callers and the bound hot path can never drift apart.
+    def counting(*args: Any) -> None:
+        inc(metric)
+        charge(*args)
 
-    def record_read(self, charges: LaneCharges, counters: Any,
-                    nbytes: int, txn_bytes: int, stealing: bool) -> None:
-        self.bind_record_read(txn_bytes, stealing)(charges, counters, nbytes)
-
-    def kv_emit(self, charges: LaneCharges, counters: Any,
-                nbytes: int, vec: int) -> None:
-        self.bind_kv_emit(nbytes, vec)(charges, counters)
-
-    def kv_move(self, charges: LaneCharges, kv_bytes: int, txn_bytes: int,
-                vec: int, cooperative: bool) -> None:
-        self.bind_kv_move(kv_bytes, txn_bytes, vec, cooperative)(charges)
-
-    def math_call(self, charges: LaneCharges, counters: Any) -> None:
-        self.bind_math_call()(charges, counters)
-
-    def string_call(self, charges: LaneCharges, length: int,
-                    vec: int) -> None:
-        self.bind_string_call(vec)(charges, length)
-
-    def bind_record_read(self, txn_bytes: int,
-                         stealing: bool) -> Callable[[Any, Any, int], None]:
-        # The record is read from the device input buffer. Each lane's
-        # record is a *sequential* byte stream: hardware prefetching hides
-        # much of the latency, so part of the cost is issue-side work
-        # (byte handling) proportional to the record length — which is
-        # what record stealing balances.
-        # Latency component (amortized over many in-flight requests) plus
-        # DRAM-throughput cycles charged as issue-side work.
-        txn_denom = 8.0 * txn_bytes
-
-        def charge(charges: LaneCharges, counters: Any, nbytes: int) -> None:
-            if stealing:
-                charges.shared_atomics += 1.0
-            charges.global_txn += max(0.25, nbytes / txn_denom)
-            charges.instructions += nbytes / 8.0 + nbytes / 64.0
-            counters.bytes_in += nbytes
-
-        return charge
-
-    def bind_kv_emit(self, nbytes: int,
-                     vec: int) -> Callable[[Any, Any], None]:
-        # Vectorized stores cut the issue count by the vector width; the
-        # per-thread store stream write-combines, so the latency component
-        # is amortized and shrinks up to 2x with wider accesses.
-        instr = nbytes / vec
-        txn = max(0.25, nbytes / (16.0 * min(vec, 2)))
-
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            counters.bytes_out += nbytes
-            charges.instructions += instr
-            charges.global_txn += txn
-
-        return charge
-
-    def bind_kv_move(self, kv_bytes: int, txn_bytes: int, vec: int,
-                     cooperative: bool) -> Callable[[Any], None]:
-        if cooperative:
-            # Lane-per-element cooperative move: coalesced transactions.
-            txn = max(1.0, kv_bytes / txn_bytes)
-            instr = max(1.0, kv_bytes / (4.0 * vec))
-        else:
-            # Single active lane, word-at-a-time (uncoalesced).
-            txn = max(1.0, kv_bytes / 8.0)
-            instr = kv_bytes / 2.0
-
-        def charge(charges: LaneCharges) -> None:
-            charges.global_txn += txn
-            charges.instructions += instr
-
-        return charge
-
-    def bind_math_call(self) -> Callable[[Any, Any], None]:
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            charges.instructions += MATH_CALL_INSTR
-            counters.fp_ops += 4
-
-        return charge
-
-    def bind_string_call(self, vec: int) -> Callable[[Any, int], None]:
-        # Vectorized string ops move char4 at a time (paper §4.1).
-        denom = max(vec, 1)
-
-        def charge(charges: LaneCharges, length: int) -> None:
-            charges.instructions += max(1.0, length / denom)
-
-        return charge
-
-
-class CountingChargeHook(ChargeHook):
-    """Wraps another hook, tallying every charge event into a metrics
-    sink (``repro.obs.MetricsRegistry`` or anything with ``inc``).
-
-    Costs are untouched — each event delegates to the inner hook's
-    formula — so a traced run charges bit-identical WarpCost/KernelCost
-    to an untraced one; only the event tallies are added. The executor
-    installs this wrapper per launch only while a recorder is enabled,
-    keeping the disabled hot path on the bare profile.
-
-    ``profile_key`` is inherited from the inner hook: the compiled
-    kernel-body cache keys on the *cost formulas*, which counting does
-    not change, so traced and untraced launches share one artifact.
-    """
-
-    def __init__(self, inner: ChargeHook, metrics: Any) -> None:
-        self.inner = inner
-        self.metrics = metrics
-        self.profile_key = inner.profile_key
-
-    def access(self, charges: LaneCharges, buffer: Any,
-               is_store: bool) -> None:
-        self.metrics.inc("gpu.accesses")
-        self.inner.access(charges, buffer, is_store)
-
-    def record_read(self, charges: LaneCharges, counters: Any,
-                    nbytes: int, txn_bytes: int, stealing: bool) -> None:
-        self.metrics.inc("gpu.record_reads")
-        self.inner.record_read(charges, counters, nbytes, txn_bytes, stealing)
-
-    def kv_emit(self, charges: LaneCharges, counters: Any,
-                nbytes: int, vec: int) -> None:
-        self.metrics.inc("gpu.kv_emits")
-        self.inner.kv_emit(charges, counters, nbytes, vec)
-
-    def kv_move(self, charges: LaneCharges, kv_bytes: int, txn_bytes: int,
-                vec: int, cooperative: bool) -> None:
-        self.metrics.inc("gpu.kv_moves")
-        self.inner.kv_move(charges, kv_bytes, txn_bytes, vec, cooperative)
-
-    def math_call(self, charges: LaneCharges, counters: Any) -> None:
-        self.metrics.inc("gpu.math_calls")
-        self.inner.math_call(charges, counters)
-
-    def string_call(self, charges: LaneCharges, length: int,
-                    vec: int) -> None:
-        self.metrics.inc("gpu.string_calls")
-        self.inner.string_call(charges, length, vec)
-
-    # The bound (hot-path) forms wrap the inner hook's bound closures so
-    # the inner profile's launch-constant folding is preserved.
-
-    def bind_record_read(self, txn_bytes: int,
-                         stealing: bool) -> Callable[[Any, Any, int], None]:
-        inner = self.inner.bind_record_read(txn_bytes, stealing)
-        inc = self.metrics.inc
-
-        def charge(charges: LaneCharges, counters: Any, nbytes: int) -> None:
-            inc("gpu.record_reads")
-            inner(charges, counters, nbytes)
-
-        return charge
-
-    def bind_kv_emit(self, nbytes: int,
-                     vec: int) -> Callable[[Any, Any], None]:
-        inner = self.inner.bind_kv_emit(nbytes, vec)
-        inc = self.metrics.inc
-
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            inc("gpu.kv_emits")
-            inner(charges, counters)
-
-        return charge
-
-    def bind_kv_move(self, kv_bytes: int, txn_bytes: int, vec: int,
-                     cooperative: bool) -> Callable[[Any], None]:
-        inner = self.inner.bind_kv_move(kv_bytes, txn_bytes, vec, cooperative)
-        inc = self.metrics.inc
-
-        def charge(charges: LaneCharges) -> None:
-            inc("gpu.kv_moves")
-            inner(charges)
-
-        return charge
-
-    def bind_math_call(self) -> Callable[[Any, Any], None]:
-        inner = self.inner.bind_math_call()
-        inc = self.metrics.inc
-
-        def charge(charges: LaneCharges, counters: Any) -> None:
-            inc("gpu.math_calls")
-            inner(charges, counters)
-
-        return charge
-
-    def bind_string_call(self, vec: int) -> Callable[[Any, int], None]:
-        inner = self.inner.bind_string_call(vec)
-        inc = self.metrics.inc
-
-        def charge(charges: LaneCharges, length: int) -> None:
-            inc("gpu.string_calls")
-            inner(charges, length)
-
-        return charge
-
-    def bind_charges(self, charges: LaneCharges) -> Callable[[Any, bool], None]:
-        inner = self.inner.bind_charges(charges)
-        inc = self.metrics.inc
-
-        def charge(buffer: Any, is_store: bool) -> None:
-            inc("gpu.accesses")
-            inner(buffer, is_store)
-
-        return charge
-
-    def bind_state(self, state: Any) -> Callable[[Any, bool], None]:
-        inner = self.inner.bind_state(state)
-        inc = self.metrics.inc
-
-        def charge(buffer: Any, is_store: bool) -> None:
-            inc("gpu.accesses")
-            inner(buffer, is_store)
-
-        return charge
-
-
-#: The profile every launch uses unless an experiment injects another.
-DEFAULT_CHARGE_HOOK = SpaceChargeHook()
+    return counting

@@ -12,23 +12,25 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   Nobody picks an engine per job; the runtime does.
 * ``"compiled"`` — :class:`CompiledLaneRunner`, vector's base and
   fallback. Per *launch*: compile the kernel body once (cached per
-  program + charge profile,
-  :func:`repro.minic.cache.compiled_kernel_body`), build the GPU builtin
-  table once, and precompute an *environment plan* — the (slot, factory)
-  list that materializes each lane's kernel variables straight into the
-  compiled body's frame. Per *lane*: reset a lean facade, run the plan's
-  factories, call the generated body function. Selectable by explicit
-  ``engine="compiled"`` as the test seam that forces the per-lane path
-  on every app.
+  program, :func:`repro.minic.cache.compiled_kernel_body`), build the
+  GPU builtin table once, and precompute an *environment plan* — the
+  (slot, factory) list that materializes each lane's kernel variables
+  straight into the compiled body's frame. Per *lane*: reset a lean
+  facade, run the plan's factories, call the generated body function.
+  Pinned by tests as the seam that forces the per-lane path on every
+  app.
 * ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
   ``build_thread_env`` scope population): the only way the reference
   interpreter executes a kernel body under GPU builtins and space
   charging, so it is what the other two are compared against.
 
-There is no environment selector. ``engine=`` parameters and
-:func:`use_gpu_engine` are test seams; all engines share the
-launch-level builtins defined here and charge every cost through the
-same :class:`~repro.gpu.charging.ChargeHook`, so outputs,
+There is one selector and it is a test seam: :func:`use_gpu_engine` /
+:func:`set_default_gpu_engine` set the process-wide engine every launch
+reads (a pooled job ships the driver's engine to its workers in the
+``JobSpec``, like the mini-C backend). No constructor, CLI flag or
+environment variable names an engine. All engines share
+:class:`LaneRunner`'s launch-level state, the builtins defined here and
+the bound charges of :mod:`repro.gpu.charging`, so outputs,
 ``ExecCounters``, and ``WarpCost``/``KernelCost`` are bit-identical by
 construction — and machine-checked by the fuzz oracle and
 ``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``.
@@ -49,13 +51,21 @@ from ..minic.cache import compiled_kernel_body
 from ..minic.interpreter import ExecCounters
 from ..minic.stdlib import host_builtins
 from ..minic.values import Buffer, Cell, NULL, Ptr, ScalarRef
-from .charging import ChargeHook, DEFAULT_CHARGE_HOOK, LaneCharges
+from .charging import (
+    LaneCharges,
+    bind_access,
+    bind_kv_emit,
+    bind_kv_move,
+    bind_record_read,
+    bind_string_call,
+    counted,
+    math_call,
+)
 
 __all__ = [
-    "GPU_ENGINES", "check_gpu_engine", "default_gpu_engine",
-    "set_default_gpu_engine", "use_gpu_engine", "LaneState",
-    "CompiledLaneRunner", "make_map_builtins", "make_combine_builtins",
-    "kernel_program",
+    "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
+    "use_gpu_engine", "LaneState", "LaneRunner", "CompiledLaneRunner",
+    "make_map_builtins", "make_combine_builtins", "kernel_program",
 ]
 
 #: Statement budget per lane, mirroring Interpreter's default.
@@ -78,26 +88,22 @@ GPU_ENGINES = ("vector", "compiled", "tree")
 _default_engine = "vector"
 
 
-def check_gpu_engine(name: str) -> str:
-    """``name`` if it is a known lane engine, else a :class:`ConfigError`
-    listing the valid ones."""
-    if name not in GPU_ENGINES:
-        raise ConfigError(
-            f"unknown GPU engine {name!r}; choose from {GPU_ENGINES}"
-        )
-    return name
-
-
 def default_gpu_engine() -> str:
-    """The engine kernel launches use when none is passed explicitly."""
+    """The engine every kernel launch of this process runs."""
     return _default_engine
 
 
 def set_default_gpu_engine(name: str) -> str:
-    """Set the process-wide default GPU engine; returns the previous one."""
+    """Set the process-wide GPU engine; returns the previous one. An
+    unknown name is a :class:`ConfigError` listing the valid ones —
+    here, before any launch could run under it."""
     global _default_engine
+    if name not in GPU_ENGINES:
+        raise ConfigError(
+            f"unknown GPU engine {name!r}; choose from {GPU_ENGINES}"
+        )
     previous = _default_engine
-    _default_engine = check_gpu_engine(name)
+    _default_engine = name
     return previous
 
 
@@ -119,10 +125,10 @@ def use_gpu_engine(name: str) -> Iterator[None]:
 class LaneState:
     """The mutable slice of a lane the GPU builtins read and write.
 
-    The builtin tables are built once per launch (compiled and vector
-    engines) or once per lane (tree engine, preserving the reference
-    harness); all close over one of these instead of over per-lane
-    values, so a single builtin implementation serves every engine."""
+    A launch builds its builtin table and bound charges once, closed
+    over one of these instead of over per-lane values; the lane runner
+    re-points it at each lane, so a single builtin implementation
+    serves every engine."""
 
     __slots__ = ("records", "index", "charges", "global_tid",
                  "chunk", "output")
@@ -191,16 +197,17 @@ def store_kv_arg(ref: Any, value: Any) -> None:
         raise CRuntimeError(f"getKV target is not a pointer: {ref!r}")
 
 
-def common_lane_builtins(hook: ChargeHook, state: LaneState,
+def common_lane_builtins(metrics: Any, state: LaneState,
                          vec: int) -> dict[str, Callable]:
     """Device versions of the C library: same semantics as the host table,
-    plus cost charging through the launch's hook. The runtime 'provides
-    equivalent implementations' of C standard functions the GPU lacks
-    (paper §4.1)."""
+    plus the launch's bound cost charges (tallied into ``metrics`` when a
+    recorder is enabled, else None). The runtime 'provides equivalent
+    implementations' of C standard functions the GPU lacks (paper §4.1)."""
     base = host_builtins()
     gpu: dict[str, Callable] = {}
-    charge_math = hook.bind_math_call()
-    charge_string = hook.bind_string_call(vec)
+    charge_math = counted(math_call, metrics, "gpu.math_calls")
+    charge_string = counted(bind_string_call(vec), metrics,
+                            "gpu.string_calls")
 
     def wrap_math(fn: Callable) -> Callable:
         def impl(interp: Any, args: list[Any]) -> Any:
@@ -248,7 +255,7 @@ def common_lane_builtins(hook: ChargeHook, state: LaneState,
     return gpu
 
 
-def make_map_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
+def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
                       state: LaneState, store: Any,
                       partitioner: Any) -> dict[str, Callable]:
     """The map-kernel builtin table: common device library plus
@@ -257,8 +264,10 @@ def make_map_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
     vec = max(kernel.vector_width, 1)
     stealing = kernel.opt.record_stealing
     kv_nbytes = kernel.key_length + kernel.value_length
-    charge_record = hook.bind_record_read(txn_bytes, stealing)
-    charge_emit = hook.bind_kv_emit(kv_nbytes, vec)
+    charge_record = counted(bind_record_read(txn_bytes, stealing), metrics,
+                            "gpu.record_reads")
+    charge_emit = counted(bind_kv_emit(kv_nbytes, vec), metrics,
+                          "gpu.kv_emits")
 
     def bi_get_record(interp: Any, args: list[Any]) -> int:
         records = state.records
@@ -292,13 +301,13 @@ def make_map_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
         charge_emit(state.charges, interp.counters)
         return kv_nbytes
 
-    builtins = common_lane_builtins(hook, state, vec)
+    builtins = common_lane_builtins(metrics, state, vec)
     builtins["getRecord"] = bi_get_record
     builtins["emitKV"] = bi_emit_kv
     return builtins
 
 
-def make_combine_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
+def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
                           state: LaneState) -> dict[str, Callable]:
     """The combine-kernel builtin table: common device library plus
     ``getKV``/``storeKV`` reading per-lane state."""
@@ -306,7 +315,8 @@ def make_combine_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
     vec = max(kernel.vector_width, 1)
     cooperative = vec > 1
     kv_bytes = kernel.key_length + kernel.value_length
-    charge_move = hook.bind_kv_move(kv_bytes, txn_bytes, vec, cooperative)
+    charge_move = counted(bind_kv_move(kv_bytes, txn_bytes, vec, cooperative),
+                          metrics, "gpu.kv_moves")
 
     def bi_get_kv(interp: Any, args: list[Any]) -> int:
         chunk = state.chunk
@@ -329,7 +339,7 @@ def make_combine_builtins(kernel: KernelIR, device: Any, hook: ChargeHook,
         interp.counters.bytes_out += kv_bytes
         return kv_bytes
 
-    builtins = common_lane_builtins(hook, state, vec)
+    builtins = common_lane_builtins(metrics, state, vec)
     builtins["getKV"] = bi_get_kv
     builtins["storeKV"] = bi_store_kv
     return builtins
@@ -513,8 +523,79 @@ def build_env_plan(
 
 
 # --------------------------------------------------------------------------
-# The compiled lane engine
+# Lane runners: what a launch asks of an engine
 # --------------------------------------------------------------------------
+
+
+class LaneRunner:
+    """One launch's lane-execution context, and the interface the
+    launch folds in :mod:`repro.gpu.executor` drive.
+
+    Holds what every engine resolves once per launch — the
+    :class:`LaneState` it re-points at each lane, the builtin table and
+    the access charge bound over that state (all tallying into
+    ``metrics`` when a recorder is enabled) — and runs lanes by
+    re-pointing the state and calling the engine's ``_run_lane_body``."""
+
+    def __init__(
+        self,
+        device: Any,
+        kernel: KernelIR,
+        snapshot: dict[str, Any],
+        shared_ro: dict[str, Buffer],
+        store: Any = None,
+        partitioner: Any = None,
+        metrics: Any = None,
+    ):
+        self.kernel = kernel
+        self.snapshot = snapshot
+        self.shared_ro = shared_ro
+        self.metrics = metrics
+        self.state = state = LaneState()
+        if kernel.is_mapper:
+            self.builtins = make_map_builtins(kernel, device, metrics, state,
+                                              store, partitioner)
+        else:
+            self.builtins = make_combine_builtins(kernel, device, metrics,
+                                                  state)
+        self.charge_access = counted(bind_access(state), metrics,
+                                     "gpu.accesses")
+
+    def _run_lane_body(self) -> ExecCounters:
+        """Execute the kernel body once against ``self.state``."""
+        raise NotImplementedError
+
+    def run_map_lane(self, thread_records: list[bytes], global_tid: int,
+                     charges: LaneCharges) -> ExecCounters:
+        state = self.state
+        state.records = thread_records
+        state.index = 0
+        state.charges = charges
+        state.global_tid = global_tid
+        return self._run_lane_body()
+
+    def run_map_warp(
+        self, batch: list[tuple[list[bytes], int, LaneCharges]]
+    ) -> list[ExecCounters]:
+        """Run a launch's active lanes — ``(records, global tid,
+        charges)`` each, in tid order. Returns per-lane counters in
+        batch order; each ``charges`` object is charged in place. Lanes
+        never interact (the KV store is per-thread and read-only tables
+        are shared), so an engine may execute the batch any way that is
+        indistinguishable from this loop."""
+        return [self.run_map_lane(recs, tid, charges)
+                for recs, tid, charges in batch]
+
+    def run_combine_chunk(
+        self, chunk: list[Any], charges: LaneCharges
+    ) -> tuple[ExecCounters, list[tuple[Any, Any]]]:
+        state = self.state
+        state.chunk = chunk
+        state.index = 0
+        state.charges = charges
+        state.output = out = []
+        counters = self._run_lane_body()
+        return counters, out
 
 
 class KernelLaneFacade:
@@ -522,7 +603,7 @@ class KernelLaneFacade:
 
     Exactly the attribute surface the compiled backend and the device
     builtins touch: counters, builtins, heap, step budget, globals, the
-    charge hook binding, and a lazily created ``stdout`` (only
+    bound access charge, and a lazily created ``stdout`` (only
     ``fprintf`` — which survives translation as a host-stream write —
     ever asks for it)."""
 
@@ -549,16 +630,30 @@ class KernelLaneFacade:
         return out
 
 
-class CompiledLaneRunner:
+def scalar_free_ctypes(kernel: KernelIR) -> dict[str, T.CType]:
+    """Scalar kernel variables whose per-lane cell is guaranteed to
+    carry the declared ctype (their factories mirror
+    Interpreter.declare); array/pointer-rewritten classes are left
+    generic because their cells hold Ptr under a void* ctype."""
+    return {
+        var.kernel_name: var.ctype
+        for var in kernel.variables.values()
+        if var.klass in (VarClass.CONST_SCALAR,
+                         VarClass.FIRSTPRIVATE_SCALAR, VarClass.PRIVATE)
+        and not isinstance(var.ctype, T.Array)
+    }
+
+
+class CompiledLaneRunner(LaneRunner):
     """Per-launch compiled execution context for one kernel.
 
     Construction resolves everything that is launch-invariant: the
-    compiled body (from the job-level cache, keyed on program + charge
-    profile), the builtin table, the charge binding, and — lazily, on
-    the first active lane, matching the tree engine's error timing —
-    the environment plan. Each lane invocation is then: reset the
-    facade, run the plan's factories into a fresh frame, call the
-    generated body function."""
+    compiled body (from the job-level cache, keyed on the program), the
+    builtin table, the charge binding, and — lazily, on the first
+    active lane, matching the tree engine's error timing — the
+    environment plan. Each lane invocation is then: reset the facade,
+    run the plan's factories into a fresh frame, call the generated
+    body function."""
 
     def __init__(
         self,
@@ -568,39 +663,20 @@ class CompiledLaneRunner:
         shared_ro: dict[str, Buffer],
         store: Any = None,
         partitioner: Any = None,
-        hook: ChargeHook = DEFAULT_CHARGE_HOOK,
+        metrics: Any = None,
     ):
-        self.kernel = kernel
-        self.snapshot = snapshot
-        self.shared_ro = shared_ro
-        self.hook = hook
-        # Scalar kernel variables whose per-lane cell is guaranteed to
-        # carry the declared ctype (their factories mirror
-        # Interpreter.declare); array/pointer-rewritten classes are left
-        # generic because their cells hold Ptr under a void* ctype.
-        free_cts = {
-            var.kernel_name: var.ctype
-            for var in kernel.variables.values()
-            if var.klass in (VarClass.CONST_SCALAR,
-                             VarClass.FIRSTPRIVATE_SCALAR, VarClass.PRIVATE)
-            and not isinstance(var.ctype, T.Array)
-        }
+        super().__init__(device, kernel, snapshot, shared_ro, store,
+                         partitioner, metrics)
         self.suite = compiled_kernel_body(
-            kernel_program(kernel), kernel.body, hook.profile_key, free_cts
+            kernel_program(kernel), kernel.body, scalar_free_ctypes(kernel)
         )
-        self.state = state = LaneState()
-        if kernel.is_mapper:
-            builtins = make_map_builtins(kernel, device, hook, state,
-                                         store, partitioner)
-        else:
-            builtins = make_combine_builtins(kernel, device, hook, state)
         # Helper functions bind their frees from the facade's globals, so
         # they need per-lane cells (a helper may write them); bodies bind
         # globals through the env plan instead, so helper-less kernels —
         # the common case — share one launch-level dict.
         self._fresh_globals_per_lane = bool(kernel.helpers)
         self.facade = KernelLaneFacade(
-            builtins, hook.bind_state(state), _fresh_globals()
+            self.builtins, self.charge_access, _fresh_globals()
         )
         self._plan: tuple[tuple[int, Callable[[], Cell]], ...] | None = None
 
@@ -626,23 +702,3 @@ class CompiledLaneRunner:
             frame[slot] = make()
         suite.execute_with_frame(facade, frame)
         return counters
-
-    def run_map_lane(self, thread_records: list[bytes], global_tid: int,
-                     charges: LaneCharges) -> ExecCounters:
-        state = self.state
-        state.records = thread_records
-        state.index = 0
-        state.charges = charges
-        state.global_tid = global_tid
-        return self._run_lane_body()
-
-    def run_combine_chunk(
-        self, chunk: list[Any], charges: LaneCharges
-    ) -> tuple[ExecCounters, list[tuple[Any, Any]]]:
-        state = self.state
-        state.chunk = chunk
-        state.index = 0
-        state.charges = charges
-        state.output = out = []
-        counters = self._run_lane_body()
-        return counters, out

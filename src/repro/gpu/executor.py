@@ -17,10 +17,13 @@ Lane bodies run on one of three engines (:mod:`repro.gpu.engine`): the
 shipped ``"vector"`` engine executes divergence-free regions as numpy
 operations over all launch lanes and falls back per lane to the
 ``"compiled"`` engine's per-launch generated body, while the
-``"tree"`` engine keeps the original one-interpreter-per-lane harness as
-the differential reference. All charge costs through the same
-:class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid timing
-folds below are shared, so ``WarpCost``/``KernelCost`` are
+``"tree"`` engine (defined here) keeps the original
+one-interpreter-per-lane harness as the differential reference. A launch
+asks its engine for one thing — ``run_map_warp`` over the active lanes,
+or ``run_combine_chunk`` per warp — and every engine charges through
+the same bound closures of :mod:`repro.gpu.charging`; the one map-launch
+fold and the combine fold below turn those per-lane charges into
+warp/block/grid time, so ``WarpCost``/``KernelCost`` are
 engine-independent by construction.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..compiler.kernel_ir import KernelIR, VarClass, VarInfo
 from ..errors import GpuError, KVStoreOverflow
@@ -38,22 +41,14 @@ from ..minic import ctypes as T
 from ..minic.interpreter import ExecCounters, Interpreter
 from ..minic.values import Buffer, NULL, Ptr
 from ..obs import trace as obs
-from .charging import (
-    ChargeHook,
-    CountingChargeHook,
-    DEFAULT_CHARGE_HOOK,
-    LaneCharges,
-)
+from .charging import LaneCharges
 from .device import GpuDevice
 from .engine import (
     CompiledLaneRunner,
-    LaneState,
-    check_gpu_engine,
+    LaneRunner,
     clone_buffer as _clone_buffer,
     default_gpu_engine,
     kernel_program,
-    make_combine_builtins,
-    make_map_builtins,
     snapshot_value as _snapshot_value,
 )
 from .timing import KernelCost, TimingModel, WarpCost
@@ -71,14 +66,12 @@ class GpuInterpreter(Interpreter):
     target buffer's memory space (tree lane engine)."""
 
     def __init__(self, program: A.Program, builtins: dict,
-                 charges: LaneCharges,
-                 hook: ChargeHook = DEFAULT_CHARGE_HOOK):
+                 charge_access: Callable[[Any, bool], None]):
         super().__init__(program, stdin="", builtins=builtins)
-        self.charges = charges
-        # An instance attribute, not a method: the same hook-bound closure
-        # shape the compiled engine's facade carries, so the mini-C
-        # compiled backend picks up charging uniformly from either.
-        self._charge_access = hook.bind_charges(charges)
+        # An instance attribute, not a method: the same bound closure the
+        # compiled engine's facade carries, so the mini-C compiled
+        # backend picks up charging uniformly from either.
+        self._charge_access = charge_access
 
     def _eval_Index(self, expr: A.Index) -> Any:
         ptr = self._as_ptr(self.eval(expr.base))
@@ -86,7 +79,7 @@ class GpuInterpreter(Interpreter):
         if ptr.stride > 1:  # row of a flattened 2-D array
             return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
         self.counters.loads += 1
-        self._charge_access(ptr.buffer, is_store=False)
+        self._charge_access(ptr.buffer, False)
         return ptr.buffer.read(ptr.offset + idx)  # type: ignore[union-attr]
 
     def _eval_Assign(self, expr: A.Assign) -> Any:
@@ -98,7 +91,7 @@ class GpuInterpreter(Interpreter):
         ref.store(value)
         self.counters.stores += 1
         buffer = ref.buffer if isinstance(ref, Ptr) else None
-        self._charge_access(buffer, is_store=True)
+        self._charge_access(buffer, True)
         return ref.deref()
 
 
@@ -174,42 +167,16 @@ def prepare_shared_ro(kernel: KernelIR, snapshot: dict[str, Any]) -> dict[str, B
 # --------------------------------------------------------------------------
 
 
-class _TreeLaneRunner:
+class _TreeLaneRunner(LaneRunner):
     """Reference lane engine: one ``GpuInterpreter`` per lane, with the
-    thread environment rebuilt through scope dicts. Shares the builtin
-    factories (and thus the charge hook) with the compiled engine, so
+    thread environment rebuilt through scope dicts. Shares the launch
+    state, builtin table and bound charges with the compiled engine, so
     only the execution mechanism differs."""
 
-    def __init__(
-        self,
-        device: GpuDevice,
-        kernel: KernelIR,
-        snapshot: dict[str, Any],
-        shared_ro: dict[str, Buffer],
-        store: GlobalKVStore | None = None,
-        partitioner: Partitioner | None = None,
-        hook: ChargeHook = DEFAULT_CHARGE_HOOK,
-    ):
-        self.device = device
-        self.kernel = kernel
-        self.snapshot = snapshot
-        self.shared_ro = shared_ro
-        self.store = store
-        self.partitioner = partitioner
-        self.hook = hook
-        self.program = kernel_program(kernel)
-
-    def _run_lane(self, state: LaneState,
-                  charges: LaneCharges) -> ExecCounters:
+    def _run_lane_body(self) -> ExecCounters:
         kernel = self.kernel
-        if kernel.is_mapper:
-            builtins = make_map_builtins(kernel, self.device, self.hook,
-                                         state, self.store, self.partitioner)
-        else:
-            builtins = make_combine_builtins(kernel, self.device, self.hook,
-                                             state)
-        interp = GpuInterpreter(self.program, builtins, charges,
-                                hook=self.hook)
+        interp = GpuInterpreter(kernel_program(kernel), self.builtins,
+                                self.charge_access)
         build_thread_env(interp, kernel, self.snapshot, self.shared_ro)
         try:
             interp.exec_stmt(kernel.body)
@@ -217,56 +184,37 @@ class _TreeLaneRunner:
             interp.pop_scope()
         return interp.counters
 
-    def run_map_lane(self, thread_records: list[bytes], global_tid: int,
-                     charges: LaneCharges) -> ExecCounters:
-        state = LaneState()
-        state.records = thread_records
-        state.charges = charges
-        state.global_tid = global_tid
-        return self._run_lane(state, charges)
 
-    def run_combine_chunk(
-        self, chunk: list[KVPair], charges: LaneCharges
-    ) -> tuple[ExecCounters, list[tuple[Any, Any]]]:
-        state = LaneState()
-        state.chunk = chunk
-        state.charges = charges
-        state.output = out = []
-        counters = self._run_lane(state, charges)
-        return counters, out
+_LANE_RUNNERS: dict[str, type[LaneRunner]] = {
+    "compiled": CompiledLaneRunner,
+    "tree": _TreeLaneRunner,
+    "vector": VectorLaneRunner,
+}
 
 
 def _make_lane_runner(
-    engine: str | None,
     device: GpuDevice,
     kernel: KernelIR,
     snapshot: dict[str, Any],
     shared_ro: dict[str, Buffer],
     store: GlobalKVStore | None = None,
     partitioner: Partitioner | None = None,
-):
-    name = check_gpu_engine(engine if engine is not None
-                            else default_gpu_engine())
-    cls = {
-        "compiled": CompiledLaneRunner,
-        "tree": _TreeLaneRunner,
-        "vector": VectorLaneRunner,
-    }[name]
-    hook: ChargeHook = DEFAULT_CHARGE_HOOK
+) -> LaneRunner:
+    """This launch's runner on the process's engine; its charges tally
+    per-event counts into the active recorder's metrics only while one
+    is enabled (costs are the same closures either way)."""
     rec = obs.active()
-    if rec.enabled:
-        # Per-launch event tallies; cost formulas (and thus the compiled
-        # kernel-body cache key) are untouched.
-        hook = CountingChargeHook(DEFAULT_CHARGE_HOOK, rec.metrics)
-    return cls(device, kernel, snapshot, shared_ro, store, partitioner,
-               hook=hook)
+    return _LANE_RUNNERS[default_gpu_engine()](
+        device, kernel, snapshot, shared_ro, store, partitioner,
+        metrics=rec.metrics if rec.enabled else None,
+    )
 
 
 def _record_kernel_launch(name: str, device: GpuDevice, cost: KernelCost,
                           block_cycles: list[float],
                           args: dict[str, Any]) -> None:
     """One kernel span (plus its blocks laid out per SM) on the device
-    timeline, fed from the ChargeHook-accumulated WarpCost totals."""
+    timeline, fed from the launch's accumulated WarpCost totals."""
     rec = obs.active()
     if not rec.enabled:
         return
@@ -365,99 +313,104 @@ def _chunk_blocks(records: list[bytes], blocks: int) -> list[list[bytes]]:
     return [records[i * per : (i + 1) * per] for i in range(blocks)]
 
 
-def _warp_prerun(
-    runner: Any, lanes: list[list[bytes]], base: int
-) -> dict[int, tuple[LaneCharges, ExecCounters]] | None:
-    """Batch active lanes through the runner's warp path.
-
-    Runners exposing ``run_map_warp`` (the vector engine) execute every
-    active lane of the launch in one call — lanes never interact (the KV
-    store is per-thread and read-only tables are shared), so batching
-    across blocks is unobservable while letting a vectorized region span
-    the whole grid. The per-lane cost fold below then consumes the
-    precomputed (charges, counters) pairs instead of invoking
-    ``run_map_lane``, keeping the timing-model code identical across
-    engines. Returns ``None`` for plain per-lane runners."""
-    batch_fn = getattr(runner, "run_map_warp", None)
-    if batch_fn is None:
-        return None
-    batch = [(recs, base + i, LaneCharges(instructions=_SETUP_INSTR))
-             for i, recs in enumerate(lanes) if recs]
-    if not batch:
-        return {}
-    counters = batch_fn(batch)
-    return {tid: (charges, cnt)
-            for (_recs, tid, charges), cnt in zip(batch, counters)}
-
-
-def run_map_kernel_global_stealing(
+def _run_map_launch(
     device: GpuDevice,
     kernel: KernelIR,
     records: list[bytes],
     snapshot: dict[str, Any],
     store: GlobalKVStore,
     partitioner: Partitioner,
-    engine: str | None = None,
+    global_counter: bool,
 ) -> MapLaunchResult:
-    """The design the paper REJECTS (§4.1): one *global* record counter
-    shared by every threadblock. Distribution is perfectly balanced
-    device-wide, but every steal is a global atomic — 'a global
-    work-stealing approach would incur high overheads, due to excessive
-    atomic accesses by the GPU threads'. Provided for the DESIGN.md §6
-    ablation that shows the paper's block-local scheme wins.
-    """
+    """Assign records to threads, run the active lanes, fold their
+    charges into warp/block/grid time.
+
+    ``global_counter`` selects the record-stealing design: False is the
+    paper's (records split statically across threadblocks, then stolen —
+    or dealt round-robin — within each block); True is the one it
+    rejects (:func:`run_map_kernel_global_stealing`). They differ in the
+    assignment, in which atomic a steal is charged as, and in the
+    contention term — nothing else."""
     if not kernel.is_mapper:
-        raise GpuError("run_map_kernel_global_stealing requires a mapper")
-    # Balance records across ALL threads of the grid (the global queue's
-    # steady-state effect), then execute exactly like the normal kernel —
-    # but charge a *global* atomic per steal instead of a shared one.
-    timing = TimingModel(device.spec)
+        raise GpuError("a map launch requires a mapper kernel")
+    spec = device.spec
+    timing = TimingModel(spec)
     launch = kernel.launch
-    lanes_all, steals = _assign_records_stealing(
-        records, launch.total_threads, store.stores_per_thread,
-        kernel.kvpairs_per_record,
-    )
+    warp = spec.warp_size
     shared_ro = prepare_shared_ro(kernel, snapshot)
-    runner = _make_lane_runner(engine, device, kernel, snapshot, shared_ro,
+    runner = _make_lane_runner(device, kernel, snapshot, shared_ro,
                                store, partitioner)
-    warp = device.spec.warp_size
-    result = MapLaunchResult()
-    result.steals = steals
+
+    # lanes[global tid] = the records that thread processes.
+    if global_counter:
+        # One queue for the whole grid: records balance across ALL
+        # threads (the global queue's steady-state effect).
+        lanes, steals = _assign_records_stealing(
+            records, launch.total_threads, store.stores_per_thread,
+            kernel.kvpairs_per_record,
+        )
+    else:
+        lanes, steals = [], 0
+        for block_records in _chunk_blocks(records, launch.blocks):
+            if kernel.opt.record_stealing:
+                block_lanes, block_steals = _assign_records_stealing(
+                    block_records, launch.threads, store.stores_per_thread,
+                    kernel.kvpairs_per_record,
+                )
+                steals += block_steals
+            else:
+                block_lanes = _assign_records_static(block_records,
+                                                     launch.threads)
+            lanes.extend(block_lanes)
+
+    # Every active lane of the launch in one runner call, so a vectorized
+    # region can span the whole grid; the fold below is engine-blind.
+    batch = [(recs, tid, LaneCharges(instructions=_SETUP_INSTR))
+             for tid, recs in enumerate(lanes) if recs]
+    ran: dict[int, tuple[LaneCharges, ExecCounters]] = {}
+    if batch:  # an empty split runs nothing — and counts no fallback
+        for (_recs, tid, charges), counters in zip(
+                batch, runner.run_map_warp(batch)):
+            ran[tid] = (charges, counters)
+
+    result = MapLaunchResult(steals=steals)
     block_cycles: list[float] = []
-    prerun = _warp_prerun(runner, lanes_all, 0)
-    for block_id in range(launch.blocks):
-        base = block_id * launch.threads
+    for base in range(0, launch.total_threads, launch.threads):
         warp_costs: list[WarpCost] = []
-        lane_critical = 0.0
+        lane_critical_path = 0.0
         for warp_start in range(0, launch.threads, warp):
             lane_instr: list[float] = []
             wc = WarpCost()
-            for lane in range(warp_start, min(warp_start + warp, launch.threads)):
-                thread_records = lanes_all[base + lane]
-                if thread_records and prerun is not None:
-                    charges, counters = prerun[base + lane]
-                else:
-                    charges = LaneCharges(instructions=_SETUP_INSTR)
-                if thread_records:
-                    if prerun is None:
-                        counters = runner.run_map_lane(
-                            thread_records, base + lane, charges
-                        )
-                    # Swap the shared-atomic steal charges for global ones.
+            for tid in range(base + warp_start,
+                             base + min(warp_start + warp, launch.threads)):
+                lane = ran.get(tid)
+                if lane is None:  # idle: only the dispatch is issued
+                    lane_instr.append(_SETUP_INSTR)
+                    continue
+                charges, counters = lane
+                if global_counter:
+                    # Every steal hit the global counter, not a shared one.
                     charges.global_atomics += charges.shared_atomics
                     charges.shared_atomics = 0.0
-                    result.counters = result.counters.merged(counters)
-                    result.records_processed += len(thread_records)
-                    issue = (charges.instructions + counters.ops
-                             + counters.branches + 2.0 * counters.fp_ops)
-                    lane_instr.append(issue)
-                    lane_critical = max(
-                        lane_critical,
-                        issue * device.spec.issue_cycles
-                        + charges.global_txn * device.spec.global_mem_cycles / 4.0,
-                    )
-                else:
-                    lane_instr.append(_SETUP_INSTR)
+                result.counters = result.counters.merged(counters)
+                result.records_processed += len(lanes[tid])
+                issue = (
+                    charges.instructions
+                    + counters.ops
+                    + counters.branches
+                    + 2.0 * counters.fp_ops
+                )
+                lane_instr.append(issue)
+                # A thread's own record stream is a serial dependency
+                # chain: its memory accesses pipeline (factor ~4) but
+                # cannot overlap with each other the way accesses from
+                # *different* threads can. This per-lane critical path
+                # is exactly what record stealing shortens (Fig. 7d).
+                lane_critical_path = max(
+                    lane_critical_path,
+                    issue * spec.issue_cycles
+                    + charges.global_txn * spec.global_mem_cycles / 4.0,
+                )
                 wc.global_txn += charges.global_txn
                 wc.shared_accesses += charges.shared_accesses
                 wc.shared_atomics += charges.shared_atomics
@@ -467,17 +420,21 @@ def run_map_kernel_global_stealing(
             warp_costs.append(wc)
             result.cost.totals.add(wc)
             result.cost.warps += 1
-        block_cycles.append(max(timing.block_cycles(warp_costs), lane_critical))
+        block_cycles.append(
+            max(timing.block_cycles(warp_costs), lane_critical_path)
+        )
         result.cost.blocks += 1
-    # All steals hit ONE global counter: atomics on the same address
-    # serialize device-wide, an unhideable critical section — the precise
-    # overhead the paper's block-local scheme avoids.
-    contention = steals * device.spec.global_atomic_cycles
-    result.cost.cycles = timing.grid_cycles(block_cycles) + contention
+
+    result.cost.cycles = timing.grid_cycles(block_cycles)
+    if global_counter:
+        # All steals hit ONE global counter: atomics on the same address
+        # serialize device-wide, an unhideable critical section — the
+        # precise overhead the paper's block-local scheme avoids.
+        result.cost.cycles += steals * spec.global_atomic_cycles
     result.cost.seconds = device.cycles_to_seconds(result.cost.cycles)
     _record_kernel_launch(
-        f"map_kernel[global-stealing] {kernel.name}", device, result.cost,
-        block_cycles,
+        f"map_kernel{'[global-stealing]' if global_counter else ''} "
+        f"{kernel.name}", device, result.cost, block_cycles,
         {"records": result.records_processed, "steals": result.steals},
     )
     return result
@@ -490,103 +447,29 @@ def run_map_kernel(
     snapshot: dict[str, Any],
     store: GlobalKVStore,
     partitioner: Partitioner,
-    engine: str | None = None,
 ) -> MapLaunchResult:
     """Execute the map kernel over one fileSplit's records."""
-    if not kernel.is_mapper:
-        raise GpuError("run_map_kernel requires a mapper kernel")
-    timing = TimingModel(device.spec)
-    launch = kernel.launch
-    warp = device.spec.warp_size
-    shared_ro = prepare_shared_ro(kernel, snapshot)
-    runner = _make_lane_runner(engine, device, kernel, snapshot, shared_ro,
-                               store, partitioner)
+    return _run_map_launch(device, kernel, records, snapshot, store,
+                           partitioner, global_counter=False)
 
-    result = MapLaunchResult()
-    block_cycles: list[float] = []
-    block_records = _chunk_blocks(records, launch.blocks)
 
-    block_lanes: list[list[list[bytes]]] = []
-    for block_id in range(launch.blocks):
-        recs = block_records[block_id] if block_id < len(block_records) else []
-        if kernel.opt.record_stealing:
-            lanes, steals = _assign_records_stealing(
-                recs, launch.threads, store.stores_per_thread,
-                kernel.kvpairs_per_record,
-            )
-            result.steals += steals
-        else:
-            lanes = _assign_records_static(recs, launch.threads)
-        block_lanes.append(lanes)
-    prerun = _warp_prerun(
-        runner, [lane for lanes in block_lanes for lane in lanes], 0
-    )
-
-    for block_id in range(launch.blocks):
-        lanes = block_lanes[block_id]
-        warp_costs: list[WarpCost] = []
-        lane_critical_path = 0.0
-        for warp_start in range(0, launch.threads, warp):
-            lane_instr: list[float] = []
-            wc = WarpCost()
-            any_active = False
-            for lane in range(warp_start, min(warp_start + warp, launch.threads)):
-                thread_records = lanes[lane]
-                global_tid = block_id * launch.threads + lane
-                if thread_records and prerun is not None:
-                    charges, counters = prerun[global_tid]
-                else:
-                    charges = LaneCharges(instructions=_SETUP_INSTR)
-                if thread_records:
-                    any_active = True
-                    if prerun is None:
-                        counters = runner.run_map_lane(
-                            thread_records, global_tid, charges
-                        )
-                    result.counters = result.counters.merged(counters)
-                    result.records_processed += len(thread_records)
-                    issue = (
-                        charges.instructions
-                        + counters.ops
-                        + counters.branches
-                        + 2.0 * counters.fp_ops
-                    )
-                    lane_instr.append(issue)
-                    # A thread's own record stream is a serial dependency
-                    # chain: its memory accesses pipeline (factor ~4) but
-                    # cannot overlap with each other the way accesses from
-                    # *different* threads can. This per-lane critical path
-                    # is exactly what record stealing shortens (Fig. 7d).
-                    lane_critical_path = max(
-                        lane_critical_path,
-                        issue * device.spec.issue_cycles
-                        + charges.global_txn * device.spec.global_mem_cycles / 4.0,
-                    )
-                else:
-                    lane_instr.append(_SETUP_INSTR)
-                wc.global_txn += charges.global_txn
-                wc.shared_accesses += charges.shared_accesses
-                wc.shared_atomics += charges.shared_atomics
-                wc.global_atomics += charges.global_atomics
-                wc.texture_accesses += charges.texture_accesses
-            if not any_active and not lane_instr:
-                continue
-            wc.instructions = timing.divergent_issue(lane_instr)
-            warp_costs.append(wc)
-            result.cost.totals.add(wc)
-            result.cost.warps += 1
-        block_cycles.append(
-            max(timing.block_cycles(warp_costs), lane_critical_path)
-        )
-        result.cost.blocks += 1
-
-    result.cost.cycles = timing.grid_cycles(block_cycles)
-    result.cost.seconds = device.cycles_to_seconds(result.cost.cycles)
-    _record_kernel_launch(
-        f"map_kernel {kernel.name}", device, result.cost, block_cycles,
-        {"records": result.records_processed, "steals": result.steals},
-    )
-    return result
+def run_map_kernel_global_stealing(
+    device: GpuDevice,
+    kernel: KernelIR,
+    records: list[bytes],
+    snapshot: dict[str, Any],
+    store: GlobalKVStore,
+    partitioner: Partitioner,
+) -> MapLaunchResult:
+    """The design the paper REJECTS (§4.1): one *global* record counter
+    shared by every threadblock. Distribution is perfectly balanced
+    device-wide, but every steal is a global atomic — 'a global
+    work-stealing approach would incur high overheads, due to excessive
+    atomic accesses by the GPU threads'. Provided for the DESIGN.md §6
+    ablation that shows the paper's block-local scheme wins.
+    """
+    return _run_map_launch(device, kernel, records, snapshot, store,
+                           partitioner, global_counter=True)
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +490,6 @@ def run_combine_kernel(
     kernel: KernelIR,
     partition_pairs: list[KVPair],
     snapshot: dict[str, Any],
-    engine: str | None = None,
 ) -> CombineLaunchResult:
     """Execute the combine kernel over one sorted partition.
 
@@ -627,7 +509,7 @@ def run_combine_kernel(
     n = len(partition_pairs)
     if n == 0:
         return result
-    runner = _make_lane_runner(engine, device, kernel, snapshot, shared_ro)
+    runner = _make_lane_runner(device, kernel, snapshot, shared_ro)
     # kvsPerThread = partition size / warp count, floored so tiny
     # partitions use few warps instead of one-pair chunks (launching a
     # full grid for a handful of pairs would only manufacture partials).

@@ -21,7 +21,6 @@ from ..costmodel.cpu import CpuTaskModel, CpuTaskTiming
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError
 from ..gpu.device import GpuDevice
-from ..gpu.engine import check_gpu_engine
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
@@ -147,11 +146,6 @@ class LocalJobRunner:
     split_bytes:
         fileSplit size for input splitting (tests use small splits; the
         real 256 MB default would make functional runs needlessly slow).
-    gpu_engine:
-        Test seam; jobs leave it None and run the shipped ``"vector"``
-        lane engine. ``"compiled"`` forces vector's per-lane fallback
-        everywhere, ``"tree"`` runs the reference harness; anything
-        else raises :class:`~repro.errors.ConfigError` here.
     workers:
         Worker processes for the map phase, and for the reduce phase
         capped by its partition count. None defers to the
@@ -171,7 +165,6 @@ class LocalJobRunner:
         opt: OptimizationFlags | None = None,
         num_reducers: int | None = None,
         split_bytes: int = 64 * 1024,
-        gpu_engine: str | None = None,
         workers: int | None = None,
     ):
         if split_bytes <= 0:
@@ -182,8 +175,6 @@ class LocalJobRunner:
             raise ConfigError(
                 f"num_reducers must be >= 0, got {num_reducers}"
             )
-        if gpu_engine is not None:
-            check_gpu_engine(gpu_engine)
         if workers is not None and workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
         self.app = app
@@ -196,7 +187,6 @@ class LocalJobRunner:
             num_reducers if num_reducers is not None else default_reducers
         )
         self.split_bytes = split_bytes
-        self.gpu_engine = gpu_engine
         self.workers = workers
         self.io = IoModel.for_cluster(cluster)
         self.partitioner = Partitioner(max(self.num_reducers, 1))
@@ -250,7 +240,6 @@ class LocalJobRunner:
                 num_reducers=self.num_reducers,
                 replication=self.cluster.hdfs_replication,
                 min_gpu_mem=self.app.min_gpu_mem,
-                engine=self.gpu_engine,
             )
         return self._gpu_runner
 

@@ -11,11 +11,11 @@ source. This module provides:
 * :func:`compiled_suite` — one generated Python unit per (statement,
   program) pair, stashed on the statement node (the GPU kernel-body
   case: the same ``kernel.body`` node runs per thread per split);
-* :func:`compiled_kernel_body` — like :func:`compiled_suite` but keyed
-  on program + charge profile, for the GPU lane engine: a kernel body
-  compiles once per job (in practice once per process, since kernels
-  are themselves memoized) and every lane invocation is then one call
-  of the generated function over a per-thread frame;
+* :func:`compiled_kernel_body` — like :func:`compiled_suite` but
+  compiled for direct lane execution by the GPU lane engine: a kernel
+  body compiles once per job (in practice once per process, since
+  kernels are themselves memoized) and every lane invocation is then
+  one call of the generated function over a per-thread frame;
 * :func:`strlit_buffers` — the per-program string-literal Buffer table
   used by the tree-walking backend, so literals inside loops stop
   allocating a fresh Buffer per interpreter instance;
@@ -41,8 +41,8 @@ from .compile import CompiledProgram, CompiledSuite
 _ATTR_KEY = "_repro_cache_key"
 _ATTR_COMPILED = "_repro_compiled"
 _ATTR_SUITE = "_repro_compiled_suite"
-_ATTR_KERNEL_BODIES = "_repro_compiled_kernel_bodies"
-_ATTR_WARP_BODIES = "_repro_compiled_warp_bodies"
+_ATTR_KERNEL_BODY = "_repro_compiled_kernel_body"
+_ATTR_WARP_BODY = "_repro_compiled_warp_body"
 _ATTR_STRLITS = "_repro_strlit_buffers"
 
 #: source-hash key → CompiledProgram (or (program, CompiledProgram) for
@@ -80,66 +80,46 @@ def compiled_program(program: A.Program) -> CompiledProgram:
     return cp
 
 
+def _stmt_artifact(stmt: A.Stmt, attr: str, program: A.Program,
+                   build: Callable[[CompiledProgram], Any]) -> Any:
+    """``build(cp)``'s result, stashed on ``stmt`` under ``attr`` and
+    rebuilt only when the program's compiled form is a different one."""
+    cp = compiled_program(program)
+    artifact = stmt.__dict__.get(attr)
+    if artifact is None or artifact.cp is not cp:
+        artifact = build(cp)
+        setattr(stmt, attr, artifact)
+    return artifact
+
+
 def compiled_suite(program: A.Program, stmt: A.Stmt) -> CompiledSuite:
     """The (cached) compiled form of one statement of ``program``,
     executed against a live interpreter environment (kernel bodies)."""
-    cached = stmt.__dict__.get(_ATTR_SUITE)
-    cp = compiled_program(program)
-    if cached is not None and cached.cp is cp:
-        return cached
-    suite = CompiledSuite(stmt, cp)
-    setattr(stmt, _ATTR_SUITE, suite)
-    return suite
+    return _stmt_artifact(stmt, _ATTR_SUITE, program,
+                          lambda cp: CompiledSuite(stmt, cp))
 
 
 def compiled_kernel_body(program: A.Program, stmt: A.Stmt,
-                         profile_key: str,
                          free_ctypes: dict | None = None) -> CompiledSuite:
     """The compiled form of a GPU kernel body for direct lane execution,
-    cached per (statement, program, charge profile).
-
-    The profile dimension exists because a :class:`~repro.gpu.charging.
-    ChargeHook` defines which cost events a compiled body must surface;
-    bodies compiled under one profile must never be reused under
-    another. Today all profiles emit the same source, so this is
-    a dict keyed by ``profile_key`` — cheap, and the invariant is
-    enforced structurally rather than by convention."""
-    cp = compiled_program(program)
-    cache = stmt.__dict__.get(_ATTR_KERNEL_BODIES)
-    if cache is None:
-        cache = {}
-        setattr(stmt, _ATTR_KERNEL_BODIES, cache)
-    suite = cache.get(profile_key)
-    if suite is None or suite.cp is not cp:
-        # free_ctypes derives deterministically from the kernel (and so
-        # from the program), so it does not need its own cache dimension.
-        suite = CompiledSuite(stmt, cp, free_ctypes)
-        cache[profile_key] = suite
-    return suite
+    cached per (statement, program). ``free_ctypes`` derives
+    deterministically from the kernel (and so from the program), so it
+    does not need its own cache dimension."""
+    return _stmt_artifact(stmt, _ATTR_KERNEL_BODY, program,
+                          lambda cp: CompiledSuite(stmt, cp, free_ctypes))
 
 
 def compiled_warp_body(program: A.Program, stmt: A.Stmt,
-                       profile_key: str,
                        build: Callable[[Any], Any]) -> Any:
     """The warp-compiled form of a GPU kernel body (vector lane engine),
-    cached per (statement, program, charge profile) exactly like
+    cached per (statement, program) exactly like
     :func:`compiled_kernel_body`.
 
     ``build(cp)`` constructs the suite from the compiled program — a
     callback so this module never imports the GPU layer. The artifact
-    only depends on the program and the charge profile (eligibility
-    gates that involve launch geometry are checked by the caller before
-    consulting the cache)."""
-    cp = compiled_program(program)
-    cache = stmt.__dict__.get(_ATTR_WARP_BODIES)
-    if cache is None:
-        cache = {}
-        setattr(stmt, _ATTR_WARP_BODIES, cache)
-    suite = cache.get(profile_key)
-    if suite is None or suite.cp is not cp:
-        suite = build(cp)
-        cache[profile_key] = suite
-    return suite
+    only depends on the program (eligibility gates that involve launch
+    geometry are checked by the caller before consulting the cache)."""
+    return _stmt_artifact(stmt, _ATTR_WARP_BODY, program, build)
 
 
 def strlit_buffers(program: A.Program) -> dict[int, Any]:

@@ -107,9 +107,9 @@ class Runtime:
     (or the GPU engine's lean lane facade) whose builtins/streams/heap
     the compiled code must use — builtins keep their ``fn(interp,
     args)`` signature unchanged. ``charge`` is the facade's
-    ``_charge_access`` attribute when present — on the GPU that is a
-    closure bound from the launch's :class:`~repro.gpu.charging.
-    ChargeHook` — else None.
+    ``_charge_access`` attribute when present — on the GPU that is the
+    launch's :func:`~repro.gpu.charging.bind_access` closure — else
+    None.
     """
 
     __slots__ = ("facade", "counters", "builtins", "globals", "charge",

@@ -117,10 +117,12 @@ def warm_worker_caches(tags: tuple[str, ...]) -> None:
 
 
 def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
+    from ..gpu.engine import set_default_gpu_engine
     from ..hadoop.local import LocalJobRunner
     from ..minic.interpreter import set_default_backend
     from .arena import attach_view
 
+    set_default_gpu_engine(spec.gpu_engine)
     set_default_backend(spec.minic_backend)
     _warm_app(spec.app, spec.opt, spec.use_gpu)
     worker_state["spec"] = spec
@@ -131,7 +133,6 @@ def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
         opt=spec.opt,
         num_reducers=spec.num_reducers,
         split_bytes=spec.split_bytes,
-        gpu_engine=spec.gpu_engine,
         workers=1,
     )
     worker_state["view"] = attach_view(arena_token)
@@ -170,7 +171,7 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
         opt=runner.opt,
         num_reducers=runner.num_reducers,
         split_bytes=runner.split_bytes,
-        gpu_engine=runner.gpu_engine or default_gpu_engine(),
+        gpu_engine=default_gpu_engine(),
         minic_backend=default_backend(),
         trace=bool(rec.enabled),
     )

@@ -20,7 +20,6 @@ from ..compiler import TranslationResult
 from ..config import OptimizationFlags
 from ..errors import GpuError, GpuOutOfMemory
 from ..gpu.device import GpuDevice
-from ..gpu.engine import check_gpu_engine
 from ..gpu.executor import (
     CombineLaunchResult,
     MapLaunchResult,
@@ -41,10 +40,6 @@ from .seqfile import SequenceFileWriter
 #: Host-side formatting + CRC cost per output byte (the 'calculating the
 #: checksum' part of the Fig. 6 output-write bar).
 _FORMAT_S_PER_BYTE = 8.0e-9
-
-#: Fixed per-task driver cost: task hand-off, kernel launches, stream
-#: setup/teardown (several cudaLaunch/cudaMalloc round-trips).
-_TASK_OVERHEAD_S = 2.5e-4
 
 #: Upper bound on KV-store slots when the kvpairs clause is absent and the
 #: host grabs "all free GPU memory" (paper §3.2). The *cost* model still
@@ -150,13 +145,6 @@ class GpuTaskRunner:
     min_gpu_mem:
         Application working-set floor; allocation fails if the device is
         smaller (this is what excludes KM from Cluster2 in Fig. 4b).
-    engine:
-        Test seam. None (what every job passes) runs the shipped
-        ``"vector"`` lane engine; ``"compiled"`` forces its per-lane
-        fallback on every region and ``"tree"`` runs the reference
-        harness (:data:`repro.gpu.engine.GPU_ENGINES`). Unknown names
-        raise :class:`~repro.errors.ConfigError` here, not at first
-        launch.
     """
 
     def __init__(
@@ -168,7 +156,6 @@ class GpuTaskRunner:
         num_reducers: int,
         replication: int = 3,
         min_gpu_mem: int = 0,
-        engine: str | None = None,
     ):
         if map_translation.map_kernel is None:
             raise GpuError("map translation lacks a mapper kernel")
@@ -182,7 +169,6 @@ class GpuTaskRunner:
         self.num_reducers = num_reducers
         self.replication = replication
         self.min_gpu_mem = min_gpu_mem
-        self.engine = None if engine is None else check_gpu_engine(engine)
         self.map_only = num_reducers == 0
         self._map_snapshot: dict[str, Any] | None = None
         self._combine_snapshot: dict[str, Any] | None = None
@@ -240,7 +226,6 @@ class GpuTaskRunner:
 
         if self.min_gpu_mem > spec.global_mem:
             raise GpuOutOfMemory(self.min_gpu_mem, spec.global_mem)
-        bd.record_count += _TASK_OVERHEAD_S  # driver + launch overheads
 
         # 1. Copy the fileSplit from HDFS into GPU memory.
         input_alloc = device.memory.malloc(len(split), "fileSplit")
@@ -286,7 +271,7 @@ class GpuTaskRunner:
             # 4. Map kernel.
             map_launch = run_map_kernel(
                 device, kernel, locator.records, self.map_snapshot(),
-                store, partitioner, engine=self.engine,
+                store, partitioner,
             )
             result.map_launch = map_launch
             result.emitted_pairs = store.emitted_pairs
@@ -334,8 +319,7 @@ class GpuTaskRunner:
                 assert ck is not None
                 snapshot = self.combine_snapshot()
                 for part, pairs in sorted_partitions.items():
-                    launch = run_combine_kernel(device, ck, pairs, snapshot,
-                                                engine=self.engine)
+                    launch = run_combine_kernel(device, ck, pairs, snapshot)
                     output[part] = [coerce_pair(k, v)
                                     for k, v in launch.output]
                     bd.combine += launch.cost.seconds

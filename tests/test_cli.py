@@ -41,6 +41,40 @@ class TestParser:
         assert exc.value.code == 2
         assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
+    # Knobs that used to be accepted and quietly do something else:
+    # a non-positive --task-scale simulated one task, --show -3 printed
+    # all but three outputs, --count -5 reported "0/-5 cases ... OK".
+    @pytest.mark.parametrize("argv, complaint", [
+        (["simulate", "WC", "--task-scale", "0"], "--task-scale: must be > 0"),
+        (["simulate", "WC", "--task-scale", "-1"], "--task-scale: must be > 0"),
+        (["simulate", "WC", "--task-scale", "nan"], "--task-scale: must be > 0"),
+        (["trace", "WC", "--mode", "simulate", "--task-scale", "0"],
+         "--task-scale: must be > 0"),
+        (["stats", "WC", "--mode", "simulate", "--task-scale", "-1"],
+         "--task-scale: must be > 0"),
+        (["experiment", "fig4a", "--task-scale", "0"],
+         "--task-scale: must be > 0"),
+        (["simulate", "WC", "--gpus", "-1"], "--gpus: must be >= 0"),
+        (["stats", "WC", "--mode", "simulate", "--gpus", "-2"],
+         "--gpus: must be >= 0"),
+        (["run", "WC", "--show", "-3"], "--show: must be >= 0"),
+        (["fuzz", "--count", "-5"], "--count: must be >= 0"),
+    ])
+    def test_out_of_range_knobs_are_usage_errors(self, argv, complaint,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert complaint in capsys.readouterr().err
+
+    def test_zero_is_a_valid_count(self):
+        args = build_parser().parse_args(["run", "WC", "--show", "0"])
+        assert args.show == 0
+        args = build_parser().parse_args(["simulate", "WC", "--gpus", "0"])
+        assert args.gpus == 0
+        args = build_parser().parse_args(["fuzz", "--count", "0"])
+        assert args.count == 0
+
 
 class TestCommands:
     def test_apps_lists_every_registry_app(self, capsys):
@@ -72,6 +106,13 @@ int main() {
 """)
         assert main(["translate", "--file", str(src)]) == 0
         assert "gpu_mapper" in capsys.readouterr().out
+
+    def test_translate_unreadable_file_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "nope.c"
+        assert main(["translate", "--file", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read {missing}: "
+                       "No such file or directory\n")
 
     def test_run_small_job(self, capsys):
         assert main(["run", "HS", "--records", "80", "--split-kb", "8"]) == 0

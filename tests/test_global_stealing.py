@@ -13,6 +13,7 @@ import pytest
 
 from repro.compiler import translate
 from repro.config import CLUSTER1, OptimizationFlags
+from repro.gpu import GPU_ENGINES, use_gpu_engine
 from repro.gpu.device import GpuDevice
 from repro.gpu.executor import run_map_kernel, run_map_kernel_global_stealing
 from repro.kvstore import GlobalKVStore, Partitioner
@@ -103,3 +104,35 @@ def test_functional_outputs_identical(setup):
     pairs = lambda s: sorted((p.key, round(p.value, 6), p.partition)  # noqa: E731
                              for _t, p in s.iter_pairs())
     assert pairs(s1) == pairs(s2)
+
+
+# Both designs run one launch fold that differs in the record
+# assignment, the atomic a steal is charged as and the contention term.
+# These are the costs the two separate folds produced before they were
+# merged (``repr``, so the last float bit counts), on every lane engine.
+LOCAL_COST = (
+    "KernelCost(cycles=133335.7325, seconds=0.00017897413758389267, "
+    "warps=8, blocks=2, totals=WarpCost(instructions=261884.8425, "
+    "global_txn=750.0, shared_accesses=0.0, shared_atomics=1200.0, "
+    "global_atomics=0.0, texture_accesses=0.0))")
+GLOBAL_COST = (
+    "KernelCost(cycles=739143.9525, seconds=0.000992139533557047, "
+    "warps=8, blocks=2, totals=WarpCost(instructions=270359.9175, "
+    "global_txn=750.0, shared_accesses=0.0, shared_atomics=0.0, "
+    "global_atomics=1200.0, texture_accesses=0.0))")
+
+
+@pytest.mark.parametrize("engine", GPU_ENGINES)
+def test_both_designs_costs_pinned_on_every_engine(setup, engine):
+    records, kernel, snapshot = setup
+    device = GpuDevice(CLUSTER1.gpu)
+    with use_gpu_engine(engine):
+        local = run_map_kernel(device, kernel, records, snapshot,
+                               fresh_store(kernel), Partitioner(4))
+        glob = run_map_kernel_global_stealing(
+            device, kernel, records, snapshot, fresh_store(kernel),
+            Partitioner(4))
+    assert repr(local.cost) == LOCAL_COST
+    assert repr(glob.cost) == GLOBAL_COST
+    assert local.steals == glob.steals == len(records)
+    assert local.counters == glob.counters

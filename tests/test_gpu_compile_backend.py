@@ -1,15 +1,15 @@
 """Differential tests: compiled GPU lane engine vs the tree-walker.
 
 The compiled lane engine — the vector engine's base and per-lane
-fallback, pinned here with ``engine="compiled"`` — replays kernel
+fallback, pinned here with ``use_gpu_engine("compiled")`` — replays kernel
 bodies as closure calls but must stay *indistinguishable* from the
 tree-walking reference at every observable boundary: final job output,
 simulated per-task seconds, map-launch ``ExecCounters``, and the full
 per-warp ``KernelCost`` fold. The tree reference itself runs under both
 mini-C backends (bodies interpreted vs compiled), so three
-configurations triangulate every app. Charging flows through the pluggable :class:`ChargeHook` in both
-engines — one formula source, so agreement here proves the hook wiring,
-not formula duplication.
+configurations triangulate every app. Both engines charge through the
+same bound closures of :mod:`repro.gpu.charging` — one formula source,
+so agreement here proves the wiring, not formula duplication.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from repro.config import CLUSTER1
 from repro.errors import ConfigError
 from repro.fuzz import load_corpus, run_case
 from repro.gpu import (
-    DEFAULT_CHARGE_HOOK,
     GPU_ENGINES,
-    SpaceChargeHook,
     default_gpu_engine,
     set_default_gpu_engine,
     use_gpu_engine,
@@ -77,10 +75,6 @@ class TestEngineSelection:
             with use_gpu_engine(bad):
                 pass  # pragma: no cover
 
-    def test_default_charge_hook_is_calibrated_profile(self):
-        assert isinstance(DEFAULT_CHARGE_HOOK, SpaceChargeHook)
-        assert DEFAULT_CHARGE_HOOK.profile_key == "space-v1"
-
 
 # -- all eight apps, full GPU jobs ------------------------------------------
 
@@ -116,15 +110,6 @@ class TestAllAppsEngineParity:
         _assert_launches_identical(tag, tree_tree, tree_comp)
         _assert_launches_identical(tag, tree_tree, compiled)
 
-    @pytest.mark.parametrize("tag", ["WC", "KM"])
-    def test_runner_engine_kwarg_overrides_default(self, tag):
-        app = get_app(tag)
-        text = app.generate(60, seed=3)
-        by_kwarg = LocalJobRunner(app, use_gpu=True, split_bytes=16 * 1024,
-                                  gpu_engine="tree").run(text)
-        by_default = _gpu_job(app, text, "tree", "compiled")
-        _assert_launches_identical(tag, by_default, by_kwarg)
-
 
 # -- standalone combine kernels ---------------------------------------------
 
@@ -146,10 +131,10 @@ class TestCombineKernelEngines:
         kernel, pairs, snapshot = _combine_inputs(get_app(tag))
         assert pairs, f"{tag}: map produced no pairs"
         device = GpuDevice(CLUSTER1.gpu)
-        tree = run_combine_kernel(device, kernel, pairs, snapshot,
-                                  engine="tree")
-        comp = run_combine_kernel(device, kernel, pairs, snapshot,
-                                  engine="compiled")
+        with use_gpu_engine("tree"):
+            tree = run_combine_kernel(device, kernel, pairs, snapshot)
+        with use_gpu_engine("compiled"):
+            comp = run_combine_kernel(device, kernel, pairs, snapshot)
         assert comp.output == tree.output
         assert comp.counters == tree.counters
         assert comp.cost == tree.cost
@@ -157,9 +142,10 @@ class TestCombineKernelEngines:
     def test_empty_partition_identical(self):
         kernel, _pairs, snapshot = _combine_inputs(get_app("WC"))
         device = GpuDevice(CLUSTER1.gpu)
-        tree = run_combine_kernel(device, kernel, [], snapshot, engine="tree")
-        comp = run_combine_kernel(device, kernel, [], snapshot,
-                                  engine="compiled")
+        with use_gpu_engine("tree"):
+            tree = run_combine_kernel(device, kernel, [], snapshot)
+        with use_gpu_engine("compiled"):
+            comp = run_combine_kernel(device, kernel, [], snapshot)
         assert comp.output == tree.output == []
         assert comp.cost == tree.cost
 
@@ -196,11 +182,11 @@ class TestMapKernelEngines:
         run = (run_map_kernel if variant == "stealing"
                else run_map_kernel_global_stealing)
         stores = {e: _fresh_store(kernel) for e in GPU_ENGINES}
-        launches = {
-            e: run(device, kernel, records, snapshot, stores[e],
-                   Partitioner(4), engine=e)
-            for e in GPU_ENGINES
-        }
+        launches = {}
+        for e in GPU_ENGINES:
+            with use_gpu_engine(e):
+                launches[e] = run(device, kernel, records, snapshot,
+                                  stores[e], Partitioner(4))
         tree = launches["tree"]
         for e in GPU_ENGINES:
             if e == "tree":

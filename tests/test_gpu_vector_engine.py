@@ -28,10 +28,9 @@ from repro.apps import all_apps, get_app
 from repro.compiler.translator import translate
 from repro.config import CLUSTER1
 from repro.errors import ConfigError
-from repro.gpu import use_gpu_engine
-from repro.gpu.charging import DEFAULT_CHARGE_HOOK
+from repro.gpu import default_gpu_engine, use_gpu_engine
 from repro.gpu.device import GpuDevice
-from repro.gpu.executor import run_map_kernel
+from repro.gpu.executor import prepare_shared_ro, run_map_kernel
 from repro.gpu.vector import VectorLaneRunner, region_eligible
 from repro.hadoop.local import LocalJobRunner
 from repro.kvstore import GlobalKVStore, Partitioner
@@ -81,8 +80,9 @@ def _map_setup(source_or_app):
     return kernel, snapshot
 
 
-def _launch_map(app, engine, n=40):
-    """One traced map launch of ``app`` on ``engine``; its metrics."""
+def _launch_map(app, n=40):
+    """One traced map launch of ``app`` on the ambient engine; its
+    metrics."""
     kernel, snapshot = _map_setup(app)
     records = [ln.encode("utf-8") + b"\n"
                for ln in app.generate(n, seed=5).splitlines()]
@@ -91,14 +91,14 @@ def _launch_map(app, engine, n=40):
                           kernel.key_length, kernel.value_length)
     with obs.use_recorder(obs.TraceRecorder()) as rec:
         run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
-                       snapshot, store, Partitioner(4), engine=engine)
+                       snapshot, store, Partitioner(4))
     return rec.metrics
 
 
 def _vector_runner(source_or_app):
     kernel, snapshot = _map_setup(source_or_app)
     return VectorLaneRunner(GpuDevice(CLUSTER1.gpu), kernel, snapshot,
-                            DEFAULT_CHARGE_HOOK)
+                            prepare_shared_ro(kernel, snapshot))
 
 
 def _first_for(body_src):
@@ -141,12 +141,15 @@ class TestAllAppsVectorParity:
         _assert_launches_identical(tag, tree, vector)
 
     def test_runner_kwarg_selects_vector(self):
+        # No runner keyword names an engine any more: an unpinned runner
+        # is the vector engine, indistinguishable from the pinned
+        # per-lane one.
         app = get_app("BS")
         text = app.generate(60, seed=3)
-        by_kwarg = LocalJobRunner(app, use_gpu=True, split_bytes=16 * 1024,
-                                  gpu_engine="vector").run(text)
-        by_default = _gpu_job(app, text, "compiled")
-        _assert_launches_identical("BS", by_default, by_kwarg)
+        unpinned = LocalJobRunner(app, use_gpu=True,
+                                  split_bytes=16 * 1024).run(text)
+        pinned = _gpu_job(app, text, "compiled")
+        _assert_launches_identical("BS", pinned, unpinned)
 
 
 # -- region detection -------------------------------------------------------
@@ -257,9 +260,9 @@ class TestPredicatedBranchProperty:
         store = GlobalKVStore(kernel.launch.total_threads,
                               kernel.launch.total_threads * 64,
                               kernel.key_length, kernel.value_length)
-        launch = run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
-                                self.SNAPSHOT, store, Partitioner(4),
-                                engine=engine)
+        with use_gpu_engine(engine):
+            launch = run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
+                                    self.SNAPSHOT, store, Partitioner(4))
         return launch, store
 
     def test_kernel_actually_vectorizes(self):
@@ -283,19 +286,21 @@ class TestPredicatedBranchProperty:
 
 class TestEngineValidation:
     """There is no environment selector: an unpinned launch runs the
-    vector engine, and an unknown ``engine=`` fails with the full list
-    of valid names, never by silently running another engine."""
+    vector engine, and pinning an unknown engine fails with the full
+    list of valid names, never by silently running another engine."""
 
     def test_unknown_engine_raises_listing_valid(self):
         with pytest.raises(ConfigError) as exc_info:
-            _launch_map(get_app("BS"), "warp9")
+            with use_gpu_engine("warp9"):
+                _launch_map(get_app("BS"))
         message = str(exc_info.value)
         assert "warp9" in message
         for name in ("compiled", "tree", "vector"):
             assert name in message
+        assert default_gpu_engine() == "vector"
 
     def test_unpinned_launch_runs_vector(self):
-        metrics = _launch_map(get_app("BS"), engine=None)
+        metrics = _launch_map(get_app("BS"))
         assert metrics.count("gpu.vector.regions") > 0
 
 
@@ -304,10 +309,12 @@ class TestEngineValidation:
 
 class TestVectorMetrics:
     def test_vectorized_app_counts_regions(self):
-        metrics = _launch_map(get_app("BS"), "vector")
+        with use_gpu_engine("vector"):
+            metrics = _launch_map(get_app("BS"))
         assert metrics.count("gpu.vector.regions") > 0
 
     def test_fallback_app_counts_fallbacks(self):
-        metrics = _launch_map(get_app("WC"), "vector")
+        with use_gpu_engine("vector"):
+            metrics = _launch_map(get_app("WC"))
         assert metrics.count("gpu.vector.regions") == 0
         assert metrics.count("gpu.vector.fallbacks") > 0

@@ -19,6 +19,7 @@ from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.errors import ConfigError, HadoopError
 from repro.fuzz.runner import run_campaign
+from repro.gpu import default_gpu_engine, use_gpu_engine
 from repro.gpu.device import GpuDevice
 from repro.hadoop.local import LocalJobRunner
 from repro.obs.export import WORKER_PID_MARKER
@@ -204,6 +205,33 @@ def test_parallel_counters_match_serial(use_gpu):
     assert set(par["gauges"]) == set(serial["gauges"])
 
 
+def test_pinned_gpu_engine_reaches_pool_workers():
+    """The engine seam is process-wide state, so a pooled job ships the
+    driver's engine in its JobSpec and each worker applies it for that
+    job: a ``use_gpu_engine("tree")`` job runs the tree engine in the
+    workers too, and the next, unpinned job on the same warm workers is
+    back on vector."""
+    app = get_app("KM")  # vectorizes, so the engines are tellable apart
+    runs = {}
+    with use_gpu_engine("tree"):
+        for workers in (1, 2):
+            with obs.use_recorder(obs.TraceRecorder()) as rec:
+                result = _run_job(app, True, workers=workers)
+            runs[workers] = (result, rec.metrics.snapshot()["counters"])
+    (inline, inline_counters), (pooled, pooled_counters) = runs[1], runs[2]
+    assert pooled.workers == 2
+    assert list(pooled.output.items()) == list(inline.output.items())
+    assert pooled.task_seconds() == inline.task_seconds()
+    assert {k: v for k, v in pooled_counters.items()
+            if not k.startswith("pool.")} == inline_counters
+    # A worker left on the default engine would have counted regions.
+    assert not any(k.startswith("gpu.vector.") for k in pooled_counters)
+    with obs.use_recorder(obs.TraceRecorder()) as rec:
+        unpinned = _run_job(app, True, workers=2)
+    assert rec.metrics.count("gpu.vector.regions") > 0
+    assert unpinned.task_seconds() == inline.task_seconds()
+
+
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_start_method_results_identical(start_method, monkeypatch):
     """The spawn fallback must produce byte-identical job results.
@@ -262,21 +290,28 @@ class TestRunnerConfigValidation:
         with pytest.raises(ConfigError, match="num_reducers"):
             LocalJobRunner(app, num_reducers=-1)
 
+    # Runners take no engine: the one place a name enters is the
+    # use_gpu_engine/set_default_gpu_engine seam, which rejects an
+    # unknown one before a runner can be constructed under it — at any
+    # worker count, never at first launch inside a pool worker.
+
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
     def test_unknown_gpu_engine_rejected_at_construction(self, workers):
         with pytest.raises(ConfigError, match="unknown GPU engine") as exc:
-            LocalJobRunner(get_app("WC"), gpu_engine="warp9",
-                           workers=workers)
+            with use_gpu_engine("warp9"):
+                LocalJobRunner(get_app("WC"), workers=workers)
         for name in ("vector", "compiled", "tree"):
             assert name in str(exc.value)
+        assert default_gpu_engine() == "vector"
 
     def test_unknown_task_runner_engine_rejected_at_construction(
             self, cluster1_io):
         app = get_app("WC")
         with pytest.raises(ConfigError, match="unknown GPU engine"):
-            GpuTaskRunner(app.translate_map(), app.translate_combine(),
-                          GpuDevice(CLUSTER1.gpu), cluster1_io,
-                          num_reducers=4, engine="warp9")
+            with use_gpu_engine("warp9"):
+                GpuTaskRunner(app.translate_map(), app.translate_combine(),
+                              GpuDevice(CLUSTER1.gpu), cluster1_io,
+                              num_reducers=4)
 
     @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
     def test_negative_workers_rejected_at_construction(self, use_gpu):

@@ -31,12 +31,11 @@ from .span_invariants import (
 APP_TAGS = [app.short for app in all_apps()]
 
 
-def _traced_local_run(short: str, use_gpu: bool, gpu_engine: str | None = None):
+def _traced_local_run(short: str, use_gpu: bool):
     # Registry "small" counts: enough for a few map tasks each.
     app = get_app(short)
     text = app.generate(records_for(short, "small"), seed=7)
-    runner = LocalJobRunner(app, use_gpu=use_gpu, split_bytes=4 * 1024,
-                            gpu_engine=gpu_engine)
+    runner = LocalJobRunner(app, use_gpu=use_gpu, split_bytes=4 * 1024)
     with obs.use_recorder(obs.TraceRecorder()) as rec:
         result = runner.run(text)
     return rec, result
@@ -57,16 +56,16 @@ def test_gpu_job_span_invariants(short):
 # and the phase parity must hold on both sides of the eligibility fence.
 @pytest.mark.parametrize("short", ["WC", "BS", "KM"])
 def test_vector_engine_span_invariants_and_phase_parity(short):
-    rec_v, result_v = _traced_local_run(short, use_gpu=True,
-                                        gpu_engine="vector")
+    with use_gpu_engine("vector"):
+        rec_v, result_v = _traced_local_run(short, use_gpu=True)
     assert_standard_invariants(rec_v)
     assert_phase_sums(
         rec_v, "gpu-task",
         expected_seconds=[r.seconds for r in result_v.gpu_task_results],
     )
     assert obs.validate_trace(obs.export_chrome(rec_v)) == []
-    rec_c, _result_c = _traced_local_run(short, use_gpu=True,
-                                         gpu_engine="compiled")
+    with use_gpu_engine("compiled"):
+        rec_c, _result_c = _traced_local_run(short, use_gpu=True)
     assert_phase_spans_identical(rec_c, rec_v)
 
 
