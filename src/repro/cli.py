@@ -23,7 +23,7 @@ from .compiler import translate
 from .config import CLUSTER1, CLUSTER2, OptimizationFlags
 from .errors import ReproError
 from .minic import parse
-from .scheduling import policy_names
+from .scheduling import get_policy, policy_names
 
 
 def _cmd_apps(_args: argparse.Namespace) -> int:
@@ -62,16 +62,27 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cluster(args: argparse.Namespace):
+    """The paper cluster ``--cluster`` names."""
+    return {1: CLUSTER1, 2: CLUSTER2}[args.cluster]
+
+
+def _local_job(args: argparse.Namespace):
+    """(runner, input text) of the local job the ``run``/``trace``/
+    ``stats`` options describe."""
     from .hadoop.local import LocalJobRunner
 
     app = get_app(args.app)
-    text = app.generate(args.records, seed=args.seed)
-    cluster = CLUSTER1 if args.cluster == 1 else CLUSTER2
     runner = LocalJobRunner(
-        app, cluster=cluster, use_gpu=not args.cpu_only,
+        app, cluster=_cluster(args), use_gpu=not args.cpu_only,
         split_bytes=args.split_kb * 1024, workers=args.workers,
     )
+    return runner, app.generate(args.records, seed=args.seed)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    runner, text = _local_job(args)
+    app = runner.app
     result = runner.run(text)
     path = "CPU (Hadoop Streaming)" if args.cpu_only else "GPU (translated kernels)"
     print(f"{app.name}: {result.map_tasks} map tasks on the {path} path"
@@ -90,20 +101,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim_job_conf(app, cluster, task_scale: float):
-    """The JobConf the ``simulate``/``trace``/``stats`` commands share.
+def _sim_job(args: argparse.Namespace):
+    """(JobConf, TaskTimes) of the simulated job the ``simulate``/
+    ``trace``/``stats`` options describe.
 
     Built *before* any recorder is installed, so the calibration run
     feeding the task durations never leaks into a recorded trace."""
     from .experiments.calibrate import single_task_times
     from .hadoop import JobConf
 
+    app = get_app(args.app)
+    cluster = _cluster(args).with_gpus(args.gpus)
     times = single_task_times(app, cluster)
     cpu_s, gpu_s = times.scaled(60.0)
     figures = app.figures_for(cluster.name)
     job = JobConf(
         name=app.short,
-        num_map_tasks=max(1, int(figures.map_tasks * task_scale)),
+        num_map_tasks=max(1, int(figures.map_tasks * args.task_scale)),
         num_reduce_tasks=figures.reduce_tasks,
         cluster=cluster,
         cpu_task_seconds=cpu_s,
@@ -112,27 +126,16 @@ def _sim_job_conf(app, cluster, task_scale: float):
     return job, times
 
 
-def _policies() -> dict:
-    from .scheduling import POLICIES
-
-    return dict(POLICIES)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .hadoop import ClusterSimulator
-    from .scheduling import CpuOnlyPolicy
 
-    app = get_app(args.app)
-    cluster = (CLUSTER1 if args.cluster == 1 else CLUSTER2)
-    cluster = cluster.with_gpus(args.gpus)
-    job, times = _sim_job_conf(app, cluster, args.task_scale)
-    policies = _policies()
-    base = ClusterSimulator(job, CpuOnlyPolicy()).run()
-    print(f"{app.short} on {cluster.name} ({args.gpus} GPU/node), "
+    job, times = _sim_job(args)
+    base = ClusterSimulator(job, get_policy("cpu-only")).run()
+    print(f"{job.name} on {job.cluster.name} ({args.gpus} GPU/node), "
           f"{job.num_map_tasks} maps, single-task speedup "
           f"{times.gpu_speedup:.1f}x")
-    for name in (args.policy,) if args.policy else tuple(policies):
-        result = ClusterSimulator(job, policies[name]()).run()
+    for name in (args.policy,) if args.policy else policy_names():
+        result = ClusterSimulator(job, get_policy(name)).run()
         print(f"  {name:10s}: {result.job_seconds:8.1f} s "
               f"({base.job_seconds / result.job_seconds:.2f}x), "
               f"gpu tasks {result.gpu_tasks}, forced {result.forced_gpu_tasks}")
@@ -201,26 +204,17 @@ def _traced_run(args: argparse.Namespace):
     """
     from . import obs
 
-    app = get_app(args.app)
-    cluster = CLUSTER1 if args.cluster == 1 else CLUSTER2
     recorder = obs.TraceRecorder()
     result = None
     if args.mode == "simulate":
         from .hadoop import ClusterSimulator
 
-        cluster = cluster.with_gpus(args.gpus)
-        job, _times = _sim_job_conf(app, cluster, args.task_scale)
-        policy = _policies()[args.policy]()
+        job, _times = _sim_job(args)
+        policy = get_policy(args.policy)
         with obs.use_recorder(recorder):
             ClusterSimulator(job, policy).run()
     else:
-        from .hadoop.local import LocalJobRunner
-
-        text = app.generate(args.records, seed=args.seed)
-        runner = LocalJobRunner(
-            app, cluster=cluster, use_gpu=not args.cpu_only,
-            split_bytes=args.split_kb * 1024, workers=args.workers,
-        )
+        runner, text = _local_job(args)
         with obs.use_recorder(recorder):
             result = runner.run(text)
     return recorder, result
@@ -309,6 +303,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     print(f"start method : {status.start_method}")
     print(f"idle timeout : {status.idle_timeout:.0f}s"
           + (" (reaping disabled)" if status.idle_timeout == 0 else ""))
+    print(f"workers      : {resolve_workers(args.workers)} per phase")
     print(f"worker slots : {status.slots}")
     print(f"alive        : {' '.join(str(p) for p in status.alive) or '-'}")
     counters = pool_metrics().snapshot()["counters"]
@@ -362,38 +357,48 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _experiments(task_scale: float) -> dict:
+    """Experiment name → (producer, renderer): each of the paper's
+    tables and figures is regenerated by ``renderer(producer())``."""
+    from functools import partial
+
     from .experiments import figures, report, tables
 
-    name = args.name
-    if name == "table1":
-        print(report.render_table(tables.table1(), "Table 1"))
-    elif name == "table2":
-        print(report.render_table(tables.table2(), "Table 2"))
-    elif name == "table3":
-        print(report.render_table(tables.table3(), "Table 3"))
-    elif name == "fig3":
-        print(report.render_fig3(figures.fig3()))
-    elif name == "fig4a":
-        print(report.render_fig4(figures.fig4a(task_scale=args.task_scale),
-                                 "Fig. 4a"))
-    elif name == "fig4b":
-        print(report.render_fig4(figures.fig4b(task_scale=args.task_scale),
-                                 "Fig. 4b"))
-    elif name == "fig5":
-        print(report.render_fig5(figures.fig5()))
-    elif name == "fig6":
-        print(report.render_fig6(figures.fig6()))
-    elif name.startswith("fig7"):
-        sub = name[3:] if len(name) > 4 else None  # fig7a -> '7a'
-        print(report.render_fig7(figures.fig7(subfigure=sub)))
-    else:
-        raise ReproError(f"unknown experiment {name!r}")
+    def table(n: int):
+        return (getattr(tables, f"table{n}"),
+                partial(report.render_table, title=f"Table {n}"))
+
+    def fig4(which: str):
+        return (partial(getattr(figures, f"fig4{which}"),
+                        task_scale=task_scale),
+                partial(report.render_fig4, title=f"Fig. 4{which}"))
+
+    def fig7(subfigure: str | None):
+        return (partial(figures.fig7, subfigure=subfigure),
+                report.render_fig7)
+
+    return {
+        "table1": table(1), "table2": table(2), "table3": table(3),
+        "fig3": (figures.fig3, report.render_fig3),
+        "fig4a": fig4("a"), "fig4b": fig4("b"),
+        "fig5": (figures.fig5, report.render_fig5),
+        "fig6": (figures.fig6, report.render_fig6),
+        "fig7": fig7(None),
+        **{f"fig7{sub}": fig7(f"7{sub}") for sub in "abcde"},
+    }
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    try:
+        produce, render = _experiments(args.task_scale)[args.name]
+    except KeyError:
+        raise ReproError(f"unknown experiment {args.name!r}") from None
+    print(render(produce()))
     return 0
 
 
 def _add_workers_option(parser: argparse.ArgumentParser,
-                        detail: str = "") -> None:
+                        detail: str) -> None:
     """The one ``--workers`` flag every parallel-capable command shares.
 
     A single definition keeps the default chain (explicit flag →
@@ -401,11 +406,10 @@ def _add_workers_option(parser: argparse.ArgumentParser,
     ``run``/``trace``/``stats``/``fuzz``/``pool`` instead of
     five drifting copies.
     """
-    help_text = ("worker processes (default: $REPRO_WORKERS or 1; "
-                 "0 = one per CPU core)")
-    if detail:
-        help_text += f"; {detail}"
-    parser.add_argument("--workers", type=int, default=None, help=help_text)
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes (default: $REPRO_WORKERS or 1; "
+             f"0 = one per CPU core); {detail}")
 
 
 def _int_at_least(minimum: int):
@@ -439,11 +443,52 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_job_target(parser: argparse.ArgumentParser) -> None:
+    """``app`` and ``--cluster``: what every job command runs, and on
+    which of the paper's clusters."""
     # The app registry, not a literal: the scenario registry validates
     # itself against it at import, and importing that here would put
     # the simulator and numpy on every invocation's start-up path.
-    app_help = f"benchmark tag ({' '.join(a.short for a in all_apps())})"
+    parser.add_argument(
+        "app",
+        help=f"benchmark tag ({' '.join(a.short for a in all_apps())})")
+    parser.add_argument("--cluster", type=int, choices=(1, 2), default=1)
+
+
+def _add_local_job_options(parser: argparse.ArgumentParser,
+                           workers_detail: str) -> None:
+    """The functional-job options ``run``/``trace``/``stats`` share;
+    :func:`_local_job` builds the runner they describe."""
+    _add_job_target(parser)
+    parser.add_argument("--records", type=_positive_int, default=400,
+                        help="input records")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--cpu-only", action="store_true",
+                        help="use the Hadoop Streaming CPU path")
+    parser.add_argument("--split-kb", type=_positive_int, default=32)
+    _add_workers_option(parser, workers_detail)
+
+
+def _add_task_scale(parser: argparse.ArgumentParser,
+                    default: float) -> None:
+    parser.add_argument("--task-scale", type=_positive_float,
+                        default=default,
+                        help="fraction of the paper's map-task count")
+
+
+def _add_simulator_options(parser: argparse.ArgumentParser,
+                           policy: str | None, task_scale: float) -> None:
+    """The cluster-simulation options ``simulate``/``trace``/``stats``
+    share; the defaults are each command's own."""
+    parser.add_argument("--gpus", type=_nonnegative_int, default=1,
+                        help="GPUs per node")
+    parser.add_argument("--policy", choices=policy_names(), default=policy,
+                        help="scheduling policy"
+                             + ("" if policy else " (default: all of them)"))
+    _add_task_scale(parser, task_scale)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HeteroDoop reproduction (HPDC 2015)",
@@ -463,23 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("run", help="run a benchmark job locally")
-    p.add_argument("app", help=app_help)
-    p.add_argument("--records", type=_positive_int, default=400)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
-    p.add_argument("--cpu-only", action="store_true",
-                   help="use the Hadoop Streaming CPU path")
-    p.add_argument("--split-kb", type=_positive_int, default=32)
+    _add_local_job_options(p, "fans the map phase across the daemon pool")
     p.add_argument("--show", type=_nonnegative_int, default=8)
-    _add_workers_option(p, "fans the map phase across the daemon pool")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("simulate", help="cluster-scale job simulation")
-    p.add_argument("app")
-    p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
-    p.add_argument("--gpus", type=_nonnegative_int, default=1)
-    p.add_argument("--policy", choices=policy_names())
-    p.add_argument("--task-scale", type=_positive_float, default=1.0)
+    _add_job_target(p)
+    _add_simulator_options(p, policy=None, task_scale=1.0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a scenario-registry slice through "
@@ -516,27 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for cmd, func in (("trace", _cmd_trace), ("stats", _cmd_stats)):
         p = sub.add_parser(cmd, help=trace_help[cmd])
-        p.add_argument("app", help=app_help)
         p.add_argument("--mode", choices=("local", "simulate"),
                        default="local",
-                       help="local: functional job on this process; "
-                            "simulate: cluster-scale discrete-event run")
-        p.add_argument("--cluster", type=int, choices=(1, 2), default=1)
-        p.add_argument("--records", type=_positive_int, default=400,
-                       help="input records (local mode)")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--cpu-only", action="store_true",
-                       help="local mode: use the Hadoop Streaming CPU path")
-        p.add_argument("--split-kb", type=_positive_int, default=32)
-        p.add_argument("--gpus", type=_nonnegative_int, default=1,
-                       help="GPUs per node (simulate mode)")
-        p.add_argument("--policy", choices=policy_names(),
-                       default="tail", help="scheduling policy (simulate mode)")
-        p.add_argument("--task-scale", type=_positive_float, default=0.02,
-                       help="fraction of the paper's map-task count "
-                            "(simulate mode)")
-        _add_workers_option(p, "local mode; worker spans land on "
-                               "per-worker pid tracks")
+                       help="local: functional job on this process "
+                            "(--records --seed --cpu-only --split-kb "
+                            "--workers); simulate: cluster-scale "
+                            "discrete-event run (--gpus --policy "
+                            "--task-scale)")
+        _add_local_job_options(p, "worker spans land on per-worker pid "
+                                  "tracks")
+        _add_simulator_options(p, policy="tail", task_scale=0.02)
         if cmd == "trace":
             p.add_argument("-o", "--out", default=None,
                            help="write the trace here (default: stdout)")
@@ -585,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name", help="table1|table2|table3|fig3|fig4a|fig4b|"
                                 "fig5|fig6|fig7[a-e]")
-    p.add_argument("--task-scale", type=_positive_float, default=1.0)
+    _add_task_scale(p, 1.0)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -96,10 +96,6 @@ class KernelIR:
         return [v for v in self.variables.values() if v.klass in classes]
 
     @property
-    def texture_vars(self) -> list[VarInfo]:
-        return self.vars_of(VarClass.TEXTURE_ARRAY)
-
-    @property
     def shared_mem_bytes(self) -> int:
         """Shared memory used per threadblock: the record-stealing counter
         (mapper) plus per-warp private arrays (combiner)."""

@@ -414,16 +414,9 @@ def translate_cached(
     the GPU runner clones every buffer it materializes from it.
     """
     opt = opt if opt is not None else OptimizationFlags.all_on()
-    opt_key = (
-        opt.use_texture,
-        opt.vectorize_map,
-        opt.vectorize_combine,
-        opt.record_stealing,
-        opt.kv_aggregation,
-    )
     return cached_translation(
         program,
-        opt_key,
+        opt,
         warp_size,
         map_only,
         lambda: translate(

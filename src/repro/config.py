@@ -8,7 +8,10 @@ absolute wall-clock numbers; see ``repro.costmodel.calibration``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import os
+import sys
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -196,12 +199,14 @@ class LaunchConfig:
         return self.blocks * self.threads
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationFlags:
     """Compiler/runtime optimization toggles (paper Fig. 5 and Fig. 7).
 
     ``baseline()`` is the straight translated code; ``all_on()`` is the full
     HeteroDoop optimizer. Individual flags drive the Fig. 7 ablations.
+    Frozen, so the object itself keys the translation and calibration
+    caches.
     """
 
     use_texture: bool = True
@@ -219,15 +224,73 @@ class OptimizationFlags:
         return cls()
 
     def but(self, **kw: bool) -> "OptimizationFlags":
-        new = OptimizationFlags(
-            self.use_texture,
-            self.vectorize_map,
-            self.vectorize_combine,
-            self.record_stealing,
-            self.kv_aggregation,
-        )
-        for key, val in kw.items():
-            if not hasattr(new, key):
+        for key in kw:
+            if key not in self.__dataclass_fields__:
                 raise ConfigError(f"unknown optimization flag {key!r}")
-            setattr(new, key, val)
-        return new
+        return replace(self, **kw)
+
+
+#: ``fork`` wherever the platform offers it (workers inherit the
+#: parent's warm caches), else ``spawn`` — decided without importing
+#: ``multiprocessing``, which a serial job never needs.
+_DEFAULT_POOL_START = "spawn" if sys.platform == "win32" else "fork"
+
+
+@dataclass(frozen=True)
+class RuntimeConfig:
+    """How this process runs jobs: the three deployment knobs, validated.
+
+    :meth:`from_env` is the only reader of the ``REPRO_*`` environment
+    under ``src/repro``. Explicit arguments (``--workers``, ``workers=``,
+    ``DaemonPool(idle_timeout=...)``) override a field where they are
+    taken; nothing else about a job is configurable from outside it.
+    """
+
+    #: ``REPRO_WORKERS``: worker processes of a parallel phase
+    #: (0 = one per CPU core, 1 = tasks run inline).
+    workers: int = 1
+    #: ``REPRO_POOL_IDLE``: seconds a pool worker waits for work before
+    #: it self-reaps (0 disables reaping).
+    pool_idle_s: float = 300.0
+    #: ``REPRO_POOL_START``: the pool's ``multiprocessing`` start method.
+    pool_start: str = _DEFAULT_POOL_START
+
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ConfigError(
+                f"REPRO_WORKERS must be >= 0, got {self.workers}")
+        if not (math.isfinite(self.pool_idle_s) and self.pool_idle_s >= 0):
+            # A worker passes this to Queue.get(timeout=...): inf would
+            # crash every child at its first wait, nan never time out.
+            raise ConfigError(
+                "REPRO_POOL_IDLE must be a finite number of seconds >= 0, "
+                f"got {self.pool_idle_s}")
+        if self.pool_start != _DEFAULT_POOL_START:
+            import multiprocessing  # only a non-default method pays this
+
+            methods = multiprocessing.get_all_start_methods()
+            if self.pool_start not in methods:
+                raise ConfigError(
+                    f"REPRO_POOL_START={self.pool_start!r} is not a start "
+                    f"method on this platform (have: {', '.join(methods)})")
+
+    @classmethod
+    def from_env(cls) -> "RuntimeConfig":
+        """The configuration the environment asks for; unset (or blank)
+        variables keep the field defaults. Raises :class:`ConfigError`
+        naming the variable — before anything forks."""
+        fields: dict = {}
+        for name, attr, parse in (
+            ("REPRO_WORKERS", "workers", int),
+            ("REPRO_POOL_IDLE", "pool_idle_s", float),
+            ("REPRO_POOL_START", "pool_start", str),
+        ):
+            raw = os.environ.get(name, "").strip()
+            if raw:
+                try:
+                    fields[attr] = parse(raw)
+                except ValueError:
+                    kind = "an integer" if parse is int else "a number"
+                    raise ConfigError(f"{name}={raw!r} is not {kind}") \
+                        from None
+        return cls(**fields)

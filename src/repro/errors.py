@@ -74,17 +74,5 @@ class HadoopError(ReproError):
     """Job/task orchestration errors."""
 
 
-class TaskFailure(HadoopError):
-    """A task attempt failed; carries the attempt for diagnosis."""
-
-    def __init__(self, message: str, attempt_id: str | None = None):
-        self.attempt_id = attempt_id
-        super().__init__(message if attempt_id is None else f"{message} ({attempt_id})")
-
-
-class SchedulerError(HadoopError):
-    """Scheduling policy misconfiguration."""
-
-
 class ConfigError(ReproError):
     """Invalid cluster/GPU/job configuration."""

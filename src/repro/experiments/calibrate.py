@@ -70,7 +70,7 @@ def _cluster_by_name(name: str) -> ClusterConfig:
     raise ConfigError(f"unknown cluster {name!r}")
 
 
-def _map_tasks(app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
+def _map_tasks(app_short: str, cluster_name: str, opt: OptimizationFlags,
                records: int, seed: int,
                *paths: bool) -> list[MapTaskResult]:
     """The calibration split through the job runner's one map-task
@@ -79,7 +79,6 @@ def _map_tasks(app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
     count for this cluster."""
     app = get_app(app_short)
     cluster = _cluster_by_name(cluster_name)
-    opt = OptimizationFlags(*opt_key)
     split = app.generate(records, seed).encode("utf-8")
     return [
         LocalJobRunner(app, cluster=cluster, use_gpu=use_gpu,
@@ -90,10 +89,10 @@ def _map_tasks(app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
 
 @lru_cache(maxsize=256)
 def _single_task_times_cached(
-    app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
+    app_short: str, cluster_name: str, opt: OptimizationFlags,
     records: int, seed: int,
 ) -> TaskTimes:
-    cpu, gpu = _map_tasks(app_short, cluster_name, opt_key, records, seed,
+    cpu, gpu = _map_tasks(app_short, cluster_name, opt, records, seed,
                           False, True)
     assert cpu.cpu_timing is not None and gpu.gpu_result is not None
     return TaskTimes(
@@ -121,23 +120,19 @@ def single_task_times(
     short = app if isinstance(app, str) else app.short
     opt = opt if opt is not None else OptimizationFlags.all_on()
     records = records if records is not None else DEFAULT_RECORDS.get(short, 300)
-    opt_key = (
-        opt.use_texture, opt.vectorize_map, opt.vectorize_combine,
-        opt.record_stealing, opt.kv_aggregation,
-    )
-    return _single_task_times_cached(short, cluster.name, opt_key, records, seed)
+    return _single_task_times_cached(short, cluster.name, opt, records, seed)
 
 
 @lru_cache(maxsize=64)
 def _traced_phase_seconds_cached(
-    app_short: str, cluster_name: str, opt_key: tuple[bool, ...],
+    app_short: str, cluster_name: str, opt: OptimizationFlags,
     records: int, seed: int,
 ) -> dict[str, float]:
     from .. import obs
 
     recorder = obs.TraceRecorder()
     with obs.use_recorder(recorder):
-        _map_tasks(app_short, cluster_name, opt_key, records, seed, True)
+        _map_tasks(app_short, cluster_name, opt, records, seed, True)
     phases: dict[str, float] = {}
     for span in recorder.spans("phase"):
         phases[span.name] = phases.get(span.name, 0.0) + (span.dur or 0.0)
@@ -164,10 +159,6 @@ def gpu_breakdown_from_trace(
     short = app if isinstance(app, str) else app.short
     opt = opt if opt is not None else OptimizationFlags.all_on()
     records = records if records is not None else DEFAULT_RECORDS.get(short, 300)
-    opt_key = (
-        opt.use_texture, opt.vectorize_map, opt.vectorize_combine,
-        opt.record_stealing, opt.kv_aggregation,
-    )
     return dict(_traced_phase_seconds_cached(
-        short, cluster.name, opt_key, records, seed
+        short, cluster.name, opt, records, seed
     ))

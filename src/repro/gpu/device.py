@@ -65,7 +65,6 @@ class GpuDevice:
         self.spec = spec
         self.device_id = device_id
         self.memory = DeviceMemory(spec.global_mem)
-        self.busy_until = 0.0  # simulated time the device frees up (driver use)
 
     def transfer_time(self, nbytes: int) -> float:
         """Host↔device copy time over PCIe (seconds)."""
@@ -79,7 +78,6 @@ class GpuDevice:
     def reset(self) -> None:
         """Revive the device after a fault (paper §5.1 fault tolerance)."""
         self.memory.free_all()
-        self.busy_until = 0.0
 
     def __repr__(self) -> str:
         return f"GpuDevice({self.spec.name!r}, id={self.device_id})"

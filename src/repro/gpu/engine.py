@@ -20,9 +20,11 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   Pinned by tests as the seam that forces the per-lane path on every
   app.
 * ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
-  ``build_thread_env`` scope population): the only way the reference
-  interpreter executes a kernel body under GPU builtins and space
-  charging, so it is what the other two are compared against.
+  its scope filled from the same :func:`kernel_cell_factories` table):
+  the reference interpreter tree-walking a kernel body under GPU
+  builtins and space charging, whatever the ambient mini-C backend —
+  no generated code runs — so it is what the other two are compared
+  against.
 
 There is one selector and it is a test seam: :func:`use_gpu_engine` /
 :func:`set_default_gpu_engine` set the process-wide engine every launch
@@ -66,6 +68,7 @@ __all__ = [
     "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
     "use_gpu_engine", "LaneState", "LaneRunner", "CompiledLaneRunner",
     "make_map_builtins", "make_combine_builtins", "kernel_program",
+    "kernel_cell_factories",
 ]
 
 #: Statement budget per lane, mirroring Interpreter's default.
@@ -381,27 +384,15 @@ def kernel_program(kernel: KernelIR) -> A.Program:
 
 
 # --------------------------------------------------------------------------
-# Environment plans: build_thread_env semantics, compiled to factories
+# The thread environment: Algorithm 1's placement table, as Cell factories
 # --------------------------------------------------------------------------
 
 
 def _array_factory(ctype: T.Array, kname: str,
                    space: str | None) -> Callable[[], Cell]:
-    """Mirror of ``Interpreter._alloc_array`` + the executor's
-    ``cell.value.space = space`` follow-up, with the size math and the
-    >2-D rejection hoisted to plan-build time."""
-    base = ctype.base
-    size = ctype.size or 0
-    inner: int | None = None
-    if isinstance(base, T.Array):
-        inner = base.size or 0
-        size *= inner
-        base = base.base
-        if isinstance(base, T.Array):
-            raise CRuntimeError(
-                f"arrays of more than two dimensions unsupported ({kname})"
-            )
-    elem = base
+    """A fresh array Cell in memory space ``space`` per call, with the
+    size math and the >2-D rejection hoisted to factory-build time."""
+    elem, size, inner = ctype.flattened(kname)
 
     def make() -> Cell:
         buf = Buffer(elem, size, label=kname)
@@ -414,7 +405,8 @@ def _array_factory(ctype: T.Array, kname: str,
 
 def _declare_factory(ctype: T.CType, kname: str,
                      value: Any) -> Callable[[], Cell]:
-    """Mirror of ``Interpreter.declare(kname, ctype, value=value)``."""
+    """A declared variable's Cell holding ``value`` — None: what a C
+    declaration leaves there, as ``Interpreter.declare`` does."""
     if isinstance(ctype, T.Array):
         return _array_factory(ctype, kname, space=None)
     if value is None:
@@ -429,18 +421,17 @@ def _declare_factory(ctype: T.CType, kname: str,
 
 def _var_cell_factory(var: VarInfo, snapshot: dict[str, Any],
                       shared_ro: dict[str, Buffer]) -> Callable[[], Cell]:
-    """One kernel variable's per-lane Cell factory, reproducing the
-    branch structure (and error behavior) of ``build_thread_env``."""
+    """One kernel variable's per-lane Cell factory: where Algorithm 1
+    placed it (constant, sharedRO/texture, firstprivate, shared,
+    private) decides what a thread sees under its name."""
     kname = var.kernel_name
     klass = var.klass
     ctype = var.ctype
-    if klass is VarClass.CONST_SCALAR:
+    if klass in (VarClass.CONST_SCALAR, VarClass.FIRSTPRIVATE_SCALAR):
         return _declare_factory(ctype, kname, snapshot_value(snapshot, var))
     if klass in (VarClass.GLOBAL_RO_ARRAY, VarClass.TEXTURE_ARRAY):
         ptr = Ptr(shared_ro[var.name], 0)
         return lambda: Cell(value=ptr, ctype=_VOID_PTR)
-    if klass is VarClass.FIRSTPRIVATE_SCALAR:
-        return _declare_factory(ctype, kname, snapshot_value(snapshot, var))
     if klass in (VarClass.FIRSTPRIVATE_ARRAY, VarClass.SHARED_ARRAY):
         host_val = snapshot.get(var.name)
         space = "shared" if klass is VarClass.SHARED_ARRAY else "private"
@@ -465,8 +456,6 @@ def _var_cell_factory(var: VarInfo, snapshot: dict[str, Any],
     # PRIVATE
     if isinstance(ctype, T.Array):
         return _array_factory(ctype, kname, "private")
-    if ctype.is_pointer:
-        return lambda: Cell(value=NULL, ctype=ctype)
     return _declare_factory(ctype, kname, None)
 
 
@@ -486,6 +475,22 @@ def _fresh_globals() -> dict[str, Cell]:
     return {name: make() for name, make in _GLOBAL_CELL_FACTORIES.items()}
 
 
+def kernel_cell_factories(
+    kernel: KernelIR,
+    snapshot: dict[str, Any],
+    shared_ro: dict[str, Buffer],
+) -> dict[str, Callable[[], Cell]]:
+    """Kernel name → per-lane Cell factory for every kernel variable, in
+    declaration order: the one thread-environment table every engine
+    runs (the tree engine into a scope dict, the others into frame
+    slots). Building it *validates* every variable (snapshot presence,
+    array initialization, dimensionality) whether or not the body
+    mentions it, so every engine raises the same error on a launch's
+    first active lane."""
+    return {var.kernel_name: _var_cell_factory(var, snapshot, shared_ro)
+            for var in kernel.variables.values()}
+
+
 def build_env_plan(
     suite: Any,
     kernel: KernelIR,
@@ -494,29 +499,13 @@ def build_env_plan(
 ) -> tuple[tuple[int, Callable[[], Cell]], ...]:
     """The per-launch environment plan: for each free variable of the
     compiled body, a (slot, factory) pair that materializes the lane's
-    Cell for it.
-
-    Every kernel variable is *validated* (snapshot presence, array
-    initialization, dimensionality) in declaration order even when the
-    body never references it, so plan construction raises exactly the
-    errors ``build_thread_env`` would raise on the first lane. Frees
-    that are neither kernel variables nor predefined globals keep their
-    None slot and fail lazily with the tree-walker's 'undeclared
-    identifier' message."""
-    free_slots: dict[str, int] = dict(suite.frees)
+    Cell for it — a kernel variable's factory, else a predefined
+    global's. Frees that are neither keep their None slot and fail
+    lazily with the tree-walker's 'undeclared identifier' message."""
+    factories = kernel_cell_factories(kernel, snapshot, shared_ro)
     plan: list[tuple[int, Callable[[], Cell]]] = []
-    kernel_names: set[str] = set()
-    for var in kernel.variables.values():
-        kname = var.kernel_name
-        kernel_names.add(kname)
-        factory = _var_cell_factory(var, snapshot, shared_ro)
-        slot = free_slots.get(kname)
-        if slot is not None:
-            plan.append((slot, factory))
     for name, slot in suite.frees:
-        if name in kernel_names:
-            continue
-        factory = _GLOBAL_CELL_FACTORIES.get(name)
+        factory = factories.get(name) or _GLOBAL_CELL_FACTORIES.get(name)
         if factory is not None:
             plan.append((slot, factory))
     return tuple(plan)
@@ -678,13 +667,15 @@ class CompiledLaneRunner(LaneRunner):
         self.facade = KernelLaneFacade(
             self.builtins, self.charge_access, _fresh_globals()
         )
-        self._plan: tuple[tuple[int, Callable[[], Cell]], ...] | None = None
+        self._plans: dict[Any, tuple] = {}
 
-    def _env_plan(self) -> tuple[tuple[int, Callable[[], Cell]], ...]:
-        plan = self._plan
+    def env_plan(self, suite: Any) -> tuple[tuple[int, Callable[[], Cell]], ...]:
+        """``suite``'s environment plan for this launch, built on first
+        use (the first active lane)."""
+        plan = self._plans.get(suite)
         if plan is None:
-            plan = self._plan = build_env_plan(
-                self.suite, self.kernel, self.snapshot, self.shared_ro
+            plan = self._plans[suite] = build_env_plan(
+                suite, self.kernel, self.snapshot, self.shared_ro
             )
         return plan
 
@@ -698,7 +689,7 @@ class CompiledLaneRunner(LaneRunner):
             facade._globals = _fresh_globals()
         suite = self.suite
         frame: list = [None] * suite.nslots
-        for slot, make in self._env_plan():
+        for slot, make in self.env_plan(suite):
             frame[slot] = make()
         suite.execute_with_frame(facade, frame)
         return counters

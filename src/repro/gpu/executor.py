@@ -18,7 +18,8 @@ shipped ``"vector"`` engine executes divergence-free regions as numpy
 operations over all launch lanes and falls back per lane to the
 ``"compiled"`` engine's per-launch generated body, while the
 ``"tree"`` engine (defined here) keeps the original
-one-interpreter-per-lane harness as the differential reference. A launch
+one-interpreter-per-lane harness — always tree-walked, whatever the
+ambient mini-C backend — as the differential reference. A launch
 asks its engine for one thing — ``run_map_warp`` over the active lanes,
 or ``run_combine_chunk`` per warp — and every engine charges through
 the same bound closures of :mod:`repro.gpu.charging`; the one map-launch
@@ -33,13 +34,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..compiler.kernel_ir import KernelIR, VarClass, VarInfo
+from ..compiler.kernel_ir import KernelIR, VarClass
 from ..errors import GpuError, KVStoreOverflow
 from ..kvstore import GlobalKVStore, KVPair, Partitioner
 from ..minic import cast as A
-from ..minic import ctypes as T
 from ..minic.interpreter import ExecCounters, Interpreter
-from ..minic.values import Buffer, NULL, Ptr
+from ..minic.values import Buffer, Cell, Ptr
 from ..obs import trace as obs
 from .charging import LaneCharges
 from .device import GpuDevice
@@ -48,6 +48,7 @@ from .engine import (
     LaneRunner,
     clone_buffer as _clone_buffer,
     default_gpu_engine,
+    kernel_cell_factories,
     kernel_program,
     snapshot_value as _snapshot_value,
 )
@@ -63,15 +64,18 @@ _MIN_COMBINE_CHUNK = 32
 
 class GpuInterpreter(Interpreter):
     """Interpreter specialization that charges memory accesses by the
-    target buffer's memory space (tree lane engine)."""
+    target buffer's memory space (tree lane engine). Pinned to the
+    tree-walking backend, whatever the ambient one: nothing a reference
+    lane executes — kernel body or helper function — is generated code."""
 
     def __init__(self, program: A.Program, builtins: dict,
-                 charge_access: Callable[[Any, bool], None]):
-        super().__init__(program, stdin="", builtins=builtins)
-        # An instance attribute, not a method: the same bound closure the
-        # compiled engine's facade carries, so the mini-C compiled
-        # backend picks up charging uniformly from either.
+                 charge_access: Callable[[Any, bool], None],
+                 env: dict[str, Cell]):
+        super().__init__(program, stdin="", builtins=builtins,
+                         backend="tree")
+        # The same bound closure the compiled engine's facade carries.
         self._charge_access = charge_access
+        self._scopes.append(env)  # this thread's kernel variables
 
     def _eval_Index(self, expr: A.Index) -> Any:
         ptr = self._as_ptr(self.eval(expr.base))
@@ -100,54 +104,6 @@ class GpuInterpreter(Interpreter):
 # --------------------------------------------------------------------------
 
 
-def build_thread_env(
-    interp: Interpreter,
-    kernel: KernelIR,
-    snapshot: dict[str, Any],
-    shared_ro_buffers: dict[str, Buffer],
-) -> None:
-    """Populate a thread's scope per Algorithm 1 placement decisions."""
-    interp.push_scope()
-    for var in kernel.variables.values():
-        kname = var.kernel_name
-        if var.klass is VarClass.CONST_SCALAR:
-            value = _snapshot_value(snapshot, var)
-            interp.declare(kname, var.ctype, value=value)
-        elif var.klass in (VarClass.GLOBAL_RO_ARRAY, VarClass.TEXTURE_ARRAY):
-            interp.declare(kname, T.Pointer(T.VOID),
-                           value=Ptr(shared_ro_buffers[var.name], 0))
-        elif var.klass is VarClass.FIRSTPRIVATE_SCALAR:
-            interp.declare(kname, var.ctype, value=_snapshot_value(snapshot, var))
-        elif var.klass in (VarClass.FIRSTPRIVATE_ARRAY, VarClass.SHARED_ARRAY):
-            host_val = snapshot.get(var.name)
-            space = "shared" if var.klass is VarClass.SHARED_ARRAY else "private"
-            if isinstance(host_val, Buffer):
-                interp.declare(kname, T.Pointer(T.VOID),
-                               value=Ptr(_clone_buffer(host_val, space), 0))
-            elif isinstance(host_val, Ptr) and host_val.buffer is not None:
-                interp.declare(kname, T.Pointer(T.VOID),
-                               value=Ptr(_clone_buffer(host_val.buffer, space), 0))
-            elif isinstance(var.ctype, T.Array):
-                cell = interp.declare(kname, var.ctype)
-                cell.value.space = space
-                if host_val is not None:
-                    raise GpuError(
-                        f"cannot initialize firstprivate array {var.name!r} "
-                        f"from {type(host_val).__name__}"
-                    )
-            else:
-                interp.declare(kname, var.ctype,
-                               value=host_val if host_val is not None else 0)
-        else:  # PRIVATE
-            if isinstance(var.ctype, T.Array):
-                cell = interp.declare(kname, var.ctype)
-                cell.value.space = "private"
-            elif var.ctype.is_pointer:
-                interp.declare(kname, var.ctype, value=NULL)
-            else:
-                interp.declare(kname, var.ctype)
-
-
 def prepare_shared_ro(kernel: KernelIR, snapshot: dict[str, Any]) -> dict[str, Buffer]:
     """Device-resident copies of sharedRO/texture arrays (one per launch,
     shared by all threads)."""
@@ -168,20 +124,21 @@ def prepare_shared_ro(kernel: KernelIR, snapshot: dict[str, Any]) -> dict[str, B
 
 
 class _TreeLaneRunner(LaneRunner):
-    """Reference lane engine: one ``GpuInterpreter`` per lane, with the
-    thread environment rebuilt through scope dicts. Shares the launch
-    state, builtin table and bound charges with the compiled engine, so
-    only the execution mechanism differs."""
+    """Reference lane engine: one ``GpuInterpreter`` per lane tree-walks
+    the kernel body, its scope filled from the thread-environment table
+    the other engines plan with. Shares the launch state, builtin table
+    and bound charges with the compiled engine too, so only the
+    execution mechanism differs."""
 
     def _run_lane_body(self) -> ExecCounters:
         kernel = self.kernel
-        interp = GpuInterpreter(kernel_program(kernel), self.builtins,
-                                self.charge_access)
-        build_thread_env(interp, kernel, self.snapshot, self.shared_ro)
-        try:
-            interp.exec_stmt(kernel.body)
-        finally:
-            interp.pop_scope()
+        factories = kernel_cell_factories(kernel, self.snapshot,
+                                          self.shared_ro)
+        interp = GpuInterpreter(
+            kernel_program(kernel), self.builtins, self.charge_access,
+            {name: make() for name, make in factories.items()},
+        )
+        interp.exec_stmt(kernel.body)
         return interp.counters
 
 

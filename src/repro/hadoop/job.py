@@ -41,10 +41,6 @@ class JobConf:
     def map_only(self) -> bool:
         return self.num_reduce_tasks == 0
 
-    @property
-    def true_gpu_speedup(self) -> float:
-        return self.cpu_task_seconds / self.gpu_task_seconds
-
 
 @dataclass
 class JobResult:
@@ -61,8 +57,3 @@ class JobResult:
     max_observed_speedup: float = 1.0
     #: (finish_time, node, slot-kind) per map task, for timeline plots.
     timeline: list[tuple[float, int, str]] = field(default_factory=list)
-
-    def speedup_over(self, baseline: "JobResult") -> float:
-        if self.job_seconds <= 0:
-            raise ConfigError("job did not run")
-        return baseline.job_seconds / self.job_seconds

@@ -11,9 +11,6 @@ contiguous index range — without moving any key/value bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from .global_store import GlobalKVStore, KVPair
 
@@ -32,25 +29,27 @@ class AggregationResult:
         return self.partitions.get(partition, [])
 
 
-def aggregate(store: GlobalKVStore, num_partitions: int) -> AggregationResult:
-    """Compact every partition of the store.
-
-    The prefix sum is computed with numpy (the GPU scan's functional
-    equivalent); the discrete-event cost is charged by the caller from
-    ``scan_elements`` and ``pairs_moved``.
-    """
-    counts = np.asarray(store.per_thread_counts(), dtype=np.int64)
-    # Exclusive prefix sum = each thread's base offset in the dense store.
-    bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    assert bases.shape == counts.shape
-
+def _by_partition(store: GlobalKVStore,
+                  num_partitions: int) -> dict[int, list[KVPair]]:
+    """Every emitted pair under its partition, in per-thread slot order."""
     partitions: dict[int, list[KVPair]] = {p: [] for p in range(num_partitions)}
     for _tid, pair in store.iter_pairs():
         partitions.setdefault(pair.partition, []).append(pair)
+    return partitions
 
-    emitted = int(counts.sum())
+
+def aggregate(store: GlobalKVStore, num_partitions: int) -> AggregationResult:
+    """Compact every partition of the store.
+
+    On the device this is the prefix sum over the per-thread counts
+    (each thread's base offset in the dense store) plus the indirection
+    rewrite; functionally it is the grouping below. The discrete-event
+    cost is charged by the caller from ``scan_elements`` and
+    ``pairs_moved``.
+    """
+    emitted = store.emitted_pairs
     return AggregationResult(
-        partitions=partitions,
+        partitions=_by_partition(store, num_partitions),
         pairs_moved=emitted,
         scan_elements=store.total_threads,
         span_before=store.capacity_pairs,
@@ -64,11 +63,8 @@ def scattered_partitions(
     """The *unaggregated* view (Fig. 7e ablation): pairs grouped by
     partition but the sort must traverse the full allocated span,
     whitespace included."""
-    partitions: dict[int, list[KVPair]] = {p: [] for p in range(num_partitions)}
-    for _tid, pair in store.iter_pairs():
-        partitions.setdefault(pair.partition, []).append(pair)
     return AggregationResult(
-        partitions=partitions,
+        partitions=_by_partition(store, num_partitions),
         pairs_moved=0,
         scan_elements=0,
         span_before=store.capacity_pairs,

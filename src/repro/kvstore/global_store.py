@@ -25,9 +25,6 @@ class KVPair:
     value: Any
     partition: int
 
-    def encoded_size(self, key_length: int, value_length: int) -> int:
-        return key_length + value_length
-
 
 class GlobalKVStore:
     """Per-thread partitioned KV storage for one map kernel launch.

@@ -8,14 +8,12 @@ source. This module provides:
 * :func:`compiled_program` — one :class:`~repro.minic.compile.CompiledProgram`
   per distinct program *source* (sha1 of ``Program.source``), shared by
   every interpreter instance, task, and thread executing it;
-* :func:`compiled_suite` — one generated Python unit per (statement,
-  program) pair, stashed on the statement node (the GPU kernel-body
-  case: the same ``kernel.body`` node runs per thread per split);
-* :func:`compiled_kernel_body` — like :func:`compiled_suite` but
-  compiled for direct lane execution by the GPU lane engine: a kernel
-  body compiles once per job (in practice once per process, since
-  kernels are themselves memoized) and every lane invocation is then
-  one call of the generated function over a per-thread frame;
+* :func:`compiled_kernel_body` — one generated Python unit per (kernel
+  body, program) pair, stashed on the statement node, for direct lane
+  execution by the GPU lane engine: a kernel body compiles once per job
+  (in practice once per process, since kernels are themselves memoized)
+  and every lane invocation is then one call of the generated function
+  over a per-thread frame;
 * :func:`strlit_buffers` — the per-program string-literal Buffer table
   used by the tree-walking backend, so literals inside loops stop
   allocating a fresh Buffer per interpreter instance;
@@ -40,7 +38,6 @@ from .compile import CompiledProgram, CompiledSuite
 
 _ATTR_KEY = "_repro_cache_key"
 _ATTR_COMPILED = "_repro_compiled"
-_ATTR_SUITE = "_repro_compiled_suite"
 _ATTR_KERNEL_BODY = "_repro_compiled_kernel_body"
 _ATTR_WARP_BODY = "_repro_compiled_warp_body"
 _ATTR_STRLITS = "_repro_strlit_buffers"
@@ -90,13 +87,6 @@ def _stmt_artifact(stmt: A.Stmt, attr: str, program: A.Program,
         artifact = build(cp)
         setattr(stmt, attr, artifact)
     return artifact
-
-
-def compiled_suite(program: A.Program, stmt: A.Stmt) -> CompiledSuite:
-    """The (cached) compiled form of one statement of ``program``,
-    executed against a live interpreter environment (kernel bodies)."""
-    return _stmt_artifact(stmt, _ATTR_SUITE, program,
-                          lambda cp: CompiledSuite(stmt, cp))
 
 
 def compiled_kernel_body(program: A.Program, stmt: A.Stmt,
@@ -155,22 +145,17 @@ def warm_program(program: A.Program) -> CompiledProgram:
 
 def cached_translation(
     program: A.Program,
-    opt_key: tuple,
+    opt: Any,
     warp_size: int,
     map_only: bool,
     build: Callable[[], Any],
 ) -> Any:
     """Memoize ``build()`` (a translate() call) under the program's
-    source hash + optimization flags + launch parameters."""
-    key = (program_key(program), opt_key, warp_size, map_only)
+    source hash + optimization flags (the frozen ``OptimizationFlags``
+    itself) + launch parameters."""
+    key = (program_key(program), opt, warp_size, map_only)
     result = _translations.get(key)
     if result is None:
         result = build()
         _translations[key] = result
     return result
-
-
-def clear_caches() -> None:
-    """Drop all memoized artifacts (test isolation helper)."""
-    _compiled.clear()
-    _translations.clear()

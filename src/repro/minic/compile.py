@@ -43,12 +43,14 @@ tree-walker for runs that complete; aborted runs (``CRuntimeError``)
 may differ only in counts attributable to the aborted basic block.
 
 The public entry points are :class:`CompiledProgram` (whole programs,
-``main()``-style execution) and :class:`CompiledSuite` (a single
-statement executed against a facade interpreter's live environment —
-the GPU kernel-body case). Both are cached per program / per statement
-by :mod:`repro.minic.cache`. Each unit's source is registered in
-:mod:`linecache` as ``<minic:PROGRAM_KEY:unit>``, so tracebacks and
-profiles through generated code show the emitted line.
+``main()``-style execution against an ``Interpreter``) and
+:class:`CompiledSuite` (a single statement run over a caller-built
+frame against the GPU engine's lane facade — the kernel-body case).
+Those two facades are the only ones generated code runs against. Both
+are cached per program / per statement by :mod:`repro.minic.cache`.
+Each unit's source is registered in :mod:`linecache` as
+``<minic:PROGRAM_KEY:unit>``, so tracebacks and profiles through
+generated code show the emitted line.
 """
 
 from __future__ import annotations
@@ -341,22 +343,6 @@ def _param_coerce(ctype: T.CType) -> Callable[[Any], Any]:
     return lambda a: a
 
 
-def _flatten_array(ctype: T.Array, name: str) -> tuple[T.CType, int, int | None]:
-    """(element type, flat size, inner row length) — 2-D max, row-major."""
-    base = ctype.base
-    size = ctype.size or 0
-    inner: int | None = None
-    if isinstance(base, T.Array):
-        inner = base.size or 0
-        size *= inner
-        base = base.base
-        if isinstance(base, T.Array):
-            raise CRuntimeError(
-                f"arrays of more than two dimensions unsupported ({name})"
-            )
-    return base, size, inner
-
-
 #: Names every unit's exec globals start from. Constants derived from
 #: the program (literals, messages, ctypes) are added per unit as ``kN``.
 _UNIT_GLOBALS: dict[str, Any] = {
@@ -527,10 +513,10 @@ class _FunctionCompiler:
     Slot resolution is lexical: every declaration gets a fresh frame
     slot; a name not declared in any enclosing compile-time scope is a
     *free* variable, bound once at entry (from the program globals for
-    functions, from the facade's live scope chain or the GPU env plan
-    for suites). A free name that resolves to nothing stays ``None`` and
-    raises the tree-walker's "undeclared identifier" lazily on first
-    access — preserving reachability semantics.
+    functions, from the GPU env plan for suites). A free name that
+    resolves to nothing stays ``None`` and raises the tree-walker's
+    "undeclared identifier" lazily on first access — preserving
+    reachability semantics.
     """
 
     def __init__(self, cp: "CompiledProgram"):
@@ -730,7 +716,7 @@ class _FunctionCompiler:
         ctype = var.ctype
         lines: list[str] = []
         # The tree-walker evaluates the initializer, then raises from
-        # _alloc_array (3-D) or rejects the initializer — at run time.
+        # the allocation (3-D) or rejects the initializer — at run time.
         if init is not None and not init.stable:
             lines.append(init.src)  # its pre already ran
         if isinstance(ctype.base, T.Array) and \
@@ -740,7 +726,7 @@ class _FunctionCompiler:
         if init is not None:
             msg = f"array initializers unsupported ({var.name})"
             return lines + [f"raise CRuntimeError({u.const(msg)})"]
-        base, size, inner = _flatten_array(ctype, var.name)
+        base, size, inner = ctype.flattened(var.name)
         buf = u.tmp()
         lines += [
             f"{buf} = Buffer({u.const(base)}, {u.const(size)}, "
@@ -1485,29 +1471,14 @@ class CompiledProgram:
             facade._steps = rt.steps
         return int(result) if result is not None else 0
 
-    def call(self, facade: Any, name: str, args: list) -> Any:
-        func = self.functions.get(name)
-        if func is None:
-            raise KeyError(f"no function {name!r} in program")
-        rt = self.runtime(facade)
-        try:
-            return func(rt, args)
-        finally:
-            facade._steps = rt.steps
-
 
 class CompiledSuite:
-    """One statement compiled against a live facade environment — used
-    for GPU kernel bodies. Two entry points:
-
-    * :meth:`execute` binds free variables by walking the facade's scope
-      chain (the tree engine path, where ``build_thread_env`` has
-      populated the scopes before ``exec_stmt(kernel.body)``);
-    * :meth:`execute_with_frame` takes a caller-built frame, letting the
-      GPU lane engine bind kernel variables straight into slots from a
-      precomputed per-launch plan — no scope dicts, no per-name lookup.
-
-    ``nslots``/``frees`` expose the frame layout the plan needs.
+    """One statement compiled as a unit over a caller-built frame — used
+    for GPU kernel bodies. :meth:`execute_with_frame` is the one entry
+    point: the GPU lane engine binds kernel variables straight into
+    slots from a precomputed per-launch plan (no scope dicts, no
+    per-name lookup), and ``nslots``/``frees`` expose the frame layout
+    that plan needs.
     """
 
     def __init__(self, stmt: A.Stmt, cp: CompiledProgram,
@@ -1531,21 +1502,6 @@ class CompiledSuite:
         """(name, slot) pairs of the suite's free variables."""
         return self._frees
 
-    def execute(self, facade: Any) -> None:
-        rt = self.cp.runtime(facade)
-        frame: list = [None] * self._nslots
-        lookup = facade.lookup
-        for name, slot in self._frees:
-            try:
-                frame[slot] = lookup(name)
-            except CRuntimeError:
-                frame[slot] = None  # raises lazily if actually accessed
-        try:
-            self._body_fn(rt, frame)
-        finally:
-            facade._steps = rt.steps
-        return None
-
     def execute_with_frame(self, facade: Any, frame: list) -> None:
         """Run the compiled body against a caller-built frame. Unbound
         frees must be left as None slots (they raise the tree-walker's
@@ -1555,4 +1511,3 @@ class CompiledSuite:
             self._body_fn(rt, frame)
         finally:
             facade._steps = rt.steps
-        return None

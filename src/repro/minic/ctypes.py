@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SemanticError
+from ..errors import CRuntimeError, SemanticError
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,26 @@ class Array(CType):
     def is_array(self) -> bool:
         return True
 
+    def flattened(self, name: str) -> tuple[CType, int, int | None]:
+        """(element type, flat size, inner row length) of the one
+        row-major Buffer that backs this array — 2-D at most. ``name``
+        is the declared variable, for the error every engine raises."""
+        base = self.base
+        size = self.size or 0
+        inner: int | None = None
+        if isinstance(base, Array):
+            inner = base.size or 0
+            size *= inner
+            base = base.base
+            if isinstance(base, Array):
+                raise CRuntimeError(
+                    f"arrays of more than two dimensions unsupported ({name})"
+                )
+        return base, size, inner
+
     def __str__(self) -> str:
         n = "" if self.size is None else str(self.size)
         return f"{self.base}[{n}]"
-
-
-def common_arithmetic(a: CType, b: CType) -> CType:
-    """Usual arithmetic conversions, simplified."""
-    if not (a.is_arithmetic and b.is_arithmetic):
-        raise SemanticError(f"arithmetic on non-arithmetic types {a}, {b}")
-    if a.is_float or b.is_float:
-        if DOUBLE in (a, b):
-            return DOUBLE
-        return FLOAT if FLOAT in (a, b) else DOUBLE
-    # Integer promotion: pick the wider.
-    return a if a.sizeof() >= b.sizeof() else b
 
 
 def decay(t: CType) -> CType:

@@ -2,9 +2,9 @@
 
 This is the reproduction's "gcc path": the original, directive-annotated
 source runs unchanged as a Hadoop Streaming filter (stdin → stdout). The
-GPU kernel executor (:mod:`repro.gpu.executor`) reuses this evaluator with
-GPU-runtime builtins substituted, exactly mirroring the paper's design
-where one source serves both processors.
+GPU reference lane engine (:mod:`repro.gpu.executor`) reuses this
+evaluator with GPU-runtime builtins substituted, exactly mirroring the
+paper's design where one source serves both processors.
 
 The interpreter also keeps instruction/memory counters
 (:class:`ExecCounters`) that the cost models consume.
@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator
 from ..errors import ConfigError, CRuntimeError
 from . import cast as A
 from . import ctypes as T
-from .cache import compiled_program, compiled_suite, strlit_buffers
+from .cache import compiled_program, strlit_buffers
 from .stdlib import InputStream, host_builtins
 from .values import NULL, Buffer, Cell, Ptr, ScalarRef, float_to_int, truthy
 
@@ -133,9 +133,10 @@ class Interpreter:
         "compiled" (mini-C emitted as Python source) or "tree" (the original
         tree-walker). None picks the process default ("compiled" unless
         a test switched it with :func:`use_backend`). Both backends produce
-        bit-identical outputs and counter totals; ``run_until_region``
-        always uses the tree-walker, which is the only path that can
-        stop mid-execution.
+        bit-identical outputs and counter totals. Only :meth:`run`
+        consults it: ``run_until_region`` (the only path that can stop
+        mid-execution) and ``exec_stmt`` (the GPU reference lane) always
+        tree-walk.
     """
 
     def __init__(
@@ -156,7 +157,6 @@ class Interpreter:
         self.backend = _check_backend(
             backend if backend is not None else _default_backend
         )
-        self._use_compiled = self.backend == "compiled"
         self._steps = 0
         self._scopes: list[dict[str, Cell]] = []
         # String-literal buffers are cached per *program* (shared across
@@ -182,12 +182,12 @@ class Interpreter:
     def pop_scope(self) -> None:
         self._scopes.pop()
 
-    def declare(self, name: str, ctype: T.CType, value: Any = None) -> Cell:
+    def declare(self, name: str, ctype: T.CType) -> Cell:
         cell = Cell(ctype=ctype)
         if isinstance(ctype, T.Array):
-            cell.value = self._alloc_array(ctype, name)
-        elif value is not None:
-            cell.value = value
+            elem, size, inner = ctype.flattened(name)
+            cell.value = Buffer(elem, size, label=name)
+            cell.value.inner_dim = inner
         elif ctype.is_pointer:
             cell.value = NULL
         elif ctype.is_float:
@@ -196,23 +196,6 @@ class Interpreter:
             cell.value = 0
         self._scopes[-1][name] = cell
         return cell
-
-    def _alloc_array(self, ctype: T.Array, name: str) -> Buffer:
-        base = ctype.base
-        size = ctype.size or 0
-        inner: int | None = None
-        # Flatten multi-dimensional arrays row-major (2-D supported).
-        if isinstance(base, T.Array):
-            inner = base.size or 0
-            size *= inner
-            base = base.base
-            if isinstance(base, T.Array):
-                raise CRuntimeError(
-                    f"arrays of more than two dimensions unsupported ({name})"
-                )
-        buf = Buffer(base, size, label=name)
-        buf.inner_dim = inner
-        return buf
 
     def lookup(self, name: str) -> Cell:
         for scope in reversed(self._scopes):
@@ -226,7 +209,7 @@ class Interpreter:
 
     def run(self) -> int:
         """Execute ``main()``; returns its exit status."""
-        if self._use_compiled and self._stop_at is None:
+        if self.backend == "compiled":
             return compiled_program(self.program).run_main(self)
         result = self.call_function(self.program.main, [])
         return int(result) if result is not None else 0
@@ -290,12 +273,6 @@ class Interpreter:
             )
 
     def exec_stmt(self, stmt: A.Stmt) -> None:
-        if self._use_compiled and self._stop_at is None:
-            # Top-level entry (e.g. a GPU kernel body against this
-            # interpreter's live environment); the generated units
-            # never re-enter exec_stmt.
-            compiled_suite(self.program, stmt).execute(self)
-            return
         self._tick()
         if stmt is self._stop_at:
             raise RegionReached(self._snapshot_env())

@@ -285,21 +285,3 @@ def auto_firstprivate(region: A.Stmt, candidates: set[str]) -> set[str]:
     rbw: set[str] = set()
     _stmt_reads_before_write(region, pending, rbw)
     return rbw
-
-
-def check_region_variables(
-    func: A.FunctionDef, region: A.Stmt
-) -> dict[str, T.CType]:
-    """Types of the region's free variables; errors on undeclared names."""
-    types = declared_types(func)
-    info = analyze_region(region)
-    result: dict[str, T.CType] = {}
-    builtin_like = {"stdin", "stdout", "stderr", "NULL"}
-    for name in sorted(info.free_vars):
-        if name in builtin_like:
-            continue
-        if name not in types:
-            # Could be a function name; callers filter those.
-            continue
-        result[name] = types[name]
-    return result

@@ -55,9 +55,6 @@ class InputStream:
     _INT_RE = re.compile(r"[+-]?\d+")
     _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
-    def skip_space(self) -> None:
-        self.pos = self._WS_RE.match(self.text, self.pos).end()
-
     def read_token(self) -> str | None:
         """Whitespace-delimited token (scanf %s); None at EOF."""
         m = self._TOKEN_RE.match(self.text, self.pos)

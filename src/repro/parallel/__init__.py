@@ -18,7 +18,11 @@ rebuild the runner from one job spec. Either way the driver's single
 fold sees the same results in the same order, so output, counters,
 simulated seconds and trace spans are **byte-identical** across worker
 counts. :mod:`repro.parallel.pool` holds the shared worker-count
-resolution and the leaf-worker rule.
+resolution and the leaf-worker rule. What is configurable from outside
+a job — the worker count, the pool's idle timeout and its start method
+— is :class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the
+one place the ``REPRO_*`` environment is read; the arena's backing is
+not a knob (shared memory where the host can, else a spill file).
 """
 
 from .daemon import (

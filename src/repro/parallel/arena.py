@@ -8,7 +8,8 @@ publishes the job's input bytes **once**, tasks cross the process
 boundary as ``(index, start, stop)`` range triples, and each worker
 attaches to the arena a single time per job and slices views out of it.
 
-Three backends, picked per job:
+Three backends, picked per job from what the input and the host allow
+(there is no knob):
 
 * ``inline`` — inputs under :data:`INLINE_MIN_BYTES` ship inside the
   token itself; a shared segment would cost more than it saves.
@@ -19,8 +20,8 @@ Three backends, picked per job:
   exactly this ownership split).
 * ``spill`` — an unlinked-on-close temp file the workers ``mmap``.
   Page-cache backed, so reads are as shared as ``shm`` on Linux; this
-  is the fallback where ``/dev/shm`` is unavailable and the forced
-  choice under ``REPRO_POOL_SHM=0``.
+  is the fallback where creating the segment fails (``/dev/shm``
+  unavailable or full, no ``shared_memory`` module).
 
 The parent closes (and unlinks) the arena when the job's results are
 in; workers evict their attachment when the next job's token differs.
@@ -39,31 +40,13 @@ from ..errors import ConfigError
 
 __all__ = [
     "INLINE_MIN_BYTES",
-    "SHM_ENV",
     "SplitArena",
-    "arena_backend",
     "attach_view",
 ]
-
-#: Environment knob: ``1`` forces ``shared_memory``, ``0`` forces the
-#: mmap spill file, unset probes shm and falls back to spill.
-SHM_ENV = "REPRO_POOL_SHM"
 
 #: Inputs smaller than this ship inline in the token — segment setup
 #: would dominate for the seed-size test inputs.
 INLINE_MIN_BYTES = 64 * 1024
-
-
-def arena_backend() -> str:
-    """The configured shared-segment backend (``shm`` or ``spill``)."""
-    raw = os.environ.get(SHM_ENV, "").strip()
-    if raw == "":
-        return "auto"
-    if raw in ("1", "shm"):
-        return "shm"
-    if raw in ("0", "spill"):
-        return "spill"
-    raise ConfigError(f"{SHM_ENV}={raw!r} is not 0/1")
 
 
 def _create_shm(data: bytes):
@@ -84,7 +67,6 @@ class SplitArena:
 
     def __init__(self, data: bytes, min_bytes: int | None = None):
         limit = INLINE_MIN_BYTES if min_bytes is None else min_bytes
-        backend = arena_backend()
         self._seg: Any = None
         self._path: str | None = None
         self.nbytes = len(data)
@@ -92,15 +74,13 @@ class SplitArena:
             self.backend = "inline"
             self.token: tuple = ("inline", data)
             return
-        if backend in ("auto", "shm"):
-            try:
-                self._seg = _create_shm(data)
-                self.backend = "shm"
-                self.token = ("shm", self._seg.name, len(data))
-                return
-            except (OSError, ImportError):
-                if backend == "shm":
-                    raise
+        try:
+            self._seg = _create_shm(data)
+            self.backend = "shm"
+            self.token = ("shm", self._seg.name, len(data))
+            return
+        except (OSError, ImportError):
+            pass  # no usable shared memory on this host: spill instead
         fd, path = tempfile.mkstemp(prefix="repro-arena-")
         try:
             os.write(fd, data)

@@ -25,8 +25,9 @@ paid once and amortized over every subsequent job:
   and requeues the dead worker's in-flight batches. A batch that kills
   its worker twice is reported as a :class:`WorkerCrashError` instead
   of looping.
-* **Idle reaping.** Workers self-reap after ``REPRO_POOL_IDLE`` seconds
-  without work (worker-side ``Queue.get`` timeout, exit code 0), so a
+* **Idle reaping.** Workers self-reap after
+  :class:`~repro.config.RuntimeConfig`'s ``pool_idle_s`` seconds without
+  work (worker-side ``Queue.get`` timeout, exit code 0), so a
   long-lived process that stops running jobs drops its helper
   processes; the next job respawns lazily.
 
@@ -44,38 +45,25 @@ are deterministic per job, so traced parallel runs stay reproducible.
 
 from __future__ import annotations
 
-import os
 import queue
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from ..config import RuntimeConfig
 from ..errors import ConfigError, ReproError
 from ..obs import trace as obs
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "DaemonPool",
-    "IDLE_ENV",
     "PoolStatus",
-    "START_ENV",
     "WorkerCrashError",
     "get_pool",
     "pool_metrics",
     "resolve_batch_size",
     "shutdown_pool",
 ]
-
-#: Environment knob: seconds a worker waits for work before self-reaping
-#: (``0`` disables reaping).
-IDLE_ENV = "REPRO_POOL_IDLE"
-
-#: Environment knob: pool start method (``fork``/``spawn``); default
-#: prefers ``fork`` where the platform offers it.
-START_ENV = "REPRO_POOL_START"
-
-#: Default idle timeout (seconds) before a worker self-reaps.
-DEFAULT_IDLE_TIMEOUT = 300.0
 
 #: Batches a worker may hold queued at once. 2 hides the dispatch
 #: round-trip (the worker starts its second batch while the parent
@@ -95,19 +83,6 @@ class WorkerCrashError(ReproError):
     """A worker died executing a batch and its retry died too."""
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{name}={raw!r} is not a number") from None
-    if value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {raw}")
-    return value
-
-
 def resolve_batch_size(tasks: int, workers: int,
                        batch_size: int | None = None) -> int:
     """Tasks per envelope: ``batch_size`` when given (the crash/requeue
@@ -118,20 +93,6 @@ def resolve_batch_size(tasks: int, workers: int,
         return batch_size
     return max(1, min(_MAX_BATCH,
                       -(-tasks // (max(workers, 1) * _BATCHES_PER_WORKER))))
-
-
-def resolve_start_method() -> str:
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    raw = os.environ.get(START_ENV, "").strip()
-    if raw:
-        if raw not in methods:
-            raise ConfigError(
-                f"{START_ENV}={raw!r} is not a start method on this "
-                f"platform (have: {', '.join(methods)})")
-        return raw
-    return "fork" if "fork" in methods else "spawn"
 
 
 # -- worker side -------------------------------------------------------------
@@ -252,9 +213,10 @@ class DaemonPool:
                  idle_timeout: float | None = None):
         import multiprocessing
 
-        self.start_method = start_method or resolve_start_method()
-        self.idle_timeout = (_env_float(IDLE_ENV, DEFAULT_IDLE_TIMEOUT)
-                             if idle_timeout is None else idle_timeout)
+        config = RuntimeConfig.from_env()
+        self.start_method = start_method or config.pool_start
+        self.idle_timeout = (config.pool_idle_s if idle_timeout is None
+                             else idle_timeout)
         self._ctx = multiprocessing.get_context(self.start_method)
         self._outbox = self._ctx.Queue()
         self._workers: list[_Worker] = []
@@ -508,16 +470,16 @@ _pool: DaemonPool | None = None
 
 def get_pool() -> DaemonPool:
     """The process's daemon pool, created (or recreated) to match the
-    current ``REPRO_POOL_START``/``REPRO_POOL_IDLE`` configuration."""
+    current :class:`~repro.config.RuntimeConfig`."""
     global _pool
-    method = resolve_start_method()
-    idle = _env_float(IDLE_ENV, DEFAULT_IDLE_TIMEOUT)
-    if _pool is not None and (_pool.start_method != method
-                              or _pool.idle_timeout != idle):
+    config = RuntimeConfig.from_env()
+    wanted = (config.pool_start, config.pool_idle_s)
+    if _pool is not None and \
+            (_pool.start_method, _pool.idle_timeout) != wanted:
         _pool.shutdown()
         _pool = None
     if _pool is None:
-        _pool = DaemonPool(start_method=method, idle_timeout=idle)
+        _pool = DaemonPool(*wanted)
     return _pool
 
 

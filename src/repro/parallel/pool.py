@@ -7,12 +7,13 @@ so a run is observably identical at every worker count. What lives
 here is what every phase shares:
 
 * **One worker count** — :func:`resolve_workers` turns an explicit
-  ``workers=`` argument or the ``REPRO_WORKERS`` environment into the
+  ``workers=`` argument or the process's
+  :class:`~repro.config.RuntimeConfig` (``REPRO_WORKERS``) into the
   effective fan-out of one phase, capped by that phase's task count. A
   job's map and reduce phases both resolve the job's one setting.
 * **Leaf workers** — a worker process never creates its own pool.
   :func:`resolve_workers` answers 1 inside a worker regardless of the
-  ``REPRO_WORKERS`` environment or explicit ``workers=`` arguments, so
+  configuration or explicit ``workers=`` arguments, so
   nested parallelism (a fuzz worker running a parallel job) runs its
   tasks inline instead of fork-bombing the host.
 * **Deterministic makespan** — :func:`list_schedule_makespan` is the
@@ -26,6 +27,7 @@ import heapq
 import os
 from typing import Iterable
 
+from ..config import RuntimeConfig
 from ..errors import ConfigError
 
 __all__ = [
@@ -33,10 +35,6 @@ __all__ = [
     "list_schedule_makespan",
     "resolve_workers",
 ]
-
-#: Environment knob: default worker count for every parallel-capable
-#: entry point (``0`` means one worker per CPU core).
-WORKERS_ENV = "REPRO_WORKERS"
 
 #: True in pool worker processes (set by :func:`_mark_leaf_worker`);
 #: guards against nested pools.
@@ -52,26 +50,17 @@ def resolve_workers(workers: int | None = None,
                     tasks: int | None = None) -> int:
     """The effective worker count for one parallel phase.
 
-    Precedence: explicit ``workers`` argument, then the
-    ``REPRO_WORKERS`` environment variable, then 1 (tasks run inline).
-    A value of 0 (either source) means ``os.cpu_count()``. ``tasks``
-    caps the answer at the number of available tasks — a single-split
-    job runs inline no matter what was requested. Inside a pool worker
-    the answer is always 1.
+    Precedence: explicit ``workers`` argument, then
+    :class:`~repro.config.RuntimeConfig`'s (``REPRO_WORKERS``, default 1:
+    tasks run inline). A value of 0 (either source) means
+    ``os.cpu_count()``. ``tasks`` caps the answer at the number of
+    available tasks — a single-split job runs inline no matter what was
+    requested. Inside a pool worker the answer is always 1.
     """
     if _in_worker:
         return 1
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{WORKERS_ENV}={raw!r} is not an integer"
-                ) from None
-        else:
-            workers = 1
+        workers = RuntimeConfig.from_env().workers
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
     if workers == 0:
@@ -112,9 +101,9 @@ def _mark_leaf_worker() -> None:
     """Per-worker setup, before any warmup or task runs."""
     global _in_worker
     _in_worker = True
-    # Belt and braces for code that reads the env directly: a worker is
+    # Belt and braces for anything this worker might exec: a worker is
     # a leaf and must never fan out again.
-    os.environ[WORKERS_ENV] = "1"
+    os.environ["REPRO_WORKERS"] = "1"
     # A forked worker inherits the parent's *active* TraceRecorder;
     # recording into it from another process would interleave garbage.
     # Workers trace into their own per-task recorders (maptask.capture).

@@ -5,16 +5,13 @@
 * :mod:`repro.runtime.seqfile` — the Hadoop-compatible binary output
   format (SequenceFile) with checksums,
 * :mod:`repro.runtime.gpu_task` — the full GPU task pipeline of Fig. 1,
-  producing the Fig. 6 per-phase breakdown,
-* :mod:`repro.runtime.gpu_driver` — the per-node GPU driver that fetches
-  tasks from the TaskTracker, serializes kernel launches per device, and
-  survives task/thread failures (§5.1).
+  producing the Fig. 6 per-phase breakdown; a task that fails leaves its
+  device clean for the next one (§5.1's containment).
 """
 
 from .records import RecordLocator, locate_records
 from .seqfile import SequenceFileReader, SequenceFileWriter
 from .gpu_task import GpuTaskBreakdown, GpuTaskResult, GpuTaskRunner
-from .gpu_driver import GpuDriver
 
 __all__ = [
     "RecordLocator",
@@ -24,5 +21,4 @@ __all__ = [
     "GpuTaskBreakdown",
     "GpuTaskResult",
     "GpuTaskRunner",
-    "GpuDriver",
 ]

@@ -9,6 +9,13 @@ One GPU task processes one fileSplit end to end:
 Every stage runs functionally (real records in, real KV pairs out) and is
 charged simulated time; the per-stage seconds are exactly the categories
 of the paper's Fig. 6 breakdown.
+
+Fault containment (§5.1) lives here, in the pipeline that runs the task:
+whatever stage raises — a kernel's ``CRuntimeError``, ``KVStoreOverflow``,
+``GpuOutOfMemory`` — both device allocations are released on the way out,
+so the job's one device serves the next task exactly as a fresh one
+would. (``GpuDevice.reset()`` is the heavier revival primitive, for the
+attempt model to call.)
 """
 
 from __future__ import annotations
@@ -95,12 +102,6 @@ class GpuTaskResult:
     def seconds(self) -> float:
         return self.breakdown.total
 
-    def all_output(self) -> list[tuple[Any, Any]]:
-        out: list[tuple[Any, Any]] = []
-        for part in sorted(self.partition_output):
-            out.extend(self.partition_output[part])
-        return out
-
     def rendered_runs(self) -> dict[int, list]:
         """Per-partition shuffle runs: streaming-sorted, decorated, and
         rendered ``(key, value, line)`` triples.
@@ -181,7 +182,7 @@ class GpuTaskRunner:
         # N GpuTaskRunner instances a job may create (one per map task)
         # share one host pre-region run. Safe to share: the executor
         # clones every buffer it materializes from a snapshot and copies
-        # scalars by value (build_thread_env / prepare_shared_ro).
+        # scalars by value (kernel_cell_factories / prepare_shared_ro).
         cache = translation.__dict__.get("_snapshots")
         if cache is None:
             cache = {}
@@ -229,6 +230,7 @@ class GpuTaskRunner:
 
         # 1. Copy the fileSplit from HDFS into GPU memory.
         input_alloc = device.memory.malloc(len(split), "fileSplit")
+        store_alloc = None
         bd.input_read = self.io.hdfs_read_s(len(split), local=data_local) \
             + device.transfer_time(len(split))
 
@@ -346,10 +348,11 @@ class GpuTaskRunner:
             else:
                 io_s = self.io.local_write_s(total_bytes)
             bd.output_write = copy_back + format_s + io_s
-
-            device.memory.free_(store_alloc)
         finally:
-            # 9. Free device memory.
+            # 9. Free device memory — also when a stage raised, so a
+            # failed task cannot starve the tasks that follow it.
+            if store_alloc is not None:
+                device.memory.free_(store_alloc)
             device.memory.free_(input_alloc)
 
         rec = obs.active()

@@ -76,6 +76,159 @@ class TestParser:
         assert args.count == 0
 
 
+#: ``vars(build_parser().parse_args(argv))`` per subcommand — every dest
+#: and default — computed on the commit *before* cli.py declared each
+#: shared option set once (``func`` recorded by name).
+PARENT_NAMESPACES = {
+    "apps": (["apps"], {"command": "apps", "func": "_cmd_apps"}),
+    "translate": (["translate", "--app", "WC"], {
+        "command": "translate", "func": "_cmd_translate", "app": "WC",
+        "file": None, "optimize": True}),
+    "run": (["run", "WC"], {
+        "command": "run", "func": "_cmd_run", "app": "WC", "cluster": 1,
+        "cpu_only": False, "records": 400, "seed": 7, "show": 8,
+        "split_kb": 32, "workers": None}),
+    "simulate": (["simulate", "BS"], {
+        "command": "simulate", "func": "_cmd_simulate", "app": "BS",
+        "cluster": 1, "gpus": 1, "policy": None, "task_scale": 1.0}),
+    "sweep": (["sweep"], {
+        "command": "sweep", "func": "_cmd_sweep", "apps": None,
+        "json": False, "list": False, "out": None, "policies": None,
+        "scale": "small", "scenarios": None, "shapes": None,
+        "verify": False}),
+    "trace": (["trace", "WC"], {
+        "command": "trace", "func": "_cmd_trace", "app": "WC", "cluster": 1,
+        "cpu_only": False, "gpus": 1, "mode": "local", "out": None,
+        "policy": "tail", "records": 400, "seed": 7, "split_kb": 32,
+        "task_scale": 0.02, "workers": None}),
+    "stats": (["stats", "KM"], {
+        "command": "stats", "func": "_cmd_stats", "app": "KM", "cluster": 1,
+        "cpu_only": False, "gpus": 1, "mode": "local", "policy": "tail",
+        "records": 400, "seed": 7, "split_kb": 32, "task_scale": 0.02,
+        "workers": None}),
+    "fuzz": (["fuzz"], {
+        "command": "fuzz", "func": "_cmd_fuzz", "corpus_dir": None,
+        "count": 300, "kinds": None, "no_shrink": False, "quiet": False,
+        "registry": False, "scale": "small", "seed": 0,
+        "time_budget": None, "workers": None}),
+    "pool": (["pool", "status"], {
+        "command": "pool", "func": "_cmd_pool", "action": "status",
+        "apps": None, "workers": None}),
+    "experiment": (["experiment", "fig5"], {
+        "command": "experiment", "func": "_cmd_experiment", "name": "fig5",
+        "task_scale": 1.0}),
+}
+
+_POLICIES = ("cpu-only", "gpu-first", "tail", "locality", "fair-share")
+
+#: Every flag of the commands that share an option set, with its
+#: choices (None = free-form) — also from the parent commit.
+PARENT_FLAGS = {
+    "run": {"app": None, "--cluster": (1, 2), "--cpu-only": None,
+            "--records": None, "--seed": None, "--show": None,
+            "--split-kb": None, "--workers": None},
+    "simulate": {"app": None, "--cluster": (1, 2), "--gpus": None,
+                 "--policy": _POLICIES, "--task-scale": None},
+    "trace": {"app": None, "--cluster": (1, 2), "--cpu-only": None,
+              "--gpus": None, "--mode": ("local", "simulate"),
+              "--policy": _POLICIES, "--records": None, "--seed": None,
+              "--split-kb": None, "--task-scale": None, "--workers": None,
+              "-o/--out": None},
+    "stats": {"app": None, "--cluster": (1, 2), "--cpu-only": None,
+              "--gpus": None, "--mode": ("local", "simulate"),
+              "--policy": _POLICIES, "--records": None, "--seed": None,
+              "--split-kb": None, "--task-scale": None, "--workers": None},
+    "experiment": {"name": None, "--task-scale": None},
+}
+
+
+class TestOptionSurfaceUnchanged:
+    @pytest.mark.parametrize("cmd", sorted(PARENT_NAMESPACES))
+    def test_namespace_equals_parent(self, cmd):
+        argv, expected = PARENT_NAMESPACES[cmd]
+        namespace = vars(build_parser().parse_args(argv))
+        namespace["func"] = namespace["func"].__name__
+        assert namespace == expected
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(_subparsers()) == set(PARENT_NAMESPACES)
+
+    @pytest.mark.parametrize("cmd", sorted(PARENT_FLAGS))
+    def test_flags_and_choices_equal_parent(self, cmd):
+        import argparse
+
+        flags = {
+            "/".join(a.option_strings) or a.dest:
+                tuple(a.choices) if a.choices else None
+            for a in _subparsers()[cmd]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert flags == PARENT_FLAGS[cmd]
+
+
+def _subparsers():
+    import argparse
+
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+#: ``experiment <name>`` → (producer, its keywords, renderer, its title),
+#: read off the parent's ``if name ==`` chain.
+EXPERIMENTS = {
+    "table1": ("tables.table1", {}, "render_table", "Table 1"),
+    "table2": ("tables.table2", {}, "render_table", "Table 2"),
+    "table3": ("tables.table3", {}, "render_table", "Table 3"),
+    "fig3": ("figures.fig3", {}, "render_fig3", None),
+    "fig4a": ("figures.fig4a", {"task_scale": 0.5}, "render_fig4",
+              "Fig. 4a"),
+    "fig4b": ("figures.fig4b", {"task_scale": 0.5}, "render_fig4",
+              "Fig. 4b"),
+    "fig5": ("figures.fig5", {}, "render_fig5", None),
+    "fig6": ("figures.fig6", {}, "render_fig6", None),
+    "fig7": ("figures.fig7", {"subfigure": None}, "render_fig7", None),
+    **{f"fig7{sub}": ("figures.fig7", {"subfigure": f"7{sub}"},
+                      "render_fig7", None) for sub in "abcde"},
+}
+
+
+class TestExperimentDispatch:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_name_reaches_its_producer_and_renderer(self, name, monkeypatch,
+                                                    capsys):
+        from repro import experiments
+
+        producer, kwargs, renderer, title = EXPERIMENTS[name]
+        calls = []
+
+        def spy(label, result):
+            def call(*args, **kw):
+                calls.append((label, args, kw))
+                return result
+            return call
+
+        module, func = producer.split(".")
+        monkeypatch.setattr(getattr(experiments, module), func,
+                            spy(producer, "DATA"))
+        monkeypatch.setattr(experiments.report, renderer,
+                            spy(renderer, "RENDERED"))
+        assert main(["experiment", name, "--task-scale", "0.5"]) == 0
+        assert capsys.readouterr().out == "RENDERED\n"
+        (_, pargs, pkw), (_, rargs, rkw) = calls
+        assert (pargs, pkw) == ((), kwargs)
+        assert rargs + tuple(rkw.values()) == \
+            (("DATA",) if title is None else ("DATA", title))
+
+    def test_fourteen_names(self):
+        assert len(EXPERIMENTS) == 14
+
+    @pytest.mark.parametrize("name", ["fig99", "fig7z", "table4", ""])
+    def test_unknown_name_fails_cleanly(self, name, capsys):
+        assert main(["experiment", name]) == 1
+        assert capsys.readouterr().err == \
+            f"error: unknown experiment {name!r}\n"
+
+
 class TestCommands:
     def test_apps_lists_every_registry_app(self, capsys):
         from repro.scenarios import APP_ORDER

@@ -16,22 +16,20 @@ import time
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.errors import ConfigError, ReproError
+from repro.parallel import arena as arena_module
 from repro.parallel.arena import (
     INLINE_MIN_BYTES,
-    SHM_ENV,
     SplitArena,
     attach_view,
 )
 from repro.parallel.daemon import (
-    IDLE_ENV,
-    START_ENV,
     DaemonPool,
     WorkerCrashError,
     get_pool,
     pool_metrics,
     resolve_batch_size,
-    resolve_start_method,
     shutdown_pool,
 )
 
@@ -111,13 +109,13 @@ class TestResolveBatchSize:
 
 
 def test_resolve_start_method_env(monkeypatch):
-    monkeypatch.setenv(START_ENV, "spawn")
-    assert resolve_start_method() == "spawn"
-    monkeypatch.setenv(START_ENV, "carrier-pigeon")
+    monkeypatch.setenv("REPRO_POOL_START", "spawn")
+    assert RuntimeConfig.from_env().pool_start == "spawn"
+    monkeypatch.setenv("REPRO_POOL_START", "carrier-pigeon")
     with pytest.raises(ConfigError):
-        resolve_start_method()
-    monkeypatch.delenv(START_ENV)
-    assert resolve_start_method() in ("fork", "spawn")
+        RuntimeConfig.from_env()
+    monkeypatch.delenv("REPRO_POOL_START")
+    assert RuntimeConfig.from_env().pool_start in ("fork", "spawn")
 
 
 # -- dispatch and ordering ----------------------------------------------------
@@ -227,11 +225,11 @@ def test_broadcast_reaches_every_worker(pool):
 
 def test_get_pool_recreates_on_env_change(monkeypatch):
     shutdown_pool()
-    monkeypatch.setenv(IDLE_ENV, "123")
+    monkeypatch.setenv("REPRO_POOL_IDLE", "123")
     first = get_pool()
     assert first.idle_timeout == 123.0
     assert get_pool() is first
-    monkeypatch.setenv(IDLE_ENV, "456")
+    monkeypatch.setenv("REPRO_POOL_IDLE", "456")
     second = get_pool()
     assert second is not first
     assert second.idle_timeout == 456.0
@@ -249,19 +247,27 @@ def test_small_inputs_ship_inline():
     arena.close()
 
 
-def test_shm_arena_roundtrip(monkeypatch):
-    monkeypatch.delenv(SHM_ENV, raising=False)
+@pytest.fixture
+def no_shm(monkeypatch):
+    """A host where creating a shared-memory segment fails — what sends
+    the arena to its spill file (there is no knob for it)."""
+    def refuse(_data):
+        raise OSError("no /dev/shm on this host")
+
+    monkeypatch.setattr(arena_module, "_create_shm", refuse)
+
+
+def test_shm_arena_roundtrip():
     data = bytes(range(256)) * 300  # > INLINE_MIN_BYTES
     assert len(data) > INLINE_MIN_BYTES
     with SplitArena(data) as arena:
-        assert arena.backend in ("shm", "spill")  # auto probes shm first
+        assert arena.backend in ("shm", "spill")  # shm where the host can
         view = attach_view(arena.token)
         assert bytes(view[0:256]) == bytes(range(256))
         assert bytes(view[len(data) - 4:len(data)]) == data[-4:]
 
 
-def test_spill_arena_roundtrip(monkeypatch):
-    monkeypatch.setenv(SHM_ENV, "0")
+def test_spill_arena_roundtrip(no_shm):
     data = b"x" * (INLINE_MIN_BYTES + 1)
     arena = SplitArena(data)
     assert arena.backend == "spill"
@@ -273,8 +279,7 @@ def test_spill_arena_roundtrip(monkeypatch):
     assert not os.path.exists(path)  # unlinked with the arena
 
 
-def test_min_bytes_override_forces_segment(monkeypatch):
-    monkeypatch.setenv(SHM_ENV, "0")
+def test_min_bytes_override_forces_segment(no_shm):
     arena = SplitArena(b"not so big", min_bytes=4)
     try:
         assert arena.backend == "spill"
@@ -283,8 +288,7 @@ def test_min_bytes_override_forces_segment(monkeypatch):
         arena.close()
 
 
-def test_attach_evicts_previous_token(monkeypatch):
-    monkeypatch.setenv(SHM_ENV, "0")
+def test_attach_evicts_previous_token(no_shm):
     a = SplitArena(b"a" * 100, min_bytes=4)
     b = SplitArena(b"b" * 100, min_bytes=4)
     try:
@@ -298,12 +302,6 @@ def test_attach_evicts_previous_token(monkeypatch):
     finally:
         a.close()
         b.close()
-
-
-def test_garbage_shm_env_rejected(monkeypatch):
-    monkeypatch.setenv(SHM_ENV, "maybe")
-    with pytest.raises(ConfigError):
-        SplitArena(b"x" * (INLINE_MIN_BYTES + 1))
 
 
 # -- pool CLI ------------------------------------------------------------------

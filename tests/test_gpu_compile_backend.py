@@ -5,11 +5,14 @@ fallback, pinned here with ``use_gpu_engine("compiled")`` — replays kernel
 bodies as closure calls but must stay *indistinguishable* from the
 tree-walking reference at every observable boundary: final job output,
 simulated per-task seconds, map-launch ``ExecCounters``, and the full
-per-warp ``KernelCost`` fold. The tree reference itself runs under both
-mini-C backends (bodies interpreted vs compiled), so three
-configurations triangulate every app. Both engines charge through the
-same bound closures of :mod:`repro.gpu.charging` — one formula source,
-so agreement here proves the wiring, not formula duplication.
+per-warp ``KernelCost`` fold. The ``"tree"`` engine really tree-walks
+(it ignores the ambient mini-C backend, pinned by ``TestTreeIsTree``), so
+every comparison here is generated code against the reference
+semantics; the all-apps test runs its reference leg under
+``use_backend("tree")`` as well, so the mini-C reducer tree-walks too.
+Both engines charge through the same bound closures of
+:mod:`repro.gpu.charging` — one formula source, so agreement here
+proves the wiring, not formula duplication.
 """
 
 from __future__ import annotations
@@ -98,17 +101,18 @@ def _assert_launches_identical(tag, ref, other):
 
 
 class TestAllAppsEngineParity:
-    """Every app: tree/tree vs tree/compiled vs compiled lane engine."""
+    """Every app on the three GPU execution configurations: the all-tree
+    reference (tree lanes, tree-walked reducer) vs the compiled and the
+    vector lane engine under the shipped mini-C backend."""
 
     @pytest.mark.parametrize("tag", APP_TAGS)
     def test_three_configurations_agree(self, tag):
         app = get_app(tag)
         text = app.generate(90, seed=11)
-        tree_tree = _gpu_job(app, text, "tree", "tree")
-        tree_comp = _gpu_job(app, text, "tree", "compiled")
-        compiled = _gpu_job(app, text, "compiled", "compiled")
-        _assert_launches_identical(tag, tree_tree, tree_comp)
-        _assert_launches_identical(tag, tree_tree, compiled)
+        reference = _gpu_job(app, text, "tree", "tree")
+        for engine in ("compiled", "vector"):
+            _assert_launches_identical(
+                tag, reference, _gpu_job(app, text, engine, "compiled"))
 
 
 # -- standalone combine kernels ---------------------------------------------
@@ -197,6 +201,76 @@ class TestMapKernelEngines:
             assert other.counters == tree.counters, e
             assert other.cost == tree.cost, e
             assert _store_pairs(stores[e]) == _store_pairs(stores["tree"]), e
+
+
+# -- the reference is a reference -------------------------------------------
+
+
+class TestTreeIsTree:
+    """``"tree"`` means tree-walked whatever the ambient mini-C backend:
+    a tree-engine launch runs no generated code, which always goes
+    through a ``minic.compile.Runtime`` (one per unit entry)."""
+
+    @pytest.fixture
+    def runtimes(self, monkeypatch):
+        from repro.minic import compile as minic_compile
+
+        built = []
+
+        class CountingRuntime(minic_compile.Runtime):
+            __slots__ = ()
+
+            def __init__(self, facade, funcs):
+                built.append(facade)
+                super().__init__(facade, funcs)
+
+        monkeypatch.setattr(minic_compile, "Runtime", CountingRuntime)
+        return built
+
+    def test_tree_launches_build_no_runtime(self, runtimes):
+        app = get_app("WC")
+        device = GpuDevice(CLUSTER1.gpu)
+        kernel, records, snapshot = _map_inputs(app, n=40)
+        ckernel, pairs, csnapshot = _combine_inputs(app, n=40)
+        runtimes.clear()  # _combine_inputs ran the CPU map filter
+        with use_backend("compiled"), use_gpu_engine("tree"):
+            launch = run_map_kernel(device, kernel, records, snapshot,
+                                    _fresh_store(kernel), Partitioner(4))
+            combined = run_combine_kernel(device, ckernel, pairs, csnapshot)
+        assert launch.records_processed == len(records)
+        assert combined.output
+        assert runtimes == []
+
+    def test_kernel_helpers_tree_walk_too(self, runtimes):
+        # A user function called from the kernel body (a __device__
+        # helper) runs on the lane's interpreter, not as generated code.
+        from repro.apps.wordcount import MAP_SOURCE
+        from repro.compiler import translate
+        from repro.minic import parse
+
+        source = "int one_more(int n) { return n + 1; }\n" + \
+            MAP_SOURCE.replace("one = 1;", "one = one_more(0);")
+        tr = translate(parse(source))
+        kernel = tr.map_kernel
+        assert [f.name for f in kernel.helpers] == ["one_more"]
+        snapshot = Interpreter(tr.program, stdin="").run_until_region(
+            kernel.original_region)
+        store = _fresh_store(kernel)
+        with use_backend("compiled"), use_gpu_engine("tree"):
+            run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel,
+                           [b"a b a\n", b"c\n"], snapshot, store,
+                           Partitioner(4))
+        assert sorted((p.key, p.value) for _t, p in store.iter_pairs()) \
+            == [("a", 1), ("a", 1), ("b", 1), ("c", 1)]
+        assert runtimes == []
+
+    def test_compiled_launch_builds_one_per_lane(self, runtimes):
+        # The counter is live: the compiled engine enters generated code.
+        kernel, records, snapshot = _map_inputs(get_app("WC"), n=40)
+        with use_gpu_engine("compiled"):
+            run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
+                           snapshot, _fresh_store(kernel), Partitioner(4))
+        assert len(runtimes) > 0
 
 
 # -- fuzz corpus through the engine oracle ---------------------------------

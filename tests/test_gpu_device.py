@@ -62,9 +62,9 @@ class TestGpuDevice:
     def test_reset_revives_device(self):
         dev = GpuDevice(TESLA_K40)
         dev.memory.malloc(GB)
-        dev.busy_until = 42.0
         dev.reset()
-        assert dev.memory.used == 0 and dev.busy_until == 0.0
+        assert dev.memory.used == 0
+        dev.memory.malloc(GB)  # and it serves allocations again
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(Exception):

@@ -1,13 +1,13 @@
-"""Full GPU task pipeline tests (Fig. 1 / Fig. 6) + driver fault tolerance."""
+"""Full GPU task pipeline tests (Fig. 1 / Fig. 6). Failed-task
+containment is in ``tests/test_config_containment.py``."""
 
 import pytest
 
-from repro.config import CLUSTER1, GB, OptimizationFlags, TESLA_M2090
+from repro.config import CLUSTER1, OptimizationFlags, TESLA_M2090
 from repro.apps import get_app
 from repro.costmodel.io import IoModel
 from repro.errors import GpuError, GpuOutOfMemory
 from repro.gpu.device import GpuDevice
-from repro.runtime.gpu_driver import GpuDriver
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.runtime.seqfile import SequenceFileReader
 
@@ -77,46 +77,3 @@ class TestPipeline:
         with pytest.raises(GpuError):
             GpuTaskRunner(app.translate_combine(), None,
                           GpuDevice(CLUSTER1.gpu), cluster1_io, 4)
-
-
-class TestGpuDriver:
-    def test_runs_on_free_device(self):
-        driver = GpuDriver([GpuDevice(CLUSTER1.gpu, device_id=0),
-                            GpuDevice(CLUSTER1.gpu, device_id=1)])
-        completion = driver.run_task("t1", lambda dev: "ok",
-                                     seconds_of=lambda r: 1.0)
-        assert completion.succeeded and completion.result == "ok"
-
-    def test_one_task_per_gpu(self):
-        driver = GpuDriver([GpuDevice(CLUSTER1.gpu)])
-        state = driver.threads[0]
-        state.busy = True
-        with pytest.raises(GpuError, match="busy"):
-            driver.run_task("t", lambda dev: None)
-
-    def test_failure_contained_and_device_revived(self):
-        device = GpuDevice(CLUSTER1.gpu)
-        device.memory.malloc(1 * GB, "leak")
-        driver = GpuDriver([device])
-
-        def crash(dev):
-            raise GpuError("kernel fault")
-
-        completion = driver.run_task("t-fail", crash)
-        assert not completion.succeeded
-        assert "kernel fault" in completion.error
-        # §5.1: the failed GPU is revived so future tasks can be issued.
-        assert device.memory.used == 0
-        assert driver.threads[0].restarts == 1
-        ok = driver.run_task("t-next", lambda dev: 42)
-        assert ok.succeeded
-
-    def test_completion_log_kept(self):
-        driver = GpuDriver([GpuDevice(CLUSTER1.gpu)])
-        driver.run_task("a", lambda dev: 1)
-        driver.run_task("b", lambda dev: 2)
-        assert [c.task_id for c in driver.completions] == ["a", "b"]
-
-    def test_no_devices_rejected(self):
-        with pytest.raises(GpuError):
-            GpuDriver([])

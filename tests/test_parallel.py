@@ -29,13 +29,13 @@ from repro.parallel import (
     list_schedule_makespan,
     resolve_workers,
 )
-from repro.parallel.pool import WORKERS_ENV
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.scenarios import records_for
 
 from .span_invariants import assert_standard_invariants
 
 APP_TAGS = [app.short for app in all_apps()]
+WORKERS_ENV = "REPRO_WORKERS"
 
 
 # -- worker-count resolution ------------------------------------------------
@@ -242,11 +242,10 @@ def test_start_method_results_identical(start_method, monkeypatch):
     that fork was smuggling through.
     """
     from repro.parallel import shutdown_pool
-    from repro.parallel.daemon import START_ENV
 
     app = get_app("WC")
     baseline = _run_job(app, use_gpu=False, workers=1)
-    monkeypatch.setenv(START_ENV, start_method)
+    monkeypatch.setenv("REPRO_POOL_START", start_method)
     shutdown_pool()
     try:
         par = _run_job(app, use_gpu=False, workers=2)

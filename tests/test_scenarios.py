@@ -192,24 +192,28 @@ def test_no_hardcoded_app_lists_outside_registry():
         f"{offenders}")
 
 
-#: Every environment knob the program reads: the job-wide worker count
-#: and the daemon pool's three deployment settings. Engines, backends,
-#: batch sizes and per-phase worker counts are chosen by the runtime,
-#: not by a knob.
-KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START",
-         "REPRO_POOL_SHM"}
+#: Every environment knob the program reads — the fields of
+#: :class:`repro.config.RuntimeConfig`: the job-wide worker count and
+#: the daemon pool's two deployment settings. Engines, backends, batch
+#: sizes, arena backing and per-phase worker counts are chosen by the
+#: runtime, not by a knob.
+KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START"}
 
 
-def test_env_knob_surface_is_exactly_the_documented_four():
+def test_env_knob_surface_is_exactly_the_documented_three():
     """Grep tripwire: the ``REPRO_*`` names under ``src/repro`` and the
     rows of README's knob tables are both exactly :data:`KNOBS` — a new
-    knob has to be argued for here, and documented, to land."""
+    knob has to be argued for here, and documented, to land — and the
+    environment is *read* in ``config.py`` only (the one other mention
+    is the leaf-worker rule's write)."""
     knob = re.compile(r"REPRO_[A-Z_]+")
-    in_src = {
-        name
+    sources = {
+        path.relative_to(REPO / "src" / "repro").as_posix():
+            path.read_text(encoding="utf-8")
         for path in (REPO / "src" / "repro").rglob("*.py")
-        for name in knob.findall(path.read_text(encoding="utf-8"))
     }
+    in_src = {name for text in sources.values()
+              for name in knob.findall(text)}
     assert in_src == KNOBS
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     in_tables = {
@@ -218,3 +222,13 @@ def test_env_knob_surface_is_exactly_the_documented_four():
         for name in knob.findall(line)
     }
     assert in_tables == KNOBS
+    env_access = re.compile(r"\benviron\b|\bgetenv\b|\bputenv\b")
+    environ_lines = {
+        (rel, line.strip())
+        for rel, text in sources.items()
+        for line in text.splitlines() if env_access.search(line)
+    }
+    assert environ_lines == {
+        ("config.py", 'raw = os.environ.get(name, "").strip()'),
+        ("parallel/pool.py", 'os.environ["REPRO_WORKERS"] = "1"'),
+    }
