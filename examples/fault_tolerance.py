@@ -32,7 +32,7 @@ def driver_demo() -> None:
     split = app.generate(150, seed=3).encode()
 
     ok = runner.run(split)
-    print(f"  task-1: ok, simulated {ok.seconds * 1e3:.2f} ms")
+    print(f"  task-1: ok, simulated {ok.breakdown.total * 1e3:.2f} ms")
 
     # WC declares kvpairs(20); a one-record split of 50 words overflows
     # its thread's portion of the global KV store mid-kernel.
@@ -47,7 +47,7 @@ def driver_demo() -> None:
 
     again = runner.run(split)
     same = (again.partition_output == ok.partition_output
-            and repr(again.seconds) == repr(ok.seconds))
+            and repr(again.breakdown.total) == repr(ok.breakdown.total))
     print(f"  task-1 again on the same device: identical output and "
           f"simulated time = {same} — the GPU kept serving\n")
     assert same

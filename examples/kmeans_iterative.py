@@ -140,7 +140,7 @@ def main() -> None:
             math.dist(a, b) for a, b in zip(centroids, updated)
         )
         movements.append(movement)
-        gpu_ms = sum(r.seconds for r in result.gpu_task_results) * 1e3
+        gpu_ms = result.total_map_seconds * 1e3
         print(f"  round {round_no}: centroid movement {movement:8.4f}  "
               f"(simulated GPU map time {gpu_ms:.2f} ms)")
         centroids = updated

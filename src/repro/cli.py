@@ -81,6 +81,8 @@ def _local_job(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .hadoop.tasks import SlotKind
+
     runner, text = _local_job(args)
     app = runner.app
     result = runner.run(text)
@@ -89,13 +91,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
           + (f" across {result.workers} workers" if result.workers > 1 else ""))
     print(f"map output pairs : {result.map_output_pairs}")
     print(f"final keys       : {len(result.output)}")
-    if result.gpu_task_results:
-        total = sum(r.seconds for r in result.gpu_task_results)
-        print(f"simulated GPU map time: {total * 1e3:.3f} ms")
+    print(f"simulated map time    : {result.total_map_seconds * 1e3:.3f} ms "
+          f"({result.device_tasks(SlotKind.GPU)} GPU tasks, "
+          f"{result.device_tasks(SlotKind.CPU)} CPU tasks)")
     if result.workers > 1:
         print(f"map critical path     : "
-              f"{result.map_critical_path_seconds * 1e3:.3f} ms "
-              f"(task-seconds sum {result.total_map_seconds * 1e3:.3f} ms)")
+              f"{result.map_critical_path_seconds * 1e3:.3f} ms")
     sample = list(result.output.items())[: args.show]
     print(f"first {len(sample)} outputs: {sample}")
     return 0

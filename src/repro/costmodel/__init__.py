@@ -7,7 +7,8 @@ numbers are simulated seconds; only *ratios* are calibrated against the
 paper (see ``calibration.py``).
 """
 
+from .breakdown import TaskBreakdown
 from .io import IoModel
-from .cpu import CpuTaskModel, CpuTaskTiming
+from .cpu import CpuTaskModel
 
-__all__ = ["IoModel", "CpuTaskModel", "CpuTaskTiming"]
+__all__ = ["IoModel", "CpuTaskModel", "TaskBreakdown"]

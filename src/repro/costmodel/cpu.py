@@ -10,10 +10,10 @@ simulated seconds on one Xeon core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..config import CpuSpec
 from ..minic.interpreter import ExecCounters
+from .breakdown import TaskBreakdown
 from .io import IoModel
 
 #: Simulated scalar operations one Xeon core retires per second. The
@@ -30,20 +30,10 @@ STREAMING_OVERHEAD_S_PER_KV = 1.5e-7
 CPU_SORT_OP_FACTOR = 6.0
 
 
-@dataclass
-class CpuTaskTiming:
-    """Per-phase seconds of one CPU map task (mirrors Fig. 6 categories)."""
-
-    input_read: float = 0.0
-    map: float = 0.0
-    sort: float = 0.0
-    combine: float = 0.0
-    output_write: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (self.input_read + self.map + self.sort + self.combine
-                + self.output_write)
+#: The Fig. 6 stages a Streaming task charges, in pipeline order — the
+#: phase children of a CPU task's trace span (``record_count`` and
+#: ``aggregate`` are GPU pipeline stages).
+CPU_TASK_PHASES = ("input_read", "map", "sort", "combine", "output_write")
 
 
 class CpuTaskModel:
@@ -85,10 +75,11 @@ class CpuTaskModel:
         output_bytes: int,
         map_only: bool,
         replication: int,
-        data_local: bool = True,
-    ) -> CpuTaskTiming:
-        timing = CpuTaskTiming()
-        timing.input_read = self.io.hdfs_read_s(split_bytes, local=data_local)
+    ) -> TaskBreakdown:
+        timing = TaskBreakdown()
+        # A functional task's split is data-local; locality misses are
+        # the cluster simulator's business (TaskDurationModel.sample).
+        timing.input_read = self.io.hdfs_read_s(split_bytes)
         timing.map = self.compute_s(map_counters) + self.streaming_s(map_kv_pairs)
         timing.sort = self.sort_s(map_kv_pairs, key_length)
         if combine_counters is not None:

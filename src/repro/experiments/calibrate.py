@@ -21,11 +21,9 @@ from functools import lru_cache
 from ..apps.base import Application
 from ..apps import get_app
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig, OptimizationFlags
-from ..costmodel.cpu import CpuTaskTiming
+from ..costmodel.breakdown import TaskBreakdown
 from ..errors import ConfigError
 from ..hadoop.local import LocalJobRunner, MapTaskResult
-from ..kvstore.coerce import utf8_len
-from ..runtime.gpu_task import GpuTaskBreakdown
 from ..scenarios.registry import APP_ORDER, get_workload
 
 #: Default records per calibration split, per app — the registry's
@@ -43,8 +41,8 @@ class TaskTimes:
     cluster: str
     cpu_seconds: float
     gpu_seconds: float
-    cpu_timing: CpuTaskTiming
-    gpu_breakdown: GpuTaskBreakdown
+    cpu_breakdown: TaskBreakdown
+    gpu_breakdown: TaskBreakdown
     map_output_pairs: int = 0
     output_bytes: int = 0
     records: int = 0
@@ -94,17 +92,15 @@ def _single_task_times_cached(
 ) -> TaskTimes:
     cpu, gpu = _map_tasks(app_short, cluster_name, opt, records, seed,
                           False, True)
-    assert cpu.cpu_timing is not None and gpu.gpu_result is not None
     return TaskTimes(
         app=app_short,
         cluster=cluster_name,
-        cpu_seconds=cpu.cpu_timing.total,
-        gpu_seconds=gpu.gpu_result.seconds,
-        cpu_timing=cpu.cpu_timing,
-        gpu_breakdown=gpu.gpu_result.breakdown,
+        cpu_seconds=cpu.seconds,
+        gpu_seconds=gpu.seconds,
+        cpu_breakdown=cpu.breakdown,
+        gpu_breakdown=gpu.breakdown,
         map_output_pairs=cpu.map_pairs,
-        output_bytes=sum(utf8_len(entry[1][2])
-                         for run in cpu.parts.values() for entry in run),
+        output_bytes=cpu.output_bytes,
         records=records,
     )
 
@@ -151,7 +147,7 @@ def gpu_breakdown_from_trace(
     This is the Fig. 6 data path: the task runs once under a
     :class:`~repro.obs.TraceRecorder` and the breakdown is read back from
     the ``phase`` spans the pipeline emitted, rather than from the
-    returned :class:`~repro.runtime.gpu_task.GpuTaskBreakdown`. The two
+    returned :class:`~repro.costmodel.breakdown.TaskBreakdown`. The two
     agree exactly (a phase span's duration *is* the charged stage time) —
     the trace tests assert it — but deriving the figure from traces keeps
     the observable data the single source of truth.

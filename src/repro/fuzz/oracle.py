@@ -256,13 +256,13 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
         if gpu.output != gpu_tt.output:
             return Divergence(case, f"gpu-engine-output:{name}",
                               _fmt_output_diff(gpu_tt.output, gpu.output))
-        sec = [r.seconds for r in gpu.gpu_task_results]
-        sec_tt = [r.seconds for r in gpu_tt.gpu_task_results]
+        sec, sec_tt = gpu.task_seconds(), gpu_tt.task_seconds()
         if sec != sec_tt:
             return Divergence(case, f"gpu-engine-seconds:{name}",
                               f"tree/tree={sec_tt}\n{name}={sec}")
-        for i, (a, b) in enumerate(zip(gpu_tt.gpu_task_results,
-                                       gpu.gpu_task_results)):
+        for i, (ref, other) in enumerate(zip(gpu_tt.map_task_results,
+                                             gpu.map_task_results)):
+            a, b = ref.gpu_task, other.gpu_task
             if a.map_launch.counters != b.map_launch.counters:
                 return Divergence(
                     case, f"gpu-engine-counters:{name}",

@@ -3,8 +3,9 @@ with heartbeats and slots, in two complementary forms:
 
 * :mod:`repro.hadoop.local` — a **functional** single-process job runner
   (Hadoop's LocalJobRunner analogue): real map → shuffle → sort → reduce
-  over real bytes, on the CPU path, the GPU path, or both. Used by the
-  correctness tests and the examples.
+  over real bytes, on the CPU path or the GPU path (one device per
+  job). Used by the correctness tests and the examples. Import it from
+  its module: the package leaves it (and the GPU stack) unloaded.
 * :mod:`repro.hadoop.simulate` — a **discrete-event cluster simulator**
   driving thousands of tasks over 48+ nodes with heartbeat scheduling,
   data locality, and the GPU-first / tail-scheduling policies. Used by
@@ -15,7 +16,6 @@ from .events import EventLoop
 from .job import JobConf, JobResult
 from .tasks import MapTask, TaskState
 from .simulate import ClusterSimulator, TaskDurationModel
-from .local import LocalJobRunner
 
 __all__ = [
     "EventLoop",
@@ -25,5 +25,4 @@ __all__ = [
     "TaskState",
     "ClusterSimulator",
     "TaskDurationModel",
-    "LocalJobRunner",
 ]

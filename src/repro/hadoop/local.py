@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..apps.base import Application
 from ..config import CLUSTER1, ClusterConfig, OptimizationFlags
-from ..costmodel.cpu import CpuTaskModel, CpuTaskTiming
+from ..costmodel.breakdown import TaskBreakdown
+from ..costmodel.cpu import CPU_TASK_PHASES, CpuTaskModel
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError
 from ..gpu.device import GpuDevice
@@ -30,34 +32,43 @@ from ..parallel.reducetask import run_reduce_tasks
 from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 from .shuffle import (
     ReduceTaskTiming,
-    decorate_kv_run,
     merge_sorted_runs,
     reduce_task_timing,
+    render_run,
     run_bytes,
+    run_text,
     spill_runs,
 )
+from .tasks import SlotKind
 
 __all__ = ["LocalJobResult", "LocalJobRunner", "MapTaskResult"]
 
 
 @dataclass
 class MapTaskResult:
-    """One map(+combine) task's outcome, as the job fold consumes it.
+    """One map(+combine) task's outcome — the same shape whichever
+    ``device`` ran it, which is all the job fold reads.
 
-    ``parts`` maps partition → decorated run on *both* paths:
-    streaming-sorted ``(sort_key, (key, value, line))`` entries where
-    ``line`` is the pair's streaming rendering (kv_line), built by the
-    process that ran the task and reused as reducer stdin and by the
-    reduce merge; ``output_bytes`` is those lines' UTF-8 size, the
-    task's share of the shuffle. Exactly one of ``cpu_timing`` /
-    ``gpu_result`` is set.
+    ``breakdown`` is the task's Fig. 6 stage seconds. ``parts`` maps
+    partition → decorated run (:mod:`repro.hadoop.shuffle`): the
+    streaming-sorted, rendered pairs, built by the process that ran the
+    task and reused as reducer stdin and by the reduce merge;
+    ``output_bytes`` is their lines' UTF-8 size, the task's share of
+    the shuffle. ``gpu_task`` is the GPU pipeline's own detail (launch
+    counters and costs, record count, SequenceFile images), present
+    only where a GPU ran.
     """
 
+    device: SlotKind
+    breakdown: TaskBreakdown
     map_pairs: int
     parts: dict[int, list]
     output_bytes: int
-    cpu_timing: CpuTaskTiming | None = None
-    gpu_result: GpuTaskResult | None = None
+    gpu_task: GpuTaskResult | None = None
+
+    @property
+    def seconds(self) -> float:
+        return self.breakdown.total
 
 
 @dataclass
@@ -66,8 +77,9 @@ class LocalJobResult:
 
     output: dict[Any, Any] = field(default_factory=dict)
     map_tasks: int = 0
-    gpu_task_results: list[GpuTaskResult] = field(default_factory=list)
-    cpu_task_timings: list[CpuTaskTiming] = field(default_factory=list)
+    #: Every map task's result, in task-index order (``parts`` emptied:
+    #: the job fold moved the runs into the shuffle).
+    map_task_results: list[MapTaskResult] = field(default_factory=list)
     map_output_pairs: int = 0
     shuffle_bytes: int = 0
     #: Worker processes the map phase ran on (1 = inline in the driver).
@@ -81,9 +93,11 @@ class LocalJobResult:
 
     def task_seconds(self) -> list[float]:
         """Per-map-task simulated seconds, in task-index order."""
-        return [r.seconds for r in self.gpu_task_results] + [
-            t.total for t in self.cpu_task_timings
-        ]
+        return [task.seconds for task in self.map_task_results]
+
+    def device_tasks(self, device: SlotKind) -> int:
+        """How many map tasks ran on ``device``."""
+        return sum(task.device is device for task in self.map_task_results)
 
     @property
     def total_map_seconds(self) -> float:
@@ -94,9 +108,7 @@ class LocalJobResult:
         they overlapped or not. For the wall-clock-equivalent duration
         of the map phase, use :attr:`map_critical_path_seconds`.
         """
-        return sum(r.seconds for r in self.gpu_task_results) + sum(
-            t.total for t in self.cpu_task_timings
-        )
+        return sum(self.task_seconds())
 
     def critical_path_seconds(self, workers: int) -> float:
         """Map-phase makespan if tasks ran on ``workers`` slots (greedy
@@ -191,14 +203,6 @@ class LocalJobRunner:
         self.io = IoModel.for_cluster(cluster)
         self.partitioner = Partitioner(max(self.num_reducers, 1))
         self._gpu_runner: GpuTaskRunner | None = None
-        if not use_gpu:
-            # Resolved once per job, not per task: the CPU cost model only
-            # needs the translated key length (translate_map is memoized,
-            # but CPU-only runs shouldn't touch the translator per split).
-            self._cpu_key_length = (
-                app.translate_map().map_kernel.key_length
-                if app.map_source else 16
-            )
 
     # -- input splitting ---------------------------------------------------------
 
@@ -243,6 +247,15 @@ class LocalJobRunner:
             )
         return self._gpu_runner
 
+    @cached_property
+    def _cpu_key_length(self) -> int:
+        """The translated map kernel's key length — all the CPU cost
+        model needs of the translation. Resolved at the first CPU map
+        task, not per task: translate_map is memoized, but CPU tasks
+        shouldn't touch the translator per split."""
+        return (self.app.translate_map().map_kernel.key_length
+                if self.app.map_source else 16)
+
     def map_task(self, index: int, split: bytes) -> MapTaskResult:
         """Run map task ``index`` over one fileSplit: the translated
         kernels on the simulated device or the Hadoop Streaming filters
@@ -258,9 +271,10 @@ class LocalJobRunner:
         if self.use_gpu:
             task = self._gpu_task_runner().run(split, task_index=index)
             runs = task.rendered_runs()
-            return MapTaskResult(task.emitted_pairs, runs,
+            return MapTaskResult(SlotKind.GPU, task.breakdown,
+                                 task.emitted_pairs, runs,
                                  sum(map(run_bytes, runs.values())),
-                                 gpu_result=task)
+                                 gpu_task=task)
 
         text = split.decode("utf-8", errors="replace")
         map_out, map_counters = self.app.cpu_map(text)
@@ -272,13 +286,11 @@ class LocalJobRunner:
         combine_counters = None
         if self.app.has_combiner:
             for part, run in runs.items():
-                out, counters = self.app.cpu_combine(
-                    "".join([entry[1][2] for entry in run]))
+                out, counters = self.app.cpu_combine(run_text(run))
                 combine_counters = counters if combine_counters is None \
                     else combine_counters.merged(counters)
-                pairs = [parse_kv_line(ln) for ln in out.splitlines() if ln]
-                runs[part] = decorate_kv_run(
-                    [(k, v, kv_line(k, v)) for k, v in pairs])
+                runs[part] = render_run(
+                    [parse_kv_line(ln) for ln in out.splitlines() if ln])
         output_bytes = sum(map(run_bytes, runs.values()))
 
         model = CpuTaskModel(self.cluster.cpu, self.io)
@@ -294,28 +306,16 @@ class LocalJobRunner:
         )
         rec = obs.active()
         if rec.enabled:
-            self._record_task_trace(
-                rec, "cpu-task", index, "cpu-streaming",
-                {"split_bytes": len(split), "map_pairs": map_pairs},
-                {"input_read": timing.input_read, "map": timing.map,
-                 "sort": timing.sort, "combine": timing.combine,
-                 "output_write": timing.output_write},
+            rec.tiled(
+                f"cpu-task#{index} {self.app.name}", "cpu-task",
+                "cpu-streaming", "tasks",
+                [(phase, getattr(timing, phase)) for phase in CPU_TASK_PHASES],
+                args={"split_bytes": len(split), "map_pairs": map_pairs},
             )
             rec.inc("cpu.tasks")
             rec.inc("cpu.map_pairs", map_pairs)
-        return MapTaskResult(map_pairs, runs, output_bytes, cpu_timing=timing)
-
-    def _record_task_trace(self, rec: obs.TraceRecorder, cat: str,
-                           index: int, pid: str, args: dict[str, Any],
-                           phases: dict[str, float]) -> None:
-        """One task span (``<cat>#<index> <app>``) tiled by its
-        Fig. 6-style phase children, on the ``tasks`` lane of ``pid``
-        — the shape the GPU task runner records for its own tasks."""
-        task = rec.begin(f"{cat}#{index} {self.app.name}", cat, pid, "tasks",
-                         args=args)
-        for phase, seconds in phases.items():
-            rec.complete(phase, "phase", pid, "tasks", seconds)
-        rec.end(task)
+        return MapTaskResult(SlotKind.CPU, timing, map_pairs, runs,
+                             output_bytes)
 
     # -- reduce side ---------------------------------------------------------------
 
@@ -364,14 +364,15 @@ class LocalJobRunner:
         rec = obs.active()
         # A map-only job's identity fold is free (see run): no span.
         if rec.enabled and self.num_reducers > 0:
-            self._record_task_trace(
-                rec, "reduce-task", partition, "reduce",
-                {"merge_runs": timing.merge_runs,
-                 "input_pairs": timing.input_pairs,
-                 "output_pairs": timing.output_pairs,
-                 "output_bytes": timing.output_bytes},
-                {"merge": timing.merge, "reduce": timing.reduce,
-                 "output_write": timing.output_write},
+            rec.tiled(
+                f"reduce-task#{partition} {self.app.name}", "reduce-task",
+                "reduce", "tasks",
+                [("merge", timing.merge), ("reduce", timing.reduce),
+                 ("output_write", timing.output_write)],
+                args={"merge_runs": timing.merge_runs,
+                      "input_pairs": timing.input_pairs,
+                      "output_pairs": timing.output_pairs,
+                      "output_bytes": timing.output_bytes},
             )
             rec.inc("reduce.tasks")
             rec.inc("reduce.merge_runs", timing.merge_runs)
@@ -425,15 +426,14 @@ class LocalJobRunner:
         # the pool.
         shuffle: dict[int, list[list]] = defaultdict(list)
         for task in run_map_tasks(self, data, ranges, result.workers):
-            if task.gpu_result is not None:
-                result.gpu_task_results.append(task.gpu_result)
-            else:
-                assert task.cpu_timing is not None
-                result.cpu_task_timings.append(task.cpu_timing)
+            result.map_task_results.append(task)
             result.map_output_pairs += task.map_pairs
             result.shuffle_bytes += task.output_bytes
             for part, run in task.parts.items():
                 shuffle[part].append(run)
+            # Moved, not shared: the results the job keeps must not pin
+            # the whole map output after the reduce phase is done.
+            task.parts = {}
 
         # Reduce phase: one reduce task per partition — Hadoop starts
         # every configured reducer, whether or not its partition

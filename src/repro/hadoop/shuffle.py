@@ -113,6 +113,19 @@ def spill_runs(lines: list[str], partition: Callable[[Any], int],
             for part, by_sort_key in groups.items()}
 
 
+def render_run(pairs: Iterable[tuple[Any, Any]]) -> list[DecoratedEntry]:
+    """Typed ``(key, value)`` pairs as one decorated run of rendered
+    ``(key, value, line)`` records — the form :func:`spill_runs` builds
+    from map-output text, for pairs that are already typed (a combine
+    filter's parsed output, a GPU task's partition)."""
+    return decorate_kv_run([(k, v, kv_line(k, v)) for k, v in pairs])
+
+
+def run_text(run: list[DecoratedEntry]) -> str:
+    """A decorated run's rendered lines, concatenated: filter stdin."""
+    return "".join([entry[1][2] for entry in run])
+
+
 def run_bytes(run: list[DecoratedEntry]) -> int:
     """UTF-8 bytes of a decorated run's rendered lines."""
     return sum(utf8_len(entry[1][2]) for entry in run)

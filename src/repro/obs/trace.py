@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..errors import ReproError
 from .metrics import MetricsRegistry
@@ -241,6 +241,22 @@ class TraceRecorder:
         self.events.append(span)
         self._advance(key, ts + dur)
         return span
+
+    def tiled(self, name: str, cat: str, pid: str, tid: str,
+              phases: Iterable[tuple[str, float]],
+              args: dict[str, Any] | None = None) -> SpanEvent:
+        """One cursor-mode span tiled by ``(phase, seconds)`` children.
+
+        The shape of every functional task span — CPU map task, GPU
+        task, reduce task: the ``phase`` children lie end to end and the
+        span closes at the last one's end, so a task's phase durations
+        sum to its span's by construction (the span-invariant the trace
+        tests assert, and what the Fig. 6 breakdown is read back from).
+        """
+        span = self.begin(name, cat, pid, tid, args=args)
+        for phase, seconds in phases:
+            self.complete(phase, "phase", pid, tid, seconds)
+        return self.end(span)
 
     # -- instants / counters -------------------------------------------------
 

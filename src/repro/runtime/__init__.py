@@ -11,14 +11,13 @@
 
 from .records import RecordLocator, locate_records
 from .seqfile import SequenceFileReader, SequenceFileWriter
-from .gpu_task import GpuTaskBreakdown, GpuTaskResult, GpuTaskRunner
+from .gpu_task import GpuTaskResult, GpuTaskRunner
 
 __all__ = [
     "RecordLocator",
     "locate_records",
     "SequenceFileReader",
     "SequenceFileWriter",
-    "GpuTaskBreakdown",
     "GpuTaskResult",
     "GpuTaskRunner",
 ]

@@ -38,7 +38,9 @@ from ..gpu.sort import sort_partition
 from ..kvstore import GlobalKVStore, KVPair, Partitioner
 from ..kvstore.aggregation import aggregate, scattered_partitions
 from ..kvstore.coerce import coerce_pair
+from ..costmodel.breakdown import TaskBreakdown
 from ..costmodel.io import IoModel
+from ..hadoop.shuffle import render_run
 from ..minic.interpreter import Interpreter
 from ..obs import trace as obs
 from .records import locate_records
@@ -55,52 +57,17 @@ _DEFAULT_STORE_FRACTION = 0.9
 
 
 @dataclass
-class GpuTaskBreakdown:
-    """Seconds per pipeline stage (Fig. 6 categories)."""
-
-    input_read: float = 0.0
-    record_count: float = 0.0
-    map: float = 0.0
-    aggregate: float = 0.0
-    sort: float = 0.0
-    combine: float = 0.0
-    output_write: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (
-            self.input_read + self.record_count + self.map + self.aggregate
-            + self.sort + self.combine + self.output_write
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "input_read": self.input_read,
-            "record_count": self.record_count,
-            "map": self.map,
-            "aggregate": self.aggregate,
-            "sort": self.sort,
-            "combine": self.combine,
-            "output_write": self.output_write,
-        }
-
-
-@dataclass
 class GpuTaskResult:
     """Functional output + timing of one GPU task."""
 
     partition_output: dict[int, list[tuple[Any, Any]]] = field(default_factory=dict)
-    breakdown: GpuTaskBreakdown = field(default_factory=GpuTaskBreakdown)
+    breakdown: TaskBreakdown = field(default_factory=TaskBreakdown)
     map_launch: MapLaunchResult | None = None
     records: int = 0
     emitted_pairs: int = 0
     output_pairs: int = 0
     output_bytes: int = 0
     seqfiles: dict[int, bytes] = field(default_factory=dict)
-
-    @property
-    def seconds(self) -> float:
-        return self.breakdown.total
 
     def rendered_runs(self) -> dict[int, list]:
         """Per-partition shuffle runs: streaming-sorted, decorated, and
@@ -114,14 +81,8 @@ class GpuTaskResult:
         before type coercion, so the decorate-sort also restores
         streaming key order for coerced numerics.
         """
-        # Local import: hadoop.local imports this module at top level.
-        from ..hadoop.shuffle import decorate_kv_run
-        from ..kvstore.coerce import kv_line
-
-        return {
-            part: decorate_kv_run([(k, v, kv_line(k, v)) for k, v in kvs])
-            for part, kvs in self.partition_output.items()
-        }
+        return {part: render_run(kvs)
+                for part, kvs in self.partition_output.items()}
 
 
 class GpuTaskRunner:
@@ -212,7 +173,7 @@ class GpuTaskRunner:
 
     # -- pipeline -------------------------------------------------------------
 
-    def run(self, split: bytes, data_local: bool = True,
+    def run(self, split: bytes,
             task_index: int | None = None) -> GpuTaskResult:
         """Run one split. ``task_index`` names the task in trace spans
         (defaults to this process's running ``gpu.tasks`` count; pool
@@ -228,10 +189,10 @@ class GpuTaskRunner:
         if self.min_gpu_mem > spec.global_mem:
             raise GpuOutOfMemory(self.min_gpu_mem, spec.global_mem)
 
-        # 1. Copy the fileSplit from HDFS into GPU memory.
+        # 1. Copy the (data-local) fileSplit from HDFS into GPU memory.
         input_alloc = device.memory.malloc(len(split), "fileSplit")
         store_alloc = None
-        bd.input_read = self.io.hdfs_read_s(len(split), local=data_local) \
+        bd.input_read = self.io.hdfs_read_s(len(split)) \
             + device.transfer_time(len(split))
 
         try:
@@ -357,40 +318,22 @@ class GpuTaskRunner:
 
         rec = obs.active()
         if rec.enabled:
-            self._record_task_trace(rec, result, task_index)
+            # Phase children on the simulated-seconds cursor of the
+            # device's ``tasks`` lane, one per Fig. 6 category.
+            index = task_index if task_index is not None \
+                else int(rec.metrics.count("gpu.tasks"))
+            rec.tiled(
+                f"gpu-task#{index} {kernel.name}", "gpu-task",
+                f"gpu:{spec.name}", "tasks", bd.as_dict().items(),
+                args={
+                    "records": result.records,
+                    "emitted_pairs": result.emitted_pairs,
+                    "output_pairs": result.output_pairs,
+                    "output_bytes": result.output_bytes,
+                },
+            )
+            rec.inc("gpu.tasks")
+            rec.inc("gpu.records", result.records)
+            rec.inc("gpu.emitted_pairs", result.emitted_pairs)
 
         return result
-
-    def _record_task_trace(self, rec: obs.TraceRecorder,
-                           result: GpuTaskResult,
-                           task_index: int | None = None) -> None:
-        """One task span with a phase child per Fig. 6 category.
-
-        Spans live on the simulated-seconds cursor of the device's
-        ``tasks`` lane; the phase children tile the task span exactly,
-        so per-task phase sums equal ``result.seconds`` by construction
-        (the span-invariant the trace tests assert, and the substrate
-        the Fig. 6 breakdown is derived from).
-        """
-        pid = f"gpu:{self.device.spec.name}"
-        tid = "tasks"
-        kernel = self.map_tr.map_kernel
-        assert kernel is not None
-        index = task_index if task_index is not None \
-            else int(rec.metrics.count("gpu.tasks"))
-        task = rec.begin(
-            f"gpu-task#{index} {kernel.name}", "gpu-task",
-            pid, tid,
-            args={
-                "records": result.records,
-                "emitted_pairs": result.emitted_pairs,
-                "output_pairs": result.output_pairs,
-                "output_bytes": result.output_bytes,
-            },
-        )
-        for phase, seconds in result.breakdown.as_dict().items():
-            rec.complete(phase, "phase", pid, tid, seconds)
-        rec.end(task)
-        rec.inc("gpu.tasks")
-        rec.inc("gpu.records", result.records)
-        rec.inc("gpu.emitted_pairs", result.emitted_pairs)

@@ -10,6 +10,7 @@ import pytest
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.hadoop.local import LocalJobRunner
+from repro.hadoop.tasks import SlotKind
 from repro.scenarios import APP_ORDER, EXTENDED_APP_ORDER, PAPER_APP_ORDER
 from repro.scenarios import records_for as _registry_records
 
@@ -85,7 +86,7 @@ class TestGpuPath:
         runner = LocalJobRunner(app, use_gpu=True, split_bytes=16 * 1024)
         result = runner.run(text)
         assert_outputs_match(result.output, app.reference(text), short)
-        assert result.gpu_task_results, "no GPU tasks ran"
+        assert result.device_tasks(SlotKind.GPU) == result.map_tasks > 0
 
     def test_gpu_unoptimized_still_correct(self, short):
         # Optimizations change the clock, never the answer.

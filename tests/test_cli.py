@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro ...``)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -267,14 +269,31 @@ int main() {
         assert err == (f"error: cannot read {missing}: "
                        "No such file or directory\n")
 
+    @staticmethod
+    def _map_report(out):
+        """(map tasks, simulated ms, GPU tasks, CPU tasks) of a ``run``
+        report — the map-time line reads the job's one task list, so it
+        is printed on both paths."""
+        tasks = int(re.search(r": (\d+) map tasks on the", out).group(1))
+        ms, gpu, cpu = re.search(
+            r"^simulated map time +: (\d+\.\d{3}) ms "
+            r"\((\d+) GPU tasks, (\d+) CPU tasks\)$", out, re.M).groups()
+        return tasks, float(ms), int(gpu), int(cpu)
+
     def test_run_small_job(self, capsys):
-        assert main(["run", "HS", "--records", "80", "--split-kb", "8"]) == 0
+        assert main(["run", "HS", "--records", "80", "--split-kb", "1"]) == 0
         out = capsys.readouterr().out
         assert "map tasks" in out and "final keys" in out
+        tasks, ms, gpu, cpu = self._map_report(out)
+        assert ms > 0 and (gpu, cpu) == (tasks, 0) and tasks > 1
 
     def test_run_cpu_only(self, capsys):
-        assert main(["run", "HS", "--records", "50", "--cpu-only"]) == 0
-        assert "CPU (Hadoop Streaming)" in capsys.readouterr().out
+        assert main(["run", "HS", "--records", "80", "--split-kb", "1",
+                     "--cpu-only"]) == 0
+        out = capsys.readouterr().out
+        assert "CPU (Hadoop Streaming)" in out
+        tasks, ms, gpu, cpu = self._map_report(out)
+        assert ms > 0 and (gpu, cpu) == (0, tasks) and tasks > 1
 
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0

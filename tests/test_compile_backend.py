@@ -351,9 +351,7 @@ class TestGpuPathUnaffected:
         tree, comp = results["tree"], results["compiled"]
         assert comp.output == tree.output
         assert comp.map_tasks == tree.map_tasks
-        tree_secs = [r.seconds for r in tree.gpu_task_results]
-        comp_secs = [r.seconds for r in comp.gpu_task_results]
-        assert comp_secs == tree_secs
+        assert comp.task_seconds() == tree.task_seconds()
 
     def test_cpu_gpu_agree_compiled(self):
         app = get_app("WC")

@@ -155,5 +155,5 @@ def test_failed_task_leaves_the_device_clean(case, cluster1_io):
     assert survivor.device.memory.used == 0
     again = survivor.run(GOOD_SPLIT)
     assert again.partition_output == fresh.partition_output
-    assert repr(again.seconds) == repr(fresh.seconds)
+    assert repr(again.breakdown.total) == repr(fresh.breakdown.total)
     assert survivor.device.memory.used == 0

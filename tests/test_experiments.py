@@ -74,7 +74,7 @@ class TestFig6:
 
     def test_trace_derived_breakdown_equals_pipeline_breakdown(self):
         # Fig. 6 reads its seconds from trace spans; they must match the
-        # pipeline's reported GpuTaskBreakdown *exactly* — a drift means
+        # pipeline's reported TaskBreakdown *exactly* — a drift means
         # the phase spans no longer mirror the charged stage times.
         from repro.experiments.calibrate import (
             gpu_breakdown_from_trace,

@@ -90,10 +90,10 @@ def _gpu_job(app, text, engine, backend):
 
 def _assert_launches_identical(tag, ref, other):
     assert other.output == ref.output
-    assert ([r.seconds for r in other.gpu_task_results]
-            == [r.seconds for r in ref.gpu_task_results]), tag
-    for i, (a, b) in enumerate(zip(ref.gpu_task_results,
-                                   other.gpu_task_results)):
+    assert other.task_seconds() == ref.task_seconds(), tag
+    for i, (ref_task, other_task) in enumerate(zip(ref.map_task_results,
+                                                   other.map_task_results)):
+        a, b = ref_task.gpu_task, other_task.gpu_task
         assert b.map_launch.counters == a.map_launch.counters, (tag, i)
         assert b.map_launch.cost == a.map_launch.cost, (tag, i)
         assert b.partition_output == a.partition_output, (tag, i)

@@ -41,8 +41,8 @@ def snapshot(short: str) -> dict:
                                 workers=1).run(text)
     return {
         "events": {name: rec.metrics.count(name) for name in EVENT_COUNTERS},
-        "map_launch_cost": [repr(task.map_launch.cost)
-                            for task in result.gpu_task_results],
+        "map_launch_cost": [repr(task.gpu_task.map_launch.cost)
+                            for task in result.map_task_results],
     }
 
 

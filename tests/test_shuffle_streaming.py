@@ -355,7 +355,7 @@ class TestStreamingPipeline:
                 assert line == kv_line(k, v)
                 merged[k] = v
         assert merged == {"a": 2, "b": 3, "c": 1}
-        assert task.cpu_timing.map > 0 and task.cpu_timing.combine > 0
+        assert task.breakdown.map > 0 and task.breakdown.combine > 0
 
     def test_run_split_without_combiner_keeps_duplicates(self):
         app = replace(get_app("WC"), combine_source=None)
@@ -363,7 +363,7 @@ class TestStreamingPipeline:
         task = runner.map_task(0, b"a a\n")
         assert [(k, v) for _sort_key, (k, v, _line) in task.parts[0]] == \
             [("a", 1), ("a", 1)]
-        assert task.cpu_timing.combine == 0.0
+        assert task.breakdown.combine == 0.0
 
     def test_map_only_output_passes_through_unreduced(self):
         # num_reducers == 0: one partition, written by the map task.

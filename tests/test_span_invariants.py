@@ -47,7 +47,7 @@ def test_gpu_job_span_invariants(short):
     assert_standard_invariants(rec)
     assert_phase_sums(
         rec, "gpu-task",
-        expected_seconds=[r.seconds for r in result.gpu_task_results],
+        expected_seconds=result.task_seconds(),
     )
     assert obs.validate_trace(obs.export_chrome(rec)) == []
 
@@ -61,7 +61,7 @@ def test_vector_engine_span_invariants_and_phase_parity(short):
     assert_standard_invariants(rec_v)
     assert_phase_sums(
         rec_v, "gpu-task",
-        expected_seconds=[r.seconds for r in result_v.gpu_task_results],
+        expected_seconds=result_v.task_seconds(),
     )
     assert obs.validate_trace(obs.export_chrome(rec_v)) == []
     with use_gpu_engine("compiled"):
@@ -82,7 +82,7 @@ def test_cpu_job_span_invariants():
     assert_standard_invariants(rec)
     assert_phase_sums(
         rec, "cpu-task",
-        expected_seconds=[t.total for t in result.cpu_task_timings],
+        expected_seconds=result.task_seconds(),
     )
 
 

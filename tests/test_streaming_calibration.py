@@ -111,11 +111,11 @@ def test_calibration_is_the_job_runners_map_task(short, cluster):
         return
     times = single_task_times(app, cluster)
     cpu, gpu = task(False), task(True)
-    assert times.cpu_timing == cpu.cpu_timing
-    assert times.cpu_seconds == cpu.cpu_timing.total
+    assert times.cpu_breakdown == cpu.breakdown
+    assert times.cpu_seconds == cpu.seconds
     assert times.map_output_pairs == cpu.map_pairs
-    assert times.gpu_breakdown == gpu.gpu_result.breakdown
-    assert times.gpu_seconds == gpu.gpu_result.seconds
+    assert times.gpu_breakdown == gpu.breakdown == gpu.gpu_task.breakdown
+    assert times.gpu_seconds == gpu.seconds
 
 
 class TestCalibrationBands:

@@ -111,6 +111,43 @@ def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
     assert vector_counters == compiled["otherData"]["metrics"]["counters"]
 
 
+# Local (functional-runner) traces are byte-deterministic too; pinned
+# serial because pooled track names carry worker pids. Generated with
+# ``python -m repro trace WC --records 120 --workers 1 [--cpu-only]``
+# before the map-task result became one shape for both devices, so they
+# hold that refactor (and the next) to the spans, args, counters and
+# timestamps both paths emitted then.
+LOCAL_GOLDENS = {
+    "wc_local_gpu.trace.json": (
+        [], "gpu-task", ["input_read", "record_count", "map", "aggregate",
+                         "sort", "combine", "output_write"]),
+    "wc_local_cpu.trace.json": (
+        ["--cpu-only"], "cpu-task", ["input_read", "map", "sort", "combine",
+                                     "output_write"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_GOLDENS))
+def test_local_golden_trace_reproduces_byte_for_byte(tmp_path, name):
+    extra, task_cat, phases = LOCAL_GOLDENS[name]
+    golden = GOLDEN.with_name(name)
+    got = _cli_trace_bytes(
+        tmp_path, name,
+        ["trace", "WC", "--records", "120", "--workers", "1", *extra])
+    assert got == golden.read_bytes()
+
+    # What the bytes pin, spelled out: each map-task span is followed
+    # by its Fig. 6 phase children, in pipeline order.
+    events = [e for e in json.loads(got)["traceEvents"] if e["ph"] == "X"]
+    tasks = [i for i, e in enumerate(events) if e["cat"] == task_cat]
+    assert tasks
+    for i in tasks:
+        children = events[i + 1:i + 1 + len(phases)]
+        assert [c["name"] for c in children] == phases
+        assert {c["cat"] for c in children} == {"phase"}
+        assert events[i + 1 + len(phases)]["cat"] != "phase"
+
+
 def test_golden_trace_is_schema_valid():
     trace = json.loads(GOLDEN.read_text())
     assert obs.validate_trace(trace) == []
