@@ -35,6 +35,23 @@ def _cmd_apps(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_lane_plan(kernel) -> None:
+    """What the vector lane engine does with a map kernel: how many
+    ``for`` loops run as warp-wide regions, and why each other one (or
+    the whole kernel) runs lane by lane."""
+    from .gpu.vector import lane_plan
+
+    suite, kernel_reason = lane_plan(kernel, CLUSTER1.gpu)
+    print(f"vector regions: {suite.regions if suite else 0}")
+    if kernel_reason == "no-for-loop":
+        print("  no for loop in kernel body")
+    elif kernel_reason is not None:
+        print(f"  whole kernel per lane: {kernel_reason}")
+    else:
+        for line, reason in suite.rejected:
+            print(f"  line {line}: {reason}")
+
+
 def _cmd_translate(args: argparse.Namespace) -> int:
     if args.app:
         source = get_app(args.app).map_source
@@ -56,6 +73,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             print(f"  {name:12s} {str(var.ctype):10s} -> {var.klass.value}")
         print(f"vector width: {kernel.vector_width}, "
               f"launch {kernel.launch.blocks}x{kernel.launch.threads}")
+        if kernel.is_mapper:
+            _print_lane_plan(kernel)
         print()
     if result.host_plan:
         print(result.host_plan.describe())

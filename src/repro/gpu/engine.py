@@ -5,10 +5,14 @@ A kernel launch simulates thousands of lanes (threads). Three lane
 engines execute them, and every GPU-path job runs ``"vector"``:
 
 * ``"vector"`` (what ships) — :class:`~repro.gpu.vector.VectorLaneRunner`
-  executes the kernel regions it can prove divergence-free as numpy
-  operations over all launch lanes at once, and *is* the compiled
-  engine everywhere else: it subclasses :class:`CompiledLaneRunner` and
-  degrades per region and per lane from what it observes in the kernel.
+  executes the counted ``for`` loops of a kernel whose shape is the same
+  for every lane (the grammar KM, CL and BS use: literal bounds, float
+  arithmetic on scalars declared outside the loop, predicated ``if``)
+  as numpy operations over all launch lanes at once, and *is* the
+  compiled engine everywhere else: it subclasses
+  :class:`CompiledLaneRunner`, says why each other loop runs per lane
+  (:func:`repro.gpu.vector.lane_plan`, ``repro translate``) and abandons
+  a region to the per-lane unit of the same loop on any runtime hazard.
   Nobody picks an engine per job; the runtime does.
 * ``"compiled"`` — :class:`CompiledLaneRunner`, vector's base and
   fallback. Per *launch*: compile the kernel body once (cached per
@@ -35,7 +39,8 @@ environment variable names an engine. All engines share
 the bound charges of :mod:`repro.gpu.charging`, so outputs,
 ``ExecCounters``, and ``WarpCost``/``KernelCost`` are bit-identical by
 construction — and machine-checked by the fuzz oracle and
-``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``.
+``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``
+/ ``tests/test_gpu_vector_safety.py`` (abandons, faults, divergence).
 """
 
 from __future__ import annotations

@@ -1292,7 +1292,7 @@ class _FunctionCompiler:
         c_format's segments rendered straight-line. None when the
         generic call must report too few arguments."""
         u = self.u
-        segs, tail, _fast = _compile_format(fmt)
+        segs, tail = _compile_format(fmt)
         if sum(render is not None for _lit, render in segs) > len(args):
             return None
         parts: list[str] = []

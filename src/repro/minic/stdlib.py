@@ -108,11 +108,10 @@ def _render_int(value: Any) -> str:
 
 def _compile_format(
     fmt: str,
-) -> tuple[tuple[tuple[str, Any], ...], str, Any]:
+) -> tuple[tuple[tuple[str, Any], ...], str]:
     """Parse ``fmt`` once into (literal, renderer) segments plus a tail
-    literal and an optional straight-line fast renderer. A renderer is
-    None for ``%%`` (the ``%`` is folded into the literal); otherwise it
-    maps one argument to its formatted text."""
+    literal. A renderer is None for ``%%`` (the ``%`` is folded into the
+    literal); otherwise it maps one argument to its formatted text."""
     segs: list[tuple[str, Any]] = []
     pos = 0
     for m in _FMT_RE.finditer(fmt):
@@ -142,52 +141,23 @@ def _compile_format(
             else:
                 render = lambda v, _s=spec + "s": _s % _as_str(v)
         segs.append((lit, render))
-    return tuple(segs), fmt[pos:], _make_fast_renderer(segs, fmt[pos:])
+    return tuple(segs), fmt[pos:]
 
 
-def _make_fast_renderer(segs: list, tail: str) -> Any:
-    """A straight-line renderer closure for small formats (the common
-    ``"%s\\t%d\\n"``-style KV emitters), or None when the format needs
-    the generic segment loop. ``args[i]`` raising IndexError stands in
-    for the generic loop's too-few-arguments check."""
-    if any(render is None for _lit, render in segs):
-        return None  # %% segments: keep the generic loop
-    if len(segs) == 0:
-        return lambda args, _t=tail: _t
-    if len(segs) == 1:
-        ((l0, r0),) = segs
-        return lambda args, _l0=l0, _r0=r0, _t=tail: _l0 + _r0(args[0]) + _t
-    if len(segs) == 2:
-        (l0, r0), (l1, r1) = segs
-        return lambda args: l0 + r0(args[0]) + l1 + r1(args[1]) + tail
-    if len(segs) == 3:
-        (l0, r0), (l1, r1), (l2, r2) = segs
-        return lambda args: (
-            l0 + r0(args[0]) + l1 + r1(args[1]) + l2 + r2(args[2]) + tail
-        )
-    return None
-
-
-_FMT_CACHE: dict[str, tuple[tuple[tuple[str, Any], ...], str, Any]] = {}
+_FMT_CACHE: dict[str, tuple[tuple[tuple[str, Any], ...], str]] = {}
 
 
 def c_format(fmt: str, args: list[Any]) -> str:
     """Render a printf format string against evaluated arguments.
 
-    Format strings are parsed once and memoized — printf runs per
-    emitted KV pair on the map hot path, almost always with the same
-    handful of formats."""
+    Format strings are parsed once and memoized. (The compiled backend
+    renders literal formats inline from the same segments,
+    ``compile._printf_lines``; this is the tree-walker's printf and the
+    non-literal-format case.)"""
     cached = _FMT_CACHE.get(fmt)
     if cached is None:
         cached = _FMT_CACHE[fmt] = _compile_format(fmt)
-    segs, tail, fast = cached
-    if fast is not None:
-        try:
-            return fast(args)
-        except IndexError:
-            raise CRuntimeError(
-                f"printf: too few arguments for format {fmt!r}"
-            ) from None
+    segs, tail = cached
     out: list[str] = []
     arg_i = 0
     nargs = len(args)
@@ -217,12 +187,13 @@ def _store_out(target: Any, value: Any) -> None:
 _SCAN_CACHE: dict[str, tuple[str, ...]] = {}
 
 #: One-shot regexes for the fully-whitespace-separated instances of the
-#: two-conversion scanf shapes: both fields and the gap between them
-#: match in a single pass. The separator is a *mandatory* whitespace
-#: run — without it the first greedy group could backtrack and donate
-#: its tail to the second field ("12345" scanning as 1234/5), which the
-#: stepwise path would never do. Non-separated or partial inputs simply
-#: fail the combined match and take the stepwise path below.
+#: two-conversion scanf shapes (the compiled backend's inline fast
+#: path): both fields and the gap between them match in a single pass.
+#: The separator is a *mandatory* whitespace run — without it the first
+#: greedy group could backtrack and donate its tail to the second field
+#: ("12345" scanning as 1234/5), which the stepwise conversions of
+#: :func:`c_scan` would never do. Non-separated or partial inputs simply
+#: fail the combined match and go through c_scan.
 _SCAN_PAIR_RES: dict[tuple[str, str], "re.Pattern[str]"] = {
     ("s", "d"): re.compile(
         r"[ \t\r\n]*([^\x00 \t\r\n]+)[ \t\r\n]+([+-]?\d+)"),
@@ -249,70 +220,9 @@ def c_scan(stream: InputStream, fmt: str, args: list[Any]) -> int:
     """Execute a scanf against the input stream. Returns the number of
     successful conversions, or -1 on EOF before the first conversion.
 
-    The two-conversion shapes every benchmark's KV readers use
-    (``"%s %d"``, ``"%d %d"``, ``"%d %f"``) run on a straight-line fast
-    path with the token/number scans inlined; anything else falls back
-    to the generic conversion loop below."""
-    convs = _scan_convs(fmt)
-    if (
-        len(convs) == 2
-        and len(args) >= 2
-        and (convs[0] == "s" or convs[0] == "d")
-        and (convs[1] == "d" or convs[1] == "f")
-    ):
-        text = stream.text
-        m = _SCAN_PAIR_RES[convs].match(text, stream.pos)
-        if m is not None:
-            stream.pos = m.end()
-            if convs[0] == "s":
-                target = args[0]
-                if isinstance(target, Ptr) and target.buffer is not None:
-                    target.buffer.store_string(target.offset, m.group(1))
-                else:
-                    raise CRuntimeError(
-                        "scanf %s target must be a char buffer")
-            else:
-                _store_out(args[0], int(m.group(1)))
-            if convs[1] == "d":
-                _store_out(args[1], int(m.group(2)))
-            else:
-                _store_out(args[1], float(m.group(2)))
-            return 2
-        if convs[0] == "s":
-            m = InputStream._TOKEN_RE.match(text, stream.pos)
-            token = m.group(1)
-            stream.pos = m.end()
-            if not token:
-                return -1 if stream.pos >= len(text) else 0
-            target = args[0]
-            if isinstance(target, Ptr) and target.buffer is not None:
-                target.buffer.store_string(target.offset, token)
-            else:
-                raise CRuntimeError("scanf %s target must be a char buffer")
-        else:
-            pos = InputStream._WS_RE.match(text, stream.pos).end()
-            m = InputStream._INT_RE.match(text, pos)
-            if m is None:
-                stream.pos = pos
-                return -1 if pos >= len(text) else 0
-            stream.pos = m.end()
-            _store_out(args[0], int(m.group(0)))
-        pos = InputStream._WS_RE.match(text, stream.pos).end()
-        if convs[1] == "d":
-            m = InputStream._INT_RE.match(text, pos)
-            if m is None:
-                stream.pos = pos
-                return 1
-            stream.pos = m.end()
-            _store_out(args[1], int(m.group(0)))
-        else:
-            m = InputStream._FLOAT_RE.match(text, pos)
-            if m is None:
-                stream.pos = pos
-                return 1
-            stream.pos = m.end()
-            _store_out(args[1], float(m.group(0)))
-        return 2
+    (The compiled backend matches the two-conversion KV shapes with
+    :data:`_SCAN_PAIR_RES` inline, ``compile._scanf_lines``, and calls
+    this for everything else, partial and EOF input included.)"""
     converted = 0
     arg_i = 0
     for conv in _scan_convs(fmt):

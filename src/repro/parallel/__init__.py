@@ -21,8 +21,8 @@ counts. :mod:`repro.parallel.pool` holds the shared worker-count
 resolution and the leaf-worker rule. What is configurable from outside
 a job — the worker count, the pool's idle timeout and its start method
 — is :class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the
-one place the ``REPRO_*`` environment is read; the arena's backing is
-not a knob (shared memory where the host can, else a spill file).
+one place the ``REPRO_*`` environment is read; the arena has one
+backing (a temp file the workers mmap).
 """
 
 from .daemon import (

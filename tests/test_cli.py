@@ -246,6 +246,22 @@ class TestCommands:
         assert "__global__ void gpu_mapper" in out
         assert "Algorithm 1" in out
 
+    @pytest.mark.parametrize("tag, plan", [
+        ("KM", ["vector regions: 2"]),
+        ("BS", ["vector regions: 1"]),
+        ("CL", ["vector regions: 1", "  line 21: call"]),
+        ("LR", ["vector regions: 0", "  line 25: loop-header",
+                "  line 32: statement"]),
+        ("PR", ["vector regions: 0", "  line 31: loop-header"]),
+        ("WC", ["vector regions: 0", "  no for loop in kernel body"]),
+    ])
+    def test_translate_lists_the_lane_engine_plan(self, tag, plan, capsys):
+        assert main(["translate", "--app", tag]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(plan[0])
+        # the plan is the whole block: a blank line ends it
+        assert lines[start:start + len(plan) + 1] == plan + [""]
+
     def test_translate_file(self, tmp_path, capsys):
         src = tmp_path / "map.c"
         src.write_text("""

@@ -18,12 +18,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.errors import ConfigError, ReproError
-from repro.parallel import arena as arena_module
-from repro.parallel.arena import (
-    INLINE_MIN_BYTES,
-    SplitArena,
-    attach_view,
-)
+from repro.parallel.arena import SplitArena, attach_view
 from repro.parallel.daemon import (
     DaemonPool,
     WorkerCrashError,
@@ -239,58 +234,31 @@ def test_get_pool_recreates_on_env_change(monkeypatch):
 # -- arenas --------------------------------------------------------------------
 
 
-def test_small_inputs_ship_inline():
-    arena = SplitArena(b"tiny")
-    assert arena.backend == "inline"
-    assert arena.token == ("inline", b"tiny")
-    assert bytes(attach_view(arena.token)) == b"tiny"
-    arena.close()
-
-
-@pytest.fixture
-def no_shm(monkeypatch):
-    """A host where creating a shared-memory segment fails — what sends
-    the arena to its spill file (there is no knob for it)."""
-    def refuse(_data):
-        raise OSError("no /dev/shm on this host")
-
-    monkeypatch.setattr(arena_module, "_create_shm", refuse)
-
-
-def test_shm_arena_roundtrip():
-    data = bytes(range(256)) * 300  # > INLINE_MIN_BYTES
-    assert len(data) > INLINE_MIN_BYTES
+@pytest.mark.parametrize("data", [b"tiny", bytes(range(256)) * 300],
+                         ids=["tiny", "large"])
+def test_arena_roundtrip(data):
+    # One backing at every size: a temp file the workers mmap.
     with SplitArena(data) as arena:
-        assert arena.backend in ("shm", "spill")  # shm where the host can
         view = attach_view(arena.token)
-        assert bytes(view[0:256]) == bytes(range(256))
+        assert len(view) == len(data)
+        assert bytes(view[0:4]) == data[0:4]
         assert bytes(view[len(data) - 4:len(data)]) == data[-4:]
 
 
-def test_spill_arena_roundtrip(no_shm):
-    data = b"x" * (INLINE_MIN_BYTES + 1)
-    arena = SplitArena(data)
-    assert arena.backend == "spill"
-    path = arena.token[1]
-    assert os.path.exists(path)
+def test_closed_arena_leaves_no_file():
+    arena = SplitArena(b"x" * 70_000)
+    path, size = arena.token
+    assert os.path.getsize(path) == size == 70_000
     view = attach_view(arena.token)
-    assert len(view) == len(data)
     arena.close()
     assert not os.path.exists(path)  # unlinked with the arena
+    assert bytes(view[:2]) == b"xx"  # an attached worker keeps its pages
+    arena.close()  # idempotent
 
 
-def test_min_bytes_override_forces_segment(no_shm):
-    arena = SplitArena(b"not so big", min_bytes=4)
-    try:
-        assert arena.backend == "spill"
-        assert bytes(attach_view(arena.token)) == b"not so big"
-    finally:
-        arena.close()
-
-
-def test_attach_evicts_previous_token(no_shm):
-    a = SplitArena(b"a" * 100, min_bytes=4)
-    b = SplitArena(b"b" * 100, min_bytes=4)
+def test_attach_evicts_previous_token():
+    a = SplitArena(b"a" * 100)
+    b = SplitArena(b"b" * 100)
     try:
         view_a = attach_view(a.token)
         assert bytes(view_a[:1]) == b"a"

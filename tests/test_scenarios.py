@@ -195,8 +195,8 @@ def test_no_hardcoded_app_lists_outside_registry():
 #: Every environment knob the program reads — the fields of
 #: :class:`repro.config.RuntimeConfig`: the job-wide worker count and
 #: the daemon pool's two deployment settings. Engines, backends, batch
-#: sizes, arena backing and per-phase worker counts are chosen by the
-#: runtime, not by a knob.
+#: sizes and per-phase worker counts are chosen by the runtime, not by
+#: a knob.
 KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START"}
 
 
