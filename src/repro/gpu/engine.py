@@ -34,13 +34,24 @@ There is one selector and it is a test seam: :func:`use_gpu_engine` /
 :func:`set_default_gpu_engine` set the process-wide engine every launch
 reads (a pooled job ships the driver's engine to its workers in the
 ``JobSpec``, like the mini-C backend). No constructor, CLI flag or
-environment variable names an engine. All engines share
-:class:`LaneRunner`'s launch-level state, the builtins defined here and
-the bound charges of :mod:`repro.gpu.charging`, so outputs,
-``ExecCounters``, and ``WarpCost``/``KernelCost`` are bit-identical by
-construction — and machine-checked by the fuzz oracle and
+environment variable names an engine.
+
+There is one builtin table per launch, in the convention of
+:mod:`repro.minic.stdlib`: each name maps to a
+:class:`~repro.minic.stdlib.Builtin` — a typed positional function
+``entry(facade, a, b, ...)`` that generated lane bodies call directly,
+plus the list convention derived from it for the tree engine. The
+device library is built from the host library's declarations with the
+math.h/string.h charge taken inside each entry, and the four runtime
+IO calls (``getRecord``/``emitKV``, ``getKV``/``storeKV``) are
+positional closures over the launch's :class:`LaneState`. All engines
+share :class:`LaneRunner`'s launch-level state, that table and the bound
+charges of :mod:`repro.gpu.charging`, so outputs, ``ExecCounters``, and
+``WarpCost``/``KernelCost`` are bit-identical by construction — and
+machine-checked by the fuzz oracle and
 ``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``
-/ ``tests/test_gpu_vector_safety.py`` (abandons, faults, divergence).
+/ ``tests/test_gpu_vector_safety.py`` (abandons, faults, divergence);
+``tests/test_builtin_convention.py`` pins the convention itself.
 """
 
 from __future__ import annotations
@@ -52,11 +63,12 @@ from typing import Any, Callable, Iterator
 from ..compiler.kernel_ir import KernelIR, VarClass, VarInfo
 from ..errors import ConfigError, CRuntimeError, GpuError
 from ..kvstore.coerce import kv_text
+from ..kvstore.global_store import KVPair
 from ..minic import cast as A
 from ..minic import ctypes as T
 from ..minic.cache import compiled_kernel_body
 from ..minic.interpreter import ExecCounters
-from ..minic.stdlib import host_builtins
+from ..minic.stdlib import MATH1, MATH2, Builtin, host_builtins, takes_cells
 from ..minic.values import Buffer, Cell, NULL, Ptr, ScalarRef
 from .charging import (
     LaneCharges,
@@ -155,18 +167,9 @@ class LaneState:
 # --------------------------------------------------------------------------
 
 
-_MATH_FUNCS = frozenset(
-    ["sqrt", "sqrtf", "exp", "expf", "log", "logf", "log2", "pow", "powf",
-     "erf", "erff", "fabs", "fabsf", "floor", "ceil", "fmin", "fmax",
-     "sin", "sinf", "cos", "cosf", "tan", "atan"]
-)
-_STRING_FUNCS = frozenset(
-    ["strcmp", "strncmp", "strcpy", "strlen", "strcat", "strstr"]
-)
-
-
 def extract_value(arg: Any) -> Any:
-    """Convert an evaluated kernel argument to a plain Python KV datum."""
+    """Convert an evaluated kernel argument to a plain Python KV datum
+    (``storeKV``, and the slow branch of ``emitKV``)."""
     cls = arg.__class__
     if cls is Ptr or cls is Buffer:
         return arg.c_string()
@@ -189,77 +192,126 @@ def _kv_number(text: str) -> int | float:
 
 
 def store_kv_arg(ref: Any, value: Any) -> None:
-    # getKV marshals off the shuffle's textual wire with scanf
-    # semantics: a char-array target reads the datum's text (%s) — an
-    # int key 42 arrives as "42", not as the char with code 42 — and a
-    # numeric target parses text back to a number (%d/%f).
-    if ref.__class__ is Ptr:
+    """``getKV``'s slow branch: marshal one datum off the shuffle's
+    textual wire with scanf semantics. A char-array target reads the
+    datum's text (%s) — an int key 42 arrives as "42", not as the char
+    with code 42 — and a numeric target parses text back to a number
+    (%d/%f)."""
+    cls = ref.__class__
+    if cls is Ptr:
         buf = ref.buffer
         if buf is not None and buf.elem_type is T.CHAR:
             buf.store_string(ref.offset, kv_text(value))
-        else:
-            ref.store(_kv_number(value) if value.__class__ is str else value)
-    elif ref.__class__ is ScalarRef:
-        ref.store(_kv_number(value) if value.__class__ is str else value)
-    else:
+            return
+    elif cls is Cell:
+        ref = ScalarRef(ref)
+    elif cls is not ScalarRef:
         raise CRuntimeError(f"getKV target is not a pointer: {ref!r}")
+    ref.store(_kv_number(value) if value.__class__ is str else value)
+
+
+def _char_len(arg: Any) -> int:
+    """The length a device string call is charged for one operand: its
+    C string's when it points into a char buffer, else nothing."""
+    if arg.__class__ is Ptr:
+        buf = arg.buffer
+        if buf is not None and buf.elem_type is T.CHAR:
+            return len(buf.c_string(arg.offset))
+    return 0
 
 
 def common_lane_builtins(metrics: Any, state: LaneState,
                          vec: int) -> dict[str, Callable]:
-    """Device versions of the C library: same semantics as the host table,
-    plus the launch's bound cost charges (tallied into ``metrics`` when a
-    recorder is enabled, else None). The runtime 'provides equivalent
-    implementations' of C standard functions the GPU lacks (paper §4.1)."""
-    base = host_builtins()
-    gpu: dict[str, Callable] = {}
+    """Device versions of the C library, built from the host table's
+    declarations: same semantics, plus the launch's bound cost charges
+    (tallied into ``metrics`` when a recorder is enabled, else None)
+    taken inside the math.h and string.h entries. The runtime 'provides
+    equivalent implementations' of C standard functions the GPU lacks
+    (paper §4.1)."""
+    gpu = host_builtins()
+    host = {name: gpu[name].typed for name in (
+        "strcmp", "strncmp", "strcpy", "strlen", "strcat", "strstr")}
     charge_math = counted(math_call, metrics, "gpu.math_calls")
     charge_string = counted(bind_string_call(vec), metrics,
                             "gpu.string_calls")
 
-    def wrap_math(fn: Callable) -> Callable:
-        def impl(interp: Any, args: list[Any]) -> Any:
-            charge_math(state.charges, interp.counters)
-            return fn(interp, args)
+    def math1(fn: Callable[[float], Any]) -> Callable:
+        def entry(facade: Any, x: Any) -> Any:
+            charge_math(state.charges, facade.counters)
+            return fn(float(x))
 
-        return impl
+        return entry
 
-    def wrap_string(fn: Callable) -> Callable:
-        def impl(interp: Any, args: list[Any]) -> Any:
-            length = 0
-            for arg in args:
-                if arg.__class__ is Ptr:
-                    buf = arg.buffer
-                    if buf is not None and buf.elem_type is T.CHAR:
-                        n = len(buf.c_string(arg.offset))
-                        if n > length:
-                            length = n
-            charge_string(state.charges, length)
-            return fn(interp, args)
+    def math2(fn: Callable[[float, float], Any]) -> Callable:
+        def entry(facade: Any, x: Any, y: Any) -> Any:
+            charge_math(state.charges, facade.counters)
+            return fn(float(x), float(y))
 
-        return impl
+        return entry
 
-    for name, fn in base.items():
-        if name in _MATH_FUNCS:
-            gpu[name] = wrap_math(fn)
-        elif name in _STRING_FUNCS:
-            gpu[name] = wrap_string(fn)
-        elif name in ("printf", "scanf", "getline"):
-            continue  # must have been rewritten by the translator
-        else:
-            gpu[name] = fn
+    def string2(typed: Callable) -> Callable:
+        def entry(facade: Any, a: Any, b: Any) -> Any:
+            charge_string(state.charges, max(_char_len(a), _char_len(b)))
+            return typed(facade, a, b)
 
-    def bi_unsupported(name: str) -> Callable:
-        def impl(interp: Any, args: list[Any]) -> Any:
+        return entry
+
+    def strlen(facade: Any, s: Any) -> int:
+        charge_string(state.charges, _char_len(s))
+        return host["strlen"](facade, s)
+
+    host_strcmp = host["strcmp"]
+
+    def strcmp(facade: Any, a: Any, b: Any) -> int:
+        # Once per pair in every combine kernel. Two char-buffer
+        # operands (key vs. previous key) come straight off the buffers'
+        # decode caches; anything else is charged and compared by the
+        # host function below.
+        if a.__class__ is Ptr and b.__class__ is Ptr:
+            abuf = a.buffer
+            bbuf = b.buffer
+            if abuf is not None and bbuf is not None \
+                    and abuf.elem_type is T.CHAR and bbuf.elem_type is T.CHAR:
+                cache = abuf._strcache
+                sa = cache.get(a.offset) if cache is not None else None
+                if sa is None:
+                    sa = abuf.c_string(a.offset)
+                cache = bbuf._strcache
+                sb = cache.get(b.offset) if cache is not None else None
+                if sb is None:
+                    sb = bbuf.c_string(b.offset)
+                length = len(sa)
+                if len(sb) > length:
+                    length = len(sb)
+                charge_string(state.charges, length)
+                return (sa > sb) - (sa < sb)
+        charge_string(state.charges, max(_char_len(a), _char_len(b)))
+        return host_strcmp(facade, a, b)
+
+    def strncmp(facade: Any, a: Any, b: Any, n: Any) -> int:
+        charge_string(state.charges, max(_char_len(a), _char_len(b)))
+        return host["strncmp"](facade, a, b, n)
+
+    def unsupported(name: str) -> Callable:
+        def entry(facade: Any, *args: Any) -> Any:
             raise GpuError(
                 f"{name} survived translation into the GPU kernel; the "
                 "translator should have rewritten it"
             )
 
-        return impl
+        return entry
 
+    device = {name: math1(fn) for name, fn in MATH1.items()}
+    device.update((name, math2(fn)) for name, fn in MATH2.items())
+    device.update((name, string2(host[name]))
+                  for name in ("strcpy", "strcat", "strstr"))
+    device["strcmp"] = strcmp
+    device["strlen"] = strlen
+    device["strncmp"] = strncmp
     for name in ("printf", "scanf", "getline"):
-        gpu[name] = bi_unsupported(name)
+        device[name] = unsupported(name)  # the translator rewrites these
+    for name, typed in device.items():
+        gpu[name] = Builtin(name, typed)
     return gpu
 
 
@@ -277,41 +329,68 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
     charge_emit = counted(bind_kv_emit(kv_nbytes, vec), metrics,
                           "gpu.kv_emits")
 
-    def bi_get_record(interp: Any, args: list[Any]) -> int:
+    @takes_cells(0)
+    def get_record(facade: Any, line_ref: Any) -> int:
         records = state.records
         i = state.index
         if i >= len(records):
             return -1
         rec = records[i]
         state.index = i + 1
-        charge_record(state.charges, interp.counters, len(rec))
+        n = len(rec)
+        charge_record(state.charges, facade.counters, n)
         if rec.isascii():
             # ASCII bytes survive the decode/encode round trip unchanged,
             # so the record can back the buffer directly.
-            buf = Buffer(T.CHAR, len(rec) + 1, label="strlit")
-            buf.data[: len(rec)] = rec
+            buf = Buffer(T.CHAR, n + 1, label="strlit")
+            buf.data[:n] = rec
         else:
             buf = Buffer.from_string(rec.decode("utf-8", errors="replace"))
         buf.space = "private"
-        ref = args[0]
-        if not isinstance(ref, (ScalarRef, Ptr)):
-            raise CRuntimeError("getRecord needs &line")
-        ref.store(Ptr(buf, 0))
-        return len(rec)
+        cls = line_ref.__class__
+        if cls is Cell and line_ref.ctype.__class__ is T.Pointer:
+            line_ref.value = Ptr(buf, 0)  # ScalarRef.store, for a char*
+        else:
+            if cls is Cell:
+                line_ref = ScalarRef(line_ref)
+            elif cls is not ScalarRef and cls is not Ptr:
+                raise CRuntimeError("getRecord needs &line")
+            line_ref.store(Ptr(buf, 0))
+        return n
 
-    def bi_emit_kv(interp: Any, args: list[Any]) -> int:
-        if len(args) != 2:
-            raise CRuntimeError("emitKV(key, value)")
-        key = extract_value(args[0])
-        value = extract_value(args[1])
-        part = partitioner.partition(key)
-        store.emit(state.global_tid, key, value, part)
-        charge_emit(state.charges, interp.counters)
+    def emit_kv(facade: Any, key: Any, value: Any) -> int:
+        # The hot shape — (char key, int value) — reads three structures
+        # without a call: the key buffer's decode cache, the
+        # partitioner's text-key memo and the thread's portion of the KV
+        # store. What they do not answer (a cold cache, an unseen key, a
+        # full portion, a bad thread id) goes to the owning method,
+        # which also owns the error.
+        buf = key.buffer if key.__class__ is Ptr else None
+        if buf is not None:
+            cache = buf._strcache
+            text = cache.get(key.offset) if cache is not None else None
+            key = text if text is not None else buf.c_string(key.offset)
+        else:
+            key = extract_value(key)
+        if value.__class__ is not int:
+            value = extract_value(value)
+        part = partitioner._str_memo.get(key) if key.__class__ is str \
+            else None
+        if part is None:
+            part = partitioner.partition(key)
+        tid = state.global_tid
+        portions = store._slots
+        portion = portions[tid] if 0 <= tid < len(portions) else None
+        if portion is not None and len(portion) < store.stores_per_thread:
+            portion.append(KVPair(key, value, part))
+        else:
+            store.emit(tid, key, value, part)
+        charge_emit(state.charges, facade.counters)
         return kv_nbytes
 
     builtins = common_lane_builtins(metrics, state, vec)
-    builtins["getRecord"] = bi_get_record
-    builtins["emitKV"] = bi_emit_kv
+    builtins["getRecord"] = Builtin("getRecord", get_record)
+    builtins["emitKV"] = Builtin("emitKV", emit_kv)
     return builtins
 
 
@@ -326,7 +405,8 @@ def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
     charge_move = counted(bind_kv_move(kv_bytes, txn_bytes, vec, cooperative),
                           metrics, "gpu.kv_moves")
 
-    def bi_get_kv(interp: Any, args: list[Any]) -> int:
+    @takes_cells(0, 1)
+    def get_kv(facade: Any, key_ref: Any, value_ref: Any) -> int:
         chunk = state.chunk
         i = state.index
         if i >= len(chunk):
@@ -334,22 +414,33 @@ def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
         pair = chunk[i]
         state.index = i + 1
         charge_move(state.charges)
-        interp.counters.bytes_in += kv_bytes
-        store_kv_arg(args[0], pair.key)
-        store_kv_arg(args[1], pair.value)
+        facade.counters.bytes_in += kv_bytes
+        # The hot shape is (text key → char array, int value → &int);
+        # everything else is store_kv_arg's scanf-semantics marshalling.
+        key = pair.key
+        buf = key_ref.buffer if key_ref.__class__ is Ptr else None
+        if buf is not None and buf.elem_type is T.CHAR \
+                and key.__class__ is str:
+            buf.store_string(key_ref.offset, key)
+        else:
+            store_kv_arg(key_ref, key)
+        value = pair.value
+        if value_ref.__class__ is Cell and value_ref.ctype is T.INT \
+                and value.__class__ is int:
+            value_ref.value = value
+        else:
+            store_kv_arg(value_ref, value)
         return 2
 
-    def bi_store_kv(interp: Any, args: list[Any]) -> int:
-        key = extract_value(args[0])
-        value = extract_value(args[1])
-        state.output.append((key, value))
+    def store_kv(facade: Any, key: Any, value: Any) -> int:
+        state.output.append((extract_value(key), extract_value(value)))
         charge_move(state.charges)
-        interp.counters.bytes_out += kv_bytes
+        facade.counters.bytes_out += kv_bytes
         return kv_bytes
 
     builtins = common_lane_builtins(metrics, state, vec)
-    builtins["getKV"] = bi_get_kv
-    builtins["storeKV"] = bi_store_kv
+    builtins["getKV"] = Builtin("getKV", get_kv)
+    builtins["storeKV"] = Builtin("storeKV", store_kv)
     return builtins
 
 

@@ -349,7 +349,7 @@ def _run_map_launch(
                     # Every steal hit the global counter, not a shared one.
                     charges.global_atomics += charges.shared_atomics
                     charges.shared_atomics = 0.0
-                result.counters = result.counters.merged(counters)
+                result.counters.add(counters)
                 result.records_processed += len(lanes[tid])
                 issue = (
                     charges.instructions
@@ -482,7 +482,7 @@ def run_combine_kernel(
         block_id = chunk_id // warps_per_block
         charges = LaneCharges(instructions=_SETUP_INSTR)
         counters, out = runner.run_combine_chunk(chunk, charges)
-        result.counters = result.counters.merged(counters)
+        result.counters.add(counters)
         result.output.extend(out)
         wc = WarpCost(
             instructions=charges.instructions + counters.ops + counters.branches

@@ -28,10 +28,18 @@ returns Python source plus the :class:`_Counts` it owes; the
   unit boundaries);
 * :class:`~repro.minic.interpreter.ExecCounters` accounting is batched
   per basic block into straight-line ``c.ops += n`` at the block head;
+* a call site of a declared builtin (:data:`repro.minic.stdlib.SIGNATURES`)
+  whose arity fits calls the table entry's typed function positionally
+  — ``d(facade, a, b)``: no argument list, and a typed scalar's ``&x``
+  passed as its bare Cell where the signature takes one — guarded once
+  per unit run by "the table's entry under this name is that declared
+  :class:`~repro.minic.stdlib.Builtin`"; a replaced entry, a user
+  function or a wrong arity takes the list convention, whose derived
+  callable reports the arity error;
 * ``printf``/``scanf`` call sites with a string-literal format are
   rendered/scanned straight-line, guarded once per unit run by
-  ``rt.builtins[name] is <host impl>`` (GPU builtin tables replace those
-  names, so they take the generic call).
+  ``rt.builtins[name] is <the host entry>`` (GPU builtin tables replace
+  those names, so they take the call above).
 
 **Nothing from the program text reaches the generated source**: names
 are slot-indexed, and literals, ctypes and messages travel through the
@@ -63,10 +71,11 @@ from ..errors import CRuntimeError
 from . import cast as A
 from . import ctypes as T
 from .stdlib import (
+    _HOST_BUILTINS,
     _SCAN_PAIR_RES,
+    SIGNATURES,
+    Builtin,
     _as_str,
-    _bi_printf,
-    _bi_scanf,
     _compile_format,
     _render_int,
     _scan_convs,
@@ -107,8 +116,8 @@ class Runtime:
 
     ``facade`` is the :class:`~repro.minic.interpreter.Interpreter`
     (or the GPU engine's lean lane facade) whose builtins/streams/heap
-    the compiled code must use — builtins keep their ``fn(interp,
-    args)`` signature unchanged. ``charge`` is the facade's
+    the compiled code must use — it is the first argument of every
+    builtin call, in either convention. ``charge`` is the facade's
     ``_charge_access`` attribute when present — on the GPU that is the
     launch's :func:`~repro.gpu.charging.bind_access` closure — else
     None.
@@ -288,6 +297,16 @@ def _user_function(rt: Runtime, name: str) -> Callable:
     return func
 
 
+def _list_call(rt: Runtime, entry: Callable | None, name: str,
+               args: list[Any]) -> Any:
+    """The list convention, for a direct call site that found something
+    other than the declared builtin under its name: a replaced table
+    entry, or none (builtins shadow user functions)."""
+    if entry is not None:
+        return entry(rt.facade, args)
+    return _user_function(rt, name)(rt, args)
+
+
 # Cells the emitter knows nothing static about (array names used as
 # scalars, untyped free variables): a Buffer-valued cell keeps the
 # tree-walker's Ptr(buf, 0) ref semantics — element 0 store,
@@ -353,7 +372,8 @@ _UNIT_GLOBALS: dict[str, Any] = {
     "_c_div": _c_div, "_c_mod": _c_mod, "_as_ptr": _as_ptr,
     "_as_ref": _as_ref, "_cast_int": _cast_int, "_step": _step,
     "_over_budget": _over_budget, "_bad_arity": _bad_arity,
-    "_user_function": _user_function,
+    "_user_function": _user_function, "_list_call": _list_call,
+    "Builtin": Builtin,
     "_cell_ref": _cell_ref, "_cell_assign": _cell_assign,
     "_cell_incdec": _cell_incdec, "_as_str": _as_str,
     "_store_out": _store_out, "c_scan": c_scan,
@@ -369,10 +389,10 @@ _RT_LOCALS = {
 }
 
 #: printf/scanf call sites with a literal format skip the builtin when
-#: the unit runs against these host implementations: name → (impl, the
+#: the unit runs against these host table entries: name → (entry, the
 #: emitter method that renders the call straight-line).
-_HOST_FORMAT_CALLS = {"printf": (_bi_printf, "_printf_lines"),
-                      "scanf": (_bi_scanf, "_scanf_lines")}
+_HOST_FORMAT_CALLS = {"printf": (_HOST_BUILTINS["printf"], "_printf_lines"),
+                      "scanf": (_HOST_BUILTINS["scanf"], "_scanf_lines")}
 
 
 # --------------------------------------------------------------------------
@@ -1262,6 +1282,9 @@ class _FunctionCompiler:
             ex, acnt = self._expr(node)
             cnt.add(acnt)
             args.append(ex)
+        for ex in args:
+            if ex.cell is not None:
+                ex.stable = True  # names a Cell no operand can rebind
         lines = self._seq(args)  # left-to-right, matching the tree-walker
         out = None if void else u.tmp()
         assign = "" if void else f"{out} = "
@@ -1273,16 +1296,32 @@ class _FunctionCompiler:
         # built before an interpreter runs and never mutated afterwards.
         # Builtins shadow user functions, as in the tree-walker.
         g = u.need(f"g{name[1:]}", f"g{name[1:]} = builtins.get({name})")
-        call = [f"{assign}{g}(facade, {argv}) if {g} is not None "
-                f"else _user_function(rt, {name})(rt, {argv})"]
+        sig = SIGNATURES.get(expr.func)
+        if sig is not None and sig[0] <= len(args) <= sig[1]:
+            # A declared builtin at a fitting arity: its typed function,
+            # called positionally, whenever the table holds it.
+            d = u.need(f"d{name[1:]}",
+                       f"d{name[1:]} = {g}.typed if {g}.__class__ is Builtin "
+                       f"and {g}.name == {name} else None")
+            argl = "".join(
+                ", " + (ex.cell[0] if i in sig[2] and ex.cell is not None
+                        else ex.src)
+                for i, ex in enumerate(args))
+            call = [f"if {d} is not None:",
+                    f"    {assign}{d}(facade{argl})",
+                    "else:",
+                    f"    {assign}_list_call(rt, {g}, {name}, {argv})"]
+        else:
+            call = [f"{assign}{g}(facade, {argv}) if {g} is not None "
+                    f"else _user_function(rt, {name})(rt, {argv})"]
         if expr.func in _HOST_FORMAT_CALLS and expr.args \
                 and type(expr.args[0]) is A.StringLit:
-            impl, emitter = _HOST_FORMAT_CALLS[expr.func]
+            entry, emitter = _HOST_FORMAT_CALLS[expr.func]
             fast = getattr(self, emitter)(
                 expr.args[0].value, args[1:], assign)
             if fast is not None:
                 h = u.need(f"h{name[1:]}",
-                           f"h{name[1:]} = {g} is {u.const(impl)}")
+                           f"h{name[1:]} = {g} is {u.const(entry)}")
                 call = [f"if {h}:"] + _indent(fast) + ["else:"] + _indent(call)
         return _Ex(out or "None", None, lines + call, stable=True), cnt
 

@@ -80,10 +80,24 @@ class ExecCounters:
     bytes_in: int = 0      # record/KV input volume
     bytes_out: int = 0     # emitted KV volume
 
+    def add(self, other: "ExecCounters") -> None:
+        """Fold ``other`` into this object (the per-lane/per-task folds)."""
+        self.ops += other.ops
+        self.loads += other.loads
+        self.stores += other.stores
+        self.branches += other.branches
+        self.calls += other.calls
+        self.fp_ops += other.fp_ops
+        self.bytes_in += other.bytes_in
+        self.bytes_out += other.bytes_out
+
     def merged(self, other: "ExecCounters") -> "ExecCounters":
+        """The sum as a fresh object; neither operand changes."""
         return ExecCounters(
-            *(getattr(self, f.name) + getattr(other, f.name)
-              for f in self.__dataclass_fields__.values())  # type: ignore[arg-type]
+            self.ops + other.ops, self.loads + other.loads,
+            self.stores + other.stores, self.branches + other.branches,
+            self.calls + other.calls, self.fp_ops + other.fp_ops,
+            self.bytes_in + other.bytes_in, self.bytes_out + other.bytes_out,
         )
 
     @property
@@ -125,7 +139,12 @@ class Interpreter:
         Text presented on standard input.
     builtins:
         Builtin function table; defaults to the host C library. The GPU
-        executor passes a device-runtime table instead.
+        executor passes a device-runtime table instead. Values are
+        called as ``fn(interp, [args...])``: the tables' own entries are
+        :class:`~repro.minic.stdlib.Builtin` objects, which derive that
+        form from their typed positional function (and which the
+        compiled backend calls positionally); a replacement may be any
+        callable of that shape.
     max_steps:
         Statement-execution budget; guards against runaway loops in user
         source (a real cluster would rely on task timeouts).

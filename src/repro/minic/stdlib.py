@@ -2,22 +2,29 @@
 
 Provides stdio (``getline``/``scanf``/``printf``), string.h, stdlib.h, and
 math.h, plus the ``getWord`` helper the paper's Wordcount listing uses.
-Builtins receive the interpreter so they can touch its IO streams and
-instrumentation counters.
+
+There is one builtin table and one calling convention behind it. Every
+builtin is declared once, as a typed positional Python function
+``impl(facade, a, b, ...)`` — ``facade`` is the interpreter (or the GPU
+lane facade), so a builtin can touch its IO streams, heap and
+instrumentation counters. A table maps each name to a :class:`Builtin`,
+which *is* that function plus the list-convention callable
+``b(facade, [a, b, ...])`` derived from its signature (arity check, then
+``impl(facade, *args)``). Generated code calls ``impl`` directly at call
+sites of the right arity; the tree-walker and every other call site go
+through the derived callable — same function, same errors.
+:data:`SIGNATURES` is what the emitter knows statically about a name.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable
 
 from ..errors import CRuntimeError
 from . import ctypes as T
-from .values import NULL, Buffer, Ptr, ScalarRef
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .interpreter import Interpreter
+from .values import NULL, Buffer, Cell, Ptr, ScalarRef
 
 
 class InputStream:
@@ -177,8 +184,16 @@ def c_format(fmt: str, args: list[Any]) -> str:
 
 
 def _store_out(target: Any, value: Any) -> None:
+    """Store through an out-parameter: ``&x`` as a Cell or ScalarRef
+    (coerced through the cell's ctype), or an element pointer."""
     cls = target.__class__
-    if cls is ScalarRef or cls is Ptr or isinstance(target, (Ptr, ScalarRef)):
+    if cls is Cell:
+        ct = target.ctype
+        if ct is T.INT or ct is T.LONG or ct is T.SIZE_T:
+            target.value = value if value.__class__ is int else int(value)
+        else:
+            ScalarRef(target).store(value)
+    elif cls is ScalarRef or cls is Ptr:
         target.store(value)
     else:
         raise CRuntimeError(f"scanf target is not a pointer: {target!r}")
@@ -263,52 +278,120 @@ def c_scan(stream: InputStream, fmt: str, args: list[Any]) -> int:
 
 
 # --------------------------------------------------------------------------
-# Builtin implementations. Signature: fn(interp, args) -> value
+# Builtins: one typed positional declaration each (see the module docstring)
 # --------------------------------------------------------------------------
+#
+# The Python signature *is* the C one: a default marks an optional
+# trailing argument, ``*args`` a variadic tail. Operand kinds are
+# class-checked inside the function (``x.__class__ is Ptr``), the
+# unexpected ones falling through to its own slow branch.
+
+#: ``most`` of a variadic builtin's signature.
+_VARIADIC = 1 << 30
 
 
-def _bi_printf(interp: "Interpreter", args: list[Any]) -> int:
-    if not args:
-        raise CRuntimeError("printf needs a format string")
-    text = c_format(_as_str(args[0]), args[1:])
-    interp.stdout.write(text)
+def takes_cells(*positions: int) -> Callable[[Callable], Callable]:
+    """Declare that the builtin accepts, at these argument positions, a
+    typed scalar's ``&x`` as the bare :class:`Cell` — what a direct call
+    passes instead of allocating the ``ScalarRef`` the list convention
+    carries. The function must treat the two alike."""
+
+    def mark(typed: Callable) -> Callable:
+        typed.cells = positions  # type: ignore[attr-defined]
+        return typed
+
+    return mark
+
+
+def signature(typed: Callable) -> tuple[int, int, tuple[int, ...]]:
+    """A typed entry's mini-C signature, read off the function: (fewest
+    arguments, most arguments, positions that take a bare Cell)."""
+    code = typed.__code__
+    most = code.co_argcount - 1  # minus the facade
+    fewest = most - len(typed.__defaults__ or ())
+    if code.co_flags & 0x04:  # CO_VARARGS
+        most = _VARIADIC
+    return fewest, most, getattr(typed, "cells", ())
+
+
+class Builtin:
+    """One declared builtin as a builtin table holds it.
+
+    ``typed`` is the implementation; calling the instance is the list
+    convention derived from it. ``name`` must be declared in
+    :data:`SIGNATURES` — that is what lets the emitter check a call
+    site's arity, and pick the Cell positions, from the name alone."""
+
+    __slots__ = ("name", "typed", "fewest", "most")
+
+    def __init__(self, name: str, typed: Callable):
+        self.name = name
+        self.typed = typed
+        self.fewest, self.most, _cells = SIGNATURES[name]
+
+    def __call__(self, facade: Any, args: list[Any]) -> Any:
+        if not self.fewest <= len(args) <= self.most:
+            if self.most == _VARIADIC:
+                want = f"at least {self.fewest}"
+            elif self.fewest == self.most:
+                want = str(self.fewest)
+            else:
+                want = f"{self.fewest} to {self.most}"
+            raise CRuntimeError(
+                f"{self.name} expects {want} argument"
+                f"{'' if want == '1' else 's'}, got {len(args)}"
+            )
+        return self.typed(facade, *args)
+
+
+def _bi_printf(facade: Any, fmt: Any, *args: Any) -> int:
+    text = c_format(_as_str(fmt), args)
+    facade.stdout.write(text)
     return len(text)
 
 
-def _bi_scanf(interp: "Interpreter", args: list[Any]) -> int:
-    if not args:
-        raise CRuntimeError("scanf needs a format string")
-    return c_scan(interp.stdin, _as_str(args[0]), args[1:])
+def _bi_fprintf(facade: Any, stream: Any, fmt: Any, *args: Any) -> int:
+    return _bi_printf(facade, fmt, *args)  # stderr folded to stdout
 
 
-def _bi_getline(interp: "Interpreter", args: list[Any]) -> int:
+def _bi_scanf(facade: Any, fmt: Any, *targets: Any) -> int:
+    return c_scan(facade.stdin, _as_str(fmt), targets)
+
+
+@takes_cells(0, 1)
+def _bi_getline(facade: Any, line_ref: Any, n_ref: Any,
+                stream: Any = None) -> int:
     """``getline(&line, &nbytes, stdin)``: reads one line incl. newline."""
-    if len(args) < 2:
-        raise CRuntimeError("getline(&line, &n, stdin)")
-    line_ref, n_ref = args[0], args[1]
-    text = interp.stdin.read_line()
+    text = facade.stdin.read_line()
     if text is None:
         return -1
-    if not isinstance(line_ref, ScalarRef):
+    cls = line_ref.__class__
+    if cls is Cell:
+        cell = line_ref
+    elif cls is ScalarRef:
+        cell = line_ref.cell
+    else:
         raise CRuntimeError("getline: first arg must be &line")
-    ptr = line_ref.deref()
+    ptr = cell.value
     needed = len(text.encode("utf-8")) + 1
-    if not isinstance(ptr, Ptr) or ptr.buffer is None:
+    if ptr.__class__ is not Ptr or ptr.buffer is None:
         buf = Buffer(T.CHAR, max(needed, 128), label="getline")
         ptr = Ptr(buf, 0)
-        line_ref.store(ptr)
+        ScalarRef(cell).store(ptr)
     elif ptr.buffer.size - ptr.offset < needed:
         ptr.buffer.resize(ptr.offset + needed)
     written = ptr.buffer.store_string(ptr.offset, text)
-    if isinstance(n_ref, (ScalarRef, Ptr)):
-        n_ref.store(ptr.buffer.size)
+    cls = n_ref.__class__
+    if cls is Cell or cls is ScalarRef or cls is Ptr:
+        _store_out(n_ref, ptr.buffer.size)
     return written
 
 
 _WORD_SCAN_RE = re.compile(rb"[ \t\r\n]*([^\x00 \t\r\n]*)")
 
 
-def _bi_getword(interp: "Interpreter", args: list[Any]) -> int:
+def _bi_getword(facade: Any, line: Any, offset: Any, word: Any, read: Any,
+                max_len: Any) -> int:
     """``getWord(line, offset, word, read, maxLen)`` — the paper's helper.
 
     Scans ``line`` starting at ``offset`` for the next whitespace-delimited
@@ -316,18 +399,25 @@ def _bi_getword(interp: "Interpreter", args: list[Any]) -> int:
     number of characters consumed from ``line`` (so the caller can advance
     its offset), or -1 if no word remains within ``read`` bytes.
     """
-    if len(args) != 5:
-        raise CRuntimeError("getWord(line, offset, word, read, maxLen)")
-    line, offset, word, read, max_len = args
-    if not isinstance(line, Ptr) or line.buffer is None:
+    if line.__class__ is not Ptr or line.buffer is None:
         raise CRuntimeError("getWord: line must be a char pointer")
-    if not isinstance(word, Ptr) or word.buffer is None:
+    if word.__class__ is not Ptr or word.buffer is None:
         raise CRuntimeError("getWord: word must be a char buffer")
-    offset = int(offset)
-    limit = min(int(read), line.buffer.size - line.offset)
-    data = line.buffer.data
+    if max_len.__class__ is not int:
+        max_len = int(max_len)
+    if max_len < 1:
+        raise CRuntimeError(f"getWord: maxLen must be at least 1, got {max_len}")
+    if offset.__class__ is not int:
+        offset = int(offset)
+    if read.__class__ is not int:
+        read = int(read)
+    lbuf = line.buffer
     base = line.offset
-    if offset >= 0 and isinstance(data, (bytes, bytearray)):
+    limit = lbuf.size - base
+    if read < limit:
+        limit = read
+    data = lbuf.data
+    if offset >= 0 and data.__class__ is bytearray:
         # C-speed scan: leading whitespace, then the word (stopping at
         # whitespace, NUL, or the read limit). An empty word group means
         # only whitespace/NUL remained.
@@ -337,31 +427,31 @@ def _bi_getword(interp: "Interpreter", args: list[Any]) -> int:
         token_b = m.group(1)
         if not token_b:
             return -1
-        mlen = int(max_len) - 1
+        consumed = m.end(1) - base - offset
         if token_b.isascii():
             # ASCII bytes truncate and decode 1:1, so the word can be
             # copied without the decode/encode round trip store_string
             # would make; the decoded text seeds the c_string cache.
-            if len(token_b) > mlen:
-                token_b = token_b[:mlen]
+            if len(token_b) >= max_len:
+                token_b = token_b[:max_len - 1]
             wbuf = word.buffer
             woff = word.offset
-            n = len(token_b)
-            if woff + n + 1 > wbuf.size:
+            end = woff + len(token_b)
+            if end >= wbuf.size:
                 raise CRuntimeError(
-                    f"string of {n} bytes overflows buffer "
+                    f"string of {len(token_b)} bytes overflows buffer "
                     f"{wbuf.label!r} (size {wbuf.size}, offset {woff})"
                 )
-            wbuf.data[woff : woff + n] = token_b
-            wbuf.data[woff + n] = 0
+            wdata = wbuf.data
+            wdata[woff:end] = token_b
+            wdata[end] = 0
             wbuf._strcache = {woff: token_b.decode("ascii")}
-            return m.end(1) - base - offset
+            return consumed
         token = token_b.decode("utf-8", errors="replace")
-        token = token[:mlen]
-        word.buffer.store_string(word.offset, token)
-        return m.end(1) - base - offset
-    # Fallback for exotic buffers: byte-at-a-time int indexing
-    # (space=32, tab=9, CR=13, LF=10).
+        word.buffer.store_string(word.offset, token[:max_len - 1])
+        return consumed
+    # Slow branch for exotic buffers and negative offsets: byte-at-a-time
+    # int indexing (space=32, tab=9, CR=13, LF=10).
     i = offset
     while i < limit:
         c = data[base + i]
@@ -378,21 +468,22 @@ def _bi_getword(interp: "Interpreter", args: list[Any]) -> int:
             break
         i += 1
     token = bytes(data[base + start : base + i]).decode("utf-8", errors="replace")
-    token = token[: int(max_len) - 1]
-    word.buffer.store_string(word.offset, token)
+    word.buffer.store_string(word.offset, token[:max_len - 1])
     return i - offset
 
 
-def _bi_malloc(interp: "Interpreter", args: list[Any]) -> Ptr:
-    size = int(args[0])
-    buf = Buffer(T.CHAR, size, label="malloc")
-    interp.heap.append(buf)
+def _bi_malloc(facade: Any, size: Any) -> Ptr:
+    buf = Buffer(T.CHAR, int(size), label="malloc")
+    facade.heap.append(buf)
     return Ptr(buf, 0)
 
 
-def _bi_free(interp: "Interpreter", args: list[Any]) -> int:
-    ptr = args[0]
-    if isinstance(ptr, Ptr) and ptr.buffer is not None:
+def _bi_calloc(facade: Any, count: Any, size: Any) -> Ptr:
+    return _bi_malloc(facade, int(count) * int(size))
+
+
+def _bi_free(facade: Any, ptr: Any) -> int:
+    if ptr.__class__ is Ptr and ptr.buffer is not None:
         if ptr.buffer.freed:
             raise CRuntimeError("double free")
         ptr.buffer.freed = True
@@ -401,97 +492,108 @@ def _bi_free(interp: "Interpreter", args: list[Any]) -> int:
     return 0
 
 
-def _str_of(arg: Any) -> str:
-    return _as_str(arg)
-
-
-def _bi_strcmp(interp: "Interpreter", args: list[Any]) -> int:
+def _bi_strcmp(facade: Any, a: Any, b: Any) -> int:
     # Both operands are almost always Ptr-to-char on the KV hot loop
     # (key vs. previous key); c_string hits the per-buffer decode cache.
-    a, b = args
     a = a.buffer.c_string(a.offset) if a.__class__ is Ptr and \
-        a.buffer is not None else _str_of(a)
+        a.buffer is not None else _as_str(a)
     b = b.buffer.c_string(b.offset) if b.__class__ is Ptr and \
-        b.buffer is not None else _str_of(b)
+        b.buffer is not None else _as_str(b)
     return (a > b) - (a < b)
 
 
-def _bi_strncmp(interp: "Interpreter", args: list[Any]) -> int:
-    n = int(args[2])
-    a, b = _str_of(args[0])[:n], _str_of(args[1])[:n]
+def _bi_strncmp(facade: Any, a: Any, b: Any, n: Any) -> int:
+    n = int(n)
+    a, b = _as_str(a)[:n], _as_str(b)[:n]
     return (a > b) - (a < b)
 
 
-def _bi_strcpy(interp: "Interpreter", args: list[Any]) -> Any:
-    dst, src = args[0], _str_of(args[1])
-    if not isinstance(dst, Ptr) or dst.buffer is None:
+def _bi_strcpy(facade: Any, dst: Any, src: Any) -> Any:
+    src = _as_str(src)
+    if dst.__class__ is not Ptr or dst.buffer is None:
         raise CRuntimeError("strcpy: bad destination")
     dst.buffer.store_string(dst.offset, src)
     return dst
 
 
-def _bi_strlen(interp: "Interpreter", args: list[Any]) -> int:
-    return len(_str_of(args[0]))
+def _bi_strlen(facade: Any, s: Any) -> int:
+    return len(_as_str(s))
 
 
-def _bi_strstr(interp: "Interpreter", args: list[Any]) -> Any:
+def _bi_strstr(facade: Any, hay: Any, needle: Any) -> Any:
     """strstr(haystack, needle) → pointer to first match or NULL. Charges
     compute at compiled-C scan rate (~1 op per 4 bytes scanned)."""
-    hay = args[0]
-    if not isinstance(hay, Ptr) or hay.buffer is None:
+    if hay.__class__ is not Ptr or hay.buffer is None:
         raise CRuntimeError("strstr: bad haystack")
     text = hay.c_string()
-    needle = _str_of(args[1])
+    needle = _as_str(needle)
     idx = text.find(needle)
     scanned = len(text) if idx == -1 else idx + len(needle)
-    interp.counters.ops += max(1, scanned // 2)
+    facade.counters.ops += max(1, scanned // 2)
     if idx == -1:
-        from .values import NULL
-
         return NULL
     return Ptr(hay.buffer, hay.offset + len(text[:idx].encode("utf-8")))
 
 
-def _bi_strcat(interp: "Interpreter", args: list[Any]) -> Any:
-    dst = args[0]
-    if not isinstance(dst, Ptr) or dst.buffer is None:
+def _bi_strcat(facade: Any, dst: Any, src: Any) -> Any:
+    if dst.__class__ is not Ptr or dst.buffer is None:
         raise CRuntimeError("strcat: bad destination")
     existing = dst.buffer.c_string(dst.offset)
-    dst.buffer.store_string(dst.offset + len(existing.encode()), _str_of(args[1]))
+    dst.buffer.store_string(dst.offset + len(existing.encode()), _as_str(src))
     return dst
 
 
-def _bi_atoi(interp: "Interpreter", args: list[Any]) -> int:
-    m = re.match(r"\s*[+-]?\d+", _str_of(args[0]))
+_ATOI_RE = re.compile(r"\s*[+-]?\d+")
+_ATOF_RE = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def _bi_atoi(facade: Any, s: Any) -> int:
+    m = _ATOI_RE.match(_as_str(s))
     return int(m.group(0)) if m else 0
 
 
-def _bi_atof(interp: "Interpreter", args: list[Any]) -> float:
-    m = re.match(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", _str_of(args[0]))
+def _bi_atof(facade: Any, s: Any) -> float:
+    m = _ATOF_RE.match(_as_str(s))
     return float(m.group(0)) if m else 0.0
 
 
-def _math1(fn: Callable[[float], float]) -> Callable[["Interpreter", list[Any]], float]:
-    def impl(interp: "Interpreter", args: list[Any]) -> float:
-        return fn(float(args[0]))
-
-    return impl
+def _bi_abs(facade: Any, value: Any) -> int:
+    return abs(int(value))
 
 
-def _bi_pow(interp: "Interpreter", args: list[Any]) -> float:
-    return float(args[0]) ** float(args[1])
+def _bi_exit(facade: Any, status: Any) -> None:
+    raise CRuntimeError(f"exit({int(status)})")
 
 
-def _bi_fmin(interp: "Interpreter", args: list[Any]) -> float:
-    return min(float(args[0]), float(args[1]))
+#: math.h, declared by the float function each name computes; the host
+#: table below and the GPU device table (which adds the math-call
+#: charge) each build their entries from these.
+MATH1: dict[str, Callable[[float], Any]] = {
+    "sqrt": math.sqrt, "sqrtf": math.sqrt, "exp": math.exp,
+    "expf": math.exp, "log": math.log, "logf": math.log,
+    "log2": math.log2, "sin": math.sin, "sinf": math.sin,
+    "cos": math.cos, "cosf": math.cos, "tan": math.tan,
+    "atan": math.atan, "fabs": abs, "fabsf": abs, "floor": math.floor,
+    "ceil": math.ceil, "erf": math.erf, "erff": math.erf,
+}
+MATH2: dict[str, Callable[[float, float], Any]] = {
+    "pow": lambda x, y: x ** y, "powf": lambda x, y: x ** y,
+    "fmin": min, "fmax": max,
+}
 
 
-def _bi_fmax(interp: "Interpreter", args: list[Any]) -> float:
-    return max(float(args[0]), float(args[1]))
+def _math1(fn: Callable[[float], Any]) -> Callable:
+    def entry(facade: Any, x: Any) -> Any:
+        return fn(float(x))
+
+    return entry
 
 
-def _bi_abs(interp: "Interpreter", args: list[Any]) -> int:
-    return abs(int(args[0]))
+def _math2(fn: Callable[[float, float], Any]) -> Callable:
+    def entry(facade: Any, x: Any, y: Any) -> Any:
+        return fn(float(x), float(y))
+
+    return entry
 
 
 def _ctype_char(arg: Any) -> str | None:
@@ -502,86 +604,76 @@ def _ctype_char(arg: Any) -> str | None:
     return chr(code) if 0 <= code <= 0x10FFFF else None
 
 
-def _ctype_test(test: Callable[[str], bool]) -> Callable[["Interpreter", list[Any]], int]:
-    def impl(interp: "Interpreter", args: list[Any]) -> int:
-        ch = _ctype_char(args[0])
+def _ctype_test(test: Callable[[str], bool]) -> Callable:
+    def entry(facade: Any, code: Any) -> int:
+        ch = _ctype_char(code)
         return int(ch is not None and test(ch))
 
-    return impl
+    return entry
 
 
-def _ctype_map(convert: Callable[[str], str]) -> Callable[["Interpreter", list[Any]], int]:
-    def impl(interp: "Interpreter", args: list[Any]) -> int:
-        ch = _ctype_char(args[0])
-        return int(args[0]) if ch is None else ord(convert(ch))
+def _ctype_map(convert: Callable[[str], str]) -> Callable:
+    def entry(facade: Any, code: Any) -> int:
+        ch = _ctype_char(code)
+        return int(code) if ch is None else ord(convert(ch))
 
-    return impl
-
-
-_bi_isspace = _ctype_test(lambda ch: ch in " \t\r\n\v\f")
-_bi_isdigit = _ctype_test(str.isdigit)
-_bi_isalpha = _ctype_test(str.isalpha)
-_bi_tolower = _ctype_map(str.lower)
-_bi_toupper = _ctype_map(str.upper)
+    return entry
 
 
-def host_builtins() -> dict[str, Callable[["Interpreter", list[Any]], Any]]:
-    """The CPU-path C library (what gcc + glibc provide in the paper).
+#: The CPU-path C library (what gcc + glibc provide in the paper): every
+#: host builtin's one implementation, by name.
+_HOST_TYPED: dict[str, Callable] = {
+    "printf": _bi_printf,
+    "fprintf": _bi_fprintf,
+    "scanf": _bi_scanf,
+    "getline": _bi_getline,
+    "getWord": _bi_getword,
+    "malloc": _bi_malloc,
+    "calloc": _bi_calloc,
+    "free": _bi_free,
+    "strcmp": _bi_strcmp,
+    "strncmp": _bi_strncmp,
+    "strcpy": _bi_strcpy,
+    "strlen": _bi_strlen,
+    "strcat": _bi_strcat,
+    "strstr": _bi_strstr,
+    "atoi": _bi_atoi,
+    "atof": _bi_atof,
+    **{name: _math1(fn) for name, fn in MATH1.items()},
+    **{name: _math2(fn) for name, fn in MATH2.items()},
+    "abs": _bi_abs,
+    "isspace": _ctype_test(lambda ch: ch in " \t\r\n\v\f"),
+    "isdigit": _ctype_test(str.isdigit),
+    "isalpha": _ctype_test(str.isalpha),
+    "tolower": _ctype_map(str.lower),
+    "toupper": _ctype_map(str.upper),
+    "exit": _bi_exit,
+}
 
-    Returns a fresh copy of the (stateless) table — callers may add or
-    replace entries without affecting other interpreters — built from a
-    module-level prototype so the lambdas are only created once."""
+#: Every declared builtin's signature (:func:`signature`), by name: the
+#: host library's, read off the functions above, plus the GPU runtime's
+#: IO calls (paper §4.1–4.2) — the translator substitutes those names
+#: into kernel bodies and :mod:`repro.gpu.engine` implements them per
+#: launch, so only their shape can be stated here.
+SIGNATURES: dict[str, tuple[int, int, tuple[int, ...]]] = {
+    **{name: signature(typed) for name, typed in _HOST_TYPED.items()},
+    "getRecord": (1, 1, (0,)),
+    "emitKV": (2, 2, ()),
+    "getKV": (2, 2, (0, 1)),
+    "storeKV": (2, 2, ()),
+}
+
+_HOST_BUILTINS: dict[str, Builtin] = {
+    name: Builtin(name, typed) for name, typed in _HOST_TYPED.items()
+}
+
+
+def host_builtins() -> dict[str, Callable[[Any, list[Any]], Any]]:
+    """A fresh copy of the (stateless) host builtin table — callers may
+    add or replace entries without affecting other interpreters. A
+    replacement may be any ``fn(facade, args)`` callable; only
+    :class:`Builtin` entries are called positionally."""
     return dict(_HOST_BUILTINS)
-
-
-_HOST_BUILTINS: dict[str, Callable[["Interpreter", list[Any]], Any]] = {
-        "printf": _bi_printf,
-        "fprintf": lambda i, a: _bi_printf(i, a[1:]),  # stderr folded to stdout
-        "scanf": _bi_scanf,
-        "getline": _bi_getline,
-        "getWord": _bi_getword,
-        "malloc": _bi_malloc,
-        "calloc": lambda i, a: _bi_malloc(i, [int(a[0]) * int(a[1])]),
-        "free": _bi_free,
-        "strcmp": _bi_strcmp,
-        "strncmp": _bi_strncmp,
-        "strcpy": _bi_strcpy,
-        "strlen": _bi_strlen,
-        "strcat": _bi_strcat,
-        "strstr": _bi_strstr,
-        "atoi": _bi_atoi,
-        "atof": _bi_atof,
-        "sqrt": _math1(math.sqrt),
-        "sqrtf": _math1(math.sqrt),
-        "exp": _math1(math.exp),
-        "expf": _math1(math.exp),
-        "log": _math1(lambda x: math.log(x)),
-        "logf": _math1(lambda x: math.log(x)),
-        "log2": _math1(math.log2),
-        "sin": _math1(math.sin),
-        "sinf": _math1(math.sin),
-        "cos": _math1(math.cos),
-        "cosf": _math1(math.cos),
-        "tan": _math1(math.tan),
-        "atan": _math1(math.atan),
-        "fabs": _math1(abs),
-        "fabsf": _math1(abs),
-        "floor": _math1(math.floor),
-        "ceil": _math1(math.ceil),
-        "erf": _math1(math.erf),
-        "erff": _math1(math.erf),
-        "pow": _bi_pow,
-        "powf": _bi_pow,
-        "fmin": _bi_fmin,
-        "fmax": _bi_fmax,
-        "abs": _bi_abs,
-        "isspace": _bi_isspace,
-        "isdigit": _bi_isdigit,
-        "isalpha": _bi_isalpha,
-        "tolower": _bi_tolower,
-        "toupper": _bi_toupper,
-        "exit": lambda i, a: (_ for _ in ()).throw(CRuntimeError(f"exit({int(a[0])})")),
-    }
 
 
 #: Names the HeteroDoop compiler recognises as record-input, KV-emit, and

@@ -199,3 +199,137 @@ class TestCtype:
         assert gpu["isspace"](None, [-1]) == 0
         assert gpu["toupper"](None, [-1]) == -1
         assert gpu["tolower"](None, [0x110000]) == 0x110000
+
+
+def _arity_cases():
+    """(name, argument count, the one message) for every declared
+    builtin × {one too few, one too many}."""
+    from repro.minic.stdlib import SIGNATURES, _VARIADIC
+
+    for name, (fewest, most, _cells) in sorted(SIGNATURES.items()):
+        if most == _VARIADIC:
+            want = f"at least {fewest}"
+        elif fewest == most:
+            want = str(fewest)
+        else:
+            want = f"{fewest} to {most}"
+        plural = "" if want == "1" else "s"
+        for count in (fewest - 1, most + 1):
+            if 0 <= count < _VARIADIC:
+                yield name, count, \
+                    f"{name} expects {want} argument{plural}, got {count}"
+
+
+HOST_ARITY = [case for case in _arity_cases()
+              if case[0] not in ("getRecord", "emitKV", "getKV", "storeKV")]
+IO_ARITY = [case for case in _arity_cases() if case not in HOST_ARITY]
+
+
+class TestBuiltinArity:
+    """A wrong-arity call of a declared builtin is a C error with one
+    message shape on every execution path, never a leaked Python
+    ``ValueError``/``IndexError`` from an argument-list unpack."""
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("name,count,message", HOST_ARITY)
+    def test_host_builtin(self, backend, name, count, message):
+        call = f"{name}({', '.join(['0'] * count)});"
+        program = parse("int main() {\n" + call + "\nreturn 0;\n}")
+        with pytest.raises(CRuntimeError) as caught:
+            run_filter(program, "", backend=backend)
+        assert str(caught.value) == message
+
+    def test_every_host_builtin_is_covered(self):
+        from repro.minic.stdlib import host_builtins
+
+        assert {name for name, _n, _m in HOST_ARITY} == set(host_builtins())
+
+    MAPPER = """\
+int main()
+{
+    char word[16];
+    char *line;
+    size_t nbytes = 100;
+    int read, one;
+    line = (char*) malloc(nbytes*sizeof(char));
+    #pragma mapreduce mapper key(word) value(one) keylength(16) kvpairs(4)
+    while ((read = getline(&line, &nbytes, stdin)) != -1) {
+        one = 1;
+        %s
+        printf("%%s\\t%%d\\n", word, one);
+    }
+    free(line);
+    return 0;
+}
+"""
+    COMBINER = """\
+int main()
+{
+    char key[16], prevKey[16];
+    int val, count, read;
+    count = 0;
+    #pragma mapreduce combiner key(prevKey) value(count) keyin(key) \\
+        valuein(val) keylength(16) firstprivate(prevKey, count)
+    {
+        %s
+        while ((read = scanf("%%s %%d", key, &val)) == 2) {
+            count += val;
+        }
+        printf("%%s\\t%%d\\n", prevKey, count);
+    }
+    return 0;
+}
+"""
+
+    @staticmethod
+    def _launch(name, call):
+        """One lane of a kernel whose body makes ``call``."""
+        from repro.compiler.translator import translate
+        from repro.config import CLUSTER1
+        from repro.gpu.device import GpuDevice
+        from repro.gpu.executor import run_combine_kernel, run_map_kernel
+        from repro.kvstore import GlobalKVStore, KVPair, Partitioner
+        from repro.minic.interpreter import Interpreter
+
+        mapper = name in ("getRecord", "emitKV")
+        source = (TestBuiltinArity.MAPPER if mapper
+                  else TestBuiltinArity.COMBINER) % call
+        tr = translate(parse(source))
+        kernel = tr.map_kernel if mapper else tr.combine_kernel
+        snapshot = Interpreter(tr.program, stdin="").run_until_region(
+            kernel.original_region)
+        device = GpuDevice(CLUSTER1.gpu)
+        if not mapper:
+            return run_combine_kernel(device, kernel, [KVPair("k", 1, 0)],
+                                      snapshot)
+        threads = kernel.launch.total_threads
+        store = GlobalKVStore(threads, threads * 4, kernel.key_length,
+                              kernel.value_length)
+        return run_map_kernel(device, kernel, [b"a b\n"], snapshot, store,
+                              Partitioner(2))
+
+    @pytest.mark.parametrize("engine", ["tree", "compiled", "vector"])
+    @pytest.mark.parametrize("name,count,message", IO_ARITY)
+    def test_gpu_io_call(self, engine, name, count, message):
+        from repro.gpu import use_gpu_engine
+
+        operand = "one" if name in ("getRecord", "emitKV") else "val"
+        call = f"{name}({', '.join([operand] * count)});"
+        with use_gpu_engine(engine), pytest.raises(CRuntimeError) as caught:
+            self._launch(name, call)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_getword_rejects_a_max_len_below_one(self, backend, max_len):
+        # token[:maxLen-1] with a negative bound used to drop the word's
+        # last byte and then report an overflow that was not one.
+        program = parse(
+            "int main() {\nchar w[8]; char *line; size_t n; int r;\n"
+            "n = 0; r = getline(&line, &n, stdin);\n"
+            f'printf("%d", getWord(line, 0, w, r, {max_len}));\n'
+            "return 0;\n}"
+        )
+        with pytest.raises(CRuntimeError,
+                           match="getWord: maxLen must be at least 1"):
+            run_filter(program, "hello world\n", backend=backend)
