@@ -52,6 +52,16 @@ def _print_lane_plan(kernel) -> None:
             print(f"  line {line}: {reason}")
 
 
+def _write_out(path: str, payload: bytes) -> None:
+    """Write a ``-o PATH`` report; an unwritable path is the user's
+    error, answered like an unreadable ``translate --file``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_translate(args: argparse.Namespace) -> int:
     if args.app:
         source = get_app(args.app).map_source
@@ -192,8 +202,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
     payload = report_bytes(report)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        _write_out(args.out, payload)
     if args.json and not args.out:
         sys.stdout.write(payload.decode("utf-8"))
     else:
@@ -248,8 +257,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     obs.check_trace(trace)
     payload = obs.dumps(trace)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_out(args.out, payload.encode("utf-8"))
         events = len(recorder.events)
         print(f"wrote {args.out} ({events} events); "
               "load it at chrome://tracing or https://ui.perfetto.dev",

@@ -5,14 +5,17 @@ operation counts is one of six events: an array-element access, a
 ``getRecord`` read, an ``emitKV`` store, a ``getKV``/``storeKV`` move, a
 device math-library call, a device string-library call. This module
 holds the calibrated HeteroDoop formula for each (paper §4.1–4.2, the
-Fig. 7 mechanisms) as a *binder*: called once per launch with that
-launch's constants (transaction width, KV record size, vector width,
-stealing mode), it returns the closure the launch's builtins invoke per
-event (a math call has no such constants and is a plain function). All
-three lane engines (:mod:`repro.gpu.engine`) bind the same
-closures, so identical ``WarpCost``/``KernelCost`` across engines is
-structural; the vector engine, which folds a region's charges
-statically instead of calling per event, imports the constants below.
+Fig. 7 mechanisms). Four have launch constants (transaction width, KV
+record size, vector width, stealing mode) and are *binders*: called
+once per launch, each returns the closure the launch's builtins invoke
+per event with the executing lane's charges. An element access and a
+math call have none and are plain functions (:func:`access` reads the
+charges off the lane it is handed). Nothing here captures per-lane
+state. All three lane engines (:mod:`repro.gpu.engine`) charge through
+the same functions, so identical ``WarpCost``/``KernelCost`` across
+engines is structural; the vector engine, which folds a region's
+charges statically instead of calling per event, imports the constants
+below.
 
 Tracing adds event tallies, never cost: :func:`counted` wraps a bound
 closure only while a recorder is enabled, so the untraced hot path
@@ -59,36 +62,31 @@ class LaneCharges:
     texture_accesses: float = 0.0
 
 
-def bind_access(state: Any) -> Callable[[Any, bool], None]:
-    """One array-element load/store, charged by the buffer's memory
-    space to ``state.charges`` (the launch re-points one
-    :class:`~repro.gpu.engine.LaneState` at each lane's charges).
+def access(lane: Any, buffer: Any, is_store: bool) -> None:
+    """One array-element load/store by ``lane``, charged by the buffer's
+    memory space to ``lane.charges``.
 
     Per-element accesses are throughput costs, not bare latencies: loops
     over cached arrays pipeline, so most of the cost lands in the issue
     domain (which divergence and load balance modulate) with only the
     cache-miss fraction paying a transaction. This is the hottest charge
     in any kernel — every scalar assign and array element lands here."""
-
-    def charge(buffer: Any, is_store: bool) -> None:
-        charges = state.charges
-        if buffer is not None:
-            space = getattr(buffer, "space", None)
-            if space == "texture":
-                charges.instructions += CACHED_ACCESS_INSTR
-                charges.texture_accesses += TEXTURE_MISS_CHARGE
-                return
-            if space == "global":
-                charges.instructions += CACHED_ACCESS_INSTR
-                charges.global_txn += GLOBAL_MISS_CHARGE
-                return
-            if space == "shared":
-                charges.shared_accesses += 1.0
-                return
-        # No buffer (a scalar) or a private/local array: register-speed.
-        charges.instructions += PRIVATE_ACCESS_INSTR
-
-    return charge
+    charges = lane.charges
+    if buffer is not None:
+        space = getattr(buffer, "space", None)
+        if space == "texture":
+            charges.instructions += CACHED_ACCESS_INSTR
+            charges.texture_accesses += TEXTURE_MISS_CHARGE
+            return
+        if space == "global":
+            charges.instructions += CACHED_ACCESS_INSTR
+            charges.global_txn += GLOBAL_MISS_CHARGE
+            return
+        if space == "shared":
+            charges.shared_accesses += 1.0
+            return
+    # No buffer (a scalar) or a private/local array: register-speed.
+    charges.instructions += PRIVATE_ACCESS_INSTR
 
 
 def bind_record_read(txn_bytes: int,
@@ -151,7 +149,7 @@ def bind_kv_move(kv_bytes: int, txn_bytes: int, vec: int,
 
 
 def math_call(charges: LaneCharges, counters: Any) -> None:
-    """One device math-library call (no launch constants to bind)."""
+    """One device math-library call."""
     charges.instructions += MATH_CALL_INSTR
     counters.fp_ops += MATH_CALL_FP_OPS
 

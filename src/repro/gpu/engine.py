@@ -19,16 +19,16 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   program, :func:`repro.minic.cache.compiled_kernel_body`), build the
   GPU builtin table once, and precompute an *environment plan* — the
   (slot, factory) list that materializes each lane's kernel variables
-  straight into the compiled body's frame. Per *lane*: reset a lean
-  facade, run the plan's factories, call the generated body function.
-  Pinned by tests as the seam that forces the per-lane path on every
-  app.
+  straight into the compiled body's frame. Per *lane*: construct its
+  :class:`Lane`, run the plan's factories, call the generated body
+  function with the lane as ``rt``. Pinned by tests as the seam that
+  forces the per-lane path on every app.
 * ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
-  its scope filled from the same :func:`kernel_cell_factories` table):
-  the reference interpreter tree-walking a kernel body under GPU
-  builtins and space charging, whatever the ambient mini-C backend —
-  no generated code runs — so it is what the other two are compared
-  against.
+  built over that lane's :class:`Lane`, its scope filled from the same
+  :func:`kernel_cell_factories` table): the reference interpreter
+  tree-walking a kernel body under GPU builtins and space charging,
+  whatever the ambient mini-C backend — no generated code runs — so it
+  is what the other two are compared against.
 
 There is one selector and it is a test seam: :func:`use_gpu_engine` /
 :func:`set_default_gpu_engine` set the process-wide engine every launch
@@ -36,22 +36,33 @@ reads (a pooled job ships the driver's engine to its workers in the
 ``JobSpec``, like the mini-C backend). No constructor, CLI flag or
 environment variable names an engine.
 
+A GPU thread is one object: its :class:`Lane` — the records (or
+combine chunk) it consumes, its cursor, output, thread id and charges,
+its counters/heap/step count, and the launch's builtin table, access
+charge, generated functions, predefined globals and step budget. The
+runner constructs one per active lane (one per combine chunk),
+generated units take it as ``rt``, and every builtin, in either calling
+convention and on all three engines, receives it as its first argument.
+Nothing is re-pointed or copied between lanes.
+
 There is one builtin table per launch, in the convention of
 :mod:`repro.minic.stdlib`: each name maps to a
 :class:`~repro.minic.stdlib.Builtin` — a typed positional function
-``entry(facade, a, b, ...)`` that generated lane bodies call directly,
+``entry(lane, a, b, ...)`` that generated lane bodies call directly,
 plus the list convention derived from it for the tree engine. The
 device library is built from the host library's declarations with the
 math.h/string.h charge taken inside each entry, and the four runtime
-IO calls (``getRecord``/``emitKV``, ``getKV``/``storeKV``) are
-positional closures over the launch's :class:`LaneState`. All engines
-share :class:`LaneRunner`'s launch-level state, that table and the bound
-charges of :mod:`repro.gpu.charging`, so outputs, ``ExecCounters``, and
+IO calls (``getRecord``/``emitKV``, ``getKV``/``storeKV``) read the
+lane's cursor and charges off that first argument; the entries close
+over the launch's *constants* and bound charges only. All engines
+share :class:`LaneRunner`'s launch-level table and the charges of
+:mod:`repro.gpu.charging`, so outputs, ``ExecCounters``, and
 ``WarpCost``/``KernelCost`` are bit-identical by construction — and
 machine-checked by the fuzz oracle and
 ``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``
 / ``tests/test_gpu_vector_safety.py`` (abandons, faults, divergence);
-``tests/test_builtin_convention.py`` pins the convention itself.
+``tests/test_builtin_convention.py`` pins the convention itself and
+``tests/test_lane_context.py`` the one-object-per-lane rule.
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ from ..minic.stdlib import MATH1, MATH2, Builtin, host_builtins, takes_cells
 from ..minic.values import Buffer, Cell, NULL, Ptr, ScalarRef
 from .charging import (
     LaneCharges,
-    bind_access,
+    access,
     bind_kv_emit,
     bind_kv_move,
     bind_record_read,
@@ -83,7 +94,7 @@ from .charging import (
 
 __all__ = [
     "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
-    "use_gpu_engine", "LaneState", "LaneRunner", "CompiledLaneRunner",
+    "use_gpu_engine", "Lane", "LaneRunner", "CompiledLaneRunner",
     "make_map_builtins", "make_combine_builtins", "kernel_program",
     "kernel_cell_factories",
 ]
@@ -138,28 +149,77 @@ def use_gpu_engine(name: str) -> Iterator[None]:
 
 
 # --------------------------------------------------------------------------
-# Per-lane mutable state read by the launch-level builtins
+# The lane: one thread's execution context
 # --------------------------------------------------------------------------
 
 
-class LaneState:
-    """The mutable slice of a lane the GPU builtins read and write.
+class Lane:
+    """One GPU thread (or one combine chunk's warp) for the length of
+    its run: the execution context generated units take as ``rt`` and
+    every builtin takes as its first argument.
 
-    A launch builds its builtin table and bound charges once, closed
-    over one of these instead of over per-lane values; the lane runner
-    re-points it at each lane, so a single builtin implementation
-    serves every engine."""
+    **The context protocol.** Generated code and builtins run against
+    one object per run — a :class:`Lane` on the device, the
+    :class:`~repro.minic.interpreter.Interpreter` on the host — and may
+    read exactly these attributes of it:
 
-    __slots__ = ("records", "index", "charges", "global_tid",
-                 "chunk", "output")
+    * ``counters`` — the run's ``ExecCounters``;
+    * ``builtins`` — the name → ``Builtin`` table (units look an entry
+      up once per unit run);
+    * ``funcs`` — the program's generated functions, ``call(rt, args)``;
+    * ``globals`` — the predefined C identifiers (name → Cell) a
+      function binds its free names from;
+    * ``steps`` (read/write) and ``max_steps`` — the loop-trip count and
+      its budget;
+    * ``charge`` — ``charge(rt, buffer, is_store)`` for an element
+      access or a scalar store, or None where nothing is charged (the
+      host);
+    * ``heap``, ``stdout`` and (host only — ``scanf``/``getline`` do
+      not survive translation) ``stdin`` — what ``malloc``, ``printf``
+      and ``scanf`` touch.
 
-    def __init__(self) -> None:
-        self.records: list[bytes] = []
+    The device builtins additionally read the thread's own fields:
+    ``records``/``index`` (``getRecord``'s input and cursor), ``chunk``/
+    ``index``/``output`` (``getKV``'s input and cursor, ``storeKV``'s
+    output), ``global_tid`` (whose portion of the KV store ``emitKV``
+    fills) and ``charges`` (the ``LaneCharges`` every device entry and
+    the access charge add to). ``frame`` is the lane's variable frame
+    while a compiled body runs."""
+
+    __slots__ = ("records", "index", "chunk", "output", "global_tid",
+                 "charges", "counters", "heap", "_stdout", "steps", "frame",
+                 "builtins", "charge", "funcs", "globals", "max_steps")
+
+    def __init__(self, builtins: dict[str, Callable],
+                 charge: Callable[[Any, Any, bool], None],
+                 funcs: dict[str, Callable], globals_dict: dict[str, Cell],
+                 charges: LaneCharges, records: list[bytes] = (),
+                 global_tid: int = 0, chunk: list[Any] = ()):
+        self.builtins = builtins
+        self.charge = charge
+        self.funcs = funcs
+        self.globals = globals_dict
+        self.max_steps = _LANE_MAX_STEPS
+        self.charges = charges
+        self.records = records
+        self.global_tid = global_tid
+        self.chunk = chunk
         self.index = 0
-        self.charges: LaneCharges | None = None
-        self.global_tid = 0
-        self.chunk: list[Any] = []
-        self.output: list[tuple[Any, Any]] | None = None
+        self.output: list[tuple[Any, Any]] = []
+        self.counters = ExecCounters()
+        self.heap: list[Buffer] = []
+        self.steps = 0
+        self.frame: list | None = None
+        self._stdout: io.StringIO | None = None
+
+    @property
+    def stdout(self) -> io.StringIO:
+        """Created on first use: only ``fprintf`` — which survives
+        translation as a host-stream write — ever asks for it."""
+        out = self._stdout
+        if out is None:
+            out = self._stdout = io.StringIO()
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +280,7 @@ def _char_len(arg: Any) -> int:
     return 0
 
 
-def common_lane_builtins(metrics: Any, state: LaneState,
-                         vec: int) -> dict[str, Callable]:
+def common_lane_builtins(metrics: Any, vec: int) -> dict[str, Callable]:
     """Device versions of the C library, built from the host table's
     declarations: same semantics, plus the launch's bound cost charges
     (tallied into ``metrics`` when a recorder is enabled, else None)
@@ -236,33 +295,33 @@ def common_lane_builtins(metrics: Any, state: LaneState,
                             "gpu.string_calls")
 
     def math1(fn: Callable[[float], Any]) -> Callable:
-        def entry(facade: Any, x: Any) -> Any:
-            charge_math(state.charges, facade.counters)
+        def entry(lane: Lane, x: Any) -> Any:
+            charge_math(lane.charges, lane.counters)
             return fn(float(x))
 
         return entry
 
     def math2(fn: Callable[[float, float], Any]) -> Callable:
-        def entry(facade: Any, x: Any, y: Any) -> Any:
-            charge_math(state.charges, facade.counters)
+        def entry(lane: Lane, x: Any, y: Any) -> Any:
+            charge_math(lane.charges, lane.counters)
             return fn(float(x), float(y))
 
         return entry
 
     def string2(typed: Callable) -> Callable:
-        def entry(facade: Any, a: Any, b: Any) -> Any:
-            charge_string(state.charges, max(_char_len(a), _char_len(b)))
-            return typed(facade, a, b)
+        def entry(lane: Lane, a: Any, b: Any) -> Any:
+            charge_string(lane.charges, max(_char_len(a), _char_len(b)))
+            return typed(lane, a, b)
 
         return entry
 
-    def strlen(facade: Any, s: Any) -> int:
-        charge_string(state.charges, _char_len(s))
-        return host["strlen"](facade, s)
+    def strlen(lane: Lane, s: Any) -> int:
+        charge_string(lane.charges, _char_len(s))
+        return host["strlen"](lane, s)
 
     host_strcmp = host["strcmp"]
 
-    def strcmp(facade: Any, a: Any, b: Any) -> int:
+    def strcmp(lane: Lane, a: Any, b: Any) -> int:
         # Once per pair in every combine kernel. Two char-buffer
         # operands (key vs. previous key) come straight off the buffers'
         # decode caches; anything else is charged and compared by the
@@ -283,17 +342,17 @@ def common_lane_builtins(metrics: Any, state: LaneState,
                 length = len(sa)
                 if len(sb) > length:
                     length = len(sb)
-                charge_string(state.charges, length)
+                charge_string(lane.charges, length)
                 return (sa > sb) - (sa < sb)
-        charge_string(state.charges, max(_char_len(a), _char_len(b)))
-        return host_strcmp(facade, a, b)
+        charge_string(lane.charges, max(_char_len(a), _char_len(b)))
+        return host_strcmp(lane, a, b)
 
-    def strncmp(facade: Any, a: Any, b: Any, n: Any) -> int:
-        charge_string(state.charges, max(_char_len(a), _char_len(b)))
-        return host["strncmp"](facade, a, b, n)
+    def strncmp(lane: Lane, a: Any, b: Any, n: Any) -> int:
+        charge_string(lane.charges, max(_char_len(a), _char_len(b)))
+        return host["strncmp"](lane, a, b, n)
 
     def unsupported(name: str) -> Callable:
-        def entry(facade: Any, *args: Any) -> Any:
+        def entry(lane: Lane, *args: Any) -> Any:
             raise GpuError(
                 f"{name} survived translation into the GPU kernel; the "
                 "translator should have rewritten it"
@@ -316,10 +375,9 @@ def common_lane_builtins(metrics: Any, state: LaneState,
 
 
 def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
-                      state: LaneState, store: Any,
-                      partitioner: Any) -> dict[str, Callable]:
+                      store: Any, partitioner: Any) -> dict[str, Callable]:
     """The map-kernel builtin table: common device library plus
-    ``getRecord``/``emitKV`` reading per-lane state."""
+    ``getRecord``/``emitKV`` reading the lane they are handed."""
     txn_bytes = device.spec.transaction_bytes
     vec = max(kernel.vector_width, 1)
     stealing = kernel.opt.record_stealing
@@ -330,15 +388,15 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
                           "gpu.kv_emits")
 
     @takes_cells(0)
-    def get_record(facade: Any, line_ref: Any) -> int:
-        records = state.records
-        i = state.index
+    def get_record(lane: Lane, line_ref: Any) -> int:
+        records = lane.records
+        i = lane.index
         if i >= len(records):
             return -1
         rec = records[i]
-        state.index = i + 1
+        lane.index = i + 1
         n = len(rec)
-        charge_record(state.charges, facade.counters, n)
+        charge_record(lane.charges, lane.counters, n)
         if rec.isascii():
             # ASCII bytes survive the decode/encode round trip unchanged,
             # so the record can back the buffer directly.
@@ -358,7 +416,7 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
             line_ref.store(Ptr(buf, 0))
         return n
 
-    def emit_kv(facade: Any, key: Any, value: Any) -> int:
+    def emit_kv(lane: Lane, key: Any, value: Any) -> int:
         # The hot shape — (char key, int value) — reads three structures
         # without a call: the key buffer's decode cache, the
         # partitioner's text-key memo and the thread's portion of the KV
@@ -378,26 +436,26 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
             else None
         if part is None:
             part = partitioner.partition(key)
-        tid = state.global_tid
+        tid = lane.global_tid
         portions = store._slots
         portion = portions[tid] if 0 <= tid < len(portions) else None
         if portion is not None and len(portion) < store.stores_per_thread:
             portion.append(KVPair(key, value, part))
         else:
             store.emit(tid, key, value, part)
-        charge_emit(state.charges, facade.counters)
+        charge_emit(lane.charges, lane.counters)
         return kv_nbytes
 
-    builtins = common_lane_builtins(metrics, state, vec)
+    builtins = common_lane_builtins(metrics, vec)
     builtins["getRecord"] = Builtin("getRecord", get_record)
     builtins["emitKV"] = Builtin("emitKV", emit_kv)
     return builtins
 
 
-def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
-                          state: LaneState) -> dict[str, Callable]:
+def make_combine_builtins(kernel: KernelIR, device: Any,
+                          metrics: Any) -> dict[str, Callable]:
     """The combine-kernel builtin table: common device library plus
-    ``getKV``/``storeKV`` reading per-lane state."""
+    ``getKV``/``storeKV`` reading the lane they are handed."""
     txn_bytes = device.spec.transaction_bytes
     vec = max(kernel.vector_width, 1)
     cooperative = vec > 1
@@ -406,15 +464,15 @@ def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
                           metrics, "gpu.kv_moves")
 
     @takes_cells(0, 1)
-    def get_kv(facade: Any, key_ref: Any, value_ref: Any) -> int:
-        chunk = state.chunk
-        i = state.index
+    def get_kv(lane: Lane, key_ref: Any, value_ref: Any) -> int:
+        chunk = lane.chunk
+        i = lane.index
         if i >= len(chunk):
             return -1
         pair = chunk[i]
-        state.index = i + 1
-        charge_move(state.charges)
-        facade.counters.bytes_in += kv_bytes
+        lane.index = i + 1
+        charge_move(lane.charges)
+        lane.counters.bytes_in += kv_bytes
         # The hot shape is (text key → char array, int value → &int);
         # everything else is store_kv_arg's scanf-semantics marshalling.
         key = pair.key
@@ -432,13 +490,13 @@ def make_combine_builtins(kernel: KernelIR, device: Any, metrics: Any,
             store_kv_arg(value_ref, value)
         return 2
 
-    def store_kv(facade: Any, key: Any, value: Any) -> int:
-        state.output.append((extract_value(key), extract_value(value)))
-        charge_move(state.charges)
-        facade.counters.bytes_out += kv_bytes
+    def store_kv(lane: Lane, key: Any, value: Any) -> int:
+        lane.output.append((extract_value(key), extract_value(value)))
+        charge_move(lane.charges)
+        lane.counters.bytes_out += kv_bytes
         return kv_bytes
 
-    builtins = common_lane_builtins(metrics, state, vec)
+    builtins = common_lane_builtins(metrics, vec)
     builtins["getKV"] = Builtin("getKV", get_kv)
     builtins["storeKV"] = Builtin("storeKV", store_kv)
     return builtins
@@ -616,11 +674,11 @@ class LaneRunner:
     """One launch's lane-execution context, and the interface the
     launch folds in :mod:`repro.gpu.executor` drive.
 
-    Holds what every engine resolves once per launch — the
-    :class:`LaneState` it re-points at each lane, the builtin table and
-    the access charge bound over that state (all tallying into
-    ``metrics`` when a recorder is enabled) — and runs lanes by
-    re-pointing the state and calling the engine's ``_run_lane_body``."""
+    Holds what every engine resolves once per launch — the builtin
+    table and the access charge (both tallying into ``metrics`` when a
+    recorder is enabled), the generated functions and the predefined
+    globals — and runs a lane by constructing its :class:`Lane` over
+    those and handing it to the engine's ``_run_lane_body``."""
 
     def __init__(
         self,
@@ -636,28 +694,34 @@ class LaneRunner:
         self.snapshot = snapshot
         self.shared_ro = shared_ro
         self.metrics = metrics
-        self.state = state = LaneState()
         if kernel.is_mapper:
-            self.builtins = make_map_builtins(kernel, device, metrics, state,
+            self.builtins = make_map_builtins(kernel, device, metrics,
                                               store, partitioner)
         else:
-            self.builtins = make_combine_builtins(kernel, device, metrics,
-                                                  state)
-        self.charge_access = counted(bind_access(state), metrics,
-                                     "gpu.accesses")
+            self.builtins = make_combine_builtins(kernel, device, metrics)
+        self.charge_access = counted(access, metrics, "gpu.accesses")
+        # The kernel program's generated functions: none on the tree
+        # engine, the compiled engines set theirs.
+        self.funcs: dict[str, Callable] = {}
+        # Helper functions bind their frees from the lane's globals, so
+        # they need per-lane cells (a helper may write them); bodies bind
+        # globals through the env plan instead, so helper-less kernels —
+        # the common case — share one launch-level dict.
+        self._shared_globals = None if kernel.helpers else _fresh_globals()
 
-    def _run_lane_body(self) -> ExecCounters:
-        """Execute the kernel body once against ``self.state``."""
+    def new_lane(self, charges: LaneCharges, records: list[bytes] = (),
+                 global_tid: int = 0, chunk: list[Any] = ()) -> Lane:
+        """The :class:`Lane` of one map thread (``records``,
+        ``global_tid``) or one combine chunk (``chunk``)."""
+        globals_dict = self._shared_globals
+        if globals_dict is None:
+            globals_dict = _fresh_globals()
+        return Lane(self.builtins, self.charge_access, self.funcs,
+                    globals_dict, charges, records, global_tid, chunk)
+
+    def _run_lane_body(self, lane: Lane) -> None:
+        """Execute the kernel body once as ``lane``."""
         raise NotImplementedError
-
-    def run_map_lane(self, thread_records: list[bytes], global_tid: int,
-                     charges: LaneCharges) -> ExecCounters:
-        state = self.state
-        state.records = thread_records
-        state.index = 0
-        state.charges = charges
-        state.global_tid = global_tid
-        return self._run_lane_body()
 
     def run_map_warp(
         self, batch: list[tuple[list[bytes], int, LaneCharges]]
@@ -668,51 +732,19 @@ class LaneRunner:
         never interact (the KV store is per-thread and read-only tables
         are shared), so an engine may execute the batch any way that is
         indistinguishable from this loop."""
-        return [self.run_map_lane(recs, tid, charges)
-                for recs, tid, charges in batch]
+        out = []
+        for recs, tid, charges in batch:
+            lane = self.new_lane(charges, recs, tid)
+            self._run_lane_body(lane)
+            out.append(lane.counters)
+        return out
 
     def run_combine_chunk(
         self, chunk: list[Any], charges: LaneCharges
     ) -> tuple[ExecCounters, list[tuple[Any, Any]]]:
-        state = self.state
-        state.chunk = chunk
-        state.index = 0
-        state.charges = charges
-        state.output = out = []
-        counters = self._run_lane_body()
-        return counters, out
-
-
-class KernelLaneFacade:
-    """Minimal Interpreter stand-in for compiled lane execution.
-
-    Exactly the attribute surface the compiled backend and the device
-    builtins touch: counters, builtins, heap, step budget, globals, the
-    bound access charge, and a lazily created ``stdout`` (only
-    ``fprintf`` — which survives translation as a host-stream write —
-    ever asks for it)."""
-
-    __slots__ = ("counters", "builtins", "heap", "max_steps", "_steps",
-                 "_globals", "_charge_access", "_stdout")
-
-    def __init__(self, builtins: dict[str, Callable],
-                 charge: Callable[[Any, bool], None],
-                 globals_dict: dict[str, Cell]):
-        self.builtins = builtins
-        self._charge_access = charge
-        self._globals = globals_dict
-        self.max_steps = _LANE_MAX_STEPS
-        self.counters = ExecCounters()
-        self.heap: list[Buffer] = []
-        self._steps = 0
-        self._stdout: io.StringIO | None = None
-
-    @property
-    def stdout(self) -> io.StringIO:
-        out = self._stdout
-        if out is None:
-            out = self._stdout = io.StringIO()
-        return out
+        lane = self.new_lane(charges, chunk=chunk)
+        self._run_lane_body(lane)
+        return lane.counters, lane.output
 
 
 def scalar_free_ctypes(kernel: KernelIR) -> dict[str, T.CType]:
@@ -734,11 +766,11 @@ class CompiledLaneRunner(LaneRunner):
 
     Construction resolves everything that is launch-invariant: the
     compiled body (from the job-level cache, keyed on the program), the
-    builtin table, the charge binding, and — lazily, on the first
+    builtin table, the access charge, and — lazily, on the first
     active lane, matching the tree engine's error timing — the
-    environment plan. Each lane invocation is then: reset the facade,
-    run the plan's factories into a fresh frame, call the generated
-    body function."""
+    environment plan. Each lane invocation is then: run the plan's
+    factories into a fresh frame, call the generated body function with
+    the lane as ``rt``."""
 
     def __init__(
         self,
@@ -755,14 +787,7 @@ class CompiledLaneRunner(LaneRunner):
         self.suite = compiled_kernel_body(
             kernel_program(kernel), kernel.body, scalar_free_ctypes(kernel)
         )
-        # Helper functions bind their frees from the facade's globals, so
-        # they need per-lane cells (a helper may write them); bodies bind
-        # globals through the env plan instead, so helper-less kernels —
-        # the common case — share one launch-level dict.
-        self._fresh_globals_per_lane = bool(kernel.helpers)
-        self.facade = KernelLaneFacade(
-            self.builtins, self.charge_access, _fresh_globals()
-        )
+        self.funcs = self.suite.cp.functions
         self._plans: dict[Any, tuple] = {}
 
     def env_plan(self, suite: Any) -> tuple[tuple[int, Callable[[], Cell]], ...]:
@@ -775,17 +800,14 @@ class CompiledLaneRunner(LaneRunner):
             )
         return plan
 
-    def _run_lane_body(self) -> ExecCounters:
-        facade = self.facade
-        facade.counters = counters = ExecCounters()
-        facade.heap = []
-        facade._steps = 0
-        facade._stdout = None
-        if self._fresh_globals_per_lane:
-            facade._globals = _fresh_globals()
-        suite = self.suite
+    def new_frame(self, suite: Any) -> list:
+        """A fresh variable frame for one lane of ``suite``."""
         frame: list = [None] * suite.nslots
         for slot, make in self.env_plan(suite):
             frame[slot] = make()
-        suite.execute_with_frame(facade, frame)
-        return counters
+        return frame
+
+    def _run_lane_body(self, lane: Lane) -> None:
+        suite = self.suite
+        lane.frame = frame = self.new_frame(suite)
+        suite.execute_with_frame(lane, frame)

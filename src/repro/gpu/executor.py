@@ -22,7 +22,7 @@ one-interpreter-per-lane harness — always tree-walked, whatever the
 ambient mini-C backend — as the differential reference. A launch
 asks its engine for one thing — ``run_map_warp`` over the active lanes,
 or ``run_combine_chunk`` per warp — and every engine charges through
-the same bound closures of :mod:`repro.gpu.charging`; the one map-launch
+the same functions of :mod:`repro.gpu.charging`; the one map-launch
 fold and the combine fold below turn those per-lane charges into
 warp/block/grid time, so ``WarpCost``/``KernelCost`` are
 engine-independent by construction.
@@ -32,19 +32,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from ..compiler.kernel_ir import KernelIR, VarClass
 from ..errors import GpuError, KVStoreOverflow
 from ..kvstore import GlobalKVStore, KVPair, Partitioner
 from ..minic import cast as A
 from ..minic.interpreter import ExecCounters, Interpreter
-from ..minic.values import Buffer, Cell, Ptr
+from ..minic.values import Buffer, Cell, Ptr, as_ptr
 from ..obs import trace as obs
 from .charging import LaneCharges
 from .device import GpuDevice
 from .engine import (
     CompiledLaneRunner,
+    Lane,
     LaneRunner,
     clone_buffer as _clone_buffer,
     default_gpu_engine,
@@ -64,26 +65,35 @@ _MIN_COMBINE_CHUNK = 32
 
 class GpuInterpreter(Interpreter):
     """Interpreter specialization that charges memory accesses by the
-    target buffer's memory space (tree lane engine). Pinned to the
-    tree-walking backend, whatever the ambient one: nothing a reference
-    lane executes — kernel body or helper function — is generated code."""
+    target buffer's memory space (tree lane engine), built over the
+    thread's :class:`~repro.gpu.engine.Lane`: it counts into the lane's
+    counters, allocates on the lane's heap, calls the lane's builtin
+    table and hands builtins the lane — the same context object the
+    other engines' generated code passes. Pinned to the tree-walking
+    backend, whatever the ambient one: nothing a reference lane executes
+    — kernel body or helper function — is generated code."""
 
-    def __init__(self, program: A.Program, builtins: dict,
-                 charge_access: Callable[[Any, bool], None],
+    def __init__(self, program: A.Program, lane: Lane,
                  env: dict[str, Cell]):
-        super().__init__(program, stdin="", builtins=builtins,
+        super().__init__(program, stdin="", builtins=lane.builtins,
                          backend="tree")
-        # The same bound closure the compiled engine's facade carries.
-        self._charge_access = charge_access
+        self.lane = lane
+        self.counters = lane.counters
+        self.heap = lane.heap
         self._scopes.append(env)  # this thread's kernel variables
 
+    @property
+    def _ctx(self) -> Lane:
+        return self.lane
+
     def _eval_Index(self, expr: A.Index) -> Any:
-        ptr = self._as_ptr(self.eval(expr.base))
+        ptr = as_ptr(self.eval(expr.base))
         idx = int(self.eval(expr.index))
         if ptr.stride > 1:  # row of a flattened 2-D array
             return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
         self.counters.loads += 1
-        self._charge_access(ptr.buffer, False)
+        lane = self.lane
+        lane.charge(lane, ptr.buffer, False)
         return ptr.buffer.read(ptr.offset + idx)  # type: ignore[union-attr]
 
     def _eval_Assign(self, expr: A.Assign) -> Any:
@@ -94,8 +104,8 @@ class GpuInterpreter(Interpreter):
             value = self._binop(expr.op[:-1], current, value)
         ref.store(value)
         self.counters.stores += 1
-        buffer = ref.buffer if isinstance(ref, Ptr) else None
-        self._charge_access(buffer, True)
+        lane = self.lane
+        lane.charge(lane, ref.buffer if isinstance(ref, Ptr) else None, True)
         return ref.deref()
 
 
@@ -126,20 +136,18 @@ def prepare_shared_ro(kernel: KernelIR, snapshot: dict[str, Any]) -> dict[str, B
 class _TreeLaneRunner(LaneRunner):
     """Reference lane engine: one ``GpuInterpreter`` per lane tree-walks
     the kernel body, its scope filled from the thread-environment table
-    the other engines plan with. Shares the launch state, builtin table
-    and bound charges with the compiled engine too, so only the
-    execution mechanism differs."""
+    the other engines plan with. Shares the builtin table, the charges
+    and the :class:`~repro.gpu.engine.Lane` with the compiled engine
+    too, so only the execution mechanism differs."""
 
-    def _run_lane_body(self) -> ExecCounters:
+    def _run_lane_body(self, lane: Lane) -> None:
         kernel = self.kernel
         factories = kernel_cell_factories(kernel, self.snapshot,
                                           self.shared_ro)
-        interp = GpuInterpreter(
-            kernel_program(kernel), self.builtins, self.charge_access,
+        GpuInterpreter(
+            kernel_program(kernel), lane,
             {name: make() for name, make in factories.items()},
-        )
-        interp.exec_stmt(kernel.body)
-        return interp.counters
+        ).exec_stmt(kernel.body)
 
 
 _LANE_RUNNERS: dict[str, type[LaneRunner]] = {

@@ -30,7 +30,7 @@ returns Python source plus the :class:`_Counts` it owes; the
   per basic block into straight-line ``c.ops += n`` at the block head;
 * a call site of a declared builtin (:data:`repro.minic.stdlib.SIGNATURES`)
   whose arity fits calls the table entry's typed function positionally
-  — ``d(facade, a, b)``: no argument list, and a typed scalar's ``&x``
+  — ``d(rt, a, b)``: no argument list, and a typed scalar's ``&x``
   passed as its bare Cell where the signature takes one — guarded once
   per unit run by "the table's entry under this name is that declared
   :class:`~repro.minic.stdlib.Builtin`"; a replaced entry, a user
@@ -50,12 +50,18 @@ Counter totals and functional outputs are bit-identical to the
 tree-walker for runs that complete; aborted runs (``CRuntimeError``)
 may differ only in counts attributable to the aborted basic block.
 
+``rt`` is the run's one execution context, and generated code passes
+it on unchanged as the first argument of every builtin, user function
+and access charge: the :class:`~repro.minic.interpreter.Interpreter` on
+the host, the lane's :class:`~repro.gpu.engine.Lane` on the device.
+Nothing is copied out of it or back into it; the attributes a unit may
+read are the context protocol stated next to ``Lane``.
+
 The public entry points are :class:`CompiledProgram` (whole programs,
 ``main()``-style execution against an ``Interpreter``) and
 :class:`CompiledSuite` (a single statement run over a caller-built
-frame against the GPU engine's lane facade — the kernel-body case).
-Those two facades are the only ones generated code runs against. Both
-are cached per program / per statement by :mod:`repro.minic.cache`.
+frame against a GPU lane — the kernel-body case). Both are cached per
+program / per statement by :mod:`repro.minic.cache`.
 Each unit's source is registered in :mod:`linecache` as
 ``<minic:PROGRAM_KEY:unit>``, so tracebacks and profiles through
 generated code show the emitted line.
@@ -82,7 +88,20 @@ from .stdlib import (
     _store_out,
     c_scan,
 )
-from .values import NULL, Buffer, Cell, Ptr, ScalarRef, float_to_int, truthy
+from .values import (
+    NULL,
+    Buffer,
+    Cell,
+    Ptr,
+    ScalarRef,
+    as_ptr,
+    as_ref,
+    c_div,
+    c_mod,
+    float_to_int,
+    ptr_binop,
+    truthy,
+)
 
 # --------------------------------------------------------------------------
 # Control-flow sentinels
@@ -104,37 +123,6 @@ class _Return:
 
 
 _RETURN_NONE = _Return(None)
-
-
-# --------------------------------------------------------------------------
-# Runtime context
-# --------------------------------------------------------------------------
-
-
-class Runtime:
-    """Mutable per-execution state shared by all units of one run.
-
-    ``facade`` is the :class:`~repro.minic.interpreter.Interpreter`
-    (or the GPU engine's lean lane facade) whose builtins/streams/heap
-    the compiled code must use — it is the first argument of every
-    builtin call, in either convention. ``charge`` is the facade's
-    ``_charge_access`` attribute when present — on the GPU that is the
-    launch's :func:`~repro.gpu.charging.bind_access` closure — else
-    None.
-    """
-
-    __slots__ = ("facade", "counters", "builtins", "globals", "charge",
-                 "funcs", "steps", "max_steps")
-
-    def __init__(self, facade: Any, funcs: dict[str, Callable]):
-        self.facade = facade
-        self.counters = facade.counters
-        self.builtins = facade.builtins
-        self.globals = facade._globals
-        self.charge = getattr(facade, "_charge_access", None)
-        self.funcs = funcs
-        self.steps = facade._steps
-        self.max_steps = facade.max_steps
 
 
 # --------------------------------------------------------------------------
@@ -165,57 +153,15 @@ class _Counts:
 # --------------------------------------------------------------------------
 
 
-def _ptr_binop(op: str, left: Any, right: Any) -> Any:
-    if op == "+" and isinstance(left, Ptr):
-        return left.add(int(right))
-    if op == "+" and isinstance(right, Ptr):
-        return right.add(int(left))
-    if op == "-" and isinstance(left, Ptr) and isinstance(right, Ptr):
-        if left.buffer is not right.buffer:
-            raise CRuntimeError("pointer difference across buffers")
-        return left.offset - right.offset
-    if op == "-" and isinstance(left, Ptr):
-        return left.add(-int(right))
-    if op in ("==", "!="):
-        same = (
-            isinstance(left, Ptr)
-            and isinstance(right, Ptr)
-            and left.buffer is right.buffer
-            and (left.buffer is None or left.offset == right.offset)
-        )
-        if isinstance(left, Ptr) and isinstance(right, int):
-            same = left.is_null and right == 0
-        if isinstance(right, Ptr) and isinstance(left, int):
-            same = right.is_null and left == 0
-        return int(same if op == "==" else not same)
-    raise CRuntimeError(f"unsupported pointer operation {op!r}")
-
-
-def _c_div(left: Any, right: Any) -> Any:
-    if right == 0:
-        raise CRuntimeError("division by zero")
-    if isinstance(left, int) and isinstance(right, int):
-        q = abs(left) // abs(right)
-        return q if (left < 0) == (right < 0) else -q
-    return left / right
-
-
-def _c_mod(left: Any, right: Any) -> Any:
-    if right == 0:
-        raise CRuntimeError("modulo by zero")
-    r = abs(left) % abs(right)
-    return r if left >= 0 else -r
-
-
 def _mk_binop(op: str, apply: Callable[[Any, Any], Any]) -> Callable:
     # The dynamic tail of a binary operator, for operands whose class the
     # emitter could not prove: fp check precedes pointer dispatch,
     # exactly like Interpreter._binop.
-    def binop(rt: Runtime, left: Any, right: Any) -> Any:
+    def binop(rt: Any, left: Any, right: Any) -> Any:
         if isinstance(left, float) or isinstance(right, float):
             rt.counters.fp_ops += 1
         if isinstance(left, Ptr) or isinstance(right, Ptr):
-            return _ptr_binop(op, left, right)
+            return ptr_binop(op, left, right)
         return apply(left, right)
 
     return binop
@@ -228,8 +174,8 @@ _BINOPS: dict[str, Callable] = {
         "+": lambda l, r: l + r,
         "-": lambda l, r: l - r,
         "*": lambda l, r: l * r,
-        "/": _c_div,
-        "%": _c_mod,
+        "/": c_div,
+        "%": c_mod,
         "==": lambda l, r: int(l == r),
         "!=": lambda l, r: int(l != r),
         "<": lambda l, r: int(l < r),
@@ -250,22 +196,6 @@ def _binop_fn(op: str) -> Callable:
         return _BINOPS[op]
     except KeyError:
         raise CRuntimeError(f"unsupported operator {op!r}") from None
-
-
-def _as_ptr(value: Any) -> Ptr:
-    if isinstance(value, Ptr):
-        if value.buffer is None:
-            raise CRuntimeError("null pointer indexed")
-        return value
-    if isinstance(value, Buffer):
-        return Ptr(value, 0)
-    raise CRuntimeError(f"expected a pointer, got {value!r}")
-
-
-def _as_ref(value: Any) -> Ptr | ScalarRef:
-    if isinstance(value, (Ptr, ScalarRef)):
-        return value
-    raise CRuntimeError(f"cannot dereference {value!r}")
 
 
 def _cast_int(value: Any, is_char: bool) -> int:
@@ -290,20 +220,20 @@ def _bad_arity(name: str, nparams: int, nargs: int) -> None:
     raise CRuntimeError(f"{name}() expects {nparams} args, got {nargs}")
 
 
-def _user_function(rt: Runtime, name: str) -> Callable:
+def _user_function(rt: Any, name: str) -> Callable:
     func = rt.funcs.get(name)
     if func is None:
         raise CRuntimeError(f"call to undefined function {name!r}")
     return func
 
 
-def _list_call(rt: Runtime, entry: Callable | None, name: str,
+def _list_call(rt: Any, entry: Callable | None, name: str,
                args: list[Any]) -> Any:
     """The list convention, for a direct call site that found something
     other than the declared builtin under its name: a replaced table
     entry, or none (builtins shadow user functions)."""
     if entry is not None:
-        return entry(rt.facade, args)
+        return entry(rt, args)
     return _user_function(rt, name)(rt, args)
 
 
@@ -318,7 +248,7 @@ def _cell_ref(cell: Cell) -> Ptr | ScalarRef:
     return Ptr(value, 0) if value.__class__ is Buffer else ScalarRef(cell)
 
 
-def _cell_assign(rt: Runtime, cell: Cell, binop: Callable | None,
+def _cell_assign(rt: Any, cell: Cell, binop: Callable | None,
                  value: Any) -> Any:
     """``x = value`` (``binop`` None) or ``x op= value``; returns the
     stored value. The current value is read after the rhs was evaluated
@@ -330,13 +260,13 @@ def _cell_assign(rt: Runtime, cell: Cell, binop: Callable | None,
             value = binop(rt, held.read(0), value)
         held.write(0, value)
         if charge is not None:
-            charge(held, True)
+            charge(rt, held, True)
         return held.read(0)
     if binop is not None:
         value = binop(rt, held, value)
     ScalarRef(cell).store(value)  # coerces through the cell's ctype
     if charge is not None:
-        charge(None, True)
+        charge(rt, None, True)
     return cell.value
 
 
@@ -369,8 +299,8 @@ _UNIT_GLOBALS: dict[str, Any] = {
     "Ptr": Ptr, "ScalarRef": ScalarRef, "NULL": NULL, "truthy": truthy,
     "float_to_int": float_to_int, "_BREAK": _BREAK, "_CONT": _CONT,
     "_Return": _Return, "_RETURN_NONE": _RETURN_NONE,
-    "_c_div": _c_div, "_c_mod": _c_mod, "_as_ptr": _as_ptr,
-    "_as_ref": _as_ref, "_cast_int": _cast_int, "_step": _step,
+    "_c_div": c_div, "_c_mod": c_mod, "_as_ptr": as_ptr,
+    "_as_ref": as_ref, "_cast_int": _cast_int, "_step": _step,
     "_over_budget": _over_budget, "_bad_arity": _bad_arity,
     "_user_function": _user_function, "_list_call": _list_call,
     "Builtin": Builtin,
@@ -383,7 +313,6 @@ _UNIT_GLOBALS: dict[str, Any] = {
 _RT_LOCALS = {
     "c": "c = rt.counters",
     "charge": "charge = rt.charge",
-    "facade": "facade = rt.facade",
     "max_steps": "max_steps = rt.max_steps",
     "builtins": "builtins = rt.builtins",
 }
@@ -900,7 +829,7 @@ class _FunctionCompiler:
 
     def _charge_store(self, buffer: str = "None") -> list[str]:
         self.u.need("charge")
-        return ["if charge is not None:", f"    charge({buffer}, True)"]
+        return ["if charge is not None:", f"    charge(rt, {buffer}, True)"]
 
     # -- leaves ------------------------------------------------------------
 
@@ -1261,7 +1190,7 @@ class _FunctionCompiler:
             "    c.loads += 1",
             f"    {buf} = {p}.buffer",
             "    if charge is not None:",
-            f"        charge({buf}, False)",
+            f"        charge(rt, {buf}, False)",
             # Inlined Buffer.read: the _check call is the hot-path cost.
             f"    {off} = {p}.offset + {i}",
             f"    if {buf}.freed or not 0 <= {off} < {buf}.size:",
@@ -1291,7 +1220,6 @@ class _FunctionCompiler:
         name = u.const(expr.func)
         argv = "[" + ", ".join(ex.src for ex in args) + "]"
         u.need("builtins")
-        u.need("facade")
         # The builtin lookup runs once per unit run: builtins dicts are
         # built before an interpreter runs and never mutated afterwards.
         # Builtins shadow user functions, as in the tree-walker.
@@ -1308,11 +1236,11 @@ class _FunctionCompiler:
                         else ex.src)
                 for i, ex in enumerate(args))
             call = [f"if {d} is not None:",
-                    f"    {assign}{d}(facade{argl})",
+                    f"    {assign}{d}(rt{argl})",
                     "else:",
                     f"    {assign}_list_call(rt, {g}, {name}, {argv})"]
         else:
-            call = [f"{assign}{g}(facade, {argv}) if {g} is not None "
+            call = [f"{assign}{g}(rt, {argv}) if {g} is not None "
                     f"else _user_function(rt, {name})(rt, {argv})"]
         if expr.func in _HOST_FORMAT_CALLS and expr.args \
                 and type(expr.args[0]) is A.StringLit:
@@ -1352,7 +1280,7 @@ class _FunctionCompiler:
         # Surplus arguments are ignored, but still evaluated for errors.
         lines = [ex.src for ex in values if not ex.stable]
         lines += [f"{text} = " + " + ".join(parts),
-                  f"facade.stdout.write({text})"]
+                  f"rt.stdout.write({text})"]
         if assign:
             lines.append(f"{assign}len({text})")
         return lines
@@ -1365,7 +1293,7 @@ class _FunctionCompiler:
         partial or EOF input) is c_scan minus the format re-decode."""
         u = self.u
         argv = "[" + ", ".join(ex.src for ex in args) + "]"
-        generic = f"{assign}c_scan(facade.stdin, {u.const(fmt)}, {argv})"
+        generic = f"{assign}c_scan(rt.stdin, {u.const(fmt)}, {argv})"
         convs = _scan_convs(fmt)
         pattern = _SCAN_PAIR_RES.get(convs)
         if pattern is None or len(args) < 2:
@@ -1398,7 +1326,7 @@ class _FunctionCompiler:
                 stores.append(f"_store_out({ex.src}, {parsed.src})")
         stores += [ex.src for ex in args[2:] if not ex.stable]  # for errors
         return [
-            f"{stream} = facade.stdin",
+            f"{stream} = rt.stdin",
             f"{m} = {u.const(pattern)}.match({stream}.text, {stream}.pos)",
             f"if {m} is not None:",
             f"    {stream}.pos = {m}.end()",
@@ -1495,19 +1423,15 @@ class CompiledProgram:
             self._strlit_ptrs[id(expr)] = ptr
         return ptr
 
-    def runtime(self, facade: Any) -> Runtime:
-        return Runtime(facade, self.functions)
-
-    def run_main(self, facade: Any) -> int:
+    def run_main(self, interp: Any) -> int:
+        """Run ``main()`` with ``interp`` — the Interpreter — as the
+        execution context of every unit and builtin it reaches."""
         main = self.functions.get("main")
         if main is None:
             # Match Program.main's KeyError for programs without main().
             raise KeyError("no function 'main' in program")
-        rt = self.runtime(facade)
-        try:
-            result = main(rt, [])
-        finally:
-            facade._steps = rt.steps
+        interp.funcs = self.functions
+        result = main(interp, [])
         return int(result) if result is not None else 0
 
 
@@ -1541,12 +1465,9 @@ class CompiledSuite:
         """(name, slot) pairs of the suite's free variables."""
         return self._frees
 
-    def execute_with_frame(self, facade: Any, frame: list) -> None:
-        """Run the compiled body against a caller-built frame. Unbound
-        frees must be left as None slots (they raise the tree-walker's
-        'undeclared identifier' error lazily, on first access)."""
-        rt = self.cp.runtime(facade)
-        try:
-            self._body_fn(rt, frame)
-        finally:
-            facade._steps = rt.steps
+    def execute_with_frame(self, lane: Any, frame: list) -> None:
+        """Run the compiled body for ``lane`` against a caller-built
+        frame. Unbound frees must be left as None slots (they raise the
+        tree-walker's 'undeclared identifier' error lazily, on first
+        access)."""
+        self._body_fn(lane, frame)

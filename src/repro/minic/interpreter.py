@@ -22,7 +22,20 @@ from . import cast as A
 from . import ctypes as T
 from .cache import compiled_program, strlit_buffers
 from .stdlib import InputStream, host_builtins
-from .values import NULL, Buffer, Cell, Ptr, ScalarRef, float_to_int, truthy
+from .values import (
+    NULL,
+    Buffer,
+    Cell,
+    Ptr,
+    ScalarRef,
+    as_ptr,
+    as_ref,
+    c_div,
+    c_mod,
+    float_to_int,
+    ptr_binop,
+    truthy,
+)
 
 #: Shared ctype instance for the predefined FILE*/NULL globals — ctypes
 #: are immutable, so one Pointer(VOID) serves every interpreter.
@@ -140,7 +153,8 @@ class Interpreter:
     builtins:
         Builtin function table; defaults to the host C library. The GPU
         executor passes a device-runtime table instead. Values are
-        called as ``fn(interp, [args...])``: the tables' own entries are
+        called as ``fn(context, [args...])`` — the context being this
+        interpreter on the host: the tables' own entries are
         :class:`~repro.minic.stdlib.Builtin` objects, which derive that
         form from their typed positional function (and which the
         compiled backend calls positionally); a replacement may be any
@@ -176,7 +190,13 @@ class Interpreter:
         self.backend = _check_backend(
             backend if backend is not None else _default_backend
         )
-        self._steps = 0
+        self.steps = 0
+        # This object is the host execution context (the protocol is
+        # stated next to repro.gpu.engine.Lane): nothing on the host
+        # charges accesses, and CompiledProgram.run_main points ``funcs``
+        # at the program's generated units.
+        self.charge = None
+        self.funcs: dict[str, Callable] = {}
         self._scopes: list[dict[str, Cell]] = []
         # String-literal buffers are cached per *program* (shared across
         # interpreter instances — notably the GPU's one per thread).
@@ -184,7 +204,7 @@ class Interpreter:
         # Predefined C identifiers (FILE* streams are opaque sentinels; the
         # IO builtins operate on the interpreter's own streams).
         void_ptr = _VOID_PTR
-        self._globals: dict[str, Cell] = {
+        self.globals: dict[str, Cell] = {
             "stdin": Cell(value="<stdin>", ctype=void_ptr),
             "stdout": Cell(value="<stdout>", ctype=void_ptr),
             "stderr": Cell(value="<stderr>", ctype=void_ptr),
@@ -192,6 +212,12 @@ class Interpreter:
             "EOF": Cell(value=-1, ctype=T.INT),
         }
         self._stop_at: A.Stmt | None = None
+
+    @property
+    def _ctx(self) -> Any:
+        """The context a builtin receives as its first argument: this
+        interpreter (the GPU reference lane substitutes its Lane)."""
+        return self
 
     # -- environment ---------------------------------------------------------
 
@@ -220,8 +246,8 @@ class Interpreter:
         for scope in reversed(self._scopes):
             if name in scope:
                 return scope[name]
-        if name in self._globals:
-            return self._globals[name]
+        if name in self.globals:
+            return self.globals[name]
         raise CRuntimeError(f"undeclared identifier {name!r}")
 
     # -- top level -------------------------------------------------------------
@@ -285,8 +311,8 @@ class Interpreter:
     # -- statements --------------------------------------------------------------
 
     def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self.max_steps:
+        self.steps += 1
+        if self.steps > self.max_steps:
             raise CRuntimeError(
                 f"execution exceeded {self.max_steps} steps (runaway loop?)"
             )
@@ -426,7 +452,7 @@ class Interpreter:
         return value
 
     def _eval_Index(self, expr: A.Index) -> Any:
-        ptr = self._as_ptr(self.eval(expr.base))
+        ptr = as_ptr(self.eval(expr.base))
         idx = int(self.eval(expr.index))
         if ptr.stride > 1:  # row of a flattened 2-D array
             return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
@@ -442,7 +468,7 @@ class Interpreter:
         args = [self.eval(arg) for arg in expr.args]
         builtin = self.builtins.get(name)
         if builtin is not None:
-            return builtin(self, args)
+            return builtin(self._ctx, args)
         try:
             func = self.program.function(name)
         except KeyError:
@@ -456,7 +482,7 @@ class Interpreter:
         if op == "*":
             target = self.eval(expr.operand)
             self.counters.loads += 1
-            return self._as_ref(target).deref()
+            return as_ref(target).deref()
         if op in ("++", "--"):
             ref = self._lvalue(expr.operand)
             value = ref.deref()
@@ -520,7 +546,7 @@ class Interpreter:
             self.counters.fp_ops += 1
         # Pointer arithmetic & comparison.
         if isinstance(left, Ptr) or isinstance(right, Ptr):
-            return self._ptr_binop(op, left, right)
+            return ptr_binop(op, left, right)
         if op == "+":
             return left + right
         if op == "-":
@@ -528,17 +554,9 @@ class Interpreter:
         if op == "*":
             return left * right
         if op == "/":
-            if right == 0:
-                raise CRuntimeError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                q = abs(left) // abs(right)
-                return q if (left < 0) == (right < 0) else -q
-            return left / right
+            return c_div(left, right)
         if op == "%":
-            if right == 0:
-                raise CRuntimeError("modulo by zero")
-            r = abs(left) % abs(right)
-            return r if left >= 0 else -r
+            return c_mod(left, right)
         if op == "==":
             return int(left == right)
         if op == "!=":
@@ -563,46 +581,7 @@ class Interpreter:
             return int(left) >> int(right)
         raise CRuntimeError(f"unsupported operator {op!r}")
 
-    def _ptr_binop(self, op: str, left: Any, right: Any) -> Any:
-        if op == "+" and isinstance(left, Ptr):
-            return left.add(int(right))
-        if op == "+" and isinstance(right, Ptr):
-            return right.add(int(left))
-        if op == "-" and isinstance(left, Ptr) and isinstance(right, Ptr):
-            if left.buffer is not right.buffer:
-                raise CRuntimeError("pointer difference across buffers")
-            return left.offset - right.offset
-        if op == "-" and isinstance(left, Ptr):
-            return left.add(-int(right))
-        if op in ("==", "!="):
-            same = (
-                isinstance(left, Ptr)
-                and isinstance(right, Ptr)
-                and left.buffer is right.buffer
-                and (left.buffer is None or left.offset == right.offset)
-            )
-            if isinstance(left, Ptr) and isinstance(right, int):
-                same = left.is_null and right == 0
-            if isinstance(right, Ptr) and isinstance(left, int):
-                same = right.is_null and left == 0
-            return int(same if op == "==" else not same)
-        raise CRuntimeError(f"unsupported pointer operation {op!r}")
-
     # -- lvalues / addressing ---------------------------------------------------
-
-    def _as_ptr(self, value: Any) -> Ptr:
-        if isinstance(value, Ptr):
-            if value.buffer is None:
-                raise CRuntimeError("null pointer indexed")
-            return value
-        if isinstance(value, Buffer):
-            return Ptr(value, 0)
-        raise CRuntimeError(f"expected a pointer, got {value!r}")
-
-    def _as_ref(self, value: Any) -> Ptr | ScalarRef:
-        if isinstance(value, (Ptr, ScalarRef)):
-            return value
-        raise CRuntimeError(f"cannot dereference {value!r}")
 
     def _addr_of(self, expr: A.Expr) -> Ptr | ScalarRef:
         if isinstance(expr, A.Ident):
@@ -611,13 +590,13 @@ class Interpreter:
                 return Ptr(cell.value, 0)
             return ScalarRef(cell)
         if isinstance(expr, A.Index):
-            ptr = self._as_ptr(self.eval(expr.base))
+            ptr = as_ptr(self.eval(expr.base))
             idx = int(self.eval(expr.index))
             if ptr.stride > 1:
                 return Ptr(ptr.buffer, ptr.offset + idx * ptr.stride, 1)
             return ptr.add(idx)
         if isinstance(expr, A.UnaryOp) and expr.op == "*":
-            return self._as_ref(self.eval(expr.operand))
+            return as_ref(self.eval(expr.operand))
         raise CRuntimeError(f"cannot take address of {type(expr).__name__}")
 
     def _lvalue(self, expr: A.Expr) -> Ptr | ScalarRef:

@@ -5,8 +5,9 @@ math.h, plus the ``getWord`` helper the paper's Wordcount listing uses.
 
 There is one builtin table and one calling convention behind it. Every
 builtin is declared once, as a typed positional Python function
-``impl(facade, a, b, ...)`` — ``facade`` is the interpreter (or the GPU
-lane facade), so a builtin can touch its IO streams, heap and
+``impl(facade, a, b, ...)`` — ``facade`` is the run's execution context
+(the interpreter on the host, the thread's ``Lane`` on the GPU), so a
+builtin can touch its IO streams, heap and
 instrumentation counters. A table maps each name to a :class:`Builtin`,
 which *is* that function plus the list-convention callable
 ``b(facade, [a, b, ...])`` derived from its signature (arity check, then

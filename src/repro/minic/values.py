@@ -3,7 +3,10 @@
 Scalars are Python ints/floats held in :class:`Cell` slots. Arrays and
 malloc'ed storage are :class:`Buffer` objects; pointers are
 (:class:`Buffer`, offset) pairs. ``&scalar`` yields a :class:`ScalarRef`
-so ``scanf``-style out-parameters work.
+so ``scanf``-style out-parameters work. The operator rules that depend
+only on these classes — C ``/`` and ``%``, pointer arithmetic and
+comparison, the pointer/reference coercions of ``[]`` and ``*`` — live
+here too: both execution engines import the one copy.
 """
 
 from __future__ import annotations
@@ -256,3 +259,71 @@ def truthy(value: Any) -> bool:
     if isinstance(value, Ptr):
         return value.buffer is not None
     return bool(value)
+
+
+# --------------------------------------------------------------------------
+# Operator semantics shared by the tree-walker and the generated code
+# --------------------------------------------------------------------------
+
+
+def c_div(left: Any, right: Any) -> Any:
+    """C ``/``: integer division truncates toward zero."""
+    if right == 0:
+        raise CRuntimeError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        q = abs(left) // abs(right)
+        return q if (left < 0) == (right < 0) else -q
+    return left / right
+
+
+def c_mod(left: Any, right: Any) -> Any:
+    """C ``%``: the result takes the dividend's sign."""
+    if right == 0:
+        raise CRuntimeError("modulo by zero")
+    r = abs(left) % abs(right)
+    return r if left >= 0 else -r
+
+
+def ptr_binop(op: str, left: Any, right: Any) -> Any:
+    """``left op right`` where at least one operand is a :class:`Ptr`."""
+    if op == "+" and isinstance(left, Ptr):
+        return left.add(int(right))
+    if op == "+" and isinstance(right, Ptr):
+        return right.add(int(left))
+    if op == "-" and isinstance(left, Ptr) and isinstance(right, Ptr):
+        if left.buffer is not right.buffer:
+            raise CRuntimeError("pointer difference across buffers")
+        return left.offset - right.offset
+    if op == "-" and isinstance(left, Ptr):
+        return left.add(-int(right))
+    if op in ("==", "!="):
+        same = (
+            isinstance(left, Ptr)
+            and isinstance(right, Ptr)
+            and left.buffer is right.buffer
+            and (left.buffer is None or left.offset == right.offset)
+        )
+        if isinstance(left, Ptr) and isinstance(right, int):
+            same = left.is_null and right == 0
+        if isinstance(right, Ptr) and isinstance(left, int):
+            same = right.is_null and left == 0
+        return int(same if op == "==" else not same)
+    raise CRuntimeError(f"unsupported pointer operation {op!r}")
+
+
+def as_ptr(value: Any) -> Ptr:
+    """The non-null pointer ``value[...]`` indexes through."""
+    if isinstance(value, Ptr):
+        if value.buffer is None:
+            raise CRuntimeError("null pointer indexed")
+        return value
+    if isinstance(value, Buffer):
+        return Ptr(value, 0)
+    raise CRuntimeError(f"expected a pointer, got {value!r}")
+
+
+def as_ref(value: Any) -> Ptr | ScalarRef:
+    """The reference ``*value`` dereferences."""
+    if isinstance(value, (Ptr, ScalarRef)):
+        return value
+    raise CRuntimeError(f"cannot dereference {value!r}")

@@ -7,9 +7,11 @@ things keep that honest:
 
 * **Equivalence** (hypothesis): for every entry of every table — the
   host C library, the device library with its charges, the four GPU IO
-  calls — ``entry.typed(facade, *args)`` and ``entry(facade, args)``
-  agree on the return value, every touched buffer's bytes, freed flag
-  and decode cache, the out-parameter cells, the facade's streams,
+  calls — ``entry.typed(ctx, *args)`` and ``entry(ctx, args)`` (``ctx``
+  the execution context: the ``Interpreter`` on the host, a ``Lane`` on
+  the device) agree on the return value, every touched buffer's bytes,
+  freed flag and decode cache, the out-parameter cells, the context's
+  streams,
   ``ExecCounters``, ``LaneCharges``, the KV store and the exception
   type + message. Arguments are generated to reach the slow branches:
   ``NULL``, freed and non-char buffers, a ``Buffer`` where a ``Ptr``
@@ -37,8 +39,7 @@ from repro.config import CLUSTER1
 from repro.gpu.charging import LaneCharges
 from repro.gpu.device import GpuDevice
 from repro.gpu.engine import (
-    KernelLaneFacade,
-    LaneState,
+    Lane,
     common_lane_builtins,
     kernel_program,
     make_combine_builtins,
@@ -179,20 +180,20 @@ def _outcome(call):
 
 def _both_conventions(name, specs, make_world):
     """Call ``name`` positionally and by list, each in a fresh world
-    from ``make_world() -> (facade, table, observe)``; return both
+    from ``make_world() -> (context, table, observe)``; return both
     sides' (outcome, argument observations, world observations)."""
     sides = []
     for typed in (True, False):
-        facade, table, observe = make_world()
+        ctx, table, observe = make_world()
         entry = table[name]
         assert isinstance(entry, Builtin)
         side = _Side(specs, SIGNATURES[name][2] if typed else ())
         if typed and entry.fewest <= len(side.args) <= entry.most:
-            outcome = _outcome(lambda: entry.typed(facade, *side.args))
+            outcome = _outcome(lambda: entry.typed(ctx, *side.args))
         else:
             # The emitter never calls a misfit arity positionally: the
             # derived callable *is* the arity check.
-            outcome = _outcome(lambda: entry(facade, side.args))
+            outcome = _outcome(lambda: entry(ctx, side.args))
         if outcome[0] == "ok":
             outcome = ("ok", _view(outcome[1]))
         sides.append((outcome, side.observed(), observe()))
@@ -203,13 +204,13 @@ _MAIN = parse("int main() { return 0; }")
 _DEVICE = GpuDevice(CLUSTER1.gpu)
 
 
-def _lane_world(table, state):
-    """A lane facade over ``table`` with zeroed charges on ``state``;
-    observes the charges and counters."""
-    state.charges = LaneCharges()
-    facade = KernelLaneFacade(table, None, {})
-    return facade, lambda: (asdict(state.charges), asdict(facade.counters),
-                            state.index)
+def _lane_world(table, **fields):
+    """A fresh :class:`Lane` over ``table`` (zeroed charges and counters,
+    ``fields`` its records/global_tid/chunk); observes the charges, the
+    counters and the cursor."""
+    lane = Lane(table, None, {}, {}, LaneCharges(), **fields)
+    return lane, lambda: (asdict(lane.charges), asdict(lane.counters),
+                          lane.index)
 
 
 class TestEquivalence:
@@ -233,8 +234,7 @@ class TestEquivalence:
     @given(st.data())
     def test_device_library_and_its_charges(self, data):
         vec = data.draw(st.sampled_from([1, 4]))
-        state = LaneState()
-        table = common_lane_builtins(None, state, vec)
+        table = common_lane_builtins(None, vec)
         host = host_builtins()
         name = data.draw(st.sampled_from(sorted(
             name for name, entry in table.items()
@@ -242,8 +242,8 @@ class TestEquivalence:
         specs = _args_for(name, data.draw)
 
         def world():
-            facade, observe = _lane_world(table, state)
-            return facade, table, observe
+            lane, observe = _lane_world(table)
+            return lane, table, observe
 
         typed, listed = _both_conventions(name, specs, world)
         assert typed == listed
@@ -260,16 +260,15 @@ class TestEquivalence:
         tid = data.draw(st.sampled_from([0, 1, 2, -1, 99]))
 
         def world():
-            state = LaneState()
             store = GlobalKVStore(3, 6, kernel.key_length,
                                   kernel.value_length)
             store.emit(1, "full", 1, 0)
             store.emit(1, "full", 2, 0)
-            table = make_map_builtins(kernel, _DEVICE, None, state, store,
+            table = make_map_builtins(kernel, _DEVICE, None, store,
                                       Partitioner(3))
-            state.records, state.global_tid = list(records), tid
-            facade, observe = _lane_world(table, state)
-            return facade, table, lambda: (observe(), [
+            lane, observe = _lane_world(table, records=list(records),
+                                        global_tid=tid)
+            return lane, table, lambda: (observe(), [
                 (t, _view(p.key), _view(p.value), p.partition)
                 for t, p in store.iter_pairs()])
 
@@ -290,12 +289,10 @@ class TestEquivalence:
             st.lists(st.tuples(datum, datum), max_size=2))]
 
         def world():
-            state = LaneState()
-            table = make_combine_builtins(kernel, _DEVICE, None, state)
-            state.chunk, state.output = list(chunk), []
-            facade, observe = _lane_world(table, state)
-            return facade, table, lambda: (observe(), [
-                (_view(key), _view(value)) for key, value in state.output])
+            table = make_combine_builtins(kernel, _DEVICE, None)
+            lane, observe = _lane_world(table, chunk=list(chunk))
+            return lane, table, lambda: (observe(), [
+                (_view(key), _view(value)) for key, value in lane.output])
 
         typed, listed = _both_conventions(name, specs, world)
         assert typed == listed
@@ -319,9 +316,9 @@ class TestDeviceFastBranches:
             self, name, left, right, vec, warm):
         from repro.gpu.charging import bind_string_call
 
-        state = LaneState()
-        table = common_lane_builtins(None, state, vec)
+        table = common_lane_builtins(None, vec)
         arity = SIGNATURES[name][1]
+        charged = []
 
         def call(entry):
             side = _Side([("chars", left, 24, 0, False),
@@ -329,17 +326,17 @@ class TestDeviceFastBranches:
             if warm:  # decode caches filled, as in a kernel's hot loop
                 for buf in side.buffers:
                     buf.c_string(0)
-            facade, _observe = _lane_world(table, state)
-            result = entry.typed(facade, *side.args[:arity])
+            lane, _observe = _lane_world(table)
+            result = entry.typed(lane, *side.args[:arity])
+            charged.append(lane.charges)
             return _view(result), side.observed()
 
-        on_device = call(table[name])
-        charged = state.charges
-        assert on_device == call(host_builtins()[name])
+        assert call(table[name]) == call(host_builtins()[name])
         expected = LaneCharges()
         bind_string_call(vec)(
             expected, max([len(left), len(right)][:min(arity, 2)]))
-        assert charged == expected
+        # The device entry charged its lane; the host's charged nothing.
+        assert charged == [expected, LaneCharges()]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["emitKV", "storeKV"]), _WORD,
@@ -349,26 +346,23 @@ class TestDeviceFastBranches:
         wc = get_app("WC")
         seen = []
         for fast in (True, False):
-            state = LaneState()
             store = GlobalKVStore(2, 8, 30, 4)
             if name == "emitKV":
                 table = make_map_builtins(
-                    wc.translate_map().map_kernel, _DEVICE, None, state,
-                    store, Partitioner(5))
+                    wc.translate_map().map_kernel, _DEVICE, None, store,
+                    Partitioner(5))
             else:
                 table = make_combine_builtins(
-                    wc.translate_combine().combine_kernel, _DEVICE, None,
-                    state)
-            state.output, state.global_tid = [], 1
-            facade, observe = _lane_world(table, state)
+                    wc.translate_combine().combine_kernel, _DEVICE, None)
+            lane, observe = _lane_world(table, global_tid=1)
             buf = Buffer.from_string(key)
             if warm:
                 buf.c_string(0)
             args = (Ptr(buf, 0), value) if fast \
                 else (buf, ScalarRef(Cell(value, T.INT)))
             for _ in range(2):  # the second emit finds memo and cache warm
-                returned = table[name].typed(facade, *args)
-            seen.append((returned, observe(), state.output,
+                returned = table[name].typed(lane, *args)
+            seen.append((returned, observe(), lane.output,
                          [(t, p) for t, p in store.iter_pairs()]))
         assert seen[0] == seen[1]
         if name == "emitKV":
@@ -385,9 +379,9 @@ def test_every_table_entry_matches_its_declared_signature():
     tables = [
         host_builtins(),
         make_map_builtins(wc.translate_map().map_kernel, _DEVICE, None,
-                          LaneState(), None, None),
+                          None, None),
         make_combine_builtins(wc.translate_combine().combine_kernel,
-                              _DEVICE, None, LaneState()),
+                              _DEVICE, None),
     ]
     seen = set()
     for table in tables:
@@ -403,7 +397,7 @@ def test_every_table_entry_matches_its_declared_signature():
 
 # -- emission ----------------------------------------------------------------
 
-_DIRECT = re.compile(r"^\s*(?:t\d+ = )?d\d+\(facade\b.*$", re.M)
+_DIRECT = re.compile(r"^\s*(?:t\d+ = )?d\d+\(rt\b.*$", re.M)
 
 
 def _fitting_calls(*roots):
@@ -427,12 +421,14 @@ def _assert_direct(source, fitting, other, what):
     # call node may appear more than once — never less.
     assert direct >= fitting, what
     assert source.count("_list_call(rt, ") == direct, what
-    listed = source.count("(facade, [")
+    listed = source.count("(rt, [")
     if other == 0:
         assert listed == 0, what
     # Whatever still builds an argument list is a site the emitter could
-    # not prove: a user function (or a wrong arity), never a builtin.
-    assert listed == source.count("_user_function(rt, "), what
+    # not prove: a user function (or a wrong arity), never a builtin —
+    # one line naming the list twice, ``g(rt, [...]) if g is not None
+    # else _user_function(rt, k)(rt, [...])``.
+    assert listed == 2 * source.count("_user_function(rt, "), what
 
 
 @pytest.mark.parametrize("app", all_apps(), ids=lambda app: app.short)
@@ -484,4 +480,4 @@ def test_hot_units_build_no_argument_list(tag):
         sources.append(
             compiled_program(app.combine_program()).python_source())
     for source in sources:
-        assert "(facade, [" not in source
+        assert "(rt, [" not in source

@@ -285,6 +285,20 @@ int main() {
         assert err == (f"error: cannot read {missing}: "
                        "No such file or directory\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "WC", "--records", "40"],
+        ["sweep", "--scenarios", "wc-mini-tail"],
+    ], ids=["trace", "sweep"])
+    def test_unwritable_out_path_fails_cleanly(self, argv, tmp_path, capsys):
+        # The job/sweep has run by then; the answer is still one error
+        # line and exit 1, not a traceback.
+        out = tmp_path / "no-such-dir" / "report.json"
+        assert main(argv + ["-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write {out}: "
+                                "No such file or directory\n")
+        assert not out.parent.exists()
+
     @staticmethod
     def _map_report(out):
         """(map tasks, simulated ms, GPU tasks, CPU tasks) of a ``run``

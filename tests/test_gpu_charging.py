@@ -1,7 +1,9 @@
 """The collapsed GPU cost model, pinned event by event.
 
-``repro.gpu.charging`` holds each charge formula once, as a binder over
-a launch's constants. The tables below are every binder's effect on a
+``repro.gpu.charging`` holds each charge formula once — a binder over a
+launch's constants, or a plain function where there are none (an
+element access, charged to the lane it is handed; a math call). The
+tables below are every charge's effect on a
 zeroed ``LaneCharges``/``ExecCounters`` — only the non-zero fields are
 listed — for every memory space and launch-constant combination
 (stealing on/off, vector width 1/2/4, cooperative on/off). The expected
@@ -14,7 +16,7 @@ Also here: the counting wrapper (one tally per event, costs untouched,
 identity when untraced), and the traced event counters compared across
 the three lane engines on the apps whose kernels have vector regions —
 where the vector engine replicates the tallies instead of calling the
-bound closures.
+charge functions.
 """
 
 from __future__ import annotations
@@ -147,15 +149,15 @@ def _buffer(space):
 
 @pytest.mark.parametrize("space, is_store, charged", ACCESS)
 def test_access_charges_by_memory_space(space, is_store, charged):
-    state = SimpleNamespace(charges=LaneCharges())
-    charge = charging.bind_access(state)
-    charge(_buffer(space), is_store)
-    assert _nonzero(state.charges) == charged
-    # The closure reads state.charges per call: re-pointing the state
-    # (what a lane runner does per lane) redirects the charge.
-    state.charges = other = LaneCharges()
-    charge(_buffer(space), is_store)
-    assert _nonzero(other) == charged
+    lane = SimpleNamespace(charges=LaneCharges())
+    charging.access(lane, _buffer(space), is_store)
+    assert _nonzero(lane.charges) == charged
+    # The charge lands on the lane it is handed — nothing is captured,
+    # so another lane's access leaves this one's charges alone.
+    other = SimpleNamespace(charges=LaneCharges())
+    charging.access(other, _buffer(space), is_store)
+    assert _nonzero(other.charges) == charged
+    assert _nonzero(lane.charges) == charged
 
 
 @pytest.mark.parametrize("txn_bytes, stealing, nbytes, charged, counted",
@@ -204,11 +206,11 @@ def test_string_call(vec, length, charged):
 
 
 def _bound_events():
-    """(metric, bound closure, call arguments) for all six events."""
-    state = SimpleNamespace(charges=LaneCharges())
-    return state, [
-        ("gpu.accesses", charging.bind_access(state),
-         lambda ch, cn: (SimpleNamespace(space="global"), False)),
+    """(metric, charge function, call arguments) for all six events."""
+    return [
+        ("gpu.accesses", charging.access,
+         lambda ch, cn: (SimpleNamespace(charges=ch),
+                         SimpleNamespace(space="global"), False)),
         ("gpu.record_reads", charging.bind_record_read(128, True),
          lambda ch, cn: (ch, cn, 37)),
         ("gpu.kv_emits", charging.bind_kv_emit(34, 4),
@@ -223,22 +225,19 @@ def _bound_events():
 
 
 def test_counted_is_the_bare_closure_when_untraced():
-    _state, events = _bound_events()
-    for metric, charge, _args in events:
+    for metric, charge, _args in _bound_events():
         assert charging.counted(charge, None, metric) is charge
 
 
 def test_counted_tallies_exactly_its_metric_once_per_event():
-    state, events = _bound_events()
+    events = _bound_events()
     assert [metric for metric, _c, _a in events] == list(EVENT_COUNTERS)
     for metric, charge, args in events:
         metrics = MetricsRegistry()
         counting = charging.counted(charge, metrics, metric)
         bare_charges, bare_counters = LaneCharges(), ExecCounters()
-        state.charges = bare_charges
         charge(*args(bare_charges, bare_counters))
         charges, counters = LaneCharges(), ExecCounters()
-        state.charges = charges
         for n in (1, 2, 3):
             counting(*args(charges, counters))
             assert metrics.counters == {metric: float(n)}

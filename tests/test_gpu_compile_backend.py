@@ -208,26 +208,27 @@ class TestMapKernelEngines:
 
 class TestTreeIsTree:
     """``"tree"`` means tree-walked whatever the ambient mini-C backend:
-    a tree-engine launch runs no generated code, which always goes
-    through a ``minic.compile.Runtime`` (one per unit entry)."""
+    a tree-engine launch runs no generated code. Every way into
+    generated code — ``Interpreter.run``, a kernel body, a warp suite —
+    first asks :func:`repro.minic.cache.compiled_program` for the
+    program's units, so those requests are what is counted."""
 
     @pytest.fixture
     def runtimes(self, monkeypatch):
-        from repro.minic import compile as minic_compile
+        from repro.minic import cache, interpreter
 
-        built = []
+        asked = []
 
-        class CountingRuntime(minic_compile.Runtime):
-            __slots__ = ()
+        def counting(program):
+            asked.append(program)
+            return compiled_program(program)
 
-            def __init__(self, facade, funcs):
-                built.append(facade)
-                super().__init__(facade, funcs)
+        compiled_program = cache.compiled_program
+        monkeypatch.setattr(cache, "compiled_program", counting)
+        monkeypatch.setattr(interpreter, "compiled_program", counting)
+        return asked
 
-        monkeypatch.setattr(minic_compile, "Runtime", CountingRuntime)
-        return built
-
-    def test_tree_launches_build_no_runtime(self, runtimes):
+    def test_tree_launches_run_no_generated_code(self, runtimes):
         app = get_app("WC")
         device = GpuDevice(CLUSTER1.gpu)
         kernel, records, snapshot = _map_inputs(app, n=40)
@@ -264,8 +265,8 @@ class TestTreeIsTree:
             == [("a", 1), ("a", 1), ("b", 1), ("c", 1)]
         assert runtimes == []
 
-    def test_compiled_launch_builds_one_per_lane(self, runtimes):
-        # The counter is live: the compiled engine enters generated code.
+    def test_compiled_launch_enters_generated_code(self, runtimes):
+        # The counter is live: the compiled engine asks for the units.
         kernel, records, snapshot = _map_inputs(get_app("WC"), n=40)
         with use_gpu_engine("compiled"):
             run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,

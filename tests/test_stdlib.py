@@ -189,11 +189,11 @@ class TestCtype:
         assert out == "1"
 
     def test_gpu_builtin_tables_reuse_the_fixed_functions(self):
-        from repro.gpu.engine import LaneState, common_lane_builtins
+        from repro.gpu.engine import common_lane_builtins
         from repro.minic.stdlib import host_builtins
 
         host = host_builtins()
-        gpu = common_lane_builtins(None, LaneState(), 1)
+        gpu = common_lane_builtins(None, 1)
         for name in ("isspace", "isdigit", "isalpha", "tolower", "toupper"):
             assert gpu[name] is host[name]
         assert gpu["isspace"](None, [-1]) == 0
