@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 
 # A Zipf-ish vocabulary: common words dominate like natural text.
 _VOCAB_COMMON = (
@@ -38,16 +39,25 @@ def make_vocabulary(size: int, seed: int = 7) -> list[str]:
     return vocab[:size]
 
 
+def _zipf_cum_weights(n: int) -> list[float]:
+    """Running sums of the Zipf weights ``1/rank``, accumulated once per
+    input: ``choices(weights=w)`` would redo ``accumulate(w)`` per call,
+    and ``choices(cum_weights=...)`` on the same sums draws the same
+    words."""
+    return list(accumulate(1.0 / (rank + 1) for rank in range(n)))
+
+
 def zipf_text(records: int, seed: int = 0, words_per_line: tuple[int, int] = (4, 14),
               vocab_size: int = 400) -> str:
     """Zipf-distributed text, one line per record (wordcount/grep input)."""
     rng = _rng(seed)
     vocab = make_vocabulary(vocab_size, seed=seed + 1)
-    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    cum_weights = _zipf_cum_weights(len(vocab))
     lines = []
     for _ in range(records):
         k = rng.randint(*words_per_line)
-        lines.append(" ".join(rng.choices(vocab, weights=weights, k=k)))
+        words = rng.choices(vocab, cum_weights=cum_weights, k=k)
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -130,11 +140,12 @@ def doc_lines(records: int, seed: int = 0, vocab_size: int = 300,
     """Inverted-index input: ``docId w1 w2 ...`` per line, Zipf words."""
     rng = _rng(seed)
     vocab = make_vocabulary(vocab_size, seed=seed + 1)
-    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    cum_weights = _zipf_cum_weights(len(vocab))
     lines = []
     for doc in range(records):
         k = rng.randint(*words_per_doc)
-        lines.append(f"{doc} " + " ".join(rng.choices(vocab, weights=weights, k=k)))
+        words = rng.choices(vocab, cum_weights=cum_weights, k=k)
+        lines.append(f"{doc} " + " ".join(words))
     return "\n".join(lines) + "\n"
 
 

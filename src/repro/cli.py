@@ -474,9 +474,9 @@ def _positive_float(text: str) -> float:
 def _add_job_target(parser: argparse.ArgumentParser) -> None:
     """``app`` and ``--cluster``: what every job command runs, and on
     which of the paper's clusters."""
-    # The app registry, not a literal: the scenario registry validates
-    # itself against it at import, and importing that here would put
-    # the simulator and numpy on every invocation's start-up path.
+    # The app registry, not a literal or the scenario registry's
+    # APP_ORDER: importing repro.scenarios here would load the cluster
+    # simulator on every invocation's start-up path, jobs included.
     parser.add_argument(
         "app",
         help=f"benchmark tag ({' '.join(a.short for a in all_apps())})")

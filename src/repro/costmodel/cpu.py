@@ -10,11 +10,14 @@ simulated seconds on one Xeon core.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from ..config import CpuSpec
-from ..minic.interpreter import ExecCounters
 from .breakdown import TaskBreakdown
 from .io import IoModel
+
+if TYPE_CHECKING:  # the simulator imports this model, never mini-C
+    from ..minic.interpreter import ExecCounters
 
 #: Simulated scalar operations one Xeon core retires per second. The
 #: interpreter counts *source-level* operations (each stands for several

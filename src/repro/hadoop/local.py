@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..apps.base import Application
 from ..config import CLUSTER1, ClusterConfig, OptimizationFlags
@@ -22,14 +22,12 @@ from ..costmodel.breakdown import TaskBreakdown
 from ..costmodel.cpu import CPU_TASK_PHASES, CpuTaskModel
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError
-from ..gpu.device import GpuDevice
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
 from ..parallel.maptask import run_map_tasks
 from ..parallel.pool import list_schedule_makespan, resolve_workers
 from ..parallel.reducetask import run_reduce_tasks
-from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 from .shuffle import (
     ReduceTaskTiming,
     merge_sorted_runs,
@@ -40,6 +38,9 @@ from .shuffle import (
     spill_runs,
 )
 from .tasks import SlotKind
+
+if TYPE_CHECKING:  # a CPU-path job never loads the GPU stack
+    from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 
 __all__ = ["LocalJobResult", "LocalJobRunner", "MapTaskResult"]
 
@@ -203,6 +204,12 @@ class LocalJobRunner:
         self.io = IoModel.for_cluster(cluster)
         self.partitioner = Partitioner(max(self.num_reducers, 1))
         self._gpu_runner: GpuTaskRunner | None = None
+        if use_gpu:
+            # A GPU job loads the GPU task stack with its runner, not at
+            # its first task: code that rebinds module globals of a
+            # constructed job (perf/layers.py's timers) must find the
+            # modules loaded. A CPU-path job never loads them.
+            from ..runtime import gpu_task  # noqa: F401
 
     # -- input splitting ---------------------------------------------------------
 
@@ -236,6 +243,9 @@ class LocalJobRunner:
         (memoized — see translate_cached) and the host snapshots the
         runner computes are reused by every map task."""
         if self._gpu_runner is None:
+            from ..gpu.device import GpuDevice
+            from ..runtime.gpu_task import GpuTaskRunner
+
             self._gpu_runner = GpuTaskRunner(
                 self.app.translate_map(self.opt),
                 self.app.translate_combine(self.opt),

@@ -322,8 +322,12 @@ def datagen_digest(app: str, scale: str = "small",
 # -- validation --------------------------------------------------------------
 
 def validate_registry() -> None:
-    """Cross-check every reference; raises ConfigError on the first hole."""
-    from ..apps import get_app
+    """Cross-check every reference; raises ConfigError on the first hole.
+
+    App tags are checked against :data:`APP_ORDER`, not the app
+    registry: importing the apps would load mini-C and the compiler
+    into every simulation (``tests/test_apps.py`` pins the two lists
+    equal)."""
     from ..scheduling import POLICIES
 
     seen: set[str] = set()
@@ -331,7 +335,10 @@ def validate_registry() -> None:
         if scenario.id in seen:
             raise ConfigError(f"duplicate scenario id {scenario.id!r}")
         seen.add(scenario.id)
-        get_app(scenario.app)                     # resolvable app tag
+        if scenario.app not in APP_ORDER:
+            raise ConfigError(
+                f"scenario {scenario.id}: unknown app {scenario.app!r}"
+            )
         get_shape(scenario.shape)                 # resolvable shape
         if scenario.policy not in POLICIES:
             raise ConfigError(

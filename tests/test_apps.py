@@ -11,7 +11,12 @@ from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.hadoop.local import LocalJobRunner
 from repro.hadoop.tasks import SlotKind
-from repro.scenarios import APP_ORDER, EXTENDED_APP_ORDER, PAPER_APP_ORDER
+from repro.scenarios import (
+    APP_ORDER,
+    EXTENDED_APP_ORDER,
+    PAPER_APP_ORDER,
+    datagen_digest,
+)
 from repro.scenarios import records_for as _registry_records
 
 APP_TAGS = list(APP_ORDER)
@@ -118,7 +123,49 @@ class TestCombinerRelaxation:
         assert gpu.shuffle_bytes >= cpu.shuffle_bytes
 
 
+#: First 16 hex digits of ``datagen_digest(app, scale, seed)`` for seeds
+#: 7 and 8. A datagen change — an optimisation above all — must
+#: reproduce these bytes, not regenerate them. (HS and HR read the same
+#: ratings dataset.)
+DATAGEN_DIGESTS = {
+    ("GR", "small"): ("2e87f63a864a1301", "a1c764353baaf685"),
+    ("GR", "medium"): ("7407d3d283abc674", "685d0b9f6d566d68"),
+    ("HS", "small"): ("b594489f68660f63", "b3419b2563f526c8"),
+    ("HS", "medium"): ("60bd45d135cb13af", "2074b3556472b540"),
+    ("WC", "small"): ("c1fa03819285170e", "734e7dd5b1edf203"),
+    ("WC", "medium"): ("a5db88b395a86a12", "af58620885fab2ab"),
+    ("HR", "small"): ("b594489f68660f63", "b3419b2563f526c8"),
+    ("HR", "medium"): ("60bd45d135cb13af", "2074b3556472b540"),
+    ("LR", "small"): ("8c62e2a3f00411fb", "1cf1c72aedea27e2"),
+    ("LR", "medium"): ("6e5da7be6bd9ddbe", "e7aaeee460c885c7"),
+    ("KM", "small"): ("4e49e70534db0603", "17f9686df8510d2a"),
+    ("KM", "medium"): ("049823b8021d2125", "0b3f8e3d73a53600"),
+    ("CL", "small"): ("fafa67576e263b73", "b77a7f6a0ceabcc9"),
+    ("CL", "medium"): ("5f20d05031f94777", "11422c9581257be7"),
+    ("BS", "small"): ("4ed235a202e4bd1c", "c06c28de1c24cf0c"),
+    ("BS", "medium"): ("a401d2947e447dfc", "2b0f50b56a72adb4"),
+    ("II", "small"): ("d08515785e8ae691", "a1cd2e6d10e71596"),
+    ("II", "medium"): ("5a42c12841fbaeac", "3176df559eccd236"),
+    ("RJ", "small"): ("f0452df8eb385858", "c5037829631748af"),
+    ("RJ", "medium"): ("1c227e88a21848ac", "f35ef564726b9217"),
+    ("TS", "small"): ("f336a8d773a96a51", "e540fe314185b793"),
+    ("TS", "medium"): ("c3ab81ef3ead4c70", "c309b49afb2c3706"),
+    ("PR", "small"): ("a2b87cbda13c7d31", "b0ad30bc7bd47668"),
+    ("PR", "medium"): ("09ad7b6d675f956f", "4a839e86a1a9f94c"),
+}
+
+
 class TestDataGenerators:
+    def test_pinned_bytes_cover_the_registry(self):
+        assert set(DATAGEN_DIGESTS) == {
+            (tag, scale) for tag in APP_TAGS for scale in ("small", "medium")
+        }
+
+    @pytest.mark.parametrize("tag,scale", sorted(DATAGEN_DIGESTS))
+    def test_pinned_bytes(self, tag, scale):
+        got = tuple(datagen_digest(tag, scale, seed)[:16] for seed in (7, 8))
+        assert got == DATAGEN_DIGESTS[tag, scale]
+
     def test_seeded_and_deterministic(self):
         for app in all_apps():
             assert app.generate(50, seed=9) == app.generate(50, seed=9)

@@ -353,6 +353,7 @@ class TestArrayPreflights:
                 vector._check_elem(value, elem)
 
     def test_freed_or_short_buffer_abandons_the_read(self):
+        assert vector._load_numpy()  # a runner would have, before a region
         for uniform in (True, False):
             buf = _buffer()
             env = vector._Env(1, 0, ())

@@ -110,6 +110,9 @@ class TestRegistryIntegrity:
 
 
 class TestDatagenDeterminism:
+    """Self-consistency of the digests; their values are pinned in
+    ``tests/test_apps.py`` (``DATAGEN_DIGESTS``)."""
+
     def test_digests_stable_across_calls(self, registry_app):
         assert datagen_digest(registry_app, "small") == \
             datagen_digest(registry_app, "small")
@@ -166,7 +169,8 @@ def test_no_hardcoded_app_lists_outside_registry():
         # The enumeration itself.
         "src/repro/scenarios/registry.py",
         # Per-app *data* keyed by tag, not an enumeration: the Fig. 5
-        # calibration bands and the Table 2 combiner truth table.
+        # calibration bands, the Table 2 combiner truth table and the
+        # pinned datagen digests.
         "src/repro/costmodel/calibration.py",
         "tests/test_apps.py",
     }
