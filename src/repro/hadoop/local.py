@@ -30,10 +30,11 @@ from ..parallel.pool import list_schedule_makespan, resolve_workers
 from ..parallel.reducetask import run_reduce_tasks
 from .shuffle import (
     ReduceTaskTiming,
+    grouped_values,
     merge_sorted_runs,
     reduce_task_timing,
-    render_run,
     run_bytes,
+    run_pairs,
     run_text,
     spill_runs,
 )
@@ -51,9 +52,9 @@ class MapTaskResult:
     ``device`` ran it, which is all the job fold reads.
 
     ``breakdown`` is the task's Fig. 6 stage seconds. ``parts`` maps
-    partition → decorated run (:mod:`repro.hadoop.shuffle`): the
-    streaming-sorted, rendered pairs, built by the process that ran the
-    task and reused as reducer stdin and by the reduce merge;
+    partition → run (:mod:`repro.hadoop.shuffle`): the task's output
+    pairs grouped by key in streaming-sort order, built by the process
+    that ran the task and merged group by group on the reduce side;
     ``output_bytes`` is their lines' UTF-8 size, the task's share of
     the shuffle. ``gpu_task`` is the GPU pipeline's own detail (launch
     counters and costs, record count, SequenceFile images), present
@@ -289,18 +290,21 @@ class LocalJobRunner:
         text = split.decode("utf-8", errors="replace")
         map_out, map_counters = self.app.cpu_map(text)
         # Partitioned and sorted in one pass; the combiner filter then
-        # runs over each partition's sorted text.
+        # runs over each partition's sorted text, and its output is
+        # spilled back into that partition the same way.
+        where = f"{self.app.name} map task {index}"
         runs = spill_runs(map_out.splitlines(), self.partitioner.partition,
-                          f"{self.app.name} map task {index}")
-        map_pairs = sum(map(len, runs.values()))
+                          where)
+        map_pairs = sum(map(run_pairs, runs.values()))
         combine_counters = None
         if self.app.has_combiner:
             for part, run in runs.items():
                 out, counters = self.app.cpu_combine(run_text(run))
                 combine_counters = counters if combine_counters is None \
                     else combine_counters.merged(counters)
-                runs[part] = render_run(
-                    [parse_kv_line(ln) for ln in out.splitlines() if ln])
+                runs[part] = spill_runs(
+                    out.splitlines(), lambda _key, part=part: part,
+                    f"{where} combiner, partition {part}").get(part, [])
         output_bytes = sum(map(run_bytes, runs.values()))
 
         model = CpuTaskModel(self.cluster.cpu, self.io)
@@ -343,21 +347,17 @@ class LocalJobRunner:
         returned pairs in partition order either way.
         """
         merged = merge_sorted_runs(runs)
-        input_pairs = len(merged)
-        input_bytes = sum(utf8_len(t[2]) for t in merged)
+        input_pairs = run_pairs(merged)
+        input_bytes = run_bytes(merged)
         if self.app.reduce_source is not None:
-            text_in = "".join(t[2] for t in merged)
-            out_text, _counters = self.app.cpu_reduce(text_in)
+            out_text, _counters = self.app.cpu_reduce(run_text(merged))
             reduced = [parse_kv_line(ln)
                        for ln in out_text.splitlines() if ln]
             output_bytes = utf8_len(out_text)
         else:
-            grouped: dict[Any, list[Any]] = defaultdict(list)
-            for k, v, _ln in merged:
-                grouped[k].append(v)
             reduced = [
                 pair
-                for key, values in grouped.items()
+                for key, values in grouped_values(merged).items()
                 for pair in self.app.reduce(key, values)
             ]
             output_bytes = sum(utf8_len(kv_line(k, v)) for k, v in reduced)

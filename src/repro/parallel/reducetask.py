@@ -51,7 +51,7 @@ def run_reduce_tasks(
 
     On the pool each partition's sorted runs are pickled once into a
     contiguous blob — workers slice and unpickle exactly the objects
-    the driver held (decorated triples with their map-side renderings),
+    the driver held (key groups with their map-side renderings),
     so no value crosses the boundary through a lossy re-parse."""
     if workers == 1:
         return [runner.reduce_partition(part, shuffle.get(part, []))

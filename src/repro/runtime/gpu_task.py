@@ -70,15 +70,14 @@ class GpuTaskResult:
     seqfiles: dict[int, bytes] = field(default_factory=dict)
 
     def rendered_runs(self) -> dict[int, list]:
-        """Per-partition shuffle runs: streaming-sorted, decorated, and
-        rendered ``(key, value, line)`` triples.
+        """Per-partition shuffle runs: the pairs grouped by key in
+        streaming-sort order (:func:`~repro.hadoop.shuffle.render_run`).
 
-        This is the form the reduce-side merge consumes. Encoding and
-        sort-key computation happen here — once per pair, in whatever
-        process ran the task — instead of in the driver's fold (pool
-        workers ship these runs in their envelopes; the driver used to
-        re-encode every pair). The GPU sort ordered pairs byte-wise
-        before type coercion, so the decorate-sort also restores
+        This is the form the reduce-side merge consumes. Rendering and
+        sort-key computation happen here, in whatever process ran the
+        task, instead of in the driver's fold (pool workers ship these
+        runs in their envelopes). The GPU sort ordered pairs byte-wise
+        before type coercion, so sorting the groups also restores
         streaming key order for coerced numerics.
         """
         return {part: render_run(kvs)

@@ -2,9 +2,12 @@
 
 These pin contracts in isolation that whole-job runs only exercise in
 passing: the shared streaming sort order (one definition serves the
-map-side sort and the reduce merge), the analytic reduce-phase model,
-the KV wire format, and the map-task pipeline around the mini-C
-filters (``LocalJobRunner.map_task``).
+map-side sort and the reduce merge), the grouped shuffle runs against
+the per-pair reference sort, the analytic reduce-phase model, the KV
+wire format, and the map-task pipeline around the mini-C filters
+(``LocalJobRunner.map_task``). Runs are read through ``flatten_run``,
+``run_text``, ``run_bytes`` and ``run_pairs`` only: their layout is
+``hadoop/shuffle.py``'s business.
 """
 
 from __future__ import annotations
@@ -16,16 +19,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import get_app
+from repro.apps.combiners import STRING_KEY_INT_SUM
 from repro.config import CLUSTER1
 from repro.costmodel.io import IoModel
 from repro.errors import HadoopError
+from repro.hadoop import shuffle
 from repro.hadoop.job import JobConf
 from repro.hadoop.local import LocalJobRunner
 from repro.hadoop.shuffle import (
     decorate_kv_run,
     estimate_reduce_phase,
+    flatten_run,
+    grouped_values,
     merge_sorted_runs,
     reduce_task_timing,
+    render_run,
+    run_bytes,
+    run_pairs,
+    run_text,
     sort_kv_run,
     spill_runs,
     streaming_sort_key,
@@ -36,6 +47,16 @@ from repro.kvstore.coerce import kv_line, parse_kv_line
 
 def _parse(text):
     return [parse_kv_line(line) for line in text.splitlines() if line]
+
+
+def _assert_run_reads_as(run, triples):
+    """Every reader of ``run`` agrees with the per-pair reference
+    ``triples`` (``(key, value, line)``, already in streaming order)."""
+    assert flatten_run(run) == triples
+    assert run_text(run) == "".join(line for _k, _v, line in triples)
+    assert run_bytes(run) == sum(len(line.encode("utf-8"))
+                                 for _k, _v, line in triples)
+    assert run_pairs(run) == len(triples)
 
 
 # -- streaming sort order ---------------------------------------------------
@@ -49,6 +70,8 @@ class TestStreamingSortKey:
     def test_numbers_compare_numerically(self):
         assert streaming_sort_key(9) < streaming_sort_key(10)
         assert streaming_sort_key(9.5) < streaming_sort_key(10)
+        # exact above 2**53, where a float rendering would tie them
+        assert streaming_sort_key(2**53) < streaming_sort_key(2**53 + 1)
 
     def test_int_and_float_share_one_ordering(self):
         assert streaming_sort_key(3) == streaming_sort_key(3.0)
@@ -95,7 +118,7 @@ class TestSortKvRun:
         assert sort_kv_run([]) == []
 
 
-# -- decorated runs and the merge shuffle ------------------------------------
+# -- the reference decoration, grouped runs and the merge shuffle ------------
 
 
 class TestDecorateAndMerge:
@@ -112,48 +135,56 @@ class TestDecorateAndMerge:
         assert [e[1] for e in decorate_kv_run(run)] == run
 
     def test_merge_of_single_run_is_identity(self):
-        run = decorate_kv_run([("b", 1, "b\t1\n"), ("a", 2, "a\t2\n")])
-        assert merge_sorted_runs([run]) == [e[1] for e in run]
+        run = render_run([("b", 1), ("a", 2)])
+        assert merge_sorted_runs([run]) == run
+        assert flatten_run(run) == [("a", 2, "a\t2\n"), ("b", 1, "b\t1\n")]
 
     def test_merge_empty(self):
         assert merge_sorted_runs([]) == []
         assert merge_sorted_runs([[], []]) == []
 
     def test_merge_never_compares_payloads(self):
-        runs = [decorate_kv_run([("same", _Opaque(), "x")]),
-                decorate_kv_run([("same", _Opaque(), "y")])]
-        merged = merge_sorted_runs(runs)
-        assert [t[2] for t in merged] == ["x", "y"]
+        x, y = _Opaque(), _Opaque()
+        merged = merge_sorted_runs([render_run([("same", x)]),
+                                    render_run([("same", y)])])
+        assert [v for _k, v, _line in flatten_run(merged)] == [x, y]
 
     def test_merge_ties_keep_run_order(self):
         # equal keys interleave in run order, exactly as a stable sort
         # of the concatenation would place them
-        runs = [decorate_kv_run([("k", 0, "a"), ("k", 1, "b")]),
-                decorate_kv_run([("k", 2, "c")])]
-        assert [t[2] for t in merge_sorted_runs(runs)] == ["a", "b", "c"]
+        runs = [render_run([("k", 0), ("k", 1)]), render_run([("k", 2)])]
+        assert [v for _k, v, _line in flatten_run(merge_sorted_runs(runs))] \
+            == [0, 1, 2]
 
 
 # Duplicate-heavy key pool mixing the numeric and text domains (numbers
-# sort before text; string digits are text) — the adversarial shape for
-# a merge that must match a full stable re-sort byte for byte.
+# sort before text; string digits are text; ints above 2**53 stay
+# distinct) — the adversarial shape for a merge that must match a full
+# stable re-sort byte for byte. Keys are what coerce_key produces: int
+# or str. Values include renderings that need more than one byte.
 _KEYS = st.sampled_from(
-    ["a", "b", "10", "9", "", "k"] + [0, 1, -1, 9, 10, 2.5, 9.5, 3, 3.0]
+    ["a", "b", "10", "9", "", "k", "été"]
+    + [0, 1, -1, 9, 10, 3, 2**53, 2**53 + 1]
 )
-_TRIPLES = st.builds(
-    lambda k, i: (k, i, f"{k}\t{i}\n"),
-    _KEYS, st.integers(min_value=0, max_value=99),
-)
+_VALUES = st.one_of(st.integers(min_value=0, max_value=99),
+                    st.sampled_from([2.5, -0.0, "x", "", "日", "v\tw"]))
+_TRIPLES = st.builds(lambda k, v: (k, v, kv_line(k, v)), _KEYS, _VALUES)
 
 
 class TestMergeEqualsSortProperty:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(_TRIPLES, max_size=12), max_size=6))
     def test_merge_of_sorted_runs_equals_sort_of_concat(self, runs):
-        # the identity the reduce phase relies on: stable-merging
-        # per-run stably-sorted runs == stably sorting the concatenation
+        # the identity the reduce phase relies on: merging per-run
+        # grouped runs == stably sorting the concatenation, pair for
+        # pair — and so the mini-C reducer's stdin, the shuffle bytes
+        # and the pair count are the reference's too
         concat = [t for run in runs for t in run]
-        merged = merge_sorted_runs([decorate_kv_run(run) for run in runs])
-        assert merged == sort_kv_run(concat)
+        grouped = [render_run([(k, v) for k, v, _line in run])
+                   for run in runs]
+        for run, triples in zip(grouped, runs):
+            _assert_run_reads_as(run, sort_kv_run(triples))
+        _assert_run_reads_as(merge_sorted_runs(grouped), sort_kv_run(concat))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_TRIPLES, max_size=30), st.integers(1, 7))
@@ -161,16 +192,29 @@ class TestMergeEqualsSortProperty:
         # however the map side happened to chunk the pairs into tasks,
         # the reduce-side merge sees through the chunking
         chunk = max(1, -(-len(triples) // nruns))
-        runs = [triples[i:i + chunk] for i in range(0, len(triples), chunk)]
-        merged = merge_sorted_runs([decorate_kv_run(run) for run in runs])
-        assert merged == sort_kv_run(triples)
+        runs = [render_run([(k, v) for k, v, _line in triples[i:i + chunk]])
+                for i in range(0, len(triples), chunk)]
+        _assert_run_reads_as(merge_sorted_runs(runs), sort_kv_run(triples))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_TRIPLES, max_size=12), max_size=6))
+    def test_grouped_values_fold_the_merged_pairs(self, runs):
+        # the Python reducer's input: every key's values in merge order
+        expected = defaultdict(list)
+        for key, value, _line in sort_kv_run([t for run in runs for t in run]):
+            expected[key].append(value)
+        merged = merge_sorted_runs(
+            [render_run([(k, v) for k, v, _line in run]) for run in runs])
+        folded = grouped_values(merged)
+        assert folded == expected
+        assert list(folded) == list(expected)
 
 
 # -- the one-pass map-side spill ---------------------------------------------
 
 # Key texts that stress every memo level: repeats, canonical and
 # non-canonical ints ("007", "-0" and "+5" stay text), ints above 2**53
-# whose float sort keys collide while their partitions need not, a
+# that a float sort key would collide while their partitions need not, a
 # superscript digit int() rejects, non-ASCII, and the empty key.
 _KEY_TEXTS = st.sampled_from([
     "a", "b", "k", "", "7", "007", "-7", "-0", "+5", "10", "9", "1.0",
@@ -200,24 +244,28 @@ class TestSpillRuns:
             parts[partition(key)].append((key, value, kv_line(key, value)))
         runs = spill_runs(lines, partition, "t")
         assert list(runs) == list(parts)  # first-arrival partition order
-        assert runs == {p: decorate_kv_run(kvs) for p, kvs in parts.items()}
         for part, kvs in parts.items():
-            assert [entry[1] for entry in runs[part]] == sort_kv_run(kvs)
-        assert sum(map(len, runs.values())) == len(list(filter(None, lines)))
+            _assert_run_reads_as(runs[part], sort_kv_run(kvs))
+        assert sum(map(run_pairs, runs.values())) == \
+            len(list(filter(None, lines)))
 
-    def test_colliding_sort_keys_interleave_in_arrival_order(self):
+    def test_distinct_keys_above_2_53_sort_numerically(self):
         big, next_big = str(2**53), str(2**53 + 1)
-        assert streaming_sort_key(2**53) == streaming_sort_key(2**53 + 1)
         lines = [f"{next_big}\t1", f"{big}\t2", f"{next_big}\t3"]
         (run,) = spill_runs(lines, Partitioner(1).partition, "t").values()
-        assert [line for _key, (_k, _v, line) in run] == \
-            [ln + "\n" for ln in lines]
+        assert flatten_run(run) == [(2**53, 2, f"{big}\t2\n"),
+                                    (2**53 + 1, 1, f"{next_big}\t1\n"),
+                                    (2**53 + 1, 3, f"{next_big}\t3\n")]
 
-    def test_values_are_canonicalized_once_per_distinct_line(self):
-        (run,) = spill_runs(["k\t007", "k\t7", "k\t007"],
+    def test_values_are_canonicalized_once_per_distinct_line(self, monkeypatch):
+        original, calls = shuffle.coerce_value, []
+        monkeypatch.setattr(shuffle, "coerce_value",
+                            lambda text: calls.append(text) or original(text))
+        (run,) = spill_runs(["k\t007", "k\t7", "k\t007", "j\t007"],
                             Partitioner(1).partition, "t").values()
-        assert [record for _key, record in run] == [("k", 7, "k\t7\n")] * 3
-        assert run[0] is run[2]  # the repeated line reuses its entry
+        assert flatten_run(run) == \
+            [("j", 7, "j\t7\n")] + [("k", 7, "k\t7\n")] * 3
+        assert calls == ["007", "7"]  # once per distinct value text
 
     def test_malformed_line_names_where_and_which_line(self):
         lines = ["a\t1", "", "a\t1", "no-tab-here", "no-tab-here"]
@@ -346,12 +394,11 @@ class TestStreamingPipeline:
         assert task.map_pairs == 6
         merged = {}
         for part, run in task.parts.items():
-            keys = [k for _sort_key, (k, _v, _line) in run]
+            triples = flatten_run(run)
+            keys = [k for k, _v, _line in triples]
             assert keys == sorted(keys, key=streaming_sort_key)
             assert all(runner.partitioner.partition(k) == part for k in keys)
-            assert [entry[0] for entry in run] == \
-                [streaming_sort_key(k) for k in keys]
-            for _sort_key, (k, v, line) in run:
+            for k, v, line in triples:
                 assert line == kv_line(k, v)
                 merged[k] = v
         assert merged == {"a": 2, "b": 3, "c": 1}
@@ -361,7 +408,7 @@ class TestStreamingPipeline:
         app = replace(get_app("WC"), combine_source=None)
         runner = LocalJobRunner(app, use_gpu=False, num_reducers=1)
         task = runner.map_task(0, b"a a\n")
-        assert [(k, v) for _sort_key, (k, v, _line) in task.parts[0]] == \
+        assert [(k, v) for k, v, _line in flatten_run(task.parts[0])] == \
             [("a", 1), ("a", 1)]
         assert task.breakdown.combine == 0.0
 
@@ -371,5 +418,31 @@ class TestStreamingPipeline:
         runner = LocalJobRunner(app, use_gpu=False, num_reducers=0)
         task = runner.map_task(0, b"b a b\n")
         assert list(task.parts) == [0]
-        assert [line for _sort_key, (_k, _v, line) in task.parts[0]] == \
+        assert [line for _k, _v, line in flatten_run(task.parts[0])] == \
             ["a\t1\n", "b\t1\n", "b\t1\n"]
+
+    def test_malformed_combiner_line_names_task_and_partition(self):
+        # a combiner that drops the count: its output goes through the
+        # same spill as map output and fails the same way
+        app = replace(get_app("WC"), combine_source=STRING_KEY_INT_SUM.replace(
+            r'"%s\t%d\n", prevWord, count', r'"%s\n", prevWord'))
+        runner = LocalJobRunner(app, use_gpu=False, num_reducers=1)
+        with pytest.raises(HadoopError) as err:
+            runner.map_task(3, b"b a b\n")
+        assert str(err.value) == ("wordcount map task 3 combiner, partition "
+                                  "0: malformed KV line 'a' at output line 1")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wordcount_keeps_distinct_int_words_above_2_53(workers):
+    # Two int keys one apart above 2**53, in one partition: a float sort
+    # key ties them, so the map-side sort (CPU) and the reduce-side merge
+    # (both paths) interleaved them and the reducer emitted a key twice.
+    # Two splits, so the merge has two runs per path.
+    text = ("9007199254740993 9007199254740992 9007199254740993\n"
+            "9007199254740992 x 9007199254740993\n")
+    app = get_app("WC")
+    outputs = [LocalJobRunner(app, use_gpu=use_gpu, num_reducers=1,
+                              split_bytes=40, workers=workers).run(text).output
+               for use_gpu in (False, True)]
+    assert outputs == [{2**53: 2, 2**53 + 1: 3, "x": 1}] * 2

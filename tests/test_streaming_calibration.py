@@ -14,6 +14,7 @@ from repro.costmodel.calibration import (
 from repro.errors import GpuOutOfMemory
 from repro.experiments.calibrate import DEFAULT_RECORDS, single_task_times
 from repro.hadoop.local import LocalJobRunner
+from repro.hadoop.shuffle import flatten_run
 from repro.kvstore.coerce import kv_line, parse_kv_line
 
 
@@ -25,7 +26,7 @@ def _cpu_parts(app, text, num_reducers):
     """One CPU map task's output as partition → [(key, value)]."""
     runner = LocalJobRunner(app, use_gpu=False, num_reducers=num_reducers)
     task = runner.map_task(0, text.encode("utf-8"))
-    return {part: [(k, v) for _sort_key, (k, v, _line) in run]
+    return {part: [(k, v) for k, v, _line in flatten_run(run)]
             for part, run in task.parts.items()}
 
 
