@@ -15,9 +15,10 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   a region to the per-lane unit of the same loop on any runtime hazard.
   Nobody picks an engine per job; the runtime does.
 * ``"compiled"`` — :class:`CompiledLaneRunner`, vector's base and
-  fallback. Per *launch*: compile the kernel body once (cached per
-  program, :func:`repro.minic.cache.compiled_kernel_body`), build the
-  GPU builtin table once, and precompute an *environment plan* — the
+  fallback. Per *launch*: fetch the compiled kernel body (cached per
+  program, :func:`repro.minic.cache.compiled_kernel_body`) and the
+  kernel's device builtin table (:func:`device_builtins`, built once per
+  kernel), and precompute an *environment plan* — the
   (slot, factory) list that materializes each lane's kernel variables
   straight into the compiled body's frame. Per *lane*: construct its
   :class:`Lane`, run the plan's factories, call the generated body
@@ -38,25 +39,25 @@ environment variable names an engine.
 
 A GPU thread is one object: its :class:`Lane` — the records (or
 combine chunk) it consumes, its cursor, output, thread id and charges,
-its counters/heap/step count, and the launch's builtin table, access
-charge, generated functions, predefined globals and step budget. The
-runner constructs one per active lane (one per combine chunk),
-generated units take it as ``rt``, and every builtin, in either calling
-convention and on all three engines, receives it as its first argument.
-Nothing is re-pointed or copied between lanes.
+its counters/heap/step count, the launch's KV store and partitioner,
+and the kernel's builtin table, access charge, generated functions,
+predefined globals and step budget. The runner constructs one per
+active lane (one per combine chunk), generated units take it as
+``rt``, and every builtin, on all three engines, receives it as its
+first argument. Nothing is re-pointed or copied between lanes.
 
-There is one builtin table per launch, in the convention of
-:mod:`repro.minic.stdlib`: each name maps to a
-:class:`~repro.minic.stdlib.Builtin` — a typed positional function
-``entry(lane, a, b, ...)`` that generated lane bodies call directly,
-plus the list convention derived from it for the tree engine. The
-device library is built from the host library's declarations with the
+There is one builtin table per kernel (and device spec and metrics
+registry), in the convention of :mod:`repro.minic.stdlib`: each name
+maps to a typed positional function ``entry(lane, a, b, ...)`` that
+generated lane bodies and the tree engine both call. The device
+library is built from the host library's declarations with the
 math.h/string.h charge taken inside each entry, and the four runtime
 IO calls (``getRecord``/``emitKV``, ``getKV``/``storeKV``) read the
-lane's cursor and charges off that first argument; the entries close
-over the launch's *constants* and bound charges only. All engines
-share :class:`LaneRunner`'s launch-level table and the charges of
-:mod:`repro.gpu.charging`, so outputs, ``ExecCounters``, and
+lane's cursor, charges, KV store and partitioner off that first
+argument; the entries close over the kernel's *constants* and bound
+charges only, so :func:`device_builtins` builds a table once and every
+launch of the kernel reuses it. All engines share that table and the
+charges of :mod:`repro.gpu.charging`, so outputs, ``ExecCounters``, and
 ``WarpCost``/``KernelCost`` are bit-identical by construction — and
 machine-checked by the fuzz oracle and
 ``tests/test_gpu_compile_backend.py`` / ``tests/test_gpu_vector_engine.py``
@@ -79,7 +80,7 @@ from ..minic import cast as A
 from ..minic import ctypes as T
 from ..minic.cache import compiled_kernel_body
 from ..minic.interpreter import ExecCounters
-from ..minic.stdlib import MATH1, MATH2, Builtin, host_builtins, takes_cells
+from ..minic.stdlib import HOST_BUILTINS, MATH1, MATH2, takes_cells
 from ..minic.values import Buffer, Cell, NULL, Ptr, ScalarRef
 from .charging import (
     LaneCharges,
@@ -95,8 +96,8 @@ from .charging import (
 __all__ = [
     "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
     "use_gpu_engine", "Lane", "LaneRunner", "CompiledLaneRunner",
-    "make_map_builtins", "make_combine_builtins", "kernel_program",
-    "kernel_cell_factories",
+    "device_builtins", "make_map_builtins", "make_combine_builtins",
+    "kernel_program", "kernel_cell_factories",
 ]
 
 #: Statement budget per lane, mirroring Interpreter's default.
@@ -164,8 +165,8 @@ class Lane:
     read exactly these attributes of it:
 
     * ``counters`` — the run's ``ExecCounters``;
-    * ``builtins`` — the name → ``Builtin`` table (units look an entry
-      up once per unit run);
+    * ``builtins`` — the name → typed function table (units look an
+      entry up once per unit run; nothing changes it);
     * ``funcs`` — the program's generated functions, ``call(rt, args)``;
     * ``globals`` — the predefined C identifiers (name → Cell) a
       function binds its free names from;
@@ -181,20 +182,23 @@ class Lane:
     The device builtins additionally read the thread's own fields:
     ``records``/``index`` (``getRecord``'s input and cursor), ``chunk``/
     ``index``/``output`` (``getKV``'s input and cursor, ``storeKV``'s
-    output), ``global_tid`` (whose portion of the KV store ``emitKV``
-    fills) and ``charges`` (the ``LaneCharges`` every device entry and
-    the access charge add to). ``frame`` is the lane's variable frame
-    while a compiled body runs."""
+    output), ``global_tid``, ``store`` and ``partitioner`` (the launch's
+    KV store, whose portion ``global_tid`` ``emitKV`` fills, and the
+    partitioner it files each key under) and ``charges`` (the
+    ``LaneCharges`` every device entry and the access charge add to).
+    ``frame`` is the lane's variable frame while a compiled body runs."""
 
     __slots__ = ("records", "index", "chunk", "output", "global_tid",
-                 "charges", "counters", "heap", "_stdout", "steps", "frame",
-                 "builtins", "charge", "funcs", "globals", "max_steps")
+                 "store", "partitioner", "charges", "counters", "heap",
+                 "_stdout", "steps", "frame", "builtins", "charge", "funcs",
+                 "globals", "max_steps")
 
     def __init__(self, builtins: dict[str, Callable],
                  charge: Callable[[Any, Any, bool], None],
                  funcs: dict[str, Callable], globals_dict: dict[str, Cell],
                  charges: LaneCharges, records: list[bytes] = (),
-                 global_tid: int = 0, chunk: list[Any] = ()):
+                 global_tid: int = 0, chunk: list[Any] = (),
+                 store: Any = None, partitioner: Any = None):
         self.builtins = builtins
         self.charge = charge
         self.funcs = funcs
@@ -203,6 +207,8 @@ class Lane:
         self.charges = charges
         self.records = records
         self.global_tid = global_tid
+        self.store = store
+        self.partitioner = partitioner
         self.chunk = chunk
         self.index = 0
         self.output: list[tuple[Any, Any]] = []
@@ -223,7 +229,7 @@ class Lane:
 
 
 # --------------------------------------------------------------------------
-# Launch-level GPU builtins (shared by every engine)
+# Device builtin tables (one per kernel, shared by every engine)
 # --------------------------------------------------------------------------
 
 
@@ -282,14 +288,12 @@ def _char_len(arg: Any) -> int:
 
 def common_lane_builtins(metrics: Any, vec: int) -> dict[str, Callable]:
     """Device versions of the C library, built from the host table's
-    declarations: same semantics, plus the launch's bound cost charges
+    declarations: same semantics, plus the kernel's bound cost charges
     (tallied into ``metrics`` when a recorder is enabled, else None)
     taken inside the math.h and string.h entries. The runtime 'provides
     equivalent implementations' of C standard functions the GPU lacks
     (paper §4.1)."""
-    gpu = host_builtins()
-    host = {name: gpu[name].typed for name in (
-        "strcmp", "strncmp", "strcpy", "strlen", "strcat", "strstr")}
+    host = HOST_BUILTINS
     charge_math = counted(math_call, metrics, "gpu.math_calls")
     charge_string = counted(bind_string_call(vec), metrics,
                             "gpu.string_calls")
@@ -360,25 +364,40 @@ def common_lane_builtins(metrics: Any, vec: int) -> dict[str, Callable]:
 
         return entry
 
-    device = {name: math1(fn) for name, fn in MATH1.items()}
-    device.update((name, math2(fn)) for name, fn in MATH2.items())
-    device.update((name, string2(host[name]))
-                  for name in ("strcpy", "strcat", "strstr"))
-    device["strcmp"] = strcmp
-    device["strlen"] = strlen
-    device["strncmp"] = strncmp
+    gpu = dict(host)
+    gpu.update((name, math1(fn)) for name, fn in MATH1.items())
+    gpu.update((name, math2(fn)) for name, fn in MATH2.items())
+    gpu.update((name, string2(host[name]))
+               for name in ("strcpy", "strcat", "strstr"))
+    gpu["strcmp"] = strcmp
+    gpu["strlen"] = strlen
+    gpu["strncmp"] = strncmp
     for name in ("printf", "scanf", "getline"):
-        device[name] = unsupported(name)  # the translator rewrites these
-    for name, typed in device.items():
-        gpu[name] = Builtin(name, typed)
+        gpu[name] = unsupported(name)  # the translator rewrites these
     return gpu
 
 
-def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
-                      store: Any, partitioner: Any) -> dict[str, Callable]:
+def device_builtins(kernel: KernelIR, spec: Any,
+                    metrics: Any) -> dict[str, Callable]:
+    """``kernel``'s builtin table on a device of ``spec``, whose charges
+    tally into ``metrics`` (a recorder's registry, or None): built by
+    the first launch, reused by every later one. A traced run brings a
+    fresh registry, so one slot per spec holds the table of the latest
+    registry and another the untraced one."""
+    tables = kernel.__dict__.setdefault("_device_builtins", {})
+    key = (spec, metrics is not None)
+    held = tables.get(key)
+    if held is None or held[0] is not metrics:
+        make = make_map_builtins if kernel.is_mapper else make_combine_builtins
+        held = tables[key] = (metrics, make(kernel, spec, metrics))
+    return held[1]
+
+
+def make_map_builtins(kernel: KernelIR, spec: Any,
+                      metrics: Any) -> dict[str, Callable]:
     """The map-kernel builtin table: common device library plus
     ``getRecord``/``emitKV`` reading the lane they are handed."""
-    txn_bytes = device.spec.transaction_bytes
+    txn_bytes = spec.transaction_bytes
     vec = max(kernel.vector_width, 1)
     stealing = kernel.opt.record_stealing
     kv_nbytes = kernel.key_length + kernel.value_length
@@ -423,6 +442,8 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
         # store. What they do not answer (a cold cache, an unseen key, a
         # full portion, a bad thread id) goes to the owning method,
         # which also owns the error.
+        partitioner = lane.partitioner
+        store = lane.store
         buf = key.buffer if key.__class__ is Ptr else None
         if buf is not None:
             cache = buf._strcache
@@ -447,16 +468,16 @@ def make_map_builtins(kernel: KernelIR, device: Any, metrics: Any,
         return kv_nbytes
 
     builtins = common_lane_builtins(metrics, vec)
-    builtins["getRecord"] = Builtin("getRecord", get_record)
-    builtins["emitKV"] = Builtin("emitKV", emit_kv)
+    builtins["getRecord"] = get_record
+    builtins["emitKV"] = emit_kv
     return builtins
 
 
-def make_combine_builtins(kernel: KernelIR, device: Any,
+def make_combine_builtins(kernel: KernelIR, spec: Any,
                           metrics: Any) -> dict[str, Callable]:
     """The combine-kernel builtin table: common device library plus
     ``getKV``/``storeKV`` reading the lane they are handed."""
-    txn_bytes = device.spec.transaction_bytes
+    txn_bytes = spec.transaction_bytes
     vec = max(kernel.vector_width, 1)
     cooperative = vec > 1
     kv_bytes = kernel.key_length + kernel.value_length
@@ -497,8 +518,8 @@ def make_combine_builtins(kernel: KernelIR, device: Any,
         return kv_bytes
 
     builtins = common_lane_builtins(metrics, vec)
-    builtins["getKV"] = Builtin("getKV", get_kv)
-    builtins["storeKV"] = Builtin("storeKV", store_kv)
+    builtins["getKV"] = get_kv
+    builtins["storeKV"] = store_kv
     return builtins
 
 
@@ -674,11 +695,12 @@ class LaneRunner:
     """One launch's lane-execution context, and the interface the
     launch folds in :mod:`repro.gpu.executor` drive.
 
-    Holds what every engine resolves once per launch — the builtin
-    table and the access charge (both tallying into ``metrics`` when a
-    recorder is enabled), the generated functions and the predefined
-    globals — and runs a lane by constructing its :class:`Lane` over
-    those and handing it to the engine's ``_run_lane_body``."""
+    Holds what every engine resolves once per launch — the kernel's
+    builtin table and the access charge (both tallying into ``metrics``
+    when a recorder is enabled), the generated functions, the predefined
+    globals, and a map launch's KV store and partitioner — and runs a
+    lane by constructing its :class:`Lane` over those and handing it to
+    the engine's ``_run_lane_body``."""
 
     def __init__(
         self,
@@ -693,12 +715,10 @@ class LaneRunner:
         self.kernel = kernel
         self.snapshot = snapshot
         self.shared_ro = shared_ro
+        self.store = store
+        self.partitioner = partitioner
         self.metrics = metrics
-        if kernel.is_mapper:
-            self.builtins = make_map_builtins(kernel, device, metrics,
-                                              store, partitioner)
-        else:
-            self.builtins = make_combine_builtins(kernel, device, metrics)
+        self.builtins = device_builtins(kernel, device.spec, metrics)
         self.charge_access = counted(access, metrics, "gpu.accesses")
         # The kernel program's generated functions: none on the tree
         # engine, the compiled engines set theirs.
@@ -717,7 +737,8 @@ class LaneRunner:
         if globals_dict is None:
             globals_dict = _fresh_globals()
         return Lane(self.builtins, self.charge_access, self.funcs,
-                    globals_dict, charges, records, global_tid, chunk)
+                    globals_dict, charges, records, global_tid, chunk,
+                    self.store, self.partitioner)
 
     def _run_lane_body(self, lane: Lane) -> None:
         """Execute the kernel body once as ``lane``."""
@@ -766,7 +787,7 @@ class CompiledLaneRunner(LaneRunner):
 
     Construction resolves everything that is launch-invariant: the
     compiled body (from the job-level cache, keyed on the program), the
-    builtin table, the access charge, and — lazily, on the first
+    kernel's builtin table, the access charge, and — lazily, on the first
     active lane, matching the tree engine's error timing — the
     environment plan. Each lane invocation is then: run the plan's
     factories into a fresh frame, call the generated body function with

@@ -29,13 +29,13 @@ returns Python source plus the :class:`_Counts` it owes; the
 * :class:`~repro.minic.interpreter.ExecCounters` accounting is batched
   per basic block into straight-line ``c.ops += n`` at the block head;
 * a call site of a declared builtin (:data:`repro.minic.stdlib.SIGNATURES`)
-  whose arity fits calls the table entry's typed function positionally
-  — ``d(rt, a, b)``: no argument list, and a typed scalar's ``&x``
-  passed as its bare Cell where the signature takes one — guarded once
-  per unit run by "the table's entry under this name is that declared
-  :class:`~repro.minic.stdlib.Builtin`"; a replaced entry, a user
-  function or a wrong arity takes the list convention, whose derived
-  callable reports the arity error;
+  looks the name up in ``rt.builtins`` once per unit run and calls the
+  typed function it finds positionally — ``g(rt, a, b)``: no argument
+  list, and a typed scalar's ``&x`` passed as its bare Cell where the
+  signature takes one. A wrong static arity compiles to a raise of
+  :func:`~repro.minic.stdlib.arity_error`'s text instead. A name the
+  table lacks (a host program's own ``emitKV``) and an undeclared name
+  call the user function, with an argument list;
 * ``printf``/``scanf`` call sites with a string-literal format are
   rendered/scanned straight-line, guarded once per unit run by
   ``rt.builtins[name] is <the host entry>`` (GPU builtin tables replace
@@ -77,15 +77,15 @@ from ..errors import CRuntimeError
 from . import cast as A
 from . import ctypes as T
 from .stdlib import (
-    _HOST_BUILTINS,
     _SCAN_PAIR_RES,
+    HOST_BUILTINS,
     SIGNATURES,
-    Builtin,
     _as_str,
     _compile_format,
     _render_int,
     _scan_convs,
     _store_out,
+    arity_error,
     c_scan,
 )
 from .values import (
@@ -227,16 +227,6 @@ def _user_function(rt: Any, name: str) -> Callable:
     return func
 
 
-def _list_call(rt: Any, entry: Callable | None, name: str,
-               args: list[Any]) -> Any:
-    """The list convention, for a direct call site that found something
-    other than the declared builtin under its name: a replaced table
-    entry, or none (builtins shadow user functions)."""
-    if entry is not None:
-        return entry(rt, args)
-    return _user_function(rt, name)(rt, args)
-
-
 # Cells the emitter knows nothing static about (array names used as
 # scalars, untyped free variables): a Buffer-valued cell keeps the
 # tree-walker's Ptr(buf, 0) ref semantics — element 0 store,
@@ -302,8 +292,7 @@ _UNIT_GLOBALS: dict[str, Any] = {
     "_c_div": c_div, "_c_mod": c_mod, "_as_ptr": as_ptr,
     "_as_ref": as_ref, "_cast_int": _cast_int, "_step": _step,
     "_over_budget": _over_budget, "_bad_arity": _bad_arity,
-    "_user_function": _user_function, "_list_call": _list_call,
-    "Builtin": Builtin,
+    "_user_function": _user_function,
     "_cell_ref": _cell_ref, "_cell_assign": _cell_assign,
     "_cell_incdec": _cell_incdec, "_as_str": _as_str,
     "_store_out": _store_out, "c_scan": c_scan,
@@ -320,8 +309,8 @@ _RT_LOCALS = {
 #: printf/scanf call sites with a literal format skip the builtin when
 #: the unit runs against these host table entries: name → (entry, the
 #: emitter method that renders the call straight-line).
-_HOST_FORMAT_CALLS = {"printf": (_HOST_BUILTINS["printf"], "_printf_lines"),
-                      "scanf": (_HOST_BUILTINS["scanf"], "_scanf_lines")}
+_HOST_FORMAT_CALLS = {"printf": (HOST_BUILTINS["printf"], "_printf_lines"),
+                      "scanf": (HOST_BUILTINS["scanf"], "_scanf_lines")}
 
 
 # --------------------------------------------------------------------------
@@ -1218,30 +1207,28 @@ class _FunctionCompiler:
         out = None if void else u.tmp()
         assign = "" if void else f"{out} = "
         name = u.const(expr.func)
-        argv = "[" + ", ".join(ex.src for ex in args) + "]"
-        u.need("builtins")
-        # The builtin lookup runs once per unit run: builtins dicts are
-        # built before an interpreter runs and never mutated afterwards.
-        # Builtins shadow user functions, as in the tree-walker.
-        g = u.need(f"g{name[1:]}", f"g{name[1:]} = builtins.get({name})")
+        user = (f"_user_function(rt, {name})"
+                f"(rt, [{', '.join(ex.src for ex in args)}])")
         sig = SIGNATURES.get(expr.func)
-        if sig is not None and sig[0] <= len(args) <= sig[1]:
-            # A declared builtin at a fitting arity: its typed function,
-            # called positionally, whenever the table holds it.
-            d = u.need(f"d{name[1:]}",
-                       f"d{name[1:]} = {g}.typed if {g}.__class__ is Builtin "
-                       f"and {g}.name == {name} else None")
-            argl = "".join(
-                ", " + (ex.cell[0] if i in sig[2] and ex.cell is not None
-                        else ex.src)
-                for i, ex in enumerate(args))
-            call = [f"if {d} is not None:",
-                    f"    {assign}{d}(rt{argl})",
-                    "else:",
-                    f"    {assign}_list_call(rt, {g}, {name}, {argv})"]
+        if sig is None:
+            call = [assign + user]
         else:
-            call = [f"{assign}{g}(rt, {argv}) if {g} is not None "
-                    f"else _user_function(rt, {name})(rt, {argv})"]
+            # One lookup per unit run: tables never change once built.
+            # Builtins shadow user functions, as in the tree-walker.
+            u.need("builtins")
+            g = u.need(f"g{name[1:]}", f"g{name[1:]} = builtins.get({name})")
+            if sig[0] <= len(args) <= sig[1]:
+                argl = "".join(
+                    ", " + (ex.cell[0] if i in sig[2] and ex.cell is not None
+                            else ex.src)
+                    for i, ex in enumerate(args))
+                call = [f"{assign}{g}(rt{argl}) if {g} is not None "
+                        f"else {user}"]
+            else:
+                message = u.const(str(arity_error(expr.func, len(args))))
+                call = [f"if {g} is not None:",
+                        f"    raise CRuntimeError({message})",
+                        assign + user]
         if expr.func in _HOST_FORMAT_CALLS and expr.args \
                 and type(expr.args[0]) is A.StringLit:
             entry, emitter = _HOST_FORMAT_CALLS[expr.func]

@@ -21,7 +21,7 @@ from ..errors import ConfigError, CRuntimeError
 from . import cast as A
 from . import ctypes as T
 from .cache import compiled_program, strlit_buffers
-from .stdlib import InputStream, host_builtins
+from .stdlib import HOST_BUILTINS, SIGNATURES, InputStream, arity_error
 from .values import (
     NULL,
     Buffer,
@@ -151,14 +151,12 @@ class Interpreter:
     stdin:
         Text presented on standard input.
     builtins:
-        Builtin function table; defaults to the host C library. The GPU
-        executor passes a device-runtime table instead. Values are
-        called as ``fn(context, [args...])`` — the context being this
-        interpreter on the host: the tables' own entries are
-        :class:`~repro.minic.stdlib.Builtin` objects, which derive that
-        form from their typed positional function (and which the
-        compiled backend calls positionally); a replacement may be any
-        callable of that shape.
+        Builtin function table (name → typed function, called as
+        ``fn(context, a, b, ...)`` after the arity check of
+        :data:`~repro.minic.stdlib.SIGNATURES`; the context is this
+        interpreter on the host); defaults to the host C library. The
+        GPU executor passes a device-runtime table instead. Shared, not
+        copied: no table changes once built.
     max_steps:
         Statement-execution budget; guards against runaway loops in user
         source (a real cluster would rely on task timeouts).
@@ -176,14 +174,14 @@ class Interpreter:
         self,
         program: A.Program,
         stdin: str = "",
-        builtins: dict[str, Callable[["Interpreter", list[Any]], Any]] | None = None,
+        builtins: dict[str, Callable[..., Any]] | None = None,
         max_steps: int = 200_000_000,
         backend: str | None = None,
     ):
         self.program = program
         self.stdin = InputStream(stdin)
         self.stdout = io.StringIO()
-        self.builtins = host_builtins() if builtins is None else dict(builtins)
+        self.builtins = HOST_BUILTINS if builtins is None else builtins
         self.heap: list[Buffer] = []
         self.counters = ExecCounters()
         self.max_steps = max_steps
@@ -468,7 +466,10 @@ class Interpreter:
         args = [self.eval(arg) for arg in expr.args]
         builtin = self.builtins.get(name)
         if builtin is not None:
-            return builtin(self._ctx, args)
+            fewest, most, _cells = SIGNATURES[name]
+            if not fewest <= len(args) <= most:
+                raise arity_error(name, len(args))
+            return builtin(self._ctx, *args)
         try:
             func = self.program.function(name)
         except KeyError:

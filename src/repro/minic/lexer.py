@@ -51,7 +51,7 @@ _NUMBER_RE = re.compile(
     | (?:\d+[fF])                          # 3f
     | (?:\d+[uUlL]*)                       # plain int w/ suffixes
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # C digits only: "1٣" is not 13
 )
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -172,7 +172,7 @@ def tokenize(source: str) -> list[Token]:
             continue
         # Numbers
         m = _NUMBER_RE.match(source, i)
-        if m and ch.isdigit() or (ch == "." and m):
+        if m and "0" <= ch <= "9" or (ch == "." and m):
             text = m.group(0)
             kind = "float" if any(c in text for c in ".eEfF") and not text.startswith("0x") else "int"
             # hex has no dot/e markers issue

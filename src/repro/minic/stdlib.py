@@ -3,18 +3,17 @@
 Provides stdio (``getline``/``scanf``/``printf``), string.h, stdlib.h, and
 math.h, plus the ``getWord`` helper the paper's Wordcount listing uses.
 
-There is one builtin table and one calling convention behind it. Every
-builtin is declared once, as a typed positional Python function
+Every builtin is declared once, as a typed positional Python function
 ``impl(facade, a, b, ...)`` — ``facade`` is the run's execution context
 (the interpreter on the host, the thread's ``Lane`` on the GPU), so a
-builtin can touch its IO streams, heap and
-instrumentation counters. A table maps each name to a :class:`Builtin`,
-which *is* that function plus the list-convention callable
-``b(facade, [a, b, ...])`` derived from its signature (arity check, then
-``impl(facade, *args)``). Generated code calls ``impl`` directly at call
-sites of the right arity; the tree-walker and every other call site go
-through the derived callable — same function, same errors.
-:data:`SIGNATURES` is what the emitter knows statically about a name.
+builtin can touch its IO streams, heap and instrumentation counters. A
+builtin table maps each name straight to that function and is never
+changed once built: :data:`HOST_BUILTINS` here, the device tables in
+:mod:`repro.gpu.engine`. :data:`SIGNATURES` is what both mini-C
+backends know about a name: the tree-walker checks a call's arity
+against it, the emitter a call site's, and a misfit raises
+:func:`arity_error`'s one message on either before the function would
+be called.
 """
 
 from __future__ import annotations
@@ -293,9 +292,9 @@ _VARIADIC = 1 << 30
 
 def takes_cells(*positions: int) -> Callable[[Callable], Callable]:
     """Declare that the builtin accepts, at these argument positions, a
-    typed scalar's ``&x`` as the bare :class:`Cell` — what a direct call
-    passes instead of allocating the ``ScalarRef`` the list convention
-    carries. The function must treat the two alike."""
+    typed scalar's ``&x`` as the bare :class:`Cell` — what generated
+    code passes instead of allocating the ``ScalarRef`` the tree-walker
+    evaluates ``&x`` to. The function must treat the two alike."""
 
     def mark(typed: Callable) -> Callable:
         typed.cells = positions  # type: ignore[attr-defined]
@@ -315,34 +314,21 @@ def signature(typed: Callable) -> tuple[int, int, tuple[int, ...]]:
     return fewest, most, getattr(typed, "cells", ())
 
 
-class Builtin:
-    """One declared builtin as a builtin table holds it.
-
-    ``typed`` is the implementation; calling the instance is the list
-    convention derived from it. ``name`` must be declared in
-    :data:`SIGNATURES` — that is what lets the emitter check a call
-    site's arity, and pick the Cell positions, from the name alone."""
-
-    __slots__ = ("name", "typed", "fewest", "most")
-
-    def __init__(self, name: str, typed: Callable):
-        self.name = name
-        self.typed = typed
-        self.fewest, self.most, _cells = SIGNATURES[name]
-
-    def __call__(self, facade: Any, args: list[Any]) -> Any:
-        if not self.fewest <= len(args) <= self.most:
-            if self.most == _VARIADIC:
-                want = f"at least {self.fewest}"
-            elif self.fewest == self.most:
-                want = str(self.fewest)
-            else:
-                want = f"{self.fewest} to {self.most}"
-            raise CRuntimeError(
-                f"{self.name} expects {want} argument"
-                f"{'' if want == '1' else 's'}, got {len(args)}"
-            )
-        return self.typed(facade, *args)
+def arity_error(name: str, nargs: int) -> CRuntimeError:
+    """The error a call of declared builtin ``name`` with ``nargs``
+    arguments raises when :data:`SIGNATURES` does not accept that many —
+    one text on every backend and engine."""
+    fewest, most, _cells = SIGNATURES[name]
+    if most == _VARIADIC:
+        want = f"at least {fewest}"
+    elif fewest == most:
+        want = str(fewest)
+    else:
+        want = f"{fewest} to {most}"
+    return CRuntimeError(
+        f"{name} expects {want} argument{'' if want == '1' else 's'}, "
+        f"got {nargs}"
+    )
 
 
 def _bi_printf(facade: Any, fmt: Any, *args: Any) -> int:
@@ -505,7 +491,9 @@ def _bi_strcmp(facade: Any, a: Any, b: Any) -> int:
 
 def _bi_strncmp(facade: Any, a: Any, b: Any, n: Any) -> int:
     n = int(n)
-    a, b = _as_str(a)[:n], _as_str(b)[:n]
+    a, b = _as_str(a), _as_str(b)
+    if n >= 0:  # C's size_t makes a negative n no limit at all
+        a, b = a[:n], b[:n]
     return (a > b) - (a < b)
 
 
@@ -597,33 +585,38 @@ def _math2(fn: Callable[[float, float], Any]) -> Callable:
     return entry
 
 
-def _ctype_char(arg: Any) -> str | None:
-    """The character a ctype.h argument denotes, or None when it names
-    none (``EOF``, negatives, anything past U+10FFFF) — for which C's
-    ``is*`` answer 0 and ``to*`` return the argument unchanged."""
-    code = int(arg)
-    return chr(code) if 0 <= code <= 0x10FFFF else None
+# ctype.h in the C locale: only ASCII characters are classified or
+# converted, and any other argument (EOF, a non-ASCII code) is no digit,
+# letter or space and comes back from ``to*`` unchanged.
 
 
-def _ctype_test(test: Callable[[str], bool]) -> Callable:
-    def entry(facade: Any, code: Any) -> int:
-        ch = _ctype_char(code)
-        return int(ch is not None and test(ch))
-
-    return entry
+def _bi_isspace(facade: Any, code: Any) -> int:
+    return int(int(code) in (32, 9, 10, 11, 12, 13))
 
 
-def _ctype_map(convert: Callable[[str], str]) -> Callable:
-    def entry(facade: Any, code: Any) -> int:
-        ch = _ctype_char(code)
-        return int(code) if ch is None else ord(convert(ch))
+def _bi_isdigit(facade: Any, code: Any) -> int:
+    return int(48 <= int(code) <= 57)
 
-    return entry
+
+def _bi_isalpha(facade: Any, code: Any) -> int:
+    code = int(code)
+    return int(65 <= code <= 90 or 97 <= code <= 122)
+
+
+def _bi_tolower(facade: Any, code: Any) -> int:
+    code = int(code)
+    return code + 32 if 65 <= code <= 90 else code
+
+
+def _bi_toupper(facade: Any, code: Any) -> int:
+    code = int(code)
+    return code - 32 if 97 <= code <= 122 else code
 
 
 #: The CPU-path C library (what gcc + glibc provide in the paper): every
-#: host builtin's one implementation, by name.
-_HOST_TYPED: dict[str, Callable] = {
+#: host builtin's one implementation, by name. Every interpreter shares
+#: this table; nothing changes it.
+HOST_BUILTINS: dict[str, Callable] = {
     "printf": _bi_printf,
     "fprintf": _bi_fprintf,
     "scanf": _bi_scanf,
@@ -643,11 +636,11 @@ _HOST_TYPED: dict[str, Callable] = {
     **{name: _math1(fn) for name, fn in MATH1.items()},
     **{name: _math2(fn) for name, fn in MATH2.items()},
     "abs": _bi_abs,
-    "isspace": _ctype_test(lambda ch: ch in " \t\r\n\v\f"),
-    "isdigit": _ctype_test(str.isdigit),
-    "isalpha": _ctype_test(str.isalpha),
-    "tolower": _ctype_map(str.lower),
-    "toupper": _ctype_map(str.upper),
+    "isspace": _bi_isspace,
+    "isdigit": _bi_isdigit,
+    "isalpha": _bi_isalpha,
+    "tolower": _bi_tolower,
+    "toupper": _bi_toupper,
     "exit": _bi_exit,
 }
 
@@ -657,25 +650,12 @@ _HOST_TYPED: dict[str, Callable] = {
 #: into kernel bodies and :mod:`repro.gpu.engine` implements them per
 #: launch, so only their shape can be stated here.
 SIGNATURES: dict[str, tuple[int, int, tuple[int, ...]]] = {
-    **{name: signature(typed) for name, typed in _HOST_TYPED.items()},
+    **{name: signature(typed) for name, typed in HOST_BUILTINS.items()},
     "getRecord": (1, 1, (0,)),
     "emitKV": (2, 2, ()),
     "getKV": (2, 2, (0, 1)),
     "storeKV": (2, 2, ()),
 }
-
-_HOST_BUILTINS: dict[str, Builtin] = {
-    name: Builtin(name, typed) for name, typed in _HOST_TYPED.items()
-}
-
-
-def host_builtins() -> dict[str, Callable[[Any, list[Any]], Any]]:
-    """A fresh copy of the (stateless) host builtin table — callers may
-    add or replace entries without affecting other interpreters. A
-    replacement may be any ``fn(facade, args)`` callable; only
-    :class:`Builtin` entries are called positionally."""
-    return dict(_HOST_BUILTINS)
-
 
 #: Names the HeteroDoop compiler recognises as record-input, KV-emit, and
 #: KV-input calls (paper §4.1–4.2). Used by the translator's IO-replacement

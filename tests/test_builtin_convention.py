@@ -1,29 +1,35 @@
 """The builtin calling convention, pinned — not just its results.
 
-Every builtin is declared once as a typed positional function;
-generated code calls it directly and everything else calls the list
-convention derived from it (:class:`repro.minic.stdlib.Builtin`). Two
-things keep that honest:
+Every builtin is declared once as a typed positional function, and a
+builtin table maps each name straight to it. The tree-walker checks a
+call's arity against ``SIGNATURES`` and calls the function; generated
+code does the same at the call site, once per unit run. Three things
+keep that honest:
 
 * **Equivalence** (hypothesis): for every entry of every table — the
   host C library, the device library with its charges, the four GPU IO
-  calls — ``entry.typed(ctx, *args)`` and ``entry(ctx, args)`` (``ctx``
-  the execution context: the ``Interpreter`` on the host, a ``Lane`` on
-  the device) agree on the return value, every touched buffer's bytes,
-  freed flag and decode cache, the out-parameter cells, the context's
-  streams,
+  calls — a tree-walked call and the compiled call site of the same
+  statement (``name(p0, &p1, ...)`` over the same operands) agree on
+  the return value, every touched buffer's bytes, freed flag and
+  decode cache, the out-parameter cells, the context's streams,
   ``ExecCounters``, ``LaneCharges``, the KV store and the exception
-  type + message. Arguments are generated to reach the slow branches:
-  ``NULL``, freed and non-char buffers, a ``Buffer`` where a ``Ptr``
-  belongs, non-ASCII and over-long tokens, offsets out of range,
-  str-typed values on the ``getKV`` wire — and at the positions a
-  signature declares, a typed call passes the bare ``Cell`` where the
-  list call passes its ``ScalarRef``.
+  type + message. The host runs the ``Interpreter``; a device entry
+  runs on a ``Lane`` under the tree engine's ``GpuInterpreter`` and
+  under the compiled engine's generated body (what the vector engine
+  runs for a statement with no loop). Operands are generated to reach
+  the slow branches: ``NULL``, freed and non-char buffers, arrays,
+  non-ASCII and over-long tokens, offsets out of range, str-typed
+  values on the ``getKV`` wire, misfit arities — and at the positions
+  a signature declares, the compiled site passes the bare ``Cell``
+  where the tree-walker passes its ``ScalarRef``.
 * **Emission**: for all 12 registry apps, every unit the compiled
   backend emits — map/combine/reduce ``main`` and the map and combine
   kernel bodies — calls each declared builtin of a fitting arity
   positionally, so a new app or builtin cannot silently fall off the
   fast path.
+* **Lookup**: a wrong arity is one message on every engine, a declared
+  name the table lacks is the program's own function, and a device
+  table is built once per kernel, not once per launch.
 """
 
 from __future__ import annotations
@@ -36,7 +42,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
-from repro.gpu.charging import LaneCharges
+from repro.errors import CRuntimeError
+from repro.gpu import engine as gpu_engine
+from repro.gpu import GPU_ENGINES, use_gpu_engine
+from repro.gpu.charging import LaneCharges, access
 from repro.gpu.device import GpuDevice
 from repro.gpu.engine import (
     Lane,
@@ -46,24 +55,22 @@ from repro.gpu.engine import (
     make_map_builtins,
     scalar_free_ctypes,
 )
+from repro.gpu.executor import GpuInterpreter
+from repro.hadoop.local import LocalJobRunner
 from repro.kvstore import GlobalKVStore, KVPair, Partitioner
+from repro.minic import cache as minic_cache
 from repro.minic import cast as A
 from repro.minic import ctypes as T
 from repro.minic import parse
 from repro.minic.cache import compiled_kernel_body, compiled_program
-from repro.minic.interpreter import Interpreter
-from repro.minic.stdlib import (
-    SIGNATURES,
-    Builtin,
-    host_builtins,
-    signature,
-)
+from repro.minic.interpreter import Interpreter, run_filter
+from repro.minic.stdlib import HOST_BUILTINS, SIGNATURES, signature
 from repro.minic.values import NULL, Buffer, Cell, Ptr, ScalarRef
 
 # -- generated arguments ------------------------------------------------------
 #
 # An argument is generated as a *spec* and materialised once per side, so
-# the typed and the list call each get fresh, identical objects.
+# the tree-walked and the compiled call each get fresh, identical objects.
 
 _TEXT = st.text(
     alphabet=st.sampled_from("ab z\t\n09-+.e%dé漢"), max_size=12)
@@ -93,14 +100,17 @@ _ANY = st.one_of(
 
 def _args_for(name, draw):
     """Mostly a fitting arity and plausible operands (so calls get past
-    their first check and reach the stores), sometimes anything."""
+    their first check and reach the stores), sometimes anything; half
+    the operands at a declared Cell position are ``&x`` — what the
+    compiled site passes bare and the tree-walker as a ``ScalarRef``."""
     fewest, most, cells = SIGNATURES[name]
     count = draw(st.sampled_from(
         [n for n in (fewest - 1, fewest, fewest, fewest, fewest + 1,
                      fewest + 2) if 0 <= n <= most + 1]))
-    return [draw(st.one_of(_REF if i in cells else _CHARS, _CHARS,
-                           st.tuples(st.just("int"), st.integers(-4, 70)),
-                           _ANY))
+    plausible = st.one_of(_CHARS, st.tuples(st.just("int"),
+                                            st.integers(-4, 70)), _ANY)
+    return [draw(st.one_of(_REF, plausible) if i in cells
+                 else st.one_of(_CHARS, plausible))
             for i in range(count)]
 
 
@@ -117,15 +127,19 @@ def _view(value):
     return (type(value).__name__, value)
 
 
-class _Side:
-    """One side's materialised arguments plus everything a builtin can
-    touch through them, for :meth:`observed`."""
+_CHAR_PTR = T.Pointer(T.CHAR)
+_REF_CTYPES = {"int": T.INT, "size_t": T.SIZE_T, "double": T.DOUBLE,
+               "char*": _CHAR_PTR, "char*=NULL": _CHAR_PTR}
 
-    def __init__(self, specs, cell_positions=()):
+
+class _Side:
+    """One side's operands — the Cell each ``pN`` names — plus
+    everything a builtin can touch through them, for :meth:`observed`."""
+
+    def __init__(self, specs):
         self.buffers: list[Buffer] = []
         self.cells: list[Cell] = []
-        self.args = [self._make(spec, i in cell_positions)
-                     for i, spec in enumerate(specs)]
+        self.env = {f"p{i}": self._cell(spec) for i, spec in enumerate(specs)}
 
     def _chars(self, text, spare=4):
         buf = Buffer.from_string(text)
@@ -133,25 +147,30 @@ class _Side:
         self.buffers.append(buf)
         return buf
 
-    def _make(self, spec, as_cell):
+    def _cell(self, spec):
         kind = spec[0]
-        if kind in ("int", "float", "str"):
-            return spec[1]
+        if kind == "int":
+            return Cell(spec[1], T.INT)
+        if kind == "float":
+            return Cell(spec[1], T.DOUBLE)
+        if kind == "str":
+            return Cell(spec[1], _CHAR_PTR)
         if kind == "null":
-            return NULL
+            return Cell(NULL, _CHAR_PTR)
         if kind == "chars":
             _k, text, spare, offset, freed = spec
             buf = self._chars(text, spare)
             buf.freed = freed
-            return Ptr(buf, min(offset, buf.size - 1))
+            return Cell(Ptr(buf, min(offset, buf.size - 1)), _CHAR_PTR)
         if kind == "ints":
             buf = Buffer(T.INT, len(spec[1]), label="ints")
             buf.data[:] = spec[1]
             self.buffers.append(buf)
-            return Ptr(buf, 0)
-        if kind == "buffer":
-            return self._chars(spec[1])
-        _k, ctype, number = spec
+            return Cell(Ptr(buf, 0), T.Pointer(T.INT))
+        if kind == "buffer":  # an array: evaluates to its decayed pointer
+            buf = self._chars(spec[1])
+            return Cell(buf, T.Array(T.CHAR, buf.size))
+        _k, ctype, number = spec  # "ref": passed as &pN
         if ctype == "int":
             cell = Cell(number, T.INT)
         elif ctype == "size_t":
@@ -159,16 +178,38 @@ class _Side:
         elif ctype == "double":
             cell = Cell(float(number), T.DOUBLE)
         elif ctype == "char*":
-            cell = Cell(Ptr(self._chars("x" * number), 0), T.Pointer(T.CHAR))
+            cell = Cell(Ptr(self._chars("x" * number), 0), _CHAR_PTR)
         else:
-            cell = Cell(NULL, T.Pointer(T.CHAR))
+            cell = Cell(NULL, _CHAR_PTR)
         self.cells.append(cell)
-        return cell if as_cell else ScalarRef(cell)
+        return cell
 
     def observed(self):
         return ([_view(buf) for buf in self.buffers],
                 [(str(cell.ctype), _view(cell.value))
                  for cell in self.cells])
+
+
+_STATEMENTS: dict[tuple, tuple] = {}
+
+
+def _statement(name, specs):
+    """``name(p0, &p1, ...);`` for ``specs`` — a ref spec passes its
+    cell's address — with the program around it and the static ctypes
+    of the address-taken cells (so the emitter may pass them bare).
+    Built once per shape, so each shape compiles once."""
+    shape = (name,) + tuple(spec[1] if spec[0] == "ref" else ""
+                            for spec in specs)
+    built = _STATEMENTS.get(shape)
+    if built is None:
+        args = ", ".join(("&" if ctype else "") + f"p{i}"
+                         for i, ctype in enumerate(shape[1:]))
+        program = parse(f"int main() {{ {name}({args}); return 0; }}")
+        built = _STATEMENTS[shape] = (
+            program, program.main.body.stmts[0],
+            {f"p{i}": _REF_CTYPES[ctype]
+             for i, ctype in enumerate(shape[1:]) if ctype})
+    return built
 
 
 def _outcome(call):
@@ -178,37 +219,62 @@ def _outcome(call):
         return ("raise", type(exc).__name__, str(exc))
 
 
-def _both_conventions(name, specs, make_world):
-    """Call ``name`` positionally and by list, each in a fresh world
-    from ``make_world() -> (context, table, observe)``; return both
-    sides' (outcome, argument observations, world observations)."""
+def _tree_and_compiled(name, specs, make_world):
+    """Run ``name``'s call statement once tree-walked and once compiled,
+    each in a fresh world from ``make_world(wrap) -> (context,
+    observe)`` whose table went through ``wrap`` (which records what
+    the entries return); return both sides' (outcome, argument
+    observations, world observations)."""
+    program, stmt, free_ctypes = _statement(name, specs)
     sides = []
-    for typed in (True, False):
-        ctx, table, observe = make_world()
-        entry = table[name]
-        assert isinstance(entry, Builtin)
-        side = _Side(specs, SIGNATURES[name][2] if typed else ())
-        if typed and entry.fewest <= len(side.args) <= entry.most:
-            outcome = _outcome(lambda: entry.typed(ctx, *side.args))
+    for tree in (True, False):
+        returned = []
+
+        def wrap(table):
+            def recording(entry):
+                def call(ctx, *args):
+                    result = entry(ctx, *args)
+                    returned.append(result)
+                    return result
+
+                return call
+
+            return {key: recording(entry) for key, entry in table.items()}
+
+        ctx, observe = make_world(wrap)
+        side = _Side(specs)
+        if tree and ctx.__class__ is Lane:
+            def run():
+                GpuInterpreter(program, ctx, side.env).exec_stmt(stmt)
+        elif tree:
+            def run():
+                ctx._scopes.append(side.env)
+                ctx.exec_stmt(stmt)
         else:
-            # The emitter never calls a misfit arity positionally: the
-            # derived callable *is* the arity check.
-            outcome = _outcome(lambda: entry(ctx, side.args))
+            suite = compiled_kernel_body(program, stmt, free_ctypes)
+            frame = [None] * suite.nslots
+            for free, slot in suite.frees:
+                frame[slot] = side.env[free]
+
+            def run():
+                suite.execute_with_frame(ctx, frame)
+
+        outcome = _outcome(run)
         if outcome[0] == "ok":
-            outcome = ("ok", _view(outcome[1]))
+            (result,) = returned
+            outcome = ("ok", _view(result))
         sides.append((outcome, side.observed(), observe()))
     return sides
 
 
-_MAIN = parse("int main() { return 0; }")
 _DEVICE = GpuDevice(CLUSTER1.gpu)
 
 
 def _lane_world(table, **fields):
     """A fresh :class:`Lane` over ``table`` (zeroed charges and counters,
-    ``fields`` its records/global_tid/chunk); observes the charges, the
-    counters and the cursor."""
-    lane = Lane(table, None, {}, {}, LaneCharges(), **fields)
+    ``fields`` its records/global_tid/chunk/store/partitioner); observes
+    the charges, the counters and the cursor."""
+    lane = Lane(table, access, {}, {}, LaneCharges(), **fields)
     return lane, lambda: (asdict(lane.charges), asdict(lane.counters),
                           lane.index)
 
@@ -217,41 +283,41 @@ class TestEquivalence:
     @settings(max_examples=600, deadline=None)
     @given(st.data())
     def test_host_library(self, data):
-        name = data.draw(st.sampled_from(sorted(host_builtins())))
+        name = data.draw(st.sampled_from(sorted(HOST_BUILTINS)))
         specs = _args_for(name, data.draw)
         stdin = data.draw(_TEXT)
 
-        def world():
-            interp = Interpreter(_MAIN, stdin=stdin)
-            return interp, interp.builtins, lambda: (
+        def world(wrap):
+            interp = Interpreter(_statement(name, specs)[0], stdin=stdin,
+                                 builtins=wrap(HOST_BUILTINS))
+            return interp, lambda: (
                 interp.stdout.getvalue(), interp.stdin.pos,
                 len(interp.heap), asdict(interp.counters))
 
-        typed, listed = _both_conventions(name, specs, world)
-        assert typed == listed
+        tree, compiled = _tree_and_compiled(name, specs, world)
+        assert tree == compiled
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_device_library_and_its_charges(self, data):
         vec = data.draw(st.sampled_from([1, 4]))
         table = common_lane_builtins(None, vec)
-        host = host_builtins()
         name = data.draw(st.sampled_from(sorted(
             name for name, entry in table.items()
-            if entry is not host[name])))
+            if entry is not HOST_BUILTINS[name])))
         specs = _args_for(name, data.draw)
 
-        def world():
-            lane, observe = _lane_world(table)
-            return lane, table, observe
+        def world(wrap):
+            return _lane_world(wrap(table))
 
-        typed, listed = _both_conventions(name, specs, world)
-        assert typed == listed
+        tree, compiled = _tree_and_compiled(name, specs, world)
+        assert tree == compiled
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_map_io_calls(self, data):
         kernel = get_app("WC").translate_map().map_kernel
+        table = make_map_builtins(kernel, _DEVICE.spec, None)
         name = data.draw(st.sampled_from(["getRecord", "emitKV"]))
         specs = _args_for(name, data.draw)
         records = data.draw(st.lists(
@@ -259,49 +325,50 @@ class TestEquivalence:
         # Thread 1's portion is full; -1 and 99 are out of range.
         tid = data.draw(st.sampled_from([0, 1, 2, -1, 99]))
 
-        def world():
+        def world(wrap):
             store = GlobalKVStore(3, 6, kernel.key_length,
                                   kernel.value_length)
             store.emit(1, "full", 1, 0)
             store.emit(1, "full", 2, 0)
-            table = make_map_builtins(kernel, _DEVICE, None, store,
-                                      Partitioner(3))
-            lane, observe = _lane_world(table, records=list(records),
-                                        global_tid=tid)
-            return lane, table, lambda: (observe(), [
+            lane, observe = _lane_world(
+                wrap(table), records=list(records), global_tid=tid,
+                store=store, partitioner=Partitioner(3))
+            return lane, lambda: (observe(), [
                 (t, _view(p.key), _view(p.value), p.partition)
                 for t, p in store.iter_pairs()])
 
-        typed, listed = _both_conventions(name, specs, world)
-        assert typed == listed
+        tree, compiled = _tree_and_compiled(name, specs, world)
+        assert tree == compiled
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_combine_io_calls(self, data):
         kernel = get_app("WC").translate_combine().combine_kernel
+        table = make_combine_builtins(kernel, _DEVICE.spec, None)
         name = data.draw(st.sampled_from(["getKV", "storeKV"]))
         specs = _args_for(name, data.draw)
         # The wire is text: numbers may arrive str-typed.
         datum = st.one_of(st.integers(-5, 99), st.integers(-5, 99), _TEXT,
                           st.floats(-9, 9, allow_nan=False),
                           st.sampled_from(["42", "-3", "2.5", "1e3"]))
+        # (An exhausted chunk returns -1 untouched: every kernel test
+        # ends there, so these start with a pair to read.)
         chunk = [KVPair(key, value, 0) for key, value in data.draw(
-            st.lists(st.tuples(datum, datum), max_size=2))]
+            st.lists(st.tuples(datum, datum), min_size=1, max_size=2))]
 
-        def world():
-            table = make_combine_builtins(kernel, _DEVICE, None)
-            lane, observe = _lane_world(table, chunk=list(chunk))
-            return lane, table, lambda: (observe(), [
+        def world(wrap):
+            lane, observe = _lane_world(wrap(table), chunk=list(chunk))
+            return lane, lambda: (observe(), [
                 (_view(key), _view(value)) for key, value in lane.output])
 
-        typed, listed = _both_conventions(name, specs, world)
-        assert typed == listed
+        tree, compiled = _tree_and_compiled(name, specs, world)
+        assert tree == compiled
 
 
 class TestDeviceFastBranches:
-    """Both conventions run one function, so the property above cannot
-    see a fast branch that disagrees with its own slow branch. These
-    hold the device entries' fast branches to what they stand for: the
+    """Both backends run one function, so the property above cannot see
+    a fast branch that disagrees with its own slow branch. These hold
+    the device entries' fast branches to what they stand for: the
     charge formula of :mod:`repro.gpu.charging` over the longest char
     operand plus the host function's answer, and for ``emitKV``/
     ``storeKV`` the same effect as the slow operand shapes."""
@@ -327,11 +394,12 @@ class TestDeviceFastBranches:
                 for buf in side.buffers:
                     buf.c_string(0)
             lane, _observe = _lane_world(table)
-            result = entry.typed(lane, *side.args[:arity])
+            args = [cell.value for cell in side.env.values()]
+            result = entry(lane, *args[:arity])
             charged.append(lane.charges)
             return _view(result), side.observed()
 
-        assert call(table[name]) == call(host_builtins()[name])
+        assert call(table[name]) == call(HOST_BUILTINS[name])
         expected = LaneCharges()
         bind_string_call(vec)(
             expected, max([len(left), len(right)][:min(arity, 2)]))
@@ -349,19 +417,20 @@ class TestDeviceFastBranches:
             store = GlobalKVStore(2, 8, 30, 4)
             if name == "emitKV":
                 table = make_map_builtins(
-                    wc.translate_map().map_kernel, _DEVICE, None, store,
-                    Partitioner(5))
+                    wc.translate_map().map_kernel, _DEVICE.spec, None)
             else:
                 table = make_combine_builtins(
-                    wc.translate_combine().combine_kernel, _DEVICE, None)
-            lane, observe = _lane_world(table, global_tid=1)
+                    wc.translate_combine().combine_kernel, _DEVICE.spec,
+                    None)
+            lane, observe = _lane_world(table, global_tid=1, store=store,
+                                        partitioner=Partitioner(5))
             buf = Buffer.from_string(key)
             if warm:
                 buf.c_string(0)
             args = (Ptr(buf, 0), value) if fast \
                 else (buf, ScalarRef(Cell(value, T.INT)))
             for _ in range(2):  # the second emit finds memo and cache warm
-                returned = table[name].typed(lane, *args)
+                returned = table[name](lane, *args)
             seen.append((returned, observe(), lane.output,
                          [(t, p) for t, p in store.iter_pairs()]))
         assert seen[0] == seen[1]
@@ -373,31 +442,136 @@ class TestDeviceFastBranches:
 
 
 def test_every_table_entry_matches_its_declared_signature():
-    """``SIGNATURES`` is what the emitter trusts: every entry any table
-    holds under a declared name must accept exactly that shape."""
+    """``SIGNATURES`` is what both backends trust: every entry any table
+    holds must be declared, and accept exactly the declared shape."""
     wc = get_app("WC")
     tables = [
-        host_builtins(),
-        make_map_builtins(wc.translate_map().map_kernel, _DEVICE, None,
-                          None, None),
+        HOST_BUILTINS,
+        make_map_builtins(wc.translate_map().map_kernel, _DEVICE.spec, None),
         make_combine_builtins(wc.translate_combine().combine_kernel,
-                              _DEVICE, None),
+                              _DEVICE.spec, None),
     ]
     seen = set()
     for table in tables:
         for name, entry in table.items():
-            assert isinstance(entry, Builtin) and entry.name == name
             seen.add(name)
             if name in ("printf", "scanf", "getline") \
                     and table is not tables[0]:
                 continue  # the device's "survived translation" stubs
-            assert signature(entry.typed) == SIGNATURES[name], name
+            assert signature(entry) == SIGNATURES[name], name
     assert seen == set(SIGNATURES)
+
+
+# -- lookup ------------------------------------------------------------------
+
+
+def _kernel_launch(call):
+    """One WC-shaped map launch whose kernel body makes ``call``."""
+    from .test_stdlib import TestBuiltinArity
+
+    return TestBuiltinArity._launch("emitKV", call)
+
+
+@pytest.mark.parametrize("call,count", [("strcmp(word)", 1),
+                                        ("strlen(word, word)", 2),
+                                        ("sqrt()", 0)])
+def test_wrong_arity_is_one_message_on_every_engine(call, count):
+    name = call.split("(")[0]
+    fewest, most, _cells = SIGNATURES[name]
+    want = f"{name} expects {fewest} argument{'' if fewest == 1 else 's'}, " \
+        f"got {count}"
+    seen = []
+    for backend in ("tree", "compiled"):
+        program = parse("int main() {\nchar word[8];\nword[0] = 0;\n"
+                        f"{call};\nreturn 0;\n}}")
+        with pytest.raises(CRuntimeError) as caught:
+            run_filter(program, "", backend=backend)
+        seen.append(str(caught.value))
+    for engine in GPU_ENGINES:
+        with use_gpu_engine(engine), pytest.raises(CRuntimeError) as caught:
+            _kernel_launch(call + ";")
+        seen.append(str(caught.value))
+    assert seen == [want] * 5
+
+
+_OWN_EMITKV = """\
+int emitKV(int x) {
+    return x + 1;
+}
+int main() {
+    printf("%d %d\\n", emitKV(41), emitKV(emitKV(0)));
+    return 0;
+}
+"""
+_OWN_EMITKV2 = """\
+int emitKV(int key, int value) {
+    return key * value;
+}
+int main() {
+    printf("%d\\n", emitKV(6, 7));
+    return 0;
+}
+"""
+_OWN_STRLEN = """\
+int strlen(char *s) {
+    return 99;
+}
+int main() {
+    printf("%d\\n", strlen("abc"));
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["tree", "compiled"])
+@pytest.mark.parametrize("source,expected", [
+    (_OWN_EMITKV, "42 2\n"),  # at an arity emitKV is not declared with
+    (_OWN_EMITKV2, "42\n"),   # at the declared arity
+    (_OWN_STRLEN, "3\n"),     # builtins shadow user functions
+], ids=["emitKV-1", "emitKV-2", "strlen"])
+def test_a_name_the_table_lacks_is_the_programs_own(backend, source,
+                                                    expected):
+    out, _ = run_filter(parse(source), "", backend=backend)
+    assert out == expected
+
+
+def test_a_job_builds_each_device_table_once(monkeypatch):
+    """Device tables depend on the kernel, the device spec and the
+    metrics registry only: a multi-launch WC GPU job (tracing off)
+    builds one map and one combine table, not one per launch."""
+    # Fresh translations: kernels no earlier test has launched.
+    monkeypatch.setattr(minic_cache, "_translations", {})
+    builds: list[str] = []
+    for maker in ("make_map_builtins", "make_combine_builtins"):
+        make = getattr(gpu_engine, maker)
+
+        def counting(kernel, *args, _make=make):
+            builds.append(kernel.name)
+            return _make(kernel, *args)
+
+        monkeypatch.setattr(gpu_engine, maker, counting)
+    launches = []
+    runner_init = gpu_engine.LaneRunner.__init__
+
+    def counting_init(runner, *args, **kwargs):
+        runner_init(runner, *args, **kwargs)
+        launches.append(runner.kernel.name)
+
+    monkeypatch.setattr(gpu_engine.LaneRunner, "__init__", counting_init)
+    app = get_app("WC")
+    # Serial, so every launch runs in this process.
+    LocalJobRunner(app, use_gpu=True, split_bytes=4096, workers=1).run(
+        app.generate(400, seed=3))
+    assert len(launches) > 2 * len(set(launches)) >= 4
+    assert sorted(builds) == sorted(set(launches))
 
 
 # -- emission ----------------------------------------------------------------
 
-_DIRECT = re.compile(r"^\s*(?:t\d+ = )?d\d+\(rt\b.*$", re.M)
+#: A declared builtin's call site: its positional call, then the user
+#: function fallback for a table that lacks the name.
+_DIRECT = re.compile(r"^\s*(?:t\d+ = )?(g\d+\(rt\b.*) if g\d+ is not None "
+                     r"else _user_function\(rt, k\d+\)\(rt, \[.*$", re.M)
 
 
 def _fitting_calls(*roots):
@@ -420,15 +594,12 @@ def _assert_direct(source, fitting, other, what):
     # A ``for`` step is emitted again before each ``continue``, so a
     # call node may appear more than once — never less.
     assert direct >= fitting, what
-    assert source.count("_list_call(rt, ") == direct, what
+    # The only argument lists built are user-function calls: the
+    # fallback of each positional site, plus one per other call.
     listed = source.count("(rt, [")
+    assert listed == source.count("_user_function(rt, "), what
     if other == 0:
-        assert listed == 0, what
-    # Whatever still builds an argument list is a site the emitter could
-    # not prove: a user function (or a wrong arity), never a builtin —
-    # one line naming the list twice, ``g(rt, [...]) if g is not None
-    # else _user_function(rt, k)(rt, [...])``.
-    assert listed == 2 * source.count("_user_function(rt, "), what
+        assert listed == direct, what
 
 
 @pytest.mark.parametrize("app", all_apps(), ids=lambda app: app.short)
@@ -461,8 +632,9 @@ HOT = ("getRecord", "getWord", "emitKV", "getKV", "strcmp", "strcpy",
 @pytest.mark.parametrize("tag", ["WC", "II"])
 def test_hot_units_build_no_argument_list(tag):
     """WC's and II's ``main`` units and WC's kernel bodies — the
-    benchmark's hot code — contain no list-convention call at all, and
-    pass ``&x`` to ``getline``/``getRecord``/``getKV`` as the bare Cell."""
+    benchmark's hot code — call builtins only (every argument list in
+    them is the fallback of a positional site) and pass ``&x`` to
+    ``getline``/``getRecord``/``getKV`` as the bare Cell."""
     app = get_app(tag)
     sources = [compiled_program(app.map_program()).python_source()]
     if tag == "WC":
@@ -480,4 +652,4 @@ def test_hot_units_build_no_argument_list(tag):
         sources.append(
             compiled_program(app.combine_program()).python_source())
     for source in sources:
-        assert "(rt, [" not in source
+        assert source.count("(rt, [") == len(_DIRECT.findall(source))

@@ -43,7 +43,6 @@ from repro.gpu.executor import (
 from repro.gpu.vector import VectorLaneRunner
 from repro.kvstore import GlobalKVStore, Partitioner
 from repro.minic.interpreter import ExecCounters
-from repro.minic.stdlib import Builtin
 
 from .test_gpu_compile_backend import _combine_inputs
 from .test_gpu_vector_engine import _map_setup, _store_pairs
@@ -84,8 +83,7 @@ class _Probe:
 
             return entry
 
-        return {name: Builtin(name, spy(entry.typed))
-                for name, entry in table.items()}
+        return {name: spy(entry) for name, entry in table.items()}
 
     def profile(self, frame, event, arg):
         code = frame.f_code
@@ -124,11 +122,13 @@ def probe(monkeypatch):
         probe.built.append(lane)
 
     monkeypatch.setattr(Lane, "__init__", counting_init)
-    for maker in ("make_map_builtins", "make_combine_builtins"):
-        make = getattr(gpu_engine, maker)
-        monkeypatch.setattr(
-            gpu_engine, maker,
-            lambda *args, _make=make: probe.spied(_make(*args)))
+    # A spied table per launch, kept off the kernel's table cache.
+    make = {True: gpu_engine.make_map_builtins,
+            False: gpu_engine.make_combine_builtins}
+    monkeypatch.setattr(
+        gpu_engine, "device_builtins",
+        lambda kernel, *args: probe.spied(make[kernel.is_mapper](kernel,
+                                                                 *args)))
     make_runner = gpu_executor._make_lane_runner
 
     def watched_runner(*args, **kwargs):

@@ -57,6 +57,13 @@ class TestNumbers:
     def test_int_long_suffix(self):
         assert tokenize("10L")[0].kind == "int"
 
+    @pytest.mark.parametrize("source", ["1٣", "٣", "2.٥",
+                                        "1e٣", "1²"])
+    def test_non_ascii_digits_are_not_part_of_a_number(self, source):
+        # "1٣" must not read as 13: C digits are 0-9 only.
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(f"int x = {source};")
+
 
 class TestStringsAndChars:
     def test_string_literal(self):

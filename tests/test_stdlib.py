@@ -74,6 +74,18 @@ class TestStringFunctions:
     def test_strncmp(self):
         assert run_main('printf("%d", strncmp("abcX","abcY",3));') == "0"
 
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_strncmp_negative_n_is_no_limit(self, backend):
+        # C converts n to size_t: -1 compares the whole strings.
+        program = parse(
+            "int main() {\n"
+            'printf("%d %d", strncmp("abcd", "abce", -1) < 0, '
+            'strncmp("abcd", "abcd", -7));\n'
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == "1 0"
+
     def test_strcat(self):
         assert run_main('char b[16]; strcpy(b, "ab"); strcat(b, "cd"); '
                         'printf("%s", b);') == "abcd"
@@ -179,6 +191,40 @@ class TestCtype:
         out, _ = run_filter(program, "", backend=backend)
         assert out == "1011 aZ 0"
 
+    #: ``²``, ``ß``, ``é`` and ``İ``: not ASCII, so no digit or letter in
+    #: the C locale (``İ``'s and ``ß``'s Python case maps are 2 chars).
+    NON_ASCII = (178, 223, 233, 0x130)
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("code", NON_ASCII)
+    def test_non_ascii_is_no_digit_or_letter(self, backend, code):
+        program = parse(
+            "int main() {\n"
+            f'printf("%d %d %d ", isspace({code}), isdigit({code}), '
+            f"isalpha({code}));\n"
+            f'printf("%d %d", tolower({code}), toupper({code}));\n'
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == f"0 0 0 {code} {code}"
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_ascii_classes_match_the_c_locale(self, backend):
+        program = parse(
+            "int main() {\nint i;\n"
+            "for (i = 0; i < 128; i++)\n"
+            '    printf("%d%d%d %d %d\\n", isspace(i), isdigit(i), '
+            "isalpha(i), tolower(i), toupper(i));\n"
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        space = " \t\n\v\f\r"
+        expected = "".join(
+            f"{int(chr(i) in space)}{int(chr(i).isdigit())}"
+            f"{int(chr(i).isalpha())} {ord(chr(i).lower())} "
+            f"{ord(chr(i).upper())}\n" for i in range(128))
+        assert out == expected
+
     def test_eof_loop_terminates_cleanly(self):
         # The idiom the bug broke: classify whatever scanf("%c") left.
         out = run_main(
@@ -190,15 +236,18 @@ class TestCtype:
 
     def test_gpu_builtin_tables_reuse_the_fixed_functions(self):
         from repro.gpu.engine import common_lane_builtins
-        from repro.minic.stdlib import host_builtins
+        from repro.minic.stdlib import HOST_BUILTINS
 
-        host = host_builtins()
         gpu = common_lane_builtins(None, 1)
         for name in ("isspace", "isdigit", "isalpha", "tolower", "toupper"):
-            assert gpu[name] is host[name]
-        assert gpu["isspace"](None, [-1]) == 0
-        assert gpu["toupper"](None, [-1]) == -1
-        assert gpu["tolower"](None, [0x110000]) == 0x110000
+            assert gpu[name] is HOST_BUILTINS[name]
+        assert gpu["isspace"](None, -1) == 0
+        assert gpu["toupper"](None, -1) == -1
+        assert gpu["tolower"](None, 0x110000) == 0x110000
+        for code in self.NON_ASCII:
+            assert (gpu["isdigit"](None, code), gpu["isalpha"](None, code),
+                    gpu["tolower"](None, code),
+                    gpu["toupper"](None, code)) == (0, 0, code, code)
 
 
 def _arity_cases():
@@ -240,9 +289,9 @@ class TestBuiltinArity:
         assert str(caught.value) == message
 
     def test_every_host_builtin_is_covered(self):
-        from repro.minic.stdlib import host_builtins
+        from repro.minic.stdlib import HOST_BUILTINS
 
-        assert {name for name, _n, _m in HOST_ARITY} == set(host_builtins())
+        assert {name for name, _n, _m in HOST_ARITY} == set(HOST_BUILTINS)
 
     MAPPER = """\
 int main()
