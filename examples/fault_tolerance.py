@@ -11,14 +11,16 @@
 Run:  python examples/fault_tolerance.py
 """
 
+from dataclasses import replace
+
 from repro.apps import get_app
 from repro.config import CLUSTER1
 from repro.costmodel.io import IoModel
 from repro.errors import KVStoreOverflow
 from repro.gpu.device import GpuDevice
-from repro.hadoop import ClusterSimulator, JobConf
-from repro.hadoop.simulate import TaskDurationModel
+from repro.hadoop import ClusterSimulator
 from repro.runtime.gpu_task import GpuTaskRunner
+from repro.scenarios import simulated_job
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy
 
 
@@ -55,14 +57,12 @@ def driver_demo() -> None:
 
 def cluster_demo() -> None:
     print("=== Cluster: rescheduling + speculation under stragglers ===")
-    job = JobConf(name="ft", num_map_tasks=1500, num_reduce_tasks=8,
-                  cluster=CLUSTER1, cpu_task_seconds=60.0,
-                  gpu_task_seconds=10.0)
-    flaky_slow = lambda: TaskDurationModel(  # noqa: E731
-        cpu_seconds=60.0, gpu_seconds=10.0, failure_rate=0.03,
-        node_speed_factors={n: 4.0 for n in range(4)}, seed=11,
+    job, healthy = simulated_job("WC", CLUSTER1, 1500, 8, seed=11)
+    flaky_slow = lambda: replace(  # noqa: E731
+        healthy, failure_rate=0.03,
+        node_speed_factors={n: 4.0 for n in range(4)},
     )
-    plain = ClusterSimulator(job, GpuFirstPolicy()).run()
+    plain = ClusterSimulator(job, GpuFirstPolicy(), durations=healthy).run()
     faulty = ClusterSimulator(job, GpuFirstPolicy(),
                               durations=flaky_slow()).run()
     spec_sim = ClusterSimulator(job, GpuFirstPolicy(),

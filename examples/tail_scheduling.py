@@ -2,17 +2,18 @@
 """Tail scheduling, from the Fig. 3 toy to a full cluster.
 
 First replays the paper's Fig. 3 example (19 tasks, 2 CPU slots, a GPU
-that is 6x faster) and prints both schedules; then sweeps the GPU
-speedup on a 48-node cluster simulation to show where tail scheduling
-pays off (taskTail exceeding the per-node slot count) and where it is
-neutral (the paper's LR-on-Cluster1 case).
+that is 6x faster) and prints both schedules; then simulates each of the
+paper's apps on the 48-node Cluster1, at its measured single-task GPU
+speedup, to show where tail scheduling pays off (taskTail exceeding the
+per-node slot count) and where it is neutral (the paper's LR case).
 
 Run:  python examples/tail_scheduling.py
 """
 
 from repro.config import CLUSTER1
 from repro.experiments.figures import fig3
-from repro.hadoop import ClusterSimulator, JobConf
+from repro.hadoop import ClusterSimulator
+from repro.scenarios import PAPER_APP_ORDER, simulated_job, table2_tasks
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
 
@@ -34,22 +35,20 @@ def main() -> None:
     gain = result.gpu_first_makespan / result.tail_makespan
     print(f"  tail scheduling is {gain:.2f}x faster on the toy example\n")
 
-    print("=== Cluster-scale sweep (4800 maps, 48 nodes, 1 GPU each) ===")
-    print(f"{'GPU speedup':>12s} {'cpu-only':>10s} {'gpu-first':>10s} "
-          f"{'tail':>10s} {'forced':>7s}")
-    for speedup in (2, 5, 10, 20, 30, 47):
-        job = JobConf(
-            name=f"s{speedup}",
-            num_map_tasks=4800,
-            num_reduce_tasks=16,
-            cluster=CLUSTER1,
-            cpu_task_seconds=60.0,
-            gpu_task_seconds=60.0 / speedup,
-        )
-        base = ClusterSimulator(job, CpuOnlyPolicy()).run()
-        gf = ClusterSimulator(job, GpuFirstPolicy()).run()
-        tail = ClusterSimulator(job, TailPolicy()).run()
-        print(f"{speedup:>11}x {base.job_seconds:>9.0f}s "
+    print("=== Cluster scale: the paper's apps at Table 2 size "
+          "(48 nodes, 1 GPU each) ===")
+    print(f"{'app':>4s} {'GPU speedup':>12s} {'cpu-only':>10s} "
+          f"{'gpu-first':>10s} {'tail':>10s} {'forced':>7s}")
+    for app in PAPER_APP_ORDER:
+        tasks = table2_tasks(app, CLUSTER1.name)
+        runs = []
+        for policy in (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()):
+            job, durations = simulated_job(app, CLUSTER1, *tasks, seed=7)
+            runs.append(ClusterSimulator(job, policy,
+                                         durations=durations).run())
+        base, gf, tail = runs
+        speedup = job.cpu_task_seconds / job.gpu_task_seconds
+        print(f"{app:>4s} {speedup:>11.1f}x {base.job_seconds:>9.0f}s "
               f"{gf.job_seconds:>9.0f}s {tail.job_seconds:>9.0f}s "
               f"{tail.forced_gpu_tasks:>7d}")
     print("\nForcing only engages once taskTail (numGPUs x speedup) rivals")

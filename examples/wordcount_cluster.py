@@ -14,9 +14,9 @@ Run:  python examples/wordcount_cluster.py
 
 from repro.apps import get_app
 from repro.config import CLUSTER1
-from repro.experiments.calibrate import single_task_times
-from repro.hadoop import ClusterSimulator, JobConf
+from repro.hadoop import ClusterSimulator
 from repro.hadoop.local import LocalJobRunner
+from repro.scenarios import simulated_job, table2_tasks
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
 
@@ -42,21 +42,14 @@ def main() -> None:
     # --- cluster-scale simulation ------------------------------------------
     print("\nSimulating WC at Table 2 scale on Cluster1 "
           "(48 nodes x 20 cores + 1 K40)...")
-    times = single_task_times(app, CLUSTER1)
-    cpu_s, gpu_s = times.scaled(60.0)
-    figures = app.figures_for("Cluster1")
-    job = JobConf(
-        name="wordcount",
-        num_map_tasks=figures.map_tasks,
-        num_reduce_tasks=figures.reduce_tasks,
-        cluster=CLUSTER1,
-        cpu_task_seconds=cpu_s,
-        gpu_task_seconds=gpu_s,
-    )
-    base = ClusterSimulator(job, CpuOnlyPolicy()).run()
-    gf = ClusterSimulator(job, GpuFirstPolicy()).run()
-    tail = ClusterSimulator(job, TailPolicy()).run()
-    print(f"  single-task GPU speedup  : {times.gpu_speedup:.1f}x")
+    tasks = table2_tasks("WC", CLUSTER1.name)
+    runs = []
+    for policy in (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()):
+        job, durations = simulated_job("WC", CLUSTER1, *tasks, seed=7)
+        runs.append(ClusterSimulator(job, policy, durations=durations).run())
+    base, gf, tail = runs
+    print(f"  single-task GPU speedup  : "
+          f"{job.cpu_task_seconds / job.gpu_task_seconds:.1f}x")
     print(f"  CPU-only Hadoop          : {base.job_seconds:7.1f} s")
     print(f"  HeteroDoop (GPU-first)   : {gf.job_seconds:7.1f} s "
           f"({base.job_seconds / gf.job_seconds:.2f}x)")

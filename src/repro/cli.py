@@ -18,15 +18,14 @@ import math
 import sys
 from typing import Sequence
 
-from .apps import all_apps, get_app
-from .compiler import translate
 from .config import CLUSTER1, CLUSTER2, OptimizationFlags
 from .errors import ReproError
-from .minic import parse
 from .scheduling import get_policy, policy_names
 
 
 def _cmd_apps(_args: argparse.Namespace) -> int:
+    from .apps import all_apps
+
     print(f"{'tag':4s} {'name':20s} {'nature':8s} {'combiner':9s} {'map-only'}")
     for app in all_apps():
         print(f"{app.short:4s} {app.name:20s} {app.nature:8s} "
@@ -63,6 +62,10 @@ def _write_out(path: str, payload: bytes) -> None:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from .apps import get_app
+    from .compiler import translate
+    from .minic import parse
+
     if args.app:
         source = get_app(args.app).map_source
     else:
@@ -99,6 +102,7 @@ def _cluster(args: argparse.Namespace):
 def _local_job(args: argparse.Namespace):
     """(runner, input text) of the local job the ``run``/``trace``/
     ``stats`` options describe."""
+    from .apps import get_app
     from .hadoop.local import LocalJobRunner
 
     app = get_app(args.app)
@@ -132,40 +136,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sim_job(args: argparse.Namespace):
-    """(JobConf, TaskTimes) of the simulated job the ``simulate``/
-    ``trace``/``stats`` options describe.
-
-    Built *before* any recorder is installed, so the calibration run
-    feeding the task durations never leaks into a recorded trace."""
-    from .experiments.calibrate import single_task_times
+    """(JobConf, TaskDurationModel) of the simulated job the
+    ``simulate``/``trace``/``stats`` options describe; the duration
+    model serves one simulator run."""
     from .hadoop import JobConf
+    from .scenarios.registry import simulated_job, table2_tasks
 
-    app = get_app(args.app)
     cluster = _cluster(args).with_gpus(args.gpus)
-    times = single_task_times(app, cluster)
-    cpu_s, gpu_s = times.scaled(60.0)
-    figures = app.figures_for(cluster.name)
-    job = JobConf(
-        name=app.short,
-        num_map_tasks=max(1, int(figures.map_tasks * args.task_scale)),
-        num_reduce_tasks=figures.reduce_tasks,
-        cluster=cluster,
-        cpu_task_seconds=cpu_s,
-        gpu_task_seconds=gpu_s,
-    )
-    return job, times
+    tasks = table2_tasks(args.app, cluster.name, args.task_scale)
+    return simulated_job(args.app, cluster, *tasks, seed=JobConf.seed)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .hadoop import ClusterSimulator
 
-    job, times = _sim_job(args)
-    base = ClusterSimulator(job, get_policy("cpu-only")).run()
+    def run(policy: str):
+        job, durations = _sim_job(args)
+        return job, ClusterSimulator(job, get_policy(policy),
+                                     durations=durations).run()
+
+    job, base = run("cpu-only")
     print(f"{job.name} on {job.cluster.name} ({args.gpus} GPU/node), "
           f"{job.num_map_tasks} maps, single-task speedup "
-          f"{times.gpu_speedup:.1f}x")
+          f"{job.cpu_task_seconds / job.gpu_task_seconds:.1f}x")
     for name in (args.policy,) if args.policy else policy_names():
-        result = ClusterSimulator(job, get_policy(name)).run()
+        _job, result = run(name)
         print(f"  {name:10s}: {result.job_seconds:8.1f} s "
               f"({base.job_seconds / result.job_seconds:.2f}x), "
               f"gpu tasks {result.gpu_tasks}, forced {result.forced_gpu_tasks}")
@@ -228,7 +223,7 @@ def _traced_run(args: argparse.Namespace):
     plus the :class:`LocalJobResult` (``None`` in simulate mode).
 
     Everything nondeterministic-or-cached (input generation, kernel
-    translation, calibration) happens before the recorder is installed,
+    translation) happens before the recorder is installed,
     so identical invocations record identical traces.
     """
     from . import obs
@@ -238,10 +233,10 @@ def _traced_run(args: argparse.Namespace):
     if args.mode == "simulate":
         from .hadoop import ClusterSimulator
 
-        job, _times = _sim_job(args)
+        job, durations = _sim_job(args)
         policy = get_policy(args.policy)
         with obs.use_recorder(recorder):
-            ClusterSimulator(job, policy).run()
+            ClusterSimulator(job, policy, durations=durations).run()
     else:
         runner, text = _local_job(args)
         with obs.use_recorder(recorder):
@@ -309,6 +304,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     invocation shows live workers, while a fresh invocation starts
     empty — the command exists for long-lived sessions (and as the
     smoke test for the pool lifecycle itself)."""
+    from .apps import get_app
     from .parallel.daemon import get_pool, pool_metrics, shutdown_pool
     from .parallel.pool import resolve_workers
 
@@ -474,12 +470,11 @@ def _positive_float(text: str) -> float:
 def _add_job_target(parser: argparse.ArgumentParser) -> None:
     """``app`` and ``--cluster``: what every job command runs, and on
     which of the paper's clusters."""
-    # The app registry, not a literal or the scenario registry's
-    # APP_ORDER: importing repro.scenarios here would load the cluster
-    # simulator on every invocation's start-up path, jobs included.
-    parser.add_argument(
-        "app",
-        help=f"benchmark tag ({' '.join(a.short for a in all_apps())})")
+    # The scenario registry's tags: the app registry would load mini-C
+    # and the compiler into every invocation, simulations included.
+    from .scenarios.registry import APP_ORDER
+
+    parser.add_argument("app", help=f"benchmark tag ({' '.join(APP_ORDER)})")
     parser.add_argument("--cluster", type=int, choices=(1, 2), default=1)
 
 

@@ -9,8 +9,9 @@ Scaling note: simulation splits are laptop-sized (hundreds of records,
 not 256 MB), but every modelled cost is linear in split size (records,
 bytes, KV pairs; sort is n·log n, a mild correction), so CPU/GPU *ratios*
 are scale-invariant. For the cluster simulator we rescale both sides so
-the CPU task lasts ``target_cpu_seconds`` (a realistic Hadoop map-task
-length), preserving the ratio exactly.
+the CPU task lasts 60 s (a realistic Hadoop map-task length), preserving
+the ratio exactly: :func:`simulated_task_times` writes the rows of
+:mod:`repro.scenarios.task_times`, which every simulated job reads.
 """
 
 from __future__ import annotations
@@ -58,6 +59,22 @@ class TaskTimes:
         """(cpu_s, gpu_s) rescaled so the CPU task lasts the target."""
         factor = target_cpu_seconds / self.cpu_seconds
         return target_cpu_seconds, self.gpu_seconds * factor
+
+
+def simulated_task_times(app: str, cluster: ClusterConfig) -> dict[str, float]:
+    """One row of :mod:`repro.scenarios.task_times`: a task's seconds and
+    output bytes rescaled so the CPU task lasts 60 s, and each reducer's
+    compute, the share Table 2 leaves outside map+combine."""
+    target = 60.0
+    times = single_task_times(app, cluster)
+    scale = target / times.cpu_seconds
+    pct = get_app(app).pct_map_combine_active
+    return {
+        "cpu_task_seconds": target,
+        "gpu_task_seconds": times.gpu_seconds * scale,
+        "map_output_bytes": max(times.output_bytes * scale, 1.0),
+        "reduce_compute_seconds": target * (100 - pct) / 100.0,
+    }
 
 
 def _cluster_by_name(name: str) -> ClusterConfig:

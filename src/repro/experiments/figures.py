@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..apps import all_apps, get_app
-from ..apps.base import Application
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig, OptimizationFlags
 from ..errors import ConfigError
-from ..hadoop import ClusterSimulator, JobConf
-from ..scenarios.registry import PAPER_APP_ORDER
+from ..hadoop import ClusterSimulator, JobResult
+from ..scenarios.registry import PAPER_APP_ORDER, simulated_job, table2_tasks
+from ..scenarios.task_times import TASK_TIMES
 from ..scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
-from .calibrate import TaskTimes, gpu_breakdown_from_trace, single_task_times
+from .calibrate import gpu_breakdown_from_trace, single_task_times
 
 #: Benchmarks in the paper's Fig. 4/5 ordering (by increasing speedup).
 APP_ORDER = list(PAPER_APP_ORDER)
@@ -98,84 +97,48 @@ class JobPoint:
     forced_tasks: int
 
 
-def _job_conf(app: Application, cluster: ClusterConfig, times: TaskTimes,
-              seed: int, target_cpu_seconds: float,
-              task_scale: float) -> JobConf:
-    figures = app.figures_for(cluster.name)
-    cpu_s, gpu_s = times.scaled(target_cpu_seconds)
-    num_maps = max(1, int(figures.map_tasks * task_scale))
-    # Map output volume per task, rescaled like the durations.
-    out_bytes = times.output_bytes * (target_cpu_seconds / times.cpu_seconds)
-    return JobConf(
-        name=app.short,
-        num_map_tasks=num_maps,
-        num_reduce_tasks=figures.reduce_tasks,
-        cluster=cluster,
-        cpu_task_seconds=cpu_s,
-        gpu_task_seconds=gpu_s,
-        map_output_bytes=max(out_bytes, 1.0),
-        reduce_compute_seconds=target_cpu_seconds
-        * (100 - app.pct_map_combine_active) / 100.0,
-        seed=seed,
-    )
-
-
-def _best_of_seeds(job_for_seed, policy_factory) -> float:
+def _best_of_seeds(app: str, cluster: ClusterConfig, tasks: tuple[int, int],
+                   policy_factory) -> JobResult:
     """Paper §7.3: 'We ran each experiment three times, and report the
     best run.'"""
     best = None
     for seed in RUN_SEEDS:
-        result = ClusterSimulator(job_for_seed(seed), policy_factory()).run()
-        if best is None or result.job_seconds < best:
-            best = result.job_seconds
+        job, durations = simulated_job(app, cluster, *tasks, seed)
+        result = ClusterSimulator(job, policy_factory(),
+                                  durations=durations).run()
+        if best is None or result.job_seconds < best.job_seconds:
+            best = result
     assert best is not None
     return best
 
 
 def fig4(cluster: ClusterConfig, gpus_options: Iterable[int],
          apps: Iterable[str] | None = None,
-         target_cpu_seconds: float = 60.0,
          task_scale: float = 1.0) -> list[JobPoint]:
     """Generic Fig. 4 engine: every app × policy × GPU count vs CPU-only."""
     points: list[JobPoint] = []
     selected = list(apps) if apps is not None else APP_ORDER
     for short in selected:
-        app = get_app(short)
-        try:
-            app.figures_for(cluster.name)
-        except ConfigError:
+        if (short, cluster.name) not in TASK_TIMES:
             continue  # Table 2 'NA' (KM on Cluster2)
-        times = single_task_times(app, cluster)
-        base_conf = lambda seed: _job_conf(  # noqa: E731
-            app, cluster.cpu_only(), times, seed, target_cpu_seconds, task_scale
-        )
-        baseline = _best_of_seeds(base_conf, CpuOnlyPolicy)
+        tasks = table2_tasks(short, cluster.name, task_scale)
+        baseline = _best_of_seeds(short, cluster.cpu_only(), tasks,
+                                  CpuOnlyPolicy).job_seconds
         for gpus in gpus_options:
-            gpu_cluster = cluster.with_gpus(gpus)
-            if app.min_gpu_mem > gpu_cluster.gpu.global_mem:
-                continue
             for policy_factory in (GpuFirstPolicy, TailPolicy):
-                conf = lambda seed: _job_conf(  # noqa: E731
-                    app, gpu_cluster, times, seed, target_cpu_seconds, task_scale
-                )
-                best = None
-                best_result = None
-                for seed in RUN_SEEDS:
-                    result = ClusterSimulator(conf(seed), policy_factory()).run()
-                    if best is None or result.job_seconds < best:
-                        best, best_result = result.job_seconds, result
-                assert best_result is not None
-                total_tasks = best_result.cpu_tasks + best_result.gpu_tasks
+                best = _best_of_seeds(short, cluster.with_gpus(gpus), tasks,
+                                      policy_factory)
+                total_tasks = best.cpu_tasks + best.gpu_tasks
                 points.append(
                     JobPoint(
                         app=short,
-                        policy=policy_factory().name,
+                        policy=policy_factory.name,
                         gpus_per_node=gpus,
-                        speedup=baseline / best,
-                        job_seconds=best,
+                        speedup=baseline / best.job_seconds,
+                        job_seconds=best.job_seconds,
                         baseline_seconds=baseline,
-                        gpu_task_fraction=best_result.gpu_tasks / max(total_tasks, 1),
-                        forced_tasks=best_result.forced_gpu_tasks,
+                        gpu_task_fraction=best.gpu_tasks / max(total_tasks, 1),
+                        forced_tasks=best.forced_gpu_tasks,
                     )
                 )
     return points

@@ -59,8 +59,9 @@ class InputStream:
 
     _WS_RE = re.compile(r"[ \t\r\n]*")
     _TOKEN_RE = re.compile(r"[ \t\r\n]*([^ \t\r\n]*)")
-    _INT_RE = re.compile(r"[+-]?\d+")
-    _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+    # ``(?a)`` here and below: ``\d``/``\s`` are C's isdigit/isspace.
+    _INT_RE = re.compile(r"(?a)[+-]?\d+")
+    _FLOAT_RE = re.compile(r"(?a)[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
     def read_token(self) -> str | None:
         """Whitespace-delimited token (scanf %s); None at EOF."""
@@ -211,11 +212,11 @@ _SCAN_CACHE: dict[str, tuple[str, ...]] = {}
 #: fail the combined match and go through c_scan.
 _SCAN_PAIR_RES: dict[tuple[str, str], "re.Pattern[str]"] = {
     ("s", "d"): re.compile(
-        r"[ \t\r\n]*([^\x00 \t\r\n]+)[ \t\r\n]+([+-]?\d+)"),
+        r"(?a)[ \t\r\n]*([^\x00 \t\r\n]+)[ \t\r\n]+([+-]?\d+)"),
     ("d", "d"): re.compile(
-        r"[ \t\r\n]*([+-]?\d+)[ \t\r\n]+([+-]?\d+)"),
+        r"(?a)[ \t\r\n]*([+-]?\d+)[ \t\r\n]+([+-]?\d+)"),
     ("d", "f"): re.compile(
-        r"[ \t\r\n]*([+-]?\d+)[ \t\r\n]+"
+        r"(?a)[ \t\r\n]*([+-]?\d+)[ \t\r\n]+"
         r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"),
 }
 
@@ -532,8 +533,8 @@ def _bi_strcat(facade: Any, dst: Any, src: Any) -> Any:
     return dst
 
 
-_ATOI_RE = re.compile(r"\s*[+-]?\d+")
-_ATOF_RE = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_ATOI_RE = re.compile(r"(?a)\s*[+-]?\d+")
+_ATOF_RE = re.compile(r"(?a)\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def _bi_atoi(facade: Any, s: Any) -> int:

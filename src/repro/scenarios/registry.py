@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig
 from ..errors import ConfigError
+from .task_times import TABLE2_TASKS, TASK_TIMES
 
 SCALES = ("small", "medium", "large")
 
@@ -120,9 +121,10 @@ class ClusterShape:
 class Scenario:
     """One registry entry: app × shape × default policy × workload shape.
 
-    The simulator side declares its own per-task durations (``cpu`` /
-    ``gpu_task_seconds``) and sizes the map pool as ``waves`` full slot
-    generations, scaled up by :data:`SCALE_TASK_MULT` at medium/large.
+    The simulator side sizes the map pool as ``waves`` full slot
+    generations, scaled up by :data:`SCALE_TASK_MULT` at medium/large,
+    and takes its per-task durations from the app's row of
+    :mod:`repro.scenarios.task_times` for the shape's base cluster.
     The functional side draws its input from the app's :data:`WORKLOADS`
     entry at the requested scale with the scenario ``seed``.
     """
@@ -135,8 +137,6 @@ class Scenario:
     seed: int = 7
     waves: float = 2.0
     reduce_tasks: int = 16
-    cpu_task_seconds: float = 60.0
-    gpu_task_seconds: float = 10.0
 
     def map_tasks(self, scale: str) -> int:
         shape = get_shape(self.shape)
@@ -202,56 +202,52 @@ SHAPES: dict[str, ClusterShape] = _shapes(
 SCENARIOS: tuple[Scenario, ...] = (
     # The paper's eight on their Table 2 clusters.
     Scenario("gr-c1-gpu-first", app="GR", shape="c1", policy="gpu-first",
-             reduce_tasks=0, gpu_task_seconds=35.0,
+             reduce_tasks=0,
              description="Grep, map-only, modest GPU win (Fig. 5)."),
     Scenario("wc-c1-tail", app="WC", shape="c1", policy="tail",
-             reduce_tasks=48, gpu_task_seconds=24.0,
+             reduce_tasks=48,
              description="Wordcount under tail scheduling (Fig. 3/4)."),
     Scenario("hs-c1-tail", app="HS", shape="c1", policy="tail",
-             reduce_tasks=8, gpu_task_seconds=20.0,
+             reduce_tasks=8,
              description="Histmovies, IO-bound histogram."),
     Scenario("hr-c1-tail", app="HR", shape="c1", policy="tail",
-             reduce_tasks=8, gpu_task_seconds=20.0,
+             reduce_tasks=8,
              description="Histratings, combine-heavy histogram."),
     Scenario("lr-c1-tail", app="LR", shape="c1", policy="tail",
-             gpu_task_seconds=15.0,
              description="Linear regression, 90 pairs per record."),
     Scenario("km-c1-tail", app="KM", shape="c1", policy="tail",
-             gpu_task_seconds=2.4,
              description="Kmeans, the paper's compute-bound star."),
     Scenario("cl-c2-tail", app="CL", shape="c2", policy="tail",
-             gpu_task_seconds=6.0,
              description="Classification on the 3-GPU Cluster2."),
     Scenario("bs-c2-gpu-first", app="BS", shape="c2", policy="gpu-first",
-             reduce_tasks=0, gpu_task_seconds=1.7,
+             reduce_tasks=0,
              description="BlackScholes, map-only, 36x GPU speedup."),
     # Registry extensions: new apps and the new policies.
     Scenario("ii-c1-locality", app="II", shape="c1", policy="locality",
-             reduce_tasks=32, gpu_task_seconds=21.0,
+             reduce_tasks=32,
              description="Inverted index under delay scheduling — the "
                          "shuffle-heaviest text app, where remote reads "
                          "hurt most."),
     Scenario("rj-c1-fair-share", app="RJ", shape="c1", policy="fair-share",
-             gpu_task_seconds=20.0,
              description="Repartition join with proportional grants."),
     Scenario("ts-mega1k-tail", app="TS", shape="mega1k", policy="tail",
-             reduce_tasks=64, gpu_task_seconds=27.0,
+             reduce_tasks=64,
              description="Terasort at 1000 heterogeneous nodes: tail "
                          "scheduling vs a sort-dominated profile."),
     Scenario("pr-mega1k-locality", app="PR", shape="mega1k",
-             policy="locality", gpu_task_seconds=12.0,
+             policy="locality",
              description="PageRank step at 1000 nodes; locality-aware "
                          "grants tame the scatter traffic."),
     Scenario("wc-mega1k-fair-share", app="WC", shape="mega1k-dense",
-             policy="fair-share", reduce_tasks=64, gpu_task_seconds=24.0,
+             policy="fair-share", reduce_tasks=64,
              description="Wordcount on the GPU-dense 1000-node shape with "
                          "fair-share grants."),
     # Smoke scenarios for the tier-1 sweep leg.
     Scenario("wc-mini-tail", app="WC", shape="mini", policy="tail",
-             reduce_tasks=4, gpu_task_seconds=24.0,
+             reduce_tasks=4,
              description="Smoke: wordcount on the 8-node mini shape."),
     Scenario("ii-mini-locality", app="II", shape="mini", policy="locality",
-             reduce_tasks=4, gpu_task_seconds=21.0,
+             reduce_tasks=4,
              description="Smoke: inverted index + delay scheduling."),
 )
 
@@ -319,6 +315,44 @@ def datagen_digest(app: str, scale: str = "small",
     ).hexdigest()
 
 
+# -- simulated jobs ----------------------------------------------------------
+
+def _task_time_key(app: str, cluster_name: str) -> tuple[str, str]:
+    tag = app.upper()
+    if tag not in APP_ORDER:
+        raise ConfigError(f"unknown app {app!r}; known: {sorted(APP_ORDER)}")
+    if (tag, cluster_name) not in TASK_TIMES:
+        raise ConfigError(f"{tag} has no Table 2 entry for {cluster_name} "
+                          "(the paper marks it NA)")
+    return tag, cluster_name
+
+
+def table2_tasks(app: str, cluster_name: str,
+                 task_scale: float = 1.0) -> tuple[int, int]:
+    """Table 2's (map tasks × ``task_scale``, at least one; reduce tasks)."""
+    maps, reduces = TABLE2_TASKS[_task_time_key(app, cluster_name)]
+    return max(1, int(maps * task_scale)), reduces
+
+
+def simulated_job(app: str, cluster: ClusterConfig, map_tasks: int,
+                  reduce_tasks: int, seed: int,
+                  node_speed_factors: dict[int, float] | None = None):
+    """The one builder of a simulated job: (``JobConf``, a fresh
+    ``TaskDurationModel`` for one run), durations from ``app``'s
+    :mod:`~repro.scenarios.task_times` row for ``cluster.name``."""
+    from ..hadoop.job import JobConf
+    from ..hadoop.simulate import TaskDurationModel
+
+    key = _task_time_key(app, cluster.name)
+    job = JobConf(name=key[0], num_map_tasks=map_tasks,
+                  num_reduce_tasks=reduce_tasks, cluster=cluster, seed=seed,
+                  **TASK_TIMES[key])
+    return job, TaskDurationModel(
+        cpu_seconds=job.cpu_task_seconds, gpu_seconds=job.gpu_task_seconds,
+        jitter=job.duration_jitter, nonlocal_penalty=job.nonlocal_read_penalty,
+        seed=seed, node_speed_factors=node_speed_factors)
+
+
 # -- validation --------------------------------------------------------------
 
 def validate_registry() -> None:
@@ -339,7 +373,6 @@ def validate_registry() -> None:
             raise ConfigError(
                 f"scenario {scenario.id}: unknown app {scenario.app!r}"
             )
-        get_shape(scenario.shape)                 # resolvable shape
         if scenario.policy not in POLICIES:
             raise ConfigError(
                 f"scenario {scenario.id}: unknown policy {scenario.policy!r}"
@@ -348,8 +381,8 @@ def validate_registry() -> None:
             raise ConfigError(
                 f"scenario {scenario.id}: app {scenario.app} has no workload"
             )
-        if scenario.cpu_task_seconds <= 0 or scenario.gpu_task_seconds <= 0:
-            raise ConfigError(f"scenario {scenario.id}: non-positive durations")
+        # A task-time row for the shape's base cluster (raises if none).
+        _task_time_key(scenario.app, get_shape(scenario.shape).cluster().name)
     for app, workload in WORKLOADS.items():
         if app not in APP_ORDER:
             raise ConfigError(f"workload {app} missing from APP_ORDER")

@@ -3,10 +3,10 @@ and emit canonical (byte-deterministic) JSON reports.
 
 A sweep is scenarios × policies × one scale. Every case builds its
 simulator purely from registry declarations — cluster shape (including
-the heterogeneity speed map), per-task durations, map-pool size, seed —
-so the same slice always yields the same report bytes: floats are
-rounded before serialization, rows are sorted, keys are sorted, and no
-wall-clock value enters the canonical payload.
+the heterogeneity speed map), map-pool size, seed — and the app's row of
+the generated task-time table, so the same slice always yields the same
+report bytes: floats are rounded before serialization, rows are sorted,
+keys are sorted, and no wall-clock value enters the canonical payload.
 
 ``verify=True`` adds a functional conformance leg per scenario: the
 app's canonical input at the sweep scale runs through both execution
@@ -22,8 +22,8 @@ import math
 from typing import Any, Iterable, Sequence
 
 from ..errors import ConfigError
-from ..hadoop.job import JobConf, JobResult
-from ..hadoop.simulate import ClusterSimulator, TaskDurationModel
+from ..hadoop.job import JobResult
+from ..hadoop.simulate import ClusterSimulator
 from ..scheduling import get_policy
 from .registry import (
     SCALES,
@@ -33,6 +33,7 @@ from .registry import (
     generate_input,
     get_shape,
     get_workload,
+    simulated_job,
 )
 
 #: Default policy slate: every scenario also runs under these, so each
@@ -41,32 +42,14 @@ from .registry import (
 DEFAULT_POLICIES = ("cpu-only", "gpu-first", "tail")
 
 
-def sweep_job_conf(scenario: Scenario, scale: str = "small") -> JobConf:
-    shape = get_shape(scenario.shape)
-    return JobConf(
-        name=f"{scenario.id}-{scale}",
-        num_map_tasks=scenario.map_tasks(scale),
-        num_reduce_tasks=scenario.reduce_tasks,
-        cluster=shape.cluster(),
-        cpu_task_seconds=scenario.cpu_task_seconds,
-        gpu_task_seconds=scenario.gpu_task_seconds,
-        seed=scenario.seed,
-    )
-
-
 def build_simulator(scenario: Scenario, policy_name: str,
                     scale: str = "small") -> ClusterSimulator:
-    """One simulator wired entirely from registry declarations."""
+    """One simulator wired from registry declarations, its job from
+    :func:`~repro.scenarios.registry.simulated_job`."""
     shape = get_shape(scenario.shape)
-    job = sweep_job_conf(scenario, scale)
-    durations = TaskDurationModel(
-        cpu_seconds=job.cpu_task_seconds,
-        gpu_seconds=job.gpu_task_seconds,
-        jitter=job.duration_jitter,
-        nonlocal_penalty=job.nonlocal_read_penalty,
-        seed=job.seed,
-        node_speed_factors=shape.speed_factors(),
-    )
+    job, durations = simulated_job(
+        scenario.app, shape.cluster(), scenario.map_tasks(scale),
+        scenario.reduce_tasks, scenario.seed, shape.speed_factors())
     return ClusterSimulator(job, get_policy(policy_name), durations=durations)
 
 

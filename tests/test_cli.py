@@ -368,6 +368,24 @@ int main() {
         assert "attempt" in out
         assert "sim.heartbeats" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "KM", "--cluster", "2"],
+        ["trace", "KM", "--cluster", "2", "--mode", "simulate"],
+        ["stats", "KM", "--cluster", "2", "--mode", "simulate"],
+    ])
+    def test_simulating_a_table2_na_point_fails_cleanly(self, argv, capsys):
+        # The task-time table has no KM/Cluster2 row: nothing runs on
+        # an M2090 to find that out.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: KM has no Table 2 entry for "
+                                "Cluster2 (the paper marks it NA)\n")
+
+    def test_simulate_unknown_app_lists_the_known_tags(self, capsys):
+        assert main(["simulate", "XX"]) == 1
+        assert "unknown app 'XX'; known: ['BS'" in capsys.readouterr().err
+
     def test_stats_reports_reduce_breakdown(self, capsys):
         assert main(["stats", "WC", "--records", "120",
                      "--split-kb", "2", "--workers", "2"]) == 0

@@ -2,8 +2,8 @@
 
 A CPU-path job runs the mini-C filters and nothing of the GPU stack, the
 cluster simulator or numpy; a GPU job loads numpy only when a map
-kernel has a vector region to run (WC has none, KM has); a simulation
-loads neither the apps nor mini-C. The pytest process has imported
+kernel has a vector region to run (WC has none, KM has); a simulation,
+``repro simulate`` included, loads neither the apps nor mini-C. The pytest process has imported
 everything already, so every case runs in a fresh interpreter and
 reports its ``sys.modules``.
 
@@ -69,6 +69,15 @@ result = build_simulator(get_scenario("ts-mega1k-tail"), "tail").run()
 report.update(tasks=result.cpu_tasks + result.gpu_tasks)
 """
 
+#: The ``repro simulate`` command, parser included: its durations come
+#: from the task-time table, so it runs no calibration job.
+SIMULATE_COMMAND = """
+from repro import cli
+
+report.update(rc=cli.main(["simulate", "WC", "--task-scale", "0.02",
+                           "--policy", "tail"]))
+"""
+
 needs_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
                                  reason="numpy is not installed")
 
@@ -124,6 +133,12 @@ def test_gpu_job_with_vector_regions_loads_numpy_at_its_launch(km_gpu_job):
 def test_simulation_loads_no_apps_minic_or_numpy():
     report = fresh_process(SIMULATION)
     assert report["tasks"] > 0
+    assert report["loaded"] == ["repro.hadoop.simulate"]
+
+
+def test_simulate_command_loads_no_apps_minic_or_numpy():
+    report = fresh_process(SIMULATE_COMMAND)
+    assert report["rc"] == 0
     assert report["loaded"] == ["repro.hadoop.simulate"]
 
 

@@ -111,6 +111,67 @@ class TestConversions:
     def test_atof(self):
         assert run_main('printf("%.2f", atof("2.5e1"));') == "25.00"
 
+    #: Unicode digits (U+0663 is ARABIC-INDIC DIGIT THREE) are no
+    #: digits, and U+00A0 (no-break space) and U+2003 (em space) are no
+    #: C-locale spaces, so none of these starts a number ("1" + U+0663
+    #: stops after the 1).
+    NOT_NUMBERS = ("\u0663", "\u0663.5", "\u00a07", "\u20037", "1\u0663")
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("text", NOT_NUMBERS)
+    def test_atoi_atof_read_ascii_digits_only(self, backend, text):
+        program = parse(
+            "int main() {\n"
+            f'printf("%d %.1f", atoi("{text}"), atof("{text}"));\n'
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == ("1 1.0" if text == "1\u0663" else "0 0.0")
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_atoi_skips_the_c_locale_spaces(self, backend):
+        program = parse(
+            "int main() {\n"
+            'printf("%d %.1f", atoi(" \\t\\v\\f\\r\\n7"), '
+            'atof("\\v\\f2.5"));\n'
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, "", backend=backend)
+        assert out == "7 2.5"
+
+    def test_device_table_reads_ascii_digits_only(self):
+        from repro.gpu.engine import common_lane_builtins
+
+        gpu = common_lane_builtins(None, 1)
+        for text in self.NOT_NUMBERS:
+            want = 1 if text == "1\u0663" else 0
+            assert gpu["atoi"](None, text) == want
+            assert gpu["atof"](None, text) == float(want)
+        assert gpu["atoi"](None, "\v\f 42") == 42
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("call, stdin, want", [
+        # c_scan's stepwise conversions: C returns 0, not 1 with x == 34.
+        ('scanf("%d", &a)', "\u0663\u0664", "0 -1 -1 -1"),
+        ('scanf("%f", &f)', "\u0663.5", "0 -1 -1 -1"),
+        ('scanf("%d %d", &a, &b)', "5 \u0663\n", "1 5 -1 -1"),
+        # The compiled backend's one-shot KV patterns, then c_scan.
+        ('scanf("%s %d", w, &a)', "word \u0663\u0664\n", "1 -1 -1 -1"),
+        ('scanf("%d %f", &a, &f)', "1 \u0663.5\n", "1 1 -1 -1"),
+        ('scanf("%d %d", &a, &b)', "\u0663 4\n", "0 -1 -1 -1"),
+    ])
+    def test_scanf_reads_ascii_digits_only(self, backend, call, stdin, want):
+        program = parse(
+            "int main() {\n"
+            "char w[16]; int a; int b; int n; double f;\n"
+            "a = -1; b = -1; f = -1.0;\n"
+            f"n = {call};\n"
+            'printf("%d %d %d %d", n, a, b, (int) f);\n'
+            "return 0;\n}"
+        )
+        out, _ = run_filter(program, stdin, backend=backend)
+        assert out == want
+
 
 class TestMath:
     def test_sqrt_exp_log(self):

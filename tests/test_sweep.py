@@ -27,7 +27,8 @@ from repro.scenarios import (
 
 #: The canonical report of every registry scenario at scale small
 #: (``python -m repro sweep --scale small -o tests/golden/sweep_small.json``),
-#: generated by the polling simulator of PR 14. It pins the simulator's
+#: first generated by the polling simulator, regenerated when the
+#: durations moved to the task-time table. It pins the simulator's
 #: answers: regenerate only for a deliberate change of simulated
 #: behaviour, never to make a performance change pass.
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "golden" / "sweep_small.json"
