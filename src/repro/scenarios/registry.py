@@ -221,7 +221,7 @@ SCENARIOS: tuple[Scenario, ...] = (
              description="Classification on the 3-GPU Cluster2."),
     Scenario("bs-c2-gpu-first", app="BS", shape="c2", policy="gpu-first",
              reduce_tasks=0,
-             description="BlackScholes, map-only, 36x GPU speedup."),
+             description="BlackScholes, map-only, top GPU speedup (Fig. 5)."),
     # Registry extensions: new apps and the new policies.
     Scenario("ii-c1-locality", app="II", shape="c1", policy="locality",
              reduce_tasks=32,
