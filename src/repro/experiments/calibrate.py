@@ -65,15 +65,15 @@ def simulated_task_times(app: str, cluster: ClusterConfig) -> dict[str, float]:
     """One row of :mod:`repro.scenarios.task_times`: a task's seconds and
     output bytes rescaled so the CPU task lasts 60 s, and each reducer's
     compute, the share Table 2 leaves outside map+combine."""
-    target = 60.0
     times = single_task_times(app, cluster)
-    scale = target / times.cpu_seconds
+    cpu_s, gpu_s = times.scaled(60.0)
+    scale = cpu_s / times.cpu_seconds
     pct = get_app(app).pct_map_combine_active
     return {
-        "cpu_task_seconds": target,
-        "gpu_task_seconds": times.gpu_seconds * scale,
+        "cpu_task_seconds": cpu_s,
+        "gpu_task_seconds": gpu_s,
         "map_output_bytes": max(times.output_bytes * scale, 1.0),
-        "reduce_compute_seconds": target * (100 - pct) / 100.0,
+        "reduce_compute_seconds": cpu_s * (100 - pct) / 100.0,
     }
 
 
