@@ -57,16 +57,14 @@ def driver_demo() -> None:
 
 def cluster_demo() -> None:
     print("=== Cluster: rescheduling + speculation under stragglers ===")
-    job, healthy = simulated_job("WC", CLUSTER1, 1500, 8, seed=11)
-    flaky_slow = lambda: replace(  # noqa: E731
-        healthy, failure_rate=0.03,
-        node_speed_factors={n: 4.0 for n in range(4)},
-    )
-    plain = ClusterSimulator(job, GpuFirstPolicy(), durations=healthy).run()
-    faulty = ClusterSimulator(job, GpuFirstPolicy(),
-                              durations=flaky_slow()).run()
-    spec_sim = ClusterSimulator(job, GpuFirstPolicy(),
-                                durations=flaky_slow(), speculative=True)
+    job = simulated_job("WC", CLUSTER1, 1500, 8, seed=11)
+    flaky_slow = replace(job, failure_rate=0.03,
+                         node_speed_factors={n: 4.0 for n in range(4)})
+    plain = ClusterSimulator(job, GpuFirstPolicy()).run()
+    faulty = ClusterSimulator(flaky_slow, GpuFirstPolicy()).run()
+    speculating = replace(CLUSTER1, speculative_execution=True)
+    spec_sim = ClusterSimulator(replace(flaky_slow, cluster=speculating),
+                                GpuFirstPolicy())
     spec = spec_sim.run()
     print(f"  healthy cluster        : {plain.job_seconds:7.1f} s")
     print(f"  3% failures + 4 slow nodes: {faulty.job_seconds:7.1f} s "

@@ -40,13 +40,10 @@ def main() -> None:
     print(f"{'app':>4s} {'GPU speedup':>12s} {'cpu-only':>10s} "
           f"{'gpu-first':>10s} {'tail':>10s} {'forced':>7s}")
     for app in PAPER_APP_ORDER:
-        tasks = table2_tasks(app, CLUSTER1.name)
-        runs = []
-        for policy in (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()):
-            job, durations = simulated_job(app, CLUSTER1, *tasks, seed=7)
-            runs.append(ClusterSimulator(job, policy,
-                                         durations=durations).run())
-        base, gf, tail = runs
+        job = simulated_job(app, CLUSTER1, *table2_tasks(app, CLUSTER1.name),
+                            seed=7)
+        base, gf, tail = (ClusterSimulator(job, policy).run() for policy in
+                          (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()))
         speedup = job.cpu_task_seconds / job.gpu_task_seconds
         print(f"{app:>4s} {speedup:>11.1f}x {base.job_seconds:>9.0f}s "
               f"{gf.job_seconds:>9.0f}s {tail.job_seconds:>9.0f}s "

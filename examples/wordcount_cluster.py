@@ -42,12 +42,10 @@ def main() -> None:
     # --- cluster-scale simulation ------------------------------------------
     print("\nSimulating WC at Table 2 scale on Cluster1 "
           "(48 nodes x 20 cores + 1 K40)...")
-    tasks = table2_tasks("WC", CLUSTER1.name)
-    runs = []
-    for policy in (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()):
-        job, durations = simulated_job("WC", CLUSTER1, *tasks, seed=7)
-        runs.append(ClusterSimulator(job, policy, durations=durations).run())
-    base, gf, tail = runs
+    job = simulated_job("WC", CLUSTER1, *table2_tasks("WC", CLUSTER1.name),
+                        seed=7)
+    base, gf, tail = (ClusterSimulator(job, policy).run() for policy in
+                      (CpuOnlyPolicy(), GpuFirstPolicy(), TailPolicy()))
     print(f"  single-task GPU speedup  : "
           f"{job.cpu_task_seconds / job.gpu_task_seconds:.1f}x")
     print(f"  CPU-only Hadoop          : {base.job_seconds:7.1f} s")

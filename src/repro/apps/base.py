@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
 from ..compiler import TranslationResult, translate_cached
-from ..config import GB, OptimizationFlags
+from ..config import OptimizationFlags
 from ..errors import ConfigError
 from ..minic import cast as A
 from ..minic import parse

@@ -136,13 +136,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sim_job(args: argparse.Namespace):
-    """(JobConf, TaskDurationModel) of the simulated job the
-    ``simulate``/``trace``/``stats`` options describe; the duration
-    model serves one simulator run."""
+    """The simulated ``JobConf`` the ``simulate``/``trace``/``stats``
+    options describe; ``--gpus`` defaults to the cluster's own count."""
     from .hadoop import JobConf
     from .scenarios.registry import simulated_job, table2_tasks
 
-    cluster = _cluster(args).with_gpus(args.gpus)
+    cluster = _cluster(args)
+    if args.gpus is not None:
+        cluster = cluster.with_gpus(args.gpus)
     tasks = table2_tasks(args.app, cluster.name, args.task_scale)
     return simulated_job(args.app, cluster, *tasks, seed=JobConf.seed)
 
@@ -150,17 +151,14 @@ def _sim_job(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .hadoop import ClusterSimulator
 
-    def run(policy: str):
-        job, durations = _sim_job(args)
-        return job, ClusterSimulator(job, get_policy(policy),
-                                     durations=durations).run()
-
-    job, base = run("cpu-only")
-    print(f"{job.name} on {job.cluster.name} ({args.gpus} GPU/node), "
+    job = _sim_job(args)
+    base = ClusterSimulator(job, get_policy("cpu-only")).run()
+    print(f"{job.name} on {job.cluster.name} "
+          f"({job.cluster.gpus_per_node} GPU/node), "
           f"{job.num_map_tasks} maps, single-task speedup "
           f"{job.cpu_task_seconds / job.gpu_task_seconds:.1f}x")
     for name in (args.policy,) if args.policy else policy_names():
-        _job, result = run(name)
+        result = ClusterSimulator(job, get_policy(name)).run()
         print(f"  {name:10s}: {result.job_seconds:8.1f} s "
               f"({base.job_seconds / result.job_seconds:.2f}x), "
               f"gpu tasks {result.gpu_tasks}, forced {result.forced_gpu_tasks}")
@@ -233,10 +231,10 @@ def _traced_run(args: argparse.Namespace):
     if args.mode == "simulate":
         from .hadoop import ClusterSimulator
 
-        job, durations = _sim_job(args)
+        job = _sim_job(args)
         policy = get_policy(args.policy)
         with obs.use_recorder(recorder):
-            ClusterSimulator(job, policy, durations=durations).run()
+            ClusterSimulator(job, policy).run()
     else:
         runner, text = _local_job(args)
         with obs.use_recorder(recorder):
@@ -503,8 +501,8 @@ def _add_simulator_options(parser: argparse.ArgumentParser,
                            policy: str | None, task_scale: float) -> None:
     """The cluster-simulation options ``simulate``/``trace``/``stats``
     share; the defaults are each command's own."""
-    parser.add_argument("--gpus", type=_nonnegative_int, default=1,
-                        help="GPUs per node")
+    parser.add_argument("--gpus", type=_nonnegative_int, default=None,
+                        help="GPUs per node (default: the cluster's own)")
     parser.add_argument("--policy", choices=policy_names(), default=policy,
                         help="scheduling policy"
                              + ("" if policy else " (default: all of them)"))

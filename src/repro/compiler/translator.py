@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..config import LaunchConfig, OptimizationFlags
@@ -20,7 +20,7 @@ from ..errors import CompilerError
 from ..minic import cast as A
 from ..minic import ctypes as T
 from ..minic.cache import cached_translation
-from ..minic.pretty import pprint_function, pprint_stmt
+from ..minic.pretty import pprint_stmt
 from ..minic.semantics import declared_types
 from .host_codegen import HostPlan
 from .kernel_ir import KernelIR, VarClass, VarInfo

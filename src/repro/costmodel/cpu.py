@@ -81,7 +81,7 @@ class CpuTaskModel:
     ) -> TaskBreakdown:
         timing = TaskBreakdown()
         # A functional task's split is data-local; locality misses are
-        # the cluster simulator's business (TaskDurationModel.sample).
+        # the cluster simulator's business (JobConf.nonlocal_read_penalty).
         timing.input_read = self.io.hdfs_read_s(split_bytes)
         timing.map = self.compute_s(map_counters) + self.streaming_s(map_kv_pairs)
         timing.sort = self.sort_s(map_kv_pairs, key_length)

@@ -7,7 +7,7 @@ paper's reported shapes; EXPERIMENTS.md records the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig, OptimizationFlags
@@ -103,9 +103,8 @@ def _best_of_seeds(app: str, cluster: ClusterConfig, tasks: tuple[int, int],
     best run.'"""
     best = None
     for seed in RUN_SEEDS:
-        job, durations = simulated_job(app, cluster, *tasks, seed)
-        result = ClusterSimulator(job, policy_factory(),
-                                  durations=durations).run()
+        result = ClusterSimulator(simulated_job(app, cluster, *tasks, seed),
+                                  policy_factory()).run()
         if best is None or result.job_seconds < best.job_seconds:
             best = result
     assert best is not None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .figures import AblationPoint, Fig3Result, Fig5Point, JobPoint, geometric_mean
 

@@ -4,11 +4,9 @@ source of truth, so the tables can never drift from the code."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..apps import all_apps
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig
-from ..directives.clauses import CLAUSES, ArgKind, DirectiveKind
+from ..directives.clauses import CLAUSES, ArgKind
 from ..scenarios.registry import PAPER_APP_ORDER
 
 

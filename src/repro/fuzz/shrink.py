@@ -17,7 +17,6 @@ always minimizes to the same program.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import Callable, Iterator
 

@@ -8,7 +8,7 @@ processing scheme, and what excludes KM from Cluster2 in Fig. 4b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import GpuSpec, TESLA_K40
 from ..errors import GpuError, GpuOutOfMemory

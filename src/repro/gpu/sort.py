@@ -23,7 +23,6 @@ from typing import Any
 
 from ..config import GpuSpec
 from ..kvstore import KVPair
-from .timing import MAX_MLP
 
 #: Comparison key reads go through the index array, so locality degrades
 #: with key length: short (int) keys ride the cache, long string keys

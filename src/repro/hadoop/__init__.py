@@ -10,11 +10,10 @@ with heartbeats and slots, in two complementary forms:
 * :mod:`repro.hadoop.simulate` — a **discrete-event cluster simulator**
   driving thousands of tasks over 48+ nodes with heartbeat scheduling,
   data locality, and the GPU-first / tail-scheduling policies. Used by
-  the Fig. 3/4 experiments. ``ClusterSimulator`` and
-  ``TaskDurationModel`` are importable from this package, but the
-  simulator (and its cost-model and scheduling closure) loads at the
-  first such import, not with the package — a functional job never
-  pays for it.
+  the Fig. 3/4 experiments. A simulated job is one :class:`JobConf`.
+  ``ClusterSimulator`` is importable from this package, but the
+  simulator (and its cost-model and scheduling closure) loads at that
+  import, not with the package — a functional job never pays for it.
 """
 
 from .events import EventLoop
@@ -28,13 +27,12 @@ __all__ = [
     "MapTask",
     "TaskState",
     "ClusterSimulator",
-    "TaskDurationModel",
 ]
 
 
 def __getattr__(name: str):
-    if name in ("ClusterSimulator", "TaskDurationModel"):
-        from . import simulate
+    if name == "ClusterSimulator":
+        from .simulate import ClusterSimulator
 
-        return getattr(simulate, name)
+        return ClusterSimulator
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,6 @@ class Heartbeat:
     node: int
     free_cpu_slots: int
     free_gpu_slots: int
-    running_tasks: int
     ave_gpu_speedup: float          # HeteroDoop extension (§6.2)
 
 

@@ -10,7 +10,11 @@ from ..errors import ConfigError
 
 @dataclass
 class JobConf:
-    """Everything the cluster simulator needs to run one job."""
+    """One simulated job: everything :class:`ClusterSimulator` reads.
+
+    Every run of one ``JobConf`` gives the same result: each simulator
+    draws its task durations from its own ``random.Random(seed)``.
+    """
 
     name: str
     num_map_tasks: int
@@ -28,6 +32,13 @@ class JobConf:
     #: Reduce-side compute seconds per reducer (merge + reduce function).
     reduce_compute_seconds: float = 20.0
     seed: int = 1234
+    #: Probability that a map attempt fails halfway and is rescheduled
+    #: (paper §5.1; the fault-tolerance runs).
+    failure_rate: float = 0.0
+    #: node → CPU slowdown factor: inter-node heterogeneity, the paper's
+    #: §9 future work. A factor > 1 makes the node's CPU tasks that much
+    #: slower (older processors); its GPUs keep their own speed.
+    node_speed_factors: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.num_map_tasks < 1:
@@ -54,6 +65,5 @@ class JobResult:
     forced_gpu_tasks: int = 0
     data_local_fraction: float = 0.0
     failures: int = 0
-    max_observed_speedup: float = 1.0
     #: (finish_time, node, slot-kind) per map task, for timeline plots.
     timeline: list[tuple[float, int, str]] = field(default_factory=list)

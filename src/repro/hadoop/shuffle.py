@@ -21,7 +21,6 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
 
-from ..config import ClusterConfig
 from ..costmodel.cpu import STREAMING_OVERHEAD_S_PER_KV
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError

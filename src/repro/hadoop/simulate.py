@@ -3,9 +3,9 @@
 Wires HDFS block placement, the JobTracker, per-node TaskTrackers, the
 heartbeat protocol, and a scheduling policy into the event loop, then
 runs every map task to completion and adds the reduce-phase estimate.
-Task durations come from a :class:`TaskDurationModel` (calibrated from
-the single-task functional simulations; see
-``repro.experiments.calibrate``) with deterministic per-task jitter.
+Task durations are sampled from the :class:`~repro.hadoop.job.JobConf`
+(its seconds come from the single-task functional simulations; see
+``repro.scenarios.task_times``) with deterministic per-attempt jitter.
 """
 
 from __future__ import annotations
@@ -28,47 +28,6 @@ from .tasktracker import TaskTracker
 
 
 @dataclass
-class TaskDurationModel:
-    """Samples per-task durations with deterministic jitter.
-
-    ``failure_rate`` injects task failures (fault-tolerance tests): a
-    failed attempt consumes half its duration, is reported to the
-    JobTracker, and is rescheduled (paper §5.1).
-
-    ``node_speed_factors`` models *inter-node* heterogeneity — the
-    paper's explicit future work ('We leave handling of extreme
-    inter-node heterogeneity to future work', §9): a factor > 1 makes a
-    node's CPU tasks proportionally slower (older processors), while its
-    GPUs keep their own speed.
-    """
-
-    cpu_seconds: float
-    gpu_seconds: float
-    jitter: float = 0.04
-    nonlocal_penalty: float = 2.0
-    failure_rate: float = 0.0
-    seed: int = 99
-    node_speed_factors: dict[int, float] | None = None
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def sample(self, slot: SlotKind, data_local: bool,
-               node: int | None = None) -> tuple[float, bool]:
-        """(duration, fails) for one attempt."""
-        base = self.cpu_seconds if slot is SlotKind.CPU else self.gpu_seconds
-        if (slot is SlotKind.CPU and node is not None
-                and self.node_speed_factors is not None):
-            base *= self.node_speed_factors.get(node, 1.0)
-        jit = self._rng.uniform(-self.jitter, self.jitter)
-        duration = base * (1.0 + jit)
-        if not data_local:
-            duration += self.nonlocal_penalty
-        fails = self._rng.random() < self.failure_rate
-        return duration, fails
-
-
-@dataclass
 class _Attempt:
     """One execution attempt of a map task (speculation can create two)."""
 
@@ -85,11 +44,15 @@ class _Attempt:
 class ClusterSimulator:
     """Runs one job under one scheduling policy.
 
-    ``speculative`` enables Hadoop's speculative execution (Table 3 rows;
-    the paper ran with it Off): once no pending work remains, stragglers
-    — running attempts projected to finish well after the completed-task
-    mean — get a backup attempt on a free CPU slot; the first finisher
-    wins and the loser's result is discarded.
+    Each simulator draws every attempt's duration from its own
+    ``random.Random(job.seed)`` (:meth:`_sample`), so every run of one
+    ``JobConf`` gives the same result.
+
+    The cluster's ``speculative_execution`` enables Hadoop's speculative
+    execution (Table 3 rows; the paper ran with it Off): once no pending
+    work remains, stragglers — running attempts projected to finish well
+    after the completed-task mean — get a backup attempt on a free CPU
+    slot; the first finisher wins and the loser's result is discarded.
 
     Heartbeats are event-driven. A TaskTracker beats every
     ``heartbeat_interval_s`` on its own tick grid, but a tracker whose
@@ -107,19 +70,11 @@ class ClusterSimulator:
     #: this multiple of the mean completed-task duration.
     SPECULATION_THRESHOLD = 1.4
 
-    def __init__(self, job: JobConf, policy: SchedulingPolicy,
-                 durations: TaskDurationModel | None = None,
-                 speculative: bool | None = None):
+    def __init__(self, job: JobConf, policy: SchedulingPolicy):
         self.job = job
         self.policy = policy
         cluster = job.cluster
-        self.durations = durations or TaskDurationModel(
-            cpu_seconds=job.cpu_task_seconds,
-            gpu_seconds=job.gpu_task_seconds,
-            jitter=job.duration_jitter,
-            nonlocal_penalty=job.nonlocal_read_penalty,
-            seed=job.seed,
-        )
+        self._rng = random.Random(job.seed)
         self.io = IoModel.for_cluster(cluster)
 
         # Block placement through the simulated HDFS namenode.
@@ -164,10 +119,7 @@ class ClusterSimulator:
         #: ``scheduled_at`` of the event that completed the last map.
         self._map_phase_end_scheduled_at = 0.0
         self._failures = 0
-        self.speculative = (
-            speculative if speculative is not None
-            else cluster.speculative_execution
-        )
+        self.speculative = cluster.speculative_execution
         self._running_attempts: dict[int, _Attempt] = {}  # task_id → primary
         self._speculated: set[int] = set()
         self._completed_durations: list[float] = []
@@ -178,6 +130,24 @@ class ClusterSimulator:
         #: Free slot-lane indices per (node, slot kind), only while tracing.
         self._free_lanes: dict[tuple[int, SlotKind], list[int]] = {}
         self._lane_high: dict[tuple[int, SlotKind], int] = {}
+
+    def _sample(self, slot: SlotKind, data_local: bool,
+                node: int) -> tuple[float, bool]:
+        """(duration, fails) of one attempt on ``node``: a jitter draw,
+        then a failure draw. A failed attempt consumes half its duration
+        and is rescheduled (paper §5.1)."""
+        job = self.job
+        if slot is SlotKind.CPU:
+            base = job.cpu_task_seconds
+            if job.node_speed_factors is not None:
+                base *= job.node_speed_factors.get(node, 1.0)
+        else:
+            base = job.gpu_task_seconds
+        jit = self._rng.uniform(-job.duration_jitter, job.duration_jitter)
+        duration = base * (1.0 + jit)
+        if not data_local:
+            duration += job.nonlocal_read_penalty
+        return duration, self._rng.random() < job.failure_rate
 
     # -- tracing ----------------------------------------------------------------
 
@@ -369,9 +339,7 @@ class ClusterSimulator:
                 worst, worst_remaining = attempt, remaining
         if worst is None or not tracker.reserve_cpu_slot():
             return
-        duration, _fails = self.durations.sample(
-            SlotKind.CPU, data_local=False, node=tracker.node
-        )
+        duration, _fails = self._sample(SlotKind.CPU, False, tracker.node)
         backup = _Attempt(task=worst.task, tracker=tracker,
                           slot=SlotKind.CPU, duration=duration,
                           speculative=True)
@@ -397,9 +365,8 @@ class ClusterSimulator:
 
     def _start(self, tracker: TaskTracker, task: MapTask) -> None:
         task.assign(tracker.node, self.loop.now)
-        duration, fails = self.durations.sample(
-            task.slot, task.data_local, node=tracker.node
-        )
+        duration, fails = self._sample(task.slot, task.data_local,
+                                       tracker.node)
         attempt = _Attempt(task=task, tracker=tracker, slot=task.slot,
                            duration=duration)
         self._running_attempts[task.task_id] = attempt
@@ -421,7 +388,6 @@ class ClusterSimulator:
             return
         task.fail(self.loop.now)
         tracker.release_slot(attempt.slot, elapsed)
-        tracker.stats.failures += 1
         self._failures += 1
         self._running_attempts.pop(task.task_id, None)
         self._trace_attempt_end(attempt, "failed")
@@ -512,7 +478,6 @@ class ClusterSimulator:
             forced_gpu_tasks=sum(1 for t in completed if t.forced_gpu),
             data_local_fraction=local / max(len(completed), 1),
             failures=self._failures,
-            max_observed_speedup=self.jobtracker.max_speedup,
             timeline=[
                 (t.finish_time, t.node or 0, t.slot.value if t.slot else "?")
                 for t in completed

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import HadoopError
 
@@ -78,7 +78,6 @@ class NodeStats:
     gpu_tasks: int = 0
     cpu_seconds: float = 0.0
     gpu_seconds: float = 0.0
-    failures: int = 0
 
     def record(self, slot: SlotKind, seconds: float) -> None:
         if slot is SlotKind.CPU:

@@ -10,9 +10,7 @@ least-loaded device.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..errors import HadoopError
 from ..scheduling.tail import SchedulingPolicy
@@ -56,7 +54,6 @@ class TaskTracker:
             node=self.node,
             free_cpu_slots=self.cpu_slots - self.running_cpu,
             free_gpu_slots=self.free_gpu_slots,
-            running_tasks=self.running_cpu + self.busy_gpus,
             ave_gpu_speedup=self.stats.ave_speedup,
         )
 
@@ -147,10 +144,3 @@ class TaskTracker:
             self.running_cpu += 1
             return True
         return False
-
-    def task_done(self, task: MapTask, seconds: float) -> None:
-        self.release_slot(task.slot, seconds)
-
-    @property
-    def waiting_on_gpu(self) -> int:
-        return len(self.gpu_queue)

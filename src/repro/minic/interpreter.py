@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..errors import ConfigError, CRuntimeError

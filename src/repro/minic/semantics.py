@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import cast as A
 from . import ctypes as T
-from ..errors import SemanticError
 
 
 #: Library functions with out-only pointer parameters (0-based indices).

@@ -11,7 +11,7 @@ here too: both execution engines import the one copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..errors import CRuntimeError

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..compiler import TranslationResult
-from ..config import OptimizationFlags
 from ..errors import GpuError, GpuOutOfMemory
 from ..gpu.device import GpuDevice
 from ..gpu.executor import (
-    CombineLaunchResult,
     MapLaunchResult,
     run_combine_kernel,
     run_map_kernel,

@@ -73,7 +73,7 @@ class ClusterShape:
     ``slow_node_fraction``/``slow_factor`` mark every ``1/fraction``-th
     node's CPUs slower by the factor (a deterministic stride — no RNG —
     so a shape always yields the same speed map). GPUs keep their own
-    speed, per :class:`~repro.hadoop.simulate.TaskDurationModel`.
+    speed, per :attr:`~repro.hadoop.job.JobConf.node_speed_factors`.
     """
 
     id: str
@@ -337,20 +337,15 @@ def table2_tasks(app: str, cluster_name: str,
 def simulated_job(app: str, cluster: ClusterConfig, map_tasks: int,
                   reduce_tasks: int, seed: int,
                   node_speed_factors: dict[int, float] | None = None):
-    """The one builder of a simulated job: (``JobConf``, a fresh
-    ``TaskDurationModel`` for one run), durations from ``app``'s
-    :mod:`~repro.scenarios.task_times` row for ``cluster.name``."""
+    """The one builder of a simulated job: a ``JobConf`` whose durations
+    are ``app``'s :mod:`~repro.scenarios.task_times` row for
+    ``cluster.name``. Every simulator run of it gives the same result."""
     from ..hadoop.job import JobConf
-    from ..hadoop.simulate import TaskDurationModel
 
     key = _task_time_key(app, cluster.name)
-    job = JobConf(name=key[0], num_map_tasks=map_tasks,
-                  num_reduce_tasks=reduce_tasks, cluster=cluster, seed=seed,
-                  **TASK_TIMES[key])
-    return job, TaskDurationModel(
-        cpu_seconds=job.cpu_task_seconds, gpu_seconds=job.gpu_task_seconds,
-        jitter=job.duration_jitter, nonlocal_penalty=job.nonlocal_read_penalty,
-        seed=seed, node_speed_factors=node_speed_factors)
+    return JobConf(name=key[0], num_map_tasks=map_tasks,
+                   num_reduce_tasks=reduce_tasks, cluster=cluster, seed=seed,
+                   node_speed_factors=node_speed_factors, **TASK_TIMES[key])
 
 
 # -- validation --------------------------------------------------------------

@@ -47,10 +47,10 @@ def build_simulator(scenario: Scenario, policy_name: str,
     """One simulator wired from registry declarations, its job from
     :func:`~repro.scenarios.registry.simulated_job`."""
     shape = get_shape(scenario.shape)
-    job, durations = simulated_job(
+    job = simulated_job(
         scenario.app, shape.cluster(), scenario.map_tasks(scale),
         scenario.reduce_tasks, scenario.seed, shape.speed_factors())
-    return ClusterSimulator(job, get_policy(policy_name), durations=durations)
+    return ClusterSimulator(job, get_policy(policy_name))
 
 
 def _result_row(scenario: Scenario, policy_name: str, scale: str,

@@ -80,7 +80,9 @@ class TestParser:
 
 #: ``vars(build_parser().parse_args(argv))`` per subcommand — every dest
 #: and default — computed on the commit *before* cli.py declared each
-#: shared option set once (``func`` recorded by name).
+#: shared option set once (``func`` recorded by name). One default moved
+#: since: ``--gpus`` is ``None``, the cluster's own GPU count (it was 1,
+#: which put Cluster2 at 1 GPU per node instead of Table 3's 3).
 PARENT_NAMESPACES = {
     "apps": (["apps"], {"command": "apps", "func": "_cmd_apps"}),
     "translate": (["translate", "--app", "WC"], {
@@ -92,7 +94,7 @@ PARENT_NAMESPACES = {
         "split_kb": 32, "workers": None}),
     "simulate": (["simulate", "BS"], {
         "command": "simulate", "func": "_cmd_simulate", "app": "BS",
-        "cluster": 1, "gpus": 1, "policy": None, "task_scale": 1.0}),
+        "cluster": 1, "gpus": None, "policy": None, "task_scale": 1.0}),
     "sweep": (["sweep"], {
         "command": "sweep", "func": "_cmd_sweep", "apps": None,
         "json": False, "list": False, "out": None, "policies": None,
@@ -100,12 +102,12 @@ PARENT_NAMESPACES = {
         "verify": False}),
     "trace": (["trace", "WC"], {
         "command": "trace", "func": "_cmd_trace", "app": "WC", "cluster": 1,
-        "cpu_only": False, "gpus": 1, "mode": "local", "out": None,
+        "cpu_only": False, "gpus": None, "mode": "local", "out": None,
         "policy": "tail", "records": 400, "seed": 7, "split_kb": 32,
         "task_scale": 0.02, "workers": None}),
     "stats": (["stats", "KM"], {
         "command": "stats", "func": "_cmd_stats", "app": "KM", "cluster": 1,
-        "cpu_only": False, "gpus": 1, "mode": "local", "policy": "tail",
+        "cpu_only": False, "gpus": None, "mode": "local", "policy": "tail",
         "records": 400, "seed": 7, "split_kb": 32, "task_scale": 0.02,
         "workers": None}),
     "fuzz": (["fuzz"], {
@@ -381,6 +383,19 @@ int main() {
         assert captured.out == ""
         assert captured.err == ("error: KM has no Table 2 entry for "
                                 "Cluster2 (the paper marks it NA)\n")
+
+    @pytest.mark.parametrize("argv, header", [
+        (["CL", "--cluster", "2"], "CL on Cluster2 (3 GPU/node)"),
+        (["CL", "--cluster", "2", "--gpus", "1"],
+         "CL on Cluster2 (1 GPU/node)"),
+        (["WC"], "WC on Cluster1 (1 GPU/node)"),
+    ])
+    def test_simulate_defaults_to_the_clusters_gpus(self, argv, header,
+                                                    capsys):
+        # Table 3: Cluster1 has 1 GPU per node, Cluster2 has 3.
+        assert main(["simulate", *argv, "--policy", "tail",
+                     "--task-scale", "0.02"]) == 0
+        assert capsys.readouterr().out.startswith(header + ", ")
 
     def test_simulate_unknown_app_lists_the_known_tags(self, capsys):
         assert main(["simulate", "XX"]) == 1

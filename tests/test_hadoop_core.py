@@ -95,7 +95,7 @@ def make_jt(n_tasks=20, policy=None, slaves=4, gpus=1):
 class TestJobTracker:
     def hb(self, node=0, cpu=2, gpu=1, speedup=1.0):
         return Heartbeat(node=node, free_cpu_slots=cpu, free_gpu_slots=gpu,
-                         running_tasks=0, ave_gpu_speedup=speedup)
+                         ave_gpu_speedup=speedup)
 
     def test_grants_up_to_free_slots(self):
         jt = make_jt()
@@ -174,7 +174,7 @@ class TestTaskTracker:
         t = MapTask(task_id=0, split_index=0)
         tt.place(t)
         assert tt.busy_gpus == 1
-        tt.task_done(t, 5.0)
+        tt.release_slot(t.slot, 5.0)
         assert tt.busy_gpus == 0
         assert tt.stats.gpu_tasks == 1
 
@@ -187,10 +187,10 @@ class TestTaskTracker:
         assert tt.place(first) is SlotKind.GPU
         second = MapTask(task_id=1, split_index=1)
         assert tt.place(second) is SlotKind.GPU
-        assert tt.waiting_on_gpu == 1
+        assert len(tt.gpu_queue) == 1
         drained = tt.queued_gpu_task()
         assert drained is None  # device still busy
-        tt.task_done(first, 10.0)
+        tt.release_slot(first.slot, 10.0)
         assert tt.queued_gpu_task() is second
 
     def test_heartbeat_reports_net_gpu_capacity(self):

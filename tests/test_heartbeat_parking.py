@@ -26,7 +26,6 @@ from repro import obs
 from repro.config import CLUSTER1
 from repro.errors import HadoopError
 from repro.hadoop import ClusterSimulator, JobConf
-from repro.hadoop.simulate import TaskDurationModel
 from repro.scheduling import get_policy, policy_names
 
 
@@ -57,17 +56,15 @@ def observe(cls, policy, shape, maps, timing, jitter, failure_rate,
     interval, cpu, gpu = timing
     cluster = replace(CLUSTER1, num_slaves=nodes, gpus_per_node=gpus,
                       max_map_slots_per_node=slots,
-                      heartbeat_interval_s=interval)
+                      heartbeat_interval_s=interval,
+                      speculative_execution=speculative)
     job = JobConf(name="parking", num_map_tasks=maps, num_reduce_tasks=2,
                   cluster=cluster, cpu_task_seconds=cpu,
-                  gpu_task_seconds=gpu, duration_jitter=jitter, seed=seed)
-    durations = TaskDurationModel(
-        cpu_seconds=cpu, gpu_seconds=gpu, jitter=jitter,
-        failure_rate=failure_rate, seed=seed,
-        node_speed_factors={0: 4.0} if slow_node else None)
+                  gpu_task_seconds=gpu, duration_jitter=jitter, seed=seed,
+                  failure_rate=failure_rate,
+                  node_speed_factors={0: 4.0} if slow_node else None)
     with obs.use_recorder(obs.TraceRecorder()) as rec:
-        sim = cls(job, get_policy(policy), durations=durations,
-                  speculative=speculative)
+        sim = cls(job, get_policy(policy))
         try:
             result = sim.run()
         except HadoopError as exc:    # a task out of attempts aborts the job

@@ -5,41 +5,39 @@ import pytest
 
 from repro.config import CLUSTER1
 from repro.hadoop import ClusterSimulator, JobConf
-from repro.hadoop.simulate import TaskDurationModel
 from repro.hadoop.tasks import SlotKind
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
 
-def hetero_model(slow_factor=3.0, slow_nodes=8, **kw):
-    return TaskDurationModel(
-        cpu_seconds=60.0,
-        gpu_seconds=4.0,
-        node_speed_factors={n: slow_factor for n in range(slow_nodes)},
-        **kw,
-    )
-
-
-def job(num_maps=2400):
+def job(num_maps=2400, slow_nodes=0, seed=1234):
+    """The first ``slow_nodes`` nodes' CPUs are 3x slower."""
     return JobConf(name="het", num_map_tasks=num_maps, num_reduce_tasks=16,
-                   cluster=CLUSTER1, cpu_task_seconds=60.0, gpu_task_seconds=4.0)
+                   cluster=CLUSTER1, cpu_task_seconds=60.0, gpu_task_seconds=4.0,
+                   seed=seed, node_speed_factors={
+                       n: 3.0 for n in range(slow_nodes)} or None)
 
 
 class TestDurationModel:
+    """The simulator's per-attempt sampling reads the job's speed map."""
+
+    def sampler(self):
+        return ClusterSimulator(job(slow_nodes=8, seed=99),
+                                GpuFirstPolicy())._sample
+
     def test_slow_nodes_slow_cpu_tasks(self):
-        m = hetero_model()
-        slow, _ = m.sample(SlotKind.CPU, data_local=True, node=0)
-        fast, _ = m.sample(SlotKind.CPU, data_local=True, node=20)
+        sample = self.sampler()
+        slow, _ = sample(SlotKind.CPU, data_local=True, node=0)
+        fast, _ = sample(SlotKind.CPU, data_local=True, node=20)
         assert slow > 2.0 * fast
 
     def test_gpus_unaffected(self):
-        m = hetero_model()
-        on_slow, _ = m.sample(SlotKind.GPU, data_local=True, node=0)
-        on_fast, _ = m.sample(SlotKind.GPU, data_local=True, node=20)
+        sample = self.sampler()
+        on_slow, _ = sample(SlotKind.GPU, data_local=True, node=0)
+        on_fast, _ = sample(SlotKind.GPU, data_local=True, node=20)
         assert on_slow == pytest.approx(on_fast, rel=0.15)
 
-    def test_node_none_means_homogeneous(self):
-        m = hetero_model()
-        d, _ = m.sample(SlotKind.CPU, data_local=True, node=None)
+    def test_unlisted_node_means_homogeneous(self):
+        d, _ = self.sampler()(SlotKind.CPU, data_local=True, node=47)
         assert d == pytest.approx(60.0, rel=0.1)
 
 
@@ -49,33 +47,28 @@ class TestClusterWithSlowNodes:
         # (slow nodes simply request fewer tasks), so measure throughput
         # at many waves where lost capacity must show.
         homo = ClusterSimulator(job(9600), CpuOnlyPolicy()).run()
-        het = ClusterSimulator(
-            job(9600), CpuOnlyPolicy(),
-            durations=hetero_model(slow_nodes=24),
-        ).run()
+        het = ClusterSimulator(job(9600, slow_nodes=24, seed=99),
+                               CpuOnlyPolicy()).run()
         assert het.map_phase_seconds > homo.map_phase_seconds * 1.2
 
     def test_gpus_absorb_heterogeneity(self):
         """With GPUs available, the slow nodes' devices keep pulling
         weight, so the heterogeneity penalty shrinks."""
-        cpu_only = ClusterSimulator(job(), CpuOnlyPolicy(),
-                                    durations=hetero_model(seed=5)).run()
-        hetero_gpu = ClusterSimulator(job(), GpuFirstPolicy(),
-                                      durations=hetero_model(seed=5)).run()
+        cpu_only = ClusterSimulator(job(slow_nodes=8, seed=5),
+                                    CpuOnlyPolicy()).run()
+        hetero_gpu = ClusterSimulator(job(slow_nodes=8, seed=5),
+                                      GpuFirstPolicy()).run()
         assert hetero_gpu.job_seconds < cpu_only.job_seconds
 
     def test_tail_still_safe_under_heterogeneity(self):
-        gf = ClusterSimulator(job(), GpuFirstPolicy(),
-                              durations=hetero_model(seed=5)).run()
-        tail = ClusterSimulator(job(), TailPolicy(),
-                                durations=hetero_model(seed=5)).run()
+        gf = ClusterSimulator(job(slow_nodes=8, seed=5), GpuFirstPolicy()).run()
+        tail = ClusterSimulator(job(slow_nodes=8, seed=5), TailPolicy()).run()
         assert tail.job_seconds <= gf.job_seconds * 1.05
 
     def test_per_node_speedup_estimates_diverge(self):
         """Slow nodes observe a larger GPU speedup — the signal a future
         inter-node-aware scheduler would exploit."""
-        sim = ClusterSimulator(job(), GpuFirstPolicy(),
-                               durations=hetero_model(seed=5))
+        sim = ClusterSimulator(job(slow_nodes=8, seed=5), GpuFirstPolicy())
         sim.run()
         slow = [t.stats.ave_speedup for t in sim.trackers[:8]
                 if t.stats.gpu_tasks and t.stats.cpu_tasks]

@@ -62,8 +62,7 @@ def _grant(jt: JobTracker, running: deque, granted: Counter,
            speedup: float, now: float) -> None:
     pending_before = jt.pending_maps
     hb = Heartbeat(node=node, free_cpu_slots=free_cpu,
-                   free_gpu_slots=free_gpu, running_tasks=len(running),
-                   ave_gpu_speedup=speedup)
+                   free_gpu_slots=free_gpu, ave_gpu_speedup=speedup)
     response = jt.handle_heartbeat(hb)
     # Slot bound: a grant never exceeds the advertised free slots.
     assert len(response.task_ids) <= free_cpu + free_gpu

@@ -1,11 +1,14 @@
 """Cluster simulator integration tests (Fig. 4 machinery)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CLUSTER1, CLUSTER2
 from repro.hadoop import ClusterSimulator, JobConf
 from repro.hadoop.shuffle import estimate_reduce_phase
 from repro.costmodel.io import IoModel
+from repro.scenarios import simulated_job
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
 
@@ -92,27 +95,45 @@ class TestTailVsGpuFirst:
 
 class TestFaultTolerance:
     def test_failed_tasks_rescheduled_and_job_completes(self):
-        from repro.hadoop.simulate import TaskDurationModel
-
-        job = small_job(num_map_tasks=300)
-        durations = TaskDurationModel(
-            cpu_seconds=60.0, gpu_seconds=10.0, failure_rate=0.05, seed=3
-        )
-        sim = ClusterSimulator(job, GpuFirstPolicy(), durations=durations)
-        result = sim.run()
+        job = small_job(num_map_tasks=300, failure_rate=0.05, seed=3)
+        result = ClusterSimulator(job, GpuFirstPolicy()).run()
         assert result.failures > 0
         assert result.cpu_tasks + result.gpu_tasks == 300
 
     def test_failures_lengthen_job(self):
-        from repro.hadoop.simulate import TaskDurationModel
-
-        job = small_job(num_map_tasks=1000)
+        job = small_job(num_map_tasks=1000, seed=3)
         clean = ClusterSimulator(job, CpuOnlyPolicy()).run()
-        flaky = ClusterSimulator(
-            job, CpuOnlyPolicy(),
-            durations=TaskDurationModel(60.0, 10.0, failure_rate=0.10, seed=3),
-        ).run()
+        flaky = ClusterSimulator(replace(job, failure_rate=0.10),
+                                 CpuOnlyPolicy()).run()
         assert flaky.job_seconds > clean.job_seconds
+
+
+class TestOneJobConf:
+    """A simulated job is one ``JobConf``: the simulator samples from
+    the job it is given, every field of it, on every run."""
+
+    def job(self):
+        return simulated_job("WC", CLUSTER1, 400, 8, seed=5,
+                             node_speed_factors={0: 3.0})
+
+    def test_every_run_of_one_job_is_equal(self):
+        job = replace(self.job(), failure_rate=0.05,
+                      cluster=replace(CLUSTER1, speculative_execution=True))
+        first = ClusterSimulator(job, TailPolicy())
+        second = ClusterSimulator(job, TailPolicy())
+        result = first.run()
+        assert result.failures > 0 and first.speculative_attempts > 0
+        assert second.run() == result
+        assert (second.speculative_attempts,
+                second.wasted_speculation_seconds) == \
+            (first.speculative_attempts, first.wasted_speculation_seconds)
+
+    def test_the_job_alone_carries_its_heterogeneity(self):
+        job = self.job()
+        het = ClusterSimulator(job, TailPolicy()).run()
+        homo = ClusterSimulator(replace(job, node_speed_factors=None),
+                                TailPolicy()).run()
+        assert het.job_seconds > 2.0 * homo.job_seconds
 
 
 class TestReducePhase:

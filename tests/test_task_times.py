@@ -115,23 +115,20 @@ class TestTableDrift:
 
 class TestBuilder:
     def test_job_fields_come_from_the_row(self):
-        job, durations = simulated_job("WC", CLUSTER1, 100, 7, seed=3)
+        job = simulated_job("WC", CLUSTER1, 100, 7, seed=3)
         row = task_times.TASK_TIMES[("WC", "Cluster1")]
         assert (job.name, job.num_map_tasks, job.num_reduce_tasks,
-                job.cluster, job.seed) == ("WC", 100, 7, CLUSTER1, 3)
+                job.cluster, job.seed, job.failure_rate,
+                job.node_speed_factors) == ("WC", 100, 7, CLUSTER1, 3, 0.0,
+                                            None)
         for name, value in row.items():
             assert getattr(job, name) == value
-        assert (durations.cpu_seconds, durations.gpu_seconds,
-                durations.jitter, durations.nonlocal_penalty,
-                durations.seed, durations.node_speed_factors) == \
-            (job.cpu_task_seconds, job.gpu_task_seconds,
-             job.duration_jitter, job.nonlocal_read_penalty, 3, None)
 
     def test_lower_case_tag_and_speed_factors(self):
-        job, durations = simulated_job("wc", CLUSTER1, 10, 1, seed=1,
-                                       node_speed_factors={0: 2.0})
+        job = simulated_job("wc", CLUSTER1, 10, 1, seed=1,
+                            node_speed_factors={0: 2.0})
         assert job.name == "WC"
-        assert durations.node_speed_factors == {0: 2.0}
+        assert job.node_speed_factors == {0: 2.0}
 
     def test_table2_tasks_scale_maps_only(self):
         assert table2_tasks("WC", "Cluster1") == (5760, 48)
@@ -179,8 +176,8 @@ def test_sweep_and_fig4_simulate_the_same_job(scenario, monkeypatch):
                             (GpuFirstPolicy, CLUSTER1.with_gpus(1)),
                             (TailPolicy, CLUSTER1.with_gpus(1))):
         sweep = build_simulator(scenario, policy.name, "small")
-        job, _durations = simulated_job(scenario.app, cluster, *tasks,
-                                        seed=scenario.seed)
+        job = simulated_job(scenario.app, cluster, *tasks,
+                            seed=scenario.seed)
         assert replace(job, cluster=CLUSTER1) == sweep.job
         if policy is not CpuOnlyPolicy:
             assert job == sweep.job
