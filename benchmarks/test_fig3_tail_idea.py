@@ -15,7 +15,7 @@ def test_fig3(benchmark):
     assert result.gpu_first_makespan / result.tail_makespan > 1.1
     # Final two tasks forced onto the GPU, exactly as in the figure.
     final = [slot for task, slot, _s, _e in result.tail_schedule if task >= 18]
-    assert all(s == "gpu" for s in final)
+    assert final == ["gpu0", "gpu0"]
 
 
 def test_fig3_sensitivity_to_speedup(benchmark):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Tail scheduling, from the Fig. 3 toy to a full cluster.
+"""Tail scheduling, from the Fig. 3 example to a full cluster.
 
 First replays the paper's Fig. 3 example (19 tasks, 2 CPU slots, a GPU
-that is 6x faster) and prints both schedules; then simulates each of the
+that is 6x faster) on a one-node cluster simulation and prints both
+schedules; then simulates each of the
 paper's apps on the 48-node Cluster1, at its measured single-task GPU
 speedup, to show where tail scheduling pays off (taskTail exceeding the
 per-node slot count) and where it is neutral (the paper's LR case).
@@ -33,7 +34,7 @@ def main() -> None:
     show_schedule("GPU-first", result.gpu_first_schedule)
     show_schedule("Tail scheduling", result.tail_schedule)
     gain = result.gpu_first_makespan / result.tail_makespan
-    print(f"  tail scheduling is {gain:.2f}x faster on the toy example\n")
+    print(f"  tail scheduling is {gain:.2f}x faster on the Fig. 3 example\n")
 
     print("=== Cluster scale: the paper's apps at Table 2 size "
           "(48 nodes, 1 GPU each) ===")

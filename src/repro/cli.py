@@ -190,8 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ReproError("sweep filters selected no scenarios")
 
     start = time.perf_counter()
-    report = run_sweep(scenarios, policies=args.policies, scale=args.scale,
-                       verify=args.verify)
+    report = run_sweep(scenarios, policies=args.policies, scale=args.scale)
     wall = time.perf_counter() - start
     payload = report_bytes(report)
     if args.out:
@@ -208,9 +207,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {row['scenario']:24s} {row['policy']:11s} "
                   f"{row['job_seconds']:9.1f} s  gpu {row['gpu_tasks']:6d} "
                   f"local {row['data_local_fraction']:.3f}{vs}")
-        if args.verify:
-            print(f"verified {len(report['verification'])} scenarios: "
-                  "cpu/gpu paths and reference agree")
         if args.out:
             print(f"report -> {args.out}")
     return 0
@@ -457,8 +453,9 @@ _nonnegative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for scale factors: a finite number > 0 (0 and
-    negatives used to simulate one task silently)."""
+    """argparse type for scale factors and time budgets: a finite number
+    > 0 (0 and negatives used to simulate one task, or run no case,
+    silently)."""
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
@@ -542,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the cluster simulator")
     p.add_argument("--scale", choices=("small", "medium", "large"),
                    default="small",
-                   help="workload scale (map-pool size and --verify input)")
+                   help="workload scale (map-pool size)")
     p.add_argument("--scenarios", nargs="*", metavar="ID",
                    help="scenario ids (default: the whole registry)")
     p.add_argument("--apps", nargs="*", metavar="TAG",
@@ -554,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy slate per scenario (default: cpu-only, "
                         "gpu-first, tail; each scenario's own policy is "
                         "always added)")
-    p.add_argument("--verify", action="store_true",
-                   help="also run each scenario's app functionally on both "
-                        "execution paths and check against the reference")
     p.add_argument("--list", action="store_true",
                    help="list the selected scenarios and exit")
     p.add_argument("--json", action="store_true",
@@ -593,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign seed (case i derives from 'seed/i')")
     p.add_argument("--count", type=_nonnegative_int, default=300,
                    help="number of generated cases")
-    p.add_argument("--time-budget", type=float, default=None, metavar="SEC",
+    p.add_argument("--time-budget", type=_positive_float, default=None, metavar="SEC",
                    help="stop generating new cases after SEC seconds")
     p.add_argument("--kinds", default=None,
                    help="comma-separated case kinds (expr,mapper,combiner); "

@@ -7,12 +7,13 @@ paper's reported shapes; EXPERIMENTS.md records the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable
 
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig, OptimizationFlags
 from ..errors import ConfigError
-from ..hadoop import ClusterSimulator, JobResult
+from ..hadoop import ClusterSimulator, JobConf, JobResult
+from ..obs import trace as obs
 from ..scenarios.registry import PAPER_APP_ORDER, simulated_job, table2_tasks
 from ..scenarios.task_times import TASK_TIMES
 from ..scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
@@ -26,56 +27,56 @@ RUN_SEEDS = (11, 23, 47)
 
 
 # --------------------------------------------------------------------------
-# Fig. 3 — tail scheduling key idea (toy scenario)
+# Fig. 3 — tail scheduling key idea (one node, the real policies)
 # --------------------------------------------------------------------------
+
+#: A slot is granted on a 0.6-s heartbeat, so every schedule carries a
+#: few heartbeats of slop; 600-s tasks keep it near 0.1% of a task.
+_FIG3_TASK_SECONDS = 600.0
+
+Schedule = list[tuple[int, str, float, float]]  # task, slot lane, start, end
 
 
 @dataclass
 class Fig3Result:
-    """Makespans of the §6.1 example: 19 tasks, 2 CPU slots, 1 GPU that is
-    6× faster than a CPU slot."""
+    """Makespans (in CPU-task units) of the §6.1 example: 19 tasks, 2 CPU
+    slots, 1 GPU that is 6× faster than a CPU slot."""
 
     gpu_first_makespan: float
     tail_makespan: float
-    gpu_first_schedule: list[tuple[int, str, float, float]]  # task, slot, start, end
-    tail_schedule: list[tuple[int, str, float, float]]
+    gpu_first_schedule: Schedule
+    tail_schedule: Schedule
+    job: JobConf
 
 
-def _toy_schedule(num_tasks: int, cpu_slots: int, gpu_speedup: float,
-                  tail: bool) -> list[tuple[int, str, float, float]]:
-    """Greedy event-driven schedule of identical tasks on 2 CPUs + 1 GPU."""
-    cpu_dur, gpu_dur = 1.0, 1.0 / gpu_speedup
-    free_at = {"gpu": 0.0, **{f"cpu{i}": 0.0 for i in range(cpu_slots)}}
-    schedule: list[tuple[int, str, float, float]] = []
-    for task in range(num_tasks):
-        remaining = num_tasks - task
-        slot = min(free_at, key=lambda s: free_at[s])
-        if tail and remaining <= gpu_speedup:
-            slot = "gpu"  # force the tail onto the GPU
-        elif not slot.startswith("gpu"):
-            # GPU-first: take the GPU whenever it frees no later than a CPU.
-            if free_at["gpu"] <= free_at[slot]:
-                slot = "gpu"
-        dur = gpu_dur if slot == "gpu" else cpu_dur
-        start = free_at[slot]
-        free_at[slot] = start + dur
-        schedule.append((task + 1, slot, start, start + dur))
-    return schedule
+def _traced_schedule(job: JobConf, policy) -> tuple[float, Schedule]:
+    """Run ``job`` under ``policy``; its makespan and per-task schedule
+    (tasks numbered from 1 as in the figure) from the ``attempt`` spans."""
+    with obs.use_recorder(obs.TraceRecorder()) as rec:
+        result = ClusterSimulator(job, policy).run()
+    unit = job.cpu_task_seconds
+    schedule = sorted((span.args["task"] + 1, span.tid, span.ts / unit,
+                       span.end / unit) for span in rec.spans("attempt"))
+    return result.job_seconds / unit, schedule
 
 
 def fig3(num_tasks: int = 19, cpu_slots: int = 2,
          gpu_speedup: float = 6.0) -> Fig3Result:
-    """The paper's Fig. 3 example. Expected: tail scheduling finishes the
-    job sooner because tasks 18–19 run on the GPU instead of straggling on
-    CPU slots."""
-    gf = _toy_schedule(num_tasks, cpu_slots, gpu_speedup, tail=False)
-    tl = _toy_schedule(num_tasks, cpu_slots, gpu_speedup, tail=True)
-    return Fig3Result(
-        gpu_first_makespan=max(end for *_ignore, end in gf),
-        tail_makespan=max(end for *_ignore, end in tl),
-        gpu_first_schedule=gf,
-        tail_schedule=tl,
-    )
+    """The paper's Fig. 3 example on a one-node :class:`ClusterSimulator`,
+    under the same policies as Fig. 4. Expected: tail scheduling finishes
+    the job sooner because the final tasks run on the GPU instead of
+    straggling on CPU slots."""
+    cluster = dc_replace(CLUSTER1, num_slaves=1, gpus_per_node=1,
+                         max_map_slots_per_node=cpu_slots)
+    job = JobConf(name="fig3", num_map_tasks=num_tasks, num_reduce_tasks=0,
+                  cluster=cluster, cpu_task_seconds=_FIG3_TASK_SECONDS,
+                  gpu_task_seconds=_FIG3_TASK_SECONDS / gpu_speedup,
+                  duration_jitter=0.0)
+    gf_makespan, gf = _traced_schedule(job, GpuFirstPolicy())
+    tl_makespan, tl = _traced_schedule(job, TailPolicy())
+    return Fig3Result(gpu_first_makespan=gf_makespan,
+                      tail_makespan=tl_makespan,
+                      gpu_first_schedule=gf, tail_schedule=tl, job=job)
 
 
 # --------------------------------------------------------------------------

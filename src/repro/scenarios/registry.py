@@ -222,33 +222,28 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("bs-c2-gpu-first", app="BS", shape="c2", policy="gpu-first",
              reduce_tasks=0,
              description="BlackScholes, map-only, top GPU speedup (Fig. 5)."),
-    # Registry extensions: new apps and the new policies.
-    Scenario("ii-c1-locality", app="II", shape="c1", policy="locality",
+    # Registry extensions: apps beyond Table 2 and 1000-node shapes.
+    Scenario("ii-c1-tail", app="II", shape="c1", policy="tail",
              reduce_tasks=32,
-             description="Inverted index under delay scheduling — the "
-                         "shuffle-heaviest text app, where remote reads "
-                         "hurt most."),
-    Scenario("rj-c1-fair-share", app="RJ", shape="c1", policy="fair-share",
-             description="Repartition join with proportional grants."),
+             description="Inverted index, the shuffle-heaviest text app."),
+    Scenario("rj-c1-tail", app="RJ", shape="c1", policy="tail",
+             description="Repartition join on Cluster1."),
     Scenario("ts-mega1k-tail", app="TS", shape="mega1k", policy="tail",
              reduce_tasks=64,
              description="Terasort at 1000 heterogeneous nodes: tail "
                          "scheduling vs a sort-dominated profile."),
-    Scenario("pr-mega1k-locality", app="PR", shape="mega1k",
-             policy="locality",
-             description="PageRank step at 1000 nodes; locality-aware "
-                         "grants tame the scatter traffic."),
-    Scenario("wc-mega1k-fair-share", app="WC", shape="mega1k-dense",
-             policy="fair-share", reduce_tasks=64,
-             description="Wordcount on the GPU-dense 1000-node shape with "
-                         "fair-share grants."),
+    Scenario("pr-mega1k-tail", app="PR", shape="mega1k", policy="tail",
+             description="PageRank step at 1000 heterogeneous nodes."),
+    Scenario("wc-mega1k-dense-tail", app="WC", shape="mega1k-dense",
+             policy="tail", reduce_tasks=64,
+             description="Wordcount on the GPU-dense 1000-node shape."),
     # Smoke scenarios for the tier-1 sweep leg.
     Scenario("wc-mini-tail", app="WC", shape="mini", policy="tail",
              reduce_tasks=4,
              description="Smoke: wordcount on the 8-node mini shape."),
-    Scenario("ii-mini-locality", app="II", shape="mini", policy="locality",
+    Scenario("ii-mini-tail", app="II", shape="mini", policy="tail",
              reduce_tasks=4,
-             description="Smoke: inverted index + delay scheduling."),
+             description="Smoke: inverted index on the mini shape."),
 )
 
 BY_ID: dict[str, Scenario] = {s.id: s for s in SCENARIOS}

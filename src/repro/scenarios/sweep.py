@@ -18,23 +18,13 @@ recorded in the report.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Iterable, Sequence
 
 from ..errors import ConfigError
 from ..hadoop.job import JobResult
 from ..hadoop.simulate import ClusterSimulator
 from ..scheduling import get_policy
-from .registry import (
-    SCALES,
-    Scenario,
-    all_scenarios,
-    datagen_digest,
-    generate_input,
-    get_shape,
-    get_workload,
-    simulated_job,
-)
+from .registry import SCALES, Scenario, all_scenarios, get_shape, simulated_job
 
 #: Default policy slate: every scenario also runs under these, so each
 #: sweep row set carries its own CPU-only baseline and the two paper
@@ -74,60 +64,9 @@ def _result_row(scenario: Scenario, policy_name: str, scale: str,
     }
 
 
-def _verify_scenario(scenario: Scenario, scale: str) -> dict[str, Any]:
-    """Functional conformance: CPU path vs GPU path vs reference."""
-    from ..apps import get_app
-    from ..hadoop.local import LocalJobRunner
-
-    app = get_app(scenario.app)
-    text = generate_input(scenario.app, scale, seed=scenario.seed)
-    reference = app.reference(text) if app.reference else None
-    cpu = LocalJobRunner(app, use_gpu=False, split_bytes=16 * 1024).run(text)
-    gpu = LocalJobRunner(app, use_gpu=True, split_bytes=16 * 1024).run(text)
-
-    def mismatch(got: dict, want: dict, what: str) -> None:
-        raise ConfigError(
-            f"scenario {scenario.id}: {what} diverged at scale {scale} "
-            f"({len(got)} vs {len(want)} keys)"
-        )
-
-    for label, got, want in (
-        ("cpu-vs-gpu", gpu.output, cpu.output),
-        ("cpu-vs-reference", cpu.output, reference),
-    ):
-        if want is None:
-            continue
-        if set(got) != set(want):
-            mismatch(got, want, label)
-        for key, value in want.items():
-            other = got[key]
-            if isinstance(value, float) or isinstance(other, float):
-                if not math.isclose(float(other), float(value),
-                                    rel_tol=1e-4, abs_tol=1e-3):
-                    mismatch(got, want, label)
-            elif other != value:
-                mismatch(got, want, label)
-
-    output_blob = json.dumps(
-        {str(k): cpu.output[k] for k in cpu.output},
-        sort_keys=True, separators=(",", ":"),
-    )
-    import hashlib
-
-    return {
-        "records": get_workload(scenario.app).records(scale),
-        "datagen_sha256": datagen_digest(scenario.app, scale,
-                                         seed=scenario.seed),
-        "output_sha256": hashlib.sha256(output_blob.encode()).hexdigest(),
-        "output_keys": len(cpu.output),
-        "paths_agree": True,
-    }
-
-
 def run_sweep(scenarios: Sequence[Scenario] | None = None,
               policies: Iterable[str] | None = None,
-              scale: str = "small",
-              verify: bool = False) -> dict[str, Any]:
+              scale: str = "small") -> dict[str, Any]:
     """Run a registry slice; returns the report dict (canonicalized)."""
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; known: {SCALES}")
@@ -137,7 +76,6 @@ def run_sweep(scenarios: Sequence[Scenario] | None = None,
     slate = tuple(policies) if policies is not None else DEFAULT_POLICIES
 
     results: list[dict[str, Any]] = []
-    verifications: dict[str, dict[str, Any]] = {}
     for scenario in chosen:
         names: list[str] = list(slate)
         if scenario.policy not in names:
@@ -153,20 +91,15 @@ def run_sweep(scenarios: Sequence[Scenario] | None = None,
                     baseline["job_seconds"] / row["job_seconds"]
                 )
         results.extend(rows.values())
-        if verify:
-            verifications[scenario.id] = _verify_scenario(scenario, scale)
 
     results.sort(key=lambda row: (row["scenario"], row["policy"]))
-    report: dict[str, Any] = {
+    return _canonical({
         "sweep": "scenario-registry cluster sweep",
         "scale": scale,
         "policies": sorted(slate),
         "scenarios": [s.id for s in chosen],
         "results": results,
-    }
-    if verify:
-        report["verification"] = verifications
-    return _canonical(report)
+    })
 
 
 def _canonical(value: Any) -> Any:

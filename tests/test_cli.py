@@ -22,6 +22,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_sweep_verify_is_gone(self, capsys):
+        # The registry's conformance check is ``fuzz --registry``.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--verify"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verify" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", ["run", "trace", "stats"])
     def test_app_help_lists_every_registry_app(self, cmd, capsys):
         from repro.scenarios import APP_ORDER
@@ -61,6 +68,11 @@ class TestParser:
          "--gpus: must be >= 0"),
         (["run", "WC", "--show", "-3"], "--show: must be >= 0"),
         (["fuzz", "--count", "-5"], "--count: must be >= 0"),
+        # --time-budget -5 ran 0/5 cases and said OK; nan meant no budget.
+        (["fuzz", "--time-budget", "0"], "--time-budget: must be > 0"),
+        (["fuzz", "--time-budget", "-5"], "--time-budget: must be > 0"),
+        (["fuzz", "--time-budget", "nan"], "--time-budget: must be > 0"),
+        (["fuzz", "--time-budget", "inf"], "--time-budget: must be > 0"),
     ])
     def test_out_of_range_knobs_are_usage_errors(self, argv, complaint,
                                                  capsys):
@@ -98,8 +110,7 @@ PARENT_NAMESPACES = {
     "sweep": (["sweep"], {
         "command": "sweep", "func": "_cmd_sweep", "apps": None,
         "json": False, "list": False, "out": None, "policies": None,
-        "scale": "small", "scenarios": None, "shapes": None,
-        "verify": False}),
+        "scale": "small", "scenarios": None, "shapes": None}),
     "trace": (["trace", "WC"], {
         "command": "trace", "func": "_cmd_trace", "app": "WC", "cluster": 1,
         "cpu_only": False, "gpus": None, "mode": "local", "out": None,

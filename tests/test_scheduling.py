@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments.figures import fig3
-from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
+from repro.hadoop import ClusterSimulator
+from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy, get_policy
 
 
 class TestFig3ToyScenario:
@@ -22,7 +23,7 @@ class TestFig3ToyScenario:
         result = fig3()
         final = [slot for task, slot, _s, _e in result.tail_schedule
                  if task >= 18]
-        assert all(s == "gpu" for s in final)
+        assert final == ["gpu0", "gpu0"]
 
     def test_all_tasks_scheduled_exactly_once(self):
         result = fig3()
@@ -33,6 +34,23 @@ class TestFig3ToyScenario:
         result = fig3(gpu_speedup=1.0)
         # With no speedup, forcing can't help (nor hurt by much).
         assert result.tail_makespan <= result.gpu_first_makespan + 1.0
+
+    def test_tail_never_loses_at_small_speedup(self):
+        # At 2x nothing is forced: the real TailPolicy ties GPU-first.
+        result = fig3(gpu_speedup=2.0)
+        assert result.tail_makespan <= result.gpu_first_makespan
+
+    def test_makespans_are_the_simulators(self):
+        result = fig3()
+        job = result.job
+        assert (job.num_map_tasks, job.map_only, job.duration_jitter) \
+            == (19, True, 0.0)
+        assert (job.cluster.num_slaves, job.cluster.max_map_slots_per_node,
+                job.cluster.gpus_per_node) == (1, 2, 1)
+        for name, makespan in (("gpu-first", result.gpu_first_makespan),
+                               ("tail", result.tail_makespan)):
+            direct = ClusterSimulator(job, get_policy(name)).run()
+            assert makespan == direct.job_seconds / job.cpu_task_seconds
 
 
 class TestJobTrackerGrants:
