@@ -10,8 +10,9 @@ The package mirrors the paper's architecture:
 * :mod:`repro.gpu` — the warp-level GPU simulator,
 * :mod:`repro.kvstore` — global KV store, partitioning, aggregation,
 * :mod:`repro.runtime` — the GPU task pipeline and driver (§5),
-* :mod:`repro.hdfs` / :mod:`repro.hadoop` — the distributed substrate,
-* :mod:`repro.scheduling` — GPU-first and tail scheduling (§6),
+* :mod:`repro.hadoop` — the distributed substrate (HDFS block
+  placement included),
+* :mod:`repro.scheduling` — CPU-only, GPU-first and tail scheduling (§6),
 * :mod:`repro.apps` — the eight Table 2 benchmarks,
 * :mod:`repro.experiments` — regeneration of every table and figure.
 

@@ -127,6 +127,13 @@ class ClusterConfig:
             raise ConfigError("replication factor must be >= 1")
         if not 0.0 <= self.slowstart_maps_fraction <= 1.0:
             raise ConfigError("slowstart fraction must be in [0, 1]")
+        if not (math.isfinite(self.heartbeat_interval_s)
+                and self.heartbeat_interval_s > 0):
+            raise ConfigError(
+                "heartbeat interval must be a finite number of seconds > 0, "
+                f"got {self.heartbeat_interval_s!r}")
+        if self.hdfs_block_size <= 0:
+            raise ConfigError("HDFS block size must be positive")
 
     @property
     def total_map_slots(self) -> int:

@@ -66,10 +66,6 @@ class KVStoreOverflow(GpuError):
     """A map thread exhausted its portion of the global KV store."""
 
 
-class HdfsError(ReproError):
-    """HDFS namenode/datanode failures."""
-
-
 class HadoopError(ReproError):
     """Job/task orchestration errors."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..config import ClusterConfig
@@ -45,12 +46,29 @@ class JobConf:
             raise ConfigError("job needs at least one map task")
         if self.num_reduce_tasks < 0:
             raise ConfigError("negative reduce task count")
-        if self.cpu_task_seconds <= 0 or self.gpu_task_seconds <= 0:
-            raise ConfigError("task durations must be positive")
+        if not all(_positive(s) for s in (self.cpu_task_seconds,
+                                          self.gpu_task_seconds)):
+            raise ConfigError("task durations must be finite and positive")
+        # Jitter below 1 keeps every attempt's duration positive; a
+        # failure rate of 1 would fail every attempt of every task.
+        if not 0.0 <= self.duration_jitter < 1.0:
+            raise ConfigError("duration jitter must be in [0, 1)")
+        if not 0.0 <= self.failure_rate < 1.0:
+            raise ConfigError("failure rate must be in [0, 1)")
+        if not (math.isfinite(self.nonlocal_read_penalty)
+                and self.nonlocal_read_penalty >= 0):
+            raise ConfigError("non-local read penalty must be finite and >= 0")
+        if self.node_speed_factors is not None and not all(
+                _positive(f) for f in self.node_speed_factors.values()):
+            raise ConfigError("node speed factors must be finite and positive")
 
     @property
     def map_only(self) -> bool:
         return self.num_reduce_tasks == 0
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass

@@ -115,13 +115,7 @@ class JobTracker:
     def _pick_tasks(self, node: int, count: int) -> list[MapTask]:
         """Data-local tasks first, then arbitrary (FIFO) — Hadoop's
         locality-aware FIFO. Queues are lazily pruned of tasks already
-        granted via another queue.
-
-        The FIFO half is bounded by the policy's ``remote_cap``: once the
-        local queue is exhausted, every remaining grantable FIFO task is
-        non-local to this node (local ones would still be in its queue),
-        so capping the FIFO picks is exactly "at most N remote tasks".
-        """
+        granted via another queue."""
         chosen: list[MapTask] = []
         local = self._local.get(node)
         while local and len(chosen) < count:
@@ -130,17 +124,12 @@ class JobTracker:
                 chosen.append(task)
                 self._granted.add(task.task_id)
                 self._pending_count -= 1
-        cap = self.policy.remote_cap(self._pending_count, self.num_slaves)
-        if cap is not None:
-            count = min(count, len(chosen) + max(cap, 1 - len(chosen)))
         while self._fifo and len(chosen) < count:
             task = self._fifo.popleft()
             if self._grantable(task):
                 chosen.append(task)
                 self._granted.add(task.task_id)
                 self._pending_count -= 1
-            elif task.state is TaskState.PENDING and task.task_id in self._granted:
-                continue  # stale duplicate from a locality queue
         return chosen
 
     def get_task(self, task_id: int) -> MapTask:

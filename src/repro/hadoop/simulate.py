@@ -1,11 +1,12 @@
 """Discrete-event cluster simulation of one MapReduce job.
 
-Wires HDFS block placement, the JobTracker, per-node TaskTrackers, the
-heartbeat protocol, and a scheduling policy into the event loop, then
-runs every map task to completion and adds the reduce-phase estimate.
-Task durations are sampled from the :class:`~repro.hadoop.job.JobConf`
-(its seconds come from the single-task functional simulations; see
-``repro.scenarios.task_times``) with deterministic per-attempt jitter.
+Wires HDFS block placement (:func:`place_blocks`), the JobTracker,
+per-node TaskTrackers, the heartbeat protocol, and a scheduling policy
+into the event loop, then runs every map task to completion and adds
+the reduce-phase estimate. Task durations are sampled from the
+:class:`~repro.hadoop.job.JobConf` (its seconds come from the
+single-task functional simulations; see ``repro.scenarios.task_times``)
+with deterministic per-attempt jitter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import partial
 
 from ..costmodel.io import IoModel
 from ..errors import HadoopError
-from ..hdfs import Hdfs
 from ..obs import trace as obs
 from ..scheduling.tail import SchedulingPolicy
 from .events import EventLoop
@@ -25,6 +25,35 @@ from .jobtracker import JobTracker
 from .shuffle import estimate_reduce_phase
 from .tasks import MapTask, SlotKind, TaskState
 from .tasktracker import TaskTracker
+
+
+#: Node count above which placement switches from shuffling the full
+#: node list (O(nodes) per block — fine for the paper's 48-node
+#: clusters, ruinous at 1000+ where it dominated sweep setup in
+#: profiles) to ``Random.sample`` (O(replication)). Both draw
+#: uniformly over distinct nodes; they just consume the seeded RNG
+#: differently, and the committed golden traces pin the small-cluster
+#: stream byte-for-byte, so the shuffle path stays for those sizes.
+SAMPLE_PLACEMENT_NODES = 256
+
+
+def place_blocks(num_blocks: int, num_nodes: int, replication: int,
+                 seed: int) -> list[tuple[int, ...]]:
+    """The datanodes holding each of a file's ``num_blocks`` HDFS blocks
+    (paper §2.2): every block on ``replication`` distinct random nodes
+    (Hadoop's rack policy simplified to distinct nodes), clamped to the
+    cluster size as Hadoop does, drawn from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    replication = min(replication, num_nodes)
+    if num_nodes > SAMPLE_PLACEMENT_NODES:
+        return [tuple(rng.sample(range(num_nodes), replication))
+                for _ in range(num_blocks)]
+    placements = []
+    for _ in range(num_blocks):
+        nodes = list(range(num_nodes))
+        rng.shuffle(nodes)
+        placements.append(tuple(nodes[:replication]))
+    return placements
 
 
 @dataclass
@@ -77,33 +106,25 @@ class ClusterSimulator:
         self._rng = random.Random(job.seed)
         self.io = IoModel.for_cluster(cluster)
 
-        # Block placement through the simulated HDFS namenode.
-        hdfs = Hdfs(
-            num_nodes=cluster.num_slaves,
-            block_size=cluster.hdfs_block_size,
-            replication=cluster.hdfs_replication,
-            seed=job.seed,
-        )
-        f = hdfs.put_virtual(f"{job.name}.input", job.num_map_tasks)
+        # One map task per input split, run preferably where a replica
+        # of its HDFS block lives.
         self.tasks = [
-            MapTask(
-                task_id=i,
-                split_index=i,
-                preferred_nodes=f.blocks[i].replicas,
-            )
-            for i in range(job.num_map_tasks)
+            MapTask(task_id=i, preferred_nodes=replicas)
+            for i, replicas in enumerate(place_blocks(
+                job.num_map_tasks, cluster.num_slaves,
+                cluster.hdfs_replication, job.seed))
         ]
         self.jobtracker = JobTracker(
             tasks=self.tasks,
             policy=policy,
             num_slaves=cluster.num_slaves,
-            gpus_per_node=cluster.gpus_per_node if policy.uses_gpus else 0,
+            gpus_per_node=cluster.gpus_per_node,
         )
         self.trackers = [
             TaskTracker(
                 node=n,
                 cpu_slots=cluster.max_map_slots_per_node,
-                num_gpus=cluster.gpus_per_node if policy.uses_gpus else 0,
+                num_gpus=cluster.gpus_per_node,
                 policy=policy,
             )
             for n in range(cluster.num_slaves)

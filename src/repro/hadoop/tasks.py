@@ -25,7 +25,6 @@ class MapTask:
     """One map task (processes one fileSplit)."""
 
     task_id: int
-    split_index: int
     preferred_nodes: tuple[int, ...] = ()   # replica holders (data locality)
     state: TaskState = TaskState.PENDING
     attempts: int = 0

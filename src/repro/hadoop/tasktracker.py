@@ -67,7 +67,6 @@ class TaskTracker:
         """
         decision = self.policy.place(
             gpu_free=self.busy_gpus < self.num_gpus,
-            cpu_free=self.running_cpu < self.cpu_slots,
             num_gpus=self.num_gpus,
             ave_speedup=self.stats.ave_speedup,
             maps_remaining_per_node=self.maps_remaining_per_node,

@@ -32,7 +32,7 @@ from .registry import (
 
 validate_registry()
 
-_SWEEP = ("DEFAULT_POLICIES", "build_simulator", "report_bytes", "run_sweep")
+_SWEEP = ("build_simulator", "report_bytes", "run_sweep")
 
 __all__ = [
     "APP_ORDER", "EXTENDED_APP_ORDER", "PAPER_APP_ORDER", "SCALES",

@@ -7,12 +7,6 @@ the heterogeneity speed map), map-pool size, seed — and the app's row of
 the generated task-time table, so the same slice always yields the same
 report bytes: floats are rounded before serialization, rows are sorted,
 keys are sorted, and no wall-clock value enters the canonical payload.
-
-``verify=True`` adds a functional conformance leg per scenario: the
-app's canonical input at the sweep scale runs through both execution
-paths (CPU Streaming and the simulated-GPU pipeline) and is checked
-against the pure-Python reference, with the datagen and output digests
-recorded in the report.
 """
 
 from __future__ import annotations
@@ -23,13 +17,8 @@ from typing import Any, Iterable, Sequence
 from ..errors import ConfigError
 from ..hadoop.job import JobResult
 from ..hadoop.simulate import ClusterSimulator
-from ..scheduling import get_policy
+from ..scheduling import get_policy, policy_names
 from .registry import SCALES, Scenario, all_scenarios, get_shape, simulated_job
-
-#: Default policy slate: every scenario also runs under these, so each
-#: sweep row set carries its own CPU-only baseline and the two paper
-#: schedulers for comparison.
-DEFAULT_POLICIES = ("cpu-only", "gpu-first", "tail")
 
 
 def build_simulator(scenario: Scenario, policy_name: str,
@@ -73,7 +62,9 @@ def run_sweep(scenarios: Sequence[Scenario] | None = None,
     chosen = tuple(scenarios) if scenarios is not None else all_scenarios()
     if not chosen:
         raise ConfigError("sweep selected no scenarios")
-    slate = tuple(policies) if policies is not None else DEFAULT_POLICIES
+    # Every policy by default, so each scenario's rows carry their own
+    # CPU-only baseline and the two paper schedulers for comparison.
+    slate = tuple(policies) if policies is not None else policy_names()
 
     results: list[dict[str, Any]] = []
     for scenario in chosen:

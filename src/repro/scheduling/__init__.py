@@ -4,23 +4,19 @@
   goes to a GPU if one is free, otherwise to a CPU slot.
 * :mod:`repro.scheduling.tail` — HeteroDoop's tail scheduling
   (Algorithm 2): near the end of the job, remaining tasks are forced onto
-  GPUs so the fast devices never idle while slow CPU stragglers finish.
-* :mod:`repro.scheduling.locality` — delay-scheduling grants: non-local
-  tasks are rationed per heartbeat while work is plentiful.
-* :mod:`repro.scheduling.fair_share` — proportional-share grants: each
-  heartbeat is capped at the node's share of the pending work.
+  GPUs so the fast devices never idle while slow CPU stragglers finish;
+  also the CPU-only Hadoop baseline, GPU-first on TaskTrackers with no
+  GPUs.
 
 Every policy is registered in :data:`POLICIES` under its ``name``; the
 CLI, the scenario registry, and the tests all resolve policies through
-:func:`get_policy` so adding a policy here is the whole job.
+:func:`get_policy`.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .fair_share import FairSharePolicy
 from .gpu_first import GpuFirstPolicy, PlacementDecision
-from .locality import LocalityAwarePolicy
 from .tail import TailPolicy, SchedulingPolicy, CpuOnlyPolicy
 
 #: name → policy class, the single source of truth for "which policies
@@ -29,8 +25,6 @@ POLICIES: dict[str, type] = {
     "cpu-only": CpuOnlyPolicy,
     "gpu-first": GpuFirstPolicy,
     "tail": TailPolicy,
-    "locality": LocalityAwarePolicy,
-    "fair-share": FairSharePolicy,
 }
 
 
@@ -51,6 +45,5 @@ def get_policy(name: str) -> SchedulingPolicy:
 
 __all__ = [
     "SchedulingPolicy", "PlacementDecision", "GpuFirstPolicy", "TailPolicy",
-    "CpuOnlyPolicy", "LocalityAwarePolicy", "FairSharePolicy",
-    "POLICIES", "policy_names", "get_policy",
+    "CpuOnlyPolicy", "POLICIES", "policy_names", "get_policy",
 ]

@@ -28,14 +28,7 @@ class GpuFirstPolicy:
         """JobTracker side: stock Hadoop grants one task per free slot."""
         return min(free_cpu_slots + free_gpu_slots, remaining)
 
-    def remote_cap(self, pending: int, num_slaves: int) -> int | None:
-        """Max non-data-local tasks granted per heartbeat, or ``None``
-        for unbounded (stock Hadoop takes any task once local ones run
-        out). Locality-aware policies override this."""
-        return None
-
-    def place(self, gpu_free: bool, cpu_free: bool,
-              num_gpus: int, ave_speedup: float,
+    def place(self, gpu_free: bool, num_gpus: int, ave_speedup: float,
               maps_remaining_per_node: float) -> PlacementDecision:
         """TaskTracker side."""
         if gpu_free:

@@ -49,10 +49,7 @@ class SchedulingPolicy(Protocol):
                        remaining: int, num_gpus_per_node: int,
                        max_speedup: float, num_slaves: int) -> int: ...
 
-    def remote_cap(self, pending: int, num_slaves: int) -> int | None: ...
-
-    def place(self, gpu_free: bool, cpu_free: bool,
-              num_gpus: int, ave_speedup: float,
+    def place(self, gpu_free: bool, num_gpus: int, ave_speedup: float,
               maps_remaining_per_node: float) -> PlacementDecision: ...
 
 
@@ -96,8 +93,7 @@ class TailPolicy(GpuFirstPolicy):
     #: for never losing to GPU-first.
     FORCE_MARGIN = 0.75
 
-    def place(self, gpu_free: bool, cpu_free: bool,
-              num_gpus: int, ave_speedup: float,
+    def place(self, gpu_free: bool, num_gpus: int, ave_speedup: float,
               maps_remaining_per_node: float) -> PlacementDecision:
         task_tail = num_gpus * ave_speedup
         if maps_remaining_per_node <= self.FORCE_MARGIN * task_tail:
@@ -107,17 +103,12 @@ class TailPolicy(GpuFirstPolicy):
                 rec.gauge("tail.task_tail", task_tail)
             return PlacementDecision(use_gpu=True, forced=True)
         return super().place(
-            gpu_free, cpu_free, num_gpus, ave_speedup, maps_remaining_per_node
-        )
+            gpu_free, num_gpus, ave_speedup, maps_remaining_per_node)
 
 
 class CpuOnlyPolicy(GpuFirstPolicy):
-    """The CPU-only Hadoop baseline (no GPU slots exist)."""
+    """The CPU-only Hadoop baseline: GPU-first on TaskTrackers that hide
+    their GPUs (``TaskTracker.__post_init__`` reads ``uses_gpus``)."""
 
     name = "cpu-only"
     uses_gpus = False
-
-    def place(self, gpu_free: bool, cpu_free: bool,
-              num_gpus: int, ave_speedup: float,
-              maps_remaining_per_node: float) -> PlacementDecision:
-        return PlacementDecision(use_gpu=False)

@@ -134,7 +134,7 @@ PARENT_NAMESPACES = {
         "task_scale": 1.0}),
 }
 
-_POLICIES = ("cpu-only", "gpu-first", "tail", "locality", "fair-share")
+_POLICIES = ("cpu-only", "gpu-first", "tail")
 
 #: Every flag of the commands that share an option set, with its
 #: choices (None = free-form) — also from the parent commit.

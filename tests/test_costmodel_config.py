@@ -52,6 +52,22 @@ class TestClusterConfigs:
         with pytest.raises(ConfigError):
             dataclasses.replace(CLUSTER1, hdfs_replication=0)
 
+    # A zero or NaN heartbeat interval would hang or poison the
+    # simulator's event loop.
+    @pytest.mark.parametrize("field, value", [
+        ("heartbeat_interval_s", 0.0),
+        ("heartbeat_interval_s", -0.6),
+        ("heartbeat_interval_s", float("nan")),
+        ("heartbeat_interval_s", float("inf")),
+        ("hdfs_block_size", 0),
+        ("hdfs_block_size", -1),
+    ])
+    def test_bad_simulator_inputs_rejected(self, field, value):
+        import dataclasses
+
+        with pytest.raises(ConfigError):
+            dataclasses.replace(CLUSTER1, **{field: value})
+
 
 class TestLaunchConfig:
     def test_defaults_sane(self):

@@ -50,19 +50,19 @@ class TestEventLoop:
 
 class TestMapTaskLifecycle:
     def test_assign_complete(self):
-        t = MapTask(task_id=0, split_index=0, preferred_nodes=(1, 2))
+        t = MapTask(task_id=0, preferred_nodes=(1, 2))
         t.assign(node=1, now=5.0)
         assert t.state is TaskState.RUNNING and t.data_local
         t.complete(now=8.0)
         assert t.state is TaskState.COMPLETED and t.duration == 3.0
 
     def test_non_local_assignment(self):
-        t = MapTask(task_id=0, split_index=0, preferred_nodes=(1,))
+        t = MapTask(task_id=0, preferred_nodes=(1,))
         t.assign(node=5, now=0.0)
         assert not t.data_local
 
     def test_fail_and_retry(self):
-        t = MapTask(task_id=0, split_index=0)
+        t = MapTask(task_id=0)
         t.assign(0, 0.0)
         t.fail(1.0)
         t.reset_for_retry()
@@ -71,7 +71,7 @@ class TestMapTaskLifecycle:
         assert t.attempts == 2
 
     def test_double_assign_rejected(self):
-        t = MapTask(task_id=0, split_index=0)
+        t = MapTask(task_id=0)
         t.assign(0, 0.0)
         with pytest.raises(HadoopError):
             t.assign(1, 0.0)
@@ -86,7 +86,7 @@ class TestMapTaskLifecycle:
 
 
 def make_jt(n_tasks=20, policy=None, slaves=4, gpus=1):
-    tasks = [MapTask(task_id=i, split_index=i, preferred_nodes=(i % slaves,))
+    tasks = [MapTask(task_id=i, preferred_nodes=(i % slaves,))
              for i in range(n_tasks)]
     return JobTracker(tasks=tasks, policy=policy or GpuFirstPolicy(),
                       num_slaves=slaves, gpus_per_node=gpus)
@@ -158,20 +158,20 @@ class TestTaskTracker:
 
     def test_gpu_first_placement(self):
         tt = self.make_tt()
-        t0 = MapTask(task_id=0, split_index=0)
+        t0 = MapTask(task_id=0)
         assert tt.place(t0) is SlotKind.GPU
-        t1 = MapTask(task_id=1, split_index=1)
+        t1 = MapTask(task_id=1)
         assert tt.place(t1) is SlotKind.CPU  # GPU busy now
 
     def test_cpu_only_policy_hides_gpus(self):
         tt = self.make_tt(policy=CpuOnlyPolicy())
         assert tt.num_gpus == 0
-        t = MapTask(task_id=0, split_index=0)
+        t = MapTask(task_id=0)
         assert tt.place(t) is SlotKind.CPU
 
     def test_slot_freed_on_completion(self):
         tt = self.make_tt()
-        t = MapTask(task_id=0, split_index=0)
+        t = MapTask(task_id=0)
         tt.place(t)
         assert tt.busy_gpus == 1
         tt.release_slot(t.slot, 5.0)
@@ -183,9 +183,9 @@ class TestTaskTracker:
         tt.stats.record(SlotKind.CPU, 60.0)
         tt.stats.record(SlotKind.GPU, 10.0)  # speedup 6
         tt.maps_remaining_per_node = 2.0      # within the tail
-        first = MapTask(task_id=0, split_index=0)
+        first = MapTask(task_id=0)
         assert tt.place(first) is SlotKind.GPU
-        second = MapTask(task_id=1, split_index=1)
+        second = MapTask(task_id=1)
         assert tt.place(second) is SlotKind.GPU
         assert len(tt.gpu_queue) == 1
         drained = tt.queued_gpu_task()
@@ -198,7 +198,7 @@ class TestTaskTracker:
         tt.stats.record(SlotKind.CPU, 60.0)
         tt.stats.record(SlotKind.GPU, 10.0)
         tt.maps_remaining_per_node = 1.0
-        tt.place(MapTask(task_id=0, split_index=0))
-        tt.place(MapTask(task_id=1, split_index=1))  # queued
+        tt.place(MapTask(task_id=0))
+        tt.place(MapTask(task_id=1))  # queued
         hb = tt.make_heartbeat()
         assert hb.free_gpu_slots == 0

@@ -1,100 +1,49 @@
-"""HDFS tests: block splitting, replication, locality."""
+"""HDFS block placement: replication, distinct nodes, seeded draws."""
+
+import random
 
 import pytest
 
-from repro.errors import HdfsError
-from repro.hdfs import Hdfs
+from repro.hadoop.simulate import SAMPLE_PLACEMENT_NODES, place_blocks
 
 
-@pytest.fixture
-def fs():
-    return Hdfs(num_nodes=8, block_size=100, replication=3, seed=1)
+class TestPlaceBlocks:
+    def test_one_placement_per_block(self):
+        assert len(place_blocks(5, num_nodes=8, replication=3, seed=1)) == 5
 
-
-class TestPut:
-    def test_splits_into_blocks(self, fs):
-        f = fs.put("f", b"x" * 250)
-        assert [b.size for b in f.blocks] == [100, 100, 50]
-
-    def test_read_round_trips(self, fs):
-        data = bytes(range(256)) * 3
-        fs.put("f", data)
-        assert fs.read("f") == data
-
-    def test_replication_factor_respected(self, fs):
-        f = fs.put("f", b"x" * 100)
-        for block in f.blocks:
-            assert len(block.replicas) == 3
-            assert len(set(block.replicas)) == 3  # distinct nodes
+    def test_replication_factor_respected(self):
+        for replicas in place_blocks(20, num_nodes=8, replication=3, seed=1):
+            assert len(replicas) == 3
+            assert len(set(replicas)) == 3  # distinct nodes
+            assert all(0 <= node < 8 for node in replicas)
 
     def test_replication_clamped_to_cluster(self):
-        fs = Hdfs(num_nodes=2, block_size=10, replication=5)
-        f = fs.put("f", b"x")
-        assert len(f.blocks[0].replicas) == 2
-
-    def test_duplicate_name_rejected(self, fs):
-        fs.put("f", b"x")
-        with pytest.raises(HdfsError, match="exists"):
-            fs.put("f", b"y")
-
-    def test_empty_file_has_one_block(self, fs):
-        f = fs.put("f", b"")
-        assert len(f.blocks) == 1 and f.blocks[0].size == 0
-
-
-class TestVirtualFiles:
-    def test_metadata_only(self, fs):
-        f = fs.put_virtual("big", num_blocks=100)
-        assert len(f.blocks) == 100
-        assert all(b.data is None for b in f.blocks)
-
-    def test_reading_virtual_raises(self, fs):
-        fs.put_virtual("big", num_blocks=2)
-        with pytest.raises(HdfsError, match="virtual"):
-            fs.read("big")
-
-    def test_custom_block_bytes(self, fs):
-        f = fs.put_virtual("big", num_blocks=3, block_bytes=42)
-        assert all(b.size == 42 for b in f.blocks)
-
-
-class TestNamenode:
-    def test_locations(self, fs):
-        f = fs.put("f", b"x" * 250)
-        assert fs.locations("f", 0) == f.blocks[0].replicas
-
-    def test_locations_bad_index(self, fs):
-        fs.put("f", b"x")
-        with pytest.raises(HdfsError):
-            fs.locations("f", 99)
-
-    def test_missing_file(self, fs):
-        with pytest.raises(HdfsError, match="no such file"):
-            fs.get_file("ghost")
-
-    def test_delete(self, fs):
-        fs.put("f", b"x")
-        fs.delete("f")
-        assert not fs.exists("f")
-
-    def test_ls_sorted(self, fs):
-        fs.put("b", b"x")
-        fs.put("a", b"x")
-        assert fs.ls() == ["a", "b"]
-
-    def test_blocks_on_node(self, fs):
-        fs.put("f", b"x" * 500)
-        total = sum(len(fs.blocks_on(n)) for n in range(8))
-        assert total == 5 * 3  # 5 blocks x replication 3
-
-    def test_locality_check(self, fs):
-        f = fs.put("f", b"x" * 100)
-        block = f.blocks[0]
-        assert block.is_local_to(block.replicas[0])
-        non_replica = next(n for n in range(8) if n not in block.replicas)
-        assert not block.is_local_to(non_replica)
+        assert place_blocks(1, num_nodes=2, replication=5, seed=0) \
+            in ([(0, 1)], [(1, 0)])
 
     def test_placement_deterministic_by_seed(self):
-        a = Hdfs(4, 10, 2, seed=7).put("f", b"x" * 30)
-        b = Hdfs(4, 10, 2, seed=7).put("f", b"x" * 30)
-        assert [x.replicas for x in a.blocks] == [y.replicas for y in b.blocks]
+        assert place_blocks(30, 4, 2, seed=7) == place_blocks(30, 4, 2, seed=7)
+        assert place_blocks(30, 4, 2, seed=7) != place_blocks(30, 4, 2, seed=8)
+
+    @pytest.mark.parametrize("num_nodes", [SAMPLE_PLACEMENT_NODES,
+                                           SAMPLE_PLACEMENT_NODES + 1])
+    def test_one_rng_stream_shuffle_then_sample(self, num_nodes):
+        # Up to the threshold every block shuffles the node list; above
+        # it every block samples. Both come from one Random(seed).
+        rng = random.Random(3)
+        expected = []
+        for _ in range(4):
+            if num_nodes > SAMPLE_PLACEMENT_NODES:
+                expected.append(tuple(rng.sample(range(num_nodes), 3)))
+            else:
+                nodes = list(range(num_nodes))
+                rng.shuffle(nodes)
+                expected.append(tuple(nodes[:3]))
+        assert place_blocks(4, num_nodes, 3, seed=3) == expected
+
+    def test_large_cluster_samples_distinct_nodes(self):
+        placements = place_blocks(500, num_nodes=1000, replication=3, seed=5)
+        assert all(len(set(r)) == 3 and all(0 <= n < 1000 for n in r)
+                   for r in placements)
+        # Uniform over the cluster: 1500 replicas land on many nodes.
+        assert len({n for r in placements for n in r}) > 600

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.figures import fig3
 from repro.hadoop import ClusterSimulator
-from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy, get_policy
+from repro.scheduling import GpuFirstPolicy, TailPolicy, get_policy
 
 
 class TestFig3ToyScenario:
@@ -82,31 +82,26 @@ class TestJobTrackerGrants:
 
 class TestPlacementDecisions:
     def test_gpu_first_prefers_free_gpu(self):
-        d = GpuFirstPolicy().place(gpu_free=True, cpu_free=True, num_gpus=1,
+        d = GpuFirstPolicy().place(gpu_free=True, num_gpus=1,
                                    ave_speedup=5.0,
                                    maps_remaining_per_node=100)
         assert d.use_gpu and not d.forced
 
     def test_gpu_first_falls_back_to_cpu(self):
-        d = GpuFirstPolicy().place(gpu_free=False, cpu_free=True, num_gpus=1,
+        d = GpuFirstPolicy().place(gpu_free=False, num_gpus=1,
                                    ave_speedup=5.0,
                                    maps_remaining_per_node=100)
         assert not d.use_gpu
 
     def test_tail_forces_within_task_tail(self):
-        d = TailPolicy().place(gpu_free=False, cpu_free=True, num_gpus=1,
+        d = TailPolicy().place(gpu_free=False, num_gpus=1,
                                ave_speedup=6.0, maps_remaining_per_node=2.0)
         assert d.use_gpu and d.forced
 
     def test_tail_gpu_first_outside_task_tail(self):
-        d = TailPolicy().place(gpu_free=False, cpu_free=True, num_gpus=1,
+        d = TailPolicy().place(gpu_free=False, num_gpus=1,
                                ave_speedup=6.0, maps_remaining_per_node=50.0)
         assert not d.use_gpu and not d.forced
-
-    def test_cpu_only_never_uses_gpu(self):
-        d = CpuOnlyPolicy().place(gpu_free=True, cpu_free=True, num_gpus=1,
-                                  ave_speedup=10.0, maps_remaining_per_node=1)
-        assert not d.use_gpu
 
     def test_force_margin_below_one(self):
         # The margin trades ideal-case gain for never losing (see tail.py).

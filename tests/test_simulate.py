@@ -8,6 +8,7 @@ from repro.config import CLUSTER1, CLUSTER2
 from repro.hadoop import ClusterSimulator, JobConf
 from repro.hadoop.shuffle import estimate_reduce_phase
 from repro.costmodel.io import IoModel
+from repro.errors import ConfigError
 from repro.scenarios import simulated_job
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
@@ -134,6 +135,29 @@ class TestOneJobConf:
         homo = ClusterSimulator(replace(job, node_speed_factors=None),
                                 TailPolicy()).run()
         assert het.job_seconds > 2.0 * homo.job_seconds
+
+    # Each of these used to hang the event loop, fail deep in it, or
+    # return NaN seconds; the job refuses them instead.
+    @pytest.mark.parametrize("field, value", [
+        ("gpu_task_seconds", float("inf")),
+        ("cpu_task_seconds", float("nan")),
+        ("cpu_task_seconds", 0.0),
+        ("failure_rate", -1.0),
+        ("failure_rate", float("nan")),
+        ("failure_rate", 1.0),
+        ("duration_jitter", -0.5),
+        ("duration_jitter", 1.5),
+        ("duration_jitter", float("nan")),
+        ("nonlocal_read_penalty", -100.0),
+        ("nonlocal_read_penalty", float("inf")),
+        ("node_speed_factors", {0: 0.0}),
+        ("node_speed_factors", {0: float("nan")}),
+        ("node_speed_factors", {0: float("inf")}),
+    ])
+    def test_bad_inputs_rejected(self, field, value):
+        job = simulated_job("WC", CLUSTER1, 200, 8, seed=5)
+        with pytest.raises(ConfigError):
+            replace(job, **{field: value})
 
 
 class TestReducePhase:

@@ -17,13 +17,13 @@ import pytest
 
 from repro import cli
 from repro.scenarios import (
-    DEFAULT_POLICIES,
     all_scenarios,
     build_simulator,
     get_scenario,
     report_bytes,
     run_sweep,
 )
+from repro.scheduling import policy_names
 
 #: The canonical report of every registry scenario at scale small
 #: (``python -m repro sweep --scale small -o tests/golden/sweep_small.json``),
@@ -46,7 +46,7 @@ class TestReportShape:
             by_scenario.setdefault(row["scenario"], set()).add(row["policy"])
         for scenario in MINI:
             assert by_scenario[scenario.id] >= \
-                set(DEFAULT_POLICIES) | {scenario.policy}
+                set(policy_names()) | {scenario.policy}
 
     def test_rows_sorted_and_speedups_present(self):
         report = run_sweep(MINI, scale="small")
