@@ -5,8 +5,9 @@
    the caller (Hadoop's cue to reschedule the attempt), the device is
    left clean, and it keeps serving tasks;
 2. the JobTracker reschedules failed attempts cluster-wide until the job
-   completes — demonstrated with injected task failures, with and
-   without speculative execution rescuing stragglers on slow nodes.
+   completes — demonstrated with injected task failures on a cluster
+   with slow nodes (speculative execution is Off, as in the paper's
+   Table 3).
 
 Run:  python examples/fault_tolerance.py
 """
@@ -21,7 +22,7 @@ from repro.gpu.device import GpuDevice
 from repro.hadoop import ClusterSimulator
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.scenarios import simulated_job
-from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy
+from repro.scheduling import GpuFirstPolicy
 
 
 def driver_demo() -> None:
@@ -56,23 +57,18 @@ def driver_demo() -> None:
 
 
 def cluster_demo() -> None:
-    print("=== Cluster: rescheduling + speculation under stragglers ===")
+    print("=== Cluster: rescheduling under failures and slow nodes ===")
     job = simulated_job("WC", CLUSTER1, 1500, 8, seed=11)
     flaky_slow = replace(job, failure_rate=0.03,
                          node_speed_factors={n: 4.0 for n in range(4)})
     plain = ClusterSimulator(job, GpuFirstPolicy()).run()
     faulty = ClusterSimulator(flaky_slow, GpuFirstPolicy()).run()
-    speculating = replace(CLUSTER1, speculative_execution=True)
-    spec_sim = ClusterSimulator(replace(flaky_slow, cluster=speculating),
-                                GpuFirstPolicy())
-    spec = spec_sim.run()
-    print(f"  healthy cluster        : {plain.job_seconds:7.1f} s")
+    print(f"  healthy cluster           : {plain.job_seconds:7.1f} s")
     print(f"  3% failures + 4 slow nodes: {faulty.job_seconds:7.1f} s "
           f"({faulty.failures} attempts rescheduled)")
-    print(f"  + speculative execution: {spec.job_seconds:7.1f} s "
-          f"({spec_sim.speculative_attempts} backups, "
-          f"{spec_sim.wasted_speculation_seconds:.0f} s wasted work)")
-    assert spec.job_seconds <= faulty.job_seconds * 1.02
+    assert faulty.failures > 0
+    assert faulty.cpu_tasks + faulty.gpu_tasks == 1500
+    assert faulty.job_seconds > plain.job_seconds
 
 
 if __name__ == "__main__":

@@ -112,7 +112,6 @@ class ClusterConfig:
     hdfs_replication: int = 3
     max_map_slots_per_node: int = 20
     max_reduce_slots_per_node: int = 2
-    speculative_execution: bool = False
     slowstart_maps_fraction: float = 0.20   # % maps done before reduce starts
     heartbeat_interval_s: float = 0.6
     hadoop_version: str = "Hadoop 1.2.1"

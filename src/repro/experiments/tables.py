@@ -84,7 +84,7 @@ def _cluster_row(c: ClusterConfig) -> dict[str, object]:
         "replication": c.hdfs_replication,
         "map_slots": f"{c.max_map_slots_per_node} (+1 per GPU)",
         "reduce_slots": c.max_reduce_slots_per_node,
-        "speculative": "Off" if not c.speculative_execution else "On",
+        "speculative": "Off",
         "slowstart_pct": int(c.slowstart_maps_fraction * 100),
     }
 

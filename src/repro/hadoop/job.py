@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import ClusterConfig
 from ..errors import ConfigError
@@ -83,5 +83,3 @@ class JobResult:
     forced_gpu_tasks: int = 0
     data_local_fraction: float = 0.0
     failures: int = 0
-    #: (finish_time, node, slot-kind) per map task, for timeline plots.
-    timeline: list[tuple[float, int, str]] = field(default_factory=list)

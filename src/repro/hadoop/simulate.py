@@ -58,13 +58,12 @@ def place_blocks(num_blocks: int, num_nodes: int, replication: int,
 
 @dataclass
 class _Attempt:
-    """One execution attempt of a map task (speculation can create two)."""
+    """One execution attempt of a map task."""
 
     task: MapTask
     tracker: TaskTracker
     slot: SlotKind
     duration: float
-    speculative: bool = False
     #: Open trace span + slot-lane index, set only while tracing.
     span: obs.SpanEvent | None = None
     lane: int | None = None
@@ -77,12 +76,6 @@ class ClusterSimulator:
     ``random.Random(job.seed)`` (:meth:`_sample`), so every run of one
     ``JobConf`` gives the same result.
 
-    The cluster's ``speculative_execution`` enables Hadoop's speculative
-    execution (Table 3 rows; the paper ran with it Off): once no pending
-    work remains, stragglers — running attempts projected to finish well
-    after the completed-task mean — get a backup attempt on a free CPU
-    slot; the first finisher wins and the loser's result is discarded.
-
     Heartbeats are event-driven. A TaskTracker beats every
     ``heartbeat_interval_s`` on its own tick grid, but a tracker whose
     next heartbeats provably change nothing (:meth:`_dormant`) is
@@ -94,10 +87,6 @@ class ClusterSimulator:
     and the woken heartbeat lands on the same tick, in the same order
     among equal-time events, as if the tracker had polled throughout.
     """
-
-    #: A running task is a straggler once its projected completion exceeds
-    #: this multiple of the mean completed-task duration.
-    SPECULATION_THRESHOLD = 1.4
 
     def __init__(self, job: JobConf, policy: SchedulingPolicy):
         self.job = job
@@ -140,14 +129,8 @@ class ClusterSimulator:
         #: ``scheduled_at`` of the event that completed the last map.
         self._map_phase_end_scheduled_at = 0.0
         self._failures = 0
-        self.speculative = cluster.speculative_execution
-        self._running_attempts: dict[int, _Attempt] = {}  # task_id → primary
-        self._speculated: set[int] = set()
-        self._completed_durations: list[float] = []
-        #: (len(_completed_durations), their mean), see _maybe_speculate.
-        self._completed_mean = (0, 0.0)
-        self.wasted_speculation_seconds = 0.0
-        self.speculative_attempts = 0
+        #: Completed map tasks, for the ``map-progress`` trace counter.
+        self._completed = 0
         #: Free slot-lane indices per (node, slot kind), only while tracing.
         self._free_lanes: dict[tuple[int, SlotKind], list[int]] = {}
         self._lane_high: dict[tuple[int, SlotKind], int] = {}
@@ -201,7 +184,11 @@ class ClusterSimulator:
                 "task": task.task_id,
                 "slot": attempt.slot.value,
                 "data_local": task.data_local,
-                "speculative": attempt.speculative,
+                # Speculation is Off (Table 3) and not simulated. The
+                # constant stays because tests/golden/wc_cluster1_tail
+                # .trace.json pins it on every attempt, and CI refuses
+                # that file in a change to src/repro/hadoop/.
+                "speculative": False,
                 "forced_gpu": task.forced_gpu,
             },
         )
@@ -222,7 +209,7 @@ class ClusterSimulator:
         if outcome == "completed":
             rec.counter(
                 "map-progress", "cluster-sim",
-                {"completed": float(len(self._completed_durations))},
+                {"completed": float(self._completed)},
                 ts=self.loop.now,
             )
 
@@ -273,9 +260,6 @@ class ClusterSimulator:
         for task_id in response.task_ids:
             task = self.jobtracker.get_task(task_id)
             self._launch(tracker, task)
-        if self.speculative and not response.task_ids \
-                and self.jobtracker.pending_maps == 0:
-            self._maybe_speculate(tracker)
         if self._dormant(tracker):
             self._parked[tracker.node] = self.loop.now
         else:
@@ -285,19 +269,16 @@ class ClusterSimulator:
         """True when every heartbeat of ``tracker`` is a no-op until one
         of the :meth:`_wake` events happens.
 
-        With nothing pending the JobTracker grants nothing, and only the
-        (time-dependent) straggler scan can act, which needs speculation
-        on and a free CPU slot. With work pending, a heartbeat that
-        advertises no free slot is granted nothing (the
-        :class:`SchedulingPolicy` contract). The speedup it would report
-        was reported by the heartbeat that just ran and only changes on a
-        slot release; ``maps_remaining_per_node`` may go stale meanwhile,
-        it is only read by ``place()`` in the heartbeat that sets it.
+        With nothing pending the JobTracker grants nothing. With work
+        pending, a heartbeat that advertises no free slot is granted
+        nothing (the :class:`SchedulingPolicy` contract). The speedup it
+        would report was reported by the heartbeat that just ran and only
+        changes on a slot release; ``maps_remaining_per_node`` may go
+        stale meanwhile, it is only read by ``place()`` in the heartbeat
+        that sets it.
         """
-        if self.jobtracker.pending_maps == 0:
-            return not (self.speculative
-                        and tracker.running_cpu < tracker.cpu_slots)
-        return not tracker.has_free_slot
+        return (self.jobtracker.pending_maps == 0
+                or not tracker.has_free_slot)
 
     def _ticks_before(self, tick: float, when: float,
                       scheduled_at: float) -> tuple[int, float, float]:
@@ -334,50 +315,6 @@ class ClusterSimulator:
             if rec.enabled:
                 rec.inc("sim.heartbeats", skipped)
 
-    def _maybe_speculate(self, tracker: TaskTracker) -> None:
-        """Launch a backup attempt for the worst straggler on a free CPU
-        slot (Hadoop's speculative execution, simplified to projected
-        completion vs the completed-task mean)."""
-        completed = len(self._completed_durations)
-        if not completed:
-            return
-        if self._completed_mean[0] != completed:
-            self._completed_mean = (
-                completed, sum(self._completed_durations) / completed)
-        mean = self._completed_mean[1]
-        now = self.loop.now
-        worst: _Attempt | None = None
-        worst_remaining = 0.0
-        for task_id, attempt in self._running_attempts.items():
-            if task_id in self._speculated:
-                continue
-            projected = attempt.task.start_time + attempt.duration
-            if projected - attempt.task.start_time \
-                    < self.SPECULATION_THRESHOLD * mean:
-                continue
-            remaining = projected - now
-            if remaining > worst_remaining and remaining > mean * 0.5:
-                worst, worst_remaining = attempt, remaining
-        if worst is None or not tracker.reserve_cpu_slot():
-            return
-        duration, _fails = self._sample(SlotKind.CPU, False, tracker.node)
-        backup = _Attempt(task=worst.task, tracker=tracker,
-                          slot=SlotKind.CPU, duration=duration,
-                          speculative=True)
-        self._speculated.add(worst.task.task_id)
-        self.speculative_attempts += 1
-        rec = obs.active()
-        if rec.enabled:
-            rec.instant(
-                "speculate", "scheduling", "cluster-sim", "decisions",
-                ts=self.loop.now,
-                args={"task": worst.task.task_id, "node": tracker.node,
-                      "remaining": worst_remaining},
-            )
-            rec.inc("sim.speculative_attempts")
-        self._trace_attempt_start(backup)
-        self.loop.schedule(duration, lambda: self._attempt_done(backup))
-
     def _launch(self, tracker: TaskTracker, task: MapTask) -> None:
         slot = tracker.place(task)
         if slot is SlotKind.GPU and task in tracker.gpu_queue:
@@ -390,7 +327,6 @@ class ClusterSimulator:
                                        tracker.node)
         attempt = _Attempt(task=task, tracker=tracker, slot=task.slot,
                            duration=duration)
-        self._running_attempts[task.task_id] = attempt
         self._trace_attempt_start(attempt)
         if fails:
             self.loop.schedule(
@@ -401,16 +337,9 @@ class ClusterSimulator:
 
     def _fail(self, attempt: _Attempt, elapsed: float) -> None:
         task, tracker = attempt.task, attempt.tracker
-        if task.state is TaskState.COMPLETED:
-            # A speculative backup already finished this task.
-            tracker.release_slot(attempt.slot, elapsed)
-            self._trace_attempt_end(attempt, "wasted")
-            self._slot_released(tracker)
-            return
         task.fail(self.loop.now)
         tracker.release_slot(attempt.slot, elapsed)
         self._failures += 1
-        self._running_attempts.pop(task.task_id, None)
         self._trace_attempt_end(attempt, "failed")
         was_idle = self.jobtracker.pending_maps == 0
         self.jobtracker.task_failed(task)
@@ -426,18 +355,8 @@ class ClusterSimulator:
     def _attempt_done(self, attempt: _Attempt) -> None:
         task, tracker = attempt.task, attempt.tracker
         tracker.release_slot(attempt.slot, attempt.duration)
-        if task.state is TaskState.COMPLETED:
-            # The other (primary or speculative) attempt already won.
-            self.wasted_speculation_seconds += attempt.duration
-            self._trace_attempt_end(attempt, "wasted")
-            self._slot_released(tracker)
-            return
         task.complete(self.loop.now)
-        if attempt.speculative:
-            task.node = tracker.node
-            task.slot = attempt.slot
-        self._running_attempts.pop(task.task_id, None)
-        self._completed_durations.append(attempt.duration)
+        self._completed += 1
         self._trace_attempt_end(attempt, "completed")
         self.jobtracker.note_completed(task)
         self._map_phase_end = self.loop.now
@@ -499,8 +418,4 @@ class ClusterSimulator:
             forced_gpu_tasks=sum(1 for t in completed if t.forced_gpu),
             data_local_fraction=local / max(len(completed), 1),
             failures=self._failures,
-            timeline=[
-                (t.finish_time, t.node or 0, t.slot.value if t.slot else "?")
-                for t in completed
-            ],
         )

@@ -88,15 +88,8 @@ class TaskTracker:
             task.forced_gpu = False
             # GPU-first with every device busy falls back to a CPU slot.
         if self.running_cpu >= self.cpu_slots:
-            # Tail regime: the JobTracker grants up to numGPUs tasks per
-            # heartbeat irrespective of CPU occupancy; with every CPU slot
-            # busy the task waits for a device ('queuing might occur on
-            # the GPU(s)', §6.2).
-            if self.num_gpus > 0:
-                task.slot = SlotKind.GPU
-                task.forced_gpu = True
-                self.gpu_queue.append(task)
-                return SlotKind.GPU
+            # A policy grants at most the free slots a heartbeat
+            # advertises, and a free device took the task above.
             raise HadoopError(
                 f"node {self.node} has no free slot for task {task.task_id}"
             )
@@ -125,8 +118,7 @@ class TaskTracker:
         return None
 
     def release_slot(self, slot: SlotKind, seconds: float) -> None:
-        """Free a slot and record the attempt's duration (also used for
-        speculative attempts, which are not bound to ``task.slot``)."""
+        """Free a slot and record the attempt's duration."""
         if slot is SlotKind.GPU:
             if self.busy_gpus <= 0:
                 raise HadoopError("GPU slot underflow")
@@ -136,10 +128,3 @@ class TaskTracker:
                 raise HadoopError("CPU slot underflow")
             self.running_cpu -= 1
         self.stats.record(slot, seconds)
-
-    def reserve_cpu_slot(self) -> bool:
-        """Claim a CPU slot for a speculative attempt, if one is free."""
-        if self.running_cpu < self.cpu_slots:
-            self.running_cpu += 1
-            return True
-        return False

@@ -3,12 +3,17 @@
 Two cooperating halves:
 
 * **JobTracker** (``TailScheduleOnJT``): tracks the maximum GPU speedup
-  reported by any TaskTracker; once the *job tail* begins — the remaining
-  map count drops to what all the cluster's GPUs can finish within one
-  CPU-task time (``numGPUs × maxSpeedup × numSlaves``) — it grants at
-  most ``numGPUs`` tasks per TaskTracker per heartbeat, so forced-GPU
-  tasks don't queue up. It also tells every TaskTracker its estimated
-  share of the remaining maps (total remaining ÷ slaves).
+  reported by any TaskTracker and tells every TaskTracker its estimated
+  share of the remaining maps (total remaining ÷ slaves). It counts the
+  heartbeats of the *job tail* — once the remaining map count drops to
+  what all the cluster's GPUs can finish within one CPU-task time
+  (``numGPUs × maxSpeedup × numSlaves``) — but grants exactly as
+  GPU-first does, one task per advertised free slot. The paper's
+  ``scheduleNumGPUTasksAtMax`` (at most ``numGPUs`` tasks per
+  TaskTracker per heartbeat in the job tail) is not implemented: a
+  heartbeat advertises at most ``numGPUs`` free GPU slots, so a cap of
+  ``numGPUs`` plus the free CPU slots never binds, and tail differs from
+  GPU-first only in the TaskTracker's forcing and queueing.
 
 * **TaskTracker** (``TailScheduleOnTT``): computes its *task tail*
   (``numGPUs × aveSpeedup`` — the tasks its GPUs retire in one CPU-task
@@ -17,12 +22,11 @@ Two cooperating halves:
   tail, every subsequent task is forced onto a GPU (Fig. 3's tasks 18–19).
 
 Note on the paper's listing: Algorithm 2 as printed compares
-``taskTail <= numMapsRemainingPerNode`` for forcing (and ``jobTail <
-remaining`` for capping), which would force GPUs from the *start* of the
-job and contradicts both Fig. 3 and the surrounding prose ('the load
-imbalance only arises in the execution of the final tasks'). We implement
-the prose/figure semantics: forcing begins when the remaining share drops
-*below* the tail size.
+``taskTail <= numMapsRemainingPerNode`` for forcing, which would force
+GPUs from the *start* of the job and contradicts both Fig. 3 and the
+surrounding prose ('the load imbalance only arises in the execution of
+the final tasks'). We implement the prose/figure semantics: forcing
+begins when the remaining share drops *below* the tail size.
 """
 
 from __future__ import annotations
@@ -68,19 +72,12 @@ class TailPolicy(GpuFirstPolicy):
             # is a property of the schedule: a fully busy tracker's
             # heartbeat is granted nothing whether or not it is sent (the
             # simulator parks such trackers instead of dispatching it).
+            # The counter keeps its name although no cap applies: the
+            # golden trace pins it.
             rec = obs.active()
             if rec.enabled and free_cpu_slots + free_gpu_slots > 0:
                 rec.inc("tail.capped_grants")
                 rec.gauge("tail.job_tail", job_tail)
-            # scheduleNumGPUTasksAtMax: once the job tail begins, grants
-            # are capped so forced tasks don't pile up behind busy devices
-            # ('the JobTracker only schedules at most numGPUs tasks on a
-            # TaskTracker per heartbeat once the jobTail begins', §6.2).
-            # free_gpu_slots already nets out queued tasks; the CPU-slot
-            # term lets the TaskTracker's fallback guard keep CPUs busy
-            # when the GPU speedup is too small for queueing to pay off.
-            return min(num_gpus_per_node + free_cpu_slots,
-                       free_gpu_slots + free_cpu_slots, remaining)
         return super().tasks_to_grant(
             free_cpu_slots, free_gpu_slots, remaining,
             num_gpus_per_node, max_speedup, num_slaves,

@@ -35,6 +35,8 @@ class TestTables:
         assert [r["name"] for r in rows] == ["Cluster1", "Cluster2"]
         assert rows[0]["nodes"] == "48 (+1 master)"
         assert rows[1]["disk"] == "none"
+        # The paper ran with speculative execution Off on both clusters.
+        assert [r["speculative"] for r in rows] == ["Off", "Off"]
 
     def test_render_table_smoke(self):
         text = report.render_table(tables.table3(), "Table 3")

@@ -193,6 +193,22 @@ class TestTaskTracker:
         tt.release_slot(first.slot, 10.0)
         assert tt.queued_gpu_task() is second
 
+    @pytest.mark.parametrize("maps_remaining_per_node", [float("inf"), 0.0])
+    def test_no_free_slot_raises_instead_of_queueing(
+            self, maps_remaining_per_node):
+        """A policy never grants past the advertised free slots, so a
+        task placed on a node whose CPU slots and device are all busy is
+        an error, in and out of the task tail."""
+        tt = self.make_tt(policy=TailPolicy(), cpu_slots=1)
+        tt.place(MapTask(task_id=0))
+        tt.place(MapTask(task_id=1))
+        assert (tt.busy_gpus, tt.running_cpu) == (1, 1)
+        assert not tt.has_free_slot
+        tt.maps_remaining_per_node = maps_remaining_per_node
+        with pytest.raises(HadoopError, match="no free slot"):
+            tt.place(MapTask(task_id=2))
+        assert tt.gpu_queue == []
+
     def test_heartbeat_reports_net_gpu_capacity(self):
         tt = self.make_tt(policy=TailPolicy())
         tt.stats.record(SlotKind.CPU, 60.0)

@@ -6,12 +6,11 @@ tracker re-schedules a heartbeat every interval, whatever its state —
 is the behaviour that replaced, and it no longer exists in ``src/``:
 the subclass below, which never finds a tracker dormant, *is* the
 polling simulator. Everything observable must be equal between the two,
-bit for bit — the job result with its timeline, the speculation totals,
-every recorder counter and gauge (``sim.heartbeats`` counts parked ticks
-arithmetically) and the whole trace-event stream — including on
-configurations built to produce exact float ties between heartbeat
-ticks and task completions (no jitter, dyadic interval and durations,
-failures at half duration).
+bit for bit — the job result, every recorder counter and gauge
+(``sim.heartbeats`` counts parked ticks arithmetically) and the whole
+trace-event stream — including on configurations built to produce exact
+float ties between heartbeat ticks and task completions (no jitter,
+dyadic interval and durations, failures at half duration).
 """
 
 from __future__ import annotations
@@ -51,13 +50,12 @@ SHAPES = [(3, 2, 1), (5, 1, 2), (8, 4, 1), (12, 2, 0)]
 
 
 def observe(cls, policy, shape, maps, timing, jitter, failure_rate,
-            speculative, seed, slow_node):
+            seed, slow_node):
     nodes, slots, gpus = shape
     interval, cpu, gpu = timing
     cluster = replace(CLUSTER1, num_slaves=nodes, gpus_per_node=gpus,
                       max_map_slots_per_node=slots,
-                      heartbeat_interval_s=interval,
-                      speculative_execution=speculative)
+                      heartbeat_interval_s=interval)
     job = JobConf(name="parking", num_map_tasks=maps, num_reduce_tasks=2,
                   cluster=cluster, cpu_task_seconds=cpu,
                   gpu_task_seconds=gpu, duration_jitter=jitter, seed=seed,
@@ -72,8 +70,6 @@ def observe(cls, policy, shape, maps, timing, jitter, failure_rate,
     trace = obs.export_chrome(rec)
     return {
         "result": result,
-        "speculative_attempts": sim.speculative_attempts,
-        "wasted_speculation_seconds": sim.wasted_speculation_seconds,
         "metrics": trace["otherData"]["metrics"],
         "events": trace["traceEvents"],
     }, sim
@@ -85,7 +81,6 @@ def observe(cls, policy, shape, maps, timing, jitter, failure_rate,
        timing=st.sampled_from(TIMINGS),
        jitter=st.sampled_from([0.04, 0.0]),
        failure_rate=st.sampled_from([0.0, 0.1]),
-       speculative=st.booleans(),
        seed=st.integers(min_value=0, max_value=10_000),
        slow_node=st.booleans())
 @settings(max_examples=100, deadline=None)
@@ -101,7 +96,7 @@ def test_parking_dispatches_a_fraction_of_the_heartbeats():
     """The comparison above would also pass if nothing ever parked."""
     case = dict(policy="tail", shape=(8, 4, 1), maps=120,
                 timing=(0.6, 60.0, 10.0), jitter=0.04, failure_rate=0.0,
-                speculative=False, seed=7, slow_node=False)
+                seed=7, slow_node=False)
     polled, polling_sim = observe(PollingSimulator, **case)
     shipped, sim = observe(ClusterSimulator, **case)
     assert shipped == polled
@@ -111,20 +106,20 @@ def test_parking_dispatches_a_fraction_of_the_heartbeats():
     assert not polling_sim._parked and sim._parked
 
 
-@pytest.mark.parametrize("timing, failure_rate, speculative, seed", [
-    ((0.5, 4.0, 0.25), 0.1, False, 3),
-    ((1.0, 8.0, 0.25), 0.3, True, 1),
-    ((0.5, 0.25, 0.125), 0.1, False, 3),
+@pytest.mark.parametrize("timing, failure_rate, seed", [
+    ((0.5, 4.0, 0.25), 0.1, 3),
+    ((1.0, 8.0, 0.25), 0.3, 7),
+    ((0.5, 0.25, 0.125), 0.1, 3),
 ])
 def test_tick_tying_with_a_later_scheduled_event_was_sent(
-        timing, failure_rate, speculative, seed):
+        timing, failure_rate, seed):
     """The last map completes exactly on a parked tracker's tick, in an
     attempt started after that tick's heartbeat would have been queued:
     polling dispatches (and counts) the heartbeat first. ``tick < when``
     alone undercounts ``sim.heartbeats`` by one on each of these."""
     case = dict(policy="tail", shape=(8, 4, 1), maps=60, timing=timing,
-                jitter=0.0, failure_rate=failure_rate,
-                speculative=speculative, seed=seed, slow_node=False)
+                jitter=0.0, failure_rate=failure_rate, seed=seed,
+                slow_node=False)
     polled, _ = observe(PollingSimulator, **case)
     shipped, _ = observe(ClusterSimulator, **case)
     assert shipped == polled
@@ -136,7 +131,7 @@ def test_requeued_work_wakes_trackers_parked_for_lack_of_it():
     whichever of them polling would have had heartbeat next."""
     case = dict(policy="gpu-first", shape=(3, 2, 1), maps=4,
                 timing=(0.5, 30.0, 4.0), jitter=0.0, failure_rate=0.45,
-                speculative=False, slow_node=False)
+                slow_node=False)
     failures = 0
     for seed in range(12):
         polled, _ = observe(PollingSimulator, seed=seed, **case)

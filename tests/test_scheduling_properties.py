@@ -9,8 +9,7 @@ for every policy in the registry:
   at a time (every granted id is PENDING at grant, and with no failures
   each task is granted exactly once over the whole run);
 * **work conservation** — a heartbeat advertising at least one free
-  slot while maps are pending is never sent away empty (the tail
-  policy's grant cap floors at one);
+  slot while maps are pending is never sent away empty;
 * **no lost tasks** — after any prefix of arbitrary heartbeats, a
   bounded round-robin drain completes every task.
 

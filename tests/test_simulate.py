@@ -60,10 +60,6 @@ class TestBasicRuns:
                                   CpuOnlyPolicy()).run()
         assert result.reduce_phase_seconds == 0.0
 
-    def test_timeline_covers_all_tasks(self):
-        result = ClusterSimulator(small_job(), GpuFirstPolicy()).run()
-        assert len(result.timeline) == 400
-
 
 class TestTailVsGpuFirst:
     def test_tail_wins_at_high_speedup(self):
@@ -118,16 +114,10 @@ class TestOneJobConf:
                              node_speed_factors={0: 3.0})
 
     def test_every_run_of_one_job_is_equal(self):
-        job = replace(self.job(), failure_rate=0.05,
-                      cluster=replace(CLUSTER1, speculative_execution=True))
-        first = ClusterSimulator(job, TailPolicy())
-        second = ClusterSimulator(job, TailPolicy())
-        result = first.run()
-        assert result.failures > 0 and first.speculative_attempts > 0
-        assert second.run() == result
-        assert (second.speculative_attempts,
-                second.wasted_speculation_seconds) == \
-            (first.speculative_attempts, first.wasted_speculation_seconds)
+        job = replace(self.job(), failure_rate=0.05)
+        result = ClusterSimulator(job, TailPolicy()).run()
+        assert result.failures > 0
+        assert ClusterSimulator(job, TailPolicy()).run() == result
 
     def test_the_job_alone_carries_its_heterogeneity(self):
         job = self.job()
