@@ -37,8 +37,8 @@ class Application:
     #: run on CPUs (paper §3.1: 'HeteroDoop provides no directives for
     #: reduce functions and executes them on the CPUs only').
     reduce_source: str | None = None
-    #: Pure-Python reduce, used as the oracle (and the fallback when no
-    #: mini-C reducer exists).
+    #: Pure-Python reduce for apps with no mini-C reducer (``reference``
+    #: is the oracle); ignored when ``reduce_source`` is set.
     reduce_py: Callable[[Any, list[Any]], list[tuple[Any, Any]]] | None = None
     pct_map_combine_active: int = 0  # Table 2 '%Exec. Time Map+Combine Active'
     cluster1: ClusterFigures | None = None

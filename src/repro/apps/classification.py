@@ -91,10 +91,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(counts)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.point_cloud(records, seed, clusters=K)
 
@@ -107,7 +103,6 @@ CLASSIFICATION = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=None,           # Table 2: no combiner
         reduce_source=INT_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=92,
         cluster1=ClusterFigures(reduce_tasks=16, map_tasks=4800, input_gb=923),
         cluster2=ClusterFigures(reduce_tasks=16, map_tasks=3200, input_gb=72),

@@ -49,10 +49,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return {PATTERN: matches} if matches else {}
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 GREP = AppRegistry.register(
     Application(
         name="grep",
@@ -61,7 +57,6 @@ GREP = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=STRING_KEY_INT_SUM,
         reduce_source=STRING_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=69,
         cluster1=ClusterFigures(reduce_tasks=16, map_tasks=7632, input_gb=902),
         cluster2=ClusterFigures(reduce_tasks=16, map_tasks=2880, input_gb=340),

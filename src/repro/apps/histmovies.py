@@ -61,10 +61,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(bins)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.movie_ratings(records, seed)
 
@@ -77,7 +73,6 @@ HISTMOVIES = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=INT_KEY_INT_SUM,
         reduce_source=INT_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=91,
         cluster1=ClusterFigures(reduce_tasks=8, map_tasks=4800, input_gb=1190),
         cluster2=ClusterFigures(reduce_tasks=8, map_tasks=640, input_gb=159),

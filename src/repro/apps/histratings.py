@@ -53,10 +53,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(bins)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.movie_ratings(records, seed)
 
@@ -69,7 +65,6 @@ HISTRATINGS = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=INT_KEY_INT_SUM,
         reduce_source=INT_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=92,
         cluster1=ClusterFigures(reduce_tasks=5, map_tasks=4800, input_gb=591),
         cluster2=ClusterFigures(reduce_tasks=5, map_tasks=2560, input_gb=160),

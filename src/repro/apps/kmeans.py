@@ -106,11 +106,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(sums)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    total = sum(float(v) for v in values)
-    return [(key, total)]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.point_stream(records, seed)
 
@@ -123,7 +118,6 @@ KMEANS = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=None,           # Table 2: no combiner
         reduce_source=INT_KEY_FLOAT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=89,
         cluster1=ClusterFigures(reduce_tasks=16, map_tasks=4800, input_gb=923),
         cluster2=ClusterFigures(reduce_tasks=16, map_tasks=None, input_gb=None),

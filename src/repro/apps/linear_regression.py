@@ -82,10 +82,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(sums)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(float(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.regression_rows(records, seed, regressors=REGRESSORS)
 
@@ -98,7 +94,6 @@ LINEAR_REGRESSION = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=INT_KEY_FLOAT_SUM,
         reduce_source=INT_KEY_FLOAT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=86,
         cluster1=ClusterFigures(reduce_tasks=16, map_tasks=2560, input_gb=714),
         cluster2=ClusterFigures(reduce_tasks=16, map_tasks=3840, input_gb=356),

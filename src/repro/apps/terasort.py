@@ -51,10 +51,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(counts)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.sort_records(records, seed)
 
@@ -67,7 +63,6 @@ TERASORT = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=STRING_KEY_INT_SUM,
         reduce_source=STRING_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=90,
         cluster1=ClusterFigures(reduce_tasks=48, map_tasks=6144, input_gb=1000),
         cluster2=ClusterFigures(reduce_tasks=32, map_tasks=1152, input_gb=160),

@@ -45,10 +45,6 @@ def _reference(split_text: str) -> dict[Any, Any]:
     return dict(counts)
 
 
-def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, sum(int(v) for v in values))]
-
-
 def _generate(records: int, seed: int) -> str:
     return datagen.zipf_text(records, seed)
 
@@ -61,7 +57,6 @@ WORDCOUNT = AppRegistry.register(
         map_source=MAP_SOURCE,
         combine_source=STRING_KEY_INT_SUM,
         reduce_source=STRING_KEY_INT_SUM,
-        reduce_py=_reduce,
         pct_map_combine_active=91,
         cluster1=ClusterFigures(reduce_tasks=48, map_tasks=5760, input_gb=844),
         cluster2=ClusterFigures(reduce_tasks=32, map_tasks=1024, input_gb=151),

@@ -291,47 +291,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pool(args: argparse.Namespace) -> int:
-    """Inspect or drive this process's persistent daemon pool.
-
-    The pool is per-process: ``status`` after ``warm`` in the same
-    invocation shows live workers, while a fresh invocation starts
-    empty — the command exists for long-lived sessions (and as the
-    smoke test for the pool lifecycle itself)."""
-    from .apps import get_app
-    from .parallel.daemon import get_pool, pool_metrics, shutdown_pool
-    from .parallel.pool import resolve_workers
-
-    if args.action == "shutdown":
-        stopped = shutdown_pool()
-        print(f"stopped {stopped} worker(s)")
-        return 0
-    pool = get_pool()
-    if args.action == "warm":
-        from .parallel.maptask import warm_worker_caches
-
-        tags = tuple(t.upper() for t in (args.apps or ["WC"]))
-        for tag in tags:
-            get_app(tag)  # validate before forking anything
-        nworkers = resolve_workers(args.workers)
-        pids = pool.broadcast(warm_worker_caches, (tags,), workers=nworkers)
-        print(f"warmed {len(pids)} worker(s) for {' '.join(tags)}: "
-              f"pids {' '.join(str(p) for p in sorted(pids))}")
-    status = pool.status()
-    print(f"start method : {status.start_method}")
-    print(f"idle timeout : {status.idle_timeout:.0f}s"
-          + (" (reaping disabled)" if status.idle_timeout == 0 else ""))
-    print(f"workers      : {resolve_workers(args.workers)} per phase")
-    print(f"worker slots : {status.slots}")
-    print(f"alive        : {' '.join(str(p) for p in status.alive) or '-'}")
-    counters = pool_metrics().snapshot()["counters"]
-    if counters:
-        print("lifecycle counters:")
-        for name in sorted(counters):
-            print(f"  {name:16s} {counters[name]:10.0f}")
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import run_campaign
     from .fuzz.gen import KIND_SCHEDULE
@@ -421,8 +380,8 @@ def _add_workers_option(parser: argparse.ArgumentParser,
 
     A single definition keeps the default chain (explicit flag →
     ``$REPRO_WORKERS`` → serial; 0 = one per core) identical across
-    ``run``/``trace``/``stats``/``fuzz``/``pool`` instead of
-    five drifting copies.
+    ``run``/``trace``/``stats``/``fuzz`` instead of four drifting
+    copies.
     """
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -609,17 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_option(p, "fans cases across the daemon pool (digest "
                            "is identical at any worker count)")
     p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser("pool", help="inspect or drive this process's "
-                                    "persistent daemon worker pool")
-    p.add_argument("action", choices=("status", "warm", "shutdown"),
-                   help="status: print workers and lifecycle counters; "
-                        "warm: fork workers and prime their caches; "
-                        "shutdown: stop all workers")
-    p.add_argument("--apps", nargs="*", metavar="TAG",
-                   help="apps to warm caches for (default: WC)")
-    _add_workers_option(p, "pool size for warm")
-    p.set_defaults(func=_cmd_pool)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name", help="table1|table2|table3|fig3|fig4a|fig4b|"

@@ -1,9 +1,11 @@
 """Host driver code generation (paper Fig. 1).
 
 The generated host code orchestrates the GPU task. We represent it as an
-ordered :class:`HostPlan` of :class:`HostStep` entries; the runtime
-(:mod:`repro.runtime.gpu_task`) executes the plan and charges time to each
-step — producing exactly the Fig. 6 breakdown categories.
+ordered :class:`HostPlan` of :class:`HostStep` entries, which
+``repro translate`` and ``examples/quickstart.py`` print. The runtime
+(:mod:`repro.runtime.gpu_task`) does not read the plan: it runs the same
+Fig. 1 stages itself and charges time to each, producing the Fig. 6
+breakdown categories.
 """
 
 from __future__ import annotations

@@ -47,42 +47,25 @@ class EventLoop:
         heapq.heappush(self._heap, (when, scheduled_at, self._seq, fn))
         self._seq += 1
 
-    def run(self, max_events: int = 20_000_000,
-            until: Callable[[], bool] | None = None) -> None:
-        """Drain the queue; ``until`` (checked after each event) stops early."""
+    def run(self, max_events: int = 20_000_000) -> None:
+        """Drain the queue."""
         if self._running:
             raise HadoopError("event loop is not reentrant")
         self._running = True
-        # The no-predicate loop is the hot path; hoisting the attribute
-        # lookups and the `until` test out of it is worth ~15% wall time.
+        # Hoisting the attribute lookups out of the hot loop is worth
+        # ~15% wall time.
         heap = self._heap
         pop = heapq.heappop
         events = 0
         try:
-            if until is None:
-                while heap:
-                    self.now, self.scheduled_at, _seq, fn = pop(heap)
-                    fn()
-                    events += 1
-                    if events > max_events:
-                        raise HadoopError(
-                            f"event budget exhausted ({max_events}); livelock?"
-                        )
-            else:
-                while heap:
-                    self.now, self.scheduled_at, _seq, fn = pop(heap)
-                    fn()
-                    events += 1
-                    if events > max_events:
-                        raise HadoopError(
-                            f"event budget exhausted ({max_events}); livelock?"
-                        )
-                    if until():
-                        return
+            while heap:
+                self.now, self.scheduled_at, _seq, fn = pop(heap)
+                fn()
+                events += 1
+                if events > max_events:
+                    raise HadoopError(
+                        f"event budget exhausted ({max_events}); livelock?"
+                    )
         finally:
             self.dispatched += events
             self._running = False
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)

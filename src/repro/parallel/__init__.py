@@ -27,7 +27,6 @@ backing (a temp file the workers mmap).
 
 from .daemon import (
     DaemonPool,
-    PoolStatus,
     WorkerCrashError,
     get_pool,
     pool_metrics,
@@ -38,7 +37,6 @@ from .pool import in_worker, list_schedule_makespan, resolve_workers
 
 __all__ = [
     "DaemonPool",
-    "PoolStatus",
     "WorkerCrashError",
     "get_pool",
     "in_worker",

@@ -37,17 +37,18 @@ drained and discarded at the next job's start, and workers stay warm.
 
 Lifecycle accounting lives in a pool-owned
 :class:`~repro.obs.metrics.MetricsRegistry` (``pool.spawned``,
-``pool.respawned``, ``pool.reaped`` …) surfaced by ``repro pool
-status``; per-job dispatch counters (``pool.jobs``, ``pool.batches``,
-``pool.tasks``) additionally land on the active trace recorder — they
-are deterministic per job, so traced parallel runs stay reproducible.
+``pool.respawned``, ``pool.reaped`` …) that :func:`pool_metrics`
+returns to ``perf/run.py`` and the tests; per-job dispatch counters
+(``pool.jobs``, ``pool.batches``, ``pool.tasks``) additionally land on
+the active trace recorder — they are deterministic per job, so traced
+parallel runs stay reproducible.
 """
 
 from __future__ import annotations
 
 import queue
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..config import RuntimeConfig
@@ -57,7 +58,6 @@ from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "DaemonPool",
-    "PoolStatus",
     "WorkerCrashError",
     "get_pool",
     "pool_metrics",
@@ -139,13 +139,11 @@ def _worker_main(slot: int, inbox: Any, outbox: Any,
         if kind == "stop":
             break
         if kind == "setup":
-            _kind, job_id, init_fn, init_args, ack = msg
+            _kind, job_id, init_fn, init_args = msg
             try:
                 if init_fn is not None:
                     init_fn(*init_args)
                 job_ok = True
-                if ack:
-                    outbox.put(("ready", slot, job_id, -1, None))
             except BaseException as exc:
                 job_ok = False
                 outbox.put(("error", slot, job_id, -1, _safe_payload(exc)))
@@ -175,24 +173,10 @@ class _Worker:
     slot: int
     proc: Any
     inbox: Any
-    #: Job id of the last setup message sent (a respawned worker needs
-    #: the current job's setup replayed before any batch).
-    setup_job: int | None = None
 
     @property
     def alive(self) -> bool:
         return self.proc.is_alive()
-
-
-@dataclass
-class PoolStatus:
-    """One snapshot of the daemon pool, for ``repro pool status``."""
-
-    start_method: str
-    idle_timeout: float
-    alive: list[int] = field(default_factory=list)  # worker pids
-    slots: int = 0
-    counters: dict[str, float] = field(default_factory=dict)
 
 
 #: Pool-lifetime accounting (spawns, respawns, reaps, jobs, batches,
@@ -257,8 +241,7 @@ class DaemonPool:
         _METRICS.inc("pool.respawned")
         fresh = self._spawn(dead.slot)
         self._workers[dead.slot] = fresh
-        fresh.inbox.put(("setup", job_id, init_fn, init_args, False))
-        fresh.setup_job = job_id
+        fresh.inbox.put(("setup", job_id, init_fn, init_args))
         return fresh
 
     def shutdown(self, timeout: float = 5.0) -> int:
@@ -281,44 +264,7 @@ class DaemonPool:
         _METRICS.gauge("pool.workers", 0)
         return stopped
 
-    def status(self) -> PoolStatus:
-        return PoolStatus(
-            start_method=self.start_method,
-            idle_timeout=self.idle_timeout,
-            alive=[w.proc.pid for w in self._workers if w.alive],
-            slots=len(self._workers),
-            counters=dict(_METRICS.snapshot()["counters"]),
-        )
-
     # -- job execution -------------------------------------------------------
-
-    def broadcast(self, fn: Callable[..., None], args: tuple = (),
-                  workers: int = 1, timeout: float = 60.0) -> list[int]:
-        """Run ``fn(*args)`` once in each of ``workers`` workers (cache
-        warming); returns the pids that acknowledged."""
-        active = self.ensure(workers)
-        self._drain_stale()
-        self._job_seq += 1
-        job_id = self._job_seq
-        for w in active:
-            w.inbox.put(("setup", job_id, fn, args, True))
-            w.setup_job = job_id
-        acked: list[int] = []
-        pending = {w.slot for w in active}
-        while pending:
-            try:
-                kind, slot, jid, _index, payload = self._outbox.get(
-                    timeout=timeout)
-            except queue.Empty:
-                raise ReproError(
-                    f"pool warm timed out waiting for workers {pending}")
-            if jid != job_id:
-                continue
-            if kind == "error":
-                self._raise_worker_error(payload)
-            pending.discard(slot)
-            acked.append(self._workers[slot].proc.pid)
-        return acked
 
     def run_job(self, workers: int, task_fn: Callable[[Any], Any],
                 payloads: list[Any], init_fn: Callable[..., None] | None = None,
@@ -363,8 +309,7 @@ class DaemonPool:
         _METRICS.inc("pool.tasks", len(payloads))
 
         for w in active:
-            w.inbox.put(("setup", job_id, init_fn, init_args, False))
-            w.setup_job = job_id
+            w.inbox.put(("setup", job_id, init_fn, init_args))
 
         todo = list(range(len(batches)))
         todo.reverse()  # pop() from the front of the batch order

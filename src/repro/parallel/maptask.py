@@ -55,7 +55,6 @@ __all__ = [
     "capture",
     "run_map_tasks",
     "run_on_pool",
-    "warm_worker_caches",
 ]
 
 
@@ -104,16 +103,6 @@ def _warm_app(app: Application, opt: OptimizationFlags,
     if use_gpu:
         app.translate_map(opt)
         app.translate_combine(opt)
-
-
-def warm_worker_caches(tags: tuple[str, ...]) -> None:
-    """``repro pool warm``'s broadcast target: prime the mini-C and
-    translation caches for the named apps in this worker."""
-    from ..apps import get_app
-
-    opt = OptimizationFlags.all_on()
-    for tag in tags:
-        _warm_app(get_app(tag), opt, use_gpu=True)
 
 
 def _init_worker(spec: JobSpec, arena_token: tuple) -> None:

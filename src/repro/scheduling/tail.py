@@ -87,7 +87,9 @@ class TailPolicy(GpuFirstPolicy):
     #: cluster average, while queues are node-local; forcing exactly at
     #: taskTail makes unlucky (above-average) nodes drain past one
     #: CPU-task time. A margin below 1 trades a sliver of the ideal win
-    #: for never losing to GPU-first.
+    #: for losing to GPU-first less often; it does not rule a loss out
+    #: (Fig. 4b's Cluster2 BS at 2 GPUs and WC at 3 GPUs, ROADMAP
+    #: item 9).
     FORCE_MARGIN = 0.75
 
     def place(self, gpu_free: bool, num_gpus: int, ave_speedup: float,

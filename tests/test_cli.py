@@ -29,6 +29,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --verify" in capsys.readouterr().err
 
+    def test_pool_subcommand_is_gone(self, capsys):
+        # The daemon pool lives and dies with one process; jobs drive it.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pool", "status"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pool'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", ["run", "trace", "stats"])
     def test_app_help_lists_every_registry_app(self, cmd, capsys):
         from repro.scenarios import APP_ORDER
@@ -126,9 +133,6 @@ PARENT_NAMESPACES = {
         "count": 300, "kinds": None, "no_shrink": False, "quiet": False,
         "registry": False, "scale": "small", "seed": 0,
         "time_budget": None, "workers": None}),
-    "pool": (["pool", "status"], {
-        "command": "pool", "func": "_cmd_pool", "action": "status",
-        "apps": None, "workers": None}),
     "experiment": (["experiment", "fig5"], {
         "command": "experiment", "func": "_cmd_experiment", "name": "fig5",
         "task_scale": 1.0}),

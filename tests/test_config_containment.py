@@ -96,7 +96,6 @@ def test_zero_workers_resolves_to_the_cpu_count(clean_env):
 @pytest.mark.parametrize("argv", [
     ["run", "WC", "--records", "300", "--cpu-only", "--workers", "2",
      "--split-kb", "2"],
-    ["pool", "status"],
 ])
 def test_cli_rejects_bad_idle_before_forking(clean_env, capsys, raw, argv):
     """``REPRO_POOL_IDLE=inf`` used to crash every worker at its first

@@ -2,8 +2,8 @@
 
 The simulator's determinism rests entirely on EventLoop's contract:
 time-ordered dispatch with FIFO tie-breaking, monotonically advancing
-``now``, a non-reentrant ``run``, an ``until`` early-stop checked after
-each event, and a hard event budget against livelock.
+``now``, a non-reentrant ``run``, and a hard event budget against
+livelock.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ def test_events_scheduled_during_run_dispatch_in_order(first, second):
     loop.run()
     assert seen == sorted(seen)
     assert len(seen) == len(first) * (1 + len(second))
-
-
-@given(delays.filter(lambda ds: len(ds) >= 1),
-       st.integers(min_value=1, max_value=50))
-def test_until_stops_after_the_predicate_turns_true(ds, stop_after):
-    stop_after = min(stop_after, len(ds))
-    loop = EventLoop()
-    fired: list[int] = []
-    for i, d in enumerate(ds):
-        loop.schedule(d, lambda i=i: fired.append(i))
-    loop.run(until=lambda: len(fired) >= stop_after)
-    # checked after each event: exactly stop_after events ran
-    assert len(fired) == stop_after
-    assert loop.pending == len(ds) - stop_after
 
 
 @settings(max_examples=25)
