@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("fuzz", help="differential conformance fuzzing "
-                                    "across the mini-C backends")
+                                    "across the engine settings")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (case i derives from 'seed/i')")
     p.add_argument("--count", type=_nonnegative_int, default=300,

@@ -133,6 +133,18 @@ class ClusterConfig:
                 f"got {self.heartbeat_interval_s!r}")
         if self.hdfs_block_size <= 0:
             raise ConfigError("HDFS block size must be positive")
+        if self.max_reduce_slots_per_node < 1:
+            raise ConfigError(
+                "max_reduce_slots_per_node must be >= 1, got "
+                f"{self.max_reduce_slots_per_node}")
+        if self.max_map_slots_per_node < 0:
+            raise ConfigError(
+                "max_map_slots_per_node must be >= 0, got "
+                f"{self.max_map_slots_per_node}")
+        if self.max_map_slots_per_node + self.gpus_per_node < 1:
+            raise ConfigError(
+                "a node needs at least one map slot or GPU "
+                "(max_map_slots_per_node + gpus_per_node >= 1)")
 
     @property
     def total_map_slots(self) -> int:

@@ -134,44 +134,3 @@ def single_task_times(
     opt = opt if opt is not None else OptimizationFlags.all_on()
     records = records if records is not None else DEFAULT_RECORDS.get(short, 300)
     return _single_task_times_cached(short, cluster.name, opt, records, seed)
-
-
-@lru_cache(maxsize=64)
-def _traced_phase_seconds_cached(
-    app_short: str, cluster_name: str, opt: OptimizationFlags,
-    records: int, seed: int,
-) -> dict[str, float]:
-    from .. import obs
-
-    recorder = obs.TraceRecorder()
-    with obs.use_recorder(recorder):
-        _map_tasks(app_short, cluster_name, opt, records, seed, True)
-    phases: dict[str, float] = {}
-    for span in recorder.spans("phase"):
-        phases[span.name] = phases.get(span.name, 0.0) + (span.dur or 0.0)
-    return phases
-
-
-def gpu_breakdown_from_trace(
-    app: Application | str,
-    cluster: ClusterConfig = CLUSTER1,
-    opt: OptimizationFlags | None = None,
-    records: int | None = None,
-    seed: int = 7,
-) -> dict[str, float]:
-    """Per-phase GPU-task seconds aggregated from *trace spans*.
-
-    This is the Fig. 6 data path: the task runs once under a
-    :class:`~repro.obs.TraceRecorder` and the breakdown is read back from
-    the ``phase`` spans the pipeline emitted, rather than from the
-    returned :class:`~repro.costmodel.breakdown.TaskBreakdown`. The two
-    agree exactly (a phase span's duration *is* the charged stage time) —
-    the trace tests assert it — but deriving the figure from traces keeps
-    the observable data the single source of truth.
-    """
-    short = app if isinstance(app, str) else app.short
-    opt = opt if opt is not None else OptimizationFlags.all_on()
-    records = records if records is not None else DEFAULT_RECORDS.get(short, 300)
-    return dict(_traced_phase_seconds_cached(
-        short, cluster.name, opt, records, seed
-    ))

@@ -17,7 +17,7 @@ from ..obs import trace as obs
 from ..scenarios.registry import PAPER_APP_ORDER, simulated_job, table2_tasks
 from ..scenarios.task_times import TASK_TIMES
 from ..scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
-from .calibrate import gpu_breakdown_from_trace, single_task_times
+from .calibrate import single_task_times
 
 #: Benchmarks in the paper's Fig. 4/5 ordering (by increasing speedup).
 APP_ORDER = list(PAPER_APP_ORDER)
@@ -222,13 +222,13 @@ def fig6(cluster: ClusterConfig = CLUSTER1,
     keys); KM/CL map-heavy; HR/LR substantial combine; aggregation
     negligible everywhere.
 
-    The per-stage seconds are read from the tracing layer (the ``phase``
-    spans one traced GPU task emits) rather than from the pipeline's
-    returned breakdown; see
-    :func:`repro.experiments.calibrate.gpu_breakdown_from_trace`."""
+    The per-stage seconds are the GPU task's one
+    :class:`~repro.costmodel.breakdown.TaskBreakdown` — the same values
+    a traced task tiles into its ``phase`` spans
+    (``tests/test_span_invariants.py`` holds the two equal)."""
     out: dict[str, dict[str, float]] = {}
     for short in (apps if apps is not None else APP_ORDER):
-        phases = gpu_breakdown_from_trace(short, cluster)
+        phases = single_task_times(short, cluster).gpu_breakdown.as_dict()
         total = sum(phases.values()) or 1.0
         out[short] = {k: v / total for k, v in phases.items()}
     return out

@@ -1,11 +1,12 @@
-"""Differential conformance fuzzing across the mini-C execution backends.
+"""Differential conformance fuzzing across the three engine settings.
 
-The reproduction executes one mini-C source through three independent
-engines — the tree-walking interpreter, the source-emitting compiled
-backend, and the compiler→Kernel-IR→GPU-simulator path — and equivalence used to be
-asserted only on the eight fixed benchmarks. This package generates
+The reproduction executes one mini-C source on two paths — as a
+streaming filter and, translated, through the Kernel-IR→GPU simulator —
+under one process-wide engine switch: ``"tree"`` (tree-walked
+everywhere, the reference), ``"compiled"`` (generated code, GPU lanes
+one at a time) and ``"vector"`` (what ships). This package generates
 seeded, type-correct mini-C programs (plus matching synthetic inputs),
-runs each through every applicable backend, compares all observable
+runs each under every applicable setting, compares all observable
 boundaries (stdout KV streams, ExecCounters, error messages, simulated
 GPU results), delta-debugs any divergent program down to a minimal
 reproducer, and persists reproducers into ``tests/fuzz_corpus/``.

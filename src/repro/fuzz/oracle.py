@@ -1,21 +1,24 @@
-"""Differential oracle: run one case through every applicable engine.
+"""Differential oracle: run one case under every engine setting.
 
-Four legs execute each eligible case — the tree and compiled CPU
-backends, the tree-walking GPU lane engine over tree-interpreted kernel
-bodies (the GPU reference), and the shipped vector GPU lane engine —
-plus the compiled lane engine pinned by ``use_gpu_engine("compiled")``,
-the forced form of vector's per-lane fallback. Comparison boundaries,
-strictest first:
+Each leg pins one setting of the process's one engine switch
+(:func:`~repro.minic.interpreter.use_engine`): ``"tree"`` (the
+reference: CPU filters, reducer, kernel lanes and helpers all
+tree-walked), ``"compiled"`` (generated code everywhere, GPU lanes one
+at a time — the forced form of vector's per-lane fallback) and
+``"vector"`` (what ships). GPU jobs and combine kernels run under all
+three; a CPU filter under ``"tree"`` and ``"compiled"``, the code
+``"vector"`` runs on the CPU too. The plain CPU job and its pooled
+twin run under the driver's engine, which the pool ships to every
+worker. Comparison boundaries, strictest first:
 
-* tree vs. compiled CPU backends — stdout must be byte-identical,
+* tree vs. compiled CPU filter — stdout must be byte-identical,
   :class:`ExecCounters` bit-identical, and any ``CRuntimeError`` must
   carry the same message from both engines.
 * mapper cases — a full ``LocalJobRunner`` job (map → combine →
   shuffle → reduce) with ``use_gpu=False`` vs. ``use_gpu=True`` must
   produce the same final output dict; and the GPU job itself must be
-  invariant across lane engines and across the CPU backend used to
-  execute kernel regions: same outputs, bit-identical simulated
-  seconds, and bit-identical map-launch ``ExecCounters`` and
+  invariant across the three settings: same outputs, bit-identical
+  simulated seconds, and bit-identical map-launch ``ExecCounters`` and
   ``KernelCost`` (the full per-warp charge fold).
 * combiner cases with integer values — the standalone GPU combine
   kernel may emit chunk-boundary partial aggregates (paper §4.2), so
@@ -35,13 +38,12 @@ from ..apps.base import Application
 from ..config import CLUSTER1
 from ..errors import ReproError
 from ..gpu.device import GpuDevice
-from ..gpu.engine import use_gpu_engine
 from ..gpu.executor import run_combine_kernel
 from ..hadoop.local import LocalJobRunner
 from ..kvstore.coerce import parse_kv_line
 from ..kvstore.global_store import KVPair
 from ..minic import parse
-from ..minic.interpreter import ExecCounters, Interpreter, run_filter, use_backend
+from ..minic.interpreter import ExecCounters, Interpreter, run_filter, use_engine
 from ..parallel import in_worker
 from .gen import FuzzCase
 
@@ -51,14 +53,14 @@ _SPLIT_BYTES = 512
 #: Step budget for direct filter runs. Generated programs finish in ~1k
 #: tree steps; the ceiling exists for shrinker mutants that delete a
 #: loop-advance statement and would otherwise spin for minutes against
-#: the 200M default. Both backends report the limit with the same
+#: the 200M default. Both engines report the limit with the same
 #: message, so tripping it is agreeing error behavior, not divergence.
 _MAX_STEPS = 200_000
 
 
 @dataclass
 class Divergence:
-    """One observed disagreement between backends."""
+    """One observed disagreement between engines."""
 
     case: FuzzCase
     check: str          # which comparison failed, e.g. "stdout:tree-vs-compiled"
@@ -85,16 +87,17 @@ class _Outcome:
     error: str = ""
 
 
-def _filter_outcome(source: str, input_text: str, backend: str) -> _Outcome:
+def _filter_outcome(source: str, input_text: str, engine: str) -> _Outcome:
     try:
         program = parse(source)
-        out, counters = run_filter(program, input_text, backend=backend,
-                                   max_steps=_MAX_STEPS)
+        with use_engine(engine):
+            out, counters = run_filter(program, input_text,
+                                       max_steps=_MAX_STEPS)
         return _Outcome("ok", stdout=out, counters=counters)
     except Exception as exc:
         # Mostly CRuntimeError; anything else (e.g. a Python-level error
-        # leaking out of an evaluator) still counts as this backend's
-        # observable behavior and must match the other backend exactly.
+        # leaking out of an evaluator) still counts as this engine's
+        # observable behavior and must match the other engine exactly.
         return _Outcome("error", error=f"{type(exc).__name__}: {exc}")
 
 
@@ -187,31 +190,31 @@ def _compare_mapper_job(case: FuzzCase) -> Divergence | None:
 
 def _compare_job_matrix(case: FuzzCase, app: Application,
                         value_close: bool = False,
-                        compare_cpu_backends: bool = False) -> Divergence | None:
+                        compare_cpu_engines: bool = False) -> Divergence | None:
     try:
         cpu = _run_job(app, case.input_text, use_gpu=False)
     except ReproError as exc:
         return Divergence(case, "cpu-job-error",
                           f"{type(exc).__name__}: {exc}")
-    # Scenario cases additionally pin the CPU job across both mini-C
-    # backends: the streaming map/combine interpreters must agree byte
-    # for byte before the GPU matrix is worth consulting.
-    if compare_cpu_backends:
+    # Scenario cases additionally pin the CPU job under the tree and
+    # compiled engines: the streaming map/combine interpreters must agree
+    # byte for byte before the GPU matrix is worth consulting.
+    if compare_cpu_engines:
         try:
-            with use_backend("tree"):
+            with use_engine("tree"):
                 cpu_tree = _run_job(app, case.input_text, use_gpu=False)
-            with use_backend("compiled"):
+            with use_engine("compiled"):
                 cpu_comp = _run_job(app, case.input_text, use_gpu=False)
         except ReproError as exc:
-            return Divergence(case, "cpu-backend-job-error",
+            return Divergence(case, "cpu-engine-job-error",
                               f"{type(exc).__name__}: {exc}")
         if cpu_tree.output != cpu_comp.output:
-            return Divergence(case, "cpu-backend-output:tree-vs-compiled",
+            return Divergence(case, "cpu-engine-output:tree-vs-compiled",
                               _fmt_output_diff(cpu_tree.output,
                                                cpu_comp.output))
         if cpu_tree.map_output_pairs != cpu_comp.map_output_pairs:
             return Divergence(
-                case, "cpu-backend-pairs:tree-vs-compiled",
+                case, "cpu-engine-pairs:tree-vs-compiled",
                 f"tree emitted {cpu_tree.map_output_pairs} map pairs, "
                 f"compiled emitted {cpu_comp.map_output_pairs}")
     # Parallel configuration: the same CPU job fanned across a worker
@@ -237,16 +240,15 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
                 f"parallel pairs={par.map_output_pairs} "
                 f"seconds={par.task_seconds()}")
     try:
-        # Three GPU configurations: the reference (tree lane engine over
-        # tree-interpreted kernel bodies), the shipped engine (vector),
-        # and vector's per-lane fallback forced on every region
-        # ("compiled"). All must agree exactly. Every leg pins its
-        # engine, so the verdict never depends on ambient defaults.
-        with use_gpu_engine("tree"), use_backend("tree"):
+        # The three settings: the reference ("tree": kernel lanes,
+        # helpers and the reducer all tree-walked), the shipped engine
+        # ("vector"), and vector's per-lane fallback forced on every
+        # region ("compiled"). All must agree exactly.
+        with use_engine("tree"):
             gpu_tt = _run_job(app, case.input_text, use_gpu=True)
-        with use_gpu_engine("vector"):
+        with use_engine("vector"):
             gpu_v = _run_job(app, case.input_text, use_gpu=True)
-        with use_gpu_engine("compiled"):
+        with use_engine("compiled"):
             gpu_c = _run_job(app, case.input_text, use_gpu=True)
     except ReproError as exc:
         return Divergence(case, "gpu-job-error",
@@ -305,10 +307,10 @@ def scenario_case(short: str, scale: str = "small",
 
 def run_scenario(short: str, scale: str = "small",
                  seed: int | None = None) -> Divergence | None:
-    """Four-leg oracle over one registry app's canonical workload.
+    """Three-setting oracle over one registry app's canonical workload.
 
     The comparison matrix is the generated-mapper one plus a CPU
-    tree-vs-compiled backend leg, with two app-appropriate adjustments:
+    tree-vs-compiled job leg, with two app-appropriate adjustments:
     final CPU-vs-GPU values compare with float tolerance (compute apps
     reduce to floats, and the two paths order float additions
     differently), and the app's pure-Python reference output is checked
@@ -319,7 +321,7 @@ def run_scenario(short: str, scale: str = "small",
     case = scenario_case(short, scale, seed=seed)
     app = get_app(short)
     div = _compare_job_matrix(case, app, value_close=True,
-                              compare_cpu_backends=True)
+                              compare_cpu_engines=True)
     if div is not None:
         return div
     if app.reference is not None:
@@ -353,11 +355,11 @@ def _compare_combine_kernel(case: FuzzCase) -> Divergence | None:
         pairs = [KVPair(*parse_kv_line(ln), 0)
                  for ln in case.input_text.splitlines() if ln]
         device = GpuDevice(CLUSTER1.gpu)
-        with use_gpu_engine("compiled"):
+        with use_engine("compiled"):
             launch = run_combine_kernel(device, kernel, pairs, snapshot)
-        with use_gpu_engine("tree"), use_backend("tree"):
+        with use_engine("tree"):
             launch_t = run_combine_kernel(device, kernel, pairs, snapshot)
-        with use_gpu_engine("vector"):
+        with use_engine("vector"):
             launch_v = run_combine_kernel(device, kernel, pairs, snapshot)
     except ReproError as exc:
         return Divergence(case, "gpu-combine-error",
@@ -399,7 +401,7 @@ def run_case(case: FuzzCase) -> Divergence | None:
     div = _compare_cpu(case, case.source, case.input_text)
     if div is not None:
         return div
-    # If the program errors (identically on both CPU backends — just
+    # If the program errors (identically under both engines — just
     # verified), there is nothing meaningful to feed the job/GPU paths.
     primary = _filter_outcome(case.source, case.input_text, "compiled")
     if primary.status != "ok":

@@ -5,7 +5,7 @@ Classic ddmin adapted to the mini-C AST: instead of deleting source
 are structural — drop a statement from a block, pin an ``if`` condition
 to a constant, zero or halve an integer literal, drop input lines — and
 a candidate is kept only if the *same* divergence check still fires.
-Because both CPU backends agree on error behavior, a reduction that
+Because both CPU engines agree on error behavior, a reduction that
 breaks the program (say, by deleting a declaration) produces an
 identical error on both engines — no divergence — and is rejected
 automatically; no validity checker is needed.

@@ -13,16 +13,9 @@ follow from these mechanisms, not from NVIDIA silicon.
 
 from .charging import LaneCharges
 from .device import DeviceMemory, GpuDevice
-from .engine import (
-    GPU_ENGINES,
-    default_gpu_engine,
-    set_default_gpu_engine,
-    use_gpu_engine,
-)
 from .timing import KernelCost, TimingModel
 
 __all__ = [
     "GpuDevice", "DeviceMemory", "TimingModel", "KernelCost",
-    "LaneCharges", "GPU_ENGINES", "default_gpu_engine",
-    "set_default_gpu_engine", "use_gpu_engine",
+    "LaneCharges",
 ]

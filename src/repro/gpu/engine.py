@@ -1,8 +1,10 @@
-"""GPU lane execution engines: selection, shared builtins, and the
-compiled per-lane engine.
+"""GPU lane execution engines: shared builtins and the compiled
+per-lane engine.
 
-A kernel launch simulates thousands of lanes (threads). Three lane
-engines execute them, and every GPU-path job runs ``"vector"``:
+A kernel launch simulates thousands of lanes (threads). The process's
+one engine switch (:func:`repro.minic.interpreter.current_engine`, the
+same switch that decides how a CPU filter runs) picks the lane engine
+for every launch, and every job runs ``"vector"``:
 
 * ``"vector"`` (what ships) — :class:`~repro.gpu.vector.VectorLaneRunner`
   executes the counted ``for`` loops of a kernel whose shape is the same
@@ -22,20 +24,21 @@ engines execute them, and every GPU-path job runs ``"vector"``:
   (slot, factory) list that materializes each lane's kernel variables
   straight into the compiled body's frame. Per *lane*: construct its
   :class:`Lane`, run the plan's factories, call the generated body
-  function with the lane as ``rt``. Pinned by tests as the seam that
+  function with the lane as ``rt``. Pinned by tests as the setting that
   forces the per-lane path on every app.
 * ``"tree"`` — the reference harness (one ``GpuInterpreter`` per lane,
   built over that lane's :class:`Lane`, its scope filled from the same
   :func:`kernel_cell_factories` table): the reference interpreter
-  tree-walking a kernel body under GPU builtins and space charging,
-  whatever the ambient mini-C backend — no generated code runs — so it
-  is what the other two are compared against.
+  tree-walking a kernel body and its helpers under GPU builtins and
+  space charging. The same setting tree-walks the job's CPU filters and
+  reducer, so no generated code runs anywhere and it is what the other
+  two are compared against.
 
-There is one selector and it is a test seam: :func:`use_gpu_engine` /
-:func:`set_default_gpu_engine` set the process-wide engine every launch
-reads (a pooled job ships the driver's engine to its workers in the
-``JobSpec``, like the mini-C backend). No constructor, CLI flag or
-environment variable names an engine.
+The switch is a test seam: :func:`~repro.minic.interpreter.use_engine`
+/ :func:`~repro.minic.interpreter.set_engine` set it for the process,
+and a pooled job's workers take the driver's engine with each job's
+setup. No constructor, CLI flag or environment variable names an
+engine.
 
 A GPU thread is one object: its :class:`Lane` — the records (or
 combine chunk) it consumes, its cursor, output, thread id and charges,
@@ -69,11 +72,10 @@ machine-checked by the fuzz oracle and
 from __future__ import annotations
 
 import io
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..compiler.kernel_ir import KernelIR, VarClass, VarInfo
-from ..errors import ConfigError, CRuntimeError, GpuError
+from ..errors import CRuntimeError, GpuError
 from ..kvstore.coerce import kv_text
 from ..kvstore.global_store import KVPair
 from ..minic import cast as A
@@ -94,8 +96,7 @@ from .charging import (
 )
 
 __all__ = [
-    "GPU_ENGINES", "default_gpu_engine", "set_default_gpu_engine",
-    "use_gpu_engine", "Lane", "LaneRunner", "CompiledLaneRunner",
+    "Lane", "LaneRunner", "CompiledLaneRunner",
     "device_builtins", "make_map_builtins", "make_combine_builtins",
     "kernel_program", "kernel_cell_factories",
 ]
@@ -104,49 +105,6 @@ __all__ = [
 _LANE_MAX_STEPS = 200_000_000
 
 _VOID_PTR = T.Pointer(T.VOID)
-
-
-# --------------------------------------------------------------------------
-# Engine selection
-# --------------------------------------------------------------------------
-
-#: Lane engines: "vector" (numpy-vectorized warp execution of
-#: divergence-free regions, the generated body per lane elsewhere — the
-#: default and what every job ships), "compiled" (the per-launch
-#: generated body for every lane — vector's base, and the forced-fallback
-#: test seam), and "tree" (per-lane GpuInterpreter, the reference).
-GPU_ENGINES = ("vector", "compiled", "tree")
-
-_default_engine = "vector"
-
-
-def default_gpu_engine() -> str:
-    """The engine every kernel launch of this process runs."""
-    return _default_engine
-
-
-def set_default_gpu_engine(name: str) -> str:
-    """Set the process-wide GPU engine; returns the previous one. An
-    unknown name is a :class:`ConfigError` listing the valid ones —
-    here, before any launch could run under it."""
-    global _default_engine
-    if name not in GPU_ENGINES:
-        raise ConfigError(
-            f"unknown GPU engine {name!r}; choose from {GPU_ENGINES}"
-        )
-    previous = _default_engine
-    _default_engine = name
-    return previous
-
-
-@contextmanager
-def use_gpu_engine(name: str) -> Iterator[None]:
-    """Temporarily switch the GPU engine (differential tests)."""
-    previous = set_default_gpu_engine(name)
-    try:
-        yield
-    finally:
-        set_default_gpu_engine(previous)
 
 
 # --------------------------------------------------------------------------

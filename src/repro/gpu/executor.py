@@ -13,13 +13,14 @@ contiguous chunk of a sorted partition (``getKV``/``storeKV``), trading
 exact CPU-combiner equivalence for parallelism exactly as §4.2 sanctions —
 chunk-boundary keys yield partial aggregates that the reducer repairs.
 
-Lane bodies run on one of three engines (:mod:`repro.gpu.engine`): the
-shipped ``"vector"`` engine executes divergence-free regions as numpy
-operations over all launch lanes and falls back per lane to the
-``"compiled"`` engine's per-launch generated body, while the
-``"tree"`` engine (defined here) keeps the original
-one-interpreter-per-lane harness — always tree-walked, whatever the
-ambient mini-C backend — as the differential reference. A launch
+Lane bodies run on the process's engine — the one switch of
+:func:`repro.minic.interpreter.current_engine`, three settings
+(:mod:`repro.gpu.engine`): the shipped ``"vector"`` engine executes
+divergence-free regions as numpy operations over all launch lanes and
+falls back per lane to the ``"compiled"`` engine's per-launch generated
+body, while ``"tree"`` (its lane runner is defined here) keeps the
+original one-interpreter-per-lane harness, kernel helpers tree-walked
+too, as the differential reference. A launch
 asks its engine for one thing — ``run_map_warp`` over the active lanes,
 or ``run_combine_chunk`` per warp — and every engine charges through
 the same functions of :mod:`repro.gpu.charging`; the one map-launch
@@ -38,7 +39,7 @@ from ..compiler.kernel_ir import KernelIR, VarClass
 from ..errors import GpuError, KVStoreOverflow
 from ..kvstore import GlobalKVStore, KVPair, Partitioner
 from ..minic import cast as A
-from ..minic.interpreter import ExecCounters, Interpreter
+from ..minic.interpreter import ExecCounters, Interpreter, current_engine
 from ..minic.values import Buffer, Cell, Ptr, as_ptr
 from ..obs import trace as obs
 from .charging import LaneCharges
@@ -48,7 +49,6 @@ from .engine import (
     Lane,
     LaneRunner,
     clone_buffer as _clone_buffer,
-    default_gpu_engine,
     kernel_cell_factories,
     kernel_program,
     snapshot_value as _snapshot_value,
@@ -69,14 +69,14 @@ class GpuInterpreter(Interpreter):
     thread's :class:`~repro.gpu.engine.Lane`: it counts into the lane's
     counters, allocates on the lane's heap, calls the lane's builtin
     table and hands builtins the lane — the same context object the
-    other engines' generated code passes. Pinned to the tree-walking
-    backend, whatever the ambient one: nothing a reference lane executes
-    — kernel body or helper function — is generated code."""
+    other engines' generated code passes. A lane only calls
+    ``exec_stmt`` and ``call_function``, which always tree-walk: nothing
+    a reference lane executes — kernel body or helper function — is
+    generated code."""
 
     def __init__(self, program: A.Program, lane: Lane,
                  env: dict[str, Cell]):
-        super().__init__(program, stdin="", builtins=lane.builtins,
-                         backend="tree")
+        super().__init__(program, stdin="", builtins=lane.builtins)
         self.lane = lane
         self.counters = lane.counters
         self.heap = lane.heap
@@ -169,7 +169,7 @@ def _make_lane_runner(
     per-event counts into the active recorder's metrics only while one
     is enabled (costs are the same closures either way)."""
     rec = obs.active()
-    return _LANE_RUNNERS[default_gpu_engine()](
+    return _LANE_RUNNERS[current_engine()](
         device, kernel, snapshot, shared_ro, store, partitioner,
         metrics=rec.metrics if rec.enabled else None,
     )

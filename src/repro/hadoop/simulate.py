@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..costmodel.io import IoModel
-from ..errors import HadoopError
+from ..errors import ConfigError, HadoopError
 from ..obs import trace as obs
 from ..scheduling.tail import SchedulingPolicy
 from .events import EventLoop
@@ -92,6 +92,12 @@ class ClusterSimulator:
         self.job = job
         self.policy = policy
         cluster = job.cluster
+        gpus = cluster.gpus_per_node if policy.uses_gpus else 0
+        if cluster.max_map_slots_per_node + gpus < 1:
+            raise ConfigError(
+                f"policy {policy.name!r} leaves no usable map slot: "
+                f"{cluster.max_map_slots_per_node} CPU slots and {gpus} "
+                "scheduled GPUs per node")
         self._rng = random.Random(job.seed)
         self.io = IoModel.for_cluster(cluster)
 

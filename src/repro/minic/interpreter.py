@@ -41,43 +41,43 @@ from .values import (
 #: are immutable, so one Pointer(VOID) serves every interpreter.
 _VOID_PTR = T.Pointer(T.VOID)
 
-#: Execution backends: "compiled" (generated Python source, the default hot
-#: path) and "tree" (the original tree-walker, kept as the reference
-#: semantics and for region-snapshot execution).
-BACKENDS = ("compiled", "tree")
+#: The process's execution engine, the one switch over every path:
+#: "tree" tree-walks everything (CPU filters, reducers, GPU kernel lanes
+#: and their helpers) and is the reference semantics; "compiled" runs
+#: generated code everywhere, GPU lanes one at a time (vector's forced
+#: fallback); "vector" (what ships) is compiled on the CPU plus numpy
+#: warp regions on the GPU. A pooled job ships the driver's engine to
+#: its workers with every job's setup.
+ENGINES = ("vector", "compiled", "tree")
 
-_default_backend = "compiled"
-
-
-def _check_backend(name: str) -> str:
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown mini-C backend {name!r}; choose from {BACKENDS}"
-        )
-    return name
+_engine = "vector"
 
 
-def default_backend() -> str:
-    """The backend used when Interpreter(backend=None)."""
-    return _default_backend
+def current_engine() -> str:
+    """The engine every filter run and kernel launch of this process uses."""
+    return _engine
 
 
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = _check_backend(name)
+def set_engine(name: str) -> str:
+    """Set the process-wide engine; returns the previous one. An unknown
+    name is a :class:`ConfigError` listing the valid ones — here, before
+    anything could run under it."""
+    global _engine
+    if name not in ENGINES:
+        raise ConfigError(f"unknown engine {name!r}; choose from {ENGINES}")
+    previous = _engine
+    _engine = name
     return previous
 
 
 @contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the default backend (differential tests)."""
-    previous = set_default_backend(name)
+def use_engine(name: str) -> Iterator[None]:
+    """Temporarily switch the engine (differential tests)."""
+    previous = set_engine(name)
     try:
         yield
     finally:
-        set_default_backend(previous)
+        set_engine(previous)
 
 
 @dataclass
@@ -160,14 +160,12 @@ class Interpreter:
     max_steps:
         Statement-execution budget; guards against runaway loops in user
         source (a real cluster would rely on task timeouts).
-    backend:
-        "compiled" (mini-C emitted as Python source) or "tree" (the original
-        tree-walker). None picks the process default ("compiled" unless
-        a test switched it with :func:`use_backend`). Both backends produce
-        bit-identical outputs and counter totals. Only :meth:`run`
-        consults it: ``run_until_region`` (the only path that can stop
-        mid-execution) and ``exec_stmt`` (the GPU reference lane) always
-        tree-walk.
+
+    :meth:`run` runs the program as generated Python source unless the
+    process engine (:func:`current_engine`) is ``"tree"``; both produce
+    bit-identical outputs and counter totals. ``run_until_region`` (the
+    only path that can stop mid-execution) and ``exec_stmt`` (the GPU
+    tree lane) always tree-walk.
     """
 
     def __init__(
@@ -176,7 +174,6 @@ class Interpreter:
         stdin: str = "",
         builtins: dict[str, Callable[..., Any]] | None = None,
         max_steps: int = 200_000_000,
-        backend: str | None = None,
     ):
         self.program = program
         self.stdin = InputStream(stdin)
@@ -185,9 +182,6 @@ class Interpreter:
         self.heap: list[Buffer] = []
         self.counters = ExecCounters()
         self.max_steps = max_steps
-        self.backend = _check_backend(
-            backend if backend is not None else _default_backend
-        )
         self.steps = 0
         # This object is the host execution context (the protocol is
         # stated next to repro.gpu.engine.Lane): nothing on the host
@@ -252,7 +246,7 @@ class Interpreter:
 
     def run(self) -> int:
         """Execute ``main()``; returns its exit status."""
-        if self.backend == "compiled":
+        if _engine != "tree":
             return compiled_program(self.program).run_main(self)
         result = self.call_function(self.program.main, [])
         return int(result) if result is not None else 0
@@ -609,14 +603,12 @@ class Interpreter:
 
 
 def run_filter(program: A.Program, input_text: str,
-               max_steps: int = 200_000_000,
-               backend: str | None = None) -> tuple[str, ExecCounters]:
+               max_steps: int = 200_000_000) -> tuple[str, ExecCounters]:
     """Run a mini-C program as a streaming filter; returns (stdout, counters).
 
     This is exactly how Hadoop Streaming invokes map/combine/reduce
     executables: text in on stdin, KV lines out on stdout.
     """
-    interp = Interpreter(program, stdin=input_text, max_steps=max_steps,
-                         backend=backend)
+    interp = Interpreter(program, stdin=input_text, max_steps=max_steps)
     interp.run()
     return interp.output(), interp.counters

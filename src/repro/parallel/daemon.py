@@ -119,11 +119,13 @@ def _worker_main(slot: int, inbox: Any, outbox: Any,
                  idle_timeout: float) -> None:  # pragma: no cover - subprocess
     """The daemon worker loop (runs in the child process).
 
-    One job's state is held at a time: a ``setup`` message replaces it,
+    One job's state is held at a time: a ``setup`` message replaces it
+    — the driver's engine first, then the job's own init, if any —
     ``batch`` messages execute against it, and an idle ``get`` timeout
     exits the loop cleanly (exit code 0 = reaped, anything else is a
     crash as far as the parent's accounting goes).
     """
+    from ..minic.interpreter import set_engine
     from .pool import _mark_leaf_worker
 
     _mark_leaf_worker()
@@ -139,8 +141,9 @@ def _worker_main(slot: int, inbox: Any, outbox: Any,
         if kind == "stop":
             break
         if kind == "setup":
-            _kind, job_id, init_fn, init_args = msg
+            _kind, job_id, engine, init_fn, init_args = msg
             try:
+                set_engine(engine)
                 if init_fn is not None:
                     init_fn(*init_args)
                 job_ok = True
@@ -236,12 +239,11 @@ class DaemonPool:
             1 for w in self._workers if w.alive))
         return self._workers[:workers]
 
-    def _respawn_mid_job(self, dead: _Worker, job_id: int,
-                         init_fn: Any, init_args: tuple) -> _Worker:
+    def _respawn_mid_job(self, dead: _Worker, setup: tuple) -> _Worker:
         _METRICS.inc("pool.respawned")
         fresh = self._spawn(dead.slot)
         self._workers[dead.slot] = fresh
-        fresh.inbox.put(("setup", job_id, init_fn, init_args))
+        fresh.inbox.put(setup)
         return fresh
 
     def shutdown(self, timeout: float = 5.0) -> int:
@@ -308,8 +310,13 @@ class DaemonPool:
         _METRICS.inc("pool.batches", len(batches))
         _METRICS.inc("pool.tasks", len(payloads))
 
+        # Every job runs under the driver's engine, init-less ones too:
+        # a worker never keeps the engine an earlier job left behind.
+        from ..minic.interpreter import current_engine
+
+        setup = ("setup", job_id, current_engine(), init_fn, init_args)
         for w in active:
-            w.inbox.put(("setup", job_id, init_fn, init_args))
+            w.inbox.put(setup)
 
         todo = list(range(len(batches)))
         todo.reverse()  # pop() from the front of the batch order
@@ -335,8 +342,7 @@ class DaemonPool:
                 kind, slot, jid, index, payload = self._outbox.get(
                     timeout=0.25)
             except queue.Empty:
-                active = self._revive_dead(active, job_id, init_fn,
-                                           init_args, inflight, todo,
+                active = self._revive_dead(active, setup, inflight, todo,
                                            retried, feed)
                 continue
             if jid != job_id:
@@ -375,8 +381,7 @@ class DaemonPool:
             raise exc
         raise ReproError(f"pool worker task failed:\n{tb}")
 
-    def _revive_dead(self, active: list[_Worker], job_id: int,
-                     init_fn: Any, init_args: tuple,
+    def _revive_dead(self, active: list[_Worker], setup: tuple,
                      inflight: dict[int, list[int]], todo: list[int],
                      retried: set[int],
                      feed: Callable[["_Worker"], None]) -> list[_Worker]:
@@ -395,7 +400,7 @@ class DaemonPool:
                         f"twice (exit code {w.proc.exitcode})")
                 retried.add(index)
             inflight[w.slot] = []
-            fresh = self._respawn_mid_job(w, job_id, init_fn, init_args)
+            fresh = self._respawn_mid_job(w, setup)
             revived[i] = fresh
             fresh_workers.append(fresh)
             # Requeue ahead of the undispatched tail: these batches are

@@ -68,8 +68,6 @@ class JobSpec:
     opt: OptimizationFlags
     num_reducers: int
     split_bytes: int
-    gpu_engine: str          # resolved name — ambient defaults don't ship
-    minic_backend: str
     trace: bool
 
 
@@ -106,13 +104,9 @@ def _warm_app(app: Application, opt: OptimizationFlags,
 
 
 def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
-    from ..gpu.engine import set_default_gpu_engine
     from ..hadoop.local import LocalJobRunner
-    from ..minic.interpreter import set_default_backend
     from .arena import attach_view
 
-    set_default_gpu_engine(spec.gpu_engine)
-    set_default_backend(spec.minic_backend)
     _warm_app(spec.app, spec.opt, spec.use_gpu)
     worker_state["spec"] = spec
     worker_state["runner"] = LocalJobRunner(
@@ -148,8 +142,6 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
     in submission order. ``data`` — what the payloads' ranges index —
     is published once through a :class:`~repro.parallel.arena.
     SplitArena`; only range triples and envelopes are pickled."""
-    from ..gpu.engine import default_gpu_engine
-    from ..minic.interpreter import default_backend
     from .arena import SplitArena
 
     rec = obs.active()
@@ -160,8 +152,6 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
         opt=runner.opt,
         num_reducers=runner.num_reducers,
         split_bytes=runner.split_bytes,
-        gpu_engine=default_gpu_engine(),
-        minic_backend=default_backend(),
         trace=bool(rec.enabled),
     )
     with SplitArena(data) as arena:

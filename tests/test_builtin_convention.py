@@ -44,7 +44,6 @@ from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.errors import CRuntimeError
 from repro.gpu import engine as gpu_engine
-from repro.gpu import GPU_ENGINES, use_gpu_engine
 from repro.gpu.charging import LaneCharges, access
 from repro.gpu.device import GpuDevice
 from repro.gpu.engine import (
@@ -63,7 +62,12 @@ from repro.minic import cast as A
 from repro.minic import ctypes as T
 from repro.minic import parse
 from repro.minic.cache import compiled_kernel_body, compiled_program
-from repro.minic.interpreter import Interpreter, run_filter
+from repro.minic.interpreter import (
+    ENGINES,
+    Interpreter,
+    run_filter,
+    use_engine,
+)
 from repro.minic.stdlib import HOST_BUILTINS, SIGNATURES, signature
 from repro.minic.values import NULL, Buffer, Cell, Ptr, ScalarRef
 
@@ -481,14 +485,14 @@ def test_wrong_arity_is_one_message_on_every_engine(call, count):
     want = f"{name} expects {fewest} argument{'' if fewest == 1 else 's'}, " \
         f"got {count}"
     seen = []
-    for backend in ("tree", "compiled"):
+    for engine in ("tree", "compiled"):
         program = parse("int main() {\nchar word[8];\nword[0] = 0;\n"
                         f"{call};\nreturn 0;\n}}")
-        with pytest.raises(CRuntimeError) as caught:
-            run_filter(program, "", backend=backend)
+        with pytest.raises(CRuntimeError) as caught, use_engine(engine):
+            run_filter(program, "")
         seen.append(str(caught.value))
-    for engine in GPU_ENGINES:
-        with use_gpu_engine(engine), pytest.raises(CRuntimeError) as caught:
+    for engine in ENGINES:
+        with use_engine(engine), pytest.raises(CRuntimeError) as caught:
             _kernel_launch(call + ";")
         seen.append(str(caught.value))
     assert seen == [want] * 5
@@ -523,15 +527,16 @@ int main() {
 """
 
 
-@pytest.mark.parametrize("backend", ["tree", "compiled"])
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
 @pytest.mark.parametrize("source,expected", [
     (_OWN_EMITKV, "42 2\n"),  # at an arity emitKV is not declared with
     (_OWN_EMITKV2, "42\n"),   # at the declared arity
     (_OWN_STRLEN, "3\n"),     # builtins shadow user functions
 ], ids=["emitKV-1", "emitKV-2", "strlen"])
-def test_a_name_the_table_lacks_is_the_programs_own(backend, source,
+def test_a_name_the_table_lacks_is_the_programs_own(engine, source,
                                                     expected):
-    out, _ = run_filter(parse(source), "", backend=backend)
+    with use_engine(engine):
+        out, _ = run_filter(parse(source), "")
     assert out == expected
 
 

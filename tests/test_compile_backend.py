@@ -20,17 +20,20 @@ from repro.hadoop.local import LocalJobRunner
 from repro.kvstore.coerce import parse_kv_line
 from repro.minic import parse
 from repro.minic.cache import compiled_program
-from repro.minic.interpreter import Interpreter, run_filter, use_backend
+from repro.minic.interpreter import Interpreter, run_filter, use_engine
 
 APP_TAGS = [app.short for app in all_apps()]
 COMBINER_TAGS = [app.short for app in all_apps() if app.has_combiner]
 NO_COMBINER_TAGS = [app.short for app in all_apps() if not app.has_combiner]
 
 
+def _filter(program, text, engine):
+    with use_engine(engine):
+        return run_filter(program, text)
+
+
 def _both_backends(program, text):
-    out_tree, cnt_tree = run_filter(program, text, backend="tree")
-    out_comp, cnt_comp = run_filter(program, text, backend="compiled")
-    return (out_tree, cnt_tree), (out_comp, cnt_comp)
+    return _filter(program, text, "tree"), _filter(program, text, "compiled")
 
 
 class TestMapFilters:
@@ -56,7 +59,7 @@ class TestCombineAndReduceFilters:
     def test_combine_matches(self, tag):
         app = get_app(tag)
         text = app.generate(80, seed=11)
-        map_out, _ = run_filter(app.map_program(), text, backend="tree")
+        map_out, _ = _filter(app.map_program(), text, "tree")
         kv = "\n".join(sorted(map_out.splitlines()))
         if kv:
             kv += "\n"
@@ -87,11 +90,10 @@ def _program(body):
     return parse(_HELPERS + "int main() {\n" + body + "\nreturn 0;\n}")
 
 
-def _run_to_error(program, backend, max_steps=200_000_000, stdin=""):
-    """(message, counters at the abort) for one backend."""
-    interp = Interpreter(program, stdin=stdin, backend=backend,
-                         max_steps=max_steps)
-    with pytest.raises(CRuntimeError) as exc_info:
+def _run_to_error(program, engine, max_steps=200_000_000, stdin=""):
+    """(message, counters at the abort) under one engine."""
+    interp = Interpreter(program, stdin=stdin, max_steps=max_steps)
+    with pytest.raises(CRuntimeError) as exc_info, use_engine(engine):
         interp.run()
     return str(exc_info.value), interp.counters
 
@@ -156,9 +158,9 @@ class TestErrorParity:
     def test_same_error(self, body, match):
         program = parse("int main() {\n" + body + "\nreturn 0;\n}")
         errors = []
-        for backend in ("tree", "compiled"):
+        for engine in ("tree", "compiled"):
             with pytest.raises(CRuntimeError, match=match) as exc_info:
-                run_filter(program, "", backend=backend)
+                _filter(program, "", engine)
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
 
@@ -168,11 +170,11 @@ class TestErrorParity:
         stdin = "a line\n"
         before = _PREFIX + setup + "\nif (x == 2) { x = 2; }\n"
         completed = {}
-        for backend in ("tree", "compiled"):
-            interp = Interpreter(_program(before), stdin=stdin,
-                                 backend=backend)
-            interp.run()
-            completed[backend] = _fields(interp.counters)
+        for engine in ("tree", "compiled"):
+            interp = Interpreter(_program(before), stdin=stdin)
+            with use_engine(engine):
+                interp.run()
+            completed[engine] = _fields(interp.counters)
         assert completed["tree"] == completed["compiled"]
         done = completed["tree"]
 
@@ -326,7 +328,7 @@ int main()
 
         program = parse("int main() {\nint x; x = 1 / 0;\nreturn 0;\n}")
         with pytest.raises(CRuntimeError) as exc_info:
-            run_filter(program, "", backend="compiled")
+            _filter(program, "", "compiled")
         frames = traceback.extract_tb(exc_info.value.__traceback__)
         unit = [f for f in frames if f.filename.startswith("<minic:")]
         assert unit and unit[-1].filename.endswith(":main>")
@@ -336,27 +338,14 @@ int main()
 
 
 class TestGpuPathUnaffected:
-    """The GPU cost simulation must not depend on the CPU backend."""
-
-    @pytest.mark.parametrize("tag", ["WC", "KM"])
-    def test_gpu_job_identical_under_both_backends(self, tag):
-        app = get_app(tag)
-        text = app.generate(120, seed=5)
-        results = {}
-        for backend in ("tree", "compiled"):
-            runner = LocalJobRunner(app, use_gpu=True,
-                                    split_bytes=16 * 1024)
-            with use_backend(backend):
-                results[backend] = runner.run(text)
-        tree, comp = results["tree"], results["compiled"]
-        assert comp.output == tree.output
-        assert comp.map_tasks == tree.map_tasks
-        assert comp.task_seconds() == tree.task_seconds()
+    """Both paths of one job agree under generated code. (That a GPU
+    job does not depend on the engine setting is
+    ``tests/test_gpu_compile_backend.py::TestAllAppsEngineParity``.)"""
 
     def test_cpu_gpu_agree_compiled(self):
         app = get_app("WC")
         text = app.generate(120, seed=5)
-        with use_backend("compiled"):
+        with use_engine("compiled"):
             cpu = LocalJobRunner(app, use_gpu=False).run(text)
             gpu = LocalJobRunner(app, use_gpu=True).run(text)
         assert gpu.output == cpu.output

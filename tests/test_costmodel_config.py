@@ -68,6 +68,33 @@ class TestClusterConfigs:
         with pytest.raises(ConfigError):
             dataclasses.replace(CLUSTER1, **{field: value})
 
+    # Slot counts that used to fail only deep in a simulation: a
+    # ZeroDivisionError in the reduce estimate, an event loop drained
+    # with maps unfinished, or a per-TaskTracker HadoopError.
+    @pytest.mark.parametrize("overrides, match", [
+        ({"max_reduce_slots_per_node": 0}, "max_reduce_slots_per_node"),
+        ({"max_reduce_slots_per_node": -1}, "max_reduce_slots_per_node"),
+        ({"max_map_slots_per_node": -1}, "max_map_slots_per_node"),
+        ({"max_map_slots_per_node": 0, "gpus_per_node": 0},
+         "at least one map slot or GPU"),
+    ], ids=["no-reduce-slot", "negative-reduce", "negative-map", "no-map-slot"])
+    def test_unusable_slot_counts_rejected(self, overrides, match):
+        import dataclasses
+
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(CLUSTER1, **overrides)
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(CLUSTER2, **overrides).cpu_only()
+
+    def test_gpu_only_nodes_and_cpu_only_baseline_are_legal(self):
+        import dataclasses
+
+        gpu_only = dataclasses.replace(CLUSTER1, max_map_slots_per_node=0)
+        assert gpu_only.total_map_slots == 0 and gpu_only.total_gpus == 48
+        assert CLUSTER1.cpu_only().total_gpus == 0
+        with pytest.raises(ConfigError, match="at least one map slot"):
+            gpu_only.cpu_only()
+
 
 class TestLaunchConfig:
     def test_defaults_sane(self):

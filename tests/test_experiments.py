@@ -74,20 +74,6 @@ class TestFig6:
         for app in frac:
             assert frac[app]["aggregate"] < 0.05
 
-    def test_trace_derived_breakdown_equals_pipeline_breakdown(self):
-        # Fig. 6 reads its seconds from trace spans; they must match the
-        # pipeline's reported TaskBreakdown *exactly* — a drift means
-        # the phase spans no longer mirror the charged stage times.
-        from repro.experiments.calibrate import (
-            gpu_breakdown_from_trace,
-            single_task_times,
-        )
-
-        for app in ("WC", "BS", "KM"):
-            reported = single_task_times(app).gpu_breakdown.as_dict()
-            traced = gpu_breakdown_from_trace(app)
-            assert traced == reported
-
 
 class TestFig7:
     def test_texture_ablation_direction(self):

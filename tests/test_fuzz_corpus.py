@@ -23,7 +23,7 @@ from repro.hadoop.local import LocalJobRunner
 from repro.kvstore import KVPair
 from repro.kvstore.coerce import coerce_pair, parse_kv_line
 from repro.minic import parse
-from repro.minic.interpreter import Interpreter, run_filter
+from repro.minic.interpreter import Interpreter, run_filter, use_engine
 
 CORPUS = load_corpus()
 assert CORPUS, "tests/fuzz_corpus/ is empty — corpus entries are required"
@@ -154,10 +154,11 @@ class TestNonFiniteCast:
 
     def test_both_backends_raise_identical_cruntimeerror(self):
         messages = {}
-        for backend in ("tree", "compiled"):
-            with pytest.raises(CRuntimeError) as exc_info:
-                run_filter(parse(self.SOURCE), "", backend=backend)
-            messages[backend] = str(exc_info.value)
+        for engine in ("tree", "compiled"):
+            with pytest.raises(CRuntimeError) as exc_info, \
+                    use_engine(engine):
+                run_filter(parse(self.SOURCE), "")
+            messages[engine] = str(exc_info.value)
         assert messages["tree"] == messages["compiled"]
         assert "non-finite" in messages["tree"]
 
@@ -174,9 +175,10 @@ int main()
     return 0;
 }
 """
-        for backend in ("tree", "compiled"):
-            with pytest.raises(CRuntimeError, match="non-finite"):
-                run_filter(parse(source), "", backend=backend)
+        for engine in ("tree", "compiled"):
+            with pytest.raises(CRuntimeError, match="non-finite"), \
+                    use_engine(engine):
+                run_filter(parse(source), "")
 
 
 class TestCampaignDeterminism:

@@ -13,12 +13,11 @@ import pytest
 
 from repro.compiler import translate
 from repro.config import CLUSTER1, OptimizationFlags
-from repro.gpu import GPU_ENGINES, use_gpu_engine
 from repro.gpu.device import GpuDevice
 from repro.gpu.executor import run_map_kernel, run_map_kernel_global_stealing
 from repro.kvstore import GlobalKVStore, Partitioner
 from repro.minic import parse
-from repro.minic.interpreter import Interpreter
+from repro.minic.interpreter import ENGINES, Interpreter, use_engine
 
 # Kmeans-shaped compute-per-record map, small grid (see Fig. 7d notes).
 SOURCE = """
@@ -122,11 +121,11 @@ GLOBAL_COST = (
     "global_atomics=1200.0, texture_accesses=0.0))")
 
 
-@pytest.mark.parametrize("engine", GPU_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_both_designs_costs_pinned_on_every_engine(setup, engine):
     records, kernel, snapshot = setup
     device = GpuDevice(CLUSTER1.gpu)
-    with use_gpu_engine(engine):
+    with use_engine(engine):
         local = run_map_kernel(device, kernel, records, snapshot,
                                fresh_store(kernel), Partitioner(4))
         glob = run_map_kernel_global_stealing(

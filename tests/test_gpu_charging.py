@@ -27,11 +27,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.apps import get_app
-from repro.gpu import GPU_ENGINES, use_gpu_engine
 from repro.gpu import charging
 from repro.gpu.charging import LaneCharges
 from repro.hadoop.local import LocalJobRunner
-from repro.minic.interpreter import ExecCounters
+from repro.minic.interpreter import ENGINES, ExecCounters, use_engine
 from repro.obs import MetricsRegistry
 from repro.obs import trace as obs
 from repro.scenarios import generate_input
@@ -258,8 +257,8 @@ def test_traced_event_counters_agree_across_engines(short):
     app = get_app(short)
     text = generate_input(short, "small")
     tallies = {}
-    for engine in GPU_ENGINES:
-        with use_gpu_engine(engine), \
+    for engine in ENGINES:
+        with use_engine(engine), \
                 obs.use_recorder(obs.TraceRecorder()) as rec:
             LocalJobRunner(app, use_gpu=True, workers=1).run(text)
         tallies[engine] = {name: rec.metrics.count(name)

@@ -29,14 +29,13 @@ from repro.apps import all_apps, get_app
 from repro.compiler.translator import translate
 from repro.config import CLUSTER1
 from repro.errors import ConfigError
-from repro.gpu import default_gpu_engine, use_gpu_engine
 from repro.gpu.device import GpuDevice
 from repro.gpu.executor import prepare_shared_ro, run_map_kernel
 from repro.gpu.vector import REASONS, VectorLaneRunner, lane_plan
 from repro.hadoop.local import LocalJobRunner
 from repro.kvstore import GlobalKVStore, Partitioner
 from repro.minic import parse
-from repro.minic.interpreter import Interpreter, use_backend
+from repro.minic.interpreter import Interpreter, current_engine, use_engine
 from repro.obs import trace as obs
 
 APP_TAGS = [app.short for app in all_apps()]
@@ -60,9 +59,9 @@ NO_LOOP_PLAN = (0, ["no-for-loop"])
 # -- helpers ----------------------------------------------------------------
 
 
-def _gpu_job(app, text, engine, backend="compiled"):
+def _gpu_job(app, text, engine):
     runner = LocalJobRunner(app, use_gpu=True, split_bytes=16 * 1024)
-    with use_gpu_engine(engine), use_backend(backend):
+    with use_engine(engine):
         return runner.run(text)
 
 
@@ -131,7 +130,7 @@ def _launch_records(kernel, snapshot, records, engine):
     store = GlobalKVStore(kernel.launch.total_threads,
                           kernel.launch.total_threads * 64,
                           kernel.key_length, kernel.value_length)
-    with use_gpu_engine(engine):
+    with use_engine(engine):
         launch = run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
                                 snapshot, store, Partitioner(4))
     return launch, _store_pairs(store)
@@ -458,13 +457,13 @@ class TestEngineValidation:
 
     def test_unknown_engine_raises_listing_valid(self):
         with pytest.raises(ConfigError) as exc_info:
-            with use_gpu_engine("warp9"):
+            with use_engine("warp9"):
                 _launch_map(get_app("BS"))
         message = str(exc_info.value)
         assert "warp9" in message
         for name in ("compiled", "tree", "vector"):
             assert name in message
-        assert default_gpu_engine() == "vector"
+        assert current_engine() == "vector"
 
     def test_unpinned_launch_runs_vector(self):
         metrics = _launch_map(get_app("BS"))
@@ -476,12 +475,12 @@ class TestEngineValidation:
 
 class TestVectorMetrics:
     def test_vectorized_app_counts_regions(self):
-        with use_gpu_engine("vector"):
+        with use_engine("vector"):
             metrics = _launch_map(get_app("BS"))
         assert metrics.count("gpu.vector.regions") > 0
 
     def test_fallback_app_counts_fallbacks(self):
-        with use_gpu_engine("vector"):
+        with use_engine("vector"):
             metrics = _launch_map(get_app("WC"))
         assert metrics.count("gpu.vector.regions") == 0
         assert metrics.count("gpu.vector.fallbacks") > 0

@@ -21,13 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CLUSTER1
-from repro.gpu import GPU_ENGINES, use_gpu_engine
 from repro.gpu import engine as gpu_engine
 from repro.gpu import vector
 from repro.gpu.device import GpuDevice
 from repro.gpu.executor import run_map_kernel
 from repro.kvstore import GlobalKVStore, Partitioner
 from repro.minic import ctypes as T
+from repro.minic.interpreter import ENGINES, use_engine
 from repro.minic.values import Buffer, Cell, Ptr
 from repro.obs import trace as obs
 
@@ -87,7 +87,7 @@ def _outcome(stmts, records, engine):
     store = GlobalKVStore(kernel.launch.total_threads,
                           kernel.launch.total_threads * 64,
                           kernel.key_length, kernel.value_length)
-    with use_gpu_engine(engine), \
+    with use_engine(engine), \
             obs.use_recorder(obs.TraceRecorder()) as rec:
         try:
             launch = run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
@@ -375,4 +375,4 @@ def test_region_with_no_active_lane_is_a_no_op():
 
 
 def test_engines_under_test_are_the_registered_ones():
-    assert set(GPU_ENGINES) == {"tree", "compiled", "vector"}
+    assert set(ENGINES) == {"tree", "compiled", "vector"}

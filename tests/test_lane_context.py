@@ -31,7 +31,6 @@ from repro.config import CLUSTER1
 from repro.errors import CRuntimeError
 from repro.gpu import engine as gpu_engine
 from repro.gpu import executor as gpu_executor
-from repro.gpu import use_gpu_engine
 from repro.gpu.charging import LaneCharges
 from repro.gpu.device import GpuDevice
 from repro.gpu.engine import CompiledLaneRunner, Lane
@@ -42,7 +41,7 @@ from repro.gpu.executor import (
 )
 from repro.gpu.vector import VectorLaneRunner
 from repro.kvstore import GlobalKVStore, Partitioner
-from repro.minic.interpreter import ExecCounters
+from repro.minic.interpreter import ExecCounters, use_engine
 
 from .test_gpu_compile_backend import _combine_inputs
 from .test_gpu_vector_engine import _map_setup, _store_pairs
@@ -154,7 +153,7 @@ def _map_launch(app, n, engine, probe):
     store = GlobalKVStore(kernel.launch.total_threads,
                           kernel.launch.total_threads * 64,
                           kernel.key_length, kernel.value_length)
-    with use_gpu_engine(engine):
+    with use_engine(engine):
         sys.setprofile(probe.profile)
         try:
             launch = run_map_kernel(_DEVICE, kernel, records, snapshot,
@@ -204,7 +203,7 @@ def test_tree_lanes_hand_builtins_the_same_kind_of_object(probe):
 def test_combine_launch_constructs_one_lane_per_chunk(engine, probe):
     kernel, pairs, snapshot = _combine_inputs(get_app("WC"), n=120)
     probe.built.clear()  # _combine_inputs ran the CPU map filter
-    with use_gpu_engine(engine):
+    with use_engine(engine):
         sys.setprofile(probe.profile)
         try:
             result = run_combine_kernel(_DEVICE, kernel, pairs, snapshot)
@@ -276,7 +275,7 @@ def test_helper_kernels_get_fresh_globals_per_lane(engine, probe):
         stores[name] = GlobalKVStore(kernel.launch.total_threads,
                                      kernel.launch.total_threads * 64,
                                      kernel.key_length, kernel.value_length)
-        with use_gpu_engine(name):
+        with use_engine(name):
             run_map_kernel(_DEVICE, kernel, records, snapshot, stores[name],
                            Partitioner(4))
         if name == "tree":
@@ -292,7 +291,7 @@ def test_helper_kernels_get_fresh_globals_per_lane(engine, probe):
 
     probe.built.clear()
     wc_kernel, wc_snapshot = _map_setup(get_app("WC"))
-    with use_gpu_engine(engine):
+    with use_engine(engine):
         run_map_kernel(_DEVICE, wc_kernel, records, wc_snapshot,
                        GlobalKVStore(wc_kernel.launch.total_threads,
                                      wc_kernel.launch.total_threads * 64,

@@ -18,10 +18,13 @@ from repro import obs
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.errors import ConfigError, HadoopError
+from repro.fuzz import runner as fuzz_runner
+from repro.fuzz.gen import generate_case
+from repro.fuzz.oracle import Divergence
 from repro.fuzz.runner import run_campaign
-from repro.gpu import default_gpu_engine, use_gpu_engine
 from repro.gpu.device import GpuDevice
 from repro.hadoop.local import LocalJobRunner
+from repro.minic.interpreter import current_engine, use_engine
 from repro.obs.export import WORKER_PID_MARKER
 from repro.parallel import (
     get_pool,
@@ -206,14 +209,14 @@ def test_parallel_counters_match_serial(use_gpu):
 
 
 def test_pinned_gpu_engine_reaches_pool_workers():
-    """The engine seam is process-wide state, so a pooled job ships the
-    driver's engine in its JobSpec and each worker applies it for that
-    job: a ``use_gpu_engine("tree")`` job runs the tree engine in the
-    workers too, and the next, unpinned job on the same warm workers is
-    back on vector."""
+    """The engine switch is process-wide state, so the pool ships the
+    driver's engine with every job's setup and each worker applies it
+    for that job: a ``use_engine("tree")`` job runs the tree engine in
+    the workers too, and the next, unpinned job on the same warm workers
+    is back on vector."""
     app = get_app("KM")  # vectorizes, so the engines are tellable apart
     runs = {}
-    with use_gpu_engine("tree"):
+    with use_engine("tree"):
         for workers in (1, 2):
             with obs.use_recorder(obs.TraceRecorder()) as rec:
                 result = _run_job(app, True, workers=workers)
@@ -232,14 +235,46 @@ def test_pinned_gpu_engine_reaches_pool_workers():
     assert unpinned.task_seconds() == inline.task_seconds()
 
 
+def _worker_engine(_payload):
+    return os.getpid(), current_engine()
+
+
+def _engine_probe(payload):
+    """A campaign work item that reports its worker's engine as the
+    case's divergence check instead of running the oracle."""
+    seed, index, kinds = payload
+    case = generate_case(seed, index, kinds=kinds)
+    return case, Divergence(case, f"engine:{current_engine()}", "")
+
+
+def test_pool_jobs_after_a_pinned_job_run_the_drivers_engine(
+        monkeypatch, tmp_path):
+    """A worker never keeps the engine an earlier job left behind: after
+    a ``use_engine("tree")`` pooled job, an init-less pool job and a
+    pooled fuzz campaign (which submits init-less jobs) both see the
+    driver's engine in every worker."""
+    with use_engine("tree"):
+        _run_job(get_app("WC"), False, workers=2)
+    driver = current_engine()
+    seen = get_pool().run_job(2, _worker_engine, list(range(4)))
+    assert len({pid for pid, _engine in seen}) == 2
+    assert {engine for _pid, engine in seen} == {driver}
+    monkeypatch.setattr(fuzz_runner, "_oracle_task", _engine_probe)
+    result = run_campaign(seed=0, count=4, workers=2, shrink=False,
+                          corpus_dir=tmp_path)
+    assert result.executed == 4
+    assert {d.check for _case, d, _min in result.divergences} == \
+        {f"engine:{driver}"}
+
+
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_start_method_results_identical(start_method, monkeypatch):
     """The spawn fallback must produce byte-identical job results.
 
     ``fork`` workers inherit warm caches; ``spawn`` workers rebuild
-    everything from the job spec — if the two ever disagree, the spec
-    is missing ambient state (an engine default, a backend selection)
-    that fork was smuggling through.
+    everything from the job's setup — if the two ever disagree, the
+    setup is missing ambient state (the engine, say) that fork was
+    smuggling through.
     """
     from repro.parallel import shutdown_pool
 
@@ -290,24 +325,24 @@ class TestRunnerConfigValidation:
             LocalJobRunner(app, num_reducers=-1)
 
     # Runners take no engine: the one place a name enters is the
-    # use_gpu_engine/set_default_gpu_engine seam, which rejects an
-    # unknown one before a runner can be constructed under it — at any
-    # worker count, never at first launch inside a pool worker.
+    # use_engine/set_engine switch, which rejects an unknown one before
+    # a runner can be constructed under it — at any worker count, never
+    # at first launch inside a pool worker.
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
     def test_unknown_gpu_engine_rejected_at_construction(self, workers):
-        with pytest.raises(ConfigError, match="unknown GPU engine") as exc:
-            with use_gpu_engine("warp9"):
+        with pytest.raises(ConfigError, match="unknown engine") as exc:
+            with use_engine("warp9"):
                 LocalJobRunner(get_app("WC"), workers=workers)
         for name in ("vector", "compiled", "tree"):
             assert name in str(exc.value)
-        assert default_gpu_engine() == "vector"
+        assert current_engine() == "vector"
 
     def test_unknown_task_runner_engine_rejected_at_construction(
             self, cluster1_io):
         app = get_app("WC")
-        with pytest.raises(ConfigError, match="unknown GPU engine"):
-            with use_gpu_engine("warp9"):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            with use_engine("warp9"):
                 GpuTaskRunner(app.translate_map(), app.translate_combine(),
                               GpuDevice(CLUSTER1.gpu), cluster1_io,
                               num_reducers=4)

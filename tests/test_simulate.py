@@ -61,6 +61,24 @@ class TestBasicRuns:
         assert result.reduce_phase_seconds == 0.0
 
 
+class TestUsableMapSlots:
+    """A policy that can use no map slot is refused at construction,
+    not after the event loop drains with every map unfinished."""
+
+    GPU_ONLY = replace(CLUSTER1, num_slaves=4, max_map_slots_per_node=0)
+
+    def test_cpu_only_policy_on_gpu_only_nodes_rejected(self):
+        job = small_job(num_map_tasks=40, cluster=self.GPU_ONLY)
+        with pytest.raises(ConfigError, match="no usable map slot"):
+            ClusterSimulator(job, CpuOnlyPolicy())
+
+    @pytest.mark.parametrize("policy", [GpuFirstPolicy, TailPolicy])
+    def test_gpu_policies_run_gpu_only_nodes(self, policy):
+        job = small_job(num_map_tasks=40, cluster=self.GPU_ONLY)
+        result = ClusterSimulator(job, policy()).run()
+        assert (result.cpu_tasks, result.gpu_tasks) == (0, 40)
+
+
 class TestTailVsGpuFirst:
     def test_tail_wins_at_high_speedup(self):
         # taskTail (1 x 40) exceeds the 20 CPU slots per node: the regime

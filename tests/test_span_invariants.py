@@ -16,10 +16,9 @@ from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
 from repro.hadoop import ClusterSimulator, JobConf
 from repro.hadoop.local import LocalJobRunner
+from repro.minic.interpreter import use_engine
 from repro.scenarios import records_for
 from repro.scheduling import TailPolicy
-
-from repro.gpu import use_gpu_engine
 
 from .span_invariants import (
     assert_phase_spans_identical,
@@ -56,7 +55,7 @@ def test_gpu_job_span_invariants(short):
 # and the phase parity must hold on both sides of the eligibility fence.
 @pytest.mark.parametrize("short", ["WC", "BS", "KM"])
 def test_vector_engine_span_invariants_and_phase_parity(short):
-    with use_gpu_engine("vector"):
+    with use_engine("vector"):
         rec_v, result_v = _traced_local_run(short, use_gpu=True)
     assert_standard_invariants(rec_v)
     assert_phase_sums(
@@ -64,9 +63,22 @@ def test_vector_engine_span_invariants_and_phase_parity(short):
         expected_seconds=result_v.task_seconds(),
     )
     assert obs.validate_trace(obs.export_chrome(rec_v)) == []
-    with use_gpu_engine("compiled"):
+    with use_engine("compiled"):
         rec_c, _result_c = _traced_local_run(short, use_gpu=True)
     assert_phase_spans_identical(rec_c, rec_v)
+
+
+def test_gpu_map_task_phase_spans_equal_its_breakdown():
+    """Fig. 6 reads a GPU task's returned ``TaskBreakdown``; the
+    ``phase`` spans the traced task tiles must carry exactly the same
+    stages, in the same order, with the same seconds."""
+    for short in ("WC", "BS", "KM"):
+        app = get_app(short)
+        split = app.generate(records_for(short, "small"), seed=7).encode()
+        with obs.use_recorder(obs.TraceRecorder()) as rec:
+            task = LocalJobRunner(app, use_gpu=True).map_task(0, split)
+        assert [(s.name, s.dur) for s in rec.spans("phase")] == \
+            list(task.breakdown.as_dict().items()), short
 
 
 def test_gpu_task_spans_break_down_by_fig6_categories():

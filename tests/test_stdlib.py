@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CRuntimeError
 from repro.minic import parse
-from repro.minic.interpreter import run_filter
+from repro.minic.interpreter import run_filter, use_engine
 from repro.minic.stdlib import InputStream, c_format
 
 
@@ -74,8 +74,8 @@ class TestStringFunctions:
     def test_strncmp(self):
         assert run_main('printf("%d", strncmp("abcX","abcY",3));') == "0"
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
-    def test_strncmp_negative_n_is_no_limit(self, backend):
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_strncmp_negative_n_is_no_limit(self, engine):
         # C converts n to size_t: -1 compares the whole strings.
         program = parse(
             "int main() {\n"
@@ -83,7 +83,8 @@ class TestStringFunctions:
             'strncmp("abcd", "abcd", -7));\n'
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == "1 0"
 
     def test_strcat(self):
@@ -117,26 +118,28 @@ class TestConversions:
     #: stops after the 1).
     NOT_NUMBERS = ("\u0663", "\u0663.5", "\u00a07", "\u20037", "1\u0663")
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("text", NOT_NUMBERS)
-    def test_atoi_atof_read_ascii_digits_only(self, backend, text):
+    def test_atoi_atof_read_ascii_digits_only(self, engine, text):
         program = parse(
             "int main() {\n"
             f'printf("%d %.1f", atoi("{text}"), atof("{text}"));\n'
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == ("1 1.0" if text == "1\u0663" else "0 0.0")
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
-    def test_atoi_skips_the_c_locale_spaces(self, backend):
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_atoi_skips_the_c_locale_spaces(self, engine):
         program = parse(
             "int main() {\n"
             'printf("%d %.1f", atoi(" \\t\\v\\f\\r\\n7"), '
             'atof("\\v\\f2.5"));\n'
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == "7 2.5"
 
     def test_device_table_reads_ascii_digits_only(self):
@@ -149,7 +152,7 @@ class TestConversions:
             assert gpu["atof"](None, text) == float(want)
         assert gpu["atoi"](None, "\v\f 42") == 42
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("call, stdin, want", [
         # c_scan's stepwise conversions: C returns 0, not 1 with x == 34.
         ('scanf("%d", &a)', "\u0663\u0664", "0 -1 -1 -1"),
@@ -160,7 +163,7 @@ class TestConversions:
         ('scanf("%d %f", &a, &f)', "1 \u0663.5\n", "1 1 -1 -1"),
         ('scanf("%d %d", &a, &b)', "\u0663 4\n", "0 -1 -1 -1"),
     ])
-    def test_scanf_reads_ascii_digits_only(self, backend, call, stdin, want):
+    def test_scanf_reads_ascii_digits_only(self, engine, call, stdin, want):
         program = parse(
             "int main() {\n"
             "char w[16]; int a; int b; int n; double f;\n"
@@ -169,7 +172,8 @@ class TestConversions:
             'printf("%d %d %d %d", n, a, b, (int) f);\n'
             "return 0;\n}"
         )
-        out, _ = run_filter(program, stdin, backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, stdin)
         assert out == want
 
 
@@ -226,9 +230,9 @@ class TestCtype:
 
     OUT_OF_RANGE = ("EOF", "-1", "-300", "1114112")  # 0x10FFFF + 1
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("arg", OUT_OF_RANGE)
-    def test_out_of_range_is_and_to(self, backend, arg):
+    def test_out_of_range_is_and_to(self, engine, arg):
         program = parse(
             "int main() {\n"
             f'printf("%d %d %d ", isspace({arg}), isdigit({arg}), '
@@ -237,11 +241,12 @@ class TestCtype:
             f"toupper({arg}) == {arg});\n"
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == "0 0 0 1 1"
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
-    def test_in_range_unchanged(self, backend):
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_in_range_unchanged(self, engine):
         program = parse(
             "int main() {\n"
             "printf(\"%d%d%d%d \", isspace(' '), isspace('x'), "
@@ -249,16 +254,17 @@ class TestCtype:
             "printf(\"%c%c %d\", tolower('A'), toupper('z'), isalpha(0));\n"
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == "1011 aZ 0"
 
     #: ``²``, ``ß``, ``é`` and ``İ``: not ASCII, so no digit or letter in
     #: the C locale (``İ``'s and ``ß``'s Python case maps are 2 chars).
     NON_ASCII = (178, 223, 233, 0x130)
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("code", NON_ASCII)
-    def test_non_ascii_is_no_digit_or_letter(self, backend, code):
+    def test_non_ascii_is_no_digit_or_letter(self, engine, code):
         program = parse(
             "int main() {\n"
             f'printf("%d %d %d ", isspace({code}), isdigit({code}), '
@@ -266,11 +272,12 @@ class TestCtype:
             f'printf("%d %d", tolower({code}), toupper({code}));\n'
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         assert out == f"0 0 0 {code} {code}"
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
-    def test_ascii_classes_match_the_c_locale(self, backend):
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_ascii_classes_match_the_c_locale(self, engine):
         program = parse(
             "int main() {\nint i;\n"
             "for (i = 0; i < 128; i++)\n"
@@ -278,7 +285,8 @@ class TestCtype:
             "isalpha(i), tolower(i), toupper(i));\n"
             "return 0;\n}"
         )
-        out, _ = run_filter(program, "", backend=backend)
+        with use_engine(engine):
+            out, _ = run_filter(program, "")
         space = " \t\n\v\f\r"
         expected = "".join(
             f"{int(chr(i) in space)}{int(chr(i).isdigit())}"
@@ -340,13 +348,13 @@ class TestBuiltinArity:
     message shape on every execution path, never a leaked Python
     ``ValueError``/``IndexError`` from an argument-list unpack."""
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("name,count,message", HOST_ARITY)
-    def test_host_builtin(self, backend, name, count, message):
+    def test_host_builtin(self, engine, name, count, message):
         call = f"{name}({', '.join(['0'] * count)});"
         program = parse("int main() {\n" + call + "\nreturn 0;\n}")
-        with pytest.raises(CRuntimeError) as caught:
-            run_filter(program, "", backend=backend)
+        with pytest.raises(CRuntimeError) as caught, use_engine(engine):
+            run_filter(program, "")
         assert str(caught.value) == message
 
     def test_every_host_builtin_is_covered(self):
@@ -421,17 +429,15 @@ int main()
     @pytest.mark.parametrize("engine", ["tree", "compiled", "vector"])
     @pytest.mark.parametrize("name,count,message", IO_ARITY)
     def test_gpu_io_call(self, engine, name, count, message):
-        from repro.gpu import use_gpu_engine
-
         operand = "one" if name in ("getRecord", "emitKV") else "val"
         call = f"{name}({', '.join([operand] * count)});"
-        with use_gpu_engine(engine), pytest.raises(CRuntimeError) as caught:
+        with use_engine(engine), pytest.raises(CRuntimeError) as caught:
             self._launch(name, call)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     @pytest.mark.parametrize("max_len", [0, -3])
-    def test_getword_rejects_a_max_len_below_one(self, backend, max_len):
+    def test_getword_rejects_a_max_len_below_one(self, engine, max_len):
         # token[:maxLen-1] with a negative bound used to drop the word's
         # last byte and then report an overflow that was not one.
         program = parse(
@@ -442,4 +448,5 @@ int main()
         )
         with pytest.raises(CRuntimeError,
                            match="getWord: maxLen must be at least 1"):
-            run_filter(program, "hello world\n", backend=backend)
+            with use_engine(engine):
+                run_filter(program, "hello world\n")

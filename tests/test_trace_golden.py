@@ -23,8 +23,8 @@ import pytest
 
 from repro import cli, obs
 from repro.apps import all_apps, get_app
-from repro.gpu import use_gpu_engine
 from repro.hadoop.local import LocalJobRunner
+from repro.minic.interpreter import use_engine
 from repro.scenarios import records_for
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "wc_cluster1_tail.trace.json"
@@ -67,7 +67,7 @@ def test_golden_trace_byte_identical_under_explicit_compiled_engine(tmp_path):
     """Pinning the fallback: with the compiled lane engine forced on
     every region the canonical trace reproduces byte for byte — the
     shipped vector engine and its per-lane fallback emit one trace."""
-    with use_gpu_engine("compiled"):
+    with use_engine("compiled"):
         got = _cli_trace_bytes(tmp_path, "compiled.json", GOLDEN_ARGS)
     assert got == GOLDEN.read_bytes()
 
@@ -87,7 +87,7 @@ def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
     text = app.generate(records_for("WC", "small"), seed=7)
 
     def traced(engine):
-        with use_gpu_engine(engine), \
+        with use_engine(engine), \
                 obs.use_recorder(obs.TraceRecorder()) as rec:
             LocalJobRunner(app, use_gpu=True, split_bytes=4 * 1024).run(text)
         return obs.export_chrome(rec)
