@@ -6,8 +6,8 @@ caching, each task re-parses, re-translates, and re-walks the same
 source. This module provides:
 
 * :func:`compiled_program` — one :class:`~repro.minic.compile.CompiledProgram`
-  per distinct program *source* (sha1 of ``Program.source``), shared by
-  every interpreter instance, task, and thread executing it;
+  per distinct program *source* text, shared by every interpreter
+  instance, task, and thread executing it;
 * :func:`compiled_kernel_body` — one generated Python unit per (kernel
   body, program) pair, stashed on the statement node, for direct lane
   execution by the GPU lane engine: a kernel body compiles once per job
@@ -18,19 +18,24 @@ source. This module provides:
   used by the tree-walking backend, so literals inside loops stop
   allocating a fresh Buffer per interpreter instance;
 * :func:`cached_translation` — memoized source-to-source translation,
-  keyed by source hash + optimization flags + launch parameters, used
+  keyed by program key + optimization flags + launch parameters, used
   by :func:`repro.compiler.translator.translate_cached`.
 
-Keying by source hash (rather than object identity) means two
-``Program`` objects parsed from identical source share one compiled
-artifact; programs with no source text (e.g. synthesized kernel-helper
-programs) fall back to identity keys, with the cache holding a strong
-reference to the program so ids cannot be recycled.
+A program's key (:func:`program_key`) is a short per-process label,
+``src<N>``, handed out once per distinct source text: the label table
+is keyed by the text itself, so two ``Program`` objects parsed from
+identical source share one compiled artifact and two different sources
+never do, with no digest (and no digest library) involved. The label
+also names generated units (``<minic:src<N>:unit>``); it is stable
+within a process, not across processes. Programs with no source text
+(e.g. synthesized kernel-helper programs) fall back to identity keys,
+with the cache holding a strong reference to the program so ids cannot
+be recycled.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 from typing import Any, Callable
 
 from . import cast as A
@@ -42,22 +47,29 @@ _ATTR_KERNEL_BODY = "_repro_compiled_kernel_body"
 _ATTR_WARP_BODY = "_repro_compiled_warp_body"
 _ATTR_STRLITS = "_repro_strlit_buffers"
 
-#: source-hash key → CompiledProgram (or (program, CompiledProgram) for
-#: identity keys, pinning the program alive).
+#: source text → its program key (``src<N>``, numbered by ``_label_seq``).
+_source_keys: dict[str, str] = {}
+_label_seq = itertools.count()
+#: program key → CompiledProgram (whose ``program`` pins a source-less
+#: program alive, so its identity key cannot be recycled).
 _compiled: dict[str, CompiledProgram] = {}
 _translations: dict[tuple, Any] = {}
 
 
 def program_key(program: A.Program) -> str:
-    """Stable cache key: sha1 of the source, or identity for synthetic
-    programs with no source text."""
+    """Cache key: the per-process label of the source text, or identity
+    for synthetic programs with no source text. A label is looked up by
+    the text on every call, never stashed on the program: it means
+    nothing in another process, and a program can be pickled into one."""
+    source = program.source
+    if source:
+        key = _source_keys.get(source)
+        if key is None:
+            key = _source_keys.setdefault(source, f"src{next(_label_seq)}")
+        return key
     key = program.__dict__.get(_ATTR_KEY)
     if key is None:
-        if program.source:
-            digest = hashlib.sha1(program.source.encode("utf-8")).hexdigest()
-            key = f"sha1:{digest}"
-        else:
-            key = f"id:{id(program)}"
+        key = f"id:{id(program)}"
         setattr(program, _ATTR_KEY, key)
     return key
 
@@ -151,7 +163,7 @@ def cached_translation(
     build: Callable[[], Any],
 ) -> Any:
     """Memoize ``build()`` (a translate() call) under the program's
-    source hash + optimization flags (the frozen ``OptimizationFlags``
+    key + optimization flags (the frozen ``OptimizationFlags``
     itself) + launch parameters."""
     key = (program_key(program), opt, warp_size, map_only)
     result = _translations.get(key)

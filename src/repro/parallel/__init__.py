@@ -23,17 +23,23 @@ a job — the worker count, the pool's idle timeout and its start method
 — is :class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the
 one place the ``REPRO_*`` environment is read; the arena has one
 backing (a temp file the workers mmap).
+
+The daemon's names resolve through this package's module
+``__getattr__``: :mod:`repro.parallel.daemon` (and its queue, pickle
+and multiprocessing stack) loads at the first pooled phase or at an
+import of one of those names, so a serial job never maps it.
 """
 
-from .daemon import (
-    DaemonPool,
-    WorkerCrashError,
-    get_pool,
-    pool_metrics,
-    resolve_batch_size,
-    shutdown_pool,
-)
 from .pool import in_worker, list_schedule_makespan, resolve_workers
+
+_DAEMON_NAMES = frozenset({
+    "DaemonPool",
+    "WorkerCrashError",
+    "get_pool",
+    "pool_metrics",
+    "resolve_batch_size",
+    "shutdown_pool",
+})
 
 __all__ = [
     "DaemonPool",
@@ -46,3 +52,11 @@ __all__ = [
     "resolve_workers",
     "shutdown_pool",
 ]
+
+
+def __getattr__(name: str):
+    if name in _DAEMON_NAMES:
+        from . import daemon
+
+        return getattr(daemon, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

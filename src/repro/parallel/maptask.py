@@ -7,8 +7,9 @@ task is one call of :meth:`LocalJobRunner.map_task
 where the call happens:
 
 * ``workers == 1`` — inline, on the driver's own runner, by reference:
-  no arena, no pickle, no recorder swap. Serial is this case, not a
-  second code path.
+  no arena, no pickle, no recorder swap — and none of their modules
+  loaded; the daemon pool is imported by the first pooled phase. Serial
+  is this case, not a second code path.
 * ``workers > 1`` — on the daemon pool. A worker cannot be handed a
   live runner (its hot state — generated mini-C functions, kernel
   bodies, host snapshots — is exec'd code and does not pickle), so what
@@ -44,7 +45,6 @@ from ..apps.base import Application
 from ..config import ClusterConfig, OptimizationFlags
 from ..errors import ReproError
 from ..obs import trace as obs
-from .daemon import get_pool
 
 if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
     from ..hadoop.local import LocalJobRunner, MapTaskResult
@@ -91,13 +91,17 @@ worker_state: dict[str, Any] = {}
 
 def _warm_app(app: Application, opt: OptimizationFlags,
               use_gpu: bool) -> None:
-    """Populate this process's mini-C caches for one application."""
+    """Populate this process's mini-C caches for one application under
+    the worker's engine (set before the job's init runs): ``"tree"``
+    runs no generated code, so it builds none."""
     from ..minic.cache import warm_program
+    from ..minic.interpreter import current_engine
 
-    for program in (app.map_program(), app.combine_program(),
-                    app.reduce_program()):
-        if program is not None:
-            warm_program(program)
+    if current_engine() != "tree":
+        for program in (app.map_program(), app.combine_program(),
+                        app.reduce_program()):
+            if program is not None:
+                warm_program(program)
     if use_gpu:
         app.translate_map(opt)
         app.translate_combine(opt)
@@ -143,6 +147,7 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
     is published once through a :class:`~repro.parallel.arena.
     SplitArena`; only range triples and envelopes are pickled."""
     from .arena import SplitArena
+    from .daemon import get_pool
 
     rec = obs.active()
     spec = JobSpec(

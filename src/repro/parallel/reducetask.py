@@ -23,7 +23,6 @@ worker count.
 
 from __future__ import annotations
 
-import pickle
 from typing import TYPE_CHECKING
 
 from .maptask import TaskEnvelope, capture, run_on_pool, worker_state
@@ -36,6 +35,8 @@ __all__ = ["run_reduce_tasks"]
 
 
 def _run_reduce_task(payload: tuple[int, int, int]) -> TaskEnvelope:
+    import pickle
+
     partition, start, stop = payload
     runs = pickle.loads(bytes(worker_state["view"][start:stop]))
     return capture(worker_state["runner"].reduce_partition, partition, runs)
@@ -56,6 +57,8 @@ def run_reduce_tasks(
     if workers == 1:
         return [runner.reduce_partition(part, shuffle.get(part, []))
                 for part in parts]
+    import pickle
+
     blob = bytearray()
     payloads: list[tuple[int, int, int]] = []
     for part in parts:

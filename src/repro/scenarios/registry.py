@@ -23,7 +23,6 @@ Everything is import-time validated by :func:`validate_registry`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace as dc_replace
 
 from ..config import CLUSTER1, CLUSTER2, ClusterConfig
@@ -305,6 +304,8 @@ def generate_input(app: str, scale: str = "small", seed: int | None = None) -> s
 def datagen_digest(app: str, scale: str = "small",
                    seed: int | None = None) -> str:
     """SHA-256 of the canonical input — the registry's determinism stamp."""
+    import hashlib
+
     return hashlib.sha256(
         generate_input(app, scale, seed).encode("utf-8")
     ).hexdigest()

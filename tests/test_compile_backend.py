@@ -389,3 +389,27 @@ class TestCompileCache:
 
         program = get_app("WC").map_program()
         assert translate_cached(program) is translate_cached(program)
+
+    # The cache is keyed by the source text itself: exact, with no digest.
+    CACHE_SOURCE = 'int main() {\nprintf("%d\\n", 41 + 1);\nreturn 0;\n}'
+
+    def test_programs_parsed_from_one_source_share_one_compiled_program(self):
+        first, second = parse(self.CACHE_SOURCE), parse(self.CACHE_SOURCE)
+        assert first is not second
+        assert compiled_program(first) is compiled_program(second)
+
+    def test_sources_one_character_apart_never_share(self):
+        import linecache
+
+        other = self.CACHE_SOURCE.replace("41", "40")
+        assert len(other) == len(self.CACHE_SOURCE)
+        cps = [compiled_program(parse(src))
+               for src in (self.CACHE_SOURCE, other)]
+        assert cps[0] is not cps[1]
+        filenames = [cp.functions["main"].__code__.co_filename for cp in cps]
+        assert filenames[0] != filenames[1]
+        for filename in filenames:
+            assert filename.startswith("<minic:") and filename.endswith(":main>")
+            assert linecache.getline(filename, 1) == "def unit(rt, args):\n"
+        assert [_filter(cp.program, "", "compiled")[0] for cp in cps] == \
+            ["42\n", "41\n"]

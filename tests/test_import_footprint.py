@@ -3,9 +3,11 @@
 A CPU-path job runs the mini-C filters and nothing of the GPU stack, the
 cluster simulator or numpy; a GPU job loads numpy only when a map
 kernel has a vector region to run (WC has none, KM has); a simulation,
-``repro simulate`` included, loads neither the apps nor mini-C. The pytest process has imported
-everything already, so every case runs in a fresh interpreter and
-reports its ``sys.modules``.
+``repro simulate`` included, loads neither the apps nor mini-C. No serial
+job or simulation loads ``hashlib`` (OpenSSL's ``libcrypto`` behind
+``_hashlib``), ``pickle`` or the daemon pool; a pooled job does. The
+pytest process has imported everything already, so every case runs in a
+fresh interpreter and reports its ``sys.modules``.
 
 The last case runs a vectorizing GPU job with numpy made unimportable:
 the vector engine takes its whole-kernel fallback and the job must
@@ -30,11 +32,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = (
     "numpy", "multiprocessing", "repro.apps", "repro.minic",
     "repro.gpu.vector", "repro.hadoop.simulate", "repro.runtime.gpu_task",
+    "hashlib", "_hashlib", "pickle", "repro.parallel.daemon",
 )
 
-#: A functional job in the child: ``TAG``, ``RECORDS`` and ``USE_GPU``
-#: are set by the caller. Serial on purpose (``workers=1`` whatever
-#: ``REPRO_WORKERS`` says): a pooled task loads its modules in a worker.
+#: A functional job in the child: ``TAG``, ``RECORDS``, ``USE_GPU`` and
+#: ``WORKERS`` are set by the caller. Serial unless ``WORKERS`` says
+#: otherwise (whatever ``REPRO_WORKERS`` says): a pooled task loads its
+#: modules in a worker.
 JOB = """
 from dataclasses import asdict
 
@@ -45,7 +49,7 @@ from repro.obs import trace as obs
 
 app = get_app(TAG)
 text = app.generate(RECORDS, seed=7)
-runner = LocalJobRunner(app, use_gpu=USE_GPU, workers=1)
+runner = LocalJobRunner(app, use_gpu=USE_GPU, workers=WORKERS)
 report["numpy_before_run"] = sys.modules.get("numpy") is not None
 with obs.use_recorder(obs.TraceRecorder()) as rec:
     result = runner.run(text)
@@ -78,6 +82,19 @@ report.update(rc=cli.main(["simulate", "WC", "--task-scale", "0.02",
                            "--policy", "tail"]))
 """
 
+#: Every name ``repro.parallel`` exports resolves; the daemon's load on
+#: first use.
+PARALLEL_NAMES = """
+import repro.parallel
+
+report["daemon_on_import"] = "repro.parallel.daemon" in sys.modules
+report["all"] = list(repro.parallel.__all__)
+report["resolved"] = [name for name in repro.parallel.__all__
+                      if getattr(repro.parallel, name, None) is not None]
+report["get_pool_is_daemons"] = (
+    repro.parallel.get_pool is sys.modules["repro.parallel.daemon"].get_pool)
+"""
+
 needs_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
                                  reason="numpy is not installed")
 
@@ -107,20 +124,39 @@ def fresh_process(body: str, block_numpy: bool = False, **names) -> dict:
 
 @pytest.fixture(scope="module")
 def km_gpu_job() -> dict:
-    return fresh_process(JOB, TAG="KM", RECORDS=60, USE_GPU=True)
+    return fresh_process(JOB, TAG="KM", RECORDS=60, USE_GPU=True, WORKERS=1)
 
 
 def test_cpu_job_loads_no_gpu_stack_simulator_numpy_or_pool():
-    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=False)
+    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=False,
+                           WORKERS=1)
     assert report["output"] != "[]"
     assert report["loaded"] == ["repro.apps", "repro.minic"]
 
 
 def test_gpu_job_without_vector_regions_loads_no_numpy():
-    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=True)
+    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=True,
+                           WORKERS=1)
     assert report["regions"] == 0 and report["fallbacks"] > 0
-    assert "repro.gpu.vector" in report["loaded"]
-    assert "numpy" not in report["loaded"]
+    assert report["loaded"] == ["repro.apps", "repro.minic",
+                                "repro.gpu.vector", "repro.runtime.gpu_task"]
+
+
+def test_pooled_job_loads_the_daemon():
+    # The serial cases' absence of the pool is not vacuous: the same
+    # job on two workers does load it.
+    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=False,
+                           WORKERS=2)
+    assert report["output"] != "[]"
+    assert {"repro.parallel.daemon", "pickle",
+            "multiprocessing"} <= set(report["loaded"])
+
+
+def test_parallel_names_resolve_without_loading_the_daemon_first():
+    report = fresh_process(PARALLEL_NAMES)
+    assert not report["daemon_on_import"]
+    assert report["resolved"] == report["all"]
+    assert report["get_pool_is_daemons"]
 
 
 @needs_numpy
@@ -145,7 +181,7 @@ def test_simulate_command_loads_no_apps_minic_or_numpy():
 @needs_numpy
 def test_vectorizing_job_without_numpy_equals_the_numpy_run(km_gpu_job):
     report = fresh_process(JOB, block_numpy=True, TAG="KM", RECORDS=60,
-                           USE_GPU=True)
+                           USE_GPU=True, WORKERS=1)
     assert "numpy" not in report["loaded"]
     assert report["regions"] == 0 and report["fallbacks"] > 0
     for key in ("output", "task_s", "counters"):

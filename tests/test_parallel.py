@@ -10,6 +10,7 @@ Table 2 app on both execution paths at 2 and 4 workers.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -265,6 +266,43 @@ def test_pool_jobs_after_a_pinned_job_run_the_drivers_engine(
     assert result.executed == 4
     assert {d.check for _case, d, _min in result.divergences} == \
         {f"engine:{driver}"}
+
+
+def _generated_code_probe(_payload):
+    """Which of the last job's programs carry generated code here."""
+    from repro.parallel.maptask import worker_state
+
+    app = worker_state["spec"].app
+    programs = (app.map_program(), app.combine_program(),
+                app.reduce_program())
+    return os.getpid(), ["_repro_compiled" in p.__dict__ for p in programs]
+
+
+@pytest.mark.parametrize("engine, generated", [("tree", False),
+                                               ("compiled", True)])
+def test_pool_workers_build_generated_code_only_for_engines_that_run_it(
+        engine, generated):
+    """A worker's per-job warmup follows the job's engine: ``"tree"``
+    runs no generated code, so its workers build none."""
+    from repro.parallel import shutdown_pool
+
+    wc = get_app("WC")
+    # Sources no earlier test parsed, so no program (and no forked
+    # copy of one) can carry units from before this job.
+    marker = f"\n// pool warmup probe under {engine}\n"
+    app = dataclasses.replace(
+        wc, map_source=wc.map_source + marker,
+        combine_source=wc.combine_source + marker,
+        reduce_source=wc.reduce_source + marker)
+    shutdown_pool()
+    try:
+        with use_engine(engine):
+            _run_job(app, False, workers=2)
+        seen = get_pool().run_job(2, _generated_code_probe, list(range(4)))
+    finally:
+        shutdown_pool()
+    assert len({pid for pid, _flags in seen}) == 2
+    assert {tuple(flags) for _pid, flags in seen} == {(generated,) * 3}
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
