@@ -280,7 +280,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"  total        {result.total_reduce_seconds:22.6f} "
               f"simulated s")
         print(f"  critical path {result.reduce_critical_path_seconds:21.6f} "
-              f"simulated s (reduce workers {result.reduce_workers})")
+              f"simulated s (reduce slots {result.reduce_workers})")
     print("counters:")
     for name, value in snapshot["counters"].items():
         print(f"  {name:28s} {value:14.1f}")

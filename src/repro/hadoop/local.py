@@ -86,7 +86,9 @@ class LocalJobResult:
     shuffle_bytes: int = 0
     #: Worker processes the map phase ran on (1 = inline in the driver).
     workers: int = 1
-    #: Worker processes the reduce phase ran on (1 = inline).
+    #: Reduce slots the simulated reduce makespan is modelled on: the
+    #: job's worker count capped by its partition count. Reduce tasks
+    #: themselves always run in the driver.
     reduce_workers: int = 1
     #: Per-reduce-task timings in partition order, one per configured
     #: reducer (empty for map-only jobs, whose output is written by the
@@ -161,13 +163,14 @@ class LocalJobRunner:
         fileSplit size for input splitting (tests use small splits; the
         real 256 MB default would make functional runs needlessly slow).
     workers:
-        Worker processes for the map phase, and for the reduce phase
-        capped by its partition count. None defers to the
-        ``REPRO_WORKERS`` environment variable (default 1); 0 means one
-        worker per CPU core. Every count runs the same two task bodies
-        — :meth:`map_task` and :meth:`reduce_partition` — inline at 1,
-        on the daemon pool above it, with byte-identical output,
-        counters, simulated seconds and trace shape (see
+        Worker processes for the map phase and, capped by the
+        partition count, the reduce slots the simulated reduce makespan
+        is modelled on. None defers to the ``REPRO_WORKERS`` environment
+        variable (default 1); 0 means one worker per CPU core. Every
+        count runs the same map task body, :meth:`map_task`, inline at
+        1 and on the daemon pool above it; :meth:`reduce_partition`
+        always runs in the driver. Output, counters, simulated seconds
+        and trace shape are byte-identical at every count (see
         :mod:`repro.parallel`).
     """
 
@@ -342,9 +345,9 @@ class LocalJobRunner:
         deterministic simulated timing.
 
         Pure with respect to the job, and the only reduce-task body:
-        the driver calls it inline, pool workers call it through
-        :mod:`repro.parallel.reducetask`, and the driver folds the
-        returned pairs in partition order either way.
+        the driver calls it through :mod:`repro.parallel.reducetask`
+        at every worker count and folds the returned pairs in
+        partition order.
         """
         merged = merge_sorted_runs(runs)
         input_pairs = run_pairs(merged)
@@ -457,8 +460,7 @@ class LocalJobRunner:
         result.reduce_workers = resolve_workers(self.workers,
                                                 tasks=len(partitions))
         output: dict[Any, Any] = {}
-        reduced_per_part = run_reduce_tasks(self, partitions, shuffle,
-                                            result.reduce_workers)
+        reduced_per_part = run_reduce_tasks(self, partitions, shuffle)
         for part, (reduced, timing) in zip(partitions, reduced_per_part):
             if charge_reduce:
                 result.reduce_task_timings.append(timing)

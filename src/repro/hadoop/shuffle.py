@@ -285,8 +285,7 @@ class ReduceTaskTiming:
     """Simulated seconds for one functional reduce task.
 
     Computed from byte/pair/run counts only — no wall clock — so a
-    pooled reduce task reports the same floats as the serial fold and
-    the parallel job result stays byte-identical to ``workers=1``.
+    job's reduce timings are the same floats at every worker count.
     """
 
     partition: int

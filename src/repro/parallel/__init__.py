@@ -7,9 +7,12 @@ map task body and one reduce task body, both owned by
 :class:`~repro.hadoop.local.LocalJobRunner`;
 :func:`~repro.parallel.maptask.run_map_tasks` and
 :func:`~repro.parallel.reducetask.run_reduce_tasks` run them and return
-the results in task order at every worker count. With one worker they
-call the task inline on the driver's runner — that is what "serial"
-means here. With more, the persistent daemon pool
+the results in task order at every worker count. Reduce tasks always
+run in the driver — reducers are the job's CPU tail (paper §3.1), and
+shipping the shuffle to another process costs more than it saves — so
+the worker count shapes only the simulated reduce makespan. Map tasks
+run inline on the driver's runner with one worker — that is what
+"serial" means here. With more, the persistent daemon pool
 (:mod:`repro.parallel.daemon`) forks workers once per process lifetime
 and fans the same calls (and fuzz cases) across them in batched
 envelopes, with input bytes published through a write-once arena
@@ -26,8 +29,9 @@ backing (a temp file the workers mmap).
 
 The daemon's names resolve through this package's module
 ``__getattr__``: :mod:`repro.parallel.daemon` (and its queue, pickle
-and multiprocessing stack) loads at the first pooled phase or at an
-import of one of those names, so a serial job never maps it.
+and multiprocessing stack) loads at the first pooled map phase or at an
+import of one of those names, so a job whose map phase runs inline
+never maps it.
 """
 
 from .pool import in_worker, list_schedule_makespan, resolve_workers

@@ -1,4 +1,4 @@
-"""The map phase's executor, and the job plumbing both phases share.
+"""The map phase's executor.
 
 :func:`run_map_tasks` runs a job's map tasks and returns their
 :class:`~repro.hadoop.local.MapTaskResult` in task-index order. Every
@@ -8,8 +8,8 @@ where the call happens:
 
 * ``workers == 1`` — inline, on the driver's own runner, by reference:
   no arena, no pickle, no recorder swap — and none of their modules
-  loaded; the daemon pool is imported by the first pooled phase. Serial
-  is this case, not a second code path.
+  loaded; the daemon pool is imported by the first pooled map phase.
+  Serial is this case, not a second code path.
 * ``workers > 1`` — on the daemon pool. A worker cannot be handed a
   live runner (its hot state — generated mini-C functions, kernel
   bodies, host snapshots — is exec'd code and does not pickle), so what
@@ -24,22 +24,23 @@ where the call happens:
   * down, per batch: ``(task_index, start, stop)`` range triples.
   * up, per batch: one :class:`TaskEnvelope` per task — the task's
     result and, when the parent traces, the events and metrics of the
-    fresh recorder the task ran under (:func:`capture`).
+    fresh recorder the task ran under (:func:`_run_map_task`).
 
-  :func:`run_on_pool` hands results back in submission order after
+  :func:`run_map_tasks` hands results back in task-index order after
   splicing each envelope's events onto ``<pid>@w<worker pid>`` tracks
   of the parent's recorder, so the driver's fold cannot tell a pooled
   task from an inline one.
 
-:mod:`repro.parallel.reducetask` is the reduce phase's twin and reuses
-the spec, the worker setup, the capture and the splice from here.
+The reduce phase always runs in the driver
+(:mod:`repro.parallel.reducetask`), so this is the pool's only job
+phase.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from ..apps.base import Application
 from ..config import ClusterConfig, OptimizationFlags
@@ -52,9 +53,7 @@ if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
 __all__ = [
     "JobSpec",
     "TaskEnvelope",
-    "capture",
     "run_map_tasks",
-    "run_on_pool",
 ]
 
 
@@ -83,9 +82,9 @@ class TaskEnvelope:
 
 
 #: This worker's job state — ``spec``, the rebuilt ``runner`` and the
-#: arena ``view`` — replaced by each phase's setup. Module-level (not
-#: closure-captured) because pool task functions must be importable
-#: top-level callables.
+#: arena ``view`` — replaced by each pooled map phase's setup.
+#: Module-level (not closure-captured) because pool task functions must
+#: be importable top-level callables.
 worker_state: dict[str, Any] = {}
 
 
@@ -125,27 +124,33 @@ def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
     worker_state["view"] = attach_view(arena_token)
 
 
-def capture(task: Callable[..., Any], *args: Any) -> TaskEnvelope:
-    """Run one task in this worker; when the parent traces, under a
-    fresh recorder whose events and metrics ride home in the envelope."""
+def _run_map_task(payload: tuple[int, int, int]) -> TaskEnvelope:
+    """Run one map task in this worker; when the parent traces, under
+    a fresh recorder whose events and metrics ride home in the
+    envelope."""
+    index, start, stop = payload
+    runner = worker_state["runner"]
+    split = bytes(worker_state["view"][start:stop])
     if not worker_state["spec"].trace:
-        return TaskEnvelope(task(*args), os.getpid())
+        return TaskEnvelope(runner.map_task(index, split), os.getpid())
     with obs.use_recorder(obs.TraceRecorder()) as rec:
-        result = task(*args)
+        result = runner.map_task(index, split)
     if rec.open_spans():
-        raise ReproError(
-            f"{task.__name__} left spans open in worker recorder")
+        raise ReproError("map_task left spans open in worker recorder")
     return TaskEnvelope(result, os.getpid(), rec.events, rec.metrics)
 
 
-def run_on_pool(runner: "LocalJobRunner", workers: int,
-                task_fn: Callable[[Any], TaskEnvelope],
-                payloads: list[tuple[int, int, int]],
-                data: bytes) -> list[Any]:
-    """Run one phase's payloads on the daemon pool; results come back
-    in submission order. ``data`` — what the payloads' ranges index —
-    is published once through a :class:`~repro.parallel.arena.
-    SplitArena`; only range triples and envelopes are pickled."""
+def run_map_tasks(runner: "LocalJobRunner", data: bytes,
+                  ranges: list[tuple[int, int]],
+                  workers: int) -> list["MapTaskResult"]:
+    """Run one map task per split range; results in task-index order.
+
+    On the pool, ``data`` is published once through a
+    :class:`~repro.parallel.arena.SplitArena`; only range triples and
+    envelopes are pickled."""
+    if workers == 1:
+        return [runner.map_task(index, data[start:stop])
+                for index, (start, stop) in enumerate(ranges)]
     from .arena import SplitArena
     from .daemon import get_pool
 
@@ -159,9 +164,10 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
         split_bytes=runner.split_bytes,
         trace=bool(rec.enabled),
     )
+    payloads = [(i, start, stop) for i, (start, stop) in enumerate(ranges)]
     with SplitArena(data) as arena:
         envelopes = get_pool().run_job(
-            workers, task_fn, payloads,
+            workers, _run_map_task, payloads,
             init_fn=_init_worker, init_args=(spec, arena.token),
         )
     results = []
@@ -172,20 +178,3 @@ def run_on_pool(runner: "LocalJobRunner", workers: int,
             rec.metrics.merge(envelope.metrics)
         results.append(envelope.result)
     return results
-
-
-def _run_map_task(payload: tuple[int, int, int]) -> TaskEnvelope:
-    index, start, stop = payload
-    return capture(worker_state["runner"].map_task, index,
-                   bytes(worker_state["view"][start:stop]))
-
-
-def run_map_tasks(runner: "LocalJobRunner", data: bytes,
-                  ranges: list[tuple[int, int]],
-                  workers: int) -> list["MapTaskResult"]:
-    """Run one map task per split range; results in task-index order."""
-    if workers == 1:
-        return [runner.map_task(index, data[start:stop])
-                for index, (start, stop) in enumerate(ranges)]
-    payloads = [(i, start, stop) for i, (start, stop) in enumerate(ranges)]
-    return run_on_pool(runner, workers, _run_map_task, payloads, data)

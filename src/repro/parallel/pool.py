@@ -1,7 +1,7 @@
 """Worker-count resolution and the leaf-worker rule.
 
-The parallel layer fans independent tasks (map tasks, reduce tasks, fuzz
-cases) across ``workers`` OS processes of the persistent daemon pool
+The parallel layer fans independent tasks (map tasks, fuzz cases)
+across ``workers`` OS processes of the persistent daemon pool
 (:mod:`repro.parallel.daemon`) and hands results back in task order,
 so a run is observably identical at every worker count. What lives
 here is what every phase shares:
@@ -10,7 +10,8 @@ here is what every phase shares:
   ``workers=`` argument or the process's
   :class:`~repro.config.RuntimeConfig` (``REPRO_WORKERS``) into the
   effective fan-out of one phase, capped by that phase's task count. A
-  job's map and reduce phases both resolve the job's one setting.
+  job's map phase and its simulated reduce slots both resolve the job's
+  one setting.
 * **Leaf workers** — a worker process never creates its own pool.
   :func:`resolve_workers` answers 1 inside a worker regardless of the
   configuration or explicit ``workers=`` arguments, so
@@ -106,7 +107,7 @@ def _mark_leaf_worker() -> None:
     os.environ["REPRO_WORKERS"] = "1"
     # A forked worker inherits the parent's *active* TraceRecorder;
     # recording into it from another process would interleave garbage.
-    # Workers trace into their own per-task recorders (maptask.capture).
+    # Workers trace into their own per-task recorders (maptask._run_map_task).
     from ..obs import trace as obs
 
     obs.install(obs.NULL_RECORDER)

@@ -110,11 +110,9 @@ def assert_phase_spans_identical(ref: TraceRecorder,
     simulated clock is deterministic arithmetic, not measurement.
 
     *Reduce* tracks are excluded: reducers run on CPUs whatever the
-    lane engine, and under REPRO_WORKERS which worker a reduce batch
-    lands on is pool scheduling, so the ``reduce@w<pid>`` track names
-    and splice offsets legitimately differ between two runs. The reduce phase's simulated
-    content has its own byte-identity check (``reduce_task_timings``
-    equality in tests/test_parallel.py)."""
+    lane engine. The reduce phase's simulated content has its own
+    byte-identity check (``reduce_task_timings`` equality in
+    tests/test_parallel.py)."""
     def key(rec):
         return [(s.pid, s.tid, s.name, s.ts, s.dur)
                 for s in rec.spans("phase")

@@ -5,7 +5,9 @@ cluster simulator or numpy; a GPU job loads numpy only when a map
 kernel has a vector region to run (WC has none, KM has); a simulation,
 ``repro simulate`` included, loads neither the apps nor mini-C. No serial
 job or simulation loads ``hashlib`` (OpenSSL's ``libcrypto`` behind
-``_hashlib``), ``pickle`` or the daemon pool; a pooled job does. The
+``_hashlib``), ``pickle`` or the daemon pool, nor does a single-split
+job at any worker count (its one map task and its reduce tasks run in
+the driver); a job with a pooled map phase does. The
 pytest process has imported everything already, so every case runs in a
 fresh interpreter and reports its ``sys.modules``.
 
@@ -58,6 +60,7 @@ for task in result.map_task_results:
     if task.gpu_task is not None:
         counters = counters.merged(task.gpu_task.map_launch.counters)
 report.update(
+    map_tasks=result.map_tasks,
     output=repr(list(result.output.items())),
     task_s=[repr(s) for s in result.task_seconds()],
     counters=asdict(counters),
@@ -142,11 +145,22 @@ def test_gpu_job_without_vector_regions_loads_no_numpy():
                                 "repro.gpu.vector", "repro.runtime.gpu_task"]
 
 
-def test_pooled_job_loads_the_daemon():
-    # The serial cases' absence of the pool is not vacuous: the same
-    # job on two workers does load it.
-    report = fresh_process(JOB, TAG="WC", RECORDS=200, USE_GPU=False,
+def test_single_split_job_on_two_workers_loads_no_pool():
+    # One split is one map task, run inline; reduce tasks always run
+    # in the driver. So the job loads exactly what the serial job does.
+    report = fresh_process(JOB, TAG="WC", RECORDS=40, USE_GPU=False,
                            WORKERS=2)
+    assert report["map_tasks"] == 1
+    assert report["output"] != "[]"
+    assert report["loaded"] == ["repro.apps", "repro.minic"]
+
+
+def test_pooled_job_loads_the_daemon():
+    # The serial cases' absence of the pool is not vacuous: a job whose
+    # map phase fans out over two workers does load it.
+    report = fresh_process(JOB, TAG="WC", RECORDS=3000, USE_GPU=False,
+                           WORKERS=2)
+    assert report["map_tasks"] >= 2
     assert report["output"] != "[]"
     assert {"repro.parallel.daemon", "pickle",
             "multiprocessing"} <= set(report["loaded"])

@@ -168,7 +168,7 @@ def test_parallel_job_identical_to_serial(short, use_gpu):
         # simulated per-task seconds are equal as exact floats, in order
         assert par.task_seconds() == serial.task_seconds()
         assert par.total_map_seconds == serial.total_map_seconds
-        # ... and so are the pooled reduce tasks' simulated seconds
+        # ... and so are the reduce tasks' simulated seconds
         assert par.reduce_task_timings == serial.reduce_task_timings
         assert par.total_reduce_seconds == serial.total_reduce_seconds
         assert par.reduce_critical_path(1) == serial.total_reduce_seconds
@@ -191,8 +191,8 @@ def test_parallel_counters_match_serial(use_gpu):
             if not k.startswith("pool.")}
     assert core == serial["counters"]
     assert not any(k.startswith("pool.") for k in serial["counters"])
-    # One pool job for the map phase, one for the reduce phase.
-    assert par["counters"]["pool.jobs"] == 2.0
+    # One pool job, for the map phase: reduce tasks run in the driver.
+    assert par["counters"]["pool.jobs"] == 1.0
     assert par["counters"]["pool.tasks"] >= par["counters"]["pool.batches"]
     # The reduce.* tallies are deterministic job facts, not scheduling
     # artifacts: one task per partition, run counts from the merge.
@@ -339,11 +339,17 @@ def test_env_workers_reaches_the_job_runner(monkeypatch):
 
 
 def test_single_split_job_stays_serial():
+    from repro.parallel import pool_metrics, shutdown_pool
+
     app = get_app("WC")
     text = app.generate(40, seed=7)
-    result = LocalJobRunner(app, workers=4).run(text)  # default 32 KiB split
+    shutdown_pool()  # a cold pool: a fork would count as a spawn
+    spawned = pool_metrics().count("pool.spawned")
+    result = LocalJobRunner(app, workers=4).run(text)  # default 64 KiB split
     assert result.map_tasks == 1
     assert result.workers == 1
+    # Its reduce phase runs in the driver too: no pool worker is forked.
+    assert pool_metrics().count("pool.spawned") == spawned
 
 
 # -- construction-time validation -------------------------------------------
@@ -400,7 +406,8 @@ class TestRunnerConfigValidation:
 
 
 def _constant_key_reduce(key, values):
-    # module-level so the app still pickles into pooled reduce workers
+    # module-level so the app still pickles into pooled map workers
+    # (through the JobSpec)
     return [("dup", sum(values))]
 
 
@@ -486,7 +493,7 @@ def test_parallel_trace_merges_worker_tracks():
     assert_standard_invariants(rec)
 
     worker_tracks = {s.pid for s in rec.spans() if WORKER_PID_MARKER in s.pid}
-    # distinct per-worker tracks for the map phase and the reduce phase
+    # distinct per-worker tracks for the map phase
     os_pids = {t.rsplit(WORKER_PID_MARKER, 1)[1] for t in worker_tracks}
     assert 2 <= len(os_pids) <= 3
     task_spans = rec.spans("gpu-task")
@@ -511,10 +518,8 @@ def test_parallel_trace_has_reduce_task_spans():
 
     task_spans = rec.spans("reduce-task")
     assert len(task_spans) == len(result.reduce_task_timings)
-    # every reduce task ran on a spliced @w<pid> worker track
-    pids = {s.pid for s in task_spans}
-    assert all(p.startswith("reduce" + WORKER_PID_MARKER) for p in pids)
-    assert 2 <= len(pids) <= 3
+    # every reduce task ran in the driver, on its reduce track
+    assert {s.pid for s in task_spans} == {"reduce"}
     # span args carry the task's deterministic facts
     by_part = {t.partition: t for t in result.reduce_task_timings}
     for span in task_spans:
@@ -542,7 +547,9 @@ def _spans(rec, *cats):
 def test_trace_shape_is_worker_count_invariant(short, use_gpu):
     """One trace shape: inline and pooled runs of a job record the same
     task / phase / reduce-task spans (names carry job-wide indices) and
-    the same counters; the job span is map + reduce critical path."""
+    the same counters; the job span is map + reduce critical path.
+    Reduce tasks run in the driver at every worker count, so their
+    spans are exactly equal: track, start, duration and args."""
     app = get_app(short)
     runs = []
     for workers in (1, 2):
@@ -558,12 +565,17 @@ def test_trace_shape_is_worker_count_invariant(short, use_gpu):
             len(result.reduce_task_timings) == job_span.args["reduce_tasks"]
         counters = {k: v for k, v in rec.metrics.snapshot()["counters"].items()
                     if not k.startswith("pool.")}
+        reduce_spans = [(s.pid, s.tid, s.name, s.ts, s.dur,
+                         sorted(s.args.items()))
+                        for s in rec.spans("reduce-task")]
         runs.append((_spans(rec, "phase"), counters,
-                     _spans(rec, "cpu-task", "gpu-task", "reduce-task")))
-    (phases1, counters1, tasks1), (phases2, counters2, tasks2) = runs
+                     _spans(rec, "cpu-task", "gpu-task"), reduce_spans))
+    ((phases1, counters1, tasks1, reduce1),
+     (phases2, counters2, tasks2, reduce2)) = runs
     # Phase durations are the charged seconds themselves: exact.
     assert phases1 == phases2
     assert counters1 == counters2
+    assert reduce1 == reduce2
     # A task span's duration is its track cursor's advance, so it
     # carries the rounding of wherever the track stood.
     assert [t[:-1] for t in tasks1] == [t[:-1] for t in tasks2]

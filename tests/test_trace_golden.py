@@ -78,11 +78,8 @@ def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
     ``gpu.vector.*`` metric counters.
 
     *Reduce* tracks are excluded from the event comparison: reducers
-    run on CPUs whatever the lane engine, and when REPRO_WORKERS sets an
-    ambient worker count, which worker a reduce batch lands on is pool
-    scheduling, so those tracks legitimately differ between two runs. The reduce
-    phase's simulated content has its own byte-identity checks in
-    tests/test_parallel.py."""
+    run on CPUs whatever the lane engine. The reduce phase's simulated
+    content has its own byte-identity checks in tests/test_parallel.py."""
     app = get_app("WC")
     text = app.generate(records_for("WC", "small"), seed=7)
 
@@ -170,7 +167,7 @@ def test_every_app_emits_a_schema_valid_trace(short):
 
 
 def test_trace_cli_stdout_matches_file_output(tmp_path, capsys):
-    # Pinned serial: two pooled runs assign reduce batches to workers
+    # Pinned serial: two pooled runs assign map batches to workers
     # by greedy dispatch, so their traces are not byte-stable run to
     # run — and this test is about the stdout/file plumbing, which a
     # serial trace pins exactly even under ambient REPRO_WORKERS.
