@@ -25,8 +25,9 @@ class GpuSpec:
     """Architectural parameters of a simulated GPU device.
 
     The defaults model a Tesla K40 (Kepler); :data:`TESLA_M2090` models the
-    Fermi parts in Cluster2. Only parameters the timing model consumes are
-    included.
+    Fermi parts in Cluster2. Only parameters the timing model consumes or
+    a launch is checked against
+    (:meth:`~repro.gpu.device.GpuDevice.check_launch`) are included.
     """
 
     name: str = "Tesla K40"
@@ -36,7 +37,6 @@ class GpuSpec:
     max_blocks: int = 65535
     shared_mem_per_sm: int = 48 * KB
     global_mem: int = 12 * GB
-    constant_mem: int = 64 * KB
     # Timing-model knobs (simulated cycles / costs).
     clock_ghz: float = 0.745
     issue_cycles: float = 1.0            # per warp instruction

@@ -9,9 +9,13 @@ processing scheme, and what excludes KM from Cluster2 in Fig. 4b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..config import GpuSpec, TESLA_K40
 from ..errors import GpuError, GpuOutOfMemory
+
+if TYPE_CHECKING:
+    from ..compiler.kernel_ir import KernelIR
 
 
 @dataclass
@@ -65,6 +69,28 @@ class GpuDevice:
         self.spec = spec
         self.device_id = device_id
         self.memory = DeviceMemory(spec.global_mem)
+
+    def check_launch(self, kernel: KernelIR) -> None:
+        """Refuse a launch this device could not start, as CUDA does
+        with an invalid launch configuration: the kernel's ``threads``
+        and ``blocks`` clauses against the spec's limits, and its
+        shared memory per threadblock against one SM's."""
+        spec = self.spec
+        launch = kernel.launch
+        for clause, used, limit in (
+                ("threads", launch.threads, "max_threads_per_block"),
+                ("blocks", launch.blocks, "max_blocks")):
+            if used > getattr(spec, limit):
+                raise GpuError(
+                    f"kernel {kernel.name!r}: {clause}({used}) exceeds "
+                    f"the {spec.name}'s {limit} of {getattr(spec, limit)}")
+        shared = kernel.shared_mem_bytes
+        if shared > spec.shared_mem_per_sm:
+            raise GpuError(
+                f"kernel {kernel.name!r}: {shared} B of shared memory per "
+                f"block at threads({launch.threads}) exceeds the "
+                f"{spec.name}'s shared_mem_per_sm of "
+                f"{spec.shared_mem_per_sm} B")
 
     def transfer_time(self, nbytes: int) -> float:
         """Host↔device copy time over PCIe (seconds)."""

@@ -298,6 +298,7 @@ def _run_map_launch(
     contention term — nothing else."""
     if not kernel.is_mapper:
         raise GpuError("a map launch requires a mapper kernel")
+    device.check_launch(kernel)
     spec = device.spec
     timing = TimingModel(spec)
     launch = kernel.launch
@@ -464,6 +465,7 @@ def run_combine_kernel(
     """
     if not kernel.is_combiner:
         raise GpuError("run_combine_kernel requires a combiner kernel")
+    device.check_launch(kernel)
     timing = TimingModel(device.spec)
     launch = kernel.launch
     warp = device.spec.warp_size

@@ -215,13 +215,22 @@ class LocalJobRunner:
             # modules loaded. A CPU-path job never loads them.
             from ..runtime import gpu_task  # noqa: F401
 
+    def __getstate__(self) -> dict[str, Any]:
+        """The runner's configuration without its per-process caches:
+        a pool worker's copy builds its own GPU task runner (a device
+        never crosses a process boundary) and key length at its first
+        map task, as the driver's runner does."""
+        state = self.__dict__.copy()
+        state["_gpu_runner"] = None
+        state.pop("_cpu_key_length", None)
+        return state
+
     # -- input splitting ---------------------------------------------------------
 
     def split_ranges(self, data: bytes) -> list[tuple[int, int]]:
         """Split boundaries as ``(start, stop)`` byte ranges at
         ~split_bytes, never inside a record (LineRecordReader's
-        behaviour). Ranges — not copies — are what the pool ships to
-        workers; inline tasks slice them locally."""
+        behaviour). Each map task slices its split out of them."""
         ranges: list[tuple[int, int]] = []
         start = 0
         while start < len(data):
@@ -276,8 +285,8 @@ class LocalJobRunner:
         on a core, behind one call (paper §2.2, §5.1).
 
         This is the only map-task body: the driver calls it inline,
-        pool workers call it on the runner they rebuild from the job
-        spec (:mod:`repro.parallel.maptask`), and
+        pool workers call it on the copy of the runner the pool ships
+        them (:mod:`repro.parallel.maptask`), and
         :mod:`repro.experiments.calibrate` calls it for its single-task
         measurements. ``index`` is the job-wide task number the trace
         spans carry.

@@ -141,14 +141,12 @@ def strlit_buffers(program: A.Program) -> dict[int, Any]:
 def warm_program(program: A.Program) -> CompiledProgram:
     """Eagerly build the artifacts a job needs from ``program``.
 
-    The per-worker warmup hook of the parallel layer: a pool worker
-    calls this once per distinct program per job so the first map task
-    does not pay compile latency (generated functions don't cross the
-    process boundary — mini-C sources do, and recompile here). Covers
-    the compiled program and the string-literal Buffer table;
-    translations and kernel bodies warm through
-    :func:`cached_translation` / :func:`compiled_kernel_body` at their
-    own call sites.
+    A job builds them lazily at its first filter run; the benchmark's
+    cold-stage timing (``perf/workloads.py``) calls this to time the
+    compile on its own. Covers the compiled program and the
+    string-literal Buffer table; translations and kernel bodies build
+    through :func:`cached_translation` / :func:`compiled_kernel_body`
+    at their own call sites.
     """
     cp = compiled_program(program)
     strlit_buffers(program)

@@ -15,17 +15,15 @@ run inline on the driver's runner with one worker — that is what
 "serial" means here. With more, the persistent daemon pool
 (:mod:`repro.parallel.daemon`) forks workers once per process lifetime
 and fans the same calls (and fuzz cases) across them in batched
-envelopes, with input bytes published through a write-once arena
-(:mod:`repro.parallel.arena`) instead of per-task pickles; workers
-rebuild the runner from one job spec. Either way the driver's single
+envelopes: each worker receives a copy of the driver's runner once per
+job, and each task carries its own split. Either way the driver's single
 fold sees the same results in the same order, so output, counters,
 simulated seconds and trace spans are **byte-identical** across worker
 counts. :mod:`repro.parallel.pool` holds the shared worker-count
 resolution and the leaf-worker rule. What is configurable from outside
 a job — the worker count, the pool's idle timeout and its start method
 — is :class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the
-one place the ``REPRO_*`` environment is read; the arena has one
-backing (a temp file the workers mmap).
+one place the ``REPRO_*`` environment is read.
 
 The daemon's names resolve through this package's module
 ``__getattr__``: :mod:`repro.parallel.daemon` (and its queue, pickle

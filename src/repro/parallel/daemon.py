@@ -163,9 +163,6 @@ def _worker_main(slot: int, inbox: Any, outbox: Any,
                             _safe_payload(exc)))
             else:
                 outbox.put(("done", slot, batch_job, index, results))
-    from .arena import _evict
-
-    _evict()  # release any arena attachment before a clean exit
 
 
 # -- parent side -------------------------------------------------------------

@@ -107,16 +107,10 @@ def assert_phase_spans_identical(ref: TraceRecorder,
     tree) may execute a kernel any way it likes, but the Fig. 6 phase
     spans it records — name, track, start, duration — must be
     byte-identical to the reference engine's, with no tolerance: the
-    simulated clock is deterministic arithmetic, not measurement.
-
-    *Reduce* tracks are excluded: reducers run on CPUs whatever the
-    lane engine. The reduce phase's simulated content has its own
-    byte-identity check (``reduce_task_timings`` equality in
-    tests/test_parallel.py)."""
+    simulated clock is deterministic arithmetic, not measurement."""
     def key(rec):
         return [(s.pid, s.tid, s.name, s.ts, s.dur)
-                for s in rec.spans("phase")
-                if not s.pid.startswith("reduce")]
+                for s in rec.spans("phase")]
 
     ref_spans, other_spans = key(ref), key(other)
     assert other_spans == ref_spans, (

@@ -1,12 +1,11 @@
-"""Daemon pool mechanics: batching, reuse, crashes, reaping, arenas.
+"""Daemon pool mechanics: batching, reuse, crashes, reaping.
 
 ``tests/test_parallel.py`` proves the *jobs* that ride the pool are
 byte-identical to serial; this module tests the pool machinery itself —
 the properties that make a persistent pool safe to leave running:
 batches reassemble in submission order, workers survive across jobs
 with their caches, a crashed worker is respawned and its batches
-replayed, an idle worker reaps itself cleanly, and the input arena
-actually moves bytes without pickling them per task.
+replayed, and an idle worker reaps itself cleanly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.errors import ConfigError, ReproError
-from repro.parallel.arena import SplitArena, attach_view
 from repro.parallel.daemon import (
     DaemonPool,
     WorkerCrashError,
@@ -220,44 +218,3 @@ def test_get_pool_recreates_on_env_change(monkeypatch):
     assert second is not first
     assert second.idle_timeout == 456.0
     shutdown_pool()
-
-
-# -- arenas --------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("data", [b"tiny", bytes(range(256)) * 300],
-                         ids=["tiny", "large"])
-def test_arena_roundtrip(data):
-    # One backing at every size: a temp file the workers mmap.
-    with SplitArena(data) as arena:
-        view = attach_view(arena.token)
-        assert len(view) == len(data)
-        assert bytes(view[0:4]) == data[0:4]
-        assert bytes(view[len(data) - 4:len(data)]) == data[-4:]
-
-
-def test_closed_arena_leaves_no_file():
-    arena = SplitArena(b"x" * 70_000)
-    path, size = arena.token
-    assert os.path.getsize(path) == size == 70_000
-    view = attach_view(arena.token)
-    arena.close()
-    assert not os.path.exists(path)  # unlinked with the arena
-    assert bytes(view[:2]) == b"xx"  # an attached worker keeps its pages
-    arena.close()  # idempotent
-
-
-def test_attach_evicts_previous_token():
-    a = SplitArena(b"a" * 100)
-    b = SplitArena(b"b" * 100)
-    try:
-        view_a = attach_view(a.token)
-        assert bytes(view_a[:1]) == b"a"
-        assert attach_view(a.token) is view_a  # cached, not re-mapped
-        view_b = attach_view(b.token)
-        assert bytes(view_b[:1]) == b"b"
-        with pytest.raises(ValueError):
-            view_a[:1]  # evicted: the old view was released
-    finally:
-        a.close()
-        b.close()

@@ -34,7 +34,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = (
     "numpy", "multiprocessing", "repro.apps", "repro.minic",
     "repro.gpu.vector", "repro.hadoop.simulate", "repro.runtime.gpu_task",
-    "hashlib", "_hashlib", "pickle", "repro.parallel.daemon",
+    "hashlib", "_hashlib", "pickle", "repro.parallel.daemon", "mmap",
 )
 
 #: A functional job in the child: ``TAG``, ``RECORDS``, ``USE_GPU`` and
@@ -157,13 +157,15 @@ def test_single_split_job_on_two_workers_loads_no_pool():
 
 def test_pooled_job_loads_the_daemon():
     # The serial cases' absence of the pool is not vacuous: a job whose
-    # map phase fans out over two workers does load it.
+    # map phase fans out over two workers does load it. Its tasks carry
+    # their splits, so nothing maps a shared input file.
     report = fresh_process(JOB, TAG="WC", RECORDS=3000, USE_GPU=False,
                            WORKERS=2)
     assert report["map_tasks"] >= 2
     assert report["output"] != "[]"
     assert {"repro.parallel.daemon", "pickle",
             "multiprocessing"} <= set(report["loaded"])
+    assert "mmap" not in report["loaded"]
 
 
 def test_parallel_names_resolve_without_loading_the_daemon_first():

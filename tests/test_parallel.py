@@ -272,7 +272,7 @@ def _generated_code_probe(_payload):
     """Which of the last job's programs carry generated code here."""
     from repro.parallel.maptask import worker_state
 
-    app = worker_state["spec"].app
+    app = worker_state["runner"].app
     programs = (app.map_program(), app.combine_program(),
                 app.reduce_program())
     return os.getpid(), ["_repro_compiled" in p.__dict__ for p in programs]
@@ -282,18 +282,20 @@ def _generated_code_probe(_payload):
                                                ("compiled", True)])
 def test_pool_workers_build_generated_code_only_for_engines_that_run_it(
         engine, generated):
-    """A worker's per-job warmup follows the job's engine: ``"tree"``
-    runs no generated code, so its workers build none."""
+    """A worker builds generated code only for what it runs: ``"tree"``
+    runs none, and no worker runs the reduce program (reduce tasks run
+    in the driver)."""
     from repro.parallel import shutdown_pool
 
     wc = get_app("WC")
     # Sources no earlier test parsed, so no program (and no forked
-    # copy of one) can carry units from before this job.
-    marker = f"\n// pool warmup probe under {engine}\n"
+    # copy of one) can carry units from before this job. WC's combiner
+    # and reducer share one text, so the reducer gets its own marker.
+    marker = f"\n// pool codegen probe under {engine}\n"
     app = dataclasses.replace(
         wc, map_source=wc.map_source + marker,
         combine_source=wc.combine_source + marker,
-        reduce_source=wc.reduce_source + marker)
+        reduce_source=wc.reduce_source + marker + "// reducer\n")
     shutdown_pool()
     try:
         with use_engine(engine):
@@ -302,7 +304,8 @@ def test_pool_workers_build_generated_code_only_for_engines_that_run_it(
     finally:
         shutdown_pool()
     assert len({pid for pid, _flags in seen}) == 2
-    assert {tuple(flags) for _pid, flags in seen} == {(generated,) * 3}
+    assert {tuple(flags) for _pid, flags in seen} == \
+        {(generated, generated, False)}
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -328,6 +331,39 @@ def test_start_method_results_identical(start_method, monkeypatch):
     assert par.map_output_pairs == baseline.map_output_pairs
     assert par.shuffle_bytes == baseline.shuffle_bytes
     assert par.task_seconds() == baseline.task_seconds()
+
+
+def test_pickled_runner_leaves_its_gpu_device_behind():
+    """The pool ships the driver's runner to its workers: the copy
+    carries the job's configuration but no GPU task runner or device,
+    and its first map task rebuilds the same task the original runs."""
+    import pickle
+
+    app = get_app("WC")
+    text = app.generate(records_for("WC", "small"), seed=7)
+    runner = LocalJobRunner(app, use_gpu=True, split_bytes=4 * 1024,
+                            workers=1)
+    runner.run(text)
+    assert isinstance(runner._gpu_runner, GpuTaskRunner)
+    blob = pickle.dumps(runner)
+    assert b"GpuTaskRunner" not in blob and b"GpuDevice" not in blob
+    copy = pickle.loads(blob)
+    assert copy._gpu_runner is None
+    split = runner.make_splits(text)[0]
+    original, shipped = runner.map_task(0, split), copy.map_task(0, split)
+    assert shipped.seconds == original.seconds
+    assert shipped.parts == original.parts
+    assert shipped.map_pairs == original.map_pairs
+
+
+def test_pickled_runner_leaves_its_cached_key_length_behind():
+    import pickle
+
+    app = get_app("WC")
+    runner = LocalJobRunner(app, use_gpu=False, workers=1)
+    runner.run(app.generate(40, seed=7))
+    assert "_cpu_key_length" in vars(runner)
+    assert "_cpu_key_length" not in vars(pickle.loads(pickle.dumps(runner)))
 
 
 def test_env_workers_reaches_the_job_runner(monkeypatch):
@@ -407,7 +443,7 @@ class TestRunnerConfigValidation:
 
 def _constant_key_reduce(key, values):
     # module-level so the app still pickles into pooled map workers
-    # (through the JobSpec)
+    # (with the runner)
     return [("dup", sum(values))]
 
 

@@ -75,11 +75,7 @@ def test_golden_trace_byte_identical_under_explicit_compiled_engine(tmp_path):
 def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
     """A local GPU job traced under the vector engine emits exactly the
     compiled engine's trace events; the only deltas live in the
-    ``gpu.vector.*`` metric counters.
-
-    *Reduce* tracks are excluded from the event comparison: reducers
-    run on CPUs whatever the lane engine. The reduce phase's simulated
-    content has its own byte-identity checks in tests/test_parallel.py."""
+    ``gpu.vector.*`` metric counters."""
     app = get_app("WC")
     text = app.generate(records_for("WC", "small"), seed=7)
 
@@ -89,18 +85,9 @@ def test_local_wc_trace_under_vector_differs_only_in_vector_metrics():
             LocalJobRunner(app, use_gpu=True, split_bytes=4 * 1024).run(text)
         return obs.export_chrome(rec)
 
-    def without_reduce_tracks(trace):
-        events = trace["traceEvents"]
-        reduce_pids = {
-            e["pid"] for e in events
-            if e.get("name") == "process_name"
-            and e["args"]["name"].startswith("reduce")
-        }
-        return [e for e in events if e["pid"] not in reduce_pids]
-
     compiled = traced("compiled")
     vector = traced("vector")
-    assert without_reduce_tracks(vector) == without_reduce_tracks(compiled)
+    assert vector["traceEvents"] == compiled["traceEvents"]
     vector_counters = dict(vector["otherData"]["metrics"]["counters"])
     extras = {k: vector_counters.pop(k)
               for k in list(vector_counters) if k.startswith("gpu.vector.")}
