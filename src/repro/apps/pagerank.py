@@ -82,7 +82,12 @@ def _reference(split_text: str) -> dict[Any, Any]:
 
 
 def _reduce(key: Any, values: list[Any]) -> list[tuple[Any, Any]]:
-    return [(key, (1.0 - DAMPING) + DAMPING * sum(float(v) for v in values))]
+    # Summed left to right: the job golden pins this float's bits, and
+    # builtin sum() compensates from Python 3.12 on.
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return [(key, (1.0 - DAMPING) + DAMPING * total)]
 
 
 def _generate(records: int, seed: int) -> str:

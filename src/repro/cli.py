@@ -127,9 +127,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"simulated map time    : {result.total_map_seconds * 1e3:.3f} ms "
           f"({result.device_tasks(SlotKind.GPU)} GPU tasks, "
           f"{result.device_tasks(SlotKind.CPU)} CPU tasks)")
-    if result.workers > 1:
-        print(f"map critical path     : "
-              f"{result.map_critical_path_seconds * 1e3:.3f} ms")
     sample = list(result.output.items())[: args.show]
     print(f"first {len(sample)} outputs: {sample}")
     return 0
@@ -279,8 +276,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"  {phase:12s} {seconds:22.6f} simulated s")
         print(f"  total        {result.total_reduce_seconds:22.6f} "
               f"simulated s")
-        print(f"  critical path {result.reduce_critical_path_seconds:21.6f} "
-              f"simulated s (reduce slots {result.reduce_workers})")
     print("counters:")
     for name, value in snapshot["counters"].items():
         print(f"  {name:28s} {value:14.1f}")

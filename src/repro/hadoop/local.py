@@ -26,7 +26,7 @@ from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
 from ..parallel.maptask import run_map_tasks
-from ..parallel.pool import list_schedule_makespan, resolve_workers
+from ..parallel.pool import resolve_workers
 from ..parallel.reducetask import run_reduce_tasks
 from .shuffle import (
     ReduceTaskTiming,
@@ -85,11 +85,8 @@ class LocalJobResult:
     map_output_pairs: int = 0
     shuffle_bytes: int = 0
     #: Worker processes the map phase ran on (1 = inline in the driver).
+    #: Host execution only: no simulated number reads it.
     workers: int = 1
-    #: Reduce slots the simulated reduce makespan is modelled on: the
-    #: job's worker count capped by its partition count. Reduce tasks
-    #: themselves always run in the driver.
-    reduce_workers: int = 1
     #: Per-reduce-task timings in partition order, one per configured
     #: reducer (empty for map-only jobs, whose output is written by the
     #: map tasks themselves).
@@ -105,25 +102,17 @@ class LocalJobResult:
 
     @property
     def total_map_seconds(self) -> float:
-        """Summed per-task map seconds (total device/core *work*).
-
-        This is the Fig. 6-style resource-consumption figure and is
-        independent of ``workers`` — N tasks cost the same work whether
-        they overlapped or not. For the wall-clock-equivalent duration
-        of the map phase, use :attr:`map_critical_path_seconds`.
-        """
-        return sum(self.task_seconds())
-
-    def critical_path_seconds(self, workers: int) -> float:
-        """Map-phase makespan if tasks ran on ``workers`` slots (greedy
-        in-order list schedule, the pool's own dispatch order)."""
-        return list_schedule_makespan(self.task_seconds(), workers)
+        """Summed per-task map seconds, in task-index order: the
+        Fig. 6-style work figure and the simulated map phase of the
+        modelled one-slot node alike."""
+        return _left_fold(self.task_seconds())
 
     @property
     def map_critical_path_seconds(self) -> float:
-        """Wall-clock-equivalent map-phase seconds at this run's
-        ``workers`` (equals :attr:`total_map_seconds` at one)."""
-        return self.critical_path_seconds(self.workers)
+        """The simulated map phase's duration. Tasks run back to back
+        on one slot, so this is :attr:`total_map_seconds`, bit for bit,
+        at every worker count."""
+        return self.total_map_seconds
 
     def reduce_seconds(self) -> list[float]:
         """Per-reduce-task simulated seconds, in partition order."""
@@ -131,20 +120,25 @@ class LocalJobResult:
 
     @property
     def total_reduce_seconds(self) -> float:
-        """Summed per-reduce-task seconds (total core *work*), the
+        """Summed per-reduce-task seconds in partition order, the
         reduce-phase analogue of :attr:`total_map_seconds`."""
-        return sum(t.total for t in self.reduce_task_timings)
-
-    def reduce_critical_path(self, workers: int) -> float:
-        """Reduce-phase makespan if its tasks ran on ``workers`` slots
-        (same greedy in-order list schedule as the map phase)."""
-        return list_schedule_makespan(self.reduce_seconds(), workers)
+        return _left_fold(self.reduce_seconds())
 
     @property
     def reduce_critical_path_seconds(self) -> float:
-        """Wall-clock-equivalent reduce-phase seconds at this run's
-        ``reduce_workers``."""
-        return self.reduce_critical_path(self.reduce_workers)
+        """The simulated reduce phase's duration: one reduce slot, so
+        :attr:`total_reduce_seconds`, bit for bit."""
+        return self.total_reduce_seconds
+
+
+def _left_fold(seconds: list[float]) -> float:
+    """``seconds`` summed left to right. The goldens pin this order;
+    builtin ``sum()`` compensates from Python 3.12 on and would move
+    the last bits."""
+    total = 0.0
+    for s in seconds:
+        total += s
+    return total
 
 
 class LocalJobRunner:
@@ -163,14 +157,13 @@ class LocalJobRunner:
         fileSplit size for input splitting (tests use small splits; the
         real 256 MB default would make functional runs needlessly slow).
     workers:
-        Worker processes for the map phase and, capped by the
-        partition count, the reduce slots the simulated reduce makespan
-        is modelled on. None defers to the ``REPRO_WORKERS`` environment
-        variable (default 1); 0 means one worker per CPU core. Every
-        count runs the same map task body, :meth:`map_task`, inline at
-        1 and on the daemon pool above it; :meth:`reduce_partition`
-        always runs in the driver. Output, counters, simulated seconds
-        and trace shape are byte-identical at every count (see
+        Host processes for the map phase. None defers to the
+        ``REPRO_WORKERS`` environment variable (default 1); 0 means one
+        worker per CPU core. Every count runs the same map task body,
+        :meth:`map_task`, inline at 1 and on the daemon pool above it;
+        :meth:`reduce_partition` always runs in the driver. The count
+        is host execution only: output, counters, simulated seconds and
+        trace shape are byte-identical at every count (see
         :mod:`repro.parallel`).
     """
 
@@ -384,8 +377,7 @@ class LocalJobRunner:
             replication=self.cluster.hdfs_replication,
         )
         rec = obs.active()
-        # A map-only job's identity fold is free (see run): no span.
-        if rec.enabled and self.num_reducers > 0:
+        if rec.enabled:
             rec.tiled(
                 f"reduce-task#{partition} {self.app.name}", "reduce-task",
                 "reduce", "tasks",
@@ -414,6 +406,19 @@ class LocalJobRunner:
                     f"{out_k!r} in partition {partition}"
                 )
             output[out_k] = out_v
+
+    def _fold_map_only(self, output: dict[Any, Any], runs: list[list]) -> None:
+        """Fold a map-only job's map output into the job output dict,
+        unreduced (Hadoop's zero-reduces job: the map output is the job
+        output), keys in merged sort order. A key emitted twice has
+        nowhere to go but a reducer, so it fails the job."""
+        for key, values in grouped_values(merge_sorted_runs(runs)).items():
+            if len(values) > 1:
+                raise HadoopError(
+                    f"{self.app.name} map-only job: map tasks emitted "
+                    f"duplicate key {key!r}"
+                )
+            output[key] = values[0]
 
     # -- full job --------------------------------------------------------------------
 
@@ -461,26 +466,22 @@ class LocalJobRunner:
         # every configured reducer, whether or not its partition
         # received data — and the reduced pairs fold into the output
         # dict here, in partition order. A map-only job (num_reducers
-        # == 0) writes output at the map tasks; its identity fold
-        # through the one partition is free, like
-        # estimate_reduce_phase's zero-cost map-only answer.
-        partitions = list(range(max(self.num_reducers, 1)))
-        charge_reduce = self.num_reducers > 0
-        result.reduce_workers = resolve_workers(self.workers,
-                                                tasks=len(partitions))
+        # == 0) has no reduce phase: its map output, all in the one
+        # partition, is the job output, and no reducer runs.
         output: dict[Any, Any] = {}
-        reduced_per_part = run_reduce_tasks(self, partitions, shuffle)
-        for part, (reduced, timing) in zip(partitions, reduced_per_part):
-            if charge_reduce:
+        if self.num_reducers == 0:
+            self._fold_map_only(output, shuffle.get(0, []))
+        else:
+            partitions = list(range(self.num_reducers))
+            reduced_per_part = run_reduce_tasks(self, partitions, shuffle)
+            for part, (reduced, timing) in zip(partitions, reduced_per_part):
                 result.reduce_task_timings.append(timing)
-            self._fold_reduced(output, part, reduced)
+                self._fold_reduced(output, part, reduced)
         result.output = output
 
         if job_span is not None:
-            # The job span covers the job's wall-clock-equivalent
-            # duration: the map phase's critical path at this run's
-            # worker count (the task-seconds sum at 1), then the reduce
-            # phase's.
+            # The job span covers the simulated job: the map phase,
+            # then the reduce phase, each on one slot.
             map_end = job_span.ts + result.map_critical_path_seconds
             rec.counter(
                 "shuffle", "local-job",
@@ -496,7 +497,12 @@ class LocalJobRunner:
                 ts=map_end + result.reduce_critical_path_seconds,
                 args={"output_keys": len(output),
                       "shuffle_bytes": result.shuffle_bytes,
-                      "reduce_workers": result.reduce_workers,
+                      # The reduce phase runs on one modelled slot at
+                      # every worker count. The constant stays because
+                      # tests/golden/wc_local_{cpu,gpu}.trace.json pin
+                      # it, and CI refuses those files in a change to
+                      # src/repro/hadoop/.
+                      "reduce_workers": 1,
                       "reduce_tasks": len(result.reduce_task_timings)},
             )
         return result

@@ -76,30 +76,11 @@ class GlobalKVStore:
             )
         portion.append(KVPair(key, value, partition))
 
-    def remaining_capacity(self, thread_id: int) -> int:
-        """Slots left in a thread's portion — bounds how many more records
-        the thread may steal (paper §4.1: 'The maximum record stealing that
-        a thread can perform is limited by the storesPerThread')."""
-        return self.stores_per_thread - len(self._slots[thread_id])
-
     # -- inspection ------------------------------------------------------------
 
     @property
     def emitted_pairs(self) -> int:
         return sum(len(p) for p in self._slots)
-
-    @property
-    def whitespace_slots(self) -> int:
-        """Empty slots interleaved within the occupied per-thread span."""
-        return self.capacity_pairs - self.emitted_pairs
-
-    @property
-    def occupancy(self) -> float:
-        return self.emitted_pairs / self.capacity_pairs
-
-    def per_thread_counts(self) -> list[int]:
-        """devKvCount: pairs emitted by each thread (input to the scan)."""
-        return [len(p) for p in self._slots]
 
     def iter_pairs(self) -> Iterator[tuple[int, KVPair]]:
         """(thread_id, pair) in per-thread slot order — the physical layout
@@ -107,7 +88,3 @@ class GlobalKVStore:
         for tid, portion in enumerate(self._slots):
             for pair in portion:
                 yield tid, pair
-
-    def allocated_bytes(self) -> int:
-        slot = self.key_length + self.value_length + 4  # +4: indexArray entry
-        return self.capacity_pairs * slot

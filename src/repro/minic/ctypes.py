@@ -28,10 +28,6 @@ class CType:
         return False
 
     @property
-    def is_arithmetic(self) -> bool:
-        return self.is_integer or self.is_float
-
-    @property
     def is_pointer(self) -> bool:
         return False
 

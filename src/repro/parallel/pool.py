@@ -9,31 +9,24 @@ here is what every phase shares:
 * **One worker count** — :func:`resolve_workers` turns an explicit
   ``workers=`` argument or the process's
   :class:`~repro.config.RuntimeConfig` (``REPRO_WORKERS``) into the
-  effective fan-out of one phase, capped by that phase's task count. A
-  job's map phase and its simulated reduce slots both resolve the job's
-  one setting.
+  effective fan-out of one phase, capped by that phase's task count. It
+  sizes the pool and nothing else: no simulated number reads it.
 * **Leaf workers** — a worker process never creates its own pool.
   :func:`resolve_workers` answers 1 inside a worker regardless of the
   configuration or explicit ``workers=`` arguments, so
   nested parallelism (a fuzz worker running a parallel job) runs its
   tasks inline instead of fork-bombing the host.
-* **Deterministic makespan** — :func:`list_schedule_makespan` is the
-  simulated wall-clock-equivalent duration of a phase whose tasks the
-  pool drains in submission order.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from typing import Iterable
 
 from ..config import RuntimeConfig
 from ..errors import ConfigError
 
 __all__ = [
     "in_worker",
-    "list_schedule_makespan",
     "resolve_workers",
 ]
 
@@ -69,33 +62,6 @@ def resolve_workers(workers: int | None = None,
     if tasks is not None:
         workers = min(workers, max(tasks, 1))
     return max(workers, 1)
-
-
-def list_schedule_makespan(durations: Iterable[float], workers: int) -> float:
-    """Makespan of the deterministic in-order list schedule.
-
-    Task ``i`` is assigned to the worker that frees up earliest (ties
-    broken by lowest worker index) — the classic greedy schedule, and
-    exactly how a pool with ``chunksize=1`` drains an ordered queue when
-    task costs are uniform enough. This is the *wall-clock-equivalent*
-    simulated duration of a parallel map phase; with ``workers <= 1``
-    the accumulation order degenerates to ``sum()``'s left-to-right
-    fold, bit for bit.
-    """
-    if workers <= 1:
-        total = 0.0
-        for d in durations:
-            total += d
-        return total
-    free = [(0.0, i) for i in range(workers)]  # sorted ⇒ already a heap
-    busiest = 0.0
-    for d in durations:
-        t, i = heapq.heappop(free)
-        t += d
-        if t > busiest:
-            busiest = t
-        heapq.heappush(free, (t, i))
-    return busiest
 
 
 def _mark_leaf_worker() -> None:

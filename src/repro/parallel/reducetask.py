@@ -5,8 +5,8 @@ paper's Table 2 blames for dampened speedups.
 <repro.hadoop.local.LocalJobRunner.reduce_partition>` per partition in
 the driver, at every worker count: reducers always run on CPUs (paper
 §3.1), and each partition's runs are handed over as the objects the map
-fold built, never pickled. The worker count shapes only the simulated
-reduce makespan (``LocalJobResult.reduce_workers``).
+fold built, never pickled. A map-only job has no reduce tasks and never
+comes here.
 
 The driver folds the reduced pairs into the output dict itself, so the
 output insertion order, the duplicate-key check, the counters, the

@@ -417,9 +417,21 @@ int main() {
         assert "unknown app 'XX'; known: ['BS'" in capsys.readouterr().err
 
     def test_stats_reports_reduce_breakdown(self, capsys):
-        assert main(["stats", "WC", "--records", "120",
-                     "--split-kb", "2", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "reduce phase:" in out
-        assert "critical path" in out
-        assert "reduce.tasks" in out
+        """``run`` and ``stats`` print the same simulated numbers at
+        every worker count: only ``run``'s header names the workers and
+        only ``stats`` lists the pool's own counters."""
+        job = ["WC", "--records", "120", "--split-kb", "2"]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["run", *job, "--workers", workers]) == 0
+            run_lines = capsys.readouterr().out.splitlines()[1:]
+            assert main(["stats", *job, "--workers", workers]) == 0
+            stats_lines = [line for line in capsys.readouterr().out
+                           .splitlines() if "pool." not in line]
+            outputs.append((run_lines, stats_lines))
+        (run1, stats1), (run2, stats2) = outputs
+        assert any(line.startswith("simulated map time") for line in run1)
+        assert "reduce phase:" in stats1
+        assert any("reduce.tasks" in line for line in stats1)
+        assert run1 == run2
+        assert stats1 == stats2

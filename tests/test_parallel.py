@@ -3,9 +3,9 @@
 The contract under test is the one ``repro.parallel`` documents: a job
 run with ``workers=N`` is *observably identical* to the serial run —
 same output dict, same per-task simulated seconds (in task order), same
-counters — with only wall-clock and the reported ``workers``/critical
-path differing. The differential sweep below checks that for every
-Table 2 app on both execution paths at 2 and 4 workers.
+counters, same job span — with only wall clock and the reported
+``workers`` differing. The differential sweep below checks that for
+every Table 2 app on both execution paths at 2 and 4 workers.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from repro.gpu.device import GpuDevice
 from repro.hadoop.local import LocalJobRunner
 from repro.minic.interpreter import current_engine, use_engine
 from repro.obs.export import WORKER_PID_MARKER
-from repro.parallel import (
-    get_pool,
-    in_worker,
-    list_schedule_makespan,
-    resolve_workers,
-)
+from repro.parallel import get_pool, in_worker, resolve_workers
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.scenarios import records_for
 
@@ -82,32 +77,6 @@ class TestResolveWorkers:
             resolve_workers()
 
 
-class TestListScheduleMakespan:
-    def test_serial_is_bitwise_sum(self):
-        # The job span's end uses the critical path; at one worker it
-        # must reproduce the historical sum() fold *bit for bit* or the
-        # golden traces would shift.
-        durations = [0.1, 0.2, 0.30000000000000004, 1e-9, 7.25]
-        assert list_schedule_makespan(durations, 1) == sum(durations)
-        assert list_schedule_makespan(durations, 0) == sum(durations)
-
-    def test_greedy_two_workers(self):
-        # w0 takes 3; w1 takes 1,1,1 → both finish at 3.
-        assert list_schedule_makespan([3.0, 1.0, 1.0, 1.0], 2) == 3.0
-
-    def test_more_workers_than_tasks(self):
-        assert list_schedule_makespan([2.0, 5.0, 1.0], 8) == 5.0
-
-    def test_empty(self):
-        assert list_schedule_makespan([], 4) == 0.0
-
-    def test_monotone_in_workers(self):
-        durations = [0.3, 0.1, 0.8, 0.2, 0.5, 0.4]
-        spans = [list_schedule_makespan(durations, w) for w in (1, 2, 3, 6)]
-        assert spans == sorted(spans, reverse=True)
-        assert spans[-1] == max(durations)
-
-
 # -- pools ------------------------------------------------------------------
 
 
@@ -150,16 +119,10 @@ def test_parallel_job_identical_to_serial(short, use_gpu):
     app = get_app(short)
     serial = _run_job(app, use_gpu, workers=1)
     assert serial.map_tasks >= 2, "need fan-out to exercise the pool"
-    assert serial.workers == serial.reduce_workers == 1
-    partitions = len(serial.reduce_task_timings)
+    assert serial.workers == 1
     for workers in (2, 4):
         par = _run_job(app, use_gpu, workers=workers)
         assert par.workers == min(workers, serial.map_tasks)
-        # The reduce phase follows the job's worker setting, capped by
-        # its own task count (the partition count).
-        expected_rw = min(workers, max(partitions, 1)) if partitions \
-            else 1
-        assert par.reduce_workers == expected_rw
         # byte-identical output: same pairs in the same insertion order
         assert list(par.output.items()) == list(serial.output.items())
         assert par.map_tasks == serial.map_tasks
@@ -171,7 +134,12 @@ def test_parallel_job_identical_to_serial(short, use_gpu):
         # ... and so are the reduce tasks' simulated seconds
         assert par.reduce_task_timings == serial.reduce_task_timings
         assert par.total_reduce_seconds == serial.total_reduce_seconds
-        assert par.reduce_critical_path(1) == serial.total_reduce_seconds
+        # ... and so are the simulated phases, which the worker count
+        # never shapes: one slot each, the summed work, bit for bit.
+        assert par.map_critical_path_seconds == \
+            serial.map_critical_path_seconds == serial.total_map_seconds
+        assert par.reduce_critical_path_seconds == \
+            serial.reduce_critical_path_seconds == serial.total_reduce_seconds
 
 
 @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
@@ -469,6 +437,43 @@ def test_duplicate_key_error_names_app_and_partition(workers):
         runner.run(text)
 
 
+# -- map-only jobs ------------------------------------------------------------
+
+
+def _no_reducer(*_args):
+    raise AssertionError("a map-only job ran a reducer")
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+@pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+def test_map_only_job_output_is_the_map_output(use_gpu, workers,
+                                               monkeypatch):
+    """Zero reducers (Hadoop's map-only job): the map output is the job
+    output and no reducer runs. II's reducer counts each word's distinct
+    documents; its map emits ``word -> document``, and that is what a
+    map-only II job returns."""
+    from repro.apps.base import Application
+
+    monkeypatch.setattr(Application, "cpu_reduce", _no_reducer)
+    monkeypatch.setattr(Application, "reduce", _no_reducer)
+    text = "7 alpha beta\n9 gamma\n3 delta\n"
+    result = LocalJobRunner(get_app("II"), use_gpu=use_gpu, num_reducers=0,
+                            split_bytes=8, workers=workers).run(text)
+    assert result.map_tasks == 2
+    assert result.output == {"alpha": 7, "beta": 7, "delta": 3, "gamma": 9}
+    assert result.reduce_task_timings == []
+    assert result.total_reduce_seconds == 0.0
+
+
+@pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+def test_map_only_job_rejects_a_key_emitted_twice(use_gpu):
+    runner = LocalJobRunner(get_app("II"), use_gpu=use_gpu, num_reducers=0)
+    with pytest.raises(HadoopError, match=(
+            r"^inverted_index map-only job: map tasks emitted duplicate "
+            r"key 'alpha'$")):
+        runner.run("7 alpha beta\n9 alpha\n")
+
+
 # -- malformed map output -----------------------------------------------------
 
 
@@ -493,26 +498,6 @@ def test_malformed_map_output_names_app_task_and_line(workers):
         runner.run(text)
     assert str(err.value) == \
         "NoTab map task 1: malformed KV line 'zulu1' at output line 7"
-
-
-# -- critical path vs total work --------------------------------------------
-
-
-def test_critical_path_and_total_work_semantics():
-    app = get_app("WC")
-    serial = _run_job(app, use_gpu=False, workers=1)
-    par = _run_job(app, use_gpu=False, workers=4)
-    # total_map_seconds is summed *work*: invariant under fan-out, and
-    # bitwise-equal to the 1-worker critical path.
-    assert par.total_map_seconds == serial.total_map_seconds
-    assert serial.map_critical_path_seconds == serial.total_map_seconds
-    # at 4 workers the makespan shrinks but never below the longest task
-    assert par.map_critical_path_seconds < par.total_map_seconds
-    assert par.map_critical_path_seconds >= max(par.task_seconds())
-    assert par.map_critical_path_seconds == list_schedule_makespan(
-        par.task_seconds(), 4
-    )
-    assert par.critical_path_seconds(1) == par.total_map_seconds
 
 
 # -- trace splicing ---------------------------------------------------------
@@ -549,7 +534,7 @@ def test_parallel_trace_has_reduce_task_spans():
     with obs.use_recorder(obs.TraceRecorder()) as rec:
         result = LocalJobRunner(app, use_gpu=False, split_bytes=1024,
                                 workers=3).run(text)
-    assert result.reduce_workers == 3
+    assert result.workers == 3
     assert_standard_invariants(rec)
 
     task_spans = rec.spans("reduce-task")
@@ -578,45 +563,63 @@ def _spans(rec, *cats):
     )
 
 
+def _trace_shape(app, use_gpu: bool, workers: int):
+    """What a traced job's trace must keep at every worker count."""
+    with obs.use_recorder(obs.TraceRecorder()) as rec:
+        result = _run_job(app, use_gpu, workers=workers)
+    assert_standard_invariants(rec)
+    (job_span,) = rec.spans("job")
+    assert job_span.dur == (result.map_critical_path_seconds
+                            + result.reduce_critical_path_seconds)
+    assert job_span.args["workers"] == result.workers
+    assert len(rec.spans("reduce-task")) == \
+        len(result.reduce_task_timings) == job_span.args["reduce_tasks"]
+    job = (job_span.name, job_span.ts, job_span.dur,
+           sorted((k, v) for k, v in job_span.args.items() if k != "workers"))
+    counters = {k: v for k, v in rec.metrics.snapshot()["counters"].items()
+                if not k.startswith("pool.")}
+    reduce_spans = [(s.pid, s.tid, s.name, s.ts, s.dur,
+                     sorted(s.args.items()))
+                    for s in rec.spans("reduce-task")]
+    return (job, _spans(rec, "phase"), counters, reduce_spans,
+            _spans(rec, "cpu-task", "gpu-task"))
+
+
 @pytest.mark.parametrize("short", APP_TAGS)
 @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
-def test_trace_shape_is_worker_count_invariant(short, use_gpu):
+def test_trace_shape_is_worker_count_invariant(short, use_gpu, monkeypatch):
     """One trace shape: inline and pooled runs of a job record the same
+    job span (start, duration and every arg but ``workers``), the same
     task / phase / reduce-task spans (names carry job-wide indices) and
-    the same counters; the job span is map + reduce critical path.
-    Reduce tasks run in the driver at every worker count, so their
-    spans are exactly equal: track, start, duration and args."""
+    the same counters. The job span is the map phase, then the reduce
+    phase, each on one modelled slot, so the host's worker count never
+    reaches it. Reduce tasks run in the driver at every worker count,
+    so their spans are exactly equal: track, start, duration and args.
+    WC also runs on 4 workers and on a spawned pool."""
+    from repro.parallel import shutdown_pool
+
     app = get_app(short)
-    runs = []
-    for workers in (1, 2):
-        with obs.use_recorder(obs.TraceRecorder()) as rec:
-            result = _run_job(app, use_gpu, workers=workers)
-        assert_standard_invariants(rec)
-        (job_span,) = rec.spans("job")
-        assert job_span.dur == (result.map_critical_path_seconds
-                                + result.reduce_critical_path_seconds)
-        assert job_span.args["workers"] == result.workers
-        assert job_span.args["reduce_workers"] == result.reduce_workers
-        assert len(rec.spans("reduce-task")) == \
-            len(result.reduce_task_timings) == job_span.args["reduce_tasks"]
-        counters = {k: v for k, v in rec.metrics.snapshot()["counters"].items()
-                    if not k.startswith("pool.")}
-        reduce_spans = [(s.pid, s.tid, s.name, s.ts, s.dur,
-                         sorted(s.args.items()))
-                        for s in rec.spans("reduce-task")]
-        runs.append((_spans(rec, "phase"), counters,
-                     _spans(rec, "cpu-task", "gpu-task"), reduce_spans))
-    ((phases1, counters1, tasks1, reduce1),
-     (phases2, counters2, tasks2, reduce2)) = runs
-    # Phase durations are the charged seconds themselves: exact.
-    assert phases1 == phases2
-    assert counters1 == counters2
-    assert reduce1 == reduce2
-    # A task span's duration is its track cursor's advance, so it
-    # carries the rounding of wherever the track stood.
-    assert [t[:-1] for t in tasks1] == [t[:-1] for t in tasks2]
-    assert [t[-1] for t in tasks1] == pytest.approx(
-        [t[-1] for t in tasks2], rel=1e-9)
+    shapes = [_trace_shape(app, use_gpu, workers) for workers in (1, 2)]
+    if short == "WC":
+        shapes.append(_trace_shape(app, use_gpu, 4))
+        monkeypatch.setenv("REPRO_POOL_START", "spawn")
+        shutdown_pool()
+        try:
+            shapes.append(_trace_shape(app, use_gpu, 2))
+        finally:
+            shutdown_pool()
+    (job1, phases1, counters1, reduce1, tasks1), *pooled = shapes
+    for job, phases, counters, reduce_spans, tasks in pooled:
+        assert job == job1
+        # Phase durations are the charged seconds themselves: exact.
+        assert phases == phases1
+        assert counters == counters1
+        assert reduce_spans == reduce1
+        # A task span's duration is its track cursor's advance, so it
+        # carries the rounding of wherever the track stood.
+        assert [t[:-1] for t in tasks] == [t[:-1] for t in tasks1]
+        assert [t[-1] for t in tasks] == pytest.approx(
+            [t[-1] for t in tasks1], rel=1e-9)
 
 
 @pytest.mark.parametrize("short", APP_TAGS)

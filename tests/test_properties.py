@@ -76,14 +76,6 @@ class TestKVStoreProperties:
         assert collected == expected
         assert result.span_after == len(emissions)
 
-    @given(st.lists(st.integers(0, 3), max_size=50))
-    def test_whitespace_plus_emitted_equals_capacity(self, tids):
-        store = GlobalKVStore(total_threads=4, capacity_pairs=4 * 60,
-                              key_length=4, value_length=4)
-        for tid in tids:
-            store.emit(tid, tid, tid, 0)
-        assert store.emitted_pairs + store.whitespace_slots == 240
-
 
 class TestInterpreterArithmeticProperties:
     @given(a=st.integers(-10**6, 10**6), b=st.integers(-10**6, 10**6))

@@ -3,16 +3,24 @@
 A job runs on one device today, so "GPU seconds, then CPU seconds" and
 "task-index order" used to coincide. These tests build the result a
 mixed job would produce — results only; the runner has no mixed mode —
-and pin every fold to the index order: the critical path is a list
-schedule, so grouping by device changes it.
+and pin every fold to the index order: a float sum's last bits depend
+on its order, so grouping by device changes them.
 """
 
 from __future__ import annotations
 
 from repro.apps import get_app
-from repro.hadoop.local import LocalJobResult, LocalJobRunner
+from repro.costmodel.breakdown import TaskBreakdown
+from repro.hadoop.local import LocalJobResult, LocalJobRunner, MapTaskResult
+from repro.hadoop.shuffle import ReduceTaskTiming
 from repro.hadoop.tasks import SlotKind
-from repro.parallel.pool import list_schedule_makespan
+
+
+def _left_fold(seconds):
+    total = 0.0
+    for s in seconds:
+        total += s
+    return total
 
 
 def _per_split_results(use_gpu: bool):
@@ -38,14 +46,33 @@ def test_map_folds_are_index_ordered_not_device_grouped():
     grouped = expected[0::2] + expected[1::2]
     assert mixed.task_seconds() != grouped
 
-    assert mixed.total_map_seconds == sum(expected)
-    for workers in range(1, 5):
-        assert mixed.critical_path_seconds(workers) == \
-            list_schedule_makespan(expected, workers)
-    assert mixed.critical_path_seconds(2) != \
-        list_schedule_makespan(grouped, 2)
+    # The work and the map phase are one left-to-right fold in index
+    # order — an explicit one, not sum(), which compensates from
+    # Python 3.12 on.
+    assert mixed.total_map_seconds == mixed.map_critical_path_seconds \
+        == _left_fold(expected)
     assert mixed.device_tasks(SlotKind.GPU) == (len(tasks) + 1) // 2
     assert mixed.device_tasks(SlotKind.CPU) == len(tasks) // 2
+
+
+def test_phase_folds_are_left_folds_in_task_order():
+    """Both phases' seconds are the one left-to-right fold over their
+    tasks in index order, whichever property reads them: 1.0 absorbs
+    each tiny task on its own, where a compensated sum() (Python 3.12
+    on) or any other order would keep them."""
+    seconds = [1.0, 1e-16, 1e-16]
+    assert _left_fold(seconds) == 1.0
+    assert _left_fold(seconds[::-1]) != 1.0
+    maps = [MapTaskResult(SlotKind.CPU, TaskBreakdown(map=s), 0, {}, 0)
+            for s in seconds]
+    reduces = [ReduceTaskTiming(part, 0, 0, 0, 0, 0, 0.0, s, 0.0)
+               for part, s in enumerate(seconds)]
+    result = LocalJobResult(map_tasks=3, map_task_results=maps,
+                            reduce_task_timings=reduces)
+    assert result.task_seconds() == result.reduce_seconds() == seconds
+    assert result.total_map_seconds == result.map_critical_path_seconds \
+        == result.total_reduce_seconds \
+        == result.reduce_critical_path_seconds == 1.0
 
 
 def test_task_result_has_one_shape_on_both_devices():
