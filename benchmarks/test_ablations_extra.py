@@ -129,8 +129,7 @@ int main()
 
         def store():
             return GlobalKVStore(kernel.launch.total_threads,
-                                 kernel.launch.total_threads * 40,
-                                 kernel.key_length, kernel.value_length)
+                                 kernel.launch.total_threads * 40)
 
         def compare():
             device = GpuDevice(CLUSTER1.gpu)
@@ -162,8 +161,7 @@ class TestLaunchTuningSurface:
 
         device = GpuDevice(CLUSTER1.gpu)
         store = GlobalKVStore(kernel.launch.total_threads,
-                              kernel.launch.total_threads * 8,
-                              kernel.key_length, kernel.value_length)
+                              kernel.launch.total_threads * 8)
         snap = Interpreter(tr.program, stdin="").run_until_region(
             kernel.original_region)
         records = [l.encode() for l in app.generate(600, seed=6).splitlines()]

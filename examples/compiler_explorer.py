@@ -14,6 +14,10 @@ from repro.apps import get_app
 from repro.compiler.kernel_ir import VarClass
 
 
+def _kind(is_array: bool) -> str:
+    return "array" if is_array else "scalar"
+
+
 def explore(short: str) -> None:
     app = get_app(short)
     print("=" * 72)
@@ -24,8 +28,10 @@ def explore(short: str) -> None:
 
     translation = app.translate_map()
     kernel = translation.map_kernel
-    print(f"map kernel: key {kernel.key_type} x{kernel.key_length}B, "
-          f"value {kernel.value_type} x{kernel.value_length}B, "
+    key = _kind(kernel.key_is_array)
+    value = _kind(kernel.value_is_array)
+    print(f"map kernel: key {key} x{kernel.key_length}B, "
+          f"value {value} x{kernel.value_length}B, "
           f"vector width {kernel.vector_width}, "
           f"launch {kernel.launch.blocks}x{kernel.launch.threads}, "
           f"kvpairs/record {kernel.kvpairs_per_record}")

@@ -72,7 +72,7 @@ class Application:
         return _parse_cached(self.combine_source)
 
     def translate_map(self, opt: OptimizationFlags | None = None) -> TranslationResult:
-        return translate_cached(self.map_program(), opt=opt, map_only=self.map_only)
+        return translate_cached(self.map_program(), opt=opt)
 
     def translate_combine(
         self, opt: OptimizationFlags | None = None

@@ -33,13 +33,9 @@ class HostPlan:
     """Ordered host steps for one GPU task."""
 
     steps: list[HostStep] = field(default_factory=list)
-    map_only: bool = False            # no reducers: output goes straight to HDFS
-    has_combiner: bool = False
-    uses_kvpairs_clause: bool = False  # shrinks the global KV store allocation
 
     @classmethod
-    def build(cls, has_combiner: bool, map_only: bool,
-              uses_kvpairs_clause: bool) -> "HostPlan":
+    def build(cls, has_combiner: bool) -> "HostPlan":
         steps = [
             HostStep.COPY_INPUT,
             HostStep.COUNT_RECORDS,
@@ -51,15 +47,10 @@ class HostPlan:
         if has_combiner:
             steps.append(HostStep.COMBINE_KERNEL)
         steps.extend([HostStep.WRITE_OUTPUT, HostStep.FREE])
-        return cls(
-            steps=steps,
-            map_only=map_only,
-            has_combiner=has_combiner,
-            uses_kvpairs_clause=uses_kvpairs_clause,
-        )
+        return cls(steps=steps)
 
     def describe(self) -> str:
-        lines = [f"host driver plan ({'map-only' if self.map_only else 'map+combine'}):"]
+        lines = ["host driver plan:"]
         for i, step in enumerate(self.steps, 1):
             lines.append(f"  {i}. {step.value}")
         return "\n".join(lines)

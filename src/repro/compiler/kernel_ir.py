@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..config import LaunchConfig, OptimizationFlags
-from ..directives import Directive, DirectiveKind
+from ..config import WARP_SIZE, LaunchConfig, OptimizationFlags
+from ..directives import DirectiveKind
 from ..minic import cast as A
 from ..minic import ctypes as T
 
@@ -40,14 +40,6 @@ class VarInfo:
     ctype: T.CType
     klass: VarClass
     kernel_name: str          # renamed inside the kernel (gpu_ prefix)
-    initial_from_host: bool = False   # value captured at kernel launch
-
-    @property
-    def is_array(self) -> bool:
-        return isinstance(self.ctype, T.Array)
-
-    def sizeof(self) -> int:
-        return self.ctype.sizeof() if self.is_array else self.ctype.sizeof()
 
 
 @dataclass
@@ -58,12 +50,9 @@ class KernelIR:
     name: str
     body: A.Stmt                      # transformed region (calls GPU runtime)
     variables: dict[str, VarInfo]     # original name → info
-    directive: Directive
     launch: LaunchConfig
     opt: OptimizationFlags
     # Emitted KV layout
-    key_type: T.CType = T.INT
-    value_type: T.CType = T.INT
     key_length: int = 4               # bytes per key slot in the KV store
     value_length: int = 4             # bytes per value slot
     key_is_array: bool = False
@@ -100,7 +89,7 @@ class KernelIR:
         """Shared memory used per threadblock: the record-stealing counter
         (mapper) plus per-warp private arrays (combiner)."""
         total = 4 if self.is_mapper else 0
-        warps = self.launch.threads // 32
+        warps = self.launch.threads // WARP_SIZE
         for var in self.vars_of(VarClass.SHARED_ARRAY):
             total += var.ctype.sizeof() * warps
         return total

@@ -213,7 +213,6 @@ def _build_kernel(
     directive: Directive,
     opt: OptimizationFlags,
     program: A.Program,
-    warp_size: int,
 ) -> KernelIR:
     known_functions = {f.name for f in program.functions}
     variables = classify_variables(func, region, directive, opt, known_functions)
@@ -263,8 +262,8 @@ def _build_kernel(
         if directive.kind is DirectiveKind.MAPPER
         else opt.vectorize_combine
     )
-    decision = decide_vectorization(
-        directive, key_arr, val_arr, key_t, val_t, vec_enabled, warp_size
+    vector_width = decide_vectorization(
+        directive, key_arr, val_arr, key_t, val_t, vec_enabled
     )
 
     kernel = KernelIR(
@@ -272,16 +271,13 @@ def _build_kernel(
         name=f"gpu_{'mapper' if directive.is_mapper else 'combiner'}",
         body=body,
         variables=variables,
-        directive=directive,
         launch=launch,
         opt=opt,
-        key_type=key_t,
-        value_type=val_t,
         key_length=key_len,
         value_length=val_len,
         key_is_array=key_arr,
         value_is_array=val_arr,
-        vector_width=decision.vector_width,
+        vector_width=vector_width,
         kvpairs_per_record=_resolve_int_clause(directive.kvpairs, func),
         helpers=[f for f in program.functions if f.name != func.name],
         original_region=region,
@@ -357,17 +353,14 @@ def render_kernel_source(kernel: KernelIR) -> str:
 
 
 def translate(
-    program: A.Program,
-    opt: OptimizationFlags | None = None,
-    warp_size: int = 32,
-    map_only: bool = False,
+    program: A.Program, opt: OptimizationFlags | None = None
 ) -> TranslationResult:
     """Translate every directive region in ``program``.
 
     A HeteroDoop app ships map and combine as separate Streaming
     executables, so a program typically contains exactly one directive.
-    ``map_only`` marks jobs with zero reduce tasks (output goes straight to
-    HDFS, Fig. 1).
+    The result depends on the program and ``opt`` only: whether a job is
+    map-only is the job's reducer count, decided by the job runner.
     """
     opt = opt if opt is not None else OptimizationFlags.all_on()
     found = find_directives(program)
@@ -376,7 +369,7 @@ def translate(
 
     result = TranslationResult(program=program)
     for directive, region, func in found:
-        kernel = _build_kernel(func, region, directive, opt, program, warp_size)
+        kernel = _build_kernel(func, region, directive, opt, program)
         if kernel.is_mapper:
             if result.map_kernel is not None:
                 raise CompilerError("multiple mapper directives in one program")
@@ -387,39 +380,23 @@ def translate(
             result.combine_kernel = kernel
 
     result.host_plan = HostPlan.build(
-        has_combiner=result.combine_kernel is not None,
-        map_only=map_only,
-        uses_kvpairs_clause=(
-            result.map_kernel is not None
-            and result.map_kernel.kvpairs_per_record is not None
-        ),
+        has_combiner=result.combine_kernel is not None
     )
     result.cuda_source = "\n\n".join(k.source_text for k in result.kernels)
     return result
 
 
 def translate_cached(
-    program: A.Program,
-    opt: OptimizationFlags | None = None,
-    warp_size: int = 32,
-    map_only: bool = False,
+    program: A.Program, opt: OptimizationFlags | None = None
 ) -> TranslationResult:
     """Memoized :func:`translate`.
 
     A local job re-translates the same map/combine program once per map
-    task; the result depends only on the program source, the
-    optimization flags, and the launch parameters, so it is cached under
-    that key (see :mod:`repro.minic.cache`). Callers share one
-    TranslationResult — the translator never mutates it after build, and
-    the GPU runner clones every buffer it materializes from it.
+    task; the result depends only on the program source and the
+    optimization flags, so it is cached under that key (see
+    :mod:`repro.minic.cache`). Callers share one TranslationResult — the
+    translator never mutates it after build, and the GPU runner clones
+    every buffer it materializes from it.
     """
     opt = opt if opt is not None else OptimizationFlags.all_on()
-    return cached_translation(
-        program,
-        opt,
-        warp_size,
-        map_only,
-        lambda: translate(
-            program, opt=opt, warp_size=warp_size, map_only=map_only
-        ),
-    )
+    return cached_translation(program, opt, lambda: translate(program, opt))

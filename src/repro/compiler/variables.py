@@ -122,14 +122,6 @@ def classify_variables(
             ctype=ctype,
             klass=klass,
             kernel_name=f"gpu_{name}",
-            initial_from_host=klass
-            in (
-                VarClass.CONST_SCALAR,
-                VarClass.GLOBAL_RO_ARRAY,
-                VarClass.TEXTURE_ARRAY,
-                VarClass.FIRSTPRIVATE_SCALAR,
-                VarClass.FIRSTPRIVATE_ARRAY,
-            ),
         )
 
     # §4.2: in combiner kernels private arrays move to per-warp shared memory.

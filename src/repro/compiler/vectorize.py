@@ -4,29 +4,16 @@
 For array-typed keys/values the generated code uses CUDA vector types
 (``char4``) in ``emitKV`` and string functions, quadrupling effective
 memory throughput. In combine kernels, threads of a warp cooperatively
-load/store array KV bytes lane-per-element ("all threads in the warp must
-be active"); if neither key nor value is an array, only a single thread
-per warp does useful work.
+load/store the KV bytes lane-per-element.
 
-The analysis only *decides*; the GPU timing model applies the effect.
+The analysis only decides a kernel's vector width; the GPU timing model
+applies the effect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..directives import Directive, DirectiveKind
 from ..minic import ctypes as T
-
-
-@dataclass(frozen=True)
-class VectorDecision:
-    """What the vectorizer decided for a kernel."""
-
-    vector_width: int          # 1 (scalar) or 4 (char4)
-    warp_cooperative: bool     # combiner lanes move KV bytes cooperatively
-    active_lanes: int          # lanes doing useful work in a combiner warp
-    reason: str
 
 
 def decide_vectorization(
@@ -36,49 +23,23 @@ def decide_vectorization(
     key_type: T.CType,
     value_type: T.CType,
     enabled: bool,
-    warp_size: int = 32,
-) -> VectorDecision:
-    """Pick vector width and warp cooperation for a kernel."""
-    any_array = key_is_array or value_is_array
+) -> int:
+    """The kernel's vector width for KV moves: 1 (scalar), 2 or 4 (char4)."""
     if not enabled:
-        return VectorDecision(
-            vector_width=1,
-            warp_cooperative=False,
-            active_lanes=1 if directive.kind is DirectiveKind.COMBINER else warp_size,
-            reason="vectorization disabled",
-        )
+        return 1
     if directive.kind is DirectiveKind.MAPPER:
-        if any_array:
-            return VectorDecision(
-                vector_width=4,
-                warp_cooperative=False,
-                active_lanes=warp_size,
-                reason="char4 vector loads/stores for array key/value in emitKV "
-                       "and string functions",
-            )
+        if key_is_array or value_is_array:
+            # char4 vector loads/stores for an array key/value in emitKV
+            # and the string functions.
+            return 4
         if key_type.sizeof() + value_type.sizeof() >= 12:
-            return VectorDecision(
-                vector_width=2,
-                warp_cooperative=False,
-                active_lanes=warp_size,
-                reason="wide scalar KV (e.g. double values): paired 64-bit "
-                       "vector moves in emitKV",
-            )
-        return VectorDecision(
-            vector_width=1,
-            warp_cooperative=False,
-            active_lanes=warp_size,
-            reason="scalar key and value; vector types not applicable",
-        )
-    # Combiner: warp-redundant execution with cooperative KV movement.
-    # The KV store holds serialized key/value bytes, so lane-cooperative
-    # vectorized moves apply regardless of the declared C types.
-    return VectorDecision(
-        vector_width=4,
-        warp_cooperative=True,
-        active_lanes=warp_size if any_array else 1,
-        reason="warp-cooperative vectorized getKV/storeKV over the KV byte "
-               "stream" if any_array else
-               "single active compute lane per warp (§4.2); KV bytes still "
-               "move cooperatively",
-    )
+            # Wide scalar KV (e.g. double values): paired 64-bit vector
+            # moves in emitKV.
+            return 2
+        # Scalar key and value: vector types do not apply.
+        return 1
+    # Combiner: the KV store holds serialized key/value bytes, so the
+    # warp's lane-cooperative vectorized getKV/storeKV apply whatever the
+    # declared C types; with no array key or value only one lane per warp
+    # computes (§4.2), but the bytes still move cooperatively.
+    return 4

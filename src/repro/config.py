@@ -19,6 +19,9 @@ KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
 
+#: Threads per warp on every modelled part (Kepler and Fermi alike).
+WARP_SIZE = 32
+
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -32,7 +35,6 @@ class GpuSpec:
 
     name: str = "Tesla K40"
     num_sms: int = 15
-    warp_size: int = 32
     max_threads_per_block: int = 1024
     max_blocks: int = 65535
     shared_mem_per_sm: int = 48 * KB
@@ -52,8 +54,8 @@ class GpuSpec:
     pcie_latency_s: float = 20e-6        # per-transfer latency
 
     def __post_init__(self) -> None:
-        if self.warp_size <= 0 or self.num_sms <= 0:
-            raise ConfigError("GPU must have positive warp size and SM count")
+        if self.num_sms <= 0:
+            raise ConfigError("GPU must have a positive SM count")
         if self.global_mem <= 0:
             raise ConfigError("GPU global memory must be positive")
 
@@ -209,7 +211,7 @@ class LaunchConfig:
     def __post_init__(self) -> None:
         if self.blocks <= 0 or self.threads <= 0:
             raise ConfigError("launch geometry must be positive")
-        if self.threads % 32 != 0:
+        if self.threads % WARP_SIZE != 0:
             raise ConfigError("threads per block must be a multiple of warp size")
 
     @property

@@ -329,12 +329,8 @@ def _fig7d_record_stealing(cluster: ClusterConfig) -> list[AblationPoint]:
             tr = _translate(_parse(_FIG7D_SOURCE), opt=opt)
             kernel = tr.map_kernel
             device = GpuDevice(cluster.gpu)
-            store = GlobalKVStore(
-                total_threads=kernel.launch.total_threads,
-                capacity_pairs=kernel.launch.total_threads * 40,
-                key_length=kernel.key_length,
-                value_length=kernel.value_length,
-            )
+            store = GlobalKVStore(kernel.launch.total_threads,
+                                  kernel.launch.total_threads * 40)
             snapshot = Interpreter(tr.program, stdin="").run_until_region(
                 kernel.original_region
             )

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..compiler.kernel_ir import KernelIR, VarClass
+from ..config import WARP_SIZE
 from ..errors import GpuError, KVStoreOverflow
 from ..kvstore import GlobalKVStore, KVPair, Partitioner
 from ..minic import cast as A
@@ -302,7 +303,6 @@ def _run_map_launch(
     spec = device.spec
     timing = TimingModel(spec)
     launch = kernel.launch
-    warp = spec.warp_size
     shared_ro = prepare_shared_ro(kernel, snapshot)
     runner = _make_lane_runner(device, kernel, snapshot, shared_ro,
                                store, partitioner)
@@ -344,11 +344,11 @@ def _run_map_launch(
     for base in range(0, launch.total_threads, launch.threads):
         warp_costs: list[WarpCost] = []
         lane_critical_path = 0.0
-        for warp_start in range(0, launch.threads, warp):
+        for warp_start in range(0, launch.threads, WARP_SIZE):
             lane_instr: list[float] = []
             wc = WarpCost()
-            for tid in range(base + warp_start,
-                             base + min(warp_start + warp, launch.threads)):
+            warp_end = base + min(warp_start + WARP_SIZE, launch.threads)
+            for tid in range(base + warp_start, warp_end):
                 lane = ran.get(tid)
                 if lane is None:  # idle: only the dispatch is issued
                     lane_instr.append(_SETUP_INSTR)
@@ -468,8 +468,7 @@ def run_combine_kernel(
     device.check_launch(kernel)
     timing = TimingModel(device.spec)
     launch = kernel.launch
-    warp = device.spec.warp_size
-    total_warps = launch.blocks * (launch.threads // warp)
+    total_warps = launch.blocks * (launch.threads // WARP_SIZE)
     shared_ro = prepare_shared_ro(kernel, snapshot)
 
     result = CombineLaunchResult()
@@ -486,7 +485,7 @@ def run_combine_kernel(
     ]
     result.chunks = len(chunks)
 
-    warps_per_block = launch.threads // warp
+    warps_per_block = launch.threads // WARP_SIZE
     block_warp_costs: dict[int, list[WarpCost]] = {}
     for chunk_id, chunk in enumerate(chunks):
         block_id = chunk_id // warps_per_block

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ..config import GpuSpec
+from ..config import WARP_SIZE, GpuSpec
 from .timing import MAX_MLP
 
 
@@ -22,7 +22,7 @@ def scan_cycles(n: int, spec: GpuSpec, elems_per_block: int = 1024) -> float:
     blocks = max(1, (n + elems_per_block - 1) // elems_per_block)
     # Up-sweep + down-sweep: ~2 shared accesses and 2 ops per element.
     per_block = 2.0 * elems_per_block * (spec.shared_mem_cycles + spec.issue_cycles) \
-        / min(float(elems_per_block // spec.warp_size) or 1.0, MAX_MLP)
+        / min(float(elems_per_block // WARP_SIZE) or 1.0, MAX_MLP)
     # Block sums combined in a log-depth second pass through global memory.
     tree = math.ceil(math.log2(blocks + 1)) * spec.global_mem_cycles
     rounds = math.ceil(blocks / spec.num_sms)

@@ -218,6 +218,14 @@ class LocalJobRunner:
         state.pop("_cpu_key_length", None)
         return state
 
+    @property
+    def map_only(self) -> bool:
+        """Hadoop's zero-reduce job (paper §2.2, Fig. 1): the map
+        output is the job output, written straight to HDFS, and no
+        combiner runs. The one map-only decision, for both map-task
+        branches; the app's Table 2 flag is metadata only."""
+        return self.num_reducers == 0
+
     # -- input splitting ---------------------------------------------------------
 
     def split_ranges(self, data: bytes) -> list[tuple[int, int]]:
@@ -252,9 +260,11 @@ class LocalJobRunner:
             from ..gpu.device import GpuDevice
             from ..runtime.gpu_task import GpuTaskRunner
 
+            combine = None if self.map_only \
+                else self.app.translate_combine(self.opt)
             self._gpu_runner = GpuTaskRunner(
                 self.app.translate_map(self.opt),
-                self.app.translate_combine(self.opt),
+                combine,
                 GpuDevice(self.cluster.gpu),
                 self.io,
                 num_reducers=self.num_reducers,
@@ -302,7 +312,7 @@ class LocalJobRunner:
                           where)
         map_pairs = sum(map(run_pairs, runs.values()))
         combine_counters = None
-        if self.app.has_combiner:
+        if self.app.has_combiner and not self.map_only:
             for part, run in runs.items():
                 out, counters = self.app.cpu_combine(run_text(run))
                 combine_counters = counters if combine_counters is None \
@@ -320,7 +330,7 @@ class LocalJobRunner:
             key_length=self._cpu_key_length,
             combine_counters=combine_counters,
             output_bytes=output_bytes,
-            map_only=self.app.map_only,
+            map_only=self.map_only,
             replication=self.cluster.hdfs_replication,
         )
         rec = obs.active()
@@ -469,7 +479,7 @@ class LocalJobRunner:
         # == 0) has no reduce phase: its map output, all in the one
         # partition, is the job output, and no reducer runs.
         output: dict[Any, Any] = {}
-        if self.num_reducers == 0:
+        if self.map_only:
             self._fold_map_only(output, shuffle.get(0, []))
         else:
             partitions = list(range(self.num_reducers))

@@ -68,9 +68,9 @@ def kv_text(datum: Any) -> str:
 def kv_line(key: Any, value: Any) -> str:
     """Render one typed pair as its full streaming line (with newline).
 
-    This is the *one* encode of a pair per job: the local job runner
-    builds it when a map task's output materializes and reuses it for
-    shuffle/output byte accounting and as reducer stdin.
+    The local job runner calls it only to count a Python reducer's
+    output bytes; shuffle bytes and filter stdin come from the sorted
+    runs (:mod:`repro.hadoop.shuffle`'s ``run_bytes``/``run_text``).
     """
     return f"{kv_text(key)}\t{kv_text(value)}\n"
 

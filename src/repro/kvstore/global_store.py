@@ -38,16 +38,12 @@ class GlobalKVStore:
         allocates *all free GPU memory* (paper §3.2), so this is typically
         a vast over-allocation; with the clause it is
         ``records × kvpairs_per_record``.
-    key_length / value_length:
-        Slot byte sizes (from the directive / derived types).
     """
 
     def __init__(
         self,
         total_threads: int,
         capacity_pairs: int,
-        key_length: int,
-        value_length: int,
     ):
         if total_threads <= 0:
             raise GpuError("KV store needs a positive thread count")
@@ -59,8 +55,6 @@ class GlobalKVStore:
         self.total_threads = total_threads
         self.capacity_pairs = capacity_pairs
         self.stores_per_thread = capacity_pairs // total_threads
-        self.key_length = key_length
-        self.value_length = value_length
         self._slots: list[list[KVPair]] = [[] for _ in range(total_threads)]
 
     # -- emit path (device side) --------------------------------------------

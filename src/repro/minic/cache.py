@@ -18,8 +18,8 @@ source. This module provides:
   used by the tree-walking backend, so literals inside loops stop
   allocating a fresh Buffer per interpreter instance;
 * :func:`cached_translation` — memoized source-to-source translation,
-  keyed by program key + optimization flags + launch parameters, used
-  by :func:`repro.compiler.translator.translate_cached`.
+  keyed by program key + optimization flags, used by
+  :func:`repro.compiler.translator.translate_cached`.
 
 A program's key (:func:`program_key`) is a short per-process label,
 ``src<N>``, handed out once per distinct source text: the label table
@@ -156,14 +156,12 @@ def warm_program(program: A.Program) -> CompiledProgram:
 def cached_translation(
     program: A.Program,
     opt: Any,
-    warp_size: int,
-    map_only: bool,
     build: Callable[[], Any],
 ) -> Any:
     """Memoize ``build()`` (a translate() call) under the program's
     key + optimization flags (the frozen ``OptimizationFlags``
-    itself) + launch parameters."""
-    key = (program_key(program), opt, warp_size, map_only)
+    itself)."""
+    key = (program_key(program), opt)
     result = _translations.get(key)
     if result is None:
         result = build()

@@ -91,7 +91,8 @@ class GpuTaskRunner:
         Translation of the map program (must contain a mapper kernel).
     combine_translation:
         Translation of the combine program, or None for apps without a
-        combiner (paper Table 2: KM, CL, BS have none).
+        combiner (paper Table 2: KM, CL, BS have none) and for map-only
+        jobs, where no combiner runs (the job runner decides).
     device:
         The simulated GPU that runs the kernels.
     io:
@@ -219,12 +220,7 @@ class GpuTaskRunner:
                 ) // max(slot, 1)
                 capacity = max(capacity, total_threads)
             store_alloc = device.memory.malloc(capacity * slot, "globalKVStore")
-            store = GlobalKVStore(
-                total_threads=total_threads,
-                capacity_pairs=capacity,
-                key_length=kernel.key_length,
-                value_length=kernel.value_length,
-            )
+            store = GlobalKVStore(total_threads, capacity)
             partitions = max(self.num_reducers, 1)
             partitioner = Partitioner(partitions)
 

@@ -330,8 +330,7 @@ class TestEquivalence:
         tid = data.draw(st.sampled_from([0, 1, 2, -1, 99]))
 
         def world(wrap):
-            store = GlobalKVStore(3, 6, kernel.key_length,
-                                  kernel.value_length)
+            store = GlobalKVStore(3, 6)
             store.emit(1, "full", 1, 0)
             store.emit(1, "full", 2, 0)
             lane, observe = _lane_world(
@@ -418,7 +417,7 @@ class TestDeviceFastBranches:
         wc = get_app("WC")
         seen = []
         for fast in (True, False):
-            store = GlobalKVStore(2, 8, 30, 4)
+            store = GlobalKVStore(2, 8)
             if name == "emitKV":
                 table = make_map_builtins(
                     wc.translate_map().map_kernel, _DEVICE.spec, None)

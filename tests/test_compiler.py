@@ -5,7 +5,7 @@ import pytest
 
 from repro.compiler import VarClass, translate
 from repro.compiler.host_codegen import HostStep
-from repro.config import OptimizationFlags
+from repro.config import WARP_SIZE, OptimizationFlags
 from repro.directives import DirectiveKind
 from repro.errors import CompilerError
 from repro.minic import cast as A
@@ -91,7 +91,7 @@ class TestCombineKernelGeneration:
 
     def test_shared_mem_accounting(self, wc_combine_source):
         k = translate(parse(wc_combine_source)).combine_kernel
-        warps = k.launch.threads // 32
+        warps = k.launch.threads // WARP_SIZE
         # two 30-byte char arrays per warp
         assert k.shared_mem_bytes == 2 * 30 * warps
 
@@ -201,16 +201,20 @@ int main() {
 
 
 class TestHostPlan:
-    def test_plan_with_combiner(self, wc_map_source):
+    def test_map_program_plan_has_no_combine_step(self, wc_map_source):
         result = translate(parse(wc_map_source))
         steps = result.host_plan.steps
         assert steps[0] is HostStep.COPY_INPUT
         assert steps[-1] is HostStep.FREE
         assert HostStep.SORT in steps
+        assert HostStep.COMBINE_KERNEL not in steps
 
-    def test_map_only_plan(self, wc_map_source):
-        result = translate(parse(wc_map_source), map_only=True)
-        assert result.host_plan.map_only
+    def test_combiner_program_plan_launches_the_combine_kernel(
+            self, wc_combine_source):
+        steps = translate(parse(wc_combine_source)).host_plan.steps
+        assert steps.index(HostStep.SORT) \
+            < steps.index(HostStep.COMBINE_KERNEL) \
+            < steps.index(HostStep.WRITE_OUTPUT)
 
     def test_launch_clauses_override_geometry(self):
         src = """

@@ -63,8 +63,7 @@ def setup():
 
 def fresh_store(kernel):
     return GlobalKVStore(kernel.launch.total_threads,
-                         kernel.launch.total_threads * 40,
-                         kernel.key_length, kernel.value_length)
+                         kernel.launch.total_threads * 40)
 
 
 def test_block_local_stealing_beats_global(setup):

@@ -173,8 +173,7 @@ def _map_inputs(app, n=90, seed=11):
 
 def _fresh_store(kernel):
     return GlobalKVStore(kernel.launch.total_threads,
-                         kernel.launch.total_threads * 64,
-                         kernel.key_length, kernel.value_length)
+                         kernel.launch.total_threads * 64)
 
 
 def _store_pairs(store):

@@ -74,7 +74,7 @@ class TestGpuDevice:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(Exception):
-            GpuSpec(warp_size=0)
+            GpuSpec(num_sms=0)
 
 
 # -- launch limits -------------------------------------------------------------

@@ -25,8 +25,6 @@ def make_map_setup(source, records, opt=None, reducers=4, capacity=4096):
     store = GlobalKVStore(
         total_threads=kernel.launch.total_threads,
         capacity_pairs=max(capacity, kernel.launch.total_threads * per_thread),
-        key_length=kernel.key_length,
-        value_length=kernel.value_length,
     )
     snapshot = Interpreter(tr.program, stdin="").run_until_region(
         kernel.original_region)

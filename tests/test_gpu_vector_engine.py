@@ -96,8 +96,7 @@ def _launch_map(app, n=40):
     records = [ln.encode("utf-8") + b"\n"
                for ln in app.generate(n, seed=5).splitlines()]
     store = GlobalKVStore(kernel.launch.total_threads,
-                          kernel.launch.total_threads * 64,
-                          kernel.key_length, kernel.value_length)
+                          kernel.launch.total_threads * 64)
     with obs.use_recorder(obs.TraceRecorder()) as rec:
         run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
                        snapshot, store, Partitioner(4))
@@ -128,8 +127,7 @@ def _store_pairs(store):
 def _launch_records(kernel, snapshot, records, engine):
     """One map launch of ``records`` on ``engine``: (launch, pairs)."""
     store = GlobalKVStore(kernel.launch.total_threads,
-                          kernel.launch.total_threads * 64,
-                          kernel.key_length, kernel.value_length)
+                          kernel.launch.total_threads * 64)
     with use_engine(engine):
         launch = run_map_kernel(GpuDevice(CLUSTER1.gpu), kernel, records,
                                 snapshot, store, Partitioner(4))

@@ -85,8 +85,7 @@ def _outcome(stmts, records, engine):
     ``gpu.vector.*`` counts."""
     kernel, snapshot = _kernel(stmts)
     store = GlobalKVStore(kernel.launch.total_threads,
-                          kernel.launch.total_threads * 64,
-                          kernel.key_length, kernel.value_length)
+                          kernel.launch.total_threads * 64)
     with use_engine(engine), \
             obs.use_recorder(obs.TraceRecorder()) as rec:
         try:

@@ -11,7 +11,6 @@ from repro.kvstore.coerce import coerce_key, coerce_value, parse_kv_line
 def make_store(threads=4, capacity=40):
     return GlobalKVStore(
         total_threads=threads, capacity_pairs=capacity,
-        key_length=30, value_length=4,
     )
 
 
@@ -40,8 +39,7 @@ class TestGlobalKVStore:
 
     def test_capacity_below_thread_count_rejected(self):
         with pytest.raises(GpuError):
-            GlobalKVStore(total_threads=8, capacity_pairs=4,
-                          key_length=4, value_length=4)
+            GlobalKVStore(total_threads=8, capacity_pairs=4)
 
     def test_iter_pairs_in_slot_order(self):
         store = make_store()

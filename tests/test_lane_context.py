@@ -151,8 +151,7 @@ def _map_launch(app, n, engine, probe):
     records = [ln.encode("utf-8") + b"\n"
                for ln in app.generate(n, seed=5).splitlines()]
     store = GlobalKVStore(kernel.launch.total_threads,
-                          kernel.launch.total_threads * 64,
-                          kernel.key_length, kernel.value_length)
+                          kernel.launch.total_threads * 64)
     with use_engine(engine):
         sys.setprofile(probe.profile)
         try:
@@ -232,8 +231,7 @@ def test_lanes_after_a_faulted_lane_start_clean(engine, probe):
 
     def runner():
         store = GlobalKVStore(kernel.launch.total_threads,
-                              kernel.launch.total_threads * 64,
-                              kernel.key_length, kernel.value_length)
+                              kernel.launch.total_threads * 64)
         return RUNNERS[engine](_DEVICE, kernel, snapshot,
                                prepare_shared_ro(kernel, snapshot), store,
                                Partitioner(4)), store
@@ -273,8 +271,7 @@ def test_helper_kernels_get_fresh_globals_per_lane(engine, probe):
     stores = {}
     for name in ("tree", engine):
         stores[name] = GlobalKVStore(kernel.launch.total_threads,
-                                     kernel.launch.total_threads * 64,
-                                     kernel.key_length, kernel.value_length)
+                                     kernel.launch.total_threads * 64)
         with use_engine(name):
             run_map_kernel(_DEVICE, kernel, records, snapshot, stores[name],
                            Partitioner(4))
@@ -294,9 +291,7 @@ def test_helper_kernels_get_fresh_globals_per_lane(engine, probe):
     with use_engine(engine):
         run_map_kernel(_DEVICE, wc_kernel, records, wc_snapshot,
                        GlobalKVStore(wc_kernel.launch.total_threads,
-                                     wc_kernel.launch.total_threads * 64,
-                                     wc_kernel.key_length,
-                                     wc_kernel.value_length),
+                                     wc_kernel.launch.total_threads * 64),
                        Partitioner(4))
     assert len(probe.built) == 3
     assert len({id(lane.globals) for lane in probe.built}) == 1

@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
+from repro.costmodel.io import IoModel
 from repro.errors import ConfigError, HadoopError
 from repro.fuzz import runner as fuzz_runner
 from repro.fuzz.gen import generate_case
@@ -25,6 +26,7 @@ from repro.fuzz.oracle import Divergence
 from repro.fuzz.runner import run_campaign
 from repro.gpu.device import GpuDevice
 from repro.hadoop.local import LocalJobRunner
+from repro.hadoop.shuffle import flatten_run
 from repro.minic.interpreter import current_engine, use_engine
 from repro.obs.export import WORKER_PID_MARKER
 from repro.parallel import get_pool, in_worker, resolve_workers
@@ -463,6 +465,30 @@ def test_map_only_job_output_is_the_map_output(use_gpu, workers,
     assert result.output == {"alpha": 7, "beta": 7, "delta": 3, "gamma": 9}
     assert result.reduce_task_timings == []
     assert result.total_reduce_seconds == 0.0
+
+
+@pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+def test_map_only_task_runs_no_combiner_and_writes_to_hdfs(use_gpu,
+                                                          monkeypatch):
+    """The runner's reducer count, not the app's Table 2 flag, makes a
+    job map-only, on both devices: WC at zero reducers runs no combiner
+    (its task output is the raw map pairs) and charges its output write
+    to HDFS, as Hadoop's zero-reduce job does (paper §2.2, Fig. 1)."""
+    hdfs_writes = []
+    hdfs_write_s = IoModel.hdfs_write_s
+
+    def recording_hdfs_write_s(self, nbytes, replication):
+        hdfs_writes.append(nbytes)
+        return hdfs_write_s(self, nbytes, replication)
+
+    monkeypatch.setattr(IoModel, "hdfs_write_s", recording_hdfs_write_s)
+    runner = LocalJobRunner(get_app("WC"), use_gpu=use_gpu, num_reducers=0)
+    task = runner.map_task(0, b"a b a\nb a c\n")
+    assert list(task.parts) == [0]
+    assert [(k, v) for k, v, _line in flatten_run(task.parts[0])] == \
+        [("a", 1)] * 3 + [("b", 1)] * 2 + [("c", 1)]
+    assert task.breakdown.combine == 0
+    assert len(hdfs_writes) == 1 and hdfs_writes[0] > 0
 
 
 @pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])

@@ -62,8 +62,7 @@ class TestKVStoreProperties:
         )
     )
     def test_aggregation_preserves_every_pair(self, emissions):
-        store = GlobalKVStore(total_threads=8, capacity_pairs=8 * 100,
-                              key_length=8, value_length=4)
+        store = GlobalKVStore(total_threads=8, capacity_pairs=8 * 100)
         for tid, key, part in emissions:
             store.emit(tid, key, 1, part)
         result = aggregate(store, num_partitions=4)

@@ -421,8 +421,7 @@ int main()
             return run_combine_kernel(device, kernel, [KVPair("k", 1, 0)],
                                       snapshot)
         threads = kernel.launch.total_threads
-        store = GlobalKVStore(threads, threads * 4, kernel.key_length,
-                              kernel.value_length)
+        store = GlobalKVStore(threads, threads * 4)
         return run_map_kernel(device, kernel, [b"a b\n"], snapshot, store,
                               Partitioner(2))
 
