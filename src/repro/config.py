@@ -258,20 +258,18 @@ _DEFAULT_POOL_START = "spawn" if sys.platform == "win32" else "fork"
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """How this process runs jobs: the three deployment knobs, validated.
+    """How this process runs jobs: the two deployment knobs, validated.
 
     :meth:`from_env` is the only reader of the ``REPRO_*`` environment
-    under ``src/repro``. Explicit arguments (``--workers``, ``workers=``,
-    ``DaemonPool(idle_timeout=...)``) override a field where they are
-    taken; nothing else about a job is configurable from outside it.
+    under ``src/repro``. An explicit ``--workers``/``workers=`` overrides
+    ``workers`` where it is taken; nothing else about a job is
+    configurable from outside it. A pool worker lives as long as the
+    process that started it, so its lifetime is not a knob.
     """
 
     #: ``REPRO_WORKERS``: worker processes of a parallel phase
     #: (0 = one per CPU core, 1 = tasks run inline).
     workers: int = 1
-    #: ``REPRO_POOL_IDLE``: seconds a pool worker waits for work before
-    #: it self-reaps (0 disables reaping).
-    pool_idle_s: float = 300.0
     #: ``REPRO_POOL_START``: the pool's ``multiprocessing`` start method.
     pool_start: str = _DEFAULT_POOL_START
 
@@ -279,12 +277,6 @@ class RuntimeConfig:
         if self.workers < 0:
             raise ConfigError(
                 f"REPRO_WORKERS must be >= 0, got {self.workers}")
-        if not (math.isfinite(self.pool_idle_s) and self.pool_idle_s >= 0):
-            # A worker passes this to Queue.get(timeout=...): inf would
-            # crash every child at its first wait, nan never time out.
-            raise ConfigError(
-                "REPRO_POOL_IDLE must be a finite number of seconds >= 0, "
-                f"got {self.pool_idle_s}")
         if self.pool_start != _DEFAULT_POOL_START:
             import multiprocessing  # only a non-default method pays this
 
@@ -302,7 +294,6 @@ class RuntimeConfig:
         fields: dict = {}
         for name, attr, parse in (
             ("REPRO_WORKERS", "workers", int),
-            ("REPRO_POOL_IDLE", "pool_idle_s", float),
             ("REPRO_POOL_START", "pool_start", str),
         ):
             raw = os.environ.get(name, "").strip()
@@ -310,7 +301,6 @@ class RuntimeConfig:
                 try:
                     fields[attr] = parse(raw)
                 except ValueError:
-                    kind = "an integer" if parse is int else "a number"
-                    raise ConfigError(f"{name}={raw!r} is not {kind}") \
+                    raise ConfigError(f"{name}={raw!r} is not an integer") \
                         from None
         return cls(**fields)

@@ -151,8 +151,8 @@ def _fuzz_app(case: FuzzCase) -> Application:
     )
 
 
-def _run_job(app: Application, input_text: str, use_gpu: bool,
-             workers: int = 1):
+def _local_job(app: Application, input_text: str, use_gpu: bool,
+               workers: int = 1):
     runner = LocalJobRunner(app, use_gpu=use_gpu, num_reducers=2,
                             split_bytes=_SPLIT_BYTES, workers=workers)
     return runner.run(input_text)
@@ -192,7 +192,7 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
                         value_close: bool = False,
                         compare_cpu_engines: bool = False) -> Divergence | None:
     try:
-        cpu = _run_job(app, case.input_text, use_gpu=False)
+        cpu = _local_job(app, case.input_text, use_gpu=False)
     except ReproError as exc:
         return Divergence(case, "cpu-job-error",
                           f"{type(exc).__name__}: {exc}")
@@ -202,9 +202,9 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
     if compare_cpu_engines:
         try:
             with use_engine("tree"):
-                cpu_tree = _run_job(app, case.input_text, use_gpu=False)
+                cpu_tree = _local_job(app, case.input_text, use_gpu=False)
             with use_engine("compiled"):
-                cpu_comp = _run_job(app, case.input_text, use_gpu=False)
+                cpu_comp = _local_job(app, case.input_text, use_gpu=False)
         except ReproError as exc:
             return Divergence(case, "cpu-engine-job-error",
                               f"{type(exc).__name__}: {exc}")
@@ -224,7 +224,7 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
     # inputs (ditto: the runner caps workers at the task count).
     if not in_worker() and len(case.input_text.encode()) > _SPLIT_BYTES:
         try:
-            par = _run_job(app, case.input_text, use_gpu=False, workers=2)
+            par = _local_job(app, case.input_text, use_gpu=False, workers=2)
         except ReproError as exc:
             return Divergence(case, "parallel-job-error",
                               f"{type(exc).__name__}: {exc}")
@@ -245,11 +245,11 @@ def _compare_job_matrix(case: FuzzCase, app: Application,
         # ("vector"), and vector's per-lane fallback forced on every
         # region ("compiled"). All must agree exactly.
         with use_engine("tree"):
-            gpu_tt = _run_job(app, case.input_text, use_gpu=True)
+            gpu_tt = _local_job(app, case.input_text, use_gpu=True)
         with use_engine("vector"):
-            gpu_v = _run_job(app, case.input_text, use_gpu=True)
+            gpu_v = _local_job(app, case.input_text, use_gpu=True)
         with use_engine("compiled"):
-            gpu_c = _run_job(app, case.input_text, use_gpu=True)
+            gpu_c = _local_job(app, case.input_text, use_gpu=True)
     except ReproError as exc:
         return Divergence(case, "gpu-job-error",
                           f"{type(exc).__name__}: {exc}")
@@ -325,7 +325,7 @@ def run_scenario(short: str, scale: str = "small",
     if div is not None:
         return div
     if app.reference is not None:
-        cpu = _run_job(app, case.input_text, use_gpu=False)
+        cpu = _local_job(app, case.input_text, use_gpu=False)
         want = app.reference(case.input_text)
         if _outputs_diverge(cpu.output, want, value_close=True):
             return Divergence(case, "cpu-vs-reference",

@@ -23,9 +23,10 @@ counts. The worker count is host execution only: the simulated job
 runs its tasks on one modelled slot whatever it is.
 :mod:`repro.parallel.pool` holds the shared worker-count resolution and
 the leaf-worker rule. What is configurable from outside
-a job — the worker count, the pool's idle timeout and its start method
-— is :class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the
-one place the ``REPRO_*`` environment is read.
+a job — the worker count and the pool's start method — is
+:class:`repro.config.RuntimeConfig`, whose ``from_env()`` is the one
+place the ``REPRO_*`` environment is read. Pool workers live exactly as
+long as the process that started them.
 
 The daemon's names resolve through this package's module
 ``__getattr__``: :mod:`repro.parallel.daemon` (and its queue, pickle

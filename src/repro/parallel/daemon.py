@@ -1,16 +1,19 @@
 """Persistent daemon worker pool: fork once, reuse across jobs.
 
-PR 5's pool was correct but lost on wall clock: every job paid fork,
-cache warmup, and one pickle round-trip *per task* (``chunksize=1``).
-This module keeps a process-lifetime pool instead, so those costs are
-paid once and amortized over every subsequent job:
+A process-lifetime pool, so fork and cold caches are paid once and
+amortized over every job the process runs:
 
 * **Workers outlive jobs.** The first parallel phase forks the workers
   (lazily, sized by what the caller resolved via
   :func:`~repro.parallel.pool.resolve_workers`); later jobs reuse them
   with their mini-C program/translation/kernel caches already hot. The
-  pool grows on demand and never shrinks except by idle reaping or an
-  explicit :func:`shutdown_pool`.
+  pool grows on demand and never shrinks except by an explicit
+  :func:`shutdown_pool`.
+* **Workers live exactly as long as their driver.** An idle worker
+  checks every :data:`_PARENT_POLL_S` seconds that its driver is alive
+  and exits once it is not, as a Hadoop task child exits with its
+  TaskTracker; otherwise it lives until :func:`shutdown_pool` or the
+  driver's exit.
 * **Batched task envelopes.** Tasks cross the process boundary in
   batches (:func:`resolve_batch_size`: adaptive from the task/worker
   ratio), so a 64-task map phase costs a handful of IPC round-trips
@@ -19,17 +22,11 @@ paid once and amortized over every subsequent job:
   reports a result — and the parent reassembles batches by index, so
   results still stream back in submission order and the deterministic
   merge contract is untouched.
-* **Crash detection + respawn.** A worker that dies mid-job (OOM
-  killer, segfault, idle self-reap racing a dispatch) is detected by
-  liveness polling; the pool respawns the slot, replays the job setup,
-  and requeues the dead worker's in-flight batches. A batch that kills
-  its worker twice is reported as a :class:`WorkerCrashError` instead
-  of looping.
-* **Idle reaping.** Workers self-reap after
-  :class:`~repro.config.RuntimeConfig`'s ``pool_idle_s`` seconds without
-  work (worker-side ``Queue.get`` timeout, exit code 0), so a
-  long-lived process that stops running jobs drops its helper
-  processes; the next job respawns lazily.
+* **Crash detection + respawn.** A worker that dies (OOM killer,
+  segfault) is detected by liveness polling; the pool respawns the
+  slot, replays the job setup, and requeues the dead worker's in-flight
+  batches. A batch that kills its worker twice is reported as a
+  :class:`WorkerCrashError` instead of looping.
 
 Job results are matched by job id, so a consumer that stops early (the
 fuzz driver's time budget) simply abandons the rest: stale results are
@@ -37,7 +34,7 @@ drained and discarded at the next job's start, and workers stay warm.
 
 Lifecycle accounting lives in a pool-owned
 :class:`~repro.obs.metrics.MetricsRegistry` (``pool.spawned``,
-``pool.respawned``, ``pool.reaped`` …) that :func:`pool_metrics`
+``pool.respawned``, ``pool.crashed`` …) that :func:`pool_metrics`
 returns to ``perf/run.py`` and the tests; per-job dispatch counters
 (``pool.jobs``, ``pool.batches``, ``pool.tasks``) additionally land on
 the active trace recorder — they are deterministic per job, so traced
@@ -46,6 +43,7 @@ parallel runs stay reproducible.
 
 from __future__ import annotations
 
+import os
 import queue
 import traceback
 from dataclasses import dataclass
@@ -77,6 +75,10 @@ _BATCHES_PER_WORKER = 4
 
 #: Upper bound on adaptive batch size.
 _MAX_BATCH = 64
+
+#: Seconds an idle worker waits on its inbox before it checks that its
+#: driver is still alive. A batch that arrives wakes the wait at once.
+_PARENT_POLL_S = 1.0
 
 
 class WorkerCrashError(ReproError):
@@ -115,28 +117,35 @@ def _safe_payload(exc: BaseException) -> tuple[BaseException | None, str]:
         return None, tb
 
 
-def _worker_main(slot: int, inbox: Any, outbox: Any,
-                 idle_timeout: float) -> None:  # pragma: no cover - subprocess
+def _worker_main(slot: int, inbox: Any,
+                 outbox: Any) -> None:  # pragma: no cover - subprocess
     """The daemon worker loop (runs in the child process).
 
     One job's state is held at a time: a ``setup`` message replaces it
-    — the driver's engine first, then the job's own init, if any —
-    ``batch`` messages execute against it, and an idle ``get`` timeout
-    exits the loop cleanly (exit code 0 = reaped, anything else is a
-    crash as far as the parent's accounting goes).
+    — the driver's engine first, then the job's own init, if any — and
+    ``batch`` messages execute against it. The loop ends at ``stop`` or
+    at an idle poll that finds the driver gone: a new parent pid (fork,
+    spawn) or the driver's sentinel pipe at EOF (forkserver, whose
+    server outlives the driver). Nobody reads the outbox then, so
+    ``cancel_join_thread`` keeps an unread result from holding the exit.
     """
+    import multiprocessing
+
     from ..minic.interpreter import set_engine
     from .pool import _mark_leaf_worker
 
     _mark_leaf_worker()
+    parent, parent_pid = multiprocessing.parent_process(), os.getppid()
     job_id: int | None = None
     job_ok = False
     while True:
         try:
-            msg = inbox.get(timeout=idle_timeout if idle_timeout > 0
-                            else None)
+            msg = inbox.get(timeout=_PARENT_POLL_S)
         except queue.Empty:
-            break
+            if os.getppid() != parent_pid or not parent.is_alive():
+                outbox.cancel_join_thread()
+                break
+            continue
         kind = msg[0]
         if kind == "stop":
             break
@@ -179,7 +188,7 @@ class _Worker:
         return self.proc.is_alive()
 
 
-#: Pool-lifetime accounting (spawns, respawns, reaps, jobs, batches,
+#: Pool-lifetime accounting (spawns, respawns, crashes, jobs, batches,
 #: tasks) — owned by the pool, not the trace recorder, because spawn
 #: timing depends on process history and must not perturb deterministic
 #: traces.
@@ -193,14 +202,10 @@ def pool_metrics() -> MetricsRegistry:
 class DaemonPool:
     """A process-lifetime worker pool with batched, ordered dispatch."""
 
-    def __init__(self, start_method: str | None = None,
-                 idle_timeout: float | None = None):
+    def __init__(self, start_method: str | None = None):
         import multiprocessing
 
-        config = RuntimeConfig.from_env()
-        self.start_method = start_method or config.pool_start
-        self.idle_timeout = (config.pool_idle_s if idle_timeout is None
-                             else idle_timeout)
+        self.start_method = start_method or RuntimeConfig.from_env().pool_start
         self._ctx = multiprocessing.get_context(self.start_method)
         self._outbox = self._ctx.Queue()
         self._workers: list[_Worker] = []
@@ -212,7 +217,7 @@ class DaemonPool:
         inbox = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot, inbox, self._outbox, self.idle_timeout),
+            args=(slot, inbox, self._outbox),
             daemon=True,
             name=f"repro-pool-{slot}",
         )
@@ -229,8 +234,7 @@ class DaemonPool:
         for i in range(workers):
             w = self._workers[i]
             if not w.alive:
-                _METRICS.inc("pool.reaped" if w.proc.exitcode == 0
-                             else "pool.crashed")
+                _METRICS.inc("pool.crashed")
                 self._workers[i] = self._spawn(i)
         _METRICS.gauge("pool.workers", sum(
             1 for w in self._workers if w.alive))
@@ -264,14 +268,6 @@ class DaemonPool:
         return stopped
 
     # -- job execution -------------------------------------------------------
-
-    def run_job(self, workers: int, task_fn: Callable[[Any], Any],
-                payloads: list[Any], init_fn: Callable[..., None] | None = None,
-                init_args: tuple = (), batch_size: int | None = None) -> list[Any]:
-        """Run every payload; results in submission order."""
-        return list(self.imap_job(workers, task_fn, payloads,
-                                  init_fn=init_fn, init_args=init_args,
-                                  batch_size=batch_size))
 
     def imap_job(self, workers: int, task_fn: Callable[[Any], Any],
                  payloads: list[Any],
@@ -417,16 +413,14 @@ _pool: DaemonPool | None = None
 
 def get_pool() -> DaemonPool:
     """The process's daemon pool, created (or recreated) to match the
-    current :class:`~repro.config.RuntimeConfig`."""
+    current :class:`~repro.config.RuntimeConfig`'s start method."""
     global _pool
-    config = RuntimeConfig.from_env()
-    wanted = (config.pool_start, config.pool_idle_s)
-    if _pool is not None and \
-            (_pool.start_method, _pool.idle_timeout) != wanted:
+    start_method = RuntimeConfig.from_env().pool_start
+    if _pool is not None and _pool.start_method != start_method:
         _pool.shutdown()
         _pool = None
     if _pool is None:
-        _pool = DaemonPool(*wanted)
+        _pool = DaemonPool(start_method)
     return _pool
 
 

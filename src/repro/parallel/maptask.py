@@ -105,12 +105,10 @@ def run_map_tasks(runner: "LocalJobRunner", data: bytes,
     rec = obs.active()
     payloads = [(index, data[start:stop])
                 for index, (start, stop) in enumerate(ranges)]
-    envelopes = get_pool().run_job(
-        workers, _run_map_task, payloads,
-        init_fn=_init_worker, init_args=(runner, bool(rec.enabled)),
-    )
     results = []
-    for envelope in envelopes:
+    for envelope in get_pool().imap_job(
+            workers, _run_map_task, payloads,
+            init_fn=_init_worker, init_args=(runner, bool(rec.enabled))):
         if envelope.events is not None:
             rec.splice(envelope.events,
                        pid_suffix=f"@w{envelope.worker_pid}")

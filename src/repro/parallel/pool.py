@@ -65,7 +65,7 @@ def resolve_workers(workers: int | None = None,
 
 
 def _mark_leaf_worker() -> None:
-    """Per-worker setup, before any warmup or task runs."""
+    """Per-worker setup, before any task runs."""
     global _in_worker
     _in_worker = True
     # Belt and braces for anything this worker might exec: a worker is

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..compiler import TranslationResult
-from ..errors import GpuError, GpuOutOfMemory
+from ..errors import ConfigError, GpuError, GpuOutOfMemory
 from ..gpu.device import GpuDevice
 from ..gpu.executor import (
     MapLaunchResult,
@@ -91,8 +91,8 @@ class GpuTaskRunner:
         Translation of the map program (must contain a mapper kernel).
     combine_translation:
         Translation of the combine program, or None for apps without a
-        combiner (paper Table 2: KM, CL, BS have none) and for map-only
-        jobs, where no combiner runs (the job runner decides).
+        combiner (paper Table 2: KM, CL, BS have none). Must be None for
+        a map-only job, where no combiner runs.
     device:
         The simulated GPU that runs the kernels.
     io:
@@ -122,6 +122,13 @@ class GpuTaskRunner:
         if combine_translation is not None and \
                 combine_translation.combine_kernel is None:
             raise GpuError("combine translation lacks a combiner kernel")
+        if num_reducers < 0:
+            raise ConfigError(f"num_reducers must be >= 0, got {num_reducers}")
+        if num_reducers == 0 and combine_translation is not None:
+            raise ConfigError(
+                "a map-only task (num_reducers=0) runs no combiner, got "
+                "combine translation "
+                f"{combine_translation.combine_kernel.name!r}")
         self.map_tr = map_translation
         self.combine_tr = combine_translation
         self.device = device

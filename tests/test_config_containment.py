@@ -2,7 +2,7 @@
 
 Two contracts of the runtime that runs the job:
 
-* the three ``REPRO_*`` deployment knobs are read in one place,
+* the two ``REPRO_*`` deployment knobs are read in one place,
   :meth:`repro.config.RuntimeConfig.from_env`, which rejects a bad value
   with one error naming the variable — before anything forks;
 * a GPU task that fails at any pipeline stage leaves the job's one
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,7 @@ from repro.runtime.gpu_task import GpuTaskRunner
 
 # -- RuntimeConfig ------------------------------------------------------------
 
-KNOB_NAMES = ("REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START")
+KNOB_NAMES = ("REPRO_WORKERS", "REPRO_POOL_START")
 
 
 @pytest.fixture
@@ -40,9 +42,9 @@ def clean_env(monkeypatch):
     return monkeypatch
 
 
-def test_exactly_three_fields():
+def test_exactly_two_fields():
     assert [f.name for f in dataclasses.fields(RuntimeConfig)] == \
-        ["workers", "pool_idle_s", "pool_start"]
+        ["workers", "pool_start"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         RuntimeConfig().workers = 4
 
@@ -50,7 +52,7 @@ def test_exactly_three_fields():
 def test_unset_environment_is_the_defaults(clean_env):
     config = RuntimeConfig.from_env()
     assert config == RuntimeConfig()
-    assert (config.workers, config.pool_idle_s) == (1, 300.0)
+    assert config.workers == 1
     assert config.pool_start in ("fork", "spawn")
 
 
@@ -59,14 +61,12 @@ def test_unset_environment_is_the_defaults(clean_env):
     ("REPRO_WORKERS", "2", "workers", 2),
     ("REPRO_WORKERS", " 2 ", "workers", 2),
     ("REPRO_WORKERS", "", "workers", 1),
-    ("REPRO_POOL_IDLE", "0", "pool_idle_s", 0.0),
-    ("REPRO_POOL_IDLE", "12.5", "pool_idle_s", 12.5),
     ("REPRO_POOL_START", "fork", "pool_start", "fork"),
     ("REPRO_POOL_START", "spawn", "pool_start", "spawn"),
 ])
 def test_good_values(clean_env, name, raw, field, value):
     clean_env.setenv(name, raw)
-    # …and the other two knobs keep their defaults.
+    # …and the other knob keeps its default.
     assert RuntimeConfig.from_env() == \
         dataclasses.replace(RuntimeConfig(), **{field: value})
 
@@ -75,10 +75,6 @@ def test_good_values(clean_env, name, raw, field, value):
     ("REPRO_WORKERS", "abc"),
     ("REPRO_WORKERS", "-1"),
     ("REPRO_WORKERS", "1.5"),
-    ("REPRO_POOL_IDLE", "inf"),
-    ("REPRO_POOL_IDLE", "nan"),
-    ("REPRO_POOL_IDLE", "-1"),
-    ("REPRO_POOL_IDLE", "x"),
     ("REPRO_POOL_START", "carrier-pigeon"),
 ])
 def test_bad_values_name_their_variable(clean_env, name, raw):
@@ -92,21 +88,58 @@ def test_zero_workers_resolves_to_the_cpu_count(clean_env):
     assert resolve_workers() == (os.cpu_count() or 1)
 
 
-@pytest.mark.parametrize("raw", ["inf", "nan", "-1"])
+class _RecordingEnviron(dict):
+    """An environment that notes every name looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+def test_readme_knob_table_is_what_from_env_reads(monkeypatch):
+    """The ``REPRO_*`` names in README's knob table are exactly the
+    names :meth:`RuntimeConfig.from_env` reads, so a deleted knob cannot
+    linger in the docs, nor a new one go undocumented."""
+    environ = _RecordingEnviron()
+    monkeypatch.setattr(os, "environ", environ)
+    RuntimeConfig.from_env()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    header = lines.index("| knob | default | meaning |")
+    table = []
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        table.append(line.split("|")[1])
+    documented = {name for cell in table
+                  for name in re.findall(r"REPRO_[A-Z_]+", cell)}
+    assert documented == environ.read == set(KNOB_NAMES)
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("REPRO_WORKERS", "inf"),
+    ("REPRO_WORKERS", "nan"),
+    ("REPRO_WORKERS", "-1"),
+    ("REPRO_POOL_START", "carrier-pigeon"),
+])
 @pytest.mark.parametrize("argv", [
     ["run", "WC", "--records", "300", "--cpu-only", "--workers", "2",
      "--split-kb", "2"],
 ])
-def test_cli_rejects_bad_idle_before_forking(clean_env, capsys, raw, argv):
-    """``REPRO_POOL_IDLE=inf`` used to crash every worker at its first
-    wait (``OverflowError`` tracebacks, then a ``WorkerCrashError``), and
-    ``nan`` was accepted and printed as ``nans``."""
+def test_cli_rejects_bad_knob_before_forking(clean_env, capsys, name, raw,
+                                             argv):
+    """A bad knob fails the command with one ``error:`` line naming the
+    variable, and no pool worker is ever started."""
     shutdown_pool()
     spawned = pool_metrics().count("pool.spawned")
-    clean_env.setenv("REPRO_POOL_IDLE", raw)
+    clean_env.setenv(name, raw)
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: REPRO_POOL_IDLE ")
+    assert captured.err.startswith(f"error: {name}")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err + captured.out
     assert pool_metrics().count("pool.spawned") == spawned

@@ -1,17 +1,22 @@
-"""Daemon pool mechanics: batching, reuse, crashes, reaping.
+"""Daemon pool mechanics: batching, reuse, crashes, lifetime.
 
 ``tests/test_parallel.py`` proves the *jobs* that ride the pool are
 byte-identical to serial; this module tests the pool machinery itself —
 the properties that make a persistent pool safe to leave running:
 batches reassemble in submission order, workers survive across jobs
 with their caches, a crashed worker is respawned and its batches
-replayed, and an idle worker reaps itself cleanly.
+replayed, and the workers of a driver that dies exit with it.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +83,7 @@ def _read_setup(_x) -> int:
 @pytest.fixture
 def pool():
     """A private two-worker-capable pool, torn down hard."""
-    p = DaemonPool(idle_timeout=0)
+    p = DaemonPool()
     yield p
     p.shutdown()
 
@@ -115,12 +120,12 @@ def test_resolve_start_method_env(monkeypatch):
 
 
 def test_run_job_ordered_and_batched(pool):
-    results = pool.run_job(2, _square, list(range(50)), batch_size=4)
+    results = list(pool.imap_job(2, _square, list(range(50)), batch_size=4))
     assert results == [i * i for i in range(50)]
 
 
 def test_run_job_empty_payloads(pool):
-    assert pool.run_job(2, _square, []) == []
+    assert list(pool.imap_job(2, _square, [])) == []
 
 
 def test_imap_streams_in_submission_order(pool):
@@ -129,18 +134,18 @@ def test_imap_streams_in_submission_order(pool):
 
 
 def test_workers_survive_across_jobs(pool):
-    first = set(pool.run_job(2, _pid_of, list(range(8)), batch_size=1))
-    second = set(pool.run_job(2, _pid_of, list(range(8)), batch_size=1))
+    first = set(pool.imap_job(2, _pid_of, list(range(8)), batch_size=1))
+    second = set(pool.imap_job(2, _pid_of, list(range(8)), batch_size=1))
     assert first == second  # same processes served both jobs
     assert os.getpid() not in first
 
 
 def test_setup_runs_once_per_worker_per_job(pool):
-    counts = pool.run_job(1, _read_setup, [0, 1, 2],
-                          init_fn=_count_setup, batch_size=1)
+    counts = list(pool.imap_job(1, _read_setup, [0, 1, 2],
+                                init_fn=_count_setup, batch_size=1))
     assert counts == [1, 1, 1]
-    counts = pool.run_job(1, _read_setup, [0, 1],
-                          init_fn=_count_setup, batch_size=1)
+    counts = list(pool.imap_job(1, _read_setup, [0, 1],
+                                init_fn=_count_setup, batch_size=1))
     assert counts == [2, 2]  # same worker, fresh setup, kept state
 
 
@@ -148,18 +153,18 @@ def test_abandoned_job_does_not_poison_the_next(pool):
     it = pool.imap_job(2, _slow_square, list(range(20)), batch_size=2)
     assert next(it) == 0
     it.close()  # abandon 19 tasks mid-flight
-    assert pool.run_job(2, _square, [5, 6]) == [25, 36]
+    assert list(pool.imap_job(2, _square, [5, 6])) == [25, 36]
 
 
 def test_task_error_propagates_with_type(pool):
     with pytest.raises(ValueError, match="task 3 failed"):
-        pool.run_job(2, _boom, [3])
+        list(pool.imap_job(2, _boom, [3]))
 
 
 def test_init_error_propagates(pool):
     with pytest.raises(RuntimeError, match="init exploded"):
-        pool.run_job(2, _square, [1, 2, 3, 4], init_fn=_bad_init,
-                     batch_size=1)
+        list(pool.imap_job(2, _square, [1, 2, 3, 4], init_fn=_bad_init,
+                           batch_size=1))
 
 
 # -- crash handling -----------------------------------------------------------
@@ -167,37 +172,22 @@ def test_init_error_propagates(pool):
 
 def test_crashed_worker_respawns_and_batch_replays(pool, tmp_path):
     marker = str(tmp_path / "crashed-once")
-    results = pool.run_job(1, _die_once, [marker], batch_size=1)
+    results = list(pool.imap_job(1, _die_once, [marker], batch_size=1))
     assert results == ["survived"]
     assert pool_metrics().snapshot()["counters"]["pool.respawned"] >= 1
     # the pool is still usable afterwards
-    assert pool.run_job(1, _square, [9]) == [81]
+    assert list(pool.imap_job(1, _square, [9])) == [81]
 
 
 def test_batch_that_kills_twice_raises(pool):
     with pytest.raises(WorkerCrashError, match="crashed worker slot"):
-        pool.run_job(1, _die_always, [0], batch_size=1)
+        list(pool.imap_job(1, _die_always, [0], batch_size=1))
     # the slot was respawned; the pool still works
-    assert pool.run_job(1, _square, [3]) == [9]
-
-
-def test_idle_worker_reaps_itself():
-    pool = DaemonPool(idle_timeout=0.2)
-    try:
-        assert pool.run_job(1, _square, [2]) == [4]
-        worker = pool._workers[0]
-        worker.proc.join(5.0)
-        assert not worker.alive
-        assert worker.proc.exitcode == 0  # clean self-reap, not a crash
-        # the next job lazily respawns the slot
-        assert pool.run_job(1, _square, [3]) == [9]
-        assert pool._workers[0].proc.pid != worker.proc.pid
-    finally:
-        pool.shutdown()
+    assert list(pool.imap_job(1, _square, [3])) == [9]
 
 
 def test_shutdown_stops_every_worker(pool):
-    pool.run_job(2, _square, [1, 2, 3, 4], batch_size=1)
+    list(pool.imap_job(2, _square, [1, 2, 3, 4], batch_size=1))
     workers = list(pool._workers)
     assert pool.shutdown() == 2
     assert not any(w.alive for w in workers)
@@ -209,12 +199,72 @@ def test_shutdown_stops_every_worker(pool):
 
 def test_get_pool_recreates_on_env_change(monkeypatch):
     shutdown_pool()
-    monkeypatch.setenv("REPRO_POOL_IDLE", "123")
+    monkeypatch.setenv("REPRO_POOL_START", "fork")
     first = get_pool()
-    assert first.idle_timeout == 123.0
+    assert first.start_method == "fork"
     assert get_pool() is first
-    monkeypatch.setenv("REPRO_POOL_IDLE", "456")
+    monkeypatch.setenv("REPRO_POOL_START", "spawn")
     second = get_pool()
     assert second is not first
-    assert second.idle_timeout == 456.0
+    assert second.start_method == "spawn"
     shutdown_pool()
+
+
+# -- worker lifetime ----------------------------------------------------------
+
+#: A driver that warms a two-worker pool, prints the workers' pids and
+#: waits to be killed.
+DRIVER = textwrap.dedent("""
+    import time
+    from repro.parallel.daemon import get_pool
+    pool = get_pool()
+    warm = pool.imap_job(2, abs, [-1, -2, -3, -4], batch_size=1)
+    assert list(warm) == [1, 2, 3, 4]
+    print(*(w.proc.pid for w in pool.ensure(2)), flush=True)
+    time.sleep(600)
+""")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process? An exited worker whose new parent has
+    not reaped it yet is a zombie, which counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(),
+                    reason="reads process states from /proc")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_workers_exit_when_their_driver_dies(sig):
+    """A killed driver runs no exit handler, so nobody stops its
+    workers: each must notice that its parent is gone and exit."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    driver = subprocess.Popen([sys.executable, "-c", DRIVER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in driver.stdout.readline().split()]
+        assert len(pids) == 2
+        driver.send_signal(sig)
+        driver.wait(10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        driver.kill()
+        driver.wait()
+        driver.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -6,7 +6,7 @@ import pytest
 from repro.config import CLUSTER1, OptimizationFlags, TESLA_M2090
 from repro.apps import get_app
 from repro.costmodel.io import IoModel
-from repro.errors import GpuError, GpuOutOfMemory
+from repro.errors import ConfigError, GpuError, GpuOutOfMemory
 from repro.gpu.device import GpuDevice
 from repro.runtime.gpu_task import GpuTaskRunner
 from repro.runtime.seqfile import SequenceFileReader
@@ -77,3 +77,26 @@ class TestPipeline:
         with pytest.raises(GpuError):
             GpuTaskRunner(app.translate_combine(), None,
                           GpuDevice(CLUSTER1.gpu), cluster1_io, 4)
+
+    def test_map_only_task_refuses_a_combine_translation(self, cluster1_io):
+        # A zero-reducer job writes the raw map pairs to HDFS (§2.2), so
+        # a combiner handed to it would fold them behind the job's back.
+        app = get_app("WC")
+        with pytest.raises(ConfigError, match=r"num_reducers=0.*gpu_combiner"):
+            GpuTaskRunner(app.translate_map(), app.translate_combine(),
+                          GpuDevice(CLUSTER1.gpu), cluster1_io,
+                          num_reducers=0)
+        runner = GpuTaskRunner(app.translate_map(), None,
+                               GpuDevice(CLUSTER1.gpu), cluster1_io,
+                               num_reducers=0)
+        result = runner.run(b"a b a\nb a c\n")
+        assert result.partition_output[0].count(("a", 1)) == 3
+        assert result.breakdown.combine == 0
+
+    def test_negative_reducer_count_refused(self, cluster1_io):
+        app = get_app("WC")
+        with pytest.raises(ConfigError,
+                           match="num_reducers must be >= 0, got -1"):
+            GpuTaskRunner(app.translate_map(), None,
+                          GpuDevice(CLUSTER1.gpu), cluster1_io,
+                          num_reducers=-1)

@@ -90,7 +90,8 @@ def _probe(_x):
 
 class TestPools:
     def test_workers_are_leaves(self):
-        probes = get_pool().run_job(2, _probe, list(range(8)), batch_size=1)
+        probes = list(get_pool().imap_job(2, _probe, list(range(8)),
+                                         batch_size=1))
         pids = {pid for pid, _w, _f, _e in probes}
         assert os.getpid() not in pids
         assert not in_worker()
@@ -227,7 +228,7 @@ def test_pool_jobs_after_a_pinned_job_run_the_drivers_engine(
     with use_engine("tree"):
         _run_job(get_app("WC"), False, workers=2)
     driver = current_engine()
-    seen = get_pool().run_job(2, _worker_engine, list(range(4)))
+    seen = list(get_pool().imap_job(2, _worker_engine, list(range(4))))
     assert len({pid for pid, _engine in seen}) == 2
     assert {engine for _pid, engine in seen} == {driver}
     monkeypatch.setattr(fuzz_runner, "_oracle_task", _engine_probe)
@@ -270,7 +271,8 @@ def test_pool_workers_build_generated_code_only_for_engines_that_run_it(
     try:
         with use_engine(engine):
             _run_job(app, False, workers=2)
-        seen = get_pool().run_job(2, _generated_code_probe, list(range(4)))
+        seen = list(get_pool().imap_job(2, _generated_code_probe,
+                                        list(range(4))))
     finally:
         shutdown_pool()
     assert len({pid for pid, _flags in seen}) == 2

@@ -198,13 +198,13 @@ def test_no_hardcoded_app_lists_outside_registry():
 
 #: Every environment knob the program reads — the fields of
 #: :class:`repro.config.RuntimeConfig`: the job-wide worker count and
-#: the daemon pool's two deployment settings. Engines, backends, batch
+#: the daemon pool's start method. Engines, backends, batch
 #: sizes and per-phase worker counts are chosen by the runtime, not by
 #: a knob.
-KNOBS = {"REPRO_WORKERS", "REPRO_POOL_IDLE", "REPRO_POOL_START"}
+KNOBS = {"REPRO_WORKERS", "REPRO_POOL_START"}
 
 
-def test_env_knob_surface_is_exactly_the_documented_three():
+def test_env_knob_surface_is_exactly_the_documented_knobs():
     """Grep tripwire: the ``REPRO_*`` names under ``src/repro`` and the
     rows of README's knob tables are both exactly :data:`KNOBS` — a new
     knob has to be argued for here, and documented, to land — and the
