@@ -29,21 +29,24 @@ from .job import JobConf
 
 _KV = TypeVar("_KV", bound=tuple)
 
-#: One pair of a key group: ``(value, value_text, line_bytes)`` — the
-#: typed value, its canonical rendering, and the UTF-8 size of the
-#: pair's line ``key_text<TAB>value_text<NL>``. The spill builds one per
-#: distinct map-output line and shares it between the line's repeats.
+#: One pair of a key group: ``(value, value_text, value_bytes)`` — the
+#: typed value, its canonical rendering and that rendering's UTF-8 size.
+#: The spill builds one per distinct value text and appends that same
+#: object for every pair that carries it, under any key.
 Record = tuple[Any, str, int]
 
 #: One key's pairs in a run: ``(sort_key, key, key_text, records,
-#: nbytes)`` — records in arrival order, ``nbytes`` their summed
-#: ``line_bytes``. A run is a list of groups in streaming-sort order, one
-#: per distinct key (a merged run may hold one key's groups from several
-#: runs, adjacent). Only this module builds or reads the layout.
+#: nbytes)`` — records in arrival order, ``nbytes`` the UTF-8 size of
+#: their lines ``key_text<TAB>value_text<NL>``: the records' summed
+#: ``value_bytes`` plus the key's fixed bytes (its text, tab and
+#: newline) once per record. A run is a list of groups in
+#: streaming-sort order, one per distinct key (a merged run may hold
+#: one key's groups from several runs, adjacent). Only this module
+#: builds or reads the layout.
 Group = tuple[tuple[int, Any], Any, str, list[Record], int]
 
 _SORT_KEY = operator.itemgetter(0)
-_LINE_BYTES = operator.itemgetter(2)
+_VALUE_BYTES = operator.itemgetter(2)
 
 
 def streaming_sort_key(key: Any) -> tuple[int, Any]:
@@ -86,14 +89,17 @@ def sort_kv_run(items: Iterable[_KV]) -> list[_KV]:
     return [item for _key, item in decorate_kv_run(items)]
 
 
-def _sorted_groups(groups: dict[tuple[int, Any], tuple[Any, str, list]]
+def _sorted_groups(groups: dict[tuple[int, Any],
+                                tuple[Any, str, list[Record]]]
                    ) -> list[Group]:
     """A partition's ``{sort_key: (key, key_text, records)}`` as a run.
 
     A stable sort's output is its equal-sort-key groups, each in
     arrival order, concatenated in key order — so only the distinct
     sort keys are sorted, never the pairs."""
-    return [(sort_key, key, key_text, records, sum(map(_LINE_BYTES, records)))
+    return [(sort_key, key, key_text, records,
+             sum(map(_VALUE_BYTES, records))
+             + len(records) * (utf8_len(key_text) + 2))
             for sort_key, (key, key_text, records)
             in sorted(groups.items(), key=_SORT_KEY)]
 
@@ -107,18 +113,20 @@ def spill_runs(lines: list[str], partition: Callable[[Any], int],
 
     Three memos leave only the work per *distinct* thing: the one on
     the line makes a repeated line (most of WC's) a lookup and an
-    append of its shared record; the one on the key text types,
-    partitions and sorts each distinct key once (II's lines rarely
-    repeat, its keys do); the one on the value text types and renders
-    each distinct value once. Values canonicalize on the way through
-    (``"007"`` → ``7`` → ``"7"``); a key's text is already its
-    rendering, since :func:`coerce_key` types only canonical ints.
+    append; the one on the key text types, partitions and sorts each
+    distinct key once (II's lines rarely repeat, its keys do); the one
+    on the value text types and renders each distinct value once, and
+    its entry is the record every pair with that value shares. Values
+    canonicalize on the way through (``"007"`` → ``7`` → ``"7"``); a
+    key's text is already its rendering, since :func:`coerce_key`
+    types only canonical ints.
     docs/performance.md, "The map-side spill is one pass".
     """
-    by_line: dict[str, tuple[list, Record]] = {}
-    by_key: dict[str, tuple[list, int]] = {}
+    by_line: dict[str, tuple[list[Record], Record]] = {}
+    by_key: dict[str, list[Record]] = {}
     by_value: dict[str, Record] = {}
-    groups: dict[int, dict[tuple[int, Any], tuple[Any, str, list]]] = {}
+    groups: dict[int, dict[tuple[int, Any],
+                           tuple[Any, str, list[Record]]]] = {}
     for line in lines:
         hit = by_line.get(line)
         if hit is None:
@@ -128,22 +136,18 @@ def spill_runs(lines: list[str], partition: Callable[[Any], int],
             if not tab:
                 raise HadoopError(f"{where}: malformed KV line {line!r} at "
                                   f"output line {lines.index(line) + 1}")
-            known = by_key.get(key_text)
-            if known is None:
+            records = by_key.get(key_text)
+            if records is None:
                 key = coerce_key(key_text)
-                records: list[Record] = []
+                records = by_key[key_text] = []
                 groups.setdefault(partition(key), {})[
                     streaming_sort_key(key)] = key, key_text, records
-                # The line's fixed bytes: key text, tab and newline.
-                known = by_key[key_text] = records, utf8_len(key_text) + 2
             value = by_value.get(value_text)
             if value is None:
                 typed = coerce_value(value_text)
                 text = kv_text(typed)
                 value = by_value[value_text] = typed, text, utf8_len(text)
-            records, fixed = known
-            hit = by_line[line] = records, (value[0], value[1],
-                                            fixed + value[2])
+            hit = by_line[line] = records, value
         hit[0].append(hit[1])
     return {part: _sorted_groups(by_sort_key)
             for part, by_sort_key in groups.items()}
@@ -153,15 +157,14 @@ def render_run(pairs: Iterable[tuple[Any, Any]]) -> list[Group]:
     """Typed ``(key, value)`` pairs — a GPU task's partition, keys
     ``int`` or ``str`` — as one run: the groups :func:`spill_runs`
     builds from text."""
-    groups: dict[tuple[int, Any], tuple[Any, str, list]] = {}
+    groups: dict[tuple[int, Any], tuple[Any, str, list[Record]]] = {}
     for key, value in pairs:
         sort_key = streaming_sort_key(key)
         group = groups.get(sort_key)
         if group is None:
             group = groups[sort_key] = key, kv_text(key), []
         text = kv_text(value)
-        group[2].append((value, text,
-                         utf8_len(group[1]) + utf8_len(text) + 2))
+        group[2].append((value, text, utf8_len(text)))
     return _sorted_groups(groups)
 
 
@@ -191,7 +194,7 @@ def flatten_run(run: list[Group]) -> list[tuple[Any, Any, str]]:
     per-pair view the tests compare with :func:`sort_kv_run`."""
     return [(key, value, f"{key_text}\t{text}\n")
             for _sort_key, key, key_text, records, _nbytes in run
-            for value, text, _line_bytes in records]
+            for value, text, _value_bytes in records]
 
 
 def grouped_values(run: list[Group]) -> dict[Any, list[Any]]:

@@ -338,6 +338,25 @@ def test_pickled_runner_leaves_its_cached_key_length_behind():
     assert "_cpu_key_length" not in vars(pickle.loads(pickle.dumps(runner)))
 
 
+def test_ii_map_task_envelope_is_smaller_than_its_output():
+    """A pooled map task ships its runs as they are. II has no combiner
+    and few repeated lines, so its runs pickle smaller than the text
+    they stand for only if pairs share their value's record; the pooled
+    job still equals the inline one."""
+    import pickle
+
+    app = get_app("II")
+    text = app.generate(10_000, seed=7)
+    runner = LocalJobRunner(app, use_gpu=False, workers=1)
+    task = runner.map_task(0, runner.make_splits(text)[0])
+    assert len(pickle.dumps(task.parts)) < task.output_bytes
+    serial = runner.run(text)
+    pooled = LocalJobRunner(app, use_gpu=False, workers=2).run(text)
+    assert pooled.workers == 2
+    assert list(pooled.output.items()) == list(serial.output.items())
+    assert pooled.shuffle_bytes == serial.shuffle_bytes
+
+
 def test_env_workers_reaches_the_job_runner(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "2")
     app = get_app("WC")

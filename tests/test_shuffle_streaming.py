@@ -12,6 +12,8 @@ wire format, and the map-task pipeline around the mini-C filters
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
@@ -257,15 +259,39 @@ class TestSpillRuns:
                                     (2**53 + 1, 1, f"{next_big}\t1\n"),
                                     (2**53 + 1, 3, f"{next_big}\t3\n")]
 
-    def test_values_are_canonicalized_once_per_distinct_line(self, monkeypatch):
+    def test_values_are_canonicalized_once_per_distinct_value(self,
+                                                               monkeypatch):
         original, calls = shuffle.coerce_value, []
         monkeypatch.setattr(shuffle, "coerce_value",
                             lambda text: calls.append(text) or original(text))
-        (run,) = spill_runs(["k\t007", "k\t7", "k\t007", "j\t007"],
-                            Partitioner(1).partition, "t").values()
+        lines = ["k\t007", "k\t7", "k\t007", "j\t007", "j\t7",
+                 "ключ\t7", "ключ\t007"]
+        (run,) = spill_runs(lines, Partitioner(1).partition, "t").values()
         assert flatten_run(run) == \
-            [("j", 7, "j\t7\n")] + [("k", 7, "k\t7\n")] * 3
+            [("j", 7, "j\t7\n")] * 2 + [("k", 7, "k\t7\n")] * 3 \
+            + [("ключ", 7, "ключ\t7\n")] * 2
         assert calls == ["007", "7"]  # once per distinct value text
+        # Each line's bytes are its key's (UTF-8), the tab, the
+        # canonical value's and the newline — whichever key shares it.
+        assert run_bytes(run) == 2 * 4 + 3 * 4 + 2 * (8 + 3)
+
+    def test_runs_retain_few_bytes_per_distinct_line(self):
+        # 5 000 distinct lines (53 and 97 are coprime) over 53 keys and
+        # 97 values: what the runs keep alive is a list slot per pair
+        # plus per-key and per-value objects, not an object per line.
+        lines = [f"w{i % 53}\t{i % 97}" for i in range(5000)]
+        assert len(set(lines)) == len(lines)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            runs = spill_runs(lines, Partitioner(1).partition, "t")
+            gc.collect()
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(run_pairs, runs.values())) == len(lines)
+        assert (after - before) / len(lines) <= 24
 
     def test_malformed_line_names_where_and_which_line(self):
         lines = ["a\t1", "", "a\t1", "no-tab-here", "no-tab-here"]
