@@ -19,7 +19,9 @@ class JobTracker:
     Scheduling is first-come-first-serve over heartbeats (paper §6.2),
     preferring data-local tasks for the requesting node (stock Hadoop
     behaviour the paper inherits). Per-node locality queues keep each
-    heartbeat O(granted), not O(pending).
+    heartbeat O(granted), not O(pending). A task sits in the FIFO and in
+    the queue of every replica holder; the first queue to grant it sets
+    :attr:`MapTask.granted`, and the others drop it when they reach it.
     """
 
     tasks: list[MapTask]
@@ -30,7 +32,6 @@ class JobTracker:
     max_speedup: float = 1.0     # max aveSpeedup seen across TTs (§6.2)
     _fifo: deque[MapTask] = field(default_factory=deque, init=False)
     _local: dict[int, deque[MapTask]] = field(default_factory=dict, init=False)
-    _granted: set[int] = field(default_factory=set, init=False)
     _completed: int = field(default=0, init=False)
     _pending_count: int = field(default=0, init=False)
 
@@ -48,13 +49,13 @@ class JobTracker:
             self._local.setdefault(node, deque()).append(task)
 
     def _grantable(self, task: MapTask) -> bool:
-        return task.state is TaskState.PENDING and task.task_id not in self._granted
+        return task.state is TaskState.PENDING and not task.granted
 
     # -- state -------------------------------------------------------------
 
     def note_completed(self, task: MapTask) -> None:
         self._completed += 1
-        self._granted.discard(task.task_id)
+        task.granted = False
 
     @property
     def remaining_maps(self) -> int:
@@ -86,7 +87,7 @@ class JobTracker:
                 f"task {task.task_id} failed {task.attempts} times; job aborted"
             )
         task.reset_for_retry()
-        self._granted.discard(task.task_id)
+        task.granted = False
         self._enqueue(task)
 
     # -- heartbeat handling ---------------------------------------------------
@@ -122,13 +123,13 @@ class JobTracker:
             task = local.popleft()
             if self._grantable(task):
                 chosen.append(task)
-                self._granted.add(task.task_id)
+                task.granted = True
                 self._pending_count -= 1
         while self._fifo and len(chosen) < count:
             task = self._fifo.popleft()
             if self._grantable(task):
                 chosen.append(task)
-                self._granted.add(task.task_id)
+                task.granted = True
                 self._pending_count -= 1
         return chosen
 

@@ -46,7 +46,11 @@ def place_blocks(num_blocks: int, num_nodes: int, replication: int,
     rng = random.Random(seed)
     replication = min(replication, num_nodes)
     if num_nodes > SAMPLE_PLACEMENT_NODES:
-        return [tuple(rng.sample(range(num_nodes), replication))
+        # ``sample`` reads only the population's length and the items at
+        # the indices it draws, so a tuple gives the draws a ``range``
+        # would, but every block's replicas share its int objects.
+        nodes = tuple(range(num_nodes))
+        return [tuple(rng.sample(nodes, replication))
                 for _ in range(num_blocks)]
     placements = []
     for _ in range(num_blocks):
@@ -56,17 +60,32 @@ def place_blocks(num_blocks: int, num_nodes: int, replication: int,
     return placements
 
 
-@dataclass
+@dataclass(slots=True)
 class _Attempt:
-    """One execution attempt of a map task."""
+    """One execution attempt of a map task, and the event that ends it.
 
+    :meth:`ClusterSimulator._start` draws the attempt's ``duration`` and
+    ``fails`` outcome and schedules the attempt itself; the event loop
+    calls it at the attempt's end, after half the duration if it fails.
+    Every map task in flight holds one, so it is slotted and carries its
+    simulator instead of a closure.
+    """
+
+    sim: ClusterSimulator
     task: MapTask
     tracker: TaskTracker
     slot: SlotKind
     duration: float
+    fails: bool
     #: Open trace span + slot-lane index, set only while tracing.
     span: obs.SpanEvent | None = None
     lane: int | None = None
+
+    def __call__(self) -> None:
+        if self.fails:
+            self.sim._fail(self)
+        else:
+            self.sim._attempt_done(self)
 
 
 class ClusterSimulator:
@@ -322,8 +341,7 @@ class ClusterSimulator:
                 rec.inc("sim.heartbeats", skipped)
 
     def _launch(self, tracker: TaskTracker, task: MapTask) -> None:
-        slot = tracker.place(task)
-        if slot is SlotKind.GPU and task in tracker.gpu_queue:
+        if tracker.place(task):
             return  # queued behind a busy device; started on free-up
         self._start(tracker, task)
 
@@ -331,20 +349,15 @@ class ClusterSimulator:
         task.assign(tracker.node, self.loop.now)
         duration, fails = self._sample(task.slot, task.data_local,
                                        tracker.node)
-        attempt = _Attempt(task=task, tracker=tracker, slot=task.slot,
-                           duration=duration)
+        attempt = _Attempt(self, task, tracker, task.slot, duration, fails)
         self._trace_attempt_start(attempt)
-        if fails:
-            self.loop.schedule(
-                duration * 0.5, lambda: self._fail(attempt, duration * 0.5)
-            )
-        else:
-            self.loop.schedule(duration, lambda: self._attempt_done(attempt))
+        self.loop.schedule(duration * 0.5 if fails else duration, attempt)
 
-    def _fail(self, attempt: _Attempt, elapsed: float) -> None:
+    def _fail(self, attempt: _Attempt) -> None:
+        """A failed attempt ends after half its duration (:meth:`_sample`)."""
         task, tracker = attempt.task, attempt.tracker
         task.fail(self.loop.now)
-        tracker.release_slot(attempt.slot, elapsed)
+        tracker.release_slot(attempt.slot, attempt.duration * 0.5)
         self._failures += 1
         self._trace_attempt_end(attempt, "failed")
         was_idle = self.jobtracker.pending_maps == 0

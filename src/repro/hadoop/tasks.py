@@ -20,9 +20,14 @@ class SlotKind(enum.Enum):
     GPU = "gpu"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class MapTask:
-    """One map task (processes one fileSplit)."""
+    """One map task (processes one fileSplit).
+
+    Slotted, and equal only to itself: a 1000-node simulation holds one
+    per input split for the whole run, and nothing compares two tasks by
+    value.
+    """
 
     task_id: int
     preferred_nodes: tuple[int, ...] = ()   # replica holders (data locality)
@@ -34,6 +39,10 @@ class MapTask:
     finish_time: float = 0.0
     data_local: bool = False
     forced_gpu: bool = False                # placed by the tail scheduler
+    #: Handed to a TaskTracker and not yet completed or failed (it may
+    #: still wait in a device queue, PENDING): the JobTracker's lazy
+    #: queue pruning skips it.
+    granted: bool = False
 
     def assign(self, node: int, now: float) -> None:
         if self.state is TaskState.RUNNING:
@@ -69,7 +78,7 @@ class MapTask:
         return self.finish_time - self.start_time
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     """Per-TaskTracker execution statistics (feeds aveSpeedup)."""
 

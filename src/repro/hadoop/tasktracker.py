@@ -18,7 +18,7 @@ from .heartbeat import Heartbeat
 from .tasks import MapTask, NodeStats, SlotKind
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskTracker:
     node: int
     cpu_slots: int
@@ -59,11 +59,13 @@ class TaskTracker:
 
     # -- placement -------------------------------------------------------------
 
-    def place(self, task: MapTask) -> SlotKind:
-        """Decide where an incoming task runs; reserves the slot.
+    def place(self, task: MapTask) -> bool:
+        """Decide where an incoming task runs (``task.slot``) and reserve
+        its slot.
 
-        Returns the slot kind. Forced-GPU placements may queue (the caller
-        starts queued tasks as devices free up).
+        Returns True when the task was queued behind busy devices instead:
+        only forced-GPU placements queue, and the caller starts them from
+        :meth:`queued_gpu_task` as devices free up.
         """
         decision = self.policy.place(
             gpu_free=self.busy_gpus < self.num_gpus,
@@ -76,7 +78,7 @@ class TaskTracker:
             task.forced_gpu = decision.forced
             if self.busy_gpus < self.num_gpus:
                 self.busy_gpus += 1
-                return SlotKind.GPU
+                return False
             if decision.forced and self._worth_queueing():
                 # 'All slots on a TaskTracker force their tasks on the
                 # GPU(s) once the taskTail begins' (§6.2), bounded by the
@@ -84,7 +86,7 @@ class TaskTracker:
                 # still drains within about one CPU-task time, which is
                 # the profitability condition behind taskTail itself.
                 self.gpu_queue.append(task)
-                return SlotKind.GPU
+                return True
             task.forced_gpu = False
             # GPU-first with every device busy falls back to a CPU slot.
         if self.running_cpu >= self.cpu_slots:
@@ -95,7 +97,7 @@ class TaskTracker:
             )
         task.slot = SlotKind.CPU
         self.running_cpu += 1
-        return SlotKind.CPU
+        return False
 
     def _worth_queueing(self) -> bool:
         """Queue a forced task behind busy devices only while the node's

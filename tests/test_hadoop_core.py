@@ -159,15 +159,18 @@ class TestTaskTracker:
     def test_gpu_first_placement(self):
         tt = self.make_tt()
         t0 = MapTask(task_id=0)
-        assert tt.place(t0) is SlotKind.GPU
+        assert tt.place(t0) is False  # not queued: its slot is reserved
+        assert t0.slot is SlotKind.GPU
         t1 = MapTask(task_id=1)
-        assert tt.place(t1) is SlotKind.CPU  # GPU busy now
+        assert tt.place(t1) is False
+        assert t1.slot is SlotKind.CPU  # GPU busy now
 
     def test_cpu_only_policy_hides_gpus(self):
         tt = self.make_tt(policy=CpuOnlyPolicy())
         assert tt.num_gpus == 0
         t = MapTask(task_id=0)
-        assert tt.place(t) is SlotKind.CPU
+        assert tt.place(t) is False
+        assert t.slot is SlotKind.CPU
 
     def test_slot_freed_on_completion(self):
         tt = self.make_tt()
@@ -184,10 +187,11 @@ class TestTaskTracker:
         tt.stats.record(SlotKind.GPU, 10.0)  # speedup 6
         tt.maps_remaining_per_node = 2.0      # within the tail
         first = MapTask(task_id=0)
-        assert tt.place(first) is SlotKind.GPU
+        assert tt.place(first) is False
         second = MapTask(task_id=1)
-        assert tt.place(second) is SlotKind.GPU
-        assert len(tt.gpu_queue) == 1
+        assert tt.place(second) is True  # queued behind the busy device
+        assert (first.slot, second.slot) == (SlotKind.GPU, SlotKind.GPU)
+        assert tt.gpu_queue == [second]
         drained = tt.queued_gpu_task()
         assert drained is None  # device still busy
         tt.release_slot(first.slot, 10.0)

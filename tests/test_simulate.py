@@ -9,6 +9,7 @@ from repro.hadoop import ClusterSimulator, JobConf
 from repro.hadoop.shuffle import estimate_reduce_phase
 from repro.costmodel.io import IoModel
 from repro.errors import ConfigError
+from repro.hadoop.tasks import SlotKind
 from repro.scenarios import simulated_job
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
@@ -184,3 +185,53 @@ class TestReducePhase:
         one_wave = estimate_reduce_phase(small_job(num_reduce_tasks=48), io)
         two_waves = estimate_reduce_phase(small_job(num_reduce_tasks=100), io)
         assert two_waves.total > one_wave.total
+
+
+class TestGpuQueue:
+    """A forced task that finds every device busy waits in its node's
+    GPU queue (``TaskTracker.place`` returns True) and is started by the
+    next release of a device on that node, exactly once."""
+
+    class Logged(ClusterSimulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.log = []
+
+        def _launch(self, tracker, task):
+            before = tracker.gpu_queue.count(task)
+            super()._launch(tracker, task)
+            after = tracker.gpu_queue.count(task)
+            assert (before, after) in ((0, 0), (0, 1))
+            if after:
+                self.log.append(("queued", task.task_id, tracker.node))
+
+        def _start(self, tracker, task):
+            assert task not in tracker.gpu_queue
+            self.log.append(("start", task.task_id, tracker.node,
+                             task.slot, self.loop.now))
+            super()._start(tracker, task)
+
+        def _slot_released(self, tracker):
+            self.log.append(("released", tracker.node, self.loop.now))
+            super()._slot_released(tracker)
+
+    @pytest.mark.parametrize("failure_rate", [0.0, 0.05])
+    def test_forced_task_queued_once_starts_on_release(self, failure_rate):
+        cluster = replace(CLUSTER1, num_slaves=8)
+        job = small_job(num_map_tasks=600, gpu_task_seconds=1.5,
+                        cluster=cluster, failure_rate=failure_rate, seed=3)
+        sim = self.Logged(job, TailPolicy())
+        result = sim.run()
+        assert result.cpu_tasks + result.gpu_tasks == 600
+        assert (result.failures > 0) == (failure_rate > 0)
+        log = sim.log
+        queued = [i for i, e in enumerate(log) if e[0] == "queued"]
+        assert queued
+        for i in queued:
+            _, task_id, node = log[i]
+            # Its next start is on the GPU of its node, right after a
+            # device there was released, at the same simulated time.
+            j = next(j for j in range(i + 1, len(log))
+                     if log[j][:2] == ("start", task_id))
+            assert log[j][2:4] == (node, SlotKind.GPU)
+            assert log[j - 1] == ("released", node, log[j][4])

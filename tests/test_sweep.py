@@ -3,14 +3,17 @@
 Tier-1 covers the mini-shape smoke slice — byte-identical reports
 across runs, canonical JSON round-trips, the CLI leg — the golden
 full-registry report, and two performance guards (one wall-clock, one a
-deterministic event budget). The 1000-node × 3-policy budget test runs
-in the nightly ``-m slow`` tier with the acceptance wall-clock bound.
+deterministic event budget with a traced-memory bound per map task).
+The 1000-node × 3-policy budget test runs in the nightly ``-m slow``
+tier with the acceptance wall-clock bound, beside the scale-large
+memory bound.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,26 @@ GOLDEN_SWEEP = Path(__file__).resolve().parent / "golden" / "sweep_small.json"
 
 MINI = [s for s in all_scenarios() if s.shape == "mini"]
 MEGA = [s for s in all_scenarios() if s.shape.startswith("mega1k")]
+
+#: ``ts-mega1k-tail`` under its tail policy at scale large: the job's
+#: simulated seconds and the events its loop dispatched.
+LARGE_JOB_SECONDS = 19883.059552316063
+LARGE_DISPATCHED = 239_394
+
+
+def traced_mega1k_run(scale: str):
+    """Build and run ``ts-mega1k-tail`` (tail policy) under
+    ``tracemalloc``: the simulator, its result and the peak traced bytes
+    per map task."""
+    scenario = get_scenario("ts-mega1k-tail")
+    tracemalloc.start()
+    try:
+        sim = build_simulator(scenario, "tail", scale)
+        result = sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sim, result, peak / len(sim.tasks)
 
 
 class TestReportShape:
@@ -132,17 +155,33 @@ class TestPerformance:
         run_sweep(MINI, scale="small")
         assert time.perf_counter() - start < 5.0
 
-    def test_single_mega_node_run_stays_subsecond_scaled(self):
+    def test_simulator_bytes_per_map_task(self):
         # One 1000-node simulation at small scale (16k map tasks) — the
-        # per-policy unit of the nightly budget test, ~0.3 s. What keeps
+        # per-policy unit of the nightly budget test, ~0.3 s untraced. What keeps
         # it there is that heartbeats are event-driven, and that is
-        # checked by counting, not timing: 1.84 events per attempt
+        # checked by counting, not timing: 1.82 events per attempt
         # (one launch-side heartbeat share plus one completion), where
         # dispatching every heartbeat of every tracker costs 14.2.
-        scenario = get_scenario("ts-mega1k-tail")
-        sim = build_simulator(scenario, "tail", "small")
-        sim.run()
-        assert sim.loop.dispatched <= 2.5 * scenario.map_tasks("small")
+        # Every map task is in flight after the first heartbeat wave, so
+        # the traced peak is mostly per-task state: ~512 B per task with
+        # a slotted task and a slotted attempt that is its own event,
+        # ~840 B with dict-backed ones and a closure per attempt
+        # (CPython 3.11).
+        sim, _, per_task = traced_mega1k_run("small")
+        assert per_task <= 650, f"{per_task:.0f} traced bytes per map task"
+        assert sim.loop.dispatched <= 2.5 * len(sim.tasks)
+
+    @pytest.mark.slow
+    def test_large_scale_simulation_memory_and_answer(self):
+        # ts-mega1k-tail at scale large (128k map tasks): ~324 B per
+        # task now, ~470 B with dict-backed tasks and attempts. The job
+        # length and event count are the values the simulator gave
+        # before the per-attempt objects were slotted (commit 687cde2);
+        # a memory change must not move them.
+        sim, result, per_task = traced_mega1k_run("large")
+        assert per_task <= 400, f"{per_task:.0f} traced bytes per map task"
+        assert result.job_seconds == LARGE_JOB_SECONDS
+        assert sim.loop.dispatched == LARGE_DISPATCHED
 
     @pytest.mark.slow
     def test_thousand_node_three_policy_sweep_within_budget(self):
