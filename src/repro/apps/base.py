@@ -112,15 +112,6 @@ class Application:
             return [(key, v) for v in values]
         return self.reduce_py(key, values)
 
-    def figures_for(self, cluster_name: str) -> ClusterFigures:
-        figures = self.cluster1 if cluster_name == "Cluster1" else self.cluster2
-        if figures is None or figures.map_tasks is None:
-            raise ConfigError(
-                f"{self.short} has no Table 2 entry for {cluster_name} "
-                "(the paper marks it NA)"
-            )
-        return figures
-
 
 @lru_cache(maxsize=64)
 def _parse_cached(source: str) -> A.Program:

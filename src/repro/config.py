@@ -148,15 +148,6 @@ class ClusterConfig:
                 "a node needs at least one map slot or GPU "
                 "(max_map_slots_per_node + gpus_per_node >= 1)")
 
-    @property
-    def total_map_slots(self) -> int:
-        """CPU map slots across the cluster (excludes reserved GPU slots)."""
-        return self.num_slaves * self.max_map_slots_per_node
-
-    @property
-    def total_gpus(self) -> int:
-        return self.num_slaves * self.gpus_per_node
-
     def with_gpus(self, gpus_per_node: int) -> "ClusterConfig":
         """A copy with a different GPU count per node (Fig. 4b sweeps)."""
         return replace(self, gpus_per_node=gpus_per_node)

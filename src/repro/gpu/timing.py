@@ -122,6 +122,3 @@ class TimingModel:
         for i, cycles in enumerate(block_cycle_list):
             sms[i % self.spec.num_sms] += cycles
         return max(sms) if sms else 0.0
-
-    def grid_seconds(self, block_cycle_list: list[float]) -> float:
-        return self.grid_cycles(block_cycle_list) * self.spec.cycle_time_s

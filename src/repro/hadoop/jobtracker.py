@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from ..errors import HadoopError
@@ -31,7 +31,8 @@ class JobTracker:
     max_task_attempts: int = 4
     max_speedup: float = 1.0     # max aveSpeedup seen across TTs (§6.2)
     _fifo: deque[MapTask] = field(default_factory=deque, init=False)
-    _local: dict[int, deque[MapTask]] = field(default_factory=dict, init=False)
+    _local: defaultdict[int, deque[MapTask]] = field(
+        default_factory=lambda: defaultdict(deque), init=False)
     _completed: int = field(default=0, init=False)
     _pending_count: int = field(default=0, init=False)
 
@@ -46,7 +47,7 @@ class JobTracker:
         self._fifo.append(task)
         self._pending_count += 1
         for node in task.preferred_nodes:
-            self._local.setdefault(node, deque()).append(task)
+            self._local[node].append(task)
 
     def _grantable(self, task: MapTask) -> bool:
         return task.state is TaskState.PENDING and not task.granted

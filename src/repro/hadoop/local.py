@@ -243,11 +243,6 @@ class LocalJobRunner:
             start = end
         return ranges or [(0, 0)]
 
-    def make_splits(self, input_text: str) -> list[bytes]:
-        """The split ranges materialized as byte strings."""
-        data = input_text.encode("utf-8")
-        return [data[a:b] for a, b in self.split_ranges(data)]
-
     # -- map side ------------------------------------------------------------------
 
     def _gpu_task_runner(self) -> GpuTaskRunner:

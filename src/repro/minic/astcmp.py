@@ -57,8 +57,3 @@ def ast_diff(a: Any, b: Any, path: str = "program") -> str | None:
         if diff is not None:
             return diff
     return None
-
-
-def ast_equal(a: Any, b: Any) -> bool:
-    """True when the two trees match everywhere but line/source fields."""
-    return ast_diff(a, b) is None

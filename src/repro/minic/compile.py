@@ -27,7 +27,14 @@ returns Python source plus the :class:`_Counts` it owes; the
   ``break``/``continue`` are native too (sentinel returns only cross
   unit boundaries);
 * :class:`~repro.minic.interpreter.ExecCounters` accounting is batched
-  per basic block into straight-line ``c.ops += n`` at the block head;
+  per basic block and counted at the block head: straight-line
+  ``c.ops += n`` outside loops; inside an in-unit loop one local tick
+  ``bN += 1`` per block (blocks with equal counts share ``bN``), which
+  the unit's ``try:`` … ``finally:`` folds into ``c`` as ``Σ n × bN``
+  once per unit run, also when the run raises. This rests on one
+  invariant: nothing reads ``ExecCounters`` while a unit runs — its
+  readers (``costmodel/cpu.py``, the ``gpu/executor.py`` folds after a
+  launch, the fuzz oracle) look only after the run;
 * a call site of a declared builtin (:data:`repro.minic.stdlib.SIGNATURES`)
   looks the name up in ``rt.builtins`` once per unit run and calls the
   typed function it finds positionally — ``g(rt, a, b)``: no argument
@@ -36,10 +43,13 @@ returns Python source plus the :class:`_Counts` it owes; the
   :func:`~repro.minic.stdlib.arity_error`'s text instead. A name the
   table lacks (a host program's own ``emitKV``) and an undeclared name
   call the user function, with an argument list;
-* ``printf``/``scanf`` call sites with a string-literal format are
-  rendered/scanned straight-line, guarded once per unit run by
-  ``rt.builtins[name] is <the host entry>`` (GPU builtin tables replace
-  those names, so they take the call above).
+* the host calls in :data:`_HOST_INLINE_CALLS` run straight-line where
+  the emitter proves their operands fit — ``printf``/``scanf`` with a
+  string-literal format, ``strcmp`` of two non-null pointers (whose
+  texts, like a ``printf``'s ``%s`` of one, come off the buffer's
+  decode cache, else ``Buffer.c_string``) — guarded
+  once per unit run by ``rt.builtins[name] is <the host entry>`` (GPU
+  builtin tables replace those names, so they take the call above).
 
 **Nothing from the program text reaches the generated source**: names
 are slot-indexed, and literals, ctypes and messages travel through the
@@ -306,11 +316,13 @@ _RT_LOCALS = {
     "builtins": "builtins = rt.builtins",
 }
 
-#: printf/scanf call sites with a literal format skip the builtin when
-#: the unit runs against these host table entries: name → (entry, the
-#: emitter method that renders the call straight-line).
-_HOST_FORMAT_CALLS = {"printf": (HOST_BUILTINS["printf"], "_printf_lines"),
-                      "scanf": (HOST_BUILTINS["scanf"], "_scanf_lines")}
+#: Host builtins whose call sites the emitter renders straight-line when
+#: it can prove the operands fit, taken when the unit runs against these
+#: host table entries: name → (entry, the emitter method that renders
+#: the call, or returns None to keep the generic call).
+_HOST_INLINE_CALLS = {"printf": (HOST_BUILTINS["printf"], "_printf_lines"),
+                      "scanf": (HOST_BUILTINS["scanf"], "_scanf_lines"),
+                      "strcmp": (HOST_BUILTINS["strcmp"], "_strcmp_lines")}
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +423,9 @@ class _Unit:
         #: Innermost-last stack of in-unit loops: the lines a
         #: ``continue`` must run first (a for loop's step).
         self.loops: list[list[str]] = []
+        #: Counts of one basic block inside an in-unit loop (in
+        #: ``_Counts.__slots__`` order) → the local that counts its runs.
+        self.blocks: dict[tuple[int, ...], str] = {}
 
     def const(self, value: Any) -> str:
         """The exec-globals name carrying ``value`` into the unit."""
@@ -540,19 +555,41 @@ class _FunctionCompiler:
     def _finish(self, lines: list[str], label: str | None = None) -> Callable:
         u, self.u = self.u, None
         params = "rt, args" if u.is_function else "rt, frame"
-        body = list(u.prologue.values()) + lines
+        body = list(u.prologue.values())
+        if u.blocks:
+            # Fold the loop blocks' runs into c once per unit run, also
+            # when the unit raises: each was counted at its head.
+            fold = []
+            for i, attr in enumerate(_Counts.__slots__):
+                terms = [name if counts[i] == 1 else f"{counts[i]} * {name}"
+                         for counts, name in u.blocks.items() if counts[i]]
+                if terms:
+                    fold.append(f"c.{attr} += " + " + ".join(terms))
+            body += [f"{name} = 0" for name in u.blocks.values()]
+            body += ["try:"] + _indent(lines) + ["finally:"] + _indent(fold)
+        else:
+            body += lines
         src = f"def unit({params}):\n" + "\n".join(_indent(body)) + "\n"
         filename = self.cp.register_unit(label, src)
         exec(compile(src, filename, "exec"), u.env)
         return u.env["unit"]
 
     def _flush(self, cnt: _Counts) -> list[str]:
-        """Straight-line ExecCounters increments for ``cnt``."""
-        lines = [f"c.{attr} += {value}" for attr in _Counts.__slots__
-                 if (value := getattr(cnt, attr))]
-        if lines:
-            self.u.need("c")
-        return lines
+        """ExecCounters accounting for one basic block costing ``cnt``:
+        straight-line increments outside loops; inside an in-unit loop,
+        one tick of the block's local counter (see :meth:`_finish`)."""
+        counts = tuple(getattr(cnt, attr) for attr in _Counts.__slots__)
+        if not any(counts):
+            return []
+        u = self.u
+        u.need("c")
+        if not u.loops:
+            return [f"c.{attr} += {value}"
+                    for attr, value in zip(_Counts.__slots__, counts) if value]
+        name = u.blocks.get(counts)
+        if name is None:
+            name = u.blocks[counts] = f"b{len(u.blocks)}"
+        return [f"{name} += 1"]
 
     def _flushed_stmt(self, stmt: A.Stmt) -> Callable:
         """``stmt`` as one unit that flushes its own batched counts."""
@@ -706,8 +743,8 @@ class _FunctionCompiler:
         return self._flush(cnt) + ex.pre + [f"if not ({test}):", "    break"]
 
     def _stmt_While(self, stmt: A.While) -> tuple[list[str], _Counts]:
-        head = self._budget() + self._loop_test(stmt.cond)
         self.u.loops.append([])
+        head = self._budget() + self._loop_test(stmt.cond)
         body = self._flushed(stmt.body)
         self.u.loops.pop()
         return ["while True:"] + _indent(head + body), _Counts()
@@ -718,15 +755,15 @@ class _FunctionCompiler:
         cnt = _Counts()
         if stmt.init is not None:
             init, cnt = self._stmt(stmt.init, scoped=True)
+        # break skips the step; continue runs it (tree-walker order)
+        step: list[str] = []
+        self.u.loops.append(step)
         head = self._budget()
         if stmt.cond is not None:
             head += self._loop_test(stmt.cond)
-        step: list[str] = []
         if stmt.step is not None:
             ex, scnt = self._expr(stmt.step, void=True)
-            step = self._flush(scnt) + self._effects(ex)
-        # break skips the step; continue runs it (tree-walker order)
-        self.u.loops.append(step)
+            step += self._flush(scnt) + self._effects(ex)
         body = self._flushed(stmt.body)
         self.u.loops.pop()
         self.scopes.pop()
@@ -1167,16 +1204,18 @@ class _FunctionCompiler:
     def _expr_Index(self, expr: A.Index) -> tuple[_Ex, _Counts]:
         u = self.u
         lines, p, i, cnt = self._index_operands(expr)
-        u.need("c")
+        load = _Counts()
+        load.loads = 1
+        count_load = self._flush(load)
         u.need("charge")
         out, buf, off = u.tmp(), u.tmp(), u.tmp()
         # loads (and the GPU charge) depend on the runtime stride, so
-        # they stay inline rather than batching.
+        # they are a block of their own rather than batching.
         lines += [
             f"if {p}.stride > 1:",  # row of a flattened 2-D array
             f"    {out} = Ptr({p}.buffer, {p}.offset + {i} * {p}.stride, 1)",
             "else:",
-            "    c.loads += 1",
+            *_indent(count_load),
             f"    {buf} = {p}.buffer",
             "    if charge is not None:",
             f"        charge(rt, {buf}, False)",
@@ -1229,26 +1268,34 @@ class _FunctionCompiler:
                 call = [f"if {g} is not None:",
                         f"    raise CRuntimeError({message})",
                         assign + user]
-        if expr.func in _HOST_FORMAT_CALLS and expr.args \
-                and type(expr.args[0]) is A.StringLit:
-            entry, emitter = _HOST_FORMAT_CALLS[expr.func]
-            fast = getattr(self, emitter)(
-                expr.args[0].value, args[1:], assign)
+        if expr.func in _HOST_INLINE_CALLS:
+            entry, emitter = _HOST_INLINE_CALLS[expr.func]
+            fast = getattr(self, emitter)(expr, args, assign)
             if fast is not None:
                 h = u.need(f"h{name[1:]}",
                            f"h{name[1:]} = {g} is {u.const(entry)}")
                 call = [f"if {h}:"] + _indent(fast) + ["else:"] + _indent(call)
         return _Ex(out or "None", None, lines + call, stable=True), cnt
 
-    def _printf_lines(self, fmt: str, args: list[_Ex],
+    def _printf_lines(self, expr: A.Call, args: list[_Ex],
                       assign: str) -> list[str] | None:
         """``printf`` with a literal format against the host stdio:
-        c_format's segments rendered straight-line. None when the
-        generic call must report too few arguments."""
+        c_format's segments rendered straight-line. None for any other
+        format, and when the generic call must report too few
+        arguments."""
         u = self.u
-        segs, tail = _compile_format(fmt)
+        if not args or type(expr.args[0]) is not A.StringLit:
+            return None
+        segs, tail = _compile_format(expr.args[0].value)
+        args = args[1:]
         if sum(render is not None for _lit, render in segs) > len(args):
             return None
+        # Every argument (surplus ones too, for their errors) is evaluated
+        # before the first conversion, then each conversion runs in
+        # format order, as c_format does.
+        lines: list[str] = []
+        for ex in args:
+            self._atom(ex, lines)
         parts: list[str] = []
         values = iter(args)
         for lit, render in segs:
@@ -1259,26 +1306,33 @@ class _FunctionCompiler:
             ex = next(values)
             if render is _render_int and ex.kind == "i":
                 parts.append(f"str({ex.src})")
+            elif render is _as_str and ex.kind == "p":
+                parts.append(self._c_string(ex, lines))
             else:
-                parts.append(f"{u.const(render)}({ex.src})")
+                part = u.tmp()
+                lines.append(f"{part} = {u.const(render)}({ex.src})")
+                parts.append(part)
         if tail or not parts:
             parts.append(u.const(tail))
         text = u.tmp()
-        # Surplus arguments are ignored, but still evaluated for errors.
-        lines = [ex.src for ex in values if not ex.stable]
         lines += [f"{text} = " + " + ".join(parts),
                   f"rt.stdout.write({text})"]
         if assign:
             lines.append(f"{assign}len({text})")
         return lines
 
-    def _scanf_lines(self, fmt: str, args: list[_Ex],
-                     assign: str) -> list[str]:
+    def _scanf_lines(self, expr: A.Call, args: list[_Ex],
+                     assign: str) -> list[str] | None:
         """``scanf`` with a literal format against the host stdio: the
         two-conversion KV shapes match c_scan's one-shot regex inline
         and store straight into the targets; everything else (and any
-        partial or EOF input) is c_scan minus the format re-decode."""
+        partial or EOF input) is c_scan minus the format re-decode.
+        None for a format that is not a literal."""
         u = self.u
+        if not args or type(expr.args[0]) is not A.StringLit:
+            return None
+        fmt = expr.args[0].value
+        args = args[1:]
         argv = "[" + ", ".join(ex.src for ex in args) + "]"
         generic = f"{assign}c_scan(rt.stdin, {u.const(fmt)}, {argv})"
         convs = _scan_convs(fmt)
@@ -1322,6 +1376,40 @@ class _FunctionCompiler:
             "else:",
             f"    {generic}",
         ]
+
+    def _strcmp_lines(self, expr: A.Call, args: list[_Ex],
+                      assign: str) -> list[str] | None:
+        """``strcmp`` of two proven non-null pointers against the host
+        table: _bi_strcmp straight-line, each text from its buffer's
+        decode cache or else ``Buffer.c_string`` (which raises every
+        error, in operand order). None for any other operands."""
+        if len(args) != 2 or any(ex.kind != "p" for ex in args):
+            return None
+        lines: list[str] = []
+        for ex in args:  # both operands are evaluated before either decodes
+            self._atom(ex, lines)
+        a, b = (self._c_string(ex, lines) for ex in args)
+        if assign:
+            lines.append(f"{assign}({a} > {b}) - ({a} < {b})")
+        return lines
+
+    def _c_string(self, ex: _Ex, lines: list[str]) -> str:
+        """The text at a proven non-null pointer ``ex`` (a bare name), as
+        _as_str decodes it: its buffer's decode cache, else
+        ``Buffer.c_string`` (which raises every error). Appends the
+        lines; returns the temp."""
+        u = self.u
+        p = ex.src
+        buf, cache, text = u.tmp(), u.tmp(), u.tmp()
+        lines += [
+            f"{buf} = {p}.buffer",
+            f"{cache} = {buf}._strcache",
+            f"{text} = {cache}.get({p}.offset) "
+            f"if {cache} is not None else None",
+            f"if {text} is None:",
+            f"    {text} = {buf}.c_string({p}.offset)",
+        ]
+        return text
 
 
 # --------------------------------------------------------------------------

@@ -44,9 +44,6 @@ class MetricsRegistry:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         self.gauges[name] = value
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self.gauges.get(name, default)
-
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> dict[str, dict[str, float]]:

@@ -63,9 +63,11 @@ class TestRegistry:
 
     def test_km_na_on_cluster2(self):
         from repro.errors import ConfigError
+        from repro.scenarios.registry import table2_tasks
 
+        assert get_app("KM").cluster2.map_tasks is None
         with pytest.raises(ConfigError, match="NA"):
-            get_app("KM").figures_for("Cluster2")
+            table2_tasks("KM", "Cluster2")
 
     def test_natures_match_table2(self):
         natures = {a.short: a.nature for a in all_apps()}

@@ -81,6 +81,7 @@ _HELPERS = """
 int two(int a, int b) { return a + b; }
 void nothing() { return; }
 int down(int n) { return down(n + 1); }
+int first(int n) { int i; for (i = 0; ; i++) { if (i >= n) { return i; } } return -1; }
 """
 
 _PREFIX = "int x; int i; for (i = 0; i < 3; i++) { x = i; }\n"
@@ -110,7 +111,11 @@ class TestErrorParity:
     block's own cost."""
 
     # (setup before the aborting statement, the aborting statement — a
-    #  basic block of its own —, message, that statement's full cost)
+    #  basic block of its own, or a loop whose last trip aborts —,
+    #  message, that statement's full cost up to and including the
+    #  aborted block[, a step budget: the ticks each engine may spend
+    #  past the setup's, at its own grain]). A setup that leaves loops
+    #  early must give tree-equal counters on its own.
     CASES = {
         "division by zero": (
             "", "x = 1 / 0;", "division by zero",
@@ -148,6 +153,30 @@ class TestErrorParity:
         "array initialiser": (
             "", "int arr[2] = 5;",
             r"array initializers unsupported \(arr\)", {}),
+        "index out of bounds on an inner for's 3rd trip": (
+            "int a[4]; int j; int k; k = 0;",
+            "while (k < 2) { for (j = 0; j < 4; j++) { x = a[j * 3]; } "
+            "k++; }", "out-of-bounds",
+            # while test; j = 0; 3 × (test, body); 2 × j++
+            {"ops": 9, "branches": 4, "loads": 3, "stores": 4}),
+        "return from a loop, in a helper called from a loop": (
+            "int s; int r; s = 0; "
+            "for (r = 0; r < 3; r++) { s = s + first(r); }",
+            "x = 1 / 0;", "division by zero", {"ops": 1, "stores": 1}),
+        "break and continue in nested loops": (
+            "int p; int q; int s; s = 0; for (p = 0; p < 4; p++) { "
+            "q = 0; while (1) { q++; if (q == 2) { continue; } "
+            "if (q > p) { break; } s = s + q; } "
+            "if (p == 2) { continue; } s = s + 1; }",
+            "x = 1 / 0;", "division by zero", {"ops": 1, "stores": 1}),
+        "printf converts after evaluating every argument": (
+            "char a[4]; int z; z = 0; free(a);",
+            'printf("%s %d\\n", a, 1 / z);', "division by zero",
+            {"ops": 1, "calls": 1}),
+        "step budget spent in a loop that counted blocks": (
+            "", "while (1) { x++; }", "execution exceeded",
+            # at most 6 trips of (test, x++) fit in 6 ticks
+            {"ops": 6, "branches": 6}, 6),
     }
 
     @pytest.mark.parametrize("body, match", [
@@ -166,22 +195,30 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_error_and_counters_up_to_the_aborted_block(self, case):
-        setup, abort, match, block_cost = self.CASES[case]
+        setup, abort, match, block_cost, *budget = self.CASES[case]
         stdin = "a line\n"
         before = _PREFIX + setup + "\nif (x == 2) { x = 2; }\n"
-        completed = {}
+        completed, max_steps = {}, {}
         for engine in ("tree", "compiled"):
             interp = Interpreter(_program(before), stdin=stdin)
             with use_engine(engine):
                 interp.run()
             completed[engine] = _fields(interp.counters)
+            max_steps[engine] = interp.steps + budget[0] if budget \
+                else interp.max_steps
         assert completed["tree"] == completed["compiled"]
         done = completed["tree"]
 
         program = _program(before + abort)
-        msg_t, cnt_t = _run_to_error(program, "tree", stdin=stdin)
-        msg_c, cnt_c = _run_to_error(program, "compiled", stdin=stdin)
+        msg_t, cnt_t = _run_to_error(program, "tree", max_steps["tree"],
+                                     stdin=stdin)
+        msg_c, cnt_c = _run_to_error(program, "compiled",
+                                     max_steps["compiled"], stdin=stdin)
         assert re.search(match, msg_t)
+        if budget:  # each message names that engine's own budget
+            msg_t, msg_c = (msg.replace(f" {max_steps[engine]} ", " N ")
+                            for msg, engine in ((msg_t, "tree"),
+                                                (msg_c, "compiled")))
         assert msg_c == msg_t
         for name, base in done.items():
             tree, comp = _fields(cnt_t)[name], _fields(cnt_c)[name]
@@ -245,10 +282,114 @@ class TestDeclarationBodies:
         assert cnt_c == cnt_t
 
     def test_parsed_as_the_block_it_denotes(self):
-        from repro.minic.astcmp import ast_equal
+        from repro.minic.astcmp import ast_diff
 
-        assert ast_equal(_program("int c = 1; if (c) int z = 4;"),
-                         _program("int c = 1; if (c) { int z = 4; }"))
+        assert ast_diff(_program("int c = 1; if (c) int z = 4;"),
+                        _program("int c = 1; if (c) { int z = 4; }")) is None
+
+
+def _block(lines, head):
+    """The lines of the Python block that ``lines[head]`` opens."""
+    indent = len(lines[head]) - len(lines[head].lstrip())
+    body = []
+    for line in lines[head + 1:]:
+        if len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    return body
+
+
+class TestInlineStrcmp:
+    """``strcmp`` of two char arrays runs straight-line on the host —
+    each text off its buffer's decode cache, else ``Buffer.c_string`` —
+    and must be indistinguishable from the host builtin, ``_bi_strcmp``."""
+
+    @pytest.mark.parametrize("body, compared", [
+        # warm: strcpy seeds both decode caches
+        ('char a[8]; char b[8]; strcpy(a, "abc"); strcpy(b, "abd"); '
+         'printf("%d %d %d\\n", strcmp(a, b), strcmp(b, a), strcmp(a, a));',
+         [("abc", "abd"), ("abd", "abc"), ("abc", "abc")]),
+        # cold: the char write drops a's cache, so the compare decodes
+        ('char a[8]; char b[8]; int r; strcpy(a, "abc"); strcpy(b, "abd"); '
+         'r = strcmp(a, b); a[2] = 101; '
+         'printf("%d %d %d\\n", r, strcmp(a, b), strcmp(b, a));',
+         [("abc", "abd"), ("abe", "abd"), ("abd", "abe")]),
+        # a literal operand, and a statement whose result nobody reads
+        ('char a[8]; strcpy(a, "ab"); strcmp(a, "ab"); '
+         'printf("%d %d\\n", strcmp(a, "ab"), strcmp("b", a));',
+         [("ab", "ab"), ("b", "ab")]),
+    ], ids=["warm", "cold-after-char-write", "literal"])
+    def test_same_result_as_the_builtin(self, body, compared):
+        from repro.minic.stdlib import HOST_BUILTINS
+        from repro.minic.values import Buffer, Ptr
+
+        program = _program(body)
+        assert "._strcache" in compiled_program(program).python_source()
+        (out_t, cnt_t), (out_c, cnt_c) = _both_backends(program, "")
+        assert out_c == out_t
+        assert cnt_c == cnt_t
+        host = HOST_BUILTINS["strcmp"]
+        assert [int(v) for v in out_c.split()] == [
+            host(None, Ptr(Buffer.from_string(a)), Ptr(Buffer.from_string(b)))
+            for a, b in compared]
+
+    @pytest.mark.parametrize("setup, buffer", [
+        ('char a[8]; strcpy(a, "abc"); free(a);', "freed"),
+        ("int a[8];", "int"),
+    ])
+    def test_same_error_as_the_builtin(self, setup, buffer):
+        from repro.minic import ctypes as T
+        from repro.minic.stdlib import HOST_BUILTINS
+        from repro.minic.values import Buffer, Ptr
+
+        if buffer == "freed":
+            buf = Buffer.from_string("abc")
+            buf.label = "a"
+            buf.freed = True
+        else:
+            buf = Buffer(T.INT, 8, label="a")
+        with pytest.raises(CRuntimeError) as exc_info:
+            HOST_BUILTINS["strcmp"](None, Ptr(buf), Ptr(Buffer.from_string("")))
+        # printf's leading %s of a proven pointer decodes the same way
+        for abort in ('strcmp(a, "abc");', 'int x = strcmp("abc", a);',
+                      'printf("%s\\n", a);'):
+            program = _program(setup + abort)
+            msg_t, cnt_t = _run_to_error(program, "tree")
+            msg_c, cnt_c = _run_to_error(program, "compiled")
+            assert msg_c == msg_t == str(exc_info.value)
+            assert cnt_c.calls == cnt_t.calls
+
+    def test_wc_combiner_loop_counts_in_locals_and_compares_inline(self):
+        """WC's combiner loop runs once per KV pair: its body makes no
+        ``c.<field> +=`` increment, and on the host it compares the key
+        with the previous one without calling the strcmp builtin."""
+        from repro.minic.stdlib import HOST_BUILTINS
+
+        cp = compiled_program(get_app("WC").combine_program())
+        env = cp.functions["main"].__globals__
+        lines = cp.python_source().splitlines()
+        body = _block(lines, lines.index("        while True:"))
+        assert body
+        assert not [line for line in body
+                    if re.match(r"\s*c\.\w+ \+=", line)]
+        entry = next(name for name, value in env.items()
+                     if value is HOST_BUILTINS["strcmp"])
+        h, g = re.search(rf"^ *(h\d+) = (g\d+) is {entry}$",
+                         "\n".join(lines), re.M).groups()
+        guard = body.index(next(line for line in body
+                                if line.strip() == f"if {h}:"))
+        fast = _block(body, guard)
+        assert fast and not [line for line in fast if f"{g}(" in line]
+        assert body[guard + len(fast) + 1].strip() == "else:"
+        calls = [line for line in body if f"{g}(" in line]
+        assert calls == [line for line in _block(body, guard + len(fast) + 1)
+                         if f"{g}(" in line]
+
+    def test_loopless_unit_keeps_straight_line_counts(self):
+        source = compiled_program(parse(
+            'int main() { printf("%d\\n", 1 + 2); return 0; }'
+        )).python_source()
+        assert "try:" not in source and "c.calls += " in source
 
 
 class TestEmitterHygiene:

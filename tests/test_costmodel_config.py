@@ -41,8 +41,9 @@ class TestClusterConfigs:
         assert CLUSTER1.cpu_only().gpus_per_node == 0
 
     def test_totals(self):
-        assert CLUSTER1.total_map_slots == 48 * 20
-        assert CLUSTER2.total_gpus == 96
+        assert (CLUSTER1.num_slaves, CLUSTER1.max_map_slots_per_node) \
+            == (48, 20)
+        assert (CLUSTER2.num_slaves, CLUSTER2.gpus_per_node) == (32, 3)
 
     def test_invalid_configs_rejected(self):
         import dataclasses
@@ -90,8 +91,9 @@ class TestClusterConfigs:
         import dataclasses
 
         gpu_only = dataclasses.replace(CLUSTER1, max_map_slots_per_node=0)
-        assert gpu_only.total_map_slots == 0 and gpu_only.total_gpus == 48
-        assert CLUSTER1.cpu_only().total_gpus == 0
+        assert gpu_only.max_map_slots_per_node == 0
+        assert gpu_only.gpus_per_node == CLUSTER1.gpus_per_node == 1
+        assert CLUSTER1.cpu_only().gpus_per_node == 0
         with pytest.raises(ConfigError, match="at least one map slot"):
             gpu_only.cpu_only()
 

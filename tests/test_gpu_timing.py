@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import TESLA_K40
+from repro.gpu.device import GpuDevice
 from repro.gpu.timing import MAX_MLP, KernelCost, TimingModel, WarpCost
 
 
@@ -77,4 +78,5 @@ class TestGrid:
 
     def test_seconds_conversion(self, model):
         cycles = model.grid_cycles([1000.0])
-        assert model.grid_seconds([1000.0]) == cycles * TESLA_K40.cycle_time_s
+        assert GpuDevice(TESLA_K40).cycles_to_seconds(cycles) == \
+            cycles * TESLA_K40.cycle_time_s

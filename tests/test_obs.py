@@ -21,7 +21,7 @@ def test_metrics_counters_and_gauges():
     m.gauge("g", 7.0)
     assert m.count("a") == 3.5
     assert m.count("missing") == 0.0
-    assert m.gauge_value("g") == 7.0
+    assert m.gauges["g"] == 7.0
     snap = m.snapshot()
     assert snap == {"counters": {"a": 3.5}, "gauges": {"g": 7.0}}
 
@@ -40,7 +40,7 @@ def test_metrics_merge():
     b.gauge("g", 1.5)
     a.merge(b)
     assert a.count("x") == 5
-    assert a.gauge_value("g") == 1.5
+    assert a.gauges["g"] == 1.5
 
 
 # -- recorder ---------------------------------------------------------------

@@ -321,7 +321,9 @@ def test_pickled_runner_leaves_its_gpu_device_behind():
     assert b"GpuTaskRunner" not in blob and b"GpuDevice" not in blob
     copy = pickle.loads(blob)
     assert copy._gpu_runner is None
-    split = runner.make_splits(text)[0]
+    data = text.encode()
+    start, end = runner.split_ranges(data)[0]
+    split = data[start:end]
     original, shipped = runner.map_task(0, split), copy.map_task(0, split)
     assert shipped.seconds == original.seconds
     assert shipped.parts == original.parts
@@ -348,7 +350,9 @@ def test_ii_map_task_envelope_is_smaller_than_its_output():
     app = get_app("II")
     text = app.generate(10_000, seed=7)
     runner = LocalJobRunner(app, use_gpu=False, workers=1)
-    task = runner.map_task(0, runner.make_splits(text)[0])
+    data = text.encode()
+    start, end = runner.split_ranges(data)[0]
+    task = runner.map_task(0, data[start:end])
     assert len(pickle.dumps(task.parts)) < task.output_bytes
     serial = runner.run(text)
     pooled = LocalJobRunner(app, use_gpu=False, workers=2).run(text)

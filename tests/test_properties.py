@@ -160,7 +160,8 @@ class TestSplitProperties:
         text = app.generate(records, seed=3)
         runner = LocalJobRunner(app, use_gpu=False,
                                 split_bytes=split_kb * 1024)
-        splits = runner.make_splits(text)
+        data = text.encode()
+        splits = [data[a:b] for a, b in runner.split_ranges(data)]
         assert b"".join(splits) == text.encode()
         for split in splits[:-1]:
             assert split.endswith(b"\n")  # records never torn

@@ -57,17 +57,21 @@ Regenerate with ``PYTHONPATH=src python -m tests.test_task_times``;
 '''
 
 
+def paper_figures(tag: str, cluster) -> object | None:
+    """Table 2's figures for ``tag`` on ``cluster``; None where the
+    paper marks it NA (KM on Cluster2)."""
+    app = get_app(tag)
+    figures = app.cluster1 if cluster.name == "Cluster1" else app.cluster2
+    if figures is None or figures.map_tasks is None:
+        return None
+    return figures
+
+
 def table2_points() -> list[tuple[str, object]]:
     """(app tag, paper cluster) for every figure Table 2 gives."""
-    points = []
-    for tag in APP_ORDER:
-        for cluster in (CLUSTER1, CLUSTER2):
-            try:
-                get_app(tag).figures_for(cluster.name)
-            except ConfigError:
-                continue  # Table 2 'NA' (KM on Cluster2)
-            points.append((tag, cluster))
-    return points
+    return [(tag, cluster) for tag in APP_ORDER
+            for cluster in (CLUSTER1, CLUSTER2)
+            if paper_figures(tag, cluster) is not None]
 
 
 def render() -> str:
@@ -79,7 +83,7 @@ def render() -> str:
         rows.append(f"    {key}: {{\n" + "".join(
             f'        "{name}": {value!r},\n'
             for name, value in fields.items()) + "    },\n")
-        paper = get_app(tag).figures_for(cluster.name)
+        paper = paper_figures(tag, cluster)
         counts.append(f"    {key}: ({paper.map_tasks}, "
                       f"{paper.reduce_tasks}),\n")
     return (HEADER
@@ -99,7 +103,7 @@ class TestTableDrift:
         key = (tag, cluster.name)
         assert task_times.TASK_TIMES[key] == \
             simulated_task_times(tag, cluster)
-        paper = get_app(tag).figures_for(cluster.name)
+        paper = paper_figures(tag, cluster)
         assert task_times.TABLE2_TASKS[key] == \
             (paper.map_tasks, paper.reduce_tasks)
 
